@@ -229,7 +229,6 @@ def measure(repeats: int = 3) -> dict:
     return {
         "config": {
             "threshold": CFG.threshold,
-            "score_backend": CFG.score_backend,
             "n_heads": N_HEADS,
             "head_dim": HEAD_DIM,
             "prompt_tokens": PROMPT_TOKENS,

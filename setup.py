@@ -2,8 +2,8 @@
 
 The reproduction environment is offline and lacks the ``wheel`` package, so
 PEP 517/660 editable builds are unavailable; ``pip install -e .`` uses this
-file via the legacy ``setup.py develop`` path.  Metadata mirrors
-``pyproject.toml``.
+file via the legacy ``setup.py develop`` path.  This file is the only
+place the package metadata lives (there is no ``pyproject.toml``).
 """
 
 from setuptools import find_packages, setup

@@ -178,9 +178,7 @@ def _run_serve_sim(args) -> str:
     model = get_model_config(args.model)
     rng = np.random.default_rng(args.seed)
     n_heads, head_dim = 4, model.head_dim
-    config = TokenPickerConfig(
-        threshold=args.threshold, score_backend=args.kernel_backend
-    )
+    config = TokenPickerConfig(threshold=args.threshold)
     capacity = args.batch_size * (args.context_length + args.max_new_tokens + 16)
     tracer = _tracer_from_args(args)
     sim = ServingSimulator(
@@ -264,8 +262,8 @@ def _run_serve_sim(args) -> str:
                 f"({share:5.1%})"
             )
             if phase == "score":
-                # lazy backends split the score phase: the one
-                # full-width chunk-0 pass vs alive-set refinement
+                # inside the score phase: the one full-width chunk-0
+                # pass vs alive-set refinement
                 for sub in ("score_chunk0", "score_refine"):
                     if sub in phase_totals:
                         seconds = phase_totals[sub]
@@ -304,9 +302,7 @@ def _run_serve_cluster(args) -> str:
         )
     model = get_model_config(args.model)
     n_heads, head_dim = 4, model.head_dim
-    config = TokenPickerConfig(
-        threshold=args.threshold, score_backend=args.kernel_backend
-    )
+    config = TokenPickerConfig(threshold=args.threshold)
     capacity = args.capacity_tokens or args.batch_size * (
         args.context_length + args.max_new_tokens + 16
     )
@@ -432,9 +428,7 @@ def _run_serve_frontend(args) -> str:
         raise ValueError("--slo-p95-ms and --deadline must be >= 0")
     model = get_model_config(args.model)
     n_heads, head_dim = 4, model.head_dim
-    config = TokenPickerConfig(
-        threshold=args.threshold, score_backend=args.kernel_backend
-    )
+    config = TokenPickerConfig(threshold=args.threshold)
     rng = np.random.default_rng(args.seed)
 
     if args.inject_faults:
@@ -669,16 +663,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "throttled) and the leftover feeds prompt chunks; bounds the "
         "inter-token latency spike a long prompt can cause "
         "(0: unbounded, monolithic prefill)",
-    )
-    serve.add_argument(
-        "--kernel-backend",
-        choices=("numpy", "numba", "eager"),
-        default="numpy",
-        help="fused ragged kernel score phase: the lazy alive-set "
-        "pipeline with NumPy ('numpy') or compiled ('numba', falls back "
-        "to numpy with a warning when numba is missing) contraction "
-        "primitives, or the eager full-table reference ('eager'); all "
-        "bit-identical in pruning decisions and outputs",
     )
     serve.add_argument(
         "--profile",

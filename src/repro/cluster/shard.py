@@ -7,7 +7,7 @@ chunk-digit planes and deq-V rows are partitioned head-wise across K
 modelled shard workers.  Each worker owns a contiguous head range, holds
 *only* its slice of the arena (a head-sliced
 :class:`~repro.serving.kv_pool.KVCachePool`), and runs the fused ragged
-lazy kernel on that slice; the per-head kept-token partial outputs are
+kernel on that slice; the per-head kept-token partial outputs are
 then combined by a modelled **all-gather** whose byte count is
 proportional to *kept* (head, token) pairs — so Token-Picker's Eq. 5
 certified pruning directly shrinks the interconnect traffic, the
@@ -437,8 +437,6 @@ class ShardGroup:
             shard_results.append(
                 token_picker_attention_ragged(
                     qs[:, h_lo:h_hi],
-                    None,
-                    None,
                     config,
                     q_scales=q_scales[:, h_lo:h_hi],
                     k_scales=k_scales[:, h_lo:h_hi],
@@ -495,7 +493,6 @@ class ShardGroup:
         return RaggedPickerResult(
             results=results,
             lengths=first.lengths,
-            pack_order=first.pack_order,
             round_alive=round_alive,
         )
 

@@ -5,10 +5,17 @@ Two dataclasses drive everything in :mod:`repro.core`:
 * :class:`QuantConfig` — the fixed-point format.  The paper sets the
   self-attention operand precision to 12 bits segmented into three 4-bit
   chunks (Sec. 4); both numbers are configurable here so the chunk-width
-  ablation in DESIGN.md §5 is a one-parameter sweep.
+  ablation is a one-parameter sweep.
 * :class:`TokenPickerConfig` — the pruning policy: threshold ``thr``,
-  processing order, and schedule (depth-first reference vs the
-  breadth-first round order the out-of-order hardware realises).
+  processing order, schedule (depth-first reference vs the breadth-first
+  round order the out-of-order hardware realises) and the never-pruned
+  recent window.
+
+Neither carries an implementation choice: the fused arena kernel
+(:func:`repro.core.pruning.token_picker_attention_ragged`) has one score
+path, and the rectangular kernel
+(:func:`repro.core.pruning.token_picker_attention_batched`) is its
+reference.
 """
 
 from __future__ import annotations
@@ -28,13 +35,6 @@ PRESET_PPL_BUDGETS = {
 
 VALID_ORDERS = ("sink_recency", "recency", "chronological")
 VALID_SCHEDULES = ("breadth", "depth")
-#: how the fused ragged kernel's score phase runs on the packed arena:
-#: "numpy" / "numba" select the lazy alive-set pipeline (pay only for
-#: undecided tokens) with the NumPy or compiled contraction primitives
-#: (see :mod:`repro.core.score_backend`); "eager" keeps the full-table
-#: reference path.  All three are bit-identical in kept sets, fetched
-#: chunks, probabilities, outputs and log denominators.
-VALID_SCORE_BACKENDS = ("numpy", "numba", "eager")
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,6 @@ class TokenPickerConfig:
         include_self_in_denominator: whether a token's own lower bound is
             added to the denominator before its prune check (the hardware
             aggregates each lane's partial-exp in the same cycle, so True).
-        score_backend: the fused ragged kernel's arena score phase.
-            ``"numpy"`` (default) runs the lazy alive-set pipeline —
-            chunk 0 for every token, later chunks only for survivors —
-            with NumPy contraction primitives; ``"numba"`` runs the same
-            pipeline with the optional compiled primitives (falls back
-            to NumPy with a warning when numba is absent); ``"eager"``
-            keeps the full-table reference path.  Pruning decisions,
-            fetched chunks, probabilities, outputs and log denominators
-            are bit-identical across all three; only the reported
-            ``scores`` of *pruned* tokens differ on the lazy paths (the
-            certified upper bound at the pruning decision, since their
-            remaining chunks are never fetched — see
-            :func:`repro.core.pruning.token_picker_attention_ragged`).
     """
 
     threshold: float = 1e-3
@@ -143,7 +130,6 @@ class TokenPickerConfig:
     schedule: str = "breadth"
     prompt_guard: int = 1
     include_self_in_denominator: bool = True
-    score_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
@@ -156,11 +142,6 @@ class TokenPickerConfig:
             )
         if self.prompt_guard < 0:
             raise ValueError(f"prompt_guard must be >= 0, got {self.prompt_guard}")
-        if self.score_backend not in VALID_SCORE_BACKENDS:
-            raise ValueError(
-                f"score_backend must be one of {VALID_SCORE_BACKENDS}, "
-                f"got {self.score_backend!r}"
-            )
 
     def with_threshold(self, threshold: float) -> "TokenPickerConfig":
         """Copy of this config with a different threshold."""

@@ -32,16 +32,14 @@ import numpy as np
 
 from repro.core.config import QuantConfig, TokenPickerConfig
 from repro.core.estimator import DenominatorAggregator, PruneRule
-from repro.core.margins import margin_pairs, score_bounds
+from repro.core.margins import margin_pairs, margin_pairs_batch, score_bounds
 from repro.core.ordering import processing_order
 from repro.core.quantization import (
     QuantizedTensor,
     chunk_plane_values,
     compute_scale,
     quantize,
-    signed_chunk_digit,
 )
-from repro.core.score_backend import resolve_backend
 from repro.utils.numerics import softmax
 
 
@@ -570,6 +568,32 @@ class BatchedPickerResult:
         )
 
 
+def _checked_scales(explicit, shape) -> np.ndarray:
+    """Caller-frozen quantization scales: finite, positive, ``shape``."""
+    scales = np.asarray(explicit, dtype=np.float64)
+    if scales.shape != shape or not (
+        np.isfinite(scales).all() and (scales > 0).all()
+    ):
+        raise ValueError(
+            f"explicit scales must be finite and positive with shape {shape}"
+        )
+    return scales
+
+
+def _empty_result(n_heads, head_dim, quant, has_values) -> BatchedPickerResult:
+    """What both kernels return for a zero-length context."""
+    return BatchedPickerResult(
+        kept=np.zeros((n_heads, 0), dtype=bool),
+        chunks_fetched=np.zeros((n_heads, 0), dtype=np.int64),
+        scores=np.zeros((n_heads, 0)),
+        probs=np.zeros((n_heads, 0)),
+        outputs=np.zeros((n_heads, head_dim)) if has_values else None,
+        log_denominators=np.full(n_heads, -np.inf),
+        quant=quant,
+        head_dim=head_dim,
+    )
+
+
 def token_picker_attention_batched(
     q: np.ndarray,
     keys: np.ndarray,
@@ -587,10 +611,14 @@ def token_picker_attention_batched(
     (``q_scales``/``k_scales``/``v_scales``) when a deployment freezes them
     at calibration time (see :class:`repro.core.session.TokenPickerSession`);
     out-of-range values then saturate.
-    This is the kernel the LM evaluation uses: one call per (layer,
-    position) covers every head at once.  Only the breadth schedule is
+    This is the kernel the LM evaluation and the sessions use — one call
+    per (layer, position) covers every head at once — and the reference
+    the fused arena kernel (:func:`token_picker_attention_ragged`) is
+    tested against: it computes the full cumulative score table, so every
+    token's reported score is exact.  Only the breadth schedule is
     supported (it is the one the out-of-order hardware realises).
     ``score_bias`` is an optional (H, t) known additive score term (ALiBi).
+    ``q`` and explicit scales must be finite (``ValueError`` otherwise).
     """
     if config.schedule != "breadth":
         raise ValueError("batched kernel supports only the breadth schedule")
@@ -599,6 +627,8 @@ def token_picker_attention_batched(
     keys = np.asarray(keys, dtype=np.float64)
     if q.ndim != 2 or keys.ndim != 3 or keys.shape[0] != q.shape[0]:
         raise ValueError("q must be (H, d) and keys (H, t, d)")
+    if not np.isfinite(q).all():
+        raise ValueError("q must be finite")
     n_heads, head_dim = q.shape
     n_tokens = keys.shape[1]
     if score_bias is None:
@@ -611,25 +641,15 @@ def token_picker_attention_batched(
                 f"got {bias.shape}"
             )
     if n_tokens == 0:
-        return BatchedPickerResult(
-            kept=np.zeros((n_heads, 0), dtype=bool),
-            chunks_fetched=np.zeros((n_heads, 0), dtype=np.int64),
-            scores=np.zeros((n_heads, 0)),
-            probs=np.zeros((n_heads, 0)),
-            outputs=np.zeros((n_heads, head_dim)) if values is not None else None,
-            log_denominators=np.full(n_heads, -np.inf),
-            quant=quant,
-            head_dim=head_dim,
-        )
+        return _empty_result(n_heads, head_dim, quant, values is not None)
 
     # Per-head symmetric scales (data-derived unless frozen ones are given).
     def _head_scales(explicit, data, axes) -> np.ndarray:
         if explicit is not None:
-            scales = np.asarray(explicit, dtype=np.float64)
-            if scales.shape != (n_heads,) or np.any(scales <= 0):
-                raise ValueError("explicit scales must be positive with shape (H,)")
-            return scales
+            return _checked_scales(explicit, (n_heads,))
         max_abs = np.abs(data).max(axis=axes)
+        if not np.isfinite(max_abs).all():
+            raise ValueError("cannot derive scales from non-finite data")
         return np.where(max_abs > 0, max_abs / quant.qmax, 1.0)
 
     q_scale = _head_scales(q_scales, q, 1)
@@ -641,8 +661,6 @@ def token_picker_attention_batched(
         np.rint(keys / k_scale[:, None, None]), quant.qmin, quant.qmax
     ).astype(np.int64)
     score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (H,)
-
-    from repro.core.margins import margin_pairs_batch
 
     planes = chunk_plane_values(k_codes, quant)  # (H, t, d, C)
     ps = np.cumsum(np.einsum("htdc,hd->htc", planes, q_codes), axis=2)
@@ -680,6 +698,10 @@ def token_picker_attention_batched(
     outputs = None
     if values is not None:
         values = np.asarray(values, dtype=np.float64)
+        if values.shape != keys.shape:
+            raise ValueError(
+                f"values shape {values.shape} must match keys shape {keys.shape}"
+            )
         v_scale = _head_scales(v_scales, values, (1, 2))
         v_deq = (
             np.clip(
@@ -707,16 +729,19 @@ def token_picker_attention_batched(
 class RaggedPickerResult:
     """Results of one fused ragged-batch kernel call.
 
-    ``results[s]`` is bit-identical to what an independent
-    :func:`token_picker_attention_batched` call on sequence ``s`` would
-    return — the fused kernel is a pure packing optimisation, never an
-    approximation.  ``lengths`` holds the per-sequence context lengths and
-    ``pack_order`` the length-sorted order the kernel processed them in.
+    ``results[s]`` matches an independent
+    :func:`token_picker_attention_batched` call on sequence ``s`` bit for
+    bit in ``kept``, ``chunks_fetched``, ``probs``, ``outputs``,
+    ``log_denominators`` and the kept tokens' ``scores`` — the fused
+    kernel is a packing optimisation, never an approximation.  A *pruned*
+    token's ``scores`` entry is its certified upper bound at the round
+    that pruned it (``p'' >= p``, Eq. 5): its remaining chunks are never
+    fetched, which is the point.  ``lengths`` holds the per-sequence
+    context lengths.
     """
 
     results: list  # List[BatchedPickerResult], in the caller's order
     lengths: np.ndarray  # int (S,)
-    pack_order: np.ndarray  # int (S,) longest-first packing order
     #: alive (head, token) pairs entering each chunk round, plus the
     #: final kept-pair count in the last slot — shape (n_chunks + 1,).
     #: ``round_alive[b] - round_alive[b + 1]`` is how many pairs were
@@ -740,314 +765,70 @@ class RaggedPickerResult:
         return merged
 
 
-def _per_sequence_scales(explicit, data_list, axes, n_seqs, n_heads, quant):
-    """Resolve (S, H) scales: explicit array or per-sequence data maxima."""
-    if explicit is not None:
-        scales = np.asarray(explicit, dtype=np.float64)
-        if scales.shape != (n_seqs, n_heads) or np.any(scales <= 0):
-            raise ValueError(
-                "explicit ragged scales must be positive with shape (S, H)"
-            )
-        return scales
-    out = np.empty((n_seqs, n_heads))
-    for s, data in enumerate(data_list):
-        if data.size == 0:  # empty context: scale is never applied
-            out[s] = 1.0
-            continue
-        max_abs = np.abs(data).max(axis=axes)
-        out[s] = np.where(max_abs > 0, max_abs / quant.qmax, 1.0)
-    return out
+class _PhaseClock:
+    """Laps of one wall clock, accumulated into a caller's ``phase_times``.
 
-
-def token_picker_attention_ragged(
-    qs: np.ndarray,
-    keys: "Optional[list]",
-    values: "Optional[list]",
-    config: TokenPickerConfig,
-    score_bias: "Optional[list]" = None,
-    q_scales: Optional[np.ndarray] = None,
-    k_scales: Optional[np.ndarray] = None,
-    v_scales: Optional[np.ndarray] = None,
-    k_planes: "Optional[list]" = None,
-    v_deq: "Optional[list]" = None,
-    k_plane_arena: Optional[np.ndarray] = None,
-    v_arena: Optional[np.ndarray] = None,
-    segments: Optional[np.ndarray] = None,
-    scratch: Optional[KernelScratch] = None,
-    phase_times: Optional[Dict[str, float]] = None,
-) -> RaggedPickerResult:
-    """Fused breadth-schedule Token-Picker over a ragged multi-sequence batch.
-
-    ``qs``: (S, H, d) — one query per sequence; ``keys``/``values``: length-S
-    sequences of (H, t_s, d) arrays with *per-sequence* context lengths.
-    Scales, when frozen at calibration time (the serving engine's case), are
-    (S, H) arrays; ``score_bias`` is an optional length-S sequence of
-    (H, t_s) arrays.
-
-    This is the serving engine's hot path: all sequences' tokens live on one
-    flat token axis so the chunk-plane expansion, the partial-score einsum
-    and every breadth-round predicate run **once per batch**.  Per-sequence
-    reductions (denominator log-sum-exp, final softmax, V accumulation) run
-    as *segment reductions* — one ``np.maximum.reduceat`` /
-    ``np.add.reduceat`` pass over interleaved segment boundaries per round,
-    one masked grouped softmax over the packed score matrix, and one
-    segment-reduced weighted-V pass — instead of per-sequence Python loops.
-    Every returned array is bit-identical to an independent
-    :func:`token_picker_attention_batched` call on that sequence: the
-    integer score table makes the heavy arithmetic exact by construction,
-    and both kernels funnel their float token-axis reductions through the
-    same ``reduceat`` folds (see :func:`_row_sums`), whose per-slice result
-    depends only on the slice's own values.
-
-    A cache that freezes its scales (the engine's KV pool) never changes a
-    token's quantized representation after it is written, so it can encode
-    once at append time and skip the per-step requantization.  Two
-    pre-encoded input forms are accepted:
-
-    * ``k_planes`` (length-S list of (H, C, t_s, d) per-chunk signed plane
-      contributions, i.e. :func:`~repro.core.quantization.
-      chunk_plane_values` transposed chunk-major; requires explicit
-      ``k_scales``) and/or ``v_deq`` (length-S list of (H, t_s, d)
-      quantize-dequantized values) instead of ``keys``/``values``; or
-    * the **zero-copy packed-arena form**: ``k_plane_arena`` — one
-      token-major (T_cap, H, C, d) (or (T_cap, H*C, d)) store of
-      *unshifted* chunk digits (float32 or float64; the kernel applies
-      each chunk's power-of-two positional shift after the contraction) —
-      plus ``v_arena`` (T_cap, H, d) and ``segments`` (S, 2) rows of
-      ``(offset, length)`` locating each sequence's contiguous slab.  The
-      kernel computes directly on views of the arena (dead inter-segment
-      gaps ride along masked, carried by the reduceat boundary table), so
-      the caller appends tokens in place and hands over views — no
-      per-step packing copies at all.
-
-    The planes are the MSB-first chunk decomposition the paper's DRAM
-    layout streams, and plane-times-query products are exact in float64
-    for any practical format, so results stay bit-identical.  ``scratch``
-    (a :class:`KernelScratch`) lets a caller reuse the kernel's work
-    arrays across steps; ``phase_times`` accumulates per-phase wall-clock
-    seconds under ``"score"`` / ``"prune"`` / ``"unpack"`` keys.
+    The score sub-phases nest inside ``"score"``: a ``score_chunk0`` or
+    ``score_refine`` lap is added to both keys, so the two never sum to
+    more than ``"score"`` (which also carries the kernel's set-up).
     """
-    if config.schedule != "breadth":
-        raise ValueError("ragged kernel supports only the breadth schedule")
-    arena_mode = (
-        k_plane_arena is not None or v_arena is not None or segments is not None
-    )
-    if arena_mode:
-        if k_plane_arena is None or segments is None:
-            raise ValueError("the arena path needs k_plane_arena and segments")
-        if any(x is not None for x in (keys, values, k_planes, v_deq)):
-            raise ValueError(
-                "arena inputs are exclusive of per-sequence key/value lists"
-            )
-        if k_scales is None:
-            raise ValueError(
-                "k_plane_arena requires explicit k_scales (planes carry no scale)"
-            )
-    else:
-        if keys is None and k_planes is None:
-            raise ValueError(
-                "provide keys or pre-encoded k_planes or a packed arena"
-            )
-        if k_planes is not None and k_scales is None:
-            raise ValueError(
-                "k_planes requires explicit k_scales (planes carry no scale)"
-            )
-    quant = config.quant
-    t_mark = time.perf_counter() if phase_times is not None else 0.0
 
-    def _mark(phase: str) -> None:
-        nonlocal t_mark
-        if phase_times is None:
+    def __init__(self, phase_times: Optional[Dict[str, float]]) -> None:
+        self._times = phase_times
+        self._mark = time.perf_counter() if phase_times is not None else 0.0
+
+    def lap(self, phase: str) -> None:
+        if self._times is None:
             return
         now = time.perf_counter()
-        phase_times[phase] = phase_times.get(phase, 0.0) + (now - t_mark)
-        t_mark = now
+        times, lap = self._times, now - self._mark
+        times[phase] = times.get(phase, 0.0) + lap
+        if phase.startswith("score_"):
+            times["score"] = times.get("score", 0.0) + lap
+        self._mark = now
 
-    def _resync() -> None:
-        # restart the phase clock without attributing the elapsed span to
-        # any phase (the lazy score loop accounts its own sub-phases)
-        nonlocal t_mark
-        if phase_times is not None:
-            t_mark = time.perf_counter()
 
-    qs = np.asarray(qs, dtype=np.float64)
-    if qs.ndim != 3:
-        raise ValueError(f"qs must be (S, H, d), got {qs.shape}")
-    n_seqs, n_heads, head_dim = qs.shape
+@dataclass(frozen=True)
+class _SegmentGeometry:
+    """Where the live sequences sit on the kernel's flat token axis.
 
-    def _check_ragged(name, arrays, dtype):
-        if len(arrays) != n_seqs:
-            raise ValueError(
-                f"expected {n_seqs} {name} arrays, got {len(arrays)}"
-            )
-        out = [np.asarray(a, dtype=dtype) for a in arrays]
-        for s, a in enumerate(out):
-            if a.ndim != 3 or a.shape[0] != n_heads or a.shape[2] != head_dim:
-                raise ValueError(
-                    f"{name}[{s}] must be ({n_heads}, t, {head_dim}), "
-                    f"got {a.shape}"
-                )
-        return out
+    The axis is the arena span from the first live segment's start to the
+    last one's end: every live sequence is one contiguous slab at its
+    in-place offset, and the dead inter-segment gaps ride along masked,
+    carried by the reduceat boundary table instead of a repacking copy.
+    Segment ``i`` reduces at column ``2 * i`` of that table, the
+    (possibly empty) gap after it at column ``2 * i + 1``; reduceat's
+    per-slice fold reads only the slice's own elements, so gap columns
+    cost their width in streamed bytes but never touch a segment's
+    result.
+    """
 
-    k_arena = None
-    if arena_mode:
-        k_arena = np.asarray(k_plane_arena)
-        if k_arena.dtype not in (np.float32, np.float64):
-            raise ValueError(
-                "k_plane_arena must hold float32/float64 chunk digits"
-            )
-        if k_arena.ndim == 3:
-            if k_arena.shape[1:] != (n_heads * quant.n_chunks, head_dim):
-                raise ValueError(
-                    f"k_plane_arena must be (T, {n_heads * quant.n_chunks}, "
-                    f"{head_dim}), got {k_arena.shape}"
-                )
-            k_arena = k_arena.reshape(
-                k_arena.shape[0], n_heads, quant.n_chunks, head_dim
-            )
-        elif k_arena.ndim != 4 or k_arena.shape[1:] != (
-            n_heads, quant.n_chunks, head_dim
-        ):
-            raise ValueError(
-                f"k_plane_arena must be (T, {n_heads}, {quant.n_chunks}, "
-                f"{head_dim}), got {k_arena.shape}"
-            )
-        segments = np.asarray(segments, dtype=np.int64)
-        if segments.shape != (n_seqs, 2):
-            raise ValueError(
-                f"segments must be ({n_seqs}, 2) (offset, length) rows, "
-                f"got {segments.shape}"
-            )
-        if np.any(segments < 0) or np.any(
-            segments.sum(axis=1) > k_arena.shape[0]
-        ):
-            raise ValueError("segments must lie within the arena")
-        lengths = segments[:, 1].copy()
-        if v_arena is not None:
-            v_arena = np.asarray(v_arena, dtype=np.float64)
-            if v_arena.shape != (k_arena.shape[0], n_heads, head_dim):
-                raise ValueError(
-                    f"v_arena must be ({k_arena.shape[0]}, {n_heads}, "
-                    f"{head_dim}), got {v_arena.shape}"
-                )
-    elif k_planes is not None:
-        if len(k_planes) != n_seqs:
-            raise ValueError(
-                f"expected {n_seqs} k_planes arrays, got {len(k_planes)}"
-            )
-        k_planes = [np.asarray(p, dtype=np.float64) for p in k_planes]
-        for s, p in enumerate(k_planes):
-            if (
-                p.ndim != 4
-                or p.shape[0] != n_heads
-                or p.shape[1] != quant.n_chunks
-                or p.shape[3] != head_dim
-            ):
-                raise ValueError(
-                    f"k_planes[{s}] must be ({n_heads}, {quant.n_chunks}, t, "
-                    f"{head_dim}), got {p.shape}"
-                )
-        lengths = np.array([p.shape[2] for p in k_planes], dtype=np.int64)
-    else:
-        keys = _check_ragged("keys", keys, np.float64)
-        lengths = np.array([k.shape[1] for k in keys], dtype=np.int64)
+    seg_ids: np.ndarray  # (n_live,) caller sequence index, ascending start
+    st: np.ndarray  # (n_live,) slab start columns on the flat axis
+    en: np.ndarray  # (n_live,) slab end columns
+    base: int  # arena row of flat column 0
+    total: int  # flat-axis extent, gaps included
+    reduce_idx: np.ndarray  # (2 * n_live - 1,) interleaved reduceat starts
+    col_of_tok: np.ndarray  # (total,) reduceat column of each token
+    seq_of_tok: np.ndarray  # (total,) caller sequence index; 0 on gaps
+    valid: np.ndarray  # (total,) False on gaps
+    guard: np.ndarray  # (total,) tokens that may never be pruned
 
-    def _check_value_lengths(name, arrays):
-        for s, a in enumerate(arrays):
-            if a.shape[1] != lengths[s]:
-                raise ValueError(
-                    f"{name}[{s}] has {a.shape[1]} tokens, keys have "
-                    f"{lengths[s]}"
-                )
-        return arrays
 
-    if v_deq is not None:
-        v_deq = _check_value_lengths(
-            "v_deq", _check_ragged("v_deq", v_deq, np.float64)
-        )
-    elif values is not None:
-        values = _check_value_lengths(
-            "values", _check_ragged("values", values, np.float64)
-        )
-    has_values = values is not None or v_deq is not None or v_arena is not None
-    if score_bias is not None:
-        if len(score_bias) != n_seqs:
-            raise ValueError(f"expected {n_seqs} bias arrays, got {len(score_bias)}")
-        biases = []
-        for s, b in enumerate(score_bias):
-            if b is None:
-                biases.append(None)
-                continue
-            b = np.asarray(b, dtype=np.float64)
-            if b.shape != (n_heads, lengths[s]):
-                raise ValueError(
-                    f"score_bias[{s}] must have shape ({n_heads}, {lengths[s]}),"
-                    f" got {b.shape}"
-                )
-            biases.append(b)
-    else:
-        biases = [None] * n_seqs
+def _segment_geometry(
+    segments: np.ndarray, live: np.ndarray, prompt_guard: int
+) -> _SegmentGeometry:
+    seg_ids = live[np.argsort(segments[live, 0], kind="stable")]
+    starts = segments[seg_ids, 0]
+    ends = starts + segments[seg_ids, 1]
+    if np.any(starts[1:] < ends[:-1]):
+        raise ValueError("arena segments overlap")
+    base = int(starts[0])
+    total = int(ends[-1]) - base
+    st = starts - base
+    en = ends - base
 
-    q_scale = _per_sequence_scales(q_scales, qs, 1, n_seqs, n_heads, quant)
-    k_scale = _per_sequence_scales(k_scales, keys, (1, 2), n_seqs, n_heads, quant)
-    v_scale = (
-        _per_sequence_scales(v_scales, values, (1, 2), n_seqs, n_heads, quant)
-        if values is not None
-        else None
-    )
-
-    results: list = [None] * n_seqs
-    # Empty contexts carry no tokens to pack: emit the rectangular
-    # kernel's empty result directly.
-    for s in np.flatnonzero(lengths == 0):
-        results[s] = BatchedPickerResult(
-            kept=np.zeros((n_heads, 0), dtype=bool),
-            chunks_fetched=np.zeros((n_heads, 0), dtype=np.int64),
-            scores=np.zeros((n_heads, 0)),
-            probs=np.zeros((n_heads, 0)),
-            outputs=np.zeros((n_heads, head_dim)) if has_values else None,
-            log_denominators=np.full(n_heads, -np.inf),
-            quant=quant,
-            head_dim=head_dim,
-        )
-
-    pack_order = np.argsort(-lengths, kind="stable")
-    packed = [int(s) for s in pack_order if lengths[s] > 0]
-    if not packed:
-        return RaggedPickerResult(
-            results=results, lengths=lengths, pack_order=pack_order
-        )
-
-    # ---- packed geometry.  Every live sequence is one contiguous slab on
-    # a flat token axis: list inputs are packed longest-first (gap-free);
-    # arena inputs keep their in-place offsets, with the dead
-    # inter-segment gaps carried by the reduceat boundary table instead of
-    # a repacking copy.  ``seg_ids`` maps slab columns (ascending start)
-    # back to caller sequence indices.
-    if arena_mode:
-        seg_ids = np.array(packed, dtype=np.int64)
-        seg_ids = seg_ids[np.argsort(segments[seg_ids, 0], kind="stable")]
-        starts_abs = segments[seg_ids, 0]
-        ends_abs = starts_abs + segments[seg_ids, 1]
-        if np.any(starts_abs[1:] < ends_abs[:-1]):
-            raise ValueError("arena segments overlap")
-        base = int(starts_abs[0])
-        span_end = int(ends_abs[-1])
-        st = starts_abs - base
-        en = ends_abs - base
-    else:
-        seg_ids = np.array(packed, dtype=np.int64)
-        en = np.cumsum(lengths[seg_ids])
-        st = en - lengths[seg_ids]
-        base, span_end = 0, int(en[-1])
-    n_live = len(seg_ids)
-    total = span_end - base  # flat-axis extent, including arena gaps
-
-    # Interleaved reduceat boundaries: segment i reduces at column 2*i,
-    # the (possibly empty) gap after it at column 2*i + 1.  reduceat's
-    # per-slice fold reads only the slice's own rows, so gap columns cost
-    # their width in streamed bytes but never touch a segment's result.
-    n_cols = 2 * n_live - 1
+    n_cols = 2 * len(seg_ids) - 1
     reduce_idx = np.empty(n_cols, dtype=np.intp)
     reduce_idx[::2] = st
     reduce_idx[1::2] = en[:-1]
@@ -1059,70 +840,92 @@ def token_picker_attention_ragged(
     col_seq[1::2] = -1
     seq_idx = np.repeat(col_seq, widths)  # (total,); -1 on arena gaps
     valid = seq_idx >= 0
-    seq_clip = np.where(valid, seq_idx, 0)
-
-    def take_buf(name, shape, dtype=np.float64):
-        if scratch is not None:
-            return scratch.take(name, shape, dtype)
-        return np.empty(shape, dtype=dtype)
-
-    q_codes = np.clip(
-        np.rint(qs / q_scale[:, :, None]), quant.qmin, quant.qmax
-    ).astype(np.int64)
-    score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (S, H)
-
-    from repro.core.margins import margin_pairs_batch
-
-    mins, maxs = margin_pairs_batch(q_codes, quant)  # (S, H, C+1)
-
-    # Plane x query products are bounded by d * 2^(2N-2): exact in
-    # float64 for every practical format (any association order yields
-    # the same integer), with an int64 fallback for wider formats.
-    n_chunks = quant.n_chunks
-    exact_in_float = (
-        2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() <= 52
-    )
-    if arena_mode and k_arena.dtype == np.float32:
-        digit_bound = (
-            head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
-        )
-        if not (exact_in_float and digit_bound < 2 ** 24):
-            raise ValueError(
-                "float32 k_plane_arena requires digit contractions "
-                "exact in float32 (head_dim * digit_max * qmax < 2**24)"
-            )
-
-    # ---- per-token broadcast tables, head-major (H, T).  A zero bias
-    # is skipped entirely: ``x + 0.0`` can only alter the sign of a
-    # zero, and the bound expressions cannot produce -0.0 (their nonzero
-    # operands have magnitude >= the score scale), so skipping stays
-    # bit-identical.
-    ss_ht = take_buf("ss", (n_heads, total))
-    np.take(score_scale.T, seq_clip, axis=1, out=ss_ht)
-    no_bias = all(b is None for b in biases)
-    bias_ht = None
-    if not no_bias:
-        bias_ht = take_buf("bias", (n_heads, total))
-        bias_ht.fill(0.0)
-        for i in range(n_live):
-            b_arr = biases[int(seg_ids[i])]
-            if b_arr is not None:
-                bias_ht[:, st[i]:en[i]] = b_arr
-    pos = np.arange(total)
     end_col = np.empty(n_cols, dtype=np.int64)
     end_col[::2] = en
-    end_col[1::2] = total + config.prompt_guard + 1  # gaps: never guarded
-    guard_t = valid & (
-        pos >= np.repeat(end_col, widths) - config.prompt_guard
+    end_col[1::2] = total + prompt_guard + 1  # gaps: never guarded
+    guard = valid & (
+        np.arange(total) >= np.repeat(end_col, widths) - prompt_guard
     )
-    guard_row = guard_t[None, :]
+    return _SegmentGeometry(
+        seg_ids=seg_ids,
+        st=st,
+        en=en,
+        base=base,
+        total=total,
+        reduce_idx=reduce_idx,
+        col_of_tok=np.repeat(np.arange(n_cols, dtype=np.intp), widths),
+        seq_of_tok=np.where(valid, seq_idx, 0),
+        valid=valid,
+        guard=guard,
+    )
 
-    # ---- per-round denominator scratch, hoisted out of the chunk loop
-    # (``ld_cols`` and the token broadcasts used to be fresh allocations
-    # every round of every step).  ``col_of_tok`` turns the per-column
-    # ``np.repeat`` broadcasts into ``np.take`` writes into reused
-    # buffers — identical output, zero allocator traffic.
-    col_of_tok = np.repeat(np.arange(n_cols, dtype=np.intp), widths)
+
+def _contract_chunk(planes_c, q_seg, st, en, out) -> None:
+    """Every token's digit row of one chunk dotted with its sequence's
+    query, into ``out`` (H, total).  ``planes_c`` is a (total, H, d)
+    single-chunk digit view, ``q_seg`` the (n_live, H, d) per-segment
+    query codes in the same dtype.  One einsum per segment: the query is
+    constant within a segment, so this never materialises a
+    (total, H, d) per-token query gather."""
+    for i in range(st.shape[0]):
+        lo, hi = int(st[i]), int(en[i])
+        np.einsum("thd,hd->ht", planes_c[lo:hi], q_seg[i], out=out[:, lo:hi])
+
+
+def _contract_pairs(planes, chunk, t_idx, h_idx, q_pair, out) -> None:
+    """The alive ``(token, head)`` pairs' digit rows of one chunk dotted
+    with their (A, d) gathered query rows, into ``out`` (A,).  ``planes``
+    is the full (total, H, C, d) digit view; ``out.dtype`` selects
+    integer accumulation."""
+    rows = planes[t_idx, h_idx, chunk]  # (A, d) gather
+    if out.dtype == np.int64 and rows.dtype != np.int64:
+        rows = rows.astype(np.int64)  # lossless: digits are exact ints
+    np.einsum("ad,ad->a", rows, q_pair, out=out)
+
+
+def _score_rounds(
+    geo: _SegmentGeometry,
+    planes4: np.ndarray,
+    q_codes: np.ndarray,
+    score_scale: np.ndarray,
+    config: TokenPickerConfig,
+    exact_in_float: bool,
+    take_buf,
+    clock: _PhaseClock,
+):
+    """The breadth rounds over the flat axis: score, then prune, per chunk.
+
+    Round 1 (chunk 0) touches every token once through one batched
+    contraction; each later round extends only the surviving
+    (head, token) pairs' partial scores by their next chunk digit, so
+    per-round score cost scales with the alive set (the keep fraction of
+    T) instead of T * C — the paper's on-demand fetch.  Chunk
+    contractions are exact integers (float64 under the 52-bit gate,
+    float32 digits under the 2**24 gate, int64 otherwise), so incremental
+    accumulation equals the rectangular kernel's cumulative table, and
+    the per-round denominators re-reduce the whole lower-bound row
+    through the same ``reduceat`` folds as :func:`_row_sums`.
+
+    ``planes4`` is the (total, H, C, d) unshifted-digit view of the arena
+    span, ``q_codes`` (S, H, d) int64, ``score_scale`` (S, H).  Returns
+    ``(alive, chunks_fetched, scores, log_den_seg, round_alive)`` — the
+    first three (H, total), ``log_den_seg`` (H, n_live).
+    """
+    quant = config.quant
+    n_chunks = quant.n_chunks
+    n_heads, head_dim = q_codes.shape[1:]
+    total, st, en, seq_of_tok = geo.total, geo.st, geo.en, geo.seq_of_tok
+    n_live = len(geo.seg_ids)
+    n_cols = geo.reduce_idx.size
+    log_thr = config.log_threshold
+    guard_row = geo.guard[None, :]
+
+    ss_ht = take_buf("ss", (n_heads, total))
+    np.take(score_scale.T, seq_of_tok, axis=1, out=ss_ht)
+
+    # ---- per-round denominator scratch, hoisted out of the chunk loop;
+    # ``col_of_tok`` turns per-column ``np.repeat`` broadcasts into
+    # ``np.take`` writes into reused buffers
     m_cols_buf = take_buf("m_cols", (n_heads, n_cols))
     m_fix_buf = take_buf("m_fix", (n_heads, n_cols))
     den_cols_buf = take_buf("den_cols", (n_heads, n_cols))
@@ -1137,489 +940,335 @@ def token_picker_attention_ragged(
 
         Every round re-reduces the whole (H, T) lower-bound row —
         decided tokens' frozen bounds included, since their exp terms
-        shift as the running max rises — through the same interleaved
-        ``reduceat`` folds as always, so the lazy and eager score
-        phases share these bits by construction.  Returns
+        shift as the running max rises; a sequence whose tokens are all
+        decided simply reproduces its frozen value.  Returns
         ``(log_den_seg (H, n_live), log_den_tok (H, total))``; the
         latter is a scratch view valid until the next round.
         """
-        np.maximum.reduceat(lb, reduce_idx, axis=1, out=m_cols_buf)
+        np.maximum.reduceat(lb, geo.reduce_idx, axis=1, out=m_cols_buf)
         m_seg = m_cols_buf[:, ::2]
         np.copyto(m_fix_buf, m_cols_buf)
         np.copyto(m_fix_buf, 0.0, where=~np.isfinite(m_cols_buf))
-        np.take(m_fix_buf, col_of_tok, axis=1, out=m_tok_buf)
+        np.take(m_fix_buf, geo.col_of_tok, axis=1, out=m_tok_buf)
         np.subtract(lb, m_tok_buf, out=ex)
         np.clip(ex, -700.0, 0.0, out=ex)
         np.exp(ex, out=ex)
-        np.add.reduceat(ex, reduce_idx, axis=1, out=den_cols_buf)
+        np.add.reduceat(ex, geo.reduce_idx, axis=1, out=den_cols_buf)
         seg_den = m_seg + np.log(den_cols_buf[:, ::2])
         ld_cols_buf[:, ::2] = seg_den
-        np.take(ld_cols_buf, col_of_tok, axis=1, out=ld_tok_buf)
+        np.take(ld_cols_buf, geo.col_of_tok, axis=1, out=ld_tok_buf)
         return seg_den, ld_tok_buf
 
-    # ---- breadth-round state.  One reduceat pass computes every
-    # sequence's per-round denominator at once; the folds match the
-    # rectangular kernel's row folds bit for bit, and a sequence whose
-    # tokens are all decided simply stops changing (recomputing its
-    # denominator from unchanged bounds reproduces the frozen value
-    # exactly).
-    log_thr = config.log_threshold
     alive = take_buf("alive", (n_heads, total), bool)
-    alive[:] = valid[None, :]
+    alive[:] = geo.valid[None, :]
     chunks_fetched = take_buf("chunks", (n_heads, total), np.int64)
     chunks_fetched.fill(0)
     current_lb = take_buf("lb", (n_heads, total))
     current_lb.fill(-np.inf)
     log_den_seg = np.full((n_heads, n_live), -np.inf)
     round_alive = np.zeros(n_chunks + 1, dtype=np.int64)
+    clock.lap("score")  # set-up up to here counts as score
 
-    lazy = arena_mode and config.score_backend != "eager"
-    if lazy:
-        # ---- lazy alive-set score phase.  Round 1 (chunk 0) touches
-        # every token once through one batched contraction; each later
-        # round gathers only the surviving (head, token) pairs' next
-        # chunk digit from the arena view and extends their partial
-        # scores, so per-round score cost scales with the alive set
-        # (the keep fraction of T) instead of T * C.  Chunk contractions
-        # are exact integers under the same gates as the eager table, so
-        # incremental accumulation is bit-identical to the eager cumsum,
-        # and the per-round denominators reuse the full-row fold above —
-        # kept sets, fetched chunks, probabilities, outputs and log
-        # denominators match the eager path bit for bit.  Reported
-        # ``scores`` of *pruned* tokens are the certified upper bound at
-        # the round that pruned them (their remaining chunks are never
-        # fetched — that is the point); kept tokens' scores stay the
-        # exact full-depth values.
-        backend = resolve_backend(config.score_backend)
-        _mark("score")  # setup cost up to here counts as score
-        timing = phase_times is not None
-        sub_t = {"score_chunk0": 0.0, "score_refine": 0.0, "prune": 0.0}
-        t_sub = time.perf_counter() if timing else 0.0
-
-        def _sub(key):
-            nonlocal t_sub
-            if timing:
-                now = time.perf_counter()
-                sub_t[key] += now - t_sub
-                t_sub = now
-
-        shifts = [
-            1 << (quant.total_bits - (c + 1) * quant.chunk_bits)
-            for c in range(n_chunks)
-        ]
-        planes4 = k_arena[base:span_end]  # (total, H, C, d) digit view
-        int_mode = not exact_in_float
-        if int_mode:
-            # wide-format fallback: only the chunk-0 slice needs an
-            # int64 copy up front (1/C of the eager fallback's span
-            # copy); later rounds cast just the gathered alive rows
-            q_f = q_codes
-            contrib0 = take_buf("lz_c0_i", (n_heads, total), np.int64)
-            planes_c0 = take_buf(
-                "lz_p0_i", (total, n_heads, head_dim), np.int64
-            )
-            np.copyto(planes_c0, planes4[:, :, 0, :], casting="unsafe")
-        elif k_arena.dtype == np.float32:
-            q_f = q_codes.astype(np.float32)
-            contrib0 = take_buf("lz_c0_f32", (n_heads, total), np.float32)
-            planes_c0 = planes4[:, :, 0, :]
-        else:
-            q_f = q_codes.astype(np.float64)
-            contrib0 = take_buf("lz_c0", (n_heads, total))
-            planes_c0 = planes4[:, :, 0, :]
-        q_seg = q_f[seg_ids]  # (n_live, H, d)
-        ps_run = take_buf(
-            "lz_ps_i" if int_mode else "lz_ps",
-            (n_heads, total),
-            np.int64 if int_mode else np.float64,
-        )
-        # pre-scaled margin tables (C, H, S): the same margin * scale
-        # products the eager path broadcasts to (H, T), gathered
-        # per-round on the alive set instead
-        mlo_tbl = np.ascontiguousarray(
-            (mins[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-        )
-        mhi_tbl = np.ascontiguousarray(
-            (maxs[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-        )
-        s_min_row = take_buf("lz_smin", (n_heads, total))
-        s_max_row = take_buf("lz_smax", (n_heads, total))
-        m_row = take_buf("lz_mrow", (n_heads, total))
-        exact_scores = take_buf("scores", (n_heads, total))
-        exact_scores.fill(0.0)
-        survivors = int(np.count_nonzero(alive))
-        for b in range(n_chunks):
-            if not survivors:
-                break
-            round_alive[b] = survivors
-            # Strategy per round: a dense full-width chunk extension
-            # (one batched per-segment contraction) beats compacted
-            # pair gathers while the alive set is still a sizeable
-            # fraction of the arena — the threshold-driven first
-            # refinement round typically retains tens of percent of
-            # pairs, and only later rounds thin to the ~0.4% keep
-            # fraction.  Both strategies run the identical per-element
-            # value chain, so the switch is purely a performance
-            # decision — every output is bit-identical either way.
-            dense = b == 0 or (
-                not int_mode and survivors * 8 >= alive.size
-            )
-            if dense:
-                planes_cb = planes_c0 if b == 0 else planes4[:, :, b, :]
-                backend.contract_chunk0(
-                    planes_cb, q_seg, st, en, contrib0
-                )
-                if b == 0:
-                    if not valid.all():  # scrub stale gap columns
-                        contrib0[:, ~valid] = 0
-                    # same value chain as the eager table's shift
-                    # column: promote the digit dot to the accumulator
-                    # dtype first, then scale by the chunk's
-                    # power-of-two shift (exact either way — a float32
-                    # contribution must NOT be multiplied by the shift
-                    # in float32, where the product can exceed 2**24
-                    # and round)
-                    np.copyto(ps_run, contrib0)
-                    ps_run *= shifts[0]
-                else:
-                    # dead and gap columns accumulate garbage here —
-                    # harmless: every consumer below is masked by
-                    # ``alive`` and death scores were already recorded
-                    np.copyto(m_row, contrib0)
-                    m_row *= float(shifts[b])
-                    ps_run += m_row
-                # full-width bounds — same elementwise tree as the
-                # eager tables: (ps * scale + margin * scale) + bias
-                # (one base product, copied: both bounds share it)
-                np.multiply(ps_run, ss_ht, out=s_max_row)
-                np.copyto(s_min_row, s_max_row)
-                np.take(mlo_tbl[b], seq_clip, axis=1, out=m_row)
-                s_min_row += m_row
-                np.take(mhi_tbl[b], seq_clip, axis=1, out=m_row)
-                s_max_row += m_row
-                if bias_ht is not None:
-                    s_min_row += bias_ht
-                    s_max_row += bias_ht
-                np.copyto(chunks_fetched, b + 1, where=alive)
-                np.copyto(current_lb, s_min_row, where=alive)
-                _sub("score_chunk0" if b == 0 else "score_refine")
-
-                log_den_seg, log_den_tok = _round_denominator(
-                    current_lb
-                )
-                prune_now = (
-                    alive
-                    & ((s_max_row - log_den_tok) <= log_thr)
-                    & ~guard_row
-                )
-                # a pruned token's reported score is its certified
-                # upper bound at the pruning decision (p'' >= p, Eq. 5)
-                np.copyto(exact_scores, s_max_row, where=prune_now)
-                alive &= ~prune_now
-                survivors = int(np.count_nonzero(alive))
-                _sub("prune")
-            else:
-                h_idx, t_idx = np.nonzero(alive)
-                q_pair = q_f[seq_idx[t_idx], h_idx]  # (A, d)
-                contrib_pair = np.empty(
-                    h_idx.size, dtype=contrib0.dtype
-                )
-                backend.contract_pairs(
-                    planes4, b, t_idx, h_idx, q_pair, contrib_pair
-                )
-                ps_pair = ps_run[h_idx, t_idx]
-                if int_mode:
-                    ps_pair += contrib_pair * shifts[b]
-                else:
-                    cp = (
-                        contrib_pair
-                        if contrib_pair.dtype == np.float64
-                        else contrib_pair.astype(np.float64)
-                    )
-                    ps_pair += cp * float(shifts[b])
-                ps_run[h_idx, t_idx] = ps_pair
-                ss_pair = ss_ht[h_idx, t_idx]
-                seqs_pair = seq_idx[t_idx]
-                s_min_pair = ps_pair * ss_pair
-                s_min_pair += mlo_tbl[b][h_idx, seqs_pair]
-                s_max_pair = ps_pair * ss_pair
-                s_max_pair += mhi_tbl[b][h_idx, seqs_pair]
-                if bias_ht is not None:
-                    bias_pair = bias_ht[h_idx, t_idx]
-                    s_min_pair += bias_pair
-                    s_max_pair += bias_pair
-                chunks_fetched[h_idx, t_idx] = b + 1
-                current_lb[h_idx, t_idx] = s_min_pair
-                _sub("score_refine")
-
-                log_den_seg, log_den_tok = _round_denominator(
-                    current_lb
-                )
-                prune_pair = (
-                    (s_max_pair - log_den_tok[h_idx, t_idx]) <= log_thr
-                ) & ~guard_t[t_idx]
-                if prune_pair.any():
-                    dh = h_idx[prune_pair]
-                    dt = t_idx[prune_pair]
-                    exact_scores[dh, dt] = s_max_pair[prune_pair]
-                    alive[dh, dt] = False
-                    survivors -= int(dh.size)
-                _sub("prune")
-        round_alive[n_chunks] = survivors
-
-        # kept tokens survived every round, so their running partial
-        # scores are the exact full-depth values — finish their
-        # reported scores with the eager path's elementwise ops
-        kh, kt = np.nonzero(alive)
-        if kh.size:
-            kept_scores = ps_run[kh, kt] * ss_ht[kh, kt]
-            if bias_ht is not None:
-                kept_scores += bias_ht[kh, kt]
-            exact_scores[kh, kt] = kept_scores
-        _sub("score_refine")
-        if timing:
-            phase_times["score"] = (
-                phase_times.get("score", 0.0)
-                + sub_t["score_chunk0"]
-                + sub_t["score_refine"]
-            )
-            phase_times["score_chunk0"] = (
-                phase_times.get("score_chunk0", 0.0)
-                + sub_t["score_chunk0"]
-            )
-            phase_times["score_refine"] = (
-                phase_times.get("score_refine", 0.0)
-                + sub_t["score_refine"]
-            )
-            phase_times["prune"] = (
-                phase_times.get("prune", 0.0) + sub_t["prune"]
-            )
-        _resync()
+    shifts = [
+        1 << (quant.total_bits - (c + 1) * quant.chunk_bits)
+        for c in range(n_chunks)
+    ]
+    int_mode = not exact_in_float
+    if int_mode:
+        # wide-format fallback: only the chunk-0 slice needs an int64
+        # copy up front; later rounds cast just the gathered alive rows
+        q_f = q_codes
+        contrib0 = take_buf("lz_c0_i", (n_heads, total), np.int64)
+        planes_c0 = take_buf("lz_p0_i", (total, n_heads, head_dim), np.int64)
+        np.copyto(planes_c0, planes4[:, :, 0, :], casting="unsafe")
+    elif planes4.dtype == np.float32:
+        q_f = q_codes.astype(np.float32)
+        contrib0 = take_buf("lz_c0_f32", (n_heads, total), np.float32)
+        planes_c0 = planes4[:, :, 0, :]
     else:
-        # ---- eager reference: the complete cumulative partial-score
-        # table ps[c, h, t] plus full bound tables, exact by
-        # construction (same gates as above).
-        if arena_mode:
-            planes_view = k_arena[base:span_end]  # (total, H, C, d) view
-            # One batched (C, d) x (d, 1) matmul per segment, straight
-            # on the arena view: the query is constant within a segment,
-            # so this avoids gathering a (T, H, d) per-token query
-            # table, and exact integer arithmetic makes the contraction
-            # order irrelevant.  The arena stores *unshifted* digits —
-            # each chunk's power-of-two positional shift is applied
-            # after its contraction (an exponent-only multiply,
-            # exactness preserved), which is what lets a float32 arena
-            # carry practical formats at half the memory traffic.
-            if k_arena.dtype == np.float32:
-                contrib = take_buf(
-                    "contrib32", (total, n_heads, n_chunks), np.float32
-                )
-                q_f = q_codes.astype(np.float32)
-            elif exact_in_float:
-                contrib = take_buf("contrib", (total, n_heads, n_chunks))
-                q_f = q_codes.astype(np.float64)
+        q_f = q_codes.astype(np.float64)
+        contrib0 = take_buf("lz_c0", (n_heads, total))
+        planes_c0 = planes4[:, :, 0, :]
+    q_seg = q_f[geo.seg_ids]  # (n_live, H, d)
+    ps_run = take_buf(
+        "lz_ps_i" if int_mode else "lz_ps",
+        (n_heads, total),
+        np.int64 if int_mode else np.float64,
+    )
+    # pre-scaled margin tables (C, H, S): the same ``margin * scale``
+    # products the rectangular kernel computes per token, evaluated once
+    # per (sequence, head, chunk) and gathered per round
+    mins, maxs = margin_pairs_batch(q_codes, quant)  # (S, H, C+1)
+    mlo_tbl = np.ascontiguousarray(
+        (mins[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
+    )
+    mhi_tbl = np.ascontiguousarray(
+        (maxs[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
+    )
+    s_min_row = take_buf("lz_smin", (n_heads, total))
+    s_max_row = take_buf("lz_smax", (n_heads, total))
+    m_row = take_buf("lz_mrow", (n_heads, total))
+    scores = take_buf("scores", (n_heads, total))
+    scores.fill(0.0)
+    survivors = int(np.count_nonzero(alive))
+    for b in range(n_chunks):
+        if not survivors:
+            break
+        round_alive[b] = survivors
+        # Strategy per round: a dense full-width chunk extension (one
+        # batched per-segment contraction) beats compacted pair gathers
+        # while the alive set is still a sizeable fraction of the arena
+        # — the threshold-driven first refinement round typically
+        # retains tens of percent of pairs, and only later rounds thin
+        # to the ~0.4% keep fraction.  Both strategies run the identical
+        # per-element value chain, so the switch is purely a performance
+        # decision — every output is bit-identical either way.
+        dense = b == 0 or (not int_mode and survivors * 8 >= alive.size)
+        if dense:
+            planes_cb = planes_c0 if b == 0 else planes4[:, :, b, :]
+            _contract_chunk(planes_cb, q_seg, st, en, contrib0)
+            if b == 0:
+                if not geo.valid.all():  # scrub stale gap columns
+                    contrib0[:, ~geo.valid] = 0
+                # promote the digit dot to the accumulator dtype first,
+                # then scale by the chunk's power-of-two shift (a
+                # float32 contribution must NOT be multiplied by the
+                # shift in float32, where the product can exceed 2**24
+                # and round)
+                np.copyto(ps_run, contrib0)
+                ps_run *= shifts[0]
             else:
-                contrib = take_buf(
-                    "contrib_i", (total, n_heads, n_chunks), np.int64
-                )
-                # wide-format fallback: integer accumulation needs an
-                # int64 copy of the span (scratch-backed; digits are
-                # exact ints, so the cast is lossless) — unavoidable
-                # O(span) work unless the pool stores int64 digits for
-                # such formats
-                planes_i = take_buf(
-                    "planes_i", planes_view.shape, np.int64
-                )
-                np.copyto(planes_i, planes_view, casting="unsafe")
-                planes_view = planes_i
-                q_f = q_codes
-            for i in range(n_live):
-                s = int(seg_ids[i])
-                np.matmul(
-                    planes_view[st[i]:en[i]],
-                    q_f[s][:, :, None],
-                    out=contrib[st[i]:en[i], :, :, None],
-                )
-            if not valid.all():  # arena gaps: scrub stale scratch
-                contrib[~valid] = 0
-            shifts = np.array(
-                [
-                    1 << (quant.total_bits - (c + 1) * quant.chunk_bits)
-                    for c in range(n_chunks)
-                ]
-            )
-            if contrib.dtype == np.int64:
-                ps = take_buf("ps_i", (n_chunks, n_heads, total), np.int64)
-                np.multiply(
-                    contrib.transpose(2, 1, 0), shifts[:, None, None], out=ps
-                )
-            else:
-                ps = take_buf("ps", (n_chunks, n_heads, total))
-                np.multiply(
-                    contrib.transpose(2, 1, 0),
-                    shifts.astype(np.float64)[:, None, None],
-                    out=ps,
-                )
-            np.cumsum(ps, axis=0, out=ps)
-        elif k_planes is not None:
-            # Pre-encoded chunk planes: one dense dot product per chunk,
-            # no per-step requantization or digit extraction.
-            if exact_in_float:
-                q_tok = np.take(q_codes.astype(np.float64), seq_idx, axis=0)
-                ps = np.empty((n_chunks, n_heads, total))
-            else:
-                q_tok = np.take(q_codes, seq_idx, axis=0)
-                ps = np.empty((n_chunks, n_heads, total), dtype=np.int64)
-            for c in range(n_chunks):
-                plane_c = np.concatenate(
-                    [
-                        k_planes[int(s)][:, c].transpose(1, 0, 2)
-                        for s in seg_ids
-                    ],
-                    axis=0,
-                )
-                if exact_in_float:
-                    np.einsum("thd,thd->ht", plane_c, q_tok, out=ps[c])
-                else:
-                    np.einsum(
-                        "thd,thd->ht", plane_c.astype(np.int64), q_tok,
-                        out=ps[c],
-                    )
-            np.cumsum(ps, axis=0, out=ps)
-        else:
-            packed_keys = np.concatenate(
-                [keys[int(s)].transpose(1, 0, 2) for s in seg_ids], axis=0
-            )
-            k_scale_tok = k_scale[seq_idx]  # (total, H)
-            packed_codes = np.clip(
-                np.rint(packed_keys / k_scale_tok[:, :, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            # Chunk-plane partial scores, one chunk at a time:
-            # materialising the full (T, H, d, C) plane tensor
-            # (chunk_plane_values) falls out of cache at serving batch
-            # sizes.  The per-chunk loop streams (T, H, d) once per
-            # chunk instead — integer arithmetic throughout, so the
-            # scores stay exact.
-            pattern = packed_codes & ((1 << quant.total_bits) - 1)
-            q_tok = np.take(q_codes, seq_idx, axis=0)
-            ps = np.empty((n_chunks, n_heads, total), dtype=np.int64)
-            for c in range(n_chunks):
-                shift = quant.total_bits - (c + 1) * quant.chunk_bits
-                digit = signed_chunk_digit(pattern, c, quant)
-                np.einsum("thd,thd->ht", digit << shift, q_tok, out=ps[c])
-            np.cumsum(ps, axis=0, out=ps)
-
-        # ---- score-bound tables.  Margins are pre-scaled per
-        # (sequence, head, chunk) — the same ``margin * scale`` products
-        # the rectangular kernel computes per token, evaluated once and
-        # broadcast to the full (C, H, T) tables.
-        margin_lo = take_buf("margin_lo", (n_chunks, n_heads, total))
-        margin_hi = take_buf("margin_hi", (n_chunks, n_heads, total))
-        np.take(
-            np.ascontiguousarray(
-                (mins[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-            ),
-            seq_clip, axis=2, out=margin_lo,
-        )
-        np.take(
-            np.ascontiguousarray(
-                (maxs[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-            ),
-            seq_clip, axis=2, out=margin_hi,
-        )
-        # same elementwise tree as the rectangular kernel:
-        # (ps * scale + margin * scale) + bias
-        s_min = take_buf("s_min", (n_chunks, n_heads, total))
-        s_max = take_buf("s_max", (n_chunks, n_heads, total))
-        np.multiply(ps, ss_ht, out=s_min)
-        s_min += margin_lo
-        np.multiply(ps, ss_ht, out=s_max)
-        s_max += margin_hi
-        if bias_ht is not None:
-            s_min += bias_ht
-            s_max += bias_ht
-        _mark("score")
-
-        # ---- breadth rounds over the full-width tables.
-        for b in range(n_chunks):
-            round_alive[b] = int(np.count_nonzero(alive))
+                # dead and gap columns accumulate garbage here —
+                # harmless: every consumer below is masked by ``alive``
+                # and death scores were already recorded
+                np.copyto(m_row, contrib0)
+                m_row *= float(shifts[b])
+                ps_run += m_row
+            # same elementwise tree as the rectangular kernel:
+            # ps * scale + margin * scale (one base product, copied:
+            # both bounds share it)
+            np.multiply(ps_run, ss_ht, out=s_max_row)
+            np.copyto(s_min_row, s_max_row)
+            np.take(mlo_tbl[b], seq_of_tok, axis=1, out=m_row)
+            s_min_row += m_row
+            np.take(mhi_tbl[b], seq_of_tok, axis=1, out=m_row)
+            s_max_row += m_row
             np.copyto(chunks_fetched, b + 1, where=alive)
-            np.copyto(current_lb, s_min[b], where=alive)
+            np.copyto(current_lb, s_min_row, where=alive)
+            clock.lap("score_chunk0" if b == 0 else "score_refine")
+
             log_den_seg, log_den_tok = _round_denominator(current_lb)
             prune_now = (
-                alive & ((s_max[b] - log_den_tok) <= log_thr) & ~guard_row
+                alive & ((s_max_row - log_den_tok) <= log_thr) & ~guard_row
             )
+            # a pruned token's reported score is its certified upper
+            # bound at the pruning decision (p'' >= p, Eq. 5)
+            np.copyto(scores, s_max_row, where=prune_now)
             alive &= ~prune_now
-            if not alive.any():
-                break
-        round_alive[n_chunks] = int(np.count_nonzero(alive))
-        _mark("prune")
+            survivors = int(np.count_nonzero(alive))
+            clock.lap("prune")
+        else:
+            h_idx, t_idx = np.nonzero(alive)
+            seqs_pair = seq_of_tok[t_idx]
+            q_pair = q_f[seqs_pair, h_idx]  # (A, d)
+            contrib_pair = np.empty(h_idx.size, dtype=contrib0.dtype)
+            _contract_pairs(planes4, b, t_idx, h_idx, q_pair, contrib_pair)
+            ps_pair = ps_run[h_idx, t_idx]
+            if int_mode:
+                ps_pair += contrib_pair * shifts[b]
+            else:
+                ps_pair += contrib_pair.astype(
+                    np.float64, copy=False
+                ) * float(shifts[b])
+            ps_run[h_idx, t_idx] = ps_pair
+            ss_pair = ss_ht[h_idx, t_idx]
+            s_min_pair = ps_pair * ss_pair
+            s_min_pair += mlo_tbl[b][h_idx, seqs_pair]
+            s_max_pair = ps_pair * ss_pair
+            s_max_pair += mhi_tbl[b][h_idx, seqs_pair]
+            chunks_fetched[h_idx, t_idx] = b + 1
+            current_lb[h_idx, t_idx] = s_min_pair
+            clock.lap("score_refine")
 
-        exact_scores = take_buf("scores", (n_heads, total))
-        np.multiply(ps[-1], ss_ht, out=exact_scores)
-        if bias_ht is not None:
-            exact_scores += bias_ht
+            log_den_seg, log_den_tok = _round_denominator(current_lb)
+            prune_pair = (
+                (s_max_pair - log_den_tok[h_idx, t_idx]) <= log_thr
+            ) & ~geo.guard[t_idx]
+            if prune_pair.any():
+                dh = h_idx[prune_pair]
+                dt = t_idx[prune_pair]
+                scores[dh, dt] = s_max_pair[prune_pair]
+                alive[dh, dt] = False
+                survivors -= int(dh.size)
+            clock.lap("prune")
+    round_alive[n_chunks] = survivors
+
+    # kept tokens survived every round, so their running partial scores
+    # are the exact full-depth values
+    kh, kt = np.nonzero(alive)
+    if kh.size:
+        scores[kh, kt] = ps_run[kh, kt] * ss_ht[kh, kt]
+    clock.lap("score_refine")
+    return alive, chunks_fetched, scores, log_den_seg, round_alive
+
+
+def token_picker_attention_ragged(
+    qs: np.ndarray,
+    config: TokenPickerConfig,
+    *,
+    q_scales: np.ndarray,
+    k_scales: np.ndarray,
+    k_plane_arena: np.ndarray,
+    segments: np.ndarray,
+    v_arena: Optional[np.ndarray] = None,
+    scratch: Optional[KernelScratch] = None,
+    phase_times: Optional[Dict[str, float]] = None,
+) -> RaggedPickerResult:
+    """Fused breadth-schedule Token-Picker over a ragged multi-sequence batch.
+
+    The production kernel — the serving engine's hot path — computing
+    straight on views of a KV pool's packed arena:
+
+    * ``qs`` (S, H, d): one query per sequence, quantized here with the
+      frozen ``q_scales`` (S, H); ``k_scales`` (S, H) are the scales the
+      arena's keys were encoded with.
+    * ``k_plane_arena``: one token-major (T_cap, H, C, d) (or
+      (T_cap, H*C, d)) store of *unshifted* MSB-first chunk digits,
+      float32 or float64 — the decomposition the paper's DRAM layout
+      streams.  The kernel applies each chunk's power-of-two positional
+      shift after the contraction, so digit-times-query products stay
+      exact integers.
+    * ``v_arena`` (T_cap, H, d): quantize-dequantized values; ``None``
+      runs step 0 only (``outputs`` is ``None``).
+    * ``segments`` (S, 2): ``(offset, length)`` rows locating each
+      sequence's contiguous slab.  The caller appends tokens in place
+      and hands over views — no per-step packing copies at all.
+
+    All sequences' tokens share one flat token axis, so every chunk
+    round runs **once per batch**: chunk 0 is contracted for every
+    token, later chunks only for the (head, token) pairs still
+    undecided, and per-sequence reductions (denominator log-sum-exp,
+    final softmax, V accumulation) run as ``reduceat`` segment
+    reductions.  :func:`token_picker_attention_batched` is the reference
+    this kernel is tested against; see :class:`RaggedPickerResult` for
+    the exact contract.
+
+    ``scratch`` (a :class:`KernelScratch`) lets a caller reuse the
+    kernel's work arrays across steps; ``phase_times`` accumulates
+    per-phase wall-clock seconds under ``"score"`` (with its
+    ``"score_chunk0"`` / ``"score_refine"`` parts), ``"prune"`` and
+    ``"unpack"``.
+    """
+    if config.schedule != "breadth":
+        raise ValueError("ragged kernel supports only the breadth schedule")
+    clock = _PhaseClock(phase_times)
+    quant = config.quant
+    n_chunks = quant.n_chunks
+
+    qs = np.asarray(qs, dtype=np.float64)
+    if qs.ndim != 3:
+        raise ValueError(f"qs must be (S, H, d), got {qs.shape}")
+    if not np.isfinite(qs).all():
+        raise ValueError("qs must be finite")
+    n_seqs, n_heads, head_dim = qs.shape
+    q_scale = _checked_scales(q_scales, (n_seqs, n_heads))
+    k_scale = _checked_scales(k_scales, (n_seqs, n_heads))
+
+    k_arena = np.asarray(k_plane_arena)
+    if k_arena.dtype not in (np.float32, np.float64):
+        raise ValueError("k_plane_arena must hold float32/float64 chunk digits")
+    if k_arena.ndim == 3 and k_arena.shape[1:] == (n_heads * n_chunks, head_dim):
+        k_arena = k_arena.reshape(-1, n_heads, n_chunks, head_dim)
+    if k_arena.ndim != 4 or k_arena.shape[1:] != (n_heads, n_chunks, head_dim):
+        raise ValueError(
+            f"k_plane_arena must be (T, {n_heads}, {n_chunks}, {head_dim}) "
+            f"or (T, {n_heads * n_chunks}, {head_dim}), got {k_arena.shape}"
+        )
+    segments = np.asarray(segments, dtype=np.int64)
+    if segments.shape != (n_seqs, 2):
+        raise ValueError(
+            f"segments must be ({n_seqs}, 2) (offset, length) rows, "
+            f"got {segments.shape}"
+        )
+    if np.any(segments < 0) or np.any(segments.sum(axis=1) > k_arena.shape[0]):
+        raise ValueError("segments must lie within the arena")
+    if v_arena is not None:
+        v_arena = np.asarray(v_arena, dtype=np.float64)
+        if v_arena.shape != (k_arena.shape[0], n_heads, head_dim):
+            raise ValueError(
+                f"v_arena must be ({k_arena.shape[0]}, {n_heads}, "
+                f"{head_dim}), got {v_arena.shape}"
+            )
+    # Digit x query products are bounded by d * 2^(2N-2): exact in
+    # float64 for every practical format (any association order yields
+    # the same integer), with an int64 fallback for wider formats.
+    exact_in_float = (
+        2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() <= 52
+    )
+    if k_arena.dtype == np.float32:
+        digit_bound = head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
+        if not (exact_in_float and digit_bound < 2 ** 24):
+            raise ValueError(
+                "float32 k_plane_arena requires digit contractions "
+                "exact in float32 (head_dim * digit_max * qmax < 2**24)"
+            )
+
+    lengths = segments[:, 1].copy()
+    results: list = [None] * n_seqs
+    for s in np.flatnonzero(lengths == 0):
+        results[s] = _empty_result(n_heads, head_dim, quant, v_arena is not None)
+    live = np.flatnonzero(lengths > 0)
+    if live.size == 0:
+        return RaggedPickerResult(results=results, lengths=lengths)
+
+    geo = _segment_geometry(segments, live, config.prompt_guard)
+    take_buf = (scratch if scratch is not None else KernelScratch()).take
+    q_codes = np.clip(
+        np.rint(qs / q_scale[:, :, None]), quant.qmin, quant.qmax
+    ).astype(np.int64)
+    score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (S, H)
+    span = slice(geo.base, geo.base + geo.total)
+    alive, chunks_fetched, scores, log_den_seg, round_alive = _score_rounds(
+        geo, k_arena[span], q_codes, score_scale, config, exact_in_float,
+        take_buf, clock,
+    )
 
     # ---- unpack: masked grouped softmax over the packed (H, T) score
     # matrix, one segment-reduced weighted-V pass, per-sequence slicing.
-    probs_ht = take_buf("probs", (n_heads, total))
+    n_live = len(geo.seg_ids)
+    probs_ht = take_buf("probs", (n_heads, geo.total))
     probs_ht.fill(0.0)
     kept_counts = np.add.reduceat(
-        alive.astype(np.int64), reduce_idx, axis=1
+        alive.astype(np.int64), geo.reduce_idx, axis=1
     )[:, ::2]  # (H, n_live) kept tokens per (head, segment)
     bounds = np.zeros(n_heads * n_live + 1, dtype=np.intp)
     np.cumsum(kept_counts.ravel(), out=bounds[1:])
-    flat = exact_scores[alive]
-    flat_probs = _grouped_softmax(flat, bounds)
-    if flat.size:
+    flat_probs = _grouped_softmax(scores[alive], bounds)
+    if flat_probs.size:
         probs_ht[alive] = flat_probs
-
     outs = None
-    if has_values:
-        if arena_mode:
-            v_tok = v_arena[base:span_end]  # (total, H, d) view
-        elif v_deq is not None:
-            v_tok = np.concatenate(
-                [v_deq[int(s)].transpose(1, 0, 2) for s in seg_ids], axis=0
-            )
-        else:
-            v_raw = np.concatenate(
-                [values[int(s)].transpose(1, 0, 2) for s in seg_ids], axis=0
-            )
-            vsc_tok = v_scale[seq_idx][:, :, None]  # (total, H, 1)
-            v_tok = (
-                np.clip(np.rint(v_raw / vsc_tok), quant.qmin, quant.qmax)
-                * vsc_tok
-            )
+    if v_arena is not None:
         # gather only the *kept* tokens' V rows (keep fraction of the
         # cache) — the step-1 AV the hardware actually fetches
-        v_flat = v_tok.transpose(1, 0, 2)[alive]
+        v_flat = v_arena[span].transpose(1, 0, 2)[alive]
         outs = _grouped_weighted_v(
             flat_probs, v_flat, bounds, head_dim
         ).reshape(n_heads, n_live, head_dim)
-
     for i in range(n_live):
-        s = int(seg_ids[i])
-        lo, hi = int(st[i]), int(en[i])
-        results[s] = BatchedPickerResult(
+        lo, hi = int(geo.st[i]), int(geo.en[i])
+        results[int(geo.seg_ids[i])] = BatchedPickerResult(
             kept=alive[:, lo:hi].copy(),
             chunks_fetched=chunks_fetched[:, lo:hi].copy(),
-            scores=exact_scores[:, lo:hi].copy(),
+            scores=scores[:, lo:hi].copy(),
             probs=probs_ht[:, lo:hi].copy(),
             outputs=outs[:, i].copy() if outs is not None else None,
             log_denominators=log_den_seg[:, i].copy(),
             quant=quant,
             head_dim=head_dim,
         )
-    _mark("unpack")
-
+    clock.lap("unpack")
     return RaggedPickerResult(
-        results=results,
-        lengths=lengths,
-        pack_order=pack_order,
-        round_alive=round_alive,
+        results=results, lengths=lengths, round_alive=round_alive
     )
 
 

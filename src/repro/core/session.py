@@ -16,14 +16,16 @@ whose KV cache the caller owns:
   observable that tells a deployment its calibration window was too
   narrow.
 
-Since the serving refactor this class is a thin adapter over
-:class:`repro.serving.engine.ServingEngine` in its external-KV mode: the
-engine freezes the scales, counts the clips and runs the same fused
-kernel it uses for multi-sequence batches (with one sequence, the ragged
-kernel is bit-identical to :func:`~repro.core.pruning.
-token_picker_attention_batched`).  Multi-sequence deployments should use
-the engine directly — it runs one fused step across all sequences instead
-of one kernel call per session.
+A session is three calls: :func:`~repro.serving.kv_pool.freeze_scales`
+at calibration, then :func:`~repro.serving.kv_pool.count_clips` and the
+rectangular reference kernel
+:func:`~repro.core.pruning.token_picker_attention_batched` with the
+frozen scales every step.  It shares the scale-freezing rule with the
+serving engine and nothing else, which is what makes it an independent
+replay oracle for the engine's fused arena kernel.  Multi-sequence
+deployments should use :class:`repro.serving.engine.ServingEngine` — one
+fused step across all sequences, and a cache that is encoded once
+instead of re-quantized per step.
 """
 
 from __future__ import annotations
@@ -33,11 +35,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import TokenPickerConfig
-from repro.core.pruning import BatchedPickerResult
+from repro.core.pruning import BatchedPickerResult, token_picker_attention_batched
 from repro.model.attention import AccessCounter
-from repro.serving.engine import ServingEngine
-from repro.serving.kv_pool import SequenceScales
-from repro.serving.request import RequestStats
+from repro.serving.kv_pool import SequenceScales, count_clips, freeze_scales
 
 #: Back-compat alias: frozen per-head quantization scales (set at prompt
 #: time).  The canonical definition lives with the KV pool, which freezes
@@ -60,14 +60,13 @@ class TokenPickerSession:
             raise ValueError("sessions use the breadth schedule (hardware order)")
         self.config = config
         self.safety_factor = safety_factor
-        self._engine = ServingEngine(
-            config, max_batch_size=1, safety_factor=safety_factor
-        )
-        self._seq_id: Optional[int] = None
-        # one stats record for the session's whole lifetime: the counter
-        # object identity is stable from construction (callers may hold a
-        # reference), and recalibrations keep accumulating into it
-        self._stats = RequestStats()
+        #: accumulated K/V traffic of this sequence, in bits — the same
+        #: object for the session's whole lifetime, so callers may hold a
+        #: reference across :meth:`observe_prompt` recalibrations
+        self.counter = AccessCounter()
+        #: elements that saturated against the frozen calibration window
+        #: across the full Q/K/V fetch path
+        self.clip_events = 0
         self.scales: Optional[SessionScales] = None
         self.steps = 0
 
@@ -79,17 +78,12 @@ class TokenPickerSession:
 
         ``keys``/``values``: (H, t, d); ``queries``: optional (H, t, d) —
         when absent, K statistics stand in for Q (they share the residual
-        stream's magnitude at calibration quality).
+        stream's magnitude at calibration quality).  Calling it again
+        recalibrates; traffic and clip statistics keep accumulating.
         """
-        if self._seq_id is not None:
-            # recalibration: retire the old sequence; the shared stats
-            # record keeps accumulating traffic/clip statistics
-            self._engine.release_external(self._seq_id)
-        self._seq_id = self._engine.admit_external(
-            keys, values, queries=queries, stats=self._stats
+        self.scales = freeze_scales(
+            keys, values, self.config.quant, self.safety_factor, queries=queries
         )
-        self._stats.prompt_tokens = np.asarray(keys).shape[1]
-        self.scales = self._engine.scales_of(self._seq_id)
         return self.scales
 
     # ------------------------------------------------------------------ decode
@@ -103,34 +97,38 @@ class TokenPickerSession:
         """Pruned attention for one decode step with the frozen scales.
 
         ``q``: (H, d); ``keys``/``values``: (H, t, d).  Requires
-        :meth:`observe_prompt` first.
+        :meth:`observe_prompt` first.  Clip events are counted over the
+        *full* provided tensors: the caller re-supplies the whole cache,
+        so the whole cache is checked against the frozen window.
         """
-        if self._seq_id is None:
+        scales = self.scales
+        if scales is None:
             raise RuntimeError("call observe_prompt before step")
-        results = self._engine.step_external(
-            {self._seq_id: (q, keys, values)},
-            score_bias={self._seq_id: score_bias} if score_bias is not None else None,
+        q, keys, values = (
+            np.asarray(x, dtype=np.float64) for x in (q, keys, values)
         )
+        for x, scale in (
+            (q, scales.q_scale), (keys, scales.k_scale), (values, scales.v_scale)
+        ):
+            self.clip_events += count_clips(x, scale, self.config.quant)
+        result = token_picker_attention_batched(
+            q,
+            keys,
+            values,
+            self.config,
+            score_bias=score_bias,
+            q_scales=scales.q_scale,
+            k_scales=scales.k_scale,
+            v_scales=scales.v_scale,
+        )
+        self.counter.add(result.stats(), instances=q.shape[0])
         self.steps += 1
-        return results[self._seq_id]
+        return result
 
     # -------------------------------------------------------------- accounting
     @property
-    def counter(self) -> AccessCounter:
-        """Accumulated K/V traffic of this sequence, in bits.
-
-        The same object for the session's whole lifetime — safe to hold a
-        reference across :meth:`observe_prompt` recalibrations.
-        """
-        return self._stats.counter
-
-    @property
-    def clip_events(self) -> int:
-        """Elements that saturated against the frozen calibration window
-        across the full Q/K/V fetch path."""
-        return self._stats.clip_events
-
-    @property
     def clip_rate(self) -> float:
         """Clipped elements per token seen (calibration-quality signal)."""
-        return self._stats.clip_rate
+        if self.counter.tokens_seen == 0:
+            return 0.0
+        return self.clip_events / self.counter.tokens_seen

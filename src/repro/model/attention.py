@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import QuantConfig, TokenPickerConfig
-from repro.core.pruning import token_picker_attention_batched
+from repro.core.pruning import PruneStats, token_picker_attention_batched
 
 
 @dataclass
@@ -40,6 +40,17 @@ class AccessCounter:
     instances: int = 0
     tokens_seen: int = 0
     tokens_kept: int = 0
+
+    def add(self, stats: PruneStats, instances: int) -> None:
+        """Accumulate one kernel call's accounting over ``instances``
+        attention instances (heads)."""
+        self.k_bits += stats.k_bits_fetched
+        self.v_bits += stats.v_bits_fetched
+        self.baseline_k_bits += stats.baseline_k_bits
+        self.baseline_v_bits += stats.baseline_v_bits
+        self.instances += instances
+        self.tokens_seen += stats.n_tokens
+        self.tokens_kept += stats.n_kept
 
     @property
     def total_bits(self) -> int:
@@ -113,15 +124,7 @@ class TokenPickerBackend:
         result = token_picker_attention_batched(
             q, keys, values, self.config, score_bias=bias
         )
-        stats = result.stats()
-        c = self.counter
-        c.k_bits += stats.k_bits_fetched
-        c.v_bits += stats.v_bits_fetched
-        c.baseline_k_bits += stats.baseline_k_bits
-        c.baseline_v_bits += stats.baseline_v_bits
-        c.instances += keys.shape[0]
-        c.tokens_seen += stats.n_tokens
-        c.tokens_kept += stats.n_kept
+        self.counter.add(result.stats(), instances=keys.shape[0])
         return result.outputs
 
 

@@ -2,7 +2,7 @@
 
 :func:`export_engine_metrics` projects a
 :class:`~repro.serving.engine.ServingEngine`'s ad-hoc counters —
-lifecycle totals, chunked-prefill accounting, the lazy kernel's
+lifecycle totals, chunked-prefill accounting, the kernel's
 per-round alive profile, KV-tier movement, prefix-cache hits — onto a
 :class:`~repro.cluster.metrics.MetricsRegistry` on demand.  The engine's
 hot path keeps its plain attribute counters (zero registry cost per
@@ -149,8 +149,8 @@ def render_profile(
             f"{b + 1}ch: {d / entering:.1%}" for b, d in enumerate(decided)
         )
         lines.append(
-            f"  kernel rounds ({engine.config.score_backend} score backend): "
-            f"alive fraction  {fracs}  kept: {totals[n_chunks] / entering:.4f}"
+            f"  kernel rounds: alive fraction  {fracs}  "
+            f"kept: {totals[n_chunks] / entering:.4f}"
         )
         lines.append(f"    chunks fetched: {hist}")
 

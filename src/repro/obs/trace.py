@@ -331,7 +331,7 @@ class Tracer:
         """One engine step: an ``engine_step`` span on the ``steps``
         track plus its phase breakdown laid out sequentially on the
         sibling ``phases`` track (pack → score → prune → unpack, with the
-        lazy score sub-phases nested inside "score").  Phases are
+        score sub-phases nested inside "score").  Phases are
         *measured* durations placed end to end from the step's start —
         their sum can differ from the step's wall time by the unmeasured
         gaps between phases, so they live on their own track rather than

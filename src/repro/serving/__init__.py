@@ -14,7 +14,8 @@ serving context:
   quantization scales and eviction accounting.
 * :class:`~repro.serving.scheduler.Scheduler` — FIFO continuous-batching
   admission (with an optional small-request head-of-line bypass and a
-  per-step prefill token budget) and longest-first ragged packing.
+  per-step prefill token budget); the fused kernel reads sequences in
+  place from the arena, so there is no packing order to choose.
   Chunked prefill interleaves prompt ingestion with decode
   (decode-priority) so long prompts cannot stall co-resident decodes;
   outputs stay bit-identical to monolithic prefill.

@@ -1,8 +1,8 @@
 """The multi-sequence serving engine: one fused decode step for N sequences.
 
-:class:`ServingEngine` is the continuous-batching counterpart of
-:class:`repro.core.session.TokenPickerSession` (which is now a thin
-single-sequence adapter over it).  Per step it
+:class:`ServingEngine` owns the KV cache of every sequence it serves (a
+:class:`~repro.serving.kv_pool.KVCachePool` arena, encoded once at append
+time).  Per step it
 
 1. admits queued requests while batch slots and KV-pool headroom allow
    (prefill: prompt K/V into the pool, per-head scales frozen),
@@ -10,23 +10,23 @@ single-sequence adapter over it).  Per step it
    stream, appends the new token to the pooled cache and counts clip
    events against the frozen calibration window,
 3. runs **one** fused ragged-batch Token-Picker kernel across all active
-   sequences (:func:`repro.core.pruning.token_picker_attention_ragged`) —
-   the breadth-schedule chunk rounds execute once per *batch*, with
-   pruning decisions bit-identical to stepping each sequence alone,
+   sequences (:func:`repro.core.pruning.token_picker_attention_ragged`,
+   straight on the arena) — the breadth-schedule chunk rounds execute
+   once per *batch*, with pruning decisions bit-identical to stepping
+   each sequence alone,
 4. accumulates per-request traffic/latency stats and retires finished
    sequences, freeing their blocks for the next admission.
 
-Two entry modes share the fused path: the pooled mode above, and an
-*external-KV* mode (:meth:`admit_external` / :meth:`step_external`) where
-the caller owns the cache and hands the full K/V each step — the
-back-compat surface the session adapter uses.
+A caller that owns its cache and wants one sequence at a time uses
+:class:`repro.core.session.TokenPickerSession` instead; it shares no code
+with this engine beyond the scale-freezing rule.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.serving.kv_pool import (
     PoolExhausted,
     SequenceScales,
     SwappedSequence,
-    count_clips,
     freeze_scales,
 )
 from repro.serving.request import (
@@ -163,11 +162,10 @@ class EngineStepReport:
     #: wall-clock seconds by phase: "pack" (draw/encode/append), "score"
     #: (partial-score table + bounds), "prune" (breadth rounds), "unpack"
     #: (softmax/outputs/slicing + accounting) — the serve-sim ``--profile``
-    #: and benchmark breakdowns read this.  On the lazy score paths
-    #: (``score_backend`` "numpy"/"numba") the score phase is further
-    #: split into "score_chunk0" (the one full-width chunk-0 pass) and
-    #: "score_refine" (alive-set refinement rounds); the two sum to
-    #: "score".
+    #: and benchmark breakdowns read this.  Inside "score" the kernel
+    #: also reports "score_chunk0" (the one full-width chunk-0 pass) and
+    #: "score_refine" (alive-set refinement rounds); "score" is their
+    #: sum plus the kernel's set-up.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: KV-tiering movement this step (zero on an untiered engine):
     #: tokens demoted / promoted, and sequences whose kernel call was
@@ -216,8 +214,6 @@ class _ActiveSequence:
     request: Optional[GenerationRequest] = None
     step_source: Optional[StepSource] = None
     remaining: int = 0
-    external: bool = False
-    steps: int = 0
     #: prompt tokens ingested into the pool so far; the sequence joins
     #: the fused decode batch only once this reaches the prompt length
     prefill_pos: int = 0
@@ -226,14 +222,13 @@ class _ActiveSequence:
     def prefilling(self) -> bool:
         return (
             self.request is not None
-            and not self.external
             and self.prefill_pos < self.request.prompt_tokens
         )
 
     @property
     def pending_prompt_tokens(self) -> int:
         """Prompt tokens admitted but not yet written to the pool."""
-        if self.request is None or self.external:
+        if self.request is None:
             return 0
         return self.request.prompt_tokens - self.prefill_pos
 
@@ -463,8 +458,8 @@ class ServingEngine:
     # ------------------------------------------------------------ properties
     @property
     def n_active(self) -> int:
-        """Pooled sequences holding a batch slot (decoding or mid-prefill)."""
-        return sum(1 for e in self._active.values() if not e.external)
+        """Sequences holding a batch slot (decoding or mid-prefill)."""
+        return len(self._active)
 
     @property
     def n_prefilling(self) -> int:
@@ -497,8 +492,6 @@ class ServingEngine:
         """
         total = sum(r.total_tokens for r in self.scheduler.pending)
         for entry in self._active.values():
-            if entry.external:
-                continue
             total += (
                 self.pool.length(entry.seq_id)
                 + entry.pending_prompt_tokens
@@ -522,9 +515,6 @@ class ServingEngine:
 
     def stats_of(self, seq_id: int) -> RequestStats:
         return self._entry(seq_id).stats
-
-    def scales_of(self, seq_id: int) -> SequenceScales:
-        return self._entry(seq_id).scales
 
     # ------------------------------------------------------------- admission
     def submit(self, request: GenerationRequest) -> int:
@@ -669,11 +659,7 @@ class ServingEngine:
                 return self._finish_abort(request, stats, state)
         for seq_id, entry in list(self._active.items()):
             request = entry.request
-            if (
-                request is not None
-                and not entry.external
-                and request.request_id == request_id
-            ):
+            if request is not None and request.request_id == request_id:
                 self._release_sequence(seq_id, pooled=True)
                 del self._active[seq_id]
                 return self._finish_abort(request, entry.stats, state)
@@ -702,7 +688,7 @@ class ServingEngine:
         live += [
             e.request
             for e in self._active.values()
-            if e.request is not None and not e.external
+            if e.request is not None
         ]
         live += [
             r.entry.request
@@ -864,7 +850,7 @@ class ServingEngine:
             harvest.swapped.append(self.export_preempted(request.request_id))
         for seq_id, entry in list(self._active.items()):
             request = entry.request
-            if request is None or entry.external:
+            if request is None:
                 continue
             self._release_sequence(seq_id, pooled=True)
             del self._active[seq_id]
@@ -1136,9 +1122,7 @@ class ServingEngine:
         left: Optional[int] = None
         if budget is not None:
             n_decoding = sum(
-                1
-                for e in self._active.values()
-                if not e.external and not e.prefilling
+                1 for e in self._active.values() if not e.prefilling
             )
             left = max(budget - n_decoding, 0)
         for entry in waiting:
@@ -1169,10 +1153,6 @@ class ServingEngine:
         (:meth:`_resume_preempted` runs at the top of every step).
         """
         entry = self._entry(seq_id)
-        if entry.external:
-            raise ValueError(
-                f"sequence {seq_id} is external; the caller owns its cache"
-            )
         if self.tiers is not None:
             # patch sketch-only demoted rows from their cold copies first,
             # so the swapped segments stay byte-exact; swap_out then only
@@ -1261,7 +1241,6 @@ class ServingEngine:
                 prefilling=entry.prefilling,
             )
             for entry in self._active.values()
-            if not entry.external
         ]
 
     def _ensure_tokens(
@@ -1340,8 +1319,6 @@ class ServingEngine:
             )
         return token_picker_attention_ragged(
             qs,
-            None,
-            None,
             self.config,
             q_scales=q_scales,
             k_scales=k_scales,
@@ -1373,11 +1350,7 @@ class ServingEngine:
         report.admitted = [r.request_id for r in admitted]
         self._run_prefill(report)
 
-        pooled = [
-            e
-            for e in self._active.values()
-            if not e.external and not e.prefilling
-        ]
+        pooled = [e for e in self._active.values() if not e.prefilling]
         if pooled:
             pooled = self._preflight_growth(pooled, report)
         for rec in self._preempted.values():
@@ -1703,10 +1676,6 @@ class ServingEngine:
     ) -> List[PruneStats]:
         """Per-sequence + engine-wide traffic accounting for one step.
 
-        Per-request counters are distinct objects, so each takes its own
-        update; the engine-wide aggregate is applied once from the batch
-        totals rather than once per sequence.
-
         ``demoted_masks`` (tiered engines only) excludes demoted tokens
         from the retained-mass bound: their reported ``scores`` are the
         round-1 partials, not exact scores, so their Eq. 5 bound is not
@@ -1715,7 +1684,6 @@ class ServingEngine:
         negligible.
         """
         step_stats: List[PruneStats] = []
-        totals = [0, 0, 0, 0, 0, 0]
         track_mass = self.memory_manager is not None
         for i, (entry, result) in enumerate(zip(entries, results)):
             stats = result.stats()
@@ -1741,147 +1709,10 @@ class ServingEngine:
                 )
                 entry.stats.retained_mass_sum += float(1.0 - lost.mean())
                 entry.stats.retained_mass_steps += 1
-            counter = entry.stats.counter
-            counter.k_bits += stats.k_bits_fetched
-            counter.v_bits += stats.v_bits_fetched
-            counter.baseline_k_bits += stats.baseline_k_bits
-            counter.baseline_v_bits += stats.baseline_v_bits
-            counter.instances += instances
-            counter.tokens_seen += stats.n_tokens
-            counter.tokens_kept += stats.n_kept
-            totals[0] += stats.k_bits_fetched
-            totals[1] += stats.v_bits_fetched
-            totals[2] += stats.baseline_k_bits
-            totals[3] += stats.baseline_v_bits
-            totals[4] += stats.n_tokens
-            totals[5] += stats.n_kept
-            entry.steps += 1
+            entry.stats.counter.add(stats, instances)
+            self.counter.add(stats, instances)
             step_stats.append(stats)
-        self.counter.k_bits += totals[0]
-        self.counter.v_bits += totals[1]
-        self.counter.baseline_k_bits += totals[2]
-        self.counter.baseline_v_bits += totals[3]
-        self.counter.instances += instances * len(step_stats)
-        self.counter.tokens_seen += totals[4]
-        self.counter.tokens_kept += totals[5]
         return step_stats
-
-    def _fused(
-        self,
-        entries: Sequence[_ActiveSequence],
-        qs: np.ndarray,
-        keys: Optional[List[np.ndarray]] = None,
-        values: Optional[List[np.ndarray]] = None,
-        k_planes: Optional[List[np.ndarray]] = None,
-        v_deq: Optional[List[np.ndarray]] = None,
-        score_bias: Optional[List[Optional[np.ndarray]]] = None,
-    ) -> Dict[int, Tuple[BatchedPickerResult, PruneStats]]:
-        """Shared fused-kernel call + traffic accounting (list inputs)."""
-        ragged = token_picker_attention_ragged(
-            qs,
-            keys,
-            values,
-            self.config,
-            score_bias=score_bias,
-            q_scales=np.stack([e.scales.q_scale for e in entries]),
-            k_scales=np.stack([e.scales.k_scale for e in entries]),
-            v_scales=np.stack([e.scales.v_scale for e in entries]),
-            k_planes=k_planes,
-            v_deq=v_deq,
-            scratch=self._scratch,
-        )
-        step_stats = self._account(entries, ragged.results, instances=qs.shape[1])
-        return {
-            entry.seq_id: (result, stats)
-            for entry, result, stats in zip(entries, ragged.results, step_stats)
-        }
-
-    # ----------------------------------------------------- external-KV mode
-    def admit_external(
-        self,
-        prompt_keys: np.ndarray,
-        prompt_values: np.ndarray,
-        queries: Optional[np.ndarray] = None,
-        stats: Optional[RequestStats] = None,
-    ) -> int:
-        """Register a sequence whose KV cache the *caller* owns.
-
-        Scales are frozen from the prompt exactly as pooled admission does,
-        but nothing is written to the pool: every :meth:`step_external`
-        call supplies the full (H, t, d) K/V.  This is the session
-        adapter's path.  Passing an existing ``stats`` keeps accumulating
-        into it — how a session preserves its traffic/clip history across
-        recalibrations.
-        """
-        scales = freeze_scales(
-            prompt_keys,
-            prompt_values,
-            self.config.quant,
-            self.safety_factor,
-            queries=queries,
-        )
-        seq_id = self._next_seq_id
-        self._next_seq_id += 1
-        keys = np.asarray(prompt_keys)
-        if stats is None:
-            stats = RequestStats(
-                prompt_tokens=keys.shape[1],
-                submitted_step=self._step_index,
-                admitted_step=self._step_index,
-            )
-        self._active[seq_id] = _ActiveSequence(
-            seq_id=seq_id,
-            scales=scales,
-            stats=stats,
-            external=True,
-        )
-        return seq_id
-
-    def release_external(self, seq_id: int) -> RequestStats:
-        """Drop an external sequence, returning its accumulated stats."""
-        entry = self._entry(seq_id)
-        if not entry.external:
-            raise ValueError(f"sequence {seq_id} is pooled; it retires itself")
-        del self._active[seq_id]
-        return entry.stats
-
-    def step_external(
-        self,
-        inputs: Mapping[int, Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        score_bias: Optional[Mapping[int, np.ndarray]] = None,
-    ) -> Dict[int, BatchedPickerResult]:
-        """Fused decode step over external-KV sequences.
-
-        ``inputs[seq_id] = (q (H, d), keys (H, t, d), values (H, t, d))``.
-        Clip events are counted over the *full* provided tensors (the
-        caller re-supplies the whole cache, so the whole cache is checked
-        against the frozen window — the original session semantics).
-        """
-        if not inputs:
-            return {}
-        entries = []
-        qs, keys, values, biases = [], [], [], []
-        quant = self.config.quant
-        order = Scheduler.pack_order(
-            {sid: np.asarray(kv[1]).shape[1] for sid, kv in inputs.items()}
-        )
-        for sid in order:
-            entry = self._entry(sid)
-            if not entry.external:
-                raise ValueError(f"sequence {sid} is pooled; use step()")
-            q, k, v = (np.asarray(x, dtype=np.float64) for x in inputs[sid])
-            entry.stats.clip_events += count_clips(q, entry.scales.q_scale, quant)
-            entry.stats.clip_events += count_clips(k, entry.scales.k_scale, quant)
-            entry.stats.clip_events += count_clips(v, entry.scales.v_scale, quant)
-            entries.append(entry)
-            qs.append(q)
-            keys.append(k)
-            values.append(v)
-            biases.append(score_bias.get(sid) if score_bias else None)
-        fused = self._fused(
-            entries, np.stack(qs), keys, values, score_bias=biases
-        )
-        return {sid: result for sid, (result, _) in fused.items()}
 
     def _entry(self, seq_id: int) -> _ActiveSequence:
         try:

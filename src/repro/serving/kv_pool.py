@@ -63,6 +63,9 @@ def freeze_scales(
 
     def scale_of(x: np.ndarray) -> np.ndarray:
         max_abs = np.abs(x).max(axis=(1, 2))
+        if not np.isfinite(max_abs).all():
+            # a NaN maximum would otherwise fall through to scale 1.0
+            raise ValueError("cannot freeze scales from non-finite prompt data")
         return np.where(max_abs > 0, max_abs * safety_factor / qmax, 1.0)
 
     q_src = np.asarray(queries, dtype=np.float64) if queries is not None else keys

@@ -374,6 +374,22 @@ class TestCalibration:
         with_q = freeze_scales(keys, values, quant, 1.25, queries=queries)
         assert np.all(with_q.q_scale >= scales.q_scale)
 
+    @pytest.mark.parametrize("which", ["keys", "values", "queries"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_freeze_scales_rejects_non_finite_prompt(self, which, bad):
+        """A NaN prompt maximum used to fall through to scale 1.0."""
+        rng = np.random.default_rng(7)
+        tensors = {
+            name: rng.normal(size=(2, 8, 4))
+            for name in ("keys", "values", "queries")
+        }
+        tensors[which][1, 3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            freeze_scales(
+                tensors["keys"], tensors["values"], QuantConfig(), 1.25,
+                queries=tensors["queries"],
+            )
+
     def test_count_clips(self):
         quant = QuantConfig()
         scale = np.array([1.0 / quant.qmax, 2.0 / quant.qmax])

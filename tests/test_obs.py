@@ -266,7 +266,7 @@ class TestProfile:
         text = "\n".join(lines)
         totals = engine.round_alive_totals
         kept = totals[-1] / totals[0]
-        assert "kernel rounds (numpy score backend)" in text
+        assert "kernel rounds: alive fraction" in text
         assert f"kept: {kept:.4f}" in text
         assert (
             f"chunked prefill (budget 8): {engine.prefill_tokens_total} "

@@ -284,6 +284,58 @@ class TestBreadthIncrementalDenominator:
         assert np.isclose(r.log_denominator, log_den_ref, rtol=1e-12, atol=0)
 
 
+class TestBatchedScoreBias:
+    """The rectangular kernel's ``score_bias`` (ALiBi) input, which the
+    session's ``step(..., score_bias=)`` routes to."""
+
+    def _heads(self, seed, n_heads=3, t=96, d=32):
+        rng = np.random.default_rng(seed)
+        keys = rng.normal(size=(n_heads, t, d))
+        values = rng.normal(size=(n_heads, t, d))
+        q = keys[:, -3] * 2 + 0.3 * rng.normal(size=(n_heads, d))
+        # ALiBi-shaped: a per-head slope times the distance to the newest
+        bias = -np.outer([0.02, 0.1, 0.4][:n_heads], np.arange(t)[::-1])
+        return q, keys, values, bias
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_head_scalar_reference(self, seed):
+        from repro.core import token_picker_attention_batched
+
+        q, keys, values, bias = self._heads(seed)
+        cfg = TokenPickerConfig(threshold=2e-3, schedule="breadth")
+        batched = token_picker_attention_batched(
+            q, keys, values, cfg, score_bias=bias
+        )
+        unbiased = token_picker_attention_batched(q, keys, values, cfg)
+        assert not np.array_equal(
+            batched.log_denominators, unbiased.log_denominators
+        )
+        for h in range(q.shape[0]):
+            scalar = token_picker_scores(q[h], keys[h], cfg, score_bias=bias[h])
+            assert np.array_equal(batched.kept[h], scalar.kept)
+            assert np.array_equal(batched.chunks_fetched[h], scalar.chunks_fetched)
+            assert np.allclose(batched.scores[h], scalar.scores, rtol=1e-12)
+
+    def test_session_step_passes_bias_through(self):
+        from repro.core import token_picker_attention_batched
+        from repro.core.session import TokenPickerSession
+
+        q, keys, values, bias = self._heads(7)
+        cfg = TokenPickerConfig(threshold=2e-3)
+        session = TokenPickerSession(cfg)
+        scales = session.observe_prompt(keys[:, :64], values[:, :64])
+        stepped = session.step(q, keys, values, score_bias=bias)
+        direct = token_picker_attention_batched(
+            q, keys, values, cfg, score_bias=bias,
+            q_scales=scales.q_scale, k_scales=scales.k_scale,
+            v_scales=scales.v_scale,
+        )
+        assert np.array_equal(stepped.kept, direct.kept)
+        assert np.array_equal(stepped.outputs, direct.outputs)
+        with pytest.raises(ValueError, match="score_bias"):
+            session.step(q, keys, values, score_bias=bias[:, :-1])
+
+
 class TestExactThresholdPruning:
     def test_matches_definition(self):
         scores = np.array([0.0, 1.0, 5.0, -3.0])

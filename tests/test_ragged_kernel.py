@@ -1,13 +1,14 @@
 """Ragged-batch kernel equivalence: fused == N independent batched calls.
 
-The serving engine's correctness rests on one property: packing N
-sequences with mixed context lengths into one fused kernel call changes
-*nothing* — every per-sequence output array, every pruning decision and
-every traffic statistic is bit-identical to calling
-``token_picker_attention_batched`` on each sequence alone.  These tests
-assert exact (``array_equal``, not ``allclose``) equality, property-based
-over mixed lengths, head counts, thresholds, chunk formats, biases and
-frozen-vs-derived scales.
+The serving engine's correctness rests on one property: running N
+sequences with mixed context lengths through one fused call on the packed
+arena changes *nothing* — every pruning decision, fetched-chunk count,
+probability, output and traffic statistic is bit-identical to calling the
+rectangular reference ``token_picker_attention_batched`` on each sequence
+alone, and a pruned token's reported score is its certified upper bound.
+These tests assert exact (``array_equal``, not ``allclose``) equality,
+property-based over mixed lengths, head counts, thresholds, chunk
+formats, arena dtypes and frozen-vs-derived scales.
 """
 
 import numpy as np
@@ -25,9 +26,9 @@ from repro.core.pruning import KernelScratch
 from repro.core.quantization import split_chunks
 
 
-def _make_batch(rng, n_seqs, n_heads, head_dim, max_len, with_bias):
+def _make_batch(rng, n_seqs, n_heads, head_dim, max_len):
     lengths = rng.integers(1, max_len + 1, size=n_seqs)
-    qs, keys, values, biases = [], [], [], []
+    qs, keys, values = [], [], []
     for t in lengths:
         k = rng.normal(size=(n_heads, int(t), head_dim))
         v = rng.normal(size=(n_heads, int(t), head_dim))
@@ -35,8 +36,18 @@ def _make_batch(rng, n_seqs, n_heads, head_dim, max_len, with_bias):
         qs.append(q)
         keys.append(k)
         values.append(v)
-        biases.append(0.1 * rng.normal(size=(n_heads, int(t))) if with_bias else None)
-    return np.stack(qs), keys, values, (biases if with_bias else None)
+    return np.stack(qs), keys, values
+
+
+def _oracle_scales(arrays, quant):
+    """(S, H) per-head data maxima over qmax — the scales the rectangular
+    kernel derives when none are passed (1.0 for all-zero or empty data)."""
+    out = np.ones((len(arrays), arrays[0].shape[0]))
+    for s, a in enumerate(arrays):
+        if a.size:
+            max_abs = np.abs(a).reshape(a.shape[0], -1).max(axis=1)
+            out[s] = np.where(max_abs > 0, max_abs / quant.qmax, 1.0)
+    return out
 
 
 def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
@@ -73,16 +84,39 @@ def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
     return k_arena, v_arena, segments
 
 
-def _assert_identical(ragged_result, independent, scores="exact"):
+def _run_arena(
+    qs, keys, values, config, q_sc, k_sc, v_sc=None, dtype=np.float64,
+    scratch=None,
+):
+    """Encode the batch into a gapped arena and run the fused kernel;
+    ``values=None`` runs scores-only (no V arena)."""
+    k_arena, v_arena, segments = _build_arena(
+        keys,
+        values if values is not None else [np.zeros_like(k) for k in keys],
+        k_sc,
+        v_sc if v_sc is not None else np.ones_like(k_sc),
+        config.quant,
+        dtype,
+    )
+    return token_picker_attention_ragged(
+        qs, config,
+        q_scales=q_sc, k_scales=k_sc,
+        k_plane_arena=k_arena, segments=segments,
+        v_arena=v_arena if values is not None else None,
+        scratch=scratch,
+    )
+
+
+def _assert_identical(ragged_result, independent, scores="bound"):
     """Bit-identity of every decision-bearing field.
 
-    ``scores="exact"`` additionally requires the full score matrix to
-    match (the eager kernel's contract).  ``scores="bound"`` is the lazy
-    kernel's contract: kept tokens' scores are still the exact
-    full-depth values, while a pruned token's reported score is its
-    certified upper bound at the round that pruned it (``p'' >= p``,
-    so the reported score dominates the exact one; its remaining chunks
-    are never fetched).
+    ``scores="bound"`` is the arena kernel's contract: kept tokens'
+    scores are the exact full-depth values, while a pruned token's
+    reported score is its certified upper bound at the round that pruned
+    it (``p'' >= p``, so the reported score dominates the exact one; its
+    remaining chunks are never fetched).  ``scores="exact"`` additionally
+    requires the full score matrix to match (nothing pruned, or two calls
+    of the same kernel).
     """
     assert np.array_equal(ragged_result.kept, independent.kept)
     assert np.array_equal(ragged_result.chunks_fetched, independent.chunks_fetched)
@@ -119,36 +153,37 @@ class TestBitIdenticalEquivalence:
         n_heads=st.integers(1, 3),
         max_len=st.integers(1, 160),
         threshold=st.sampled_from([1e-2, 2e-3, 1e-4]),
-        with_bias=st.booleans(),
         frozen_scales=st.booleans(),
     )
     def test_property_mixed_lengths(
-        self, seed, n_seqs, n_heads, max_len, threshold, with_bias, frozen_scales
+        self, seed, n_seqs, n_heads, max_len, threshold, frozen_scales
     ):
         rng = np.random.default_rng(seed)
         head_dim = int(rng.integers(4, 33))
         config = TokenPickerConfig(threshold=threshold)
-        qs, keys, values, biases = _make_batch(
-            rng, n_seqs, n_heads, head_dim, max_len, with_bias
-        )
-        scales = {}
+        qs, keys, values = _make_batch(rng, n_seqs, n_heads, head_dim, max_len)
         if frozen_scales:
-            scales = {
-                "q_scales": rng.uniform(0.005, 0.05, size=(n_seqs, n_heads)),
-                "k_scales": rng.uniform(0.005, 0.05, size=(n_seqs, n_heads)),
-                "v_scales": rng.uniform(0.005, 0.05, size=(n_seqs, n_heads)),
-            }
-        ragged = token_picker_attention_ragged(
-            qs, keys, values, config, score_bias=biases, **scales
+            q_sc, k_sc, v_sc = (
+                rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
+                for _ in range(3)
+            )
+            explicit = [
+                {"q_scales": q_sc[s], "k_scales": k_sc[s], "v_scales": v_sc[s]}
+                for s in range(n_seqs)
+            ]
+        else:
+            # the scales the rectangular kernel derives on its own
+            q_sc = _oracle_scales(list(qs), config.quant)
+            k_sc = _oracle_scales(keys, config.quant)
+            v_sc = _oracle_scales(values, config.quant)
+            explicit = [{}] * n_seqs
+        ragged = _run_arena(
+            qs, keys, values, config, q_sc, k_sc, v_sc,
+            dtype=(np.float32, np.float64)[seed % 2],
         )
         for s in range(n_seqs):
             independent = token_picker_attention_batched(
-                qs[s],
-                keys[s],
-                values[s],
-                config,
-                score_bias=None if biases is None else biases[s],
-                **{k: v[s] for k, v in scales.items()},
+                qs[s], keys[s], values[s], config, **explicit[s]
             )
             _assert_identical(ragged.results[s], independent)
 
@@ -156,8 +191,13 @@ class TestBitIdenticalEquivalence:
         """Lengths above numpy's 128-element pairwise-sum block still match."""
         rng = np.random.default_rng(7)
         config = TokenPickerConfig(threshold=2e-3)
-        qs, keys, values, _ = _make_batch(rng, 4, 2, 48, 700, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
+        qs, keys, values = _make_batch(rng, 4, 2, 48, 700)
+        ragged = _run_arena(
+            qs, keys, values, config,
+            _oracle_scales(list(qs), config.quant),
+            _oracle_scales(keys, config.quant),
+            _oracle_scales(values, config.quant),
+        )
         for s in range(4):
             _assert_identical(
                 ragged.results[s],
@@ -167,8 +207,12 @@ class TestBitIdenticalEquivalence:
     def test_scores_only_mode(self):
         rng = np.random.default_rng(3)
         config = TokenPickerConfig(threshold=2e-3)
-        qs, keys, values, _ = _make_batch(rng, 3, 2, 16, 60, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, None, config)
+        qs, keys, _ = _make_batch(rng, 3, 2, 16, 60)
+        ragged = _run_arena(
+            qs, keys, None, config,
+            _oracle_scales(list(qs), config.quant),
+            _oracle_scales(keys, config.quant),
+        )
         for s in range(3):
             independent = token_picker_attention_batched(
                 qs[s], keys[s], None, config
@@ -179,125 +223,35 @@ class TestBitIdenticalEquivalence:
         quant = QuantConfig(total_bits=8, chunk_bits=2)
         config = TokenPickerConfig(threshold=2e-3, quant=quant)
         rng = np.random.default_rng(11)
-        qs, keys, values, _ = _make_batch(rng, 3, 2, 8, 70, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
+        qs, keys, values = _make_batch(rng, 3, 2, 8, 70)
+        ragged = _run_arena(
+            qs, keys, values, config,
+            _oracle_scales(list(qs), quant),
+            _oracle_scales(keys, quant),
+            _oracle_scales(values, quant),
+            dtype=np.float32,
+        )
         for s in range(3):
             _assert_identical(
                 ragged.results[s],
                 token_picker_attention_batched(qs[s], keys[s], values[s], config),
             )
 
-    def test_pre_encoded_planes_and_values_match_float_path(self):
-        """The serving pool's encode-once representation (chunk planes +
-        quantize-dequantized V under frozen scales) must reproduce the
-        float path bit for bit."""
-        from repro.core.quantization import chunk_plane_values
-
-        rng = np.random.default_rng(13)
-        config = TokenPickerConfig(threshold=2e-3)
-        quant = config.quant
-        n_seqs, n_heads, head_dim = 4, 2, 24
-        qs, keys, values, _ = _make_batch(
-            rng, n_seqs, n_heads, head_dim, 120, with_bias=False
-        )
-        k_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-        q_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-        v_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-        planes, v_deq = [], []
-        for s in range(n_seqs):
-            codes = np.clip(
-                np.rint(keys[s] / k_sc[s][:, None, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            planes.append(
-                chunk_plane_values(codes, quant).transpose(0, 3, 1, 2)
-            )
-            vsc = v_sc[s][:, None, None]
-            v_deq.append(
-                np.clip(np.rint(values[s] / vsc), quant.qmin, quant.qmax) * vsc
-            )
-        encoded = token_picker_attention_ragged(
-            qs, None, None, config,
-            q_scales=q_sc, k_scales=k_sc, v_scales=v_sc,
-            k_planes=planes, v_deq=v_deq,
-        )
-        floats = token_picker_attention_ragged(
-            qs, keys, values, config,
-            q_scales=q_sc, k_scales=k_sc, v_scales=v_sc,
-        )
-        for s in range(n_seqs):
-            _assert_identical(encoded.results[s], floats.results[s])
-
-    def test_pre_encoded_planes_wide_format_integer_fallback(self):
-        """Formats too wide for exact float64 dot products must take the
-        integer fallback and still match the float path bit for bit."""
-        from repro.core.quantization import chunk_plane_values
-
-        quant = QuantConfig(total_bits=28, chunk_bits=4)
-        config = TokenPickerConfig(threshold=2e-3, quant=quant)
-        rng = np.random.default_rng(17)
-        n_seqs, n_heads, head_dim = 2, 2, 64
-        qs, keys, values, _ = _make_batch(
-            rng, n_seqs, n_heads, head_dim, 40, with_bias=False
-        )
-        k_sc = rng.uniform(1e-8, 2e-8, size=(n_seqs, n_heads))
-        q_sc = rng.uniform(1e-8, 2e-8, size=(n_seqs, n_heads))
-        planes = []
-        for s in range(n_seqs):
-            codes = np.clip(
-                np.rint(keys[s] / k_sc[s][:, None, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            planes.append(
-                chunk_plane_values(codes, quant).transpose(0, 3, 1, 2)
-            )
-        encoded = token_picker_attention_ragged(
-            qs, None, None, config,
-            q_scales=q_sc, k_scales=k_sc, k_planes=planes,
-        )
-        floats = token_picker_attention_ragged(
-            qs, keys, None, config, q_scales=q_sc, k_scales=k_sc
-        )
-        for s in range(n_seqs):
-            _assert_identical(encoded.results[s], floats.results[s])
-
-    def test_planes_require_scales(self):
-        rng = np.random.default_rng(0)
-        config = TokenPickerConfig()
-        qs = rng.normal(size=(1, 2, 8))
-        planes = [np.zeros((2, config.quant.n_chunks, 5, 8))]
-        with pytest.raises(ValueError, match="k_scales"):
-            token_picker_attention_ragged(qs, None, None, config, k_planes=planes)
-        with pytest.raises(ValueError, match="keys or"):
-            token_picker_attention_ragged(qs, None, None, config)
-
-    @pytest.mark.parametrize("backend", ["eager", "numpy"])
-    def test_arena_path_matches_batched(self, backend):
+    def test_arena_path_matches_batched(self):
         """The zero-copy packed-arena path (token-major digit planes +
         segment table, dead gaps between slabs) must be bit-identical to
-        independent batched calls — the serving engine's contract.  The
-        lazy backend relaxes only the *pruned* tokens' reported scores
-        (certified upper bounds instead of full-depth values)."""
-        scores = "exact" if backend == "eager" else "bound"
+        independent batched calls — the serving engine's contract — in
+        both digit storage widths."""
         for dtype, seed in ((np.float32, 0), (np.float64, 1)):
             rng = np.random.default_rng(seed)
-            config = TokenPickerConfig(threshold=2e-3, score_backend=backend)
+            config = TokenPickerConfig(threshold=2e-3)
             n_seqs, n_heads, head_dim = 4, 2, 24
-            qs, keys, values, _ = _make_batch(
-                rng, n_seqs, n_heads, head_dim, 120, with_bias=False
-            )
+            qs, keys, values = _make_batch(rng, n_seqs, n_heads, head_dim, 120)
             q_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
             k_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
             v_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            k_arena, v_arena, segments = _build_arena(
-                keys, values, k_sc, v_sc, config.quant, dtype
-            )
-            arena = token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=k_arena, v_arena=v_arena, segments=segments,
+            arena = _run_arena(
+                qs, keys, values, config, q_sc, k_sc, v_sc, dtype,
                 scratch=KernelScratch(),
             )
             for s in range(n_seqs):
@@ -305,31 +259,22 @@ class TestBitIdenticalEquivalence:
                     qs[s], keys[s], values[s], config,
                     q_scales=q_sc[s], k_scales=k_sc[s], v_scales=v_sc[s],
                 )
-                _assert_identical(arena.results[s], independent, scores)
+                _assert_identical(arena.results[s], independent)
 
-    @pytest.mark.parametrize("backend", ["eager", "numpy"])
-    def test_arena_scratch_reuse_across_growing_steps(self, backend):
+    def test_arena_scratch_reuse_across_growing_steps(self):
         """Reusing one scratch across calls with growing shapes (the
         engine's decode loop) must not change any result."""
-        scores = "exact" if backend == "eager" else "bound"
         rng = np.random.default_rng(7)
-        config = TokenPickerConfig(threshold=2e-3, score_backend=backend)
+        config = TokenPickerConfig(threshold=2e-3)
         n_seqs, n_heads, head_dim = 3, 2, 16
         scratch = KernelScratch()
-        for step, max_len in enumerate((40, 70, 110)):
-            qs, keys, values, _ = _make_batch(
-                rng, n_seqs, n_heads, head_dim, max_len, with_bias=False
-            )
+        for max_len in (40, 70, 110):
+            qs, keys, values = _make_batch(rng, n_seqs, n_heads, head_dim, max_len)
             q_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
             k_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
             v_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
-            k_arena, v_arena, segments = _build_arena(
-                keys, values, k_sc, v_sc, config.quant, np.float32
-            )
-            arena = token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=k_arena, v_arena=v_arena, segments=segments,
+            arena = _run_arena(
+                qs, keys, values, config, q_sc, k_sc, v_sc, np.float32,
                 scratch=scratch,
             )
             for s in range(n_seqs):
@@ -339,7 +284,6 @@ class TestBitIdenticalEquivalence:
                         qs[s], keys[s], values[s], config,
                         q_scales=q_sc[s], k_scales=k_sc[s], v_scales=v_sc[s],
                     ),
-                    scores,
                 )
 
     def test_arena_validation(self):
@@ -348,35 +292,37 @@ class TestBitIdenticalEquivalence:
         quant = config.quant
         qs = rng.normal(size=(1, 2, 8))
         arena = np.zeros((32, 2 * quant.n_chunks, 8))
+        ones = np.ones((1, 2))
         segs = np.array([[0, 8]], dtype=np.int64)
-        with pytest.raises(ValueError, match="k_scales"):
+        with pytest.raises(ValueError, match="k_plane_arena must be"):
             token_picker_attention_ragged(
-                qs, None, None, config, k_plane_arena=arena, segments=segs
+                qs, config, q_scales=ones, k_scales=ones,
+                k_plane_arena=arena[:, :-1], segments=segs,
             )
-        with pytest.raises(ValueError, match="segments"):
+        with pytest.raises(ValueError, match="v_arena must be"):
             token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=np.ones((1, 2)), k_scales=np.ones((1, 2)),
-                k_plane_arena=arena,
-            )
-        with pytest.raises(ValueError, match="exclusive"):
-            token_picker_attention_ragged(
-                qs, [rng.normal(size=(2, 8, 8))], None, config,
-                k_scales=np.ones((1, 2)),
+                qs, config, q_scales=ones, k_scales=ones,
                 k_plane_arena=arena, segments=segs,
+                v_arena=np.zeros((31, 2, 8)),
             )
         with pytest.raises(ValueError, match="within the arena"):
             token_picker_attention_ragged(
-                qs, None, None, config,
-                q_scales=np.ones((1, 2)), k_scales=np.ones((1, 2)),
+                qs, config, q_scales=ones, k_scales=ones,
                 k_plane_arena=arena,
                 segments=np.array([[30, 8]], dtype=np.int64),
+            )
+        with pytest.raises(ValueError, match="overlap"):
+            token_picker_attention_ragged(
+                np.concatenate([qs, qs]), config,
+                q_scales=np.ones((2, 2)), k_scales=np.ones((2, 2)),
+                k_plane_arena=arena,
+                segments=np.array([[0, 8], [4, 8]], dtype=np.int64),
             )
         with pytest.raises(ValueError, match="float32"):
             wide = QuantConfig(total_bits=28, chunk_bits=4)
             cfg_wide = TokenPickerConfig(quant=wide)
             token_picker_attention_ragged(
-                rng.normal(size=(1, 2, 64)), None, None, cfg_wide,
+                rng.normal(size=(1, 2, 64)), cfg_wide,
                 q_scales=np.full((1, 2), 1e-8),
                 k_scales=np.full((1, 2), 1e-8),
                 k_plane_arena=np.zeros(
@@ -396,7 +342,12 @@ class TestBitIdenticalEquivalence:
         ]
         values = [np.zeros((h, 0, d)), rng.normal(size=(h, 20, d)), np.zeros((h, 0, d))]
         qs = rng.normal(size=(3, h, d))
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
+        ragged = _run_arena(
+            qs, keys, values, config,
+            _oracle_scales(list(qs), config.quant),
+            _oracle_scales(keys, config.quant),
+            _oracle_scales(values, config.quant),
+        )
         for s in range(3):
             _assert_identical(
                 ragged.results[s],
@@ -406,16 +357,16 @@ class TestBitIdenticalEquivalence:
 
 
 class TestExactInFloatBoundary:
-    """The pre-encoded score paths pick float64 or int64 accumulation by
-    the 52-bit mantissa gate; formats straddling the limit must agree
-    bit-for-bit with the always-exact integer float-keys path."""
+    """The arena score path picks float64 or int64 accumulation by the
+    52-bit mantissa gate; formats straddling the limit must agree with
+    the always-integer rectangular kernel."""
 
     FORMATS = [  # (total_bits, chunk_bits, head_dim): gate = 2N-2+bl(d-1)
-        (26, 13, 4),    # 52 -> float64 plane path
+        (26, 13, 4),    # 52 -> float64 accumulation
         (26, 13, 8),    # 53 -> int64 fallback
-        (25, 5, 16),    # 52 -> float64 plane path
+        (25, 5, 16),    # 52 -> float64 accumulation
         (25, 5, 32),    # 53 -> int64 fallback
-        (24, 8, 64),    # 52 -> float64 plane path
+        (24, 8, 64),    # 52 -> float64 accumulation
         (24, 12, 128),  # 53 -> int64 fallback
     ]
 
@@ -428,55 +379,24 @@ class TestExactInFloatBoundary:
         seed=st.integers(0, 2**31 - 1),
         fmt=st.sampled_from(range(len(FORMATS))),
     )
-    def test_plane_paths_straddle_52_bit_limit(self, seed, fmt):
-        from repro.core.quantization import chunk_plane_values
-
+    def test_arena_path_straddles_52_bit_limit(self, seed, fmt):
         total_bits, chunk_bits, head_dim = self.FORMATS[fmt]
         quant = QuantConfig(total_bits=total_bits, chunk_bits=chunk_bits)
         config = TokenPickerConfig(threshold=2e-3, quant=quant)
         rng = np.random.default_rng(seed)
         n_seqs, n_heads = 2, 2
-        qs, keys, _, _ = _make_batch(rng, n_seqs, n_heads, head_dim, 24, False)
+        qs, keys, _ = _make_batch(rng, n_seqs, n_heads, head_dim, 24)
         # oracle (saturating) scales stress the most-significant chunks
-        k_sc = np.stack(
-            [np.abs(k).max(axis=(1, 2)) / quant.qmax for k in keys]
-        )
-        q_sc = np.abs(qs).max(axis=2) / quant.qmax
-        planes = []
+        k_sc = _oracle_scales(keys, quant)
+        q_sc = _oracle_scales(list(qs), quant)
+        via_arena = _run_arena(qs, keys, None, config, q_sc, k_sc)
         for s in range(n_seqs):
-            codes = np.clip(
-                np.rint(keys[s] / k_sc[s][:, None, None]),
-                quant.qmin,
-                quant.qmax,
-            ).astype(np.int64)
-            planes.append(chunk_plane_values(codes, quant).transpose(0, 3, 1, 2))
-        encoded = token_picker_attention_ragged(
-            qs, None, None, config,
-            q_scales=q_sc, k_scales=k_sc, k_planes=planes,
-        )
-        arena_k, _, segments = _build_arena(
-            keys, [np.zeros_like(k) for k in keys],
-            k_sc, np.ones_like(k_sc), quant, np.float64,
-        )
-        from dataclasses import replace
-
-        via_arena = {}
-        for backend in ("eager", "numpy"):
-            via_arena[backend] = token_picker_attention_ragged(
-                qs, None, None, replace(config, score_backend=backend),
-                q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=arena_k, segments=segments,
-            )
-        floats = token_picker_attention_ragged(
-            qs, keys, None, config, q_scales=q_sc, k_scales=k_sc
-        )
-        for s in range(n_seqs):
-            _assert_identical(encoded.results[s], floats.results[s])
             _assert_identical(
-                via_arena["eager"].results[s], floats.results[s]
-            )
-            _assert_identical(
-                via_arena["numpy"].results[s], floats.results[s], "bound"
+                via_arena.results[s],
+                token_picker_attention_batched(
+                    qs[s], keys[s], None, config,
+                    q_scales=q_sc[s], k_scales=k_sc[s],
+                ),
             )
 
 
@@ -484,8 +404,13 @@ class TestAggregates:
     def test_merged_stats_and_lengths(self):
         rng = np.random.default_rng(0)
         config = TokenPickerConfig(threshold=2e-3)
-        qs, keys, values, _ = _make_batch(rng, 5, 2, 16, 90, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
+        qs, keys, values = _make_batch(rng, 5, 2, 16, 90)
+        ragged = _run_arena(
+            qs, keys, values, config,
+            _oracle_scales(list(qs), config.quant),
+            _oracle_scales(keys, config.quant),
+            _oracle_scales(values, config.quant),
+        )
         assert ragged.n_sequences == 5
         assert np.array_equal(
             ragged.lengths, np.array([k.shape[1] for k in keys])
@@ -496,54 +421,97 @@ class TestAggregates:
             r.stats().k_chunks_fetched for r in ragged.results
         )
 
-    def test_pack_order_longest_first(self):
-        rng = np.random.default_rng(1)
-        config = TokenPickerConfig(threshold=2e-3)
-        qs, keys, values, _ = _make_batch(rng, 6, 2, 8, 64, with_bias=False)
-        ragged = token_picker_attention_ragged(qs, keys, values, config)
-        packed_lengths = ragged.lengths[ragged.pack_order]
-        assert all(
-            a >= b for a, b in zip(packed_lengths, packed_lengths[1:])
-        )
-
 
 class TestValidation:
+    def _inputs(self, rng, n_seqs=2, n_heads=2, head_dim=8, t=5):
+        quant = TokenPickerConfig().quant
+        return dict(
+            q_scales=np.ones((n_seqs, n_heads)),
+            k_scales=np.ones((n_seqs, n_heads)),
+            k_plane_arena=np.zeros(
+                (n_seqs * t, n_heads * quant.n_chunks, head_dim)
+            ),
+            segments=np.array(
+                [[s * t, t] for s in range(n_seqs)], dtype=np.int64
+            ),
+        )
+
     def test_both_schedules(self):
         """The fused kernels realise the hardware's breadth order only;
         the depth reference stays a per-sequence schedule."""
         rng = np.random.default_rng(0)
         depth = TokenPickerConfig(schedule="depth")
         qs = rng.normal(size=(2, 2, 8))
-        keys = [rng.normal(size=(2, 5, 8))] * 2
+        keys = rng.normal(size=(2, 5, 8))
         with pytest.raises(ValueError, match="breadth"):
-            token_picker_attention_ragged(qs, keys, None, depth)
+            token_picker_attention_ragged(qs, depth, **self._inputs(rng))
         with pytest.raises(ValueError, match="breadth"):
-            token_picker_attention_batched(qs[0], keys[0], None, depth)
+            token_picker_attention_batched(qs[0], keys, None, depth)
         breadth = TokenPickerConfig(schedule="breadth")
-        assert token_picker_attention_ragged(qs, keys, None, breadth).n_sequences == 2
+        assert token_picker_attention_ragged(
+            qs, breadth, **self._inputs(rng)
+        ).n_sequences == 2
 
     def test_shape_errors(self):
         rng = np.random.default_rng(0)
         config = TokenPickerConfig()
         qs = rng.normal(size=(2, 2, 8))
-        good = [rng.normal(size=(2, 5, 8))] * 2
+        good = self._inputs(rng)
         with pytest.raises(ValueError):
-            token_picker_attention_ragged(qs[0], good, None, config)
-        with pytest.raises(ValueError):
-            token_picker_attention_ragged(qs, good[:1], None, config)
+            token_picker_attention_ragged(qs[0], config, **good)
         with pytest.raises(ValueError):
             token_picker_attention_ragged(
-                qs, [rng.normal(size=(3, 5, 8))] * 2, None, config
+                qs, config, **{**good, "segments": good["segments"][:1]}
             )
         with pytest.raises(ValueError):
             token_picker_attention_ragged(
-                qs, good, [rng.normal(size=(2, 6, 8))] * 2, config
+                rng.normal(size=(2, 3, 8)), config, **good
             )
         with pytest.raises(ValueError):
             token_picker_attention_ragged(
-                qs, good, None, config, score_bias=[np.zeros((2, 4))] * 2
+                qs, config, **{**good, "k_scales": np.ones((2, 3))}
             )
         with pytest.raises(ValueError):
             token_picker_attention_ragged(
-                qs, good, None, config, q_scales=np.zeros((2, 2))
+                qs, config, **{**good, "q_scales": np.zeros((2, 2))}
             )
+        with pytest.raises(ValueError):
+            token_picker_attention_batched(
+                qs[0], rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 6, 8)),
+                config,
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        """A NaN/inf query used to be cast to a garbage integer code
+        (finite, wrong outputs and only a RuntimeWarning)."""
+        rng = np.random.default_rng(0)
+        config = TokenPickerConfig()
+        qs = rng.normal(size=(2, 2, 8))
+        qs[1, 0, 3] = bad
+        keys = rng.normal(size=(2, 5, 8))
+        with pytest.raises(ValueError, match="finite"):
+            token_picker_attention_batched(qs[1], keys, keys, config)
+        with pytest.raises(ValueError, match="finite"):
+            token_picker_attention_ragged(qs, config, **self._inputs(rng))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_explicit_scale_rejected(self, bad):
+        """A NaN scale used to pass the ``scales <= 0`` check and yield
+        non-finite outputs."""
+        rng = np.random.default_rng(0)
+        config = TokenPickerConfig()
+        qs = rng.normal(size=(2, 2, 8))
+        scales = np.ones((2, 2))
+        scales[0, 1] = bad
+        keys = rng.normal(size=(2, 5, 8))
+        for name in ("q_scales", "k_scales", "v_scales"):
+            with pytest.raises(ValueError, match="finite"):
+                token_picker_attention_batched(
+                    qs[0], keys, keys, config, **{name: scales[0]}
+                )
+        for name in ("q_scales", "k_scales"):
+            with pytest.raises(ValueError, match="finite"):
+                token_picker_attention_ragged(
+                    qs, config, **{**self._inputs(rng), name: scales}
+                )

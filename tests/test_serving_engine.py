@@ -279,17 +279,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             engine.run_until_drained()
 
-    def test_pooled_sequence_rejected_by_step_external(self):
-        rng = np.random.default_rng(8)
-        engine = _engine()
-        engine.submit(synthetic_request(rng, 2, 16, 16, max_new_tokens=2))
-        report = engine.step()
-        sid = next(iter(report.per_sequence))
-        q = np.zeros((2, 16))
-        kv = np.zeros((2, 4, 16))
-        with pytest.raises(ValueError):
-            engine.step_external({sid: (q, kv, kv)})
-
     def test_unknown_sequence(self):
         engine = _engine()
         with pytest.raises(KeyError):
@@ -392,8 +381,7 @@ class TestSchedulerBypass:
 
 
 class TestScheduler:
-    def test_pack_order_and_utilization(self):
-        assert Scheduler.pack_order({1: 5, 2: 9, 3: 7}) == [2, 3, 1]
+    def test_ragged_utilization(self):
         assert Scheduler.ragged_utilization([10, 10]) == 1.0
         assert Scheduler.ragged_utilization([10, 5]) == pytest.approx(0.75)
         assert Scheduler.ragged_utilization([]) == 1.0
