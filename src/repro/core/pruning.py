@@ -860,6 +860,21 @@ def _segment_geometry(
     )
 
 
+def _spread(table, index, out) -> None:
+    """``out[:, j] = table[:, index[j]]``: a per-column table broadcast to
+    the flat token axis.  The indices come from the segment geometry and
+    are always in range; ``mode="clip"`` only selects ``np.take``'s
+    unbuffered write path (``"raise"`` stages ``out`` through a copy)."""
+    np.take(table, index, axis=1, out=out, mode="clip")
+
+
+def _pairs(mask):
+    """``np.nonzero`` of a C-contiguous (H, total) mask as ``(h, t)``, via
+    the 1-D scan — an order of magnitude faster than the 2-D one on the
+    thinned-out masks of the later rounds."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def _contract_chunk(planes_c, q_seg, st, en, out) -> None:
     """Every token's digit row of one chunk dotted with its sequence's
     query, into ``out`` (H, total).  ``planes_c`` is a (total, H, d)
@@ -918,14 +933,14 @@ def _score_rounds(
     n_live = len(geo.seg_ids)
     n_cols = geo.reduce_idx.size
     log_thr = config.log_threshold
-    guard_row = geo.guard[None, :]
+    prunable_row = ~geo.guard[None, :]
 
     ss_ht = take_buf("ss", (n_heads, total))
-    np.take(score_scale.T, seq_of_tok, axis=1, out=ss_ht)
+    _spread(score_scale.T, seq_of_tok, ss_ht)
 
     # ---- per-round denominator scratch, hoisted out of the chunk loop;
     # ``col_of_tok`` turns per-column ``np.repeat`` broadcasts into
-    # ``np.take`` writes into reused buffers
+    # :func:`_spread` writes into reused buffers
     m_cols_buf = take_buf("m_cols", (n_heads, n_cols))
     m_fix_buf = take_buf("m_fix", (n_heads, n_cols))
     den_cols_buf = take_buf("den_cols", (n_heads, n_cols))
@@ -949,14 +964,14 @@ def _score_rounds(
         m_seg = m_cols_buf[:, ::2]
         np.copyto(m_fix_buf, m_cols_buf)
         np.copyto(m_fix_buf, 0.0, where=~np.isfinite(m_cols_buf))
-        np.take(m_fix_buf, geo.col_of_tok, axis=1, out=m_tok_buf)
+        _spread(m_fix_buf, geo.col_of_tok, m_tok_buf)
         np.subtract(lb, m_tok_buf, out=ex)
         np.clip(ex, -700.0, 0.0, out=ex)
         np.exp(ex, out=ex)
         np.add.reduceat(ex, geo.reduce_idx, axis=1, out=den_cols_buf)
         seg_den = m_seg + np.log(den_cols_buf[:, ::2])
         ld_cols_buf[:, ::2] = seg_den
-        np.take(ld_cols_buf, geo.col_of_tok, axis=1, out=ld_tok_buf)
+        _spread(ld_cols_buf, geo.col_of_tok, ld_tok_buf)
         return seg_den, ld_tok_buf
 
     alive = take_buf("alive", (n_heads, total), bool)
@@ -1030,45 +1045,52 @@ def _score_rounds(
             if b == 0:
                 if not geo.valid.all():  # scrub stale gap columns
                     contrib0[:, ~geo.valid] = 0
-                # promote the digit dot to the accumulator dtype first,
-                # then scale by the chunk's power-of-two shift (a
-                # float32 contribution must NOT be multiplied by the
-                # shift in float32, where the product can exceed 2**24
-                # and round)
-                np.copyto(ps_run, contrib0)
-                ps_run *= shifts[0]
+                # scale by the chunk's power-of-two shift in the
+                # accumulator dtype (``dtype=`` promotes the digit dot
+                # first: a float32 contribution must NOT be multiplied
+                # by the shift in float32, where the product can exceed
+                # 2**24 and round)
+                np.multiply(contrib0, shifts[0], out=ps_run, dtype=ps_run.dtype)
             else:
                 # dead and gap columns accumulate garbage here —
                 # harmless: every consumer below is masked by ``alive``
                 # and death scores were already recorded
-                np.copyto(m_row, contrib0)
-                m_row *= float(shifts[b])
+                np.multiply(
+                    contrib0, float(shifts[b]), out=m_row, dtype=np.float64
+                )
                 ps_run += m_row
             # same elementwise tree as the rectangular kernel:
-            # ps * scale + margin * scale (one base product, copied:
-            # both bounds share it)
+            # ps * scale + margin * scale (one base product shared by
+            # both bounds; the sum commutes, so the lower margin is
+            # spread straight into its row and the base added to it)
             np.multiply(ps_run, ss_ht, out=s_max_row)
-            np.copyto(s_min_row, s_max_row)
-            np.take(mlo_tbl[b], seq_of_tok, axis=1, out=m_row)
-            s_min_row += m_row
-            np.take(mhi_tbl[b], seq_of_tok, axis=1, out=m_row)
+            _spread(mlo_tbl[b], seq_of_tok, s_min_row)
+            s_min_row += s_max_row
+            _spread(mhi_tbl[b], seq_of_tok, m_row)
             s_max_row += m_row
-            np.copyto(chunks_fetched, b + 1, where=alive)
+            # every alive pair has fetched exactly ``b`` chunks so far
+            chunks_fetched += alive
             np.copyto(current_lb, s_min_row, where=alive)
             clock.lap("score_chunk0" if b == 0 else "score_refine")
 
             log_den_seg, log_den_tok = _round_denominator(current_lb)
-            prune_now = (
-                alive & ((s_max_row - log_den_tok) <= log_thr) & ~guard_row
-            )
+            np.subtract(s_max_row, log_den_tok, out=m_row)
+            prune_now = m_row <= log_thr
+            prune_now &= alive
+            prune_now &= prunable_row
             # a pruned token's reported score is its certified upper
-            # bound at the pruning decision (p'' >= p, Eq. 5)
-            np.copyto(scores, s_max_row, where=prune_now)
+            # bound at the pruning decision (p'' >= p, Eq. 5).  Written
+            # for every pair that entered the round (in round 0 that
+            # mask is all-true but for gaps, and a uniform mask copies
+            # several times faster than the scattered ``prune_now``):
+            # a survivor's entry is overwritten by the round that
+            # decides it, or by its exact score at the end
+            np.copyto(scores, s_max_row, where=alive)
             alive &= ~prune_now
             survivors = int(np.count_nonzero(alive))
             clock.lap("prune")
         else:
-            h_idx, t_idx = np.nonzero(alive)
+            h_idx, t_idx = _pairs(alive)
             seqs_pair = seq_of_tok[t_idx]
             q_pair = q_f[seqs_pair, h_idx]  # (A, d)
             contrib_pair = np.empty(h_idx.size, dtype=contrib0.dtype)
@@ -1105,7 +1127,7 @@ def _score_rounds(
 
     # kept tokens survived every round, so their running partial scores
     # are the exact full-depth values
-    kh, kt = np.nonzero(alive)
+    kh, kt = _pairs(alive)
     if kh.size:
         scores[kh, kt] = ps_run[kh, kt] * ss_ht[kh, kt]
     clock.lap("score_refine")
@@ -1250,7 +1272,8 @@ def token_picker_attention_ragged(
     if v_arena is not None:
         # gather only the *kept* tokens' V rows (keep fraction of the
         # cache) — the step-1 AV the hardware actually fetches
-        v_flat = v_arena[span].transpose(1, 0, 2)[alive]
+        kh, kt = _pairs(alive)  # head-major, the order of ``scores[alive]``
+        v_flat = v_arena[span][kt, kh]
         outs = _grouped_weighted_v(
             flat_probs, v_flat, bounds, head_dim
         ).reshape(n_heads, n_live, head_dim)
