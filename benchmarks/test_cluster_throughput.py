@@ -7,7 +7,7 @@ Two acceptance measurements for the ``repro.cluster`` layer:
    (its own weight stream + its own sequences' measured KV traffic), so
    the cluster's aggregate decode throughput is the sum of concurrent
    per-replica rates (:meth:`repro.hw.serving.ServingSimulator.
-   step_from_cluster`); 4 busy replicas must clear >= 1.8x the 1-replica
+   price_fleet`); 4 busy replicas must clear >= 1.8x the 1-replica
    aggregate.  Wall-clock engine-stepping throughput is recorded
    alongside for the perf trajectory (this host is single-core, so the
    wall-clock numbers serialise the replicas and carry no scaling claim).
@@ -97,7 +97,7 @@ def _aggregate_tokens_per_sec(reports) -> float:
         get_model_config("gpt2-medium"), context_length=PROMPT_TOKENS,
         config=CFG,
     )
-    return sim.step_from_cluster(
+    return sim.price_fleet(
         busiest_step_reports(reports), engine_heads=N_HEADS
     ).aggregate_tokens_per_second()
 

@@ -4,7 +4,7 @@ Reproduces the stall chunked prefill fixes: decode-heavy short requests
 settle into steady decoding, then requests with very long prompts land
 mid-batch.  Under monolithic prefill each long prompt is ingested inside
 one engine step, and — now that prompt ingest is priced into the modelled
-step latency (:meth:`repro.hw.serving.ServingSimulator.step_from_engine`)
+step latency (:meth:`repro.hw.serving.ServingSimulator.price`)
 — every co-resident decode's inter-token latency absorbs that whole
 transfer at once.  A finite per-step prefill budget spreads the ingest
 across steps, bounding the spike.
@@ -103,7 +103,7 @@ def _modelled_latencies(
     token_steps: Dict[int, List[int]] = {}
     for idx, report in enumerate(reports):
         if report.per_sequence or report.prefill_bits:
-            result = sim.step_from_engine(report, engine_heads=N_HEADS)
+            result = sim.price(report, engine_heads=N_HEADS)
             seconds.append(result.total_cycles / CLOCK_HZ)
         else:
             seconds.append(0.0)
@@ -220,13 +220,13 @@ def test_prefill_traffic_priced_into_step():
     ingest = [r for r in reports if r.prefill_bits]
     decode_only = [r for r in reports if r.per_sequence and not r.prefill_bits]
     assert ingest and decode_only
-    priced = sim.step_from_engine(ingest[0], engine_heads=N_HEADS)
+    priced = sim.price(ingest[0], engine_heads=N_HEADS)
     assert priced.prefill_cycles > 0
     assert priced.total_cycles == (
         priced.weight_cycles + priced.attention_cycles + priced.prefill_cycles
     )
     assert (
-        sim.step_from_engine(decode_only[0], engine_heads=N_HEADS)
+        sim.price(decode_only[0], engine_heads=N_HEADS)
         .prefill_cycles
         == 0
     )

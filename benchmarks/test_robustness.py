@@ -123,7 +123,7 @@ def _drive_overload(slo: "SLOConfig | None"):
             submit_t[rid] = t
             i += 1
         report = engine.step()
-        t += step_seconds(sim.step_from_engine(report))
+        t += step_seconds(sim.price(report))
         for view in report.per_sequence.values():
             if view.request_id is not None and view.request_id not in first_t:
                 first_t[view.request_id] = t
@@ -133,7 +133,7 @@ def _drive_overload(slo: "SLOConfig | None"):
         if controller is not None:
             controller.observe_step(
                 engine.step_index,
-                step_seconds(sim.step_from_engine(report)),
+                step_seconds(sim.price(report)),
                 tokens=max(1, len(report.per_sequence)),
             )
             engine.set_threshold(controller.threshold)
@@ -273,7 +273,7 @@ def measure_fault_recovery() -> dict:
             for r in report.per_replica.values()
         ):
             makespan_s += step_seconds(
-                sim.step_from_cluster(list(report.per_replica.values())),
+                sim.price_fleet(list(report.per_replica.values())),
                 spike_seconds=spike,
             )
         else:

@@ -5,7 +5,7 @@ bursty decode workload served by one engine at tensor-parallel widths
 K in {1, 2, 4}, recording
 
 * **aggregate modelled tokens/s** — the busiest step priced by
-  :meth:`repro.hw.serving.ServingSimulator.step_from_sharded` (straggler
+  :meth:`repro.hw.serving.ServingSimulator.price` (straggler
   shard + all-gather + shared weight stream; K=1 is the unsharded
   anchor),
 * **all-gather bytes per decoded token** — the modelled interconnect
@@ -108,7 +108,7 @@ def measure_shard_scaling() -> dict:
                 f"shards={shards} decode diverged from the unsharded run"
             )
         busiest = max(reports, key=lambda r: r.batch_size)
-        result = sim.step_from_engine(busiest, engine_heads=N_HEADS)
+        result = sim.price(busiest, engine_heads=N_HEADS)
         tokens = sum(r.tokens_generated for r in reports)
         shipped = engine.allgather_bits_total * scale / 8
         full = engine.allgather_baseline_bits_total * scale / 8

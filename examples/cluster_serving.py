@@ -116,14 +116,15 @@ def main() -> None:
     model = get_model_config("gpt2-medium")
     sim = ServingSimulator(model, context_length=96, config=config)
     busy = busiest_step_reports(reports)
-    ours = sim.step_from_cluster(busy, engine_heads=N_HEADS)
-    base = sim.step_from_cluster(busy, "baseline", engine_heads=N_HEADS)
+    ours = sim.price_fleet(busy, engine_heads=N_HEADS)
+    base = sim.price_fleet(busy, "baseline", engine_heads=N_HEADS)
+    slowest, base_slowest = ours.straggler.total_cycles, base.straggler.total_cycles
     print(
-        f"{ours.n_replicas} busy replicas, B={ours.batch_size}: "
+        f"{len(ours.per_replica)} busy replicas, B={ours.batch_size}: "
         f"aggregate {base.aggregate_tokens_per_second():,.0f} -> "
         f"{ours.aggregate_tokens_per_second():,.0f} tokens/s, "
-        f"straggler step {base.max_step_cycles} -> {ours.max_step_cycles} "
-        f"cycles ({base.max_step_cycles / ours.max_step_cycles:.2f}x)"
+        f"straggler step {base_slowest} -> {slowest} "
+        f"cycles ({base_slowest / slowest:.2f}x)"
     )
 
 

@@ -129,8 +129,8 @@ def main() -> None:
     model = get_model_config("gpt2-medium")
     sim = ServingSimulator(model, context_length=160, config=config)
     full = max(reports, key=lambda r: r.batch_size)
-    ours = sim.step_from_engine(full, engine_heads=N_HEADS)
-    base = sim.step_from_engine(full, "baseline", engine_heads=N_HEADS)
+    ours = sim.price(full, engine_heads=N_HEADS)
+    base = sim.price(full, "baseline", engine_heads=N_HEADS)
     point = measured_batch_point(
         model,
         [v.stats for v in full.per_sequence.values()],

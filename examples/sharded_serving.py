@@ -17,7 +17,7 @@ Demonstrates the `repro.cluster.shard` subsystem end to end:
    heads — an uneven split);
 4. the hardware model prices a sharded step as
    `weights + straggler-shard attention + all-gather + prefill share`
-   (:meth:`repro.hw.serving.ServingSimulator.step_from_sharded`).
+   (:meth:`repro.hw.serving.ServingSimulator.price`).
 
 Run:  python examples/sharded_serving.py
 """
@@ -96,7 +96,7 @@ def main() -> None:
                 "bit-identical" if traffic == anchor else "DIVERGED"
             )
         busiest = max(reports, key=lambda r: r.batch_size)
-        result = sim.step_from_engine(busiest, engine_heads=N_HEADS)
+        result = sim.price(busiest, engine_heads=N_HEADS)
         tokens = sum(r.tokens_generated for r in reports)
         line = (
             f"  K={shards}: {tokens} tokens [{tag}], "

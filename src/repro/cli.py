@@ -207,8 +207,8 @@ def _run_serve_sim(args) -> str:
 
     # the fullest step is the steady-state batch the hardware model prices
     full = max(reports, key=lambda r: r.batch_size)
-    ours = sim.step_from_engine(full, engine_heads=n_heads)
-    base = sim.step_from_engine(full, "baseline", engine_heads=n_heads)
+    ours = sim.price(full, engine_heads=n_heads)
+    base = sim.price(full, "baseline", engine_heads=n_heads)
     point = measured_batch_point(
         model,
         [v.stats for v in full.per_sequence.values()],
@@ -234,18 +234,19 @@ def _run_serve_sim(args) -> str:
         f"keep fraction: {engine.counter.keep_fraction:.3f}",
         f"  steady-state step (B={full.batch_size}): "
         f"{base.total_cycles} -> {ours.total_cycles} cycles "
-        f"({base.total_cycles / ours.total_cycles:.2f}x)",
+        f"({base.total_cycles / ours.total_cycles:.2f}x; attention only "
+        f"{base.attention_cycles / ours.attention_cycles:.2f}x)",
         f"  decode throughput: {tokens_per_second(base):,.0f} -> "
         f"{tokens_per_second(ours):,.0f} tokens/s",
         f"  traffic-limited step speedup at B={point.batch_size}: "
         f"{point.step_speedup:.2f}x (KV fraction {point.kv_fraction:.2f})",
     ]
     if engine.tiers is not None:
-        tiered = sim.step_from_tiered(full, engine_heads=n_heads)
+        tiered = sim.price(full, engine_heads=n_heads, two_tier=True)
+        fast, slow = tiered.streams
         lines.append(
             f"  tiered step (B={tiered.batch_size}): fast "
-            f"{tiered.fast_attention_cycles} / slow "
-            f"{tiered.slow_attention_cycles} attention cycles "
+            f"{fast.cycles} / slow {slow.cycles} attention cycles "
             f"(step {tiered.total_cycles})"
         )
     if getattr(args, "profile", False) and busy_steps:
@@ -342,8 +343,10 @@ def _run_serve_cluster(args) -> str:
 
     # fullest cluster step -> the modelled fleet of accelerators
     busy_reports = busiest_step_reports(reports)
-    ours = sim.step_from_cluster(busy_reports, engine_heads=n_heads)
-    base = sim.step_from_cluster(busy_reports, "baseline", engine_heads=n_heads)
+    ours = sim.price_fleet(busy_reports, engine_heads=n_heads)
+    base = sim.price_fleet(busy_reports, "baseline", engine_heads=n_heads)
+    straggler = ours.straggler.total_cycles
+    base_straggler = base.straggler.total_cycles
     lines = [
         f"Cluster serving simulation ({model.name}, thr={args.threshold:g}, "
         f"{args.replicas} replicas, {args.policy} routing, "
@@ -372,10 +375,9 @@ def _run_serve_cluster(args) -> str:
             f"  shards per replica: {args.shards}"
         )
     lines += [
-        f"  fullest cluster step ({ours.n_replicas} busy replicas, "
-        f"B={ours.batch_size}): straggler {base.max_step_cycles} -> "
-        f"{ours.max_step_cycles} cycles "
-        f"({base.max_step_cycles / ours.max_step_cycles:.2f}x)",
+        f"  fullest cluster step ({len(ours.per_replica)} busy replicas, "
+        f"B={ours.batch_size}): straggler {base_straggler} -> "
+        f"{straggler} cycles ({base_straggler / straggler:.2f}x)",
         f"  aggregate decode throughput: "
         f"{base.aggregate_tokens_per_second():,.0f} -> "
         f"{ours.aggregate_tokens_per_second():,.0f} tokens/s",

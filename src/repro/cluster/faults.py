@@ -21,7 +21,8 @@ on the survivors with capped exponential backoff:
 Everything is deterministic: the schedule is a pure function of its
 seed, events fire on router step indices (never wall-clock), and latency
 spikes are *modelled* seconds the benches price via
-:func:`repro.hw.serving.step_seconds` — injecting a fault never perturbs
+:func:`repro.hw.serving.step_seconds` on top of the step's priced
+:class:`~repro.hw.serving.StepCost` — injecting a fault never perturbs
 the engines' arithmetic.
 """
 

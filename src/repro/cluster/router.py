@@ -87,7 +87,6 @@ class ClusterRouter:
         prefix_cache_capacity: int = 0,
         tracer=None,
         cycle_sim=None,
-        cycle_clock_ghz: float = 0.5,
         shards: int = 1,
         degrade_capacity_boost: float = 0.5,
     ) -> None:
@@ -104,10 +103,10 @@ class ClusterRouter:
 
         ``cycle_sim`` (a :class:`repro.hw.serving.ServingSimulator`)
         enables the dual-clock trace: every replica prices its sampled
-        step spans on the modelled hardware, and the router adds a
-        cluster-level ``modelled_step`` span (the straggler's cycles —
-        the synchronous-tick latency) on the ``cluster``/``cycles``
-        track.
+        step spans on the modelled hardware (``price``), and the router
+        adds a cluster-level ``modelled_step`` span (the
+        :class:`~repro.hw.serving.FleetCost` straggler's cycles — the
+        synchronous-tick latency) on the ``cluster``/``cycles`` track.
 
         ``shards`` > 1 runs every replica head-sharded across that many
         modelled tensor-parallel workers (see
@@ -134,7 +133,6 @@ class ClusterRouter:
         self._trace_gen: Dict[int, int] = {}
         self._seed = seed
         self.cycle_sim = cycle_sim
-        self.cycle_clock_ghz = cycle_clock_ghz
         if degrade_capacity_boost < 0:
             raise ValueError(
                 f"degrade_capacity_boost must be >= 0, got "
@@ -210,7 +208,6 @@ class ClusterRouter:
             tracer=self.tracer,
             trace_label=f"r{rid}" if gen == 0 else f"r{rid}+{gen}",
             cycle_sim=self.cycle_sim,
-            cycle_clock_ghz=self.cycle_clock_ghz,
             shards=kw["shards"],
         )
 
@@ -498,22 +495,23 @@ class ClusterRouter:
         if not self.tracer.want_step(self._step_index):
             return
         busy = [
-            r
-            for r in report.per_replica.values()
+            rid
+            for rid, r in report.per_replica.items()
             if r.per_sequence or r.prefill_bits
         ]
         if not busy:
             return
-        from repro.hw.serving import modelled_span_payload
-
-        result = self.cycle_sim.step_from_cluster(busy)
+        # at the head scale the replicas' own spans are priced at (one
+        # request geometry per cluster), so the straggler is one of them
+        cost = self.cycle_sim.price_fleet(
+            report.per_replica.values(),
+            engine_heads=self.replicas[busy[0]].pool.n_heads,
+        )
         self.tracer.cycle_span(
             "cluster",
             ts=t0,
             dur=time.perf_counter() - t0,
-            payload=modelled_span_payload(
-                result, clock_ghz=self.cycle_clock_ghz
-            ),
+            payload=cost.span_payload(),
         )
 
     def _observe(
@@ -754,7 +752,7 @@ def busiest_step_reports(
     The shared recipe for picking the fleet's representative operating
     point: the cluster step with the most active sequences, restricted to
     replicas that actually decoded (what
-    :meth:`repro.hw.serving.ServingSimulator.step_from_cluster` prices).
+    :meth:`repro.hw.serving.ServingSimulator.price_fleet` prices).
     """
     if not reports:
         raise ValueError("need at least one cluster step report")

@@ -42,7 +42,7 @@ from repro.hw.pe_lane import (
     RequestPruneDecisionUnit,
     Scoreboard,
 )
-from repro.hw.serving import ServingSimulator, ServingStepResult, tokens_per_second
+from repro.hw.serving import ServingSimulator, StepCost, tokens_per_second
 from repro.hw.spatten import (
     GenerationAccesses,
     SpAttenBackend,
@@ -69,7 +69,7 @@ __all__ = [
     "RequestPruneDecisionUnit",
     "Scoreboard",
     "ServingSimulator",
-    "ServingStepResult",
+    "StepCost",
     "measure_access_pattern_cost",
     "tokens_per_second",
     "DEFAULT_PARAMS",

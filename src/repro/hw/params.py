@@ -11,9 +11,11 @@ paper sets the lane count to 16 (Sec. 5.1.2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.config import QuantConfig
+from repro.hw.dram import DRAMTierParams
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,13 @@ class HardwareParams:
         """Aggregate DRAM bytes per accelerator cycle."""
         return self.n_channels * self.channel_bytes_per_cycle
 
+    @property
+    def hbm_tier(self) -> DRAMTierParams:
+        """The HBM2 interface as a closed-form streaming tier."""
+        return DRAMTierParams(
+            self.n_channels, self.channel_bytes_per_cycle, self.dram_latency_cycles
+        )
+
     def chunk_bytes(self, head_dim: int) -> int:
         """Bytes of one K bit-chunk for a ``head_dim`` vector."""
         bits = head_dim * self.quant.chunk_bits
@@ -72,3 +81,36 @@ class HardwareParams:
 
 #: The configuration used throughout the paper's evaluation.
 DEFAULT_PARAMS = HardwareParams()
+
+
+@dataclass(frozen=True)
+class InterconnectParams:
+    """The modelled shard-to-shard link (tensor-parallel all-gather).
+
+    A head-sharded step ends with each worker shipping its kept (head,
+    token) partial outputs to every peer; the transfer is bandwidth +
+    fixed-latency, the textbook alpha-beta model.  Defaults approximate
+    one NVLink-class link lane at the accelerator's 0.5 GHz modelled
+    clock (~32 GB/s effective) with a sub-microsecond launch/sync
+    overhead.
+    """
+
+    #: payload bytes the link moves per accelerator cycle
+    link_bytes_per_cycle: float = 64.0
+    #: fixed per-collective launch + synchronisation overhead
+    latency_cycles: int = 500
+
+    def __post_init__(self) -> None:
+        if not self.link_bytes_per_cycle > 0:  # also rejects NaN
+            raise ValueError("link_bytes_per_cycle must be > 0")
+        if self.latency_cycles < 0:
+            raise ValueError("latency_cycles must be >= 0")
+
+    def transfer_cycles(self, n_bytes: int) -> int:
+        """Cycles to move ``n_bytes`` through the link (0 for no bytes)."""
+        if n_bytes <= 0:
+            return 0
+        return math.ceil(n_bytes / self.link_bytes_per_cycle) + self.latency_cycles
+
+
+DEFAULT_INTERCONNECT = InterconnectParams()

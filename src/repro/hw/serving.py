@@ -1,95 +1,162 @@
-"""Whole-decode-step serving simulation: weights + batched attention.
+"""Whole-decode-step serving simulation: one priced step.
 
 The accelerator benches (Fig. 10) measure the attention engine alone; a
 serving step also streams the (batch-shared) weights through the FC
-datapath.  This module assembles the full step at cycle granularity:
+datapath.  :meth:`ServingSimulator.price` turns one engine step report
+into a :class:`StepCost` — named cycle terms under one overlap rule:
 
-    step = weight streaming (shared)  +  B x L x H attention instances
+    step      = weights + attention + allgather + prefill   (serial)
+    attention = max over its concurrent DRAM streams
 
-with the attention part measured on the cycle-approximate accelerator and
-the FC part bandwidth-bound (the generation phase is memory-bound end to
-end, Sec. 2.1.2).  It is the cycle-level counterpart of
-:mod:`repro.eval.batching` and closes the Fig. 2 -> Fig. 10 argument: the
-end-to-end benefit of ToPick grows with batch size as KV traffic comes to
-dominate the step.
+The streams are the single ``kv`` stream of an unsharded step, one
+``shard<k>`` per worker when the report carries ``shard_views`` (the
+straggler bounds the phase), and ``fast`` / ``slow`` under two-tier
+pricing.  The generation phase is memory-bound end to end (Sec. 2.1.2),
+so every term is a closed-form streaming time.  The paper's 2.3x is the
+*attention term's* ratio; whole-step ratios read 1.1-1.9x because
+weights are 70-94 % of the cycles.
+
+Two modelling gaps are kept on purpose (closing either moves the
+benchmark's exact metrics, so it needs a re-baseline):
+
+* sharded pricing ignores the tier split: a report with ``shard_views``
+  streams every shard's bits at fast-tier speed, and ``two_tier`` in
+  turn ignores the shards (no straggler, no all-gather);
+* without ``two_tier`` a tiered report's slow bits are priced at
+  fast-tier speed (they are part of ``stats.total_bits_fetched``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import TokenPickerConfig
-from repro.core.pruning import PruneStats
 from repro.hw.accelerator import ToPickAccelerator
-from repro.hw.dram import (
-    DEFAULT_SLOW_TIER,
-    DRAMTierParams,
-    streaming_cycles,
-    streaming_cycles_batch,
-)
-from repro.hw.params import HardwareParams
+from repro.hw.dram import DEFAULT_SLOW_TIER, DRAMTierParams
+from repro.hw.params import DEFAULT_INTERCONNECT, HardwareParams
 from repro.model.config import ModelConfig
 from repro.workloads.scores import sample_workload
 
 if TYPE_CHECKING:  # avoid a runtime hw -> serving dependency
     from repro.serving.engine import EngineStepReport
 
-
-@dataclass(frozen=True)
-class InterconnectParams:
-    """The modelled shard-to-shard link (tensor-parallel all-gather).
-
-    A head-sharded step ends with each worker shipping its kept (head,
-    token) partial outputs to every peer; the transfer is bandwidth +
-    fixed-latency, the textbook alpha-beta model.  Defaults approximate
-    one NVLink-class link lane at the accelerator's 0.5 GHz modelled
-    clock (~32 GB/s effective) with a sub-microsecond launch/sync
-    overhead.
-    """
-
-    #: payload bytes the link moves per accelerator cycle
-    link_bytes_per_cycle: float = 64.0
-    #: fixed per-collective launch + synchronisation overhead
-    latency_cycles: int = 500
-
-    def transfer_cycles(self, n_bytes: int) -> int:
-        """Cycles to move ``n_bytes`` through the link (0 for no bytes)."""
-        if n_bytes <= 0:
-            return 0
-        return int(np.ceil(n_bytes / self.link_bytes_per_cycle)) + self.latency_cycles
+#: the designs :meth:`ServingSimulator.price` knows how to charge
+PRICED_VARIANTS = ("topick", "baseline")
 
 
-DEFAULT_INTERCONNECT = InterconnectParams()
+class Stream(NamedTuple):
+    """One of the attention term's concurrent DRAM streams."""
+
+    name: str
+    cycles: int
+    n_bytes: int = 0
 
 
 @dataclass(frozen=True)
-class ServingStepResult:
-    """Cycle breakdown of one batched decode step for one design.
+class StepCost:
+    """Cycle cost of one decode step under the overlap rule above.
 
     ``prefill_cycles`` prices the prompt-chunk KV rows *ingested* during
-    the step (encoded K digits + V streamed into DRAM) — zero on a pure
-    decode step, large on a step that swallowed a monolithic prefill,
-    and bounded by the engine's ``prefill_budget_tokens`` under chunked
-    prefill.  It was silently omitted before, which is exactly how
-    prefill head-of-line blocking hid from the modelled latency.
+    the step (one contiguous write stream, bounded by the engine's
+    ``prefill_budget_tokens``); ``allgather_cycles`` the kept-token
+    partial-output exchange of a head-sharded step.  ``clock_ghz`` is the
+    pricing simulator's ``hw.clock_ghz``: the one seconds conversion.
     """
 
     variant: str
     batch_size: int
+    clock_ghz: float
     weight_cycles: int
-    attention_cycles: int
+    streams: Tuple[Stream, ...]
+    allgather_cycles: int = 0
     prefill_cycles: int = 0
+    #: exact shape-specific trace args by span (``modelled_step`` | term)
+    trace_args: Dict[str, Dict[str, object]] = field(default_factory=dict)
+
+    @property
+    def attention_cycles(self) -> int:
+        return max((s.cycles for s in self.streams), default=0)
+
+    @property
+    def slow_attention_cycles(self) -> int:
+        return sum(s.cycles for s in self.streams if s.name == "slow")
+
+    @property
+    def terms(self) -> Tuple[Tuple[str, int], ...]:
+        """The serial terms in modelled-timeline order."""
+        return (
+            ("weights", self.weight_cycles),
+            ("attention", self.attention_cycles),
+            ("allgather", self.allgather_cycles),
+            ("prefill", self.prefill_cycles),
+        )
 
     @property
     def total_cycles(self) -> int:
-        return self.weight_cycles + self.attention_cycles + self.prefill_cycles
+        return sum(cycles for _, cycles in self.terms)
 
     @property
-    def attention_fraction(self) -> float:
-        return self.attention_cycles / self.total_cycles if self.total_cycles else 0.0
+    def seconds(self) -> float:
+        return self.total_cycles / (self.clock_ghz * 1e9)
+
+    def span_payload(self) -> Dict[str, object]:
+        """The dual-clock trace payload :meth:`repro.obs.trace.Tracer.
+        cycle_span` projects onto the wall timeline: the exact top-level
+        quantities plus a ``"phases"`` list — this cost's own terms —
+        whose cycle counts become proportionally-sized child spans."""
+        extra = self.trace_args
+        return {
+            "clock_ghz": self.clock_ghz,
+            "batch_size": self.batch_size,
+            "total_cycles": self.total_cycles,
+            "modelled_seconds": self.seconds,
+            "variant": self.variant,
+            **extra.get("modelled_step", {}),
+            "phases": [
+                {"name": name, "cycles": cycles, "args": extra.get(name, {})}
+                for name, cycles in self.terms
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class FleetCost:
+    """One cluster step across its busy replicas.  Each replica is its
+    own accelerator card streaming its own weights and KV; replicas run
+    concurrently, so the step latency is the *straggler's* and the
+    throughput is the *sum* of the per-replica token rates."""
+
+    per_replica: Tuple[StepCost, ...]
+
+    @property
+    def batch_size(self) -> int:
+        return sum(r.batch_size for r in self.per_replica)
+
+    @property
+    def straggler(self) -> StepCost:
+        return max(self.per_replica, key=lambda r: r.total_cycles)
+
+    @property
+    def seconds(self) -> float:
+        """The cluster's synchronous-tick latency."""
+        return self.straggler.seconds
+
+    def aggregate_tokens_per_second(self) -> float:
+        return sum(tokens_per_second(r) for r in self.per_replica)
+
+    def span_payload(self) -> Dict[str, object]:
+        """The straggler's payload (the latency a router observes) with
+        the concurrent fleet total in ``cluster_total_cycles``."""
+        return {
+            **self.straggler.span_payload(),
+            "n_replicas": len(self.per_replica),
+            "batch_size": self.batch_size,
+            "cluster_total_cycles": sum(r.total_cycles for r in self.per_replica),
+        }
 
 
 class ServingSimulator:
@@ -112,321 +179,187 @@ class ServingSimulator:
         self.context_length = context_length
         self.hw = hw or HardwareParams()
         self.config = config or TokenPickerConfig()
+        #: every fast-side stream (weights, KV fetch, prefill ingest) is
+        #: priced on the accelerator's HBM as a memory tier
+        self.fast_tier = self.hw.hbm_tier
+        #: the batch-shared non-attention weights stream once per step
+        self.weight_cycles = self.fast_tier.cycles(
+            model.weight_bytes + model.embedding_bytes
+        )
         self._n_sample_instances = n_sample_instances
         self._seed = seed
-        self._workload = None  # sampled lazily: the measured-traffic path
+        self._workload = None  # sampled lazily, for ``step`` only
         self._per_instance_cycles: Dict[str, float] = {}
 
-    def _get_workload(self):
-        """Synthetic workload for the sampled (single-instance-mean) path."""
-        if self._workload is None:
-            self._workload = sample_workload(
-                self.context_length,
-                head_dim=self.model.head_dim,
-                n_instances=self._n_sample_instances,
-                seed=self._seed,
-            )
-        return self._workload
-
     def _attention_cycles_per_instance(self, variant: str) -> float:
-        """Mean cycles of one (layer, head) attention instance (cached)."""
+        """Mean cycles of one (layer, head) attention instance on a
+        synthetic workload (cached per variant)."""
         if variant not in self._per_instance_cycles:
-            workload = self._get_workload()
+            if self._workload is None:
+                self._workload = sample_workload(
+                    self.context_length,
+                    head_dim=self.model.head_dim,
+                    n_instances=self._n_sample_instances,
+                    seed=self._seed,
+                )
             acc = ToPickAccelerator(hw=self.hw, config=self.config)
-            result = acc.run_workload(workload, variant=variant)
-            self._per_instance_cycles[variant] = result.cycles / len(workload)
+            result = acc.run_workload(self._workload, variant=variant)
+            mean = result.cycles / len(self._workload)
+            self._per_instance_cycles[variant] = mean
         return self._per_instance_cycles[variant]
 
-    def weight_streaming_cycles(self) -> int:
-        """Cycles to stream the (batch-shared) non-attention weights."""
-        return streaming_cycles(
-            self.model.weight_bytes + self.model.embedding_bytes,
-            self.hw.n_channels,
-            self.hw.channel_bytes_per_cycle,
-            self.hw.dram_latency_cycles,
-        )
-
-    def step(self, batch_size: int, variant: str = "topick") -> ServingStepResult:
-        """Latency of one decode step at a batch size for a design point."""
+    def step(self, batch_size: int, variant: str = "topick") -> StepCost:
+        """One decode step at a batch size from the accelerator's sampled
+        instance mean (no report: the Fig. 2 -> Fig. 10 batch argument)."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         per_instance = self._attention_cycles_per_instance(variant)
         n_instances = batch_size * self.model.n_layers * self.model.n_heads
-        return ServingStepResult(
-            variant=variant,
-            batch_size=batch_size,
-            weight_cycles=self.weight_streaming_cycles(),
-            attention_cycles=int(round(per_instance * n_instances)),
+        attention = Stream("kv", int(round(per_instance * n_instances)))
+        return StepCost(
+            variant, batch_size, self.hw.clock_ghz, self.weight_cycles,
+            (attention,),
         )
 
-    def _head_scale(self, engine_heads: Optional[int]) -> float:
-        if engine_heads is None:
-            return 1.0
-        if engine_heads < 1:
-            raise ValueError("engine_heads must be >= 1")
-        return self.model.n_heads / engine_heads
+    @staticmethod
+    def _stream(name: str, tier: DRAMTierParams, bits, scale: float) -> Stream:
+        """One DRAM stream on ``tier``: every sequence pays its own
+        latency tail (private KV traffic does not batch)."""
+        n_bytes = np.ceil(np.asarray(bits, dtype=np.float64) * scale / 8)
+        n_bytes = n_bytes.astype(np.int64)
+        cycles = tier.cycles_batch(n_bytes).sum()
+        return Stream(name, int(cycles), int(n_bytes.sum()))
 
-    def _prefill_cycles(self, prefill_bits: int, scale: float) -> int:
-        """Cycles to stream one step's ingested prompt-chunk rows into
-        DRAM (one contiguous write stream — ingest batches, unlike the
-        per-sequence fetch tails)."""
-        if prefill_bits <= 0:
-            return 0
-        return streaming_cycles(
-            int(np.ceil(prefill_bits * scale / 8)),
-            self.hw.n_channels,
-            self.hw.channel_bytes_per_cycle,
-            self.hw.dram_latency_cycles,
-        )
-
-    def step_from_traffic(
+    def price(
         self,
-        per_sequence: Sequence[PruneStats],
+        report: "EngineStepReport",
         variant: str = "topick",
         engine_heads: Optional[int] = None,
-        prefill_bits: int = 0,
-    ) -> ServingStepResult:
-        """Decode-step latency from *measured* per-sequence KV traffic.
+        two_tier: bool = False,
+    ) -> StepCost:
+        """Cycle cost of one engine step from its *measured* traffic:
+        each sequence's accounting in ``report.per_sequence`` (so the
+        ragged variation the engine produced is what gets priced) plus
+        the ingested prompt chunks' ``report.prefill_bits`` (a step may
+        be prefill-only).  The engine models one layer's heads: traffic
+        is scaled by ``model.n_layers`` and, given ``engine_heads``, by
+        ``model.n_heads / engine_heads``.  ``baseline`` charges the same
+        sequences' unpruned footprint (ingest is identical).
 
-        ``per_sequence`` holds one :class:`PruneStats` per active sequence
-        — e.g. a serving-engine step report's accounting — so the ragged
-        per-sequence variation the engine actually produced replaces the
-        old single-instance mean.  Each sequence's KV stream is charged
-        its own DRAM latency tail (``streaming_cycles`` per sequence, not
-        one call on the pooled total): private KV traffic does not batch.
-
-        ``prefill_bits`` adds the encoded KV bits of prompt chunks the
-        step ingested (:attr:`EngineStepReport.prefill_bits`), priced as
-        one DRAM write stream — a step may be prefill-only (empty
-        ``per_sequence``) when every budget token went to ingestion.
-
-        The engine models one layer's heads; traffic is scaled by
-        ``model.n_layers`` and, when ``engine_heads`` is given, by
-        ``model.n_heads / engine_heads`` to cover the full stack.  The
-        ``baseline`` variant charges the unpruned footprint of the same
-        sequences (prefill ingest is identical on both variants).
+        A report with ``shard_views`` is priced head-sharded: one stream
+        per worker, one all-gather of every shard's kept (head, token)
+        partial outputs over :data:`repro.hw.params.DEFAULT_INTERCONNECT`
+        (bytes proportional to *kept* pairs; a single worker gathers
+        nothing), prompt ingest at the widest slice's share.
+        ``two_tier`` instead splits each sequence's fetched bits by
+        memory tier (``fast_bits`` / ``slow_bits`` of its view; untiered
+        views are all fast) and streams the slow side concurrently on
+        :data:`repro.hw.dram.DEFAULT_SLOW_TIER` — the explicit cost of
+        keeping demoted tokens in far memory; ``topick`` only.
         """
-        if not per_sequence and not prefill_bits:
+        if variant not in PRICED_VARIANTS:
             raise ValueError(
-                "need at least one sequence's stats or prefill traffic"
+                f"variant must be one of {PRICED_VARIANTS}, got {variant!r}"
             )
-        scale = self._head_scale(engine_heads) * self.model.n_layers
-        attention_cycles = 0
-        if per_sequence:
-            # each sequence's private KV stream is charged its own latency
-            # tail (private KV traffic does not batch), all in one
-            # vectorised streaming-cycles call
-            bits = np.array(
-                [
-                    stats.baseline_total_bits
-                    if variant == "baseline"
-                    else stats.total_bits_fetched
-                    for stats in per_sequence
-                ],
-                dtype=np.float64,
-            )
-            n_bytes = np.ceil(bits * scale / 8).astype(np.int64)
-            attention_cycles = int(
-                streaming_cycles_batch(
-                    n_bytes,
-                    self.hw.n_channels,
-                    self.hw.channel_bytes_per_cycle,
-                    self.hw.dram_latency_cycles,
-                ).sum()
-            )
-        return ServingStepResult(
-            variant=variant,
-            batch_size=len(per_sequence),
-            weight_cycles=self.weight_streaming_cycles(),
-            attention_cycles=attention_cycles,
-            prefill_cycles=self._prefill_cycles(prefill_bits, scale),
-        )
-
-    def step_from_engine(
-        self,
-        report: "EngineStepReport",
-        variant: str = "topick",
-        engine_heads: Optional[int] = None,
-    ) -> ServingStepResult:
-        """Latency of one *engine* step from its per-sequence accounting,
-        including the prompt-chunk ingest the step performed.  A report
-        from a head-sharded engine (non-empty ``shard_views``) dispatches
-        to :meth:`step_from_sharded` so cluster- and frontend-level
-        callers get the straggler + all-gather pricing for free."""
-        if getattr(report, "shard_views", None):
-            return self.step_from_sharded(
-                report, variant=variant, engine_heads=engine_heads
-            )
-        stats = [view.stats for view in report.per_sequence.values()]
-        return self.step_from_traffic(
-            stats,
-            variant=variant,
-            engine_heads=engine_heads,
-            prefill_bits=report.prefill_bits,
-        )
-
-    def step_from_sharded(
-        self,
-        report: "EngineStepReport",
-        variant: str = "topick",
-        engine_heads: Optional[int] = None,
-        interconnect: Optional[InterconnectParams] = None,
-    ) -> "ShardedStepResult":
-        """Decode-step latency of one head-sharded engine step.
-
-        Each shard worker streams only its own head slice's KV traffic
-        (the view's per-sequence fetched bits, each charged its own DRAM
-        latency tail), all workers run concurrently, so the attention
-        phase is bounded by the **slowest shard**.  The step then pays
-        one modelled all-gather moving every shard's kept (head, token)
-        partial-output vectors through ``interconnect`` — bytes
-        proportional to *kept* pairs, so Eq. 5 pruning shrinks the wire
-        traffic exactly as it shrinks DRAM traffic (the ``baseline``
-        variant ships every pair and fetches the full table).  Weight
-        streaming is unchanged (the modelled non-attention stack stays
-        replicated); prompt ingest is sliced across the workers, so the
-        prefill write stream is priced at the widest slice's share.  A
-        single-worker group has nothing to gather: zero all-gather bytes
-        and cycles.
-        """
-        views = list(getattr(report, "shard_views", []) or [])
-        if not views:
-            raise ValueError("report carries no shard views")
-        interconnect = (
-            interconnect if interconnect is not None else DEFAULT_INTERCONNECT
-        )
-        scale = self._head_scale(engine_heads) * self.model.n_layers
-        shard_cycles = []
-        for view in views:
-            bits = np.asarray(
-                view.seq_baseline_bits
-                if variant == "baseline"
-                else view.seq_bits,
-                dtype=np.float64,
-            )
-            if bits.size == 0:
-                shard_cycles.append(0)
-                continue
-            n_bytes = np.ceil(bits * scale / 8).astype(np.int64)
-            shard_cycles.append(
-                int(
-                    streaming_cycles_batch(
-                        n_bytes,
-                        self.hw.n_channels,
-                        self.hw.channel_bytes_per_cycle,
-                        self.hw.dram_latency_cycles,
-                    ).sum()
-                )
-            )
-        allgather_bytes = 0
-        allgather_cycles = 0
-        if len(views) > 1:
-            allgather_bits = sum(
-                v.baseline_allgather_bits
-                if variant == "baseline"
-                else v.allgather_bits
-                for v in views
-            )
-            allgather_bytes = int(np.ceil(allgather_bits * scale / 8))
-            allgather_cycles = interconnect.transfer_cycles(allgather_bytes)
-        widest = max(v.n_heads for v in views)
-        total_heads = sum(v.n_heads for v in views)
-        prefill_share = int(
-            np.ceil(report.prefill_bits * widest / total_heads)
-        )
-        return ShardedStepResult(
-            variant=variant,
-            batch_size=len(report.per_sequence),
-            n_shards=len(views),
-            weight_cycles=self.weight_streaming_cycles(),
-            shard_attention_cycles=tuple(shard_cycles),
-            allgather_cycles=allgather_cycles,
-            allgather_bytes=allgather_bytes,
-            prefill_cycles=self._prefill_cycles(prefill_share, scale),
-        )
-
-    def step_from_tiered(
-        self,
-        report: "EngineStepReport",
-        slow: Optional[DRAMTierParams] = None,
-        engine_heads: Optional[int] = None,
-    ) -> "TieredStepResult":
-        """Decode-step latency when KV traffic splits across two tiers.
-
-        A tiered engine's step views carry each sequence's fetched bits
-        split by tier (``fast_bits``/``slow_bits``); the fast stream is
-        priced on the accelerator's HBM parameters exactly as
-        :meth:`step_from_traffic` does, the slow stream on ``slow`` (a
-        :class:`repro.hw.dram.DRAMTierParams`, default the host/CXL
-        point).  The tiers stream concurrently, so the attention phase
-        takes the *slower* of the two — the explicit cost of keeping
-        demoted tokens' sketches in far memory.  Untiered views (bits of
-        -1) charge everything to the fast tier.
-        """
+        if two_tier and variant != "topick":
+            raise ValueError("two-tier pricing is defined for 'topick' only")
+        if engine_heads is not None and engine_heads < 1:
+            raise ValueError("engine_heads must be >= 1")
         views = list(report.per_sequence.values())
         prefill_bits = report.prefill_bits
         if not views and not prefill_bits:
-            raise ValueError(
-                "need at least one sequence's step view or prefill traffic"
-            )
-        slow = slow if slow is not None else DEFAULT_SLOW_TIER
-        scale = self._head_scale(engine_heads) * self.model.n_layers
-        fast_bits = np.array(
-            [
+            raise ValueError("idle step: no sequence views, no prefill traffic")
+        baseline = variant == "baseline"
+        scale = float(self.model.n_layers)
+        if engine_heads is not None:
+            scale *= self.model.n_heads / engine_heads
+        hbm = self.fast_tier
+        allgather_cycles = 0
+        trace_args: Dict[str, Dict[str, object]] = {}
+        if two_tier:
+            fast = self._stream("fast", hbm, [
                 v.stats.total_bits_fetched if v.fast_bits < 0 else v.fast_bits
                 for v in views
-            ],
-            dtype=np.float64,
-        )
-        slow_bits = np.array(
-            [max(v.slow_bits, 0) for v in views], dtype=np.float64
-        )
-        fast_bytes = np.ceil(fast_bits * scale / 8).astype(np.int64)
-        slow_bytes = np.ceil(slow_bits * scale / 8).astype(np.int64)
-        fast_cycles = int(
-            streaming_cycles_batch(
-                fast_bytes,
-                self.hw.n_channels,
-                self.hw.channel_bytes_per_cycle,
-                self.hw.dram_latency_cycles,
-            ).sum()
-        )
-        slow_cycles = int(slow.cycles_batch(slow_bytes).sum())
-        return TieredStepResult(
-            batch_size=len(views),
-            weight_cycles=self.weight_streaming_cycles(),
-            fast_attention_cycles=fast_cycles,
-            slow_attention_cycles=slow_cycles,
-            fast_bytes=int(fast_bytes.sum()),
-            slow_bytes=int(slow_bytes.sum()),
-            prefill_cycles=self._prefill_cycles(prefill_bits, scale),
-        )
-
-    def step_from_cluster(
-        self,
-        reports: Sequence["EngineStepReport"],
-        variant: str = "topick",
-        engine_heads: Optional[int] = None,
-    ) -> "ClusterStepResult":
-        """Cluster-level decode-step latency from per-replica engine steps.
-
-        Each replica is its own accelerator card streaming its own weights
-        and its own sequences' KV — replicas run concurrently, so the
-        cluster's step latency is the *slowest* replica's step and the
-        aggregate throughput is the *sum* of per-replica token rates.
-        Idle replicas (no decode and no prefill ingest) contribute
-        nothing; a prefill-only replica still counts toward the straggler.
-        """
-        per_replica = [
-            self.step_from_engine(
-                report, variant=variant, engine_heads=engine_heads
+            ], scale)
+            slow = self._stream("slow", DEFAULT_SLOW_TIER, [
+                max(v.slow_bits, 0) for v in views
+            ], scale)
+            streams = (fast, slow)
+            split = {"fast_bytes": fast.n_bytes, "slow_bytes": slow.n_bytes}
+            trace_args["modelled_step"] = {"variant": "tiered", **split}
+            trace_args["attention"] = {
+                "fast_cycles": fast.cycles, "slow_cycles": slow.cycles, **split
+            }
+        elif report.shard_views:
+            shards = report.shard_views
+            streams = tuple(
+                self._stream(
+                    f"shard{v.shard}", hbm,
+                    v.seq_baseline_bits if baseline else v.seq_bits, scale,
+                )
+                for v in shards
             )
+            wire_bytes = 0
+            if len(shards) > 1:
+                wire_bits = sum(
+                    v.baseline_allgather_bits if baseline else v.allgather_bits
+                    for v in shards
+                )
+                wire_bytes = int(np.ceil(wire_bits * scale / 8))
+            allgather_cycles = DEFAULT_INTERCONNECT.transfer_cycles(wire_bytes)
+            # prompt ingest is sliced across the workers
+            widest = max(v.n_heads for v in shards)
+            total_heads = sum(v.n_heads for v in shards)
+            prefill_bits = int(np.ceil(prefill_bits * widest / total_heads))
+            k = {"n_shards": len(shards)}
+            trace_args["modelled_step"] = {**k, "allgather_bytes": wire_bytes}
+            trace_args["attention"] = {
+                **k, "shard_cycles": [s.cycles for s in streams]
+            }
+            trace_args["allgather"] = {**k, "bytes": wire_bytes}
+        else:
+            streams = (self._stream("kv", hbm, [
+                v.stats.baseline_total_bits if baseline
+                else v.stats.total_bits_fetched
+                for v in views
+            ], scale),)
+        prefill_cycles = hbm.cycles(int(np.ceil(prefill_bits * scale / 8)))
+        return StepCost(
+            variant, len(views), self.hw.clock_ghz, self.weight_cycles,
+            streams, allgather_cycles, prefill_cycles, trace_args,
+        )
+
+    def price_fleet(
+        self, reports, variant: str = "topick", engine_heads: Optional[int] = None
+    ) -> FleetCost:
+        """One cluster step from its per-replica engine reports.  Idle
+        replicas (no decode and no prefill ingest) contribute nothing; a
+        prefill-only replica still counts toward the straggler."""
+        per_replica = tuple(
+            self.price(report, variant, engine_heads)
             for report in reports
             if report.per_sequence or report.prefill_bits
-        ]
+        )
         if not per_replica:
             raise ValueError("every replica is idle; nothing to aggregate")
-        return ClusterStepResult(variant=variant, per_replica=per_replica)
+        return FleetCost(per_replica)
+
+    # Frozen spellings of ``price`` that benchmarks/e2e calls and wraps in
+    # spans (as plain functions out of ``vars(cls)``); no other caller.
+    step_from_engine = step_from_sharded = price
+    step_from_cluster = price_fleet
+
+    def step_from_tiered(self, report, engine_heads=None):
+        return self.price(report, engine_heads=engine_heads, two_tier=True)
+
+    def step_from_traffic(
+        self, per_sequence, variant="topick", engine_heads=None, prefill_bits=0
+    ):
+        views = {i: SimpleNamespace(stats=s) for i, s in enumerate(per_sequence)}
+        report = SimpleNamespace(
+            per_sequence=views, prefill_bits=prefill_bits, shard_views=()
+        )
+        return self.price(report, variant, engine_heads)
 
     def speedup_curve(
         self, batch_sizes: Sequence[int] = (1, 4, 16, 64), variant: str = "topick"
@@ -434,228 +367,28 @@ class ServingSimulator:
         """End-to-end step speedup of ``variant`` over baseline per batch."""
         out = []
         for b in batch_sizes:
-            base = self.step(b, "baseline")
-            ours = self.step(b, variant)
-            out.append(
-                {
-                    "batch_size": b,
-                    "baseline_cycles": base.total_cycles,
-                    "variant_cycles": ours.total_cycles,
-                    "speedup": base.total_cycles / ours.total_cycles,
-                    "attention_fraction": base.attention_fraction,
-                }
-            )
+            base, ours = self.step(b, "baseline"), self.step(b, variant)
+            out.append({
+                "batch_size": b,
+                "baseline_cycles": base.total_cycles,
+                "variant_cycles": ours.total_cycles,
+                "speedup": base.total_cycles / ours.total_cycles,
+                "attention_fraction": base.attention_cycles / base.total_cycles,
+            })
         return out
 
 
-@dataclass(frozen=True)
-class TieredStepResult:
-    """Cycle view of one decode step over a two-tier KV memory.
-
-    ``attention_cycles`` is the concurrent-stream maximum of the two
-    tiers; the per-tier cycle and byte splits stay visible so benches can
-    report fast-DRAM bytes per token (the scarce resource tiering frees)
-    alongside the latency the slow tier costs.
-    """
-
-    batch_size: int
-    weight_cycles: int
-    fast_attention_cycles: int
-    slow_attention_cycles: int
-    fast_bytes: int
-    slow_bytes: int
-    #: prompt-chunk ingest priced inside this step (fast-tier write)
-    prefill_cycles: int = 0
-
-    @property
-    def attention_cycles(self) -> int:
-        return max(self.fast_attention_cycles, self.slow_attention_cycles)
-
-    @property
-    def total_cycles(self) -> int:
-        return self.weight_cycles + self.attention_cycles + self.prefill_cycles
+def tokens_per_second(cost: StepCost) -> float:
+    """Aggregate decode throughput implied by a step cost."""
+    seconds = cost.seconds
+    return cost.batch_size / seconds if seconds > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class ShardedStepResult:
-    """Cycle view of one head-sharded decode step.
-
-    ``attention_cycles`` is the **straggler** shard (workers stream their
-    head slices concurrently); the all-gather combining the kept-token
-    partial outputs is a separate phase so traces and diffs can gate
-    interconnect regressions independently of DRAM traffic.
-    """
-
-    variant: str
-    batch_size: int
-    n_shards: int
-    weight_cycles: int
-    #: per-worker attention-stream cycles, shard-index order
-    shard_attention_cycles: tuple
-    allgather_cycles: int
-    allgather_bytes: int
-    prefill_cycles: int = 0
-
-    @property
-    def attention_cycles(self) -> int:
-        return max(self.shard_attention_cycles) if self.shard_attention_cycles else 0
-
-    @property
-    def total_cycles(self) -> int:
-        return (
-            self.weight_cycles
-            + self.attention_cycles
-            + self.allgather_cycles
-            + self.prefill_cycles
-        )
-
-    @property
-    def attention_fraction(self) -> float:
-        return self.attention_cycles / self.total_cycles if self.total_cycles else 0.0
-
-
-@dataclass(frozen=True)
-class ClusterStepResult:
-    """Cycle-level view of one cluster step across busy replicas.
-
-    The serving simulator prices each replica's measured traffic
-    independently (:meth:`ServingSimulator.step_from_cluster`); this
-    aggregate carries both the fleet throughput (sum of concurrent
-    replicas) and the straggler latency (the slowest replica bounds the
-    synchronous-tick latency a router observes).
-    """
-
-    variant: str
-    per_replica: List[ServingStepResult]
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.per_replica)
-
-    @property
-    def batch_size(self) -> int:
-        """Total sequences decoding across the cluster this step."""
-        return sum(r.batch_size for r in self.per_replica)
-
-    @property
-    def max_step_cycles(self) -> int:
-        """Slowest replica's step — the cluster's synchronous-tick latency."""
-        return max(r.total_cycles for r in self.per_replica)
-
-    def aggregate_tokens_per_second(self, clock_ghz: float = 0.5) -> float:
-        """Fleet decode throughput: replicas stream concurrently."""
-        return sum(
-            tokens_per_second(r, clock_ghz) for r in self.per_replica
-        )
-
-
-def tokens_per_second(
-    result: ServingStepResult, clock_ghz: float = 0.5
-) -> float:
-    """Aggregate decode throughput implied by a step result."""
-    seconds = result.total_cycles / (clock_ghz * 1e9)
-    if seconds <= 0:
-        return 0.0
-    return result.batch_size / seconds
-
-
-def modelled_span_payload(result, clock_ghz: float = 0.5) -> Dict[str, object]:
-    """The dual-clock trace payload of one step result.
-
-    Everything :meth:`repro.obs.trace.Tracer.cycle_span` needs to
-    project the *modelled* hardware step onto the wall timeline: the
-    top-level exact quantities (total cycles, modelled seconds, the
-    fast/slow DRAM byte split when tiered) plus a ``"phases"`` list
-    (weights → attention → prefill) whose cycle counts the tracer turns
-    into proportionally-sized child spans.  Accepts any of the step
-    result shapes above; a :class:`ClusterStepResult` is summarised at
-    its straggler (the synchronous-tick latency a router observes), with
-    the concurrent fleet total kept in ``cluster_total_cycles``.
-    """
-    if isinstance(result, ClusterStepResult):
-        straggler = max(result.per_replica, key=lambda r: r.total_cycles)
-        payload = modelled_span_payload(straggler, clock_ghz=clock_ghz)
-        payload["variant"] = result.variant
-        payload["n_replicas"] = result.n_replicas
-        payload["batch_size"] = result.batch_size
-        payload["cluster_total_cycles"] = sum(
-            r.total_cycles for r in result.per_replica
-        )
-        return payload
-    payload: Dict[str, object] = {
-        "clock_ghz": clock_ghz,
-        "batch_size": result.batch_size,
-        "total_cycles": result.total_cycles,
-        "modelled_seconds": step_seconds(result, clock_ghz=clock_ghz),
-    }
-    attention_args: Dict[str, object] = {}
-    if isinstance(result, TieredStepResult):
-        payload["variant"] = "tiered"
-        payload["fast_bytes"] = result.fast_bytes
-        payload["slow_bytes"] = result.slow_bytes
-        attention_args = {
-            "fast_cycles": result.fast_attention_cycles,
-            "slow_cycles": result.slow_attention_cycles,
-            "fast_bytes": result.fast_bytes,
-            "slow_bytes": result.slow_bytes,
-        }
-    elif isinstance(result, ShardedStepResult):
-        payload["variant"] = result.variant
-        payload["n_shards"] = result.n_shards
-        payload["allgather_bytes"] = result.allgather_bytes
-        attention_args = {
-            "n_shards": result.n_shards,
-            "shard_cycles": list(result.shard_attention_cycles),
-        }
-    else:
-        payload["variant"] = result.variant
-    payload["phases"] = [
-        {"name": "weights", "cycles": result.weight_cycles},
-        {
-            "name": "attention",
-            "cycles": result.attention_cycles,
-            "args": attention_args,
-        },
-        {"name": "prefill", "cycles": result.prefill_cycles},
-    ]
-    if isinstance(result, ShardedStepResult):
-        # the all-gather lands between attention and prefill on the
-        # modelled timeline: exact bytes/cycles in the span args so
-        # obs.diff can gate interconnect regressions
-        payload["phases"].insert(
-            2,
-            {
-                "name": "allgather",
-                "cycles": result.allgather_cycles,
-                "args": {
-                    "bytes": result.allgather_bytes,
-                    "n_shards": result.n_shards,
-                },
-            },
-        )
-    return payload
-
-
-def step_seconds(
-    result, clock_ghz: float = 0.5, spike_seconds: float = 0.0
-) -> float:
-    """Modelled wall-clock seconds of one step result.
-
-    Accepts any of the step-result shapes above (they all expose
-    ``total_cycles``; a :class:`ClusterStepResult` is priced at its
-    straggler via ``max_step_cycles``).  ``spike_seconds`` adds an
-    injected latency penalty on top — how the fault harness
-    (:mod:`repro.cluster.faults`) prices a degraded step: the transient
-    slowdown is additive, so the SLO controller and the goodput bench
-    see fault pressure and overload pressure in the same unit.
-    """
-    if clock_ghz <= 0:
-        raise ValueError(f"clock_ghz must be > 0, got {clock_ghz}")
+def step_seconds(cost, spike_seconds: float = 0.0) -> float:
+    """Modelled seconds of a :class:`StepCost` or (at its straggler) a
+    :class:`FleetCost`, plus ``spike_seconds`` — the additive penalty the
+    fault harness (:mod:`repro.cluster.faults`) injects, so fault and
+    overload pressure reach the SLO controller in the same unit."""
     if spike_seconds < 0:
         raise ValueError(f"spike_seconds must be >= 0, got {spike_seconds}")
-    cycles = (
-        result.max_step_cycles
-        if isinstance(result, ClusterStepResult)
-        else result.total_cycles
-    )
-    return cycles / (clock_ghz * 1e9) + spike_seconds
+    return cost.seconds + spike_seconds

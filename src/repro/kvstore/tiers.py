@@ -435,8 +435,8 @@ class TieredKVStore:
         and charge the fetch-path traffic by tier.
 
         Returns this sequence's ``(fast_bits, slow_bits)`` fetched — the
-        split :meth:`repro.hw.serving.ServingSimulator.step_from_tiered`
-        prices.
+        split :meth:`repro.hw.serving.ServingSimulator.price` streams on
+        the two tiers under ``two_tier=True``.
         """
         state = self._state(seq_id)
         t = state.length

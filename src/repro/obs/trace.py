@@ -337,7 +337,7 @@ class Tracer:
         gaps between phases, so they live on their own track rather than
         pretending to tile the step span exactly.
 
-        ``cycle`` (a :func:`repro.hw.serving.modelled_span_payload`
+        ``cycle`` (a :meth:`repro.hw.serving.StepCost.span_payload`
         dict) additionally projects the step's *modelled* hardware cost
         onto the sibling ``cycles`` track via :meth:`cycle_span` — the
         dual-clock timeline."""
@@ -390,16 +390,16 @@ class Tracer:
         anchor** (``ts``/``dur``), while its args carry the exact
         modelled quantities (``total_cycles``, ``modelled_seconds``,
         fast/slow DRAM bytes, ...).  Phase children (weights →
-        attention → prefill) nest inside it with durations
+        attention → allgather → prefill) nest inside it with durations
         *proportional* to their cycle shares — modelled time can exceed
         the wall gap between steps, so projecting onto the wall window
         keeps every track nest-valid and visually comparable
         span-for-span, and nothing is lost: the true cycle counts ride
         in each child's args.
 
-        ``payload`` is the dict :func:`repro.hw.serving.
-        modelled_span_payload` builds from a step result; its
-        ``"phases"`` list is consumed here, everything else lands on the
+        ``payload`` is the dict :meth:`repro.hw.serving.StepCost.
+        span_payload` builds from a priced step; its ``"phases"`` list
+        (the cost's own terms) is consumed here, everything else lands on the
         parent span's args verbatim.
         """
         args = {k: v for k, v in payload.items() if k != "phases"}

@@ -125,7 +125,7 @@ class SequenceStepView:
     stats: PruneStats  # this step's attention accounting (all heads)
     #: fetch-path split by memory tier when KV tiering is enabled
     #: (``fast_bits + slow_bits == stats.total_bits_fetched``); both are
-    #: -1 on an untiered engine, and ``step_from_tiered`` falls back to
+    #: -1 on an untiered engine, and two-tier pricing falls back to
     #: charging everything to the fast tier.
     fast_bits: int = -1
     slow_bits: int = -1
@@ -141,8 +141,8 @@ class EngineStepReport:
 
     ``per_sequence`` carries each active sequence's *measured* traffic for
     this step — the quantity :meth:`repro.hw.serving.ServingSimulator.
-    step_from_engine` converts to cycles, replacing the old
-    single-instance-mean approximation.  ``prefill_bits`` carries the
+    price` converts to a :class:`~repro.hw.serving.StepCost`, replacing
+    the old single-instance-mean approximation.  ``prefill_bits`` carries the
     encoded KV bits of every prompt chunk ingested *this step*, so the
     hardware model prices prefill traffic inside the step it actually
     happens instead of silently omitting it.
@@ -193,8 +193,8 @@ class EngineStepReport:
     round_alive: Optional[np.ndarray] = None
     #: per-shard interconnect telemetry (List[repro.cluster.shard.
     #: ShardStepView]) when the engine runs head-sharded; empty on an
-    #: unsharded engine.  ``step_from_engine`` dispatches to the sharded
-    #: hardware model whenever this is non-empty.
+    #: unsharded engine.  ``price`` charges the per-shard straggler and
+    #: the all-gather whenever this is non-empty.
     shard_views: List = field(default_factory=list)
 
     @property
@@ -330,7 +330,6 @@ class ServingEngine:
         tracer=None,
         trace_label: str = "engine",
         cycle_sim=None,
-        cycle_clock_ghz: float = 0.5,
         shards: int = 1,
     ) -> None:
         """``memory_manager`` switches admission from the conservative
@@ -371,9 +370,10 @@ class ServingEngine:
         ``cycle_sim`` (a :class:`repro.hw.serving.ServingSimulator`)
         turns each sampled step span into a *dual-clock* record: the
         step's measured per-sequence traffic is priced on the modelled
-        hardware (``step_from_tiered`` when KV tiering is on, else
-        ``step_from_engine``) and projected onto the trace's ``cycles``
-        track sharing the step's wall anchor.  Only consulted when a
+        hardware (:meth:`~repro.hw.serving.ServingSimulator.price`,
+        two-tier when KV tiering is on and the step is unsharded) and its
+        :class:`~repro.hw.serving.StepCost` terms are projected onto the
+        trace's ``cycles`` track sharing the step's wall anchor.  Only consulted when a
         step span is actually emitted, so it costs nothing on unsampled
         steps or with tracing off.
 
@@ -409,7 +409,6 @@ class ServingEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_label = trace_label
         self.cycle_sim = cycle_sim
-        self.cycle_clock_ghz = cycle_clock_ghz
         #: sampled-in step spans whose attribute payload was actually
         #: built — the trace-overhead bench asserts sampling skips the
         #: payload work entirely, not just the emit
@@ -1565,28 +1564,14 @@ class ServingEngine:
         if self.cycle_sim is not None and (
             report.per_sequence or report.prefill_bits
         ):
-            from repro.hw.serving import modelled_span_payload
-
-            engine_heads = self.pool.n_heads if self.pool is not None else None
-            if report.shard_views:
-                # sharded pricing wins over tiered: the shard views
-                # already reflect post-tier-repair fetch decisions, and
-                # the straggler + all-gather terms are the step's
-                # dominant modelled costs
-                result = self.cycle_sim.step_from_sharded(
-                    report, engine_heads=engine_heads
-                )
-            elif self.tiers is not None:
-                result = self.cycle_sim.step_from_tiered(
-                    report, engine_heads=engine_heads
-                )
-            else:
-                result = self.cycle_sim.step_from_engine(
-                    report, engine_heads=engine_heads
-                )
-            cycle = modelled_span_payload(
-                result, clock_ghz=self.cycle_clock_ghz
-            )
+            # sharded pricing wins over two-tier: the shard views already
+            # reflect post-tier-repair fetch decisions, and the straggler
+            # + all-gather terms are the step's dominant modelled costs
+            cycle = self.cycle_sim.price(
+                report,
+                engine_heads=self.pool.n_heads if self.pool is not None else None,
+                two_tier=self.tiers is not None and not report.shard_views,
+            ).span_payload()
         tracer.step_span(
             self.trace_label,
             ts=t0,

@@ -329,9 +329,7 @@ class _EngineBackend:
         return request_id
 
     def modelled_seconds(self, simulator, reports) -> float:
-        from repro.hw.serving import step_seconds
-
-        return step_seconds(simulator.step_from_engine(reports[0][1]))
+        return simulator.price(reports[0][1]).seconds
 
 
 class _ClusterBackend:
@@ -384,11 +382,7 @@ class _ClusterBackend:
         return (replica, request_id)
 
     def modelled_seconds(self, simulator, reports) -> float:
-        from repro.hw.serving import step_seconds
-
-        return step_seconds(
-            simulator.step_from_cluster([r for _, r in reports])
-        )
+        return simulator.price_fleet([r for _, r in reports]).seconds
 
 
 class AsyncStreamingFrontend:

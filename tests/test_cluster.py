@@ -537,34 +537,44 @@ class TestRouter:
 
 # ------------------------------------------------------------ hw aggregation
 class TestClusterHardwareModel:
-    def test_step_from_cluster_aggregates(self):
+    def test_cluster_span_is_its_straggler_replica(self):
+        """The ``cluster`` track summarises the replicas' own ``cycles``
+        spans at their head scale: on an untiered cluster its
+        ``modelled_step`` is exactly the slowest replica's (it used to
+        be priced without ``engine_heads`` and came out *cheaper* than
+        either replica)."""
         from repro.hw.serving import ServingSimulator
         from repro.model.config import get_model_config
+        from repro.obs import Tracer
 
+        tracer = Tracer()
         router = ClusterRouter(
-            2, CFG, max_batch_size=4, capacity_tokens=1024, seed=5
+            2, CFG, max_batch_size=4, capacity_tokens=1024, seed=5,
+            tracer=tracer,
+            cycle_sim=ServingSimulator(
+                get_model_config("gpt2-medium"), 64, config=CFG
+            ),
         )
         rng = np.random.default_rng(5)
         for _ in range(8):
             router.submit(synthetic_request(rng, 4, 64, 16, 4))
-        reports = router.run_until_drained()
-        full = max(reports, key=lambda r: r.n_active)
-        busy = [r for r in full.per_replica.values() if r.per_sequence]
-        sim = ServingSimulator(get_model_config("gpt2-medium"), 64, config=CFG)
-        result = sim.step_from_cluster(busy, engine_heads=4)
-        assert result.n_replicas == len(busy)
-        assert result.batch_size == sum(r.batch_size for r in busy)
-        assert result.max_step_cycles == max(
-            r.total_cycles for r in result.per_replica
-        )
-        assert result.aggregate_tokens_per_second() == pytest.approx(
-            sum(
-                r.batch_size / (r.total_cycles / 0.5e9)
-                for r in result.per_replica
-            )
-        )
-        with pytest.raises(ValueError):
-            sim.step_from_cluster([])
+        router.run_until_drained()
+        steps = [
+            e for e in tracer.events
+            if e.name == "modelled_step" and e.ph == "X"
+        ]
+        cluster = [e for e in steps if e.process == "cluster"]
+        assert cluster
+        for span in cluster:
+            replicas = [
+                e.args["total_cycles"]
+                for e in steps
+                if e.process != "cluster"
+                and span.ts_s <= e.ts_s <= span.ts_s + span.dur_s
+            ]
+            assert span.args["n_replicas"] == len(replicas)
+            assert span.args["total_cycles"] == max(replicas)
+            assert span.args["cluster_total_cycles"] == sum(replicas)
 
 
 # ------------------------------------------------------ mid-prefill preemption

@@ -383,33 +383,6 @@ class TestTieredEngineBitIdentity:
                 saw_slow = saw_slow or view.slow_bits > 0
         assert saw_slow
 
-    def test_step_from_tiered_pricing(self):
-        from repro.hw.serving import ServingSimulator
-        from repro.model.config import get_model_config
-
-        tier = TierConfig(policy="mass", mass_threshold=2e-3, hot_tail=8)
-        engine = _engine(tier, prompt=128)
-        for request in _requests(3, prompt=128):
-            engine.submit(request)
-        reports = engine.run_until_drained()
-        # the step with the most demoted traffic (early steps have no
-        # demotions yet: the policy needs evidence)
-        full = max(
-            reports,
-            key=lambda r: sum(v.slow_bits for v in r.per_sequence.values()),
-        )
-        sim = ServingSimulator(
-            get_model_config("gpt2-medium"), context_length=128, config=CFG
-        )
-        tiered = sim.step_from_tiered(full, engine_heads=N_HEADS)
-        plain = sim.step_from_engine(full, engine_heads=N_HEADS)
-        assert tiered.batch_size == plain.batch_size
-        # the fast stream shrank: fewer fast cycles than the all-fast step
-        assert tiered.fast_attention_cycles < plain.attention_cycles
-        assert tiered.total_cycles == tiered.weight_cycles + max(
-            tiered.fast_attention_cycles, tiered.slow_attention_cycles
-        )
-
 
 class TestRadixCache:
     def _prompt(self, rng, t=12):

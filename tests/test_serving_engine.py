@@ -231,23 +231,11 @@ class TestTrafficConsumers:
         reports = engine.run_until_drained()
         return engine, max(reports, key=lambda r: r.batch_size)
 
-    def test_step_from_engine(self, drained):
-        from repro.hw.serving import ServingSimulator
-
-        engine, full = drained
-        sim = ServingSimulator(get_model_config("gpt2-medium"), 128, config=CFG)
-        ours = sim.step_from_engine(full, engine_heads=4)
-        base = sim.step_from_engine(full, "baseline", engine_heads=4)
-        assert ours.batch_size == full.batch_size == 8
-        assert ours.weight_cycles == base.weight_cycles
-        assert 0 < ours.attention_cycles < base.attention_cycles
-        # ragged per-sequence traffic, not one mean: sequences differ
-        bits = [v.stats.total_bits_fetched for v in full.per_sequence.values()]
-        assert len(set(bits)) > 1
-
     def test_measured_batch_point(self, drained):
         engine, full = drained
         stats = [v.stats for v in full.per_sequence.values()]
+        # ragged per-sequence traffic, not one mean: sequences differ
+        assert len({s.total_bits_fetched for s in stats}) > 1
         point = measured_batch_point(
             get_model_config("gpt2-medium"),
             stats,
