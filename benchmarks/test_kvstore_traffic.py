@@ -1,51 +1,39 @@
 """Bench: tiered KV store traffic and prefix-cache hit rate.
 
-Two acceptance measurements for the ``repro.kvstore`` layer:
+Two checks for the ``repro.kvstore`` layer, at small sizes:
 
 1. **Tiered DRAM traffic** — a long-context trace (low-information filler
    bulk, the workload class where certified bounds settle inside the
    estimator sketch) served untiered and tiered.  The tiered engine must
-   move strictly fewer modelled **fast-tier DRAM bytes per decoded
-   token** — the paper's scarce resource — while every request's pruning
-   traffic counters stay bit-equal (tiering never changes a decision).
-   Both runs use the same :class:`~repro.hw.dram.TieredDRAMModel` ledger
-   semantics (the untiered run is the ``none`` policy), so the comparison
-   is charge-for-charge.
+   move strictly fewer modelled **fast-tier DRAM bytes** for the same
+   decoded tokens — the paper's scarce resource — while every request's
+   pruning traffic counters stay bit-equal (tiering never changes a
+   decision).  Both runs use the same :class:`~repro.hw.dram.TieredDRAMModel`
+   ledger semantics (the untiered run is the ``none`` policy), so the
+   comparison is charge-for-charge.
 
 2. **Prefix caching** — a shared-prefix workload through the radix cache
    must reach a >= 50% prompt-token hit rate and cut modelled cold-tier
    ingest bytes accordingly, again with bit-identical outputs.
-
-``python benchmarks/test_kvstore_traffic.py`` writes ``BENCH_kvstore.json``
-(shared artifact schema, enforced by ``repro.eval.bench_schema``).
-``TOKENPICKER_BENCH_TINY=1`` shrinks every dimension for CI's smoke job.
 """
-
-import json
-import os
-import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.core import TokenPickerConfig
-from repro.eval.bench_schema import validate_bench
 from repro.kvstore import RadixKVCache, TierConfig
 from repro.serving import ServingEngine
 from repro.workloads.traces import long_context_trace, shared_prefix_trace
 
-_TINY = os.environ.get("TOKENPICKER_BENCH_TINY") == "1"
-N_HEADS, HEAD_DIM = (2, 32) if _TINY else (4, 64)
-PROMPT_TOKENS, MAX_NEW = (128, 16) if _TINY else (256, 24)
-BATCH = 2 if _TINY else 4
-N_REQUESTS = 4 if _TINY else 8
-# tiny shapes need a starker low-information bulk for the demotion
+N_HEADS, HEAD_DIM = 2, 32
+PROMPT_TOKENS, MAX_NEW = 128, 16
+BATCH = 2
+N_REQUESTS = 4
+# small shapes need a stark low-information bulk for the demotion
 # effect to amortise within so few decode steps
-FILLER_FRACTION, FILLER_SCALE = (0.85, 0.15) if _TINY else (0.75, 0.25)
-N_PREFIX_REQUESTS = 6 if _TINY else 8
-PREFIX, SUFFIX = (32, 8) if _TINY else (128, 48)
+FILLER_FRACTION, FILLER_SCALE = 0.85, 0.15
+N_PREFIX_REQUESTS = 6
+PREFIX, SUFFIX = 32, 8
 CFG = TokenPickerConfig(threshold=2e-3)
-PHASES = ("pack", "score", "prune", "unpack")
 SEED = 0
 TIERED = TierConfig(policy="mass", mass_threshold=2e-3, hot_tail=8)
 UNTIERED = TierConfig(policy="none")
@@ -62,6 +50,20 @@ def _engine(tier, cache=None):
     )
 
 
+def _drain(engine, trace):
+    for _, request in trace:
+        engine.submit(request)
+    engine.run_until_drained()
+    return engine
+
+
+def _traffic_by_request(engine) -> dict:
+    return {
+        done.request_id: (done.stats.counter.k_bits, done.stats.counter.v_bits)
+        for done in engine.completed
+    }
+
+
 def _long_trace():
     return long_context_trace(
         np.random.default_rng(SEED),
@@ -75,174 +77,43 @@ def _long_trace():
     )
 
 
-def _drain(engine, trace):
-    start = time.perf_counter()
-    for _, request in trace:
-        engine.submit(request)
-    reports = engine.run_until_drained()
-    wall = time.perf_counter() - start
-    return reports, wall
-
-
-def _phase_ms(reports) -> dict:
-    totals = {phase: 0.0 for phase in PHASES}
-    busy = 0
-    for report in reports:
-        if report.batch_size:
-            busy += 1
-            for phase in PHASES:
-                totals[phase] += report.phase_seconds.get(phase, 0.0)
-    return {
-        phase: round(1e3 * seconds / max(busy, 1), 4)
-        for phase, seconds in totals.items()
-    }
-
-
-def _traffic_by_request(engine) -> dict:
-    return {
-        done.request_id: (done.stats.counter.k_bits, done.stats.counter.v_bits)
-        for done in engine.completed
-    }
-
-
-def _point(label: str, engine, reports, wall) -> dict:
-    tokens = sum(c.stats.generated_tokens for c in engine.completed)
-    dram = engine.tiers.dram
-    snap = engine.tiers.snapshot()
-    return {
-        "label": label,
-        "requests": len(engine.completed),
-        "tokens_generated": tokens,
-        "wall_tokens_per_sec": round(tokens / wall, 1),
-        "fast_bytes_per_token": round(dram.fast_bytes / tokens, 1),
-        "slow_bytes_per_token": round(dram.slow_bytes / tokens, 1),
-        "total_bytes_per_token": round(dram.total_bytes / tokens, 1),
-        "demotions": snap["demotions"],
-        "promotions": snap["promotions"],
-        "kernel_reruns": snap["rerun_steps"],
-        "phase_ms_per_step": _phase_ms(reports),
-    }
-
-
-def _run_traffic_comparison():
-    """(untiered engine+point, tiered engine+point, divergent requests)."""
-    results = {}
-    for label, tier in (("untiered", UNTIERED), ("tiered", TIERED)):
-        engine = _engine(tier)
-        reports, wall = _drain(engine, _long_trace())
-        results[label] = (engine, _point(label, engine, reports, wall))
-    a = _traffic_by_request(results["untiered"][0])
-    b = _traffic_by_request(results["tiered"][0])
-    assert set(a) == set(b)
-    divergent = sum(1 for rid in a if a[rid] != b[rid])
-    return results["untiered"], results["tiered"], divergent
-
-
-def _run_prefix_comparison():
-    """Shared-prefix workload with and without the radix cache."""
-
-    def trace():
-        return shared_prefix_trace(
-            np.random.default_rng(SEED),
-            N_PREFIX_REQUESTS,
-            n_heads=N_HEADS,
-            head_dim=HEAD_DIM,
-            prefix_tokens=PREFIX,
-            suffix_tokens=SUFFIX,
-            max_new_tokens=MAX_NEW,
-            n_groups=2,
-        )
-
-    plain = _engine(UNTIERED)
-    _drain(plain, trace())
-    cache = RadixKVCache()
-    cached = _engine(UNTIERED, cache)
-    _drain(cached, trace())
-    a, b = _traffic_by_request(plain), _traffic_by_request(cached)
-    divergent = sum(1 for rid in a if a[rid] != b[rid])
-    return plain, cached, cache, divergent
-
-
-# ---------------------------------------------------------------- acceptance
-def test_tiering_reduces_fast_dram_bytes_per_token():
-    """Acceptance: tiering moves strictly fewer fast-tier bytes per
-    decoded token on the long-context trace, with zero divergence."""
-    (_, untiered), (_, tiered), divergent = _run_traffic_comparison()
-    assert divergent == 0
-    assert tiered["demotions"] > 0
-    assert tiered["fast_bytes_per_token"] < untiered["fast_bytes_per_token"], (
-        f"tiered {tiered['fast_bytes_per_token']} B/token is not below "
-        f"untiered {untiered['fast_bytes_per_token']} B/token"
+def _prefix_trace():
+    return shared_prefix_trace(
+        np.random.default_rng(SEED),
+        N_PREFIX_REQUESTS,
+        n_heads=N_HEADS,
+        head_dim=HEAD_DIM,
+        prefix_tokens=PREFIX,
+        suffix_tokens=SUFFIX,
+        max_new_tokens=MAX_NEW,
+        n_groups=2,
     )
 
 
+def test_tiering_reduces_fast_dram_bytes_per_token():
+    """Tiering moves strictly fewer fast-tier bytes per decoded token on
+    the long-context trace, with zero divergence."""
+    untiered = _drain(_engine(UNTIERED), _long_trace())
+    tiered = _drain(_engine(TIERED), _long_trace())
+    assert _traffic_by_request(untiered) == _traffic_by_request(tiered)
+    assert tiered.tiers.demotions_total > 0
+
+    def fast_bytes_per_token(engine):
+        tokens = sum(c.stats.generated_tokens for c in engine.completed)
+        return engine.tiers.dram.fast_bytes / tokens
+
+    assert fast_bytes_per_token(tiered) < fast_bytes_per_token(untiered)
+
+
 def test_prefix_cache_hit_rate_at_least_half():
-    """Acceptance: >= 50% prompt-token hit rate on the shared-prefix
-    workload, with bit-identical pruning traffic."""
-    plain, cached, cache, divergent = _run_prefix_comparison()
-    assert divergent == 0
+    """>= 50% prompt-token hit rate on the shared-prefix workload, with
+    bit-identical pruning traffic."""
+    plain = _drain(_engine(UNTIERED), _prefix_trace())
+    cache = RadixKVCache()
+    cached = _drain(_engine(UNTIERED, cache), _prefix_trace())
+    assert _traffic_by_request(plain) == _traffic_by_request(cached)
     assert cache.hit_rate >= 0.5, f"hit rate {cache.hit_rate:.2%} < 50%"
     # hits skip their cold-tier ingest write
     assert (
         cached.tiers.dram.slow_write_bytes < plain.tiers.dram.slow_write_bytes
     )
-
-
-def test_recorded_artifact_matches_schema():
-    record = measure()
-    validate_bench(record, name="BENCH_kvstore.json")
-
-
-# --------------------------------------------------------------- measurement
-def measure() -> dict:
-    (_, untiered), (_, tiered), divergent = _run_traffic_comparison()
-    plain, cached, cache, prefix_divergent = _run_prefix_comparison()
-    ingest_saved = (
-        plain.tiers.dram.slow_write_bytes - cached.tiers.dram.slow_write_bytes
-    )
-    record = {
-        "config": {
-            "threshold": CFG.threshold,
-            "n_heads": N_HEADS,
-            "head_dim": HEAD_DIM,
-            "prompt_tokens": PROMPT_TOKENS,
-            "max_new_tokens": MAX_NEW,
-            "batch_size": BATCH,
-            "tier_policy": TIERED.policy,
-            "sketch_chunks": CFG.quant.n_chunks - 1,
-            "prefix_tokens": PREFIX,
-            "suffix_tokens": SUFFIX,
-        },
-        "points": [untiered, tiered],
-        "traffic_comparison": {
-            "trace": "long-context (filler bulk)",
-            "fast_bytes_per_token_untiered": untiered["fast_bytes_per_token"],
-            "fast_bytes_per_token_tiered": tiered["fast_bytes_per_token"],
-            "fast_reduction": round(
-                untiered["fast_bytes_per_token"]
-                / tiered["fast_bytes_per_token"],
-                3,
-            ),
-            "divergent_requests": divergent,
-        },
-        "prefix_caching": {
-            "trace": "shared-prefix (2 groups)",
-            "hit_rate": round(cache.hit_rate, 4),
-            "ingest_bytes_saved": ingest_saved,
-            "divergent_requests": prefix_divergent,
-            "splits": cache.splits_total,
-        },
-    }
-    validate_bench(record, name="BENCH_kvstore.json")
-    return record
-
-
-def main() -> None:
-    out = Path(__file__).resolve().parent.parent / "BENCH_kvstore.json"
-    record = measure()
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-
-
-if __name__ == "__main__":
-    main()

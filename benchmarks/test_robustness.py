@@ -1,7 +1,6 @@
 """Bench: SLO-aware overload control and replica-kill fault recovery.
 
-Two robustness measurements for the serving stack, recorded into
-``BENCH_cluster.json`` (via ``test_cluster_throughput.measure``):
+Two robustness checks for the serving stack, at small sizes:
 
 1. **Overload goodput** — a sustained-overload trace (arrivals faster
    than the service rate) served by one engine under two policies:
@@ -10,51 +9,37 @@ Two robustness measurements for the serving stack, recorded into
    (:class:`repro.serving.frontend.OverloadController`), which first
    tightens the Token-Picker keep threshold one rung at a time — the
    paper's own knob: more pruning, less DRAM traffic, cheaper modelled
-   steps — and only once fully degraded sheds new admissions with a
-   retry-after hint.  The SLOs (TTFT + mean inter-token latency on the
-   modelled clock) are self-calibrated to the FIFO run's medians, so
-   the comparison is scale-free across tiny/full modes.  **Goodput** is
-   requests completed within both SLOs; SLO-aware must not lose to
-   FIFO (the schema validator makes this blocking).
+   steps — and only once fully degraded sheds new admissions.  The SLOs
+   (TTFT + mean inter-token latency on the modelled clock) are FIFO's
+   own medians.  **Goodput** is requests completed within both SLOs;
+   SLO-aware must not lose to FIFO.
 
 2. **Fault recovery** — a 3-replica cluster runs a long-decode trace
    while a seeded :class:`repro.cluster.faults.FaultInjector` kills two
    replicas mid-flight (reviving them later) and injects latency
-   spikes.  Harvested requests re-place on survivors with capped
-   exponential backoff — byte-exact swap-resume when a host copy
-   exists, re-prefill from the request seed otherwise — and every
-   completed request's lifetime pruning traffic ``(k_bits, v_bits,
-   generated_tokens)`` must be **bit-identical** to a fault-free run of
-   the same trace (also blocking in the validator).
-
-``TOKENPICKER_BENCH_TINY=1`` shrinks both workloads for CI's chaos
-smoke leg.
+   spikes.  Every completed request's lifetime pruning traffic
+   ``(k_bits, v_bits, generated_tokens)`` must be **bit-identical** to
+   a fault-free run of the same trace.
 """
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 from repro.cluster import ClusterRouter, FaultInjector, fault_schedule
 from repro.core import TokenPickerConfig
-from repro.hw.serving import ServingSimulator, step_seconds
+from repro.hw.serving import ServingSimulator
 from repro.model.config import get_model_config
 from repro.serving import OverloadController, SLOConfig, ServingEngine
 from repro.workloads import failover_trace, sustained_overload_trace
 
-_TINY = os.environ.get("TOKENPICKER_BENCH_TINY") == "1"
-N_HEADS, HEAD_DIM = (2, 16) if _TINY else (4, 64)
+N_HEADS, HEAD_DIM = 2, 16
 CFG = TokenPickerConfig(threshold=1e-3)
 SEED = 7
 
 # overload shape: arrivals outpace a small batch until latency climbs
-OVER_REQUESTS = 16 if _TINY else 48
-OVER_PROMPT, OVER_NEW = (16, 12) if _TINY else (48, 32)
-OVER_BATCH = 2 if _TINY else 4
-OVER_ARRIVALS = 2 if _TINY else 3
+OVER_REQUESTS = 16
+OVER_PROMPT, OVER_NEW = 16, 12
+OVER_BATCH = 2
+OVER_ARRIVALS = 2
 SLO_CFG_KW = dict(
     window_steps=4,
     degrade_factor=6.0,
@@ -65,32 +50,18 @@ SLO_CFG_KW = dict(
 )
 
 # failover shape: long decodes so kills land mid-flight
-FAIL_REQUESTS = 8 if _TINY else 18
-FAIL_PROMPT, FAIL_NEW = (12, 16) if _TINY else (32, 40)
+FAIL_REQUESTS = 8
+FAIL_PROMPT, FAIL_NEW = 12, 16
 FAIL_REPLICAS = 3
-FAIL_BATCH = 2 if _TINY else 3
+FAIL_BATCH = 2
 N_KILLS = 2
 
 
-def _overload_trace():
-    return sustained_overload_trace(
-        np.random.default_rng(SEED),
-        n_heads=N_HEADS,
-        head_dim=HEAD_DIM,
-        n_requests=OVER_REQUESTS,
-        arrivals_per_step=OVER_ARRIVALS,
-        prompt_tokens=OVER_PROMPT,
-        max_new_tokens=OVER_NEW,
-        prompt_jitter=4,
-    )
-
-
 def _drive_overload(slo: "SLOConfig | None"):
-    """Serve the overload trace on a modelled clock.
+    """Serve the overload trace on the modelled clock.
 
     ``slo=None`` is plain FIFO.  Returns per-request modelled TTFT and
-    mean inter-token latency (ms), the shed count and the controller's
-    degradation timeline.
+    mean inter-token latency (ms) and the controller (``None`` for FIFO).
     """
     engine = ServingEngine(
         CFG,
@@ -106,44 +77,46 @@ def _drive_overload(slo: "SLOConfig | None"):
     controller = (
         OverloadController(CFG.threshold, slo) if slo is not None else None
     )
-    trace = _overload_trace()
-    t = 0.0
+    trace = sustained_overload_trace(
+        np.random.default_rng(SEED),
+        n_heads=N_HEADS,
+        head_dim=HEAD_DIM,
+        n_requests=OVER_REQUESTS,
+        arrivals_per_step=OVER_ARRIVALS,
+        prompt_tokens=OVER_PROMPT,
+        max_new_tokens=OVER_NEW,
+        prompt_jitter=4,
+    )
+    t, i = 0.0, 0
     submit_t, first_t, end_t, gen = {}, {}, {}, {}
-    shed = 0
-    i = 0
     while i < len(trace) or engine.n_pending or engine.n_active or (
         engine.n_preempted
     ):
         while i < len(trace) and trace[i][0] <= engine.step_index:
-            if controller is not None and not controller.admit():
-                shed += 1
-                i += 1
-                continue
-            rid = engine.submit(trace[i][1])
-            submit_t[rid] = t
+            if controller is None or controller.admit():
+                submit_t[engine.submit(trace[i][1])] = t
             i += 1
         report = engine.step()
-        t += step_seconds(sim.price(report))
+        seconds = sim.price(report).seconds
+        t += seconds
         for view in report.per_sequence.values():
-            if view.request_id is not None and view.request_id not in first_t:
-                first_t[view.request_id] = t
+            first_t.setdefault(view.request_id, t)
         for done in report.retired:
             end_t[done.request_id] = t
             gen[done.request_id] = done.stats.generated_tokens
         if controller is not None:
             controller.observe_step(
                 engine.step_index,
-                step_seconds(sim.price(report)),
+                seconds,
                 tokens=max(1, len(report.per_sequence)),
             )
             engine.set_threshold(controller.threshold)
-    ttft_ms, itl_ms = {}, {}
-    for rid in end_t:
-        ttft_ms[rid] = (first_t[rid] - submit_t[rid]) * 1e3
-        decode_s = end_t[rid] - first_t[rid]
-        itl_ms[rid] = decode_s / max(1, gen[rid] - 1) * 1e3
-    timeline = [] if controller is None else controller.timeline
-    return ttft_ms, itl_ms, shed, timeline
+    ttft_ms = {rid: (first_t[rid] - submit_t[rid]) * 1e3 for rid in end_t}
+    itl_ms = {
+        rid: (end_t[rid] - first_t[rid]) / max(1, gen[rid] - 1) * 1e3
+        for rid in end_t
+    }
+    return ttft_ms, itl_ms, controller
 
 
 def _goodput(ttft_ms, itl_ms, slo_ttft_ms, slo_itl_ms) -> int:
@@ -154,49 +127,8 @@ def _goodput(ttft_ms, itl_ms, slo_ttft_ms, slo_itl_ms) -> int:
     )
 
 
-def measure_overload_goodput() -> dict:
-    """The ``overload_goodput`` section of ``BENCH_cluster.json``."""
-    fifo_ttft, fifo_itl, _, _ = _drive_overload(None)
-    # self-calibrated SLOs: FIFO's own medians, so roughly half its
-    # completions meet them and the comparison transfers across scales
-    slo_ttft_ms = float(np.median(list(fifo_ttft.values())))
-    slo_itl_ms = float(np.median(list(fifo_itl.values())))
-    slo = SLOConfig(p95_inter_token_ms=slo_itl_ms, **SLO_CFG_KW)
-    aware_ttft, aware_itl, shed, timeline = _drive_overload(slo)
-    fifo_good = _goodput(fifo_ttft, fifo_itl, slo_ttft_ms, slo_itl_ms)
-    aware_good = _goodput(aware_ttft, aware_itl, slo_ttft_ms, slo_itl_ms)
-    return {
-        "trace": "sustained_overload",
-        "requests": OVER_REQUESTS,
-        "arrivals_per_step": OVER_ARRIVALS,
-        "slo_p95_inter_token_ms": round(slo_itl_ms, 4),
-        "slo_ttft_ms": round(slo_ttft_ms, 4),
-        "fifo": {
-            "completed": len(fifo_ttft),
-            "goodput": fifo_good,
-            "shed": 0,
-        },
-        "slo_aware": {
-            "completed": len(aware_ttft),
-            "goodput": aware_good,
-            "shed": shed,
-        },
-        "goodput_improvement": round(aware_good / max(1, fifo_good), 3),
-        "max_degrade_level": max((s.level for s in timeline), default=0),
-        "degradation_timeline": [
-            {
-                "step": s.step,
-                "p95_ms": round(s.p95_ms, 4),
-                "level": s.level,
-                "shedding": s.shedding,
-            }
-            for s in timeline
-        ],
-    }
-
-
-def _failover_run(with_faults: bool):
-    """(injector, reports) for the failover trace, faulted or clean."""
+def _failover_run(with_faults: bool) -> FaultInjector:
+    """The failover trace served to drain, faulted or clean."""
     router = ClusterRouter(
         FAIL_REPLICAS,
         CFG,
@@ -222,17 +154,18 @@ def _failover_run(with_faults: bool):
         else []
     )
     injector = FaultInjector(router, schedule)
-    trace = failover_trace(
-        np.random.default_rng(SEED + 1),
-        n_heads=N_HEADS,
-        head_dim=HEAD_DIM,
-        n_requests=FAIL_REQUESTS,
-        arrivals_per_step=1,
-        prompt_tokens=FAIL_PROMPT,
-        max_new_tokens=FAIL_NEW,
+    injector.run_trace(
+        failover_trace(
+            np.random.default_rng(SEED + 1),
+            n_heads=N_HEADS,
+            head_dim=HEAD_DIM,
+            n_requests=FAIL_REQUESTS,
+            arrivals_per_step=1,
+            prompt_tokens=FAIL_PROMPT,
+            max_new_tokens=FAIL_NEW,
+        )
     )
-    reports = injector.run_trace(trace)
-    return injector, reports
+    return injector
 
 
 def _traffic(outputs) -> dict:
@@ -246,99 +179,32 @@ def _traffic(outputs) -> dict:
     }
 
 
-def measure_fault_recovery() -> dict:
-    """The ``fault_recovery`` section of ``BENCH_cluster.json``."""
-    clean, _ = _failover_run(with_faults=False)
-    faulted, reports = _failover_run(with_faults=True)
-    clean_traffic = _traffic(clean.outputs)
-    fault_traffic = _traffic(faulted.outputs)
-    bit_identical = clean_traffic == fault_traffic
-    # price the faulted run on the modelled clock, spikes included
-    sim = ServingSimulator(
-        get_model_config("gpt2-medium"),
-        context_length=FAIL_PROMPT + FAIL_NEW,
-        config=CFG,
-    )
-    makespan_s = 0.0
-    for report in reports:
-        spike = max(
-            (
-                faulted.spike_seconds(report.step_index, rid)
-                for rid in report.per_replica
-            ),
-            default=0.0,
-        )
-        if any(
-            r.per_sequence or r.prefill_bits
-            for r in report.per_replica.values()
-        ):
-            makespan_s += step_seconds(
-                sim.price_fleet(list(report.per_replica.values())),
-                spike_seconds=spike,
-            )
-        else:
-            # fully idle tick (e.g. waiting out a retry backoff): only
-            # an injected spike costs anything
-            makespan_s += spike
-    ttfts = sorted(
-        done.stats.ttft_seconds
-        for done in faulted.outputs.values()
-        if done.stats.ttft_seconds is not None
-    )
-    ttft_p95_ms = (
-        float(np.percentile(ttfts, 95.0)) * 1e3 if ttfts else 0.0
-    )
-    stats = faulted.stats
-    return {
-        "trace": "failover",
-        "replicas": FAIL_REPLICAS,
-        "requests": FAIL_REQUESTS,
-        "kills": stats.kills,
-        "revives": stats.revives,
-        "spikes": stats.spikes,
-        "retries": stats.retries,
-        "swap_resumes": stats.swap_resumes,
-        "re_prefills": stats.re_prefills,
-        "requeues": stats.requeues,
-        "completed": len(faulted.outputs),
-        "bit_identical": bit_identical,
-        "recovery_ttft_p95_ms": round(ttft_p95_ms, 4),
-        "modelled_makespan_ms": round(makespan_s * 1e3, 4),
-        "cluster_steps": len(reports),
-    }
-
-
-# ---------------------------------------------------------------- acceptance
 def test_overload_goodput_slo_aware_not_worse_than_fifo():
-    """Acceptance: degrade-then-shed holds goodput at or above FIFO on a
+    """Degrade-then-shed holds goodput at or above FIFO on a
     sustained-overload trace, and actually degrades along the way."""
-    section = measure_overload_goodput()
-    assert section["goodput_improvement"] >= 1.0, section
-    assert section["max_degrade_level"] >= 1, (
+    fifo_ttft, fifo_itl, _ = _drive_overload(None)
+    slo_ttft_ms = float(np.median(list(fifo_ttft.values())))
+    slo_itl_ms = float(np.median(list(fifo_itl.values())))
+    slo = SLOConfig(p95_inter_token_ms=slo_itl_ms, **SLO_CFG_KW)
+    aware_ttft, aware_itl, controller = _drive_overload(slo)
+    fifo_good = _goodput(fifo_ttft, fifo_itl, slo_ttft_ms, slo_itl_ms)
+    aware_good = _goodput(aware_ttft, aware_itl, slo_ttft_ms, slo_itl_ms)
+    assert aware_good >= fifo_good, (aware_good, fifo_good)
+    assert controller.timeline, "no control decisions recorded"
+    assert max(s.level for s in controller.timeline) >= 1, (
         "the controller never degraded — the trace is not overloading"
     )
-    assert section["degradation_timeline"], "no control decisions recorded"
 
 
 def test_fault_recovery_bit_identical():
-    """Acceptance: >= 2 replica kills, every request completes, and the
-    recovered outputs carry exactly the fault-free run's bits."""
-    section = measure_fault_recovery()
-    assert section["kills"] >= 2, section
-    assert section["completed"] == FAIL_REQUESTS, section
-    assert section["retries"] >= 1, "the kills caught nothing in flight"
-    assert section["bit_identical"], (
+    """>= 2 replica kills, every request completes, and the recovered
+    outputs carry exactly the fault-free run's bits."""
+    clean = _failover_run(with_faults=False)
+    faulted = _failover_run(with_faults=True)
+    stats = faulted.stats
+    assert stats.kills >= 2, stats
+    assert len(faulted.outputs) == FAIL_REQUESTS, stats
+    assert stats.retries >= 1, "the kills caught nothing in flight"
+    assert _traffic(clean.outputs) == _traffic(faulted.outputs), (
         "recovered outputs diverged from the fault-free run"
     )
-
-
-def main() -> None:
-    record = {
-        "overload_goodput": measure_overload_goodput(),
-        "fault_recovery": measure_fault_recovery(),
-    }
-    print(json.dumps(record, indent=2))
-
-
-if __name__ == "__main__":
-    main()

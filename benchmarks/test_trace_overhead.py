@@ -1,48 +1,25 @@
-"""Bench: what request-scoped tracing costs the serving hot path.
-
-Three rungs, same workload, same seeds:
+"""Bench: the serving engine's three tracing rungs on one workload.
 
 * **off** — ``tracer=None``: every instrumentation site holds the falsy
-  ``NULL_TRACER`` and the step pays one truthiness check.  This is the
-  production default and must stay at the committed batch-32 throughput
-  floor (the blocking guard below).
+  ``NULL_TRACER`` and the step pays one truthiness check.
 * **sampled** — ``Tracer(sample_steps=8)``: request lifecycle spans are
   complete but only every 8th engine step span is recorded.
 * **full** — ``Tracer()``: every step span plus its phase breakdown.
 
-A fourth rung prices the **streaming sink**: the same fully traced
-workload with :class:`repro.obs.sinks.JsonlStreamingSink` flushing each
-span to disk the moment it closes — the tracer's resident state is the
-open spans alone, measured here via ``peak_open_spans`` against the
-events streamed (the ``trace_streaming`` section's memory-bound
-evidence).
-
-``python benchmarks/test_trace_overhead.py`` appends the measurements to
-``BENCH_engine.json``'s ``trace_overhead`` and ``trace_streaming``
-sections (normally regenerated via
-``python benchmarks/test_engine_throughput.py``, which embeds them).
-
-Setting ``TOKENPICKER_BENCH_TINY=1`` shrinks every dimension so CI's
-benchmark-smoke job can check the record shape in seconds.
+The checks are structural, not timed: the off rung records nothing, the
+sampled rung records strictly fewer step spans than the full one, and a
+step the sampler rejects never builds its attribute payload.
 """
 
-import json
-import os
-import tempfile
-import time
-from pathlib import Path
-
 import numpy as np
-import pytest
 
 from repro.core import TokenPickerConfig
-from repro.obs import NULL_TRACER, JsonlStreamingSink, Tracer
+from repro.obs import NULL_TRACER, Tracer
 from repro.serving import ServingEngine, synthetic_request
 
-_TINY = os.environ.get("TOKENPICKER_BENCH_TINY") == "1"
-BATCH = 4 if _TINY else 32
-N_HEADS, HEAD_DIM = (2, 16) if _TINY else (4, 64)
-PROMPT_TOKENS, MAX_NEW = (24, 3) if _TINY else (256, 16)
+BATCH = 4
+N_HEADS, HEAD_DIM = 2, 16
+PROMPT_TOKENS, MAX_NEW = 24, 3
 SAMPLE_STEPS = 8
 CFG = TokenPickerConfig(threshold=2e-3)
 
@@ -64,18 +41,6 @@ def _fresh_engine(tracer, seed: int = 0) -> ServingEngine:
     return engine
 
 
-def _drain_timed(tracer_factory, seed: int = 0) -> float:
-    engine = _fresh_engine(tracer_factory(), seed)
-    start = time.perf_counter()
-    engine.run_until_drained()
-    return time.perf_counter() - start
-
-
-def _best_rate(tracer_factory, repeats: int = 3) -> float:
-    best = min(_drain_timed(tracer_factory, seed=s) for s in range(repeats))
-    return BATCH * MAX_NEW / best
-
-
 def test_tracing_off_is_null_tracer():
     """The disabled path installs the falsy singleton end to end."""
     engine = _fresh_engine(None)
@@ -88,7 +53,10 @@ def test_full_trace_records_sampled_trace_skips():
     full, sampled = Tracer(), Tracer(sample_steps=SAMPLE_STEPS)
     _fresh_engine(full).run_until_drained()
     _fresh_engine(sampled).run_until_drained()
-    count = lambda t: sum(1 for e in t.events if e.name == "engine_step")
+
+    def count(tracer):
+        return sum(1 for e in tracer.events if e.name == "engine_step")
+
     assert 0 < count(sampled) < count(full)
     assert full.errors == [] and sampled.errors == []
 
@@ -106,139 +74,3 @@ def test_sampling_skips_payload_build_entirely():
     sampled = _fresh_engine(Tracer(sample_steps=SAMPLE_STEPS))
     sampled.run_until_drained()
     assert 0 < sampled.trace_payloads_built < full.trace_payloads_built
-
-
-@pytest.mark.skipif(
-    _TINY, reason="timing assertions are meaningless at smoke sizes"
-)
-def test_trace_off_throughput_floor():
-    """Blocking guard: with tracing disabled, batch-32 fused decode must
-    hold the same committed 1,200 tok/s floor as the untraced engine
-    bench — instrumentation that is off is required to be free (the
-    accepted budget is the one NULL_TRACER truthiness check per site).
-    """
-    floor_tokens_per_sec = 1200.0
-    rate = _best_rate(lambda: None)
-    assert rate >= floor_tokens_per_sec, (
-        f"tracing-disabled batch-{BATCH} decode at {rate:.0f} tok/s fell "
-        f"below the committed floor of {floor_tokens_per_sec:.0f} tok/s"
-    )
-
-
-def measure_trace_overhead(repeats: int = 3) -> dict:
-    """The ``trace_overhead`` section of ``BENCH_engine.json``.
-
-    The three rungs are *interleaved* per repeat (off, sampled, full,
-    then again) rather than measured back to back, so load drift on a
-    shared runner lands on every rung instead of skewing one; best-of-
-    ``repeats`` per rung is then comparable."""
-    factories = (
-        ("off", lambda: None),
-        ("sampled", lambda: Tracer(sample_steps=SAMPLE_STEPS)),
-        ("full", Tracer),
-    )
-    _drain_timed(lambda: None)  # warmup: caches, allocator, imports
-    best = {key: float("inf") for key, _ in factories}
-    for seed in range(repeats):
-        for key, factory in factories:
-            best[key] = min(best[key], _drain_timed(factory, seed=seed))
-    tokens = BATCH * MAX_NEW
-    off = tokens / best["off"]
-    sampled = tokens / best["sampled"]
-    full = tokens / best["full"]
-    return {
-        "batch_size": BATCH,
-        "tokens_generated": BATCH * MAX_NEW,
-        "sample_steps": SAMPLE_STEPS,
-        "off_tokens_per_sec": round(off, 1),
-        "sampled_tokens_per_sec": round(sampled, 1),
-        "full_tokens_per_sec": round(full, 1),
-        "sampled_overhead_pct": round(100.0 * (1.0 - sampled / off), 2),
-        "full_overhead_pct": round(100.0 * (1.0 - full / off), 2),
-    }
-
-
-def measure_trace_streaming(repeats: int = 3) -> dict:
-    """The ``trace_streaming`` section of ``BENCH_engine.json``.
-
-    Full tracing through the in-memory buffered sink vs the streaming
-    JSONL sink (one temp file per drain, deleted after), interleaved per
-    repeat like :func:`measure_trace_overhead`.  The streamed run also
-    records ``peak_open_spans`` — the tracer's maximum resident state —
-    against ``events_streamed``, the O(open spans) memory evidence."""
-    tmpdir = Path(tempfile.mkdtemp(prefix="trace_streaming_"))
-    peak_open = 0
-    events_streamed = 0
-
-    def timed_streamed(seed: int) -> float:
-        nonlocal peak_open, events_streamed
-        sink = JsonlStreamingSink(tmpdir / f"run{seed}.jsonl")
-        tracer = Tracer(sink=sink)
-        elapsed = _drain_timed(lambda: tracer, seed=seed)
-        tracer.close()
-        peak_open = max(peak_open, tracer.peak_open_spans)
-        events_streamed = max(events_streamed, sink.events_written)
-        (tmpdir / f"run{seed}.jsonl").unlink()
-        return elapsed
-
-    _drain_timed(lambda: None)  # warmup
-    best_buffered = best_streamed = float("inf")
-    try:
-        for seed in range(repeats):
-            best_buffered = min(best_buffered, _drain_timed(Tracer, seed=seed))
-            best_streamed = min(best_streamed, timed_streamed(seed))
-    finally:
-        for leftover in tmpdir.glob("*"):
-            leftover.unlink()
-        tmpdir.rmdir()
-    tokens = BATCH * MAX_NEW
-    buffered = tokens / best_buffered
-    streamed = tokens / best_streamed
-    return {
-        "batch_size": BATCH,
-        "tokens_generated": tokens,
-        "buffered_tokens_per_sec": round(buffered, 1),
-        "streamed_tokens_per_sec": round(streamed, 1),
-        "streaming_overhead_pct": round(100.0 * (1.0 - streamed / buffered), 2),
-        "peak_open_spans": peak_open,
-        "events_streamed": events_streamed,
-    }
-
-
-def test_overhead_record_satisfies_schema():
-    from repro.eval.bench_schema import _validate_trace_overhead
-
-    record = measure_trace_overhead(repeats=1)
-    _validate_trace_overhead(record, "trace_overhead")
-
-
-def test_streaming_record_satisfies_schema():
-    """Shape check plus the memory claim itself: the tracer's peak open
-    spans must be a sliver of the events it streamed to disk."""
-    from repro.eval.bench_schema import _validate_trace_streaming
-
-    record = measure_trace_streaming(repeats=1)
-    _validate_trace_streaming(record, "trace_streaming")
-    # O(open spans): bounded by the request tracks + step/phase nesting,
-    # never by trace length
-    assert record["peak_open_spans"] <= 3 * BATCH + 8
-    assert record["events_streamed"] > 4 * record["peak_open_spans"]
-
-
-def main() -> None:
-    """Refresh the ``trace_overhead`` and ``trace_streaming`` sections
-    of the committed engine artifact (the full artifact is regenerated
-    by ``test_engine_throughput.py``'s ``main``)."""
-    out = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-    record = json.loads(out.read_text()) if out.exists() else {}
-    record["trace_overhead"] = measure_trace_overhead()
-    record["trace_streaming"] = measure_trace_streaming()
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(
-        {k: record[k] for k in ("trace_overhead", "trace_streaming")},
-        indent=2,
-    ))
-
-
-if __name__ == "__main__":
-    main()

@@ -15,15 +15,13 @@ on the survivors with capped exponential backoff:
   request resubmits from scratch.  Decode streams replay from the
   request's ``seed``, and per-sequence kernel results are independent of
   batch composition, so the re-run's outputs are **bit-identical** to a
-  fault-free run — the property the fault-recovery bench and the
-  hypothesis sweep in ``tests/test_faults.py`` pin.
+  fault-free run — the property the hypothesis sweep in
+  ``tests/test_faults.py`` pins.
 
 Everything is deterministic: the schedule is a pure function of its
-seed, events fire on router step indices (never wall-clock), and latency
-spikes are *modelled* seconds the benches price via
-:func:`repro.hw.serving.step_seconds` on top of the step's priced
-:class:`~repro.hw.serving.StepCost` — injecting a fault never perturbs
-the engines' arithmetic.
+seed, events fire on router step indices (never wall-clock), and a
+latency spike is only counted and marked on the trace — injecting a
+fault never perturbs the engines' arithmetic.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ class FaultEvent:
     step: int
     action: str
     replica: int
-    #: modelled latency penalty of a ``"spike"`` (seconds added to the
-    #: replica's step when benches price it); 0 for kill/revive
+    #: modelled latency penalty of a ``"spike"`` in seconds (recorded on
+    #: its trace instant); 0 for kill/revive
     spike_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -136,7 +134,7 @@ class _RetryItem:
 
 @dataclass
 class FaultInjectorStats:
-    """Roll-up the fault-recovery bench records."""
+    """Roll-up of what the injector applied and how requests recovered."""
 
     kills: int = 0
     revives: int = 0
@@ -195,7 +193,6 @@ class FaultInjector:
         self._next_event = 0
         self._retry: List[_RetryItem] = []
         self._keys: Dict[Tuple[int, int], object] = {}  # (rid, req) -> key
-        self._spikes: Dict[Tuple[int, int], float] = {}
         self._auto_key = 0
 
     # ------------------------------------------------------------ submission
@@ -219,7 +216,6 @@ class FaultInjector:
     # ---------------------------------------------------------------- events
     def _apply(self, event: FaultEvent) -> None:
         if event.action == "spike":
-            self._spikes[(event.step, event.replica)] = event.spike_seconds
             self.stats.spikes += 1
             if self.router.tracer:
                 self.router.tracer.instant(
@@ -364,10 +360,6 @@ class FaultInjector:
     @property
     def pending_retries(self) -> int:
         return len(self._retry)
-
-    def spike_seconds(self, step: int, replica: int) -> float:
-        """Modelled latency penalty injected at ``(step, replica)``."""
-        return self._spikes.get((step, replica), 0.0)
 
     def run_trace(
         self,

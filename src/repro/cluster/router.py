@@ -638,7 +638,7 @@ class ClusterRouter:
         """Mean active sequences per *counted* step of the replica.
 
         Deterministic (counts only): the quantity the optimistic-vs-
-        conservative benchmark compares.  Counted steps exclude a
+        conservative admission test compares.  Counted steps exclude a
         drained replica's idle tail and everything after a kill — a
         parked replica used to drag the fleet mean toward zero while
         still being stepped.  Zero counted steps reports 0.0 (not a

@@ -20,7 +20,7 @@ evaluates the attention engine in a batched-serving context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.pruning import PruneStats
 from repro.eval.memory_model import step_memory_breakdown
@@ -54,38 +54,6 @@ class BatchScalingPoint:
         return self.kv_bytes / self.total_bytes
 
 
-def batch_scaling_curve(
-    config: ModelConfig,
-    attention_reduction: float,
-    batch_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-    context_length: Optional[int] = None,
-) -> List[BatchScalingPoint]:
-    """End-to-end speedup of ToPick across batch sizes for one model.
-
-    ``attention_reduction`` is the KV-access reduction the attention engine
-    achieves (e.g. the measured Fig. 8 total reduction ~2.6-2.9x).
-    """
-    if attention_reduction < 1.0:
-        raise ValueError("attention_reduction must be >= 1")
-    if any(b < 1 for b in batch_sizes):
-        raise ValueError(
-            f"batch_sizes must all be >= 1, got {tuple(batch_sizes)}"
-        )
-    points = []
-    for b in batch_sizes:
-        bd = step_memory_breakdown(config, b, context_length)
-        shared = bd.weight_bytes + bd.embedding_bytes
-        points.append(
-            BatchScalingPoint(
-                batch_size=b,
-                shared_bytes=shared,
-                kv_bytes=bd.kv_bytes,
-                kv_bytes_pruned=bd.kv_bytes / attention_reduction,
-            )
-        )
-    return points
-
-
 def measured_batch_point(
     config: ModelConfig,
     per_sequence_stats: Sequence[PruneStats],
@@ -94,14 +62,13 @@ def measured_batch_point(
 ) -> BatchScalingPoint:
     """A scaling point from *measured* per-sequence serving-engine traffic.
 
-    Where :func:`batch_scaling_curve` assumes every sequence achieves one
-    uniform ``attention_reduction``, this takes the real per-sequence
-    accounting of a fused engine step (one :class:`PruneStats` per active
-    sequence) and sums each sequence's actual baseline and fetched KV bits
-    — the ragged, instance-dependent traffic the paper's Fig. 3 argues a
-    fixed ratio cannot capture.  Engine stats cover one layer's heads;
-    they are scaled by ``config.n_layers`` and, when ``engine_heads`` is
-    given, by ``config.n_heads / engine_heads``.
+    Takes the real per-sequence accounting of a fused engine step (one
+    :class:`PruneStats` per active sequence) and sums each sequence's
+    actual baseline and fetched KV bits — the ragged, instance-dependent
+    traffic the paper's Fig. 3 argues one uniform reduction ratio cannot
+    capture.  Engine stats cover one layer's heads; they are scaled by
+    ``config.n_layers`` and, when ``engine_heads`` is given, by
+    ``config.n_heads / engine_heads``.
     """
     if not per_sequence_stats:
         raise ValueError("need at least one sequence's stats")
@@ -120,10 +87,3 @@ def measured_batch_point(
         kv_bytes=int(round(baseline_bits * scale / 8)),
         kv_bytes_pruned=fetched_bits * scale / 8,
     )
-
-
-def asymptotic_speedup(points: Sequence[BatchScalingPoint]) -> float:
-    """Speedup at the largest evaluated batch (approaches the reduction)."""
-    if not points:
-        raise ValueError("need at least one point")
-    return max(points, key=lambda p: p.batch_size).step_speedup

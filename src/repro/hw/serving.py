@@ -24,22 +24,25 @@ benchmark's exact metrics, so it needs a re-baseline):
   turn ignores the shards (no straggler, no all-gather);
 * without ``two_tier`` a tiered report's slow bits are priced at
   fast-tier speed (they are part of ``stats.total_bits_fetched``).
+
+The ``step_from_*`` aliases at the bottom of :class:`ServingSimulator`,
+its constructor inputs ``context_length`` and ``config`` (``price`` reads
+neither) and :func:`step_seconds` (``cost.seconds``) exist only for the
+frozen ``benchmarks/e2e``; they go at the same re-baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import TokenPickerConfig
-from repro.hw.accelerator import ToPickAccelerator
 from repro.hw.dram import DEFAULT_SLOW_TIER, DRAMTierParams
 from repro.hw.params import DEFAULT_INTERCONNECT, HardwareParams
 from repro.model.config import ModelConfig
-from repro.workloads.scores import sample_workload
 
 if TYPE_CHECKING:  # avoid a runtime hw -> serving dependency
     from repro.serving.engine import EngineStepReport
@@ -168,13 +171,9 @@ class ServingSimulator:
         context_length: int,
         hw: Optional[HardwareParams] = None,
         config: Optional[TokenPickerConfig] = None,
-        n_sample_instances: int = 3,
-        seed: int = 0,
     ) -> None:
         if context_length < 1:
             raise ValueError("context_length must be >= 1")
-        if n_sample_instances < 1:
-            raise ValueError("n_sample_instances must be >= 1")
         self.model = model
         self.context_length = context_length
         self.hw = hw or HardwareParams()
@@ -185,40 +184,6 @@ class ServingSimulator:
         #: the batch-shared non-attention weights stream once per step
         self.weight_cycles = self.fast_tier.cycles(
             model.weight_bytes + model.embedding_bytes
-        )
-        self._n_sample_instances = n_sample_instances
-        self._seed = seed
-        self._workload = None  # sampled lazily, for ``step`` only
-        self._per_instance_cycles: Dict[str, float] = {}
-
-    def _attention_cycles_per_instance(self, variant: str) -> float:
-        """Mean cycles of one (layer, head) attention instance on a
-        synthetic workload (cached per variant)."""
-        if variant not in self._per_instance_cycles:
-            if self._workload is None:
-                self._workload = sample_workload(
-                    self.context_length,
-                    head_dim=self.model.head_dim,
-                    n_instances=self._n_sample_instances,
-                    seed=self._seed,
-                )
-            acc = ToPickAccelerator(hw=self.hw, config=self.config)
-            result = acc.run_workload(self._workload, variant=variant)
-            mean = result.cycles / len(self._workload)
-            self._per_instance_cycles[variant] = mean
-        return self._per_instance_cycles[variant]
-
-    def step(self, batch_size: int, variant: str = "topick") -> StepCost:
-        """One decode step at a batch size from the accelerator's sampled
-        instance mean (no report: the Fig. 2 -> Fig. 10 batch argument)."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        per_instance = self._attention_cycles_per_instance(variant)
-        n_instances = batch_size * self.model.n_layers * self.model.n_heads
-        attention = Stream("kv", int(round(per_instance * n_instances)))
-        return StepCost(
-            variant, batch_size, self.hw.clock_ghz, self.weight_cycles,
-            (attention,),
         )
 
     @staticmethod
@@ -361,22 +326,6 @@ class ServingSimulator:
         )
         return self.price(report, variant, engine_heads)
 
-    def speedup_curve(
-        self, batch_sizes: Sequence[int] = (1, 4, 16, 64), variant: str = "topick"
-    ) -> List[Dict[str, float]]:
-        """End-to-end step speedup of ``variant`` over baseline per batch."""
-        out = []
-        for b in batch_sizes:
-            base, ours = self.step(b, "baseline"), self.step(b, variant)
-            out.append({
-                "batch_size": b,
-                "baseline_cycles": base.total_cycles,
-                "variant_cycles": ours.total_cycles,
-                "speedup": base.total_cycles / ours.total_cycles,
-                "attention_fraction": base.attention_cycles / base.total_cycles,
-            })
-        return out
-
 
 def tokens_per_second(cost: StepCost) -> float:
     """Aggregate decode throughput implied by a step cost."""
@@ -384,11 +333,7 @@ def tokens_per_second(cost: StepCost) -> float:
     return cost.batch_size / seconds if seconds > 0 else 0.0
 
 
-def step_seconds(cost, spike_seconds: float = 0.0) -> float:
+def step_seconds(cost) -> float:
     """Modelled seconds of a :class:`StepCost` or (at its straggler) a
-    :class:`FleetCost`, plus ``spike_seconds`` — the additive penalty the
-    fault harness (:mod:`repro.cluster.faults`) injects, so fault and
-    overload pressure reach the SLO controller in the same unit."""
-    if spike_seconds < 0:
-        raise ValueError(f"spike_seconds must be >= 0, got {spike_seconds}")
-    return cost.seconds + spike_seconds
+    :class:`FleetCost`."""
+    return cost.seconds

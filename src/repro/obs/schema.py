@@ -1,9 +1,8 @@
 """Schema validation for the tracing artifacts ``--trace-out`` emits.
 
-Mirrors :mod:`repro.eval.bench_schema`'s style — pointed failures via
-:class:`TraceSchemaError`, ``validate_*`` callables for in-memory
-objects, ``validate_*_file`` wrappers for artifacts on disk — applied to
-the two trace outputs:
+Pointed failures via :class:`TraceSchemaError`, ``validate_*`` callables
+for in-memory objects and ``validate_*_file`` wrappers for artifacts on
+disk, applied to the two trace outputs:
 
 * the Chrome/Perfetto **trace-event JSON** (``*.json``): a
   ``{"traceEvents": [...]}`` object whose events are well-formed "M" /

@@ -127,7 +127,7 @@ class Tracer:
 
     ``sample_steps=k`` keeps every *k*-th engine step span (request
     lifecycle spans and instants are always recorded) — the middle rung
-    the trace-overhead bench prices between "off" and "full".
+    between "off" and "full".
     """
 
     enabled = True

@@ -410,8 +410,8 @@ class ServingEngine:
         self.trace_label = trace_label
         self.cycle_sim = cycle_sim
         #: sampled-in step spans whose attribute payload was actually
-        #: built — the trace-overhead bench asserts sampling skips the
-        #: payload work entirely, not just the emit
+        #: built — benchmarks/test_trace_overhead.py asserts sampling
+        #: skips the payload work entirely, not just the emit
         self.trace_payloads_built = 0
         self.tiers = None  # TieredKVStore, built with the pool
         self.prefix_cache = prefix_cache

@@ -77,7 +77,8 @@ class SLOConfig:
             ``max_threshold``).
         max_degrade_level: rungs available before shedding starts.
         max_threshold: hard cap on the degraded keep threshold (stays
-            well inside the certificate's (0, 1) domain).
+            well inside the certificate's (0, 1) domain); at least the
+            controller's base threshold.
         recover_ratio: a window counts as *calm* when its p95 is below
             ``recover_ratio * p95_inter_token_ms``.
         hysteresis_windows: consecutive calm windows required per
@@ -140,6 +141,13 @@ class OverloadController:
     ) -> None:
         if not 0.0 < base_threshold < 1.0:
             raise ValueError("base_threshold must be in (0, 1)")
+        if slo.max_threshold < base_threshold:
+            # the cap would *lower* the threshold at level 0 and turn
+            # every degrade rung into a no-op
+            raise ValueError(
+                f"slo.max_threshold ({slo.max_threshold}) must be >= "
+                f"base_threshold ({base_threshold})"
+            )
         self.base_threshold = base_threshold
         self.slo = slo
         self.registry = registry

@@ -308,8 +308,8 @@ def replayable_step_source(
     Returns ``(source, stream)``: the source replays the recorded
     ``stream`` (a list of ``(q, k_t, v_t)``), so a per-sequence session
     can be fed the exact same tensors the engine consumed — the basis of
-    the fused-vs-looped bit-identity comparisons in the example, the
-    throughput benchmark and the engine tests.
+    the fused-vs-looped bit-identity comparisons in the example and the
+    engine tests.
     """
     stream = []
     for _ in range(n_steps):

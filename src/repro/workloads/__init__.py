@@ -14,7 +14,6 @@ from repro.workloads.traces import (
     harvest_with_bias,
     harvested_dominance_profile,
     long_context_trace,
-    long_prompt_burst_trace,
     shared_prefix_trace,
     sustained_overload_trace,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "fig3_instances",
     "induction_corpus",
     "long_context_trace",
-    "long_prompt_burst_trace",
     "markov_corpus",
     "mixed_corpus",
     "sample_workload",

@@ -174,74 +174,6 @@ def long_context_trace(
     return trace
 
 
-def long_prompt_burst_trace(
-    rng: np.random.Generator,
-    *,
-    n_heads: int,
-    head_dim: int,
-    n_short: int = 12,
-    short_prompt_tokens: int = 24,
-    short_max_new_tokens: int = 24,
-    n_long: int = 2,
-    long_prompt_tokens: int = 512,
-    long_max_new_tokens: int = 4,
-    long_arrival_step: int = 4,
-    long_gap_steps: int = 6,
-    prompt_jitter: int = 4,
-) -> List[tuple]:
-    """The prefill head-of-line stall workload: long prompts land mid-batch.
-
-    ``n_short`` decode-heavy requests (short prompts, many decode steps)
-    all arrive at step 0 and settle into steady decoding; then ``n_long``
-    requests with very long prompts arrive every ``long_gap_steps``
-    starting at ``long_arrival_step`` — exactly when the batch is
-    busiest.  Under monolithic prefill each long prompt is ingested
-    inside one ``step()``, so every co-resident decode's inter-token
-    latency absorbs the whole prompt's ingest traffic at once; a finite
-    per-step prefill budget spreads that ingest across steps and bounds
-    the spike (the serving-layer analogue of the paper's bounded
-    per-step DRAM transfer).  Returns ``(arrival_step,
-    GenerationRequest)`` pairs like the other traces.
-    """
-    from repro.serving.request import GenerationRequest
-
-    if n_short < 1 or n_long < 1:
-        raise ValueError("n_short and n_long must be >= 1")
-    if short_prompt_tokens < 1 or long_prompt_tokens <= short_prompt_tokens:
-        raise ValueError(
-            "need 1 <= short_prompt_tokens < long_prompt_tokens"
-        )
-    if short_max_new_tokens < 1 or long_max_new_tokens < 1:
-        raise ValueError("max_new_tokens must be >= 1")
-    if long_arrival_step < 0 or long_gap_steps < 0 or prompt_jitter < 0:
-        raise ValueError(
-            "long_arrival_step, long_gap_steps and prompt_jitter must be >= 0"
-        )
-
-    def request(prompt: int, max_new: int) -> GenerationRequest:
-        return GenerationRequest(
-            prompt_keys=rng.normal(size=(n_heads, prompt, head_dim)),
-            prompt_values=rng.normal(size=(n_heads, prompt, head_dim)),
-            max_new_tokens=max_new,
-            seed=int(rng.integers(0, 2**31 - 1)),
-        )
-
-    trace: List[tuple] = []
-    for _ in range(n_short):
-        prompt = max(
-            4,
-            short_prompt_tokens
-            + int(rng.integers(-prompt_jitter, prompt_jitter + 1)),
-        )
-        trace.append((0, request(prompt, short_max_new_tokens)))
-    for i in range(n_long):
-        arrival = long_arrival_step + i * long_gap_steps
-        trace.append(
-            (arrival, request(long_prompt_tokens, long_max_new_tokens))
-        )
-    return trace
-
-
 def shared_prefix_trace(
     rng: np.random.Generator,
     n_requests: int,

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.eval.batching import (
-    asymptotic_speedup,
-    batch_scaling_curve,
-    measured_batch_point,
-)
+from repro.eval.batching import measured_batch_point
 from repro.model.config import get_model_config
 
 
@@ -15,36 +11,11 @@ def model():
     return get_model_config("gpt2-medium")
 
 
-class TestBatchScalingCurve:
-    def test_speedup_grows_with_batch(self, model):
-        points = batch_scaling_curve(model, 2.5, batch_sizes=(1, 8, 64))
-        speedups = [p.step_speedup for p in points]
-        assert speedups == sorted(speedups)
-        assert speedups[-1] < 2.5  # bounded by the attention reduction
-        assert asymptotic_speedup(points) == speedups[-1]
-
-    def test_default_context_is_model_max(self, model):
-        points = batch_scaling_curve(model, 2.0, batch_sizes=(4,))
-        explicit = batch_scaling_curve(
-            model, 2.0, batch_sizes=(4,), context_length=model.max_context
-        )
-        assert points[0] == explicit[0]
-
-    def test_rejects_bad_reduction(self, model):
-        with pytest.raises(ValueError):
-            batch_scaling_curve(model, 0.9)
-
-    def test_rejects_batch_sizes_below_one(self, model):
-        with pytest.raises(ValueError, match="batch_sizes"):
-            batch_scaling_curve(model, 2.0, batch_sizes=(1, 0, 4))
-        with pytest.raises(ValueError, match="batch_sizes"):
-            batch_scaling_curve(model, 2.0, batch_sizes=(-3,))
-
-
 class TestMeasuredPoint:
     def test_matches_uniform_curve_when_traffic_uniform(self, model):
         """With identical per-sequence stats the measured point reproduces
-        the analytic curve's reduction ratio."""
+        the single sequence's reduction ratio, and the batch-shared weights
+        keep the step speedup below it."""
         from repro.core import QuantConfig
         from repro.core.pruning import PruneStats
 

@@ -295,3 +295,6 @@ class TestOverloadController:
             SLOConfig(recover_ratio=0.0)
         with pytest.raises(ValueError):
             OverloadController(0.0, SLOConfig())
+        # a cap below the base would lower the threshold with no breach
+        with pytest.raises(ValueError, match="max_threshold"):
+            OverloadController(0.3, SLOConfig(p95_inter_token_ms=1.0))

@@ -20,14 +20,9 @@ from repro.serving.engine import EngineStepReport, SequenceStepView
 
 @pytest.fixture(scope="module")
 def sim():
-    # a small zoo model keeps instance simulation fast
-    # the paper's context regime; short contexts blunt the attention
-    # speedup (latency tail) and with it the end-to-end benefit
-    model = get_model_config("gpt2-medium")
     return ServingSimulator(
-        model, context_length=1024,
+        get_model_config("gpt2-medium"), context_length=1024,
         config=TokenPickerConfig(threshold=2e-3),
-        n_sample_instances=2, seed=1,
     )
 
 
@@ -51,50 +46,6 @@ def _report(stats=(), prefill_bits=0):
         },
         prefill_bits=prefill_bits,
     )
-
-
-class TestServingStep:
-    def test_step_composition(self, sim):
-        r = sim.step(4, "baseline")
-        assert r.total_cycles == r.weight_cycles + r.attention_cycles
-        assert 0 < r.attention_cycles < r.total_cycles
-
-    def test_weight_cycles_shared_across_batch(self, sim):
-        r1 = sim.step(1, "baseline")
-        r8 = sim.step(8, "baseline")
-        assert r1.weight_cycles == r8.weight_cycles
-        assert r8.attention_cycles == 8 * r1.attention_cycles
-
-    def test_topick_attention_faster(self, sim):
-        base = sim.step(8, "baseline")
-        ours = sim.step(8, "topick")
-        assert ours.attention_cycles < base.attention_cycles
-        assert ours.weight_cycles == base.weight_cycles
-
-    def test_validation(self, sim):
-        with pytest.raises(ValueError):
-            sim.step(0)
-        with pytest.raises(ValueError):
-            ServingSimulator(get_model_config("gpt2-medium"), 0)
-        with pytest.raises(ValueError):
-            ServingSimulator(
-                get_model_config("gpt2-medium"), 128, n_sample_instances=0
-            )
-
-
-class TestSpeedupCurve:
-    def test_monotone_in_batch(self, sim):
-        curve = sim.speedup_curve(batch_sizes=(1, 4, 16, 64))
-        speedups = [p["speedup"] for p in curve]
-        assert all(a <= b + 1e-9 for a, b in zip(speedups, speedups[1:]))
-        # small at B=1 (weights dominate), substantial at B=64
-        assert speedups[0] < 1.5
-        assert speedups[-1] > 1.3
-
-    def test_attention_fraction_grows(self, sim):
-        curve = sim.speedup_curve(batch_sizes=(1, 16, 64))
-        fracs = [p["attention_fraction"] for p in curve]
-        assert fracs[0] < fracs[-1]
 
 
 class TestMeasuredTraffic:
@@ -130,6 +81,8 @@ class TestMeasuredTraffic:
             sim.price_fleet([])
         with pytest.raises(ValueError):
             sim.price_fleet([_report()])
+        with pytest.raises(ValueError, match="context_length"):
+            ServingSimulator(sim.model, 0)
 
 
 class TestHostileInputs:
@@ -170,9 +123,7 @@ class TestThroughput:
         )
         # 2000 cycles at 500 MHz = 4 us for 16 tokens -> 4M tokens/s
         assert tokens_per_second(r) == pytest.approx(16 / (2000 / 0.5e9))
-        assert step_seconds(r, spike_seconds=1e-3) == r.seconds + 1e-3
-        with pytest.raises(ValueError):
-            step_seconds(r, spike_seconds=-1.0)
+        assert step_seconds(r) == r.seconds == 2000 / 0.5e9
 
 
 class TestPrefillPricing:

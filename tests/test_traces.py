@@ -84,73 +84,3 @@ class TestHarvest:
         profile = harvested_dominance_profile(instances)
         assert profile.shape == (len(instances),)
         assert np.all((0 <= profile) & (profile <= 1))
-
-
-class TestLongPromptBurstTrace:
-    def test_shape_and_arrivals(self):
-        from repro.workloads.traces import long_prompt_burst_trace
-
-        rng = np.random.default_rng(0)
-        trace = long_prompt_burst_trace(
-            rng, n_heads=2, head_dim=16,
-            n_short=6, short_prompt_tokens=16, short_max_new_tokens=8,
-            n_long=2, long_prompt_tokens=96, long_max_new_tokens=2,
-            long_arrival_step=3, long_gap_steps=5,
-        )
-        assert len(trace) == 8
-        shorts, longs = trace[:6], trace[6:]
-        assert all(arrival == 0 for arrival, _ in shorts)
-        assert [arrival for arrival, _ in longs] == [3, 8]
-        for _, request in shorts:
-            assert request.prompt_tokens < 96
-        for _, request in longs:
-            assert request.prompt_tokens == 96
-            assert request.max_new_tokens == 2
-
-    def test_validation(self):
-        from repro.workloads.traces import long_prompt_burst_trace
-
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            long_prompt_burst_trace(rng, n_heads=2, head_dim=16, n_short=0)
-        with pytest.raises(ValueError):
-            long_prompt_burst_trace(
-                rng, n_heads=2, head_dim=16,
-                short_prompt_tokens=64, long_prompt_tokens=64,
-            )
-        with pytest.raises(ValueError):
-            long_prompt_burst_trace(
-                rng, n_heads=2, head_dim=16, long_arrival_step=-1
-            )
-
-    def test_reproduces_the_stall_and_the_fix(self):
-        """The trace actually exercises chunked prefill: a finite budget
-        splits the long prompt across steps and bounds per-step ingest."""
-        from repro.core import TokenPickerConfig
-        from repro.serving import ServingEngine
-        from repro.workloads.traces import long_prompt_burst_trace
-
-        def run(budget):
-            engine = ServingEngine(
-                TokenPickerConfig(threshold=2e-3),
-                max_batch_size=8,
-                capacity_tokens=2048,
-                prefill_budget_tokens=budget,
-            )
-            trace = long_prompt_burst_trace(
-                np.random.default_rng(1), n_heads=2, head_dim=16,
-                n_short=4, short_prompt_tokens=12, short_max_new_tokens=10,
-                n_long=1, long_prompt_tokens=120, long_max_new_tokens=2,
-                long_arrival_step=2,
-            )
-            i, pending = 0, sorted(trace, key=lambda t: t[0])
-            reports = []
-            while i < len(pending) or engine.n_pending or engine.n_active:
-                while i < len(pending) and pending[i][0] <= engine.step_index:
-                    engine.submit(pending[i][1])
-                    i += 1
-                reports.append(engine.step())
-            return max(r.prefill_tokens for r in reports)
-
-        assert run(None) >= 120  # monolithic: whole prompt in one step
-        assert run(16) <= 16  # budget bounds every step's ingest
