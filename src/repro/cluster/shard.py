@@ -2,7 +2,7 @@
 
 The cluster layer's replicas are pure data parallelism — N independent
 engines.  This module adds the orthogonal axis, Megatron-style **tensor
-parallelism over attention heads**: one engine's ``(H, C, d)``
+parallelism over attention heads**: one engine's ``(H, C, T_cap, d)``
 chunk-digit planes and deq-V rows are partitioned head-wise across K
 modelled shard workers.  Each worker owns a contiguous head range, holds
 *only* its slice of the arena (a head-sliced
@@ -143,12 +143,6 @@ class ShardedKVPool:
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.k_heads = k_heads if k_heads is not None else n_heads
-        if self.k_heads % n_heads:
-            raise ValueError(
-                f"k_heads ({self.k_heads}) must be divisible by n_heads "
-                f"({n_heads}) to shard on head borders"
-            )
-        self._k_mult = self.k_heads // n_heads
         self.block_size = block_size
         self.slices = [
             KVCachePool(
@@ -164,10 +158,6 @@ class ShardedKVPool:
         ]
 
     # ------------------------------------------------------------- geometry
-    def _k_range(self, shard: int) -> Tuple[int, int]:
-        h_lo, h_hi = self.head_ranges[shard]
-        return h_lo * self._k_mult, h_hi * self._k_mult
-
     @property
     def _lead(self) -> KVCachePool:
         return self.slices[0]
@@ -311,15 +301,11 @@ class ShardedKVPool:
     def read_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Gather full-width rows across the slices."""
         rows = np.asarray(rows, dtype=np.int64)
-        k_full = np.empty(
-            (rows.size, self.k_heads, self.head_dim), dtype=self.k_dtype
-        )
-        v_full = np.empty((rows.size, self.n_heads, self.head_dim))
-        for s, pool in enumerate(self.slices):
-            h_lo, h_hi = self.head_ranges[s]
-            k_lo, k_hi = self._k_range(s)
+        k_full, v_full = self._full_rows(rows.size)
+        for pool in self.slices:
+            h_lo, h_hi = pool.head_range
             k_part, v_part = pool.read_rows(rows)
-            k_full[:, k_lo:k_hi] = k_part
+            pool.head_columns(k_full)[:] = k_part
             v_full[:, h_lo:h_hi] = v_part
         return k_full, v_full
 
@@ -327,23 +313,28 @@ class ShardedKVPool:
         self, rows: np.ndarray, k_rows: np.ndarray, v_rows: np.ndarray
     ) -> None:
         """Scatter full-width rows back to each slice's columns."""
-        for s, pool in enumerate(self.slices):
-            h_lo, h_hi = self.head_ranges[s]
-            k_lo, k_hi = self._k_range(s)
-            pool.write_rows(rows, k_rows[:, k_lo:k_hi], v_rows[:, h_lo:h_hi])
+        for pool in self.slices:
+            h_lo, h_hi = pool.head_range
+            pool.write_rows(
+                rows, pool.head_columns(k_rows), v_rows[:, h_lo:h_hi]
+            )
+
+    def _full_rows(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Empty full-width token-major ``(k_rows, v_rows)`` buffers."""
+        return (
+            np.empty((n, self.k_heads, self.head_dim), dtype=self.k_dtype),
+            np.empty((n, self.n_heads, self.head_dim)),
+        )
 
     # ------------------------------------------------------------ swap path
     def swap_out(self, seq_id: int) -> SwappedSequence:
         """Preempt: each slice swaps byte-exactly; segments are assembled
         **full-width** so the wire format matches an unsharded pool's."""
         parts = [pool.swap_out(seq_id) for pool in self.slices]
-        t = parts[0].length
-        k_full = np.empty((t, self.k_heads, self.head_dim), dtype=self.k_dtype)
-        v_full = np.empty((t, self.n_heads, self.head_dim))
-        for s, part in enumerate(parts):
-            h_lo, h_hi = self.head_ranges[s]
-            k_lo, k_hi = self._k_range(s)
-            k_full[:, k_lo:k_hi] = part.k_rows
+        k_full, v_full = self._full_rows(parts[0].length)
+        for pool, part in zip(self.slices, parts):
+            h_lo, h_hi = pool.head_range
+            pool.head_columns(k_full)[:] = part.k_rows
             v_full[:, h_lo:h_hi] = part.v_rows
         return SwappedSequence(
             k_rows=k_full, v_rows=v_full, scales=parts[0].scales
@@ -359,13 +350,12 @@ class ShardedKVPool:
         (each slice re-admits its own columns byte-identically)."""
         done = []
         try:
-            for s, pool in enumerate(self.slices):
-                h_lo, h_hi = self.head_ranges[s]
-                k_lo, k_hi = self._k_range(s)
+            for pool in self.slices:
+                h_lo, h_hi = pool.head_range
                 pool.swap_in(
                     seq_id,
                     SwappedSequence(
-                        k_rows=swapped.k_rows[:, k_lo:k_hi],
+                        k_rows=pool.head_columns(swapped.k_rows),
                         v_rows=swapped.v_rows[:, h_lo:h_hi],
                         scales=swapped.scales,
                     ),
@@ -381,14 +371,13 @@ class ShardedKVPool:
         """Full-width (k_heads, t, d) / (n_heads, t, d) logical tensors,
         gathered (copied) across the slices."""
         parts = [pool.view(seq_id) for pool in self.slices]
-        t = parts[0][0].shape[1]
-        k_full = np.empty((self.k_heads, t, self.head_dim), dtype=self.k_dtype)
-        v_full = np.empty((self.n_heads, t, self.head_dim))
-        for s, (k_part, v_part) in enumerate(parts):
-            h_lo, h_hi = self.head_ranges[s]
-            k_lo, k_hi = self._k_range(s)
-            k_full[k_lo:k_hi] = k_part
-            v_full[h_lo:h_hi] = v_part
+        k_full, v_full = self._full_rows(parts[0][0].shape[1])
+        for pool, (k_part, v_part) in zip(self.slices, parts):
+            h_lo, h_hi = pool.head_range
+            pool.head_columns(k_full)[:] = k_part.transpose(1, 0, 2)
+            v_full[:, h_lo:h_hi] = v_part.transpose(1, 0, 2)
+        k_full = k_full.transpose(1, 0, 2)
+        v_full = v_full.transpose(1, 0, 2)
         k_full.flags.writeable = False
         v_full.flags.writeable = False
         return k_full, v_full

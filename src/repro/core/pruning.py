@@ -877,22 +877,26 @@ def _pairs(mask):
 
 def _contract_chunk(planes_c, q_seg, st, en, out) -> None:
     """Every token's digit row of one chunk dotted with its sequence's
-    query, into ``out`` (H, total).  ``planes_c`` is a (total, H, d)
-    single-chunk digit view, ``q_seg`` the (n_live, H, d) per-segment
-    query codes in the same dtype.  One einsum per segment: the query is
-    constant within a segment, so this never materialises a
-    (total, H, d) per-token query gather."""
+    query, into ``out`` (H, total).  ``planes_c`` is the (H, total, d)
+    single-chunk digit planes, each head's a contiguous (total, d) block,
+    ``q_seg`` the (n_live, H, d) per-segment query codes in the same
+    dtype.  One batched matrix-vector product per segment (BLAS in the
+    float modes): the query is constant within a segment, so this never
+    materialises a per-token query gather.  Any summation order gives the
+    same exact integer (see :func:`exact_digit_dtype`)."""
     for i in range(st.shape[0]):
         lo, hi = int(st[i]), int(en[i])
-        np.einsum("thd,hd->ht", planes_c[lo:hi], q_seg[i], out=out[:, lo:hi])
+        np.matmul(
+            planes_c[:, lo:hi], q_seg[i][:, :, None], out=out[:, lo:hi, None]
+        )
 
 
 def _contract_pairs(planes, chunk, t_idx, h_idx, q_pair, out) -> None:
-    """The alive ``(token, head)`` pairs' digit rows of one chunk dotted
+    """The alive ``(head, token)`` pairs' digit rows of one chunk dotted
     with their (A, d) gathered query rows, into ``out`` (A,).  ``planes``
-    is the full (total, H, C, d) digit view; ``out.dtype`` selects
+    is the full (H, C, total, d) digit view; ``out.dtype`` selects
     integer accumulation."""
-    rows = planes[t_idx, h_idx, chunk]  # (A, d) gather
+    rows = planes[h_idx, chunk, t_idx]  # (A, d) gather
     if out.dtype == np.int64 and rows.dtype != np.int64:
         rows = rows.astype(np.int64)  # lossless: digits are exact ints
     np.einsum("ad,ad->a", rows, q_pair, out=out)
@@ -900,7 +904,7 @@ def _contract_pairs(planes, chunk, t_idx, h_idx, q_pair, out) -> None:
 
 def _score_rounds(
     geo: _SegmentGeometry,
-    planes4: np.ndarray,
+    planes: np.ndarray,
     q_codes: np.ndarray,
     score_scale: np.ndarray,
     config: TokenPickerConfig,
@@ -921,7 +925,7 @@ def _score_rounds(
     the per-round denominators re-reduce the whole lower-bound row
     through the same ``reduceat`` folds as :func:`_row_sums`.
 
-    ``planes4`` is the (total, H, C, d) unshifted-digit view of the arena
+    ``planes`` is the (H, C, total, d) unshifted-digit view of the arena
     span, ``q_codes`` (S, H, d) int64, ``score_scale`` (S, H).  Returns
     ``(alive, chunks_fetched, scores, log_den_seg, round_alive)`` — the
     first three (H, total), ``log_den_seg`` (H, n_live).
@@ -994,16 +998,16 @@ def _score_rounds(
         # copy up front; later rounds cast just the gathered alive rows
         q_f = q_codes
         contrib0 = take_buf("lz_c0_i", (n_heads, total), np.int64)
-        planes_c0 = take_buf("lz_p0_i", (total, n_heads, head_dim), np.int64)
-        np.copyto(planes_c0, planes4[:, :, 0, :], casting="unsafe")
-    elif planes4.dtype == np.float32:
+        planes_c0 = take_buf("lz_p0_i", (n_heads, total, head_dim), np.int64)
+        np.copyto(planes_c0, planes[:, 0], casting="unsafe")
+    elif planes.dtype == np.float32:
         q_f = q_codes.astype(np.float32)
         contrib0 = take_buf("lz_c0_f32", (n_heads, total), np.float32)
-        planes_c0 = planes4[:, :, 0, :]
+        planes_c0 = planes[:, 0]
     else:
         q_f = q_codes.astype(np.float64)
         contrib0 = take_buf("lz_c0", (n_heads, total))
-        planes_c0 = planes4[:, :, 0, :]
+        planes_c0 = planes[:, 0]
     q_seg = q_f[geo.seg_ids]  # (n_live, H, d)
     ps_run = take_buf(
         "lz_ps_i" if int_mode else "lz_ps",
@@ -1040,7 +1044,7 @@ def _score_rounds(
         # decision — every output is bit-identical either way.
         dense = b == 0 or (not int_mode and survivors * 8 >= alive.size)
         if dense:
-            planes_cb = planes_c0 if b == 0 else planes4[:, :, b, :]
+            planes_cb = planes_c0 if b == 0 else planes[:, b]
             _contract_chunk(planes_cb, q_seg, st, en, contrib0)
             if b == 0:
                 if not geo.valid.all():  # scrub stale gap columns
@@ -1094,7 +1098,7 @@ def _score_rounds(
             seqs_pair = seq_of_tok[t_idx]
             q_pair = q_f[seqs_pair, h_idx]  # (A, d)
             contrib_pair = np.empty(h_idx.size, dtype=contrib0.dtype)
-            _contract_pairs(planes4, b, t_idx, h_idx, q_pair, contrib_pair)
+            _contract_pairs(planes, b, t_idx, h_idx, q_pair, contrib_pair)
             ps_pair = ps_run[h_idx, t_idx]
             if int_mode:
                 ps_pair += contrib_pair * shifts[b]
@@ -1134,6 +1138,29 @@ def _score_rounds(
     return alive, chunks_fetched, scores, log_den_seg, round_alive
 
 
+def exact_digit_dtype(quant: QuantConfig, head_dim: int) -> type:
+    """The narrowest accumulator in which digit-plane scoring is exact.
+
+    Chunk digits reach ``2**chunk_bits - 1`` in magnitude and query codes
+    ``|qmin| = 2**(N-1)``, so every partial sum of a ``head_dim``-long
+    digit x query dot product lies below ``head_dim * (2**chunk_bits - 1)
+    * 2**(N-1)``; full-depth partial scores lie below ``head_dim *
+    2**(2N-2)``.  Returns ``np.int64`` when the second bound, with
+    ``head_dim`` rounded up to a power of two, exceeds ``2**52``, else
+    ``np.float32`` when the first is under ``2**24``,
+    else ``np.float64``.  Within the returned dtype every summation order
+    yields the same
+    integer, so a BLAS contraction is bit-identical to any other.  The
+    engine picks its K arena dtype here and the ragged kernel checks the
+    arena against it.
+    """
+    if 2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() > 52:
+        return np.int64
+    if head_dim * ((1 << quant.chunk_bits) - 1) * -quant.qmin < 2 ** 24:
+        return np.float32
+    return np.float64
+
+
 def token_picker_attention_ragged(
     qs: np.ndarray,
     config: TokenPickerConfig,
@@ -1154,12 +1181,13 @@ def token_picker_attention_ragged(
     * ``qs`` (S, H, d): one query per sequence, quantized here with the
       frozen ``q_scales`` (S, H); ``k_scales`` (S, H) are the scales the
       arena's keys were encoded with.
-    * ``k_plane_arena``: one token-major (T_cap, H, C, d) (or
-      (T_cap, H*C, d)) store of *unshifted* MSB-first chunk digits,
-      float32 or float64 — the decomposition the paper's DRAM layout
-      streams.  The kernel applies each chunk's power-of-two positional
-      shift after the contraction, so digit-times-query products stay
-      exact integers.
+    * ``k_plane_arena``: the chunk-major (H, C, T_cap, d) digit planes of
+      *unshifted* MSB-first chunk digits, float32 or float64 — the
+      decomposition the paper's DRAM layout streams, with every
+      (head, chunk) plane a contiguous (T_cap, d) block so a chunk round
+      is one matrix-vector product per head and segment.  The kernel
+      applies each chunk's power-of-two positional shift after the
+      contraction, so digit-times-query products stay exact integers.
     * ``v_arena`` (T_cap, H, d): quantize-dequantized values; ``None``
       runs step 0 only (``outputs`` is ``None``).
     * ``segments`` (S, 2): ``(offset, length)`` rows locating each
@@ -1199,41 +1227,36 @@ def token_picker_attention_ragged(
     k_arena = np.asarray(k_plane_arena)
     if k_arena.dtype not in (np.float32, np.float64):
         raise ValueError("k_plane_arena must hold float32/float64 chunk digits")
-    if k_arena.ndim == 3 and k_arena.shape[1:] == (n_heads * n_chunks, head_dim):
-        k_arena = k_arena.reshape(-1, n_heads, n_chunks, head_dim)
-    if k_arena.ndim != 4 or k_arena.shape[1:] != (n_heads, n_chunks, head_dim):
+    if k_arena.ndim != 4 or (
+        k_arena.shape[:2] + k_arena.shape[3:] != (n_heads, n_chunks, head_dim)
+    ):
         raise ValueError(
-            f"k_plane_arena must be (T, {n_heads}, {n_chunks}, {head_dim}) "
-            f"or (T, {n_heads * n_chunks}, {head_dim}), got {k_arena.shape}"
+            f"k_plane_arena must be ({n_heads}, {n_chunks}, T, {head_dim}), "
+            f"got {k_arena.shape}"
         )
+    t_cap = k_arena.shape[2]
     segments = np.asarray(segments, dtype=np.int64)
     if segments.shape != (n_seqs, 2):
         raise ValueError(
             f"segments must be ({n_seqs}, 2) (offset, length) rows, "
             f"got {segments.shape}"
         )
-    if np.any(segments < 0) or np.any(segments.sum(axis=1) > k_arena.shape[0]):
+    if np.any(segments < 0) or np.any(segments.sum(axis=1) > t_cap):
         raise ValueError("segments must lie within the arena")
     if v_arena is not None:
         v_arena = np.asarray(v_arena, dtype=np.float64)
-        if v_arena.shape != (k_arena.shape[0], n_heads, head_dim):
+        if v_arena.shape != (t_cap, n_heads, head_dim):
             raise ValueError(
-                f"v_arena must be ({k_arena.shape[0]}, {n_heads}, "
+                f"v_arena must be ({t_cap}, {n_heads}, "
                 f"{head_dim}), got {v_arena.shape}"
             )
-    # Digit x query products are bounded by d * 2^(2N-2): exact in
-    # float64 for every practical format (any association order yields
-    # the same integer), with an int64 fallback for wider formats.
-    exact_in_float = (
-        2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() <= 52
-    )
-    if k_arena.dtype == np.float32:
-        digit_bound = head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
-        if not (exact_in_float and digit_bound < 2 ** 24):
-            raise ValueError(
-                "float32 k_plane_arena requires digit contractions "
-                "exact in float32 (head_dim * digit_max * qmax < 2**24)"
-            )
+    accumulator = exact_digit_dtype(quant, head_dim)
+    exact_in_float = accumulator is not np.int64
+    if k_arena.dtype == np.float32 and accumulator is not np.float32:
+        raise ValueError(
+            "float32 k_plane_arena requires digit contractions exact in "
+            "float32 (head_dim * digit_max * |qmin| < 2**24)"
+        )
 
     lengths = segments[:, 1].copy()
     results: list = [None] * n_seqs
@@ -1251,7 +1274,7 @@ def token_picker_attention_ragged(
     score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (S, H)
     span = slice(geo.base, geo.base + geo.total)
     alive, chunks_fetched, scores, log_den_seg, round_alive = _score_rounds(
-        geo, k_arena[span], q_codes, score_scale, config, exact_in_float,
+        geo, k_arena[:, :, span], q_codes, score_scale, config, exact_in_float,
         take_buf, clock,
     )
 

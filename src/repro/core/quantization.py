@@ -185,10 +185,9 @@ def signed_chunk_digit(
 
     ``pattern`` is the unsigned bit pattern (:func:`to_unsigned`).  Chunk 0
     carries the sign bit, so its digit is sign-extended to its signed
-    value (Eq. 4); chunks 1.. are the raw non-negative digits.  This is
-    the one place the signedness rule lives — the serving engine's arena
-    encoder and the fused kernel's raw-keys path both build their digits
-    here.
+    value (Eq. 4); chunks 1.. are the raw non-negative digits.
+    :func:`chunk_plane_values` builds its digits here; the serving
+    engine's arena encoder applies the same rule with in-place ufuncs.
     """
     shift = config.total_bits - (c + 1) * config.chunk_bits
     digit = (pattern >> shift) & ((1 << config.chunk_bits) - 1)

@@ -40,9 +40,9 @@ from repro.core.pruning import (
     BatchedPickerResult,
     KernelScratch,
     PruneStats,
+    exact_digit_dtype,
     token_picker_attention_ragged,
 )
-from repro.core.quantization import signed_chunk_digit
 from repro.model.attention import AccessCounter
 from repro.serving.kv_pool import (
     KVCachePool,
@@ -64,30 +64,34 @@ from repro.serving.scheduler import Scheduler
 
 
 def _encode_kv_into(
-    keys, values, scales: SequenceScales, quant, k_out, v_out
+    keys, values, k_scale, v_scale, quant, k_out, v_out
 ) -> None:
-    """Frozen-scale encoding applied once, when a token enters the pool.
+    """Frozen-scale encoding applied once, when a token enters the pool —
+    the one encoder for prefill chunks and decode-step tokens alike.
 
-    K is quantized and decomposed into its MSB-first chunk *digits* — the
-    representation the paper's DRAM layout streams — written straight
-    into the arena's token-major ``(n, H * n_chunks, d)`` rows.  Digits
-    are stored unshifted (the fused kernel applies each chunk's
-    power-of-two positional shift after its contraction), so they fit the
-    arena's float32 storage exactly for practical formats.  V is stored
-    quantize-dequantized.  Both are elementwise identical to what the
-    kernel would re-derive from the raw floats at every later step, so
-    storing them loses nothing and saves the per-step requantization of
-    the whole cache.
+    ``keys``/``values`` are token-major ``(n, H, d)`` (any strides),
+    ``k_scale``/``v_scale`` the rows' ``(n, H)`` frozen scales (``(1,
+    H)`` broadcasts one sequence's scales over its rows).  K is quantized
+    and decomposed into its MSB-first chunk *digits* — the representation
+    the paper's DRAM layout streams — written into ``k_out``, token-major
+    ``(n, H * n_chunks, d)`` rows: the pool's strided view into its
+    chunk-major digit planes, or a staging array.  Digits are stored
+    unshifted (the fused kernel applies each chunk's power-of-two
+    positional shift after its contraction), so they fit the arena's
+    float32 storage exactly for practical formats.  V is stored
+    quantize-dequantized into ``v_out`` ``(n, H, d)``.  Both are
+    elementwise identical to what the kernel would re-derive from the
+    raw floats at every later step, so storing them loses nothing and
+    saves the per-step requantization of the whole cache.
     """
-    n_heads, n, head_dim = keys.shape
-    # Work in the arena's token-major layout from the start and reuse one
-    # buffer per stage: the quantize → pattern → per-chunk digit chain is
-    # elementwise, so in-place ufuncs produce bit-identical codes to the
-    # head-major + per-chunk-transpose formulation while skipping its
-    # temporaries and strided copies (prefill encodes whole prompts, so
-    # this is a measurable slice of time-to-first-token).
-    kt = keys.transpose(1, 0, 2)  # (n, H, d) view
-    buf = np.divide(kt, scales.k_scale[None, :, None])
+    n, n_heads, head_dim = keys.shape
+    # Reuse one buffer per stage: the quantize → pattern → per-chunk
+    # digit chain is elementwise, so in-place ufuncs (which keep the
+    # input's memory order — head-major for a prompt slice, matching the
+    # digit planes) give the same codes as any other formulation while
+    # skipping temporaries (prefill encodes whole prompts, so this is a
+    # measurable slice of time-to-first-token).
+    buf = np.divide(keys, k_scale[:, :, None])
     np.rint(buf, out=buf)
     np.clip(buf, quant.qmin, quant.qmax, out=buf)
     pattern = buf.astype(np.int64)
@@ -107,8 +111,8 @@ def _encode_kv_into(
                 digit, wrap, out=digit, where=digit >= (wrap >> 1)
             )
         k3[:, :, c, :] = digit
-    vsc = scales.v_scale[None, :, None]
-    vbuf = np.divide(values.transpose(1, 0, 2), vsc)
+    vsc = v_scale[:, :, None]
+    vbuf = np.divide(values, vsc)
     np.rint(vbuf, out=vbuf)
     np.clip(vbuf, quant.qmin, quant.qmax, out=vbuf)
     vbuf *= vsc
@@ -876,20 +880,12 @@ class ServingEngine:
     def _ensure_pool(self, request: GenerationRequest) -> KVCachePool:
         if self.pool is None:
             quant = self.config.quant
-            # unshifted chunk digits contract exactly in float32 when
-            # every partial sum stays below 2**24; otherwise fall back to
-            # float64 digit storage (the kernel re-checks both gates)
-            digit_bound = (
-                request.head_dim * ((1 << quant.chunk_bits) - 1) * quant.qmax
-            )
-            exact64 = (
-                2 * quant.total_bits - 2
-                + max(request.head_dim - 1, 1).bit_length()
-                <= 52
-            )
+            # unshifted chunk digits are stored in float32 when every
+            # digit contraction is exact there; otherwise in float64 (the
+            # kernel checks the arena against the same gate)
             k_dtype = (
                 np.float32
-                if exact64 and digit_bound < 2 ** 24
+                if exact_digit_dtype(quant, request.head_dim) is np.float32
                 else np.float64
             )
             if self._shards > 1:
@@ -1059,9 +1055,10 @@ class ServingEngine:
             )
             v_slots = np.empty((n, self.pool.n_heads, self.pool.head_dim))
         _encode_kv_into(
-            request.prompt_keys[:, start:start + n],
-            request.prompt_values[:, start:start + n],
-            entry.scales,
+            request.prompt_keys[:, start:start + n].transpose(1, 0, 2),
+            request.prompt_values[:, start:start + n].transpose(1, 0, 2),
+            entry.scales.k_scale[None, :],
+            entry.scales.v_scale[None, :],
             self.config.quant,
             k_slots,
             v_slots,
@@ -1384,18 +1381,13 @@ class ServingEngine:
         for entry, clips in zip(pooled, clip_counts):
             entry.stats.clip_events += int(clips)
         # the pool holds what DRAM holds: the frozen-scale chunk-digit
-        # encoding, written once per token — one batched encode, one
-        # scatter into the arena
-        k_codes = np.clip(
-            np.rint(k_t / k_scales[:, :, None]), quant.qmin, quant.qmax
-        ).astype(np.int64)
-        pattern = k_codes & ((1 << quant.total_bits) - 1)  # 2's complement
-        k_rows = np.empty((n, n_heads, quant.n_chunks, head_dim))
-        for c in range(quant.n_chunks):
-            k_rows[:, :, c, :] = signed_chunk_digit(pattern, c, quant)
-        k_rows = k_rows.reshape(n, n_heads * quant.n_chunks, head_dim)
-        vsc = v_scales[:, :, None]
-        v_rows = np.clip(np.rint(v_t / vsc), quant.qmin, quant.qmax) * vsc
+        # encoding, written once per token — one batched encode (the
+        # prefill encoder, per-row scales), one scatter into the arena
+        k_rows = np.empty(
+            (n, self.pool.k_heads, head_dim), dtype=self.pool.k_dtype
+        )
+        v_rows = np.empty((n, n_heads, head_dim))
+        _encode_kv_into(k_t, v_t, k_scales, v_scales, quant, k_rows, v_rows)
         seq_ids = [e.seq_id for e in pooled]
         self.pool.append_rows(seq_ids, k_rows, v_rows)
         if self.tiers is not None:

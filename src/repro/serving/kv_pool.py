@@ -1,13 +1,19 @@
-"""Packed token-major KV arena shared by every active sequence.
+"""Packed KV arena shared by every active sequence.
 
-The engine stores all sequences' keys/values in one preallocated
-**token-major arena** — contiguous ``(T_cap, H*C, d)`` chunk-plane and
-``(T_cap, H, d)`` dequantized-V planes — with a per-sequence ``(offset,
-length)`` segment table.  A sequence occupies one contiguous run of arena
-rows, appended *in place*: a decode step writes exactly one new row per
-sequence and the fused ragged kernel then computes directly on views of
-the arena (``segments`` locate each slab), so the hot path performs zero
-packing copies.  Space is managed in fixed-size token blocks by a
+The engine stores all sequences' keys/values in one preallocated arena
+with a per-sequence ``(offset, length)`` segment table.  K is held
+**chunk-major**, as ``(H, C, T_cap, d)`` digit planes: every (head,
+chunk) pair owns one contiguous ``(T_cap, d)`` plane, so the kernel's
+chunk-0 estimate pass streams one dense plane per head and later chunks
+sit apart until fetched — the paper's DRAM layout.  V, of which only
+kept rows are ever gathered, stays token-major ``(T_cap, H, d)``.  A
+sequence occupies the same contiguous run of token positions in every
+plane, appended *in place*: a decode step writes exactly one new
+position per sequence and the fused ragged kernel then computes directly
+on views of the arena (``segments`` locate each slab), so the hot path
+performs zero packing copies.  The row interface (appends, row reads and
+writes, swap segments) stays token-major ``(n, H*C, d)`` and converts at
+the boundary.  Space is managed in fixed-size token blocks by a
 first-fit hole allocator with coalescing — the accounting granularity of
 the old paged pool — and a sequence that outgrows its run is relocated
 (realloc-style); reserving the lifetime footprint up front (what the
@@ -24,12 +30,29 @@ Alongside the storage, the pool carries
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import QuantConfig
+
+
+def _lazy_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """A zero-filled array on its own anonymous mapping.
+
+    NumPy advises huge pages for arrays of 4 MiB or more, and each of the
+    H*C digit planes is touched only up to the highest arena offset in
+    use, so every plane would pin a partly-touched 2 MiB page; an
+    anonymous mmap is zero-filled and faulted in page by page on first
+    touch instead.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if not nbytes:
+        return np.zeros(shape, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
 
 @dataclass
@@ -122,24 +145,27 @@ class _SequenceEntry:
 class KVCachePool:
     """Fixed-capacity packed KV arena with per-sequence contiguous runs.
 
-    One token-major K-plane array ``(T_cap, k_heads, d)`` and one V array
-    ``(T_cap, n_heads, d)`` back every sequence; the segment table maps a
-    sequence to its contiguous ``(offset, length)`` row run.  Appends
-    write rows in place; :meth:`view` serves zero-copy read-only
-    ``(H, t, d)`` transposed views, and :meth:`segments_of` hands the
-    fused kernel the raw segment table so it can compute on arena views
-    directly.  Freed runs return to a coalescing first-fit hole list.
+    One chunk-major K array of ``(n_heads, C, T_cap, d)`` digit planes
+    (``C = k_heads // n_heads``) and one token-major V array ``(T_cap,
+    n_heads, d)`` back every sequence; the segment table maps a sequence
+    to its contiguous ``(offset, length)`` run of token positions.
+    Appends write in place; :meth:`view` serves zero-copy read-only
+    ``(k_heads, t, d)`` / ``(n_heads, t, d)`` slices, and
+    :meth:`segments_of` hands the fused kernel the raw segment table so
+    it can compute on arena views directly.  Rows cross the pool's
+    boundary token-major — ``(n, k_heads, d)`` K rows, head ``h`` chunk
+    ``c`` at column ``h * C + c`` — and are converted on the way in and
+    out.  Freed runs return to a coalescing first-fit hole list.
 
     **Head slicing** (model parallelism): ``head_range=(h0, h1)`` makes
     the pool own only that contiguous slice of the model's heads — the
-    arenas are allocated at slice width, and the K plane carries the
-    matching ``[h0*C, h1*C)`` pseudo-head columns (``C = k_heads //
-    n_heads`` chunk planes per head).  The *input* surface stays
-    full-width: :meth:`append`/:meth:`append_rows`/:meth:`append_encoded`
-    accept full ``(k_heads, ...)``/``(n_heads, ...)`` tensors and slice
-    internally, so a shard group can feed every slice pool the same
-    encoded rows.  :meth:`view`, :attr:`k_arena`/:attr:`v_arena` and
-    :meth:`swap_out` return **slice-local** planes — a slice's swap
+    arenas are allocated at slice width, so the K planes are the full
+    pool's ``planes[h0:h1]``.  The *input* surface stays full-width:
+    :meth:`append`/:meth:`append_rows`/:meth:`append_encoded` accept full
+    ``(k_heads, ...)``/``(n_heads, ...)`` tensors and slice internally,
+    so a shard group can feed every slice pool the same encoded rows.
+    :meth:`view`, :attr:`k_arena`/:attr:`v_arena`, :meth:`read_rows` and
+    :meth:`swap_out` return **slice-local** data — a slice's swap
     segments are byte-exact for that slice and swap back in through the
     same pool unchanged.  ``head_range=None`` (the default) is the
     classic full-width pool, bit-for-bit.
@@ -161,15 +187,14 @@ class KVCachePool:
         k_dtype=np.float64,
         head_range: Optional[Tuple[int, int]] = None,
     ) -> None:
-        """``k_heads`` lets the K channel carry a different leading axis
-        than V — e.g. the engine stores chunk-plane-decomposed keys as
-        ``n_heads * n_chunks`` pseudo-heads while V keeps ``n_heads``.
-        ``k_dtype`` sets the K-channel storage width: the engine stores
-        *unshifted* chunk digits, which fit float32 exactly for practical
-        formats — halving the fused kernel's arena traffic.
-        ``head_range=(h0, h1)`` restricts storage to a head slice (see
-        class docstring); it requires ``k_heads`` divisible by
-        ``n_heads`` so the K pseudo-head columns split on head borders.
+        """``k_heads`` is the K rows' width: the engine stores each key as
+        its ``n_chunks`` chunk digits, ``k_heads = n_heads * n_chunks``
+        (it must be a multiple of ``n_heads``; the default is one plane
+        per head).  ``k_dtype`` sets the K-channel storage width: the
+        engine stores *unshifted* chunk digits, which fit float32
+        exactly for practical formats — halving the fused kernel's arena
+        traffic.  ``head_range=(h0, h1)`` restricts storage to a head
+        slice (see class docstring).
         """
         if n_heads < 1 or head_dim < 1:
             raise ValueError("n_heads and head_dim must be >= 1")
@@ -183,41 +208,37 @@ class KVCachePool:
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.k_heads = k_heads if k_heads is not None else n_heads
-        if self.k_heads < 1:
-            raise ValueError("k_heads must be >= 1")
-        if head_range is None:
-            self.head_range: Tuple[int, int] = (0, n_heads)
-            self._h_lo, self._h_hi = 0, n_heads
-            self._k_lo, self._k_hi = 0, self.k_heads
-        else:
-            h_lo, h_hi = int(head_range[0]), int(head_range[1])
-            if not 0 <= h_lo < h_hi <= n_heads:
-                raise ValueError(
-                    f"head_range must satisfy 0 <= lo < hi <= {n_heads}, "
-                    f"got {head_range}"
-                )
-            if self.k_heads % n_heads:
-                raise ValueError(
-                    f"head_range needs k_heads ({self.k_heads}) divisible "
-                    f"by n_heads ({n_heads})"
-                )
-            k_mult = self.k_heads // n_heads
-            self.head_range = (h_lo, h_hi)
-            self._h_lo, self._h_hi = h_lo, h_hi
-            self._k_lo, self._k_hi = h_lo * k_mult, h_hi * k_mult
-        self.local_n_heads = self._h_hi - self._h_lo
-        self.local_k_heads = self._k_hi - self._k_lo
+        if self.k_heads < 1 or self.k_heads % n_heads:
+            raise ValueError(
+                f"k_heads ({self.k_heads}) must be a positive multiple of "
+                f"n_heads ({n_heads})"
+            )
+        self.n_chunks = self.k_heads // n_heads
+        h_lo, h_hi = (0, n_heads) if head_range is None else map(int, head_range)
+        if not 0 <= h_lo < h_hi <= n_heads:
+            raise ValueError(
+                f"head_range must satisfy 0 <= lo < hi <= {n_heads}, "
+                f"got {head_range}"
+            )
+        self.head_range: Tuple[int, int] = (h_lo, h_hi)
+        self._h_lo, self._h_hi = h_lo, h_hi
+        self.local_n_heads = h_hi - h_lo
+        self.local_k_heads = self.local_n_heads * self.n_chunks
         self.block_size = block_size
         self.n_blocks = capacity_tokens // block_size
-        # token-major arena planes: row t is one token's (heads, d) slab,
-        # at slice width (== full width for an unsliced pool)
-        self._k = np.zeros(
-            (self.n_blocks * block_size, self.local_k_heads, head_dim),
-            dtype=k_dtype,
+        t_cap = self.n_blocks * block_size
+        # chunk-major K digit planes at slice width (== full width for an
+        # unsliced pool), plus a token-major view of the same memory for
+        # the row interface: ``_k_rows[t]`` is token t's (k_heads, d) row.
+        # It must stay a view (the head and chunk axes merge without a
+        # copy) so row writes land in the planes.
+        self._k = _lazy_zeros(
+            (self.local_n_heads, self.n_chunks, t_cap, head_dim), k_dtype
         )
-        self._v = np.zeros(
-            (self.n_blocks * block_size, self.local_n_heads, head_dim)
+        self._k_rows = self._k.transpose(2, 0, 1, 3).reshape(
+            t_cap, self.local_k_heads, head_dim
         )
+        self._v = np.zeros((t_cap, self.local_n_heads, head_dim))
         # hole list in block units, sorted by offset, coalesced.  A
         # zero-capacity pool (capacity_tokens == 0) is legal — an
         # always-full placeholder some capacity dashboards construct —
@@ -389,16 +410,16 @@ class KVCachePool:
                 )
         bs = self.block_size
         lo = old_off * bs
-        k_rows = self._k[lo:lo + entry.length].copy()
-        v_rows = self._v[lo:lo + entry.length].copy()
+        k_run = self._k[:, :, lo:lo + entry.length].copy()
+        v_run = self._v[lo:lo + entry.length].copy()
         self._release(old_off, old_cap)
         self.blocks_freed_total += old_cap
         new_off = self._alloc(needed_blocks)
         entry.offset_blocks = new_off
         entry.capacity_blocks = needed_blocks
         dst = new_off * bs
-        self._k[dst:dst + entry.length] = k_rows
-        self._v[dst:dst + entry.length] = v_rows
+        self._k[:, :, dst:dst + entry.length] = k_run
+        self._v[dst:dst + entry.length] = v_run
 
     # ------------------------------------------------------------- lifecycle
     def register(
@@ -449,8 +470,9 @@ class KVCachePool:
 
     @property
     def k_arena(self) -> np.ndarray:
-        """Token-major ``(T_cap, local_k_heads, d)`` K-plane storage
-        (slice-local; full ``k_heads`` width on an unsliced pool)."""
+        """Chunk-major ``(local_n_heads, n_chunks, T_cap, d)`` K digit
+        planes; each ``k_arena[h, c]`` is one C-contiguous ``(T_cap, d)``
+        plane (slice-local; all heads on an unsliced pool)."""
         return self._k
 
     @property
@@ -469,18 +491,28 @@ class KVCachePool:
         """Whether this pool owns only a head slice of the model."""
         return (self._h_lo, self._h_hi) != (0, self.n_heads)
 
+    def head_columns(self, k_rows: np.ndarray) -> np.ndarray:
+        """The columns of full-width ``(n, k_heads, d)`` K rows that this
+        pool stores, as ``(n, local_k_heads, d)`` — a view (writable
+        through) when ``k_rows`` is C-contiguous."""
+        n = k_rows.shape[0]
+        heads = k_rows.reshape(n, self.n_heads, self.n_chunks, self.head_dim)
+        return heads[:, self._h_lo:self._h_hi].reshape(
+            n, self.local_k_heads, self.head_dim
+        )
+
     def read_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Copy arbitrary arena rows out: ``(k_rows, v_rows)`` at the
-        pool's stored (slice-local) width.  The tier store uses this
-        instead of poking the raw arenas so composite pools can gather
-        across slices transparently."""
-        return self._k[rows].copy(), self._v[rows].copy()
+        """Copy arbitrary token rows out: token-major ``(k_rows,
+        v_rows)`` at the pool's stored (slice-local) width.  The tier
+        store uses this instead of poking the raw arenas so composite
+        pools can gather across slices transparently."""
+        return self._k_rows[rows].copy(), self._v[rows].copy()
 
     def write_rows(
         self, rows: np.ndarray, k_rows: np.ndarray, v_rows: np.ndarray
     ) -> None:
         """Scatter rows back into the arena (inverse of :meth:`read_rows`)."""
-        self._k[rows] = k_rows
+        self._k_rows[rows] = k_rows
         self._v[rows] = v_rows
 
     def append(self, seq_id: int, keys: np.ndarray, values: np.ndarray) -> None:
@@ -506,7 +538,9 @@ class KVCachePool:
         new_len = entry.length + n
         self._grow(entry, self.blocks_needed(new_len))
         pos = entry.offset_blocks * self.block_size + entry.length
-        self._k[pos:pos + n] = keys[self._k_lo:self._k_hi].transpose(1, 0, 2)
+        self._k[:, :, pos:pos + n] = keys.reshape(
+            self.n_heads, self.n_chunks, n, self.head_dim
+        )[self._h_lo:self._h_hi]
         self._v[pos:pos + n] = values[self._h_lo:self._h_hi].transpose(1, 0, 2)
         entry.length = new_len
 
@@ -515,8 +549,9 @@ class KVCachePool:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Claim ``n`` new token rows, returning writable arena views.
 
-        The caller fills the returned ``(n, k_heads, d)`` and
-        ``(n, n_heads, d)`` views in place — how prefill encodes prompt
+        The caller fills the returned token-major ``(n, k_heads, d)``
+        (a strided view into the digit planes) and ``(n, n_heads, d)``
+        views in place — how prefill encodes prompt
         tokens straight into the arena without staging copies.  Appends
         are incremental: chunked prefill calls this once per budgeted
         chunk of a partially-ingested sequence, and each call continues
@@ -534,7 +569,7 @@ class KVCachePool:
         self._grow(entry, self.blocks_needed(new_len))
         pos = entry.offset_blocks * self.block_size + entry.length
         entry.length = new_len
-        return self._k[pos:pos + n], self._v[pos:pos + n]
+        return self._k_rows[pos:pos + n], self._v[pos:pos + n]
 
     def append_encoded(
         self, seq_id: int, k_rows: np.ndarray, v_rows: np.ndarray
@@ -557,7 +592,7 @@ class KVCachePool:
                 f"{self.head_dim}), got {v_rows.shape}"
             )
         k_slots, v_slots = self.append_slots(seq_id, k_rows.shape[0])
-        k_slots[:] = k_rows[:, self._k_lo:self._k_hi]
+        k_slots[:] = self.head_columns(k_rows)
         v_slots[:] = v_rows[:, self._h_lo:self._h_hi]
 
     def append_rows(
@@ -590,7 +625,7 @@ class KVCachePool:
             [e.offset_blocks * self.block_size + e.length for e in entries],
             dtype=np.int64,
         )
-        self._k[rows] = k_rows[:, self._k_lo:self._k_hi]
+        self._k_rows[rows] = self.head_columns(k_rows)
         self._v[rows] = v_rows[:, self._h_lo:self._h_hi]
         for entry in entries:
             entry.length += 1
@@ -615,7 +650,7 @@ class KVCachePool:
         entry = self._entry(seq_id)
         lo = max(entry.offset_blocks, 0) * self.block_size
         swapped = SwappedSequence(
-            k_rows=self._k[lo:lo + entry.length].copy(),
+            k_rows=self._k_rows[lo:lo + entry.length].copy(),
             v_rows=self._v[lo:lo + entry.length].copy(),
             scales=entry.scales,
         )
@@ -653,27 +688,24 @@ class KVCachePool:
         self.swaps_in_total += 1
 
     def view(self, seq_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The sequence's logical (H, t, d) K and V tensors (read-only;
-        slice-local head planes on a head-sliced pool).
+        """The sequence's logical ``(k_heads, t, d)`` K and ``(n_heads,
+        t, d)`` V tensors (read-only; slice-local heads on a head-sliced
+        pool).
 
-        Zero-copy: both are transposed views of the sequence's arena run,
-        valid until the sequence is freed or relocated by growth beyond
-        its reservation.  The fused kernel prefers the raw token-major
-        arena (:attr:`k_arena` + :meth:`segments_of`); this view is the
-        per-sequence compatibility surface.
+        Zero-copy: K is the plain slice of the sequence's run in every
+        digit plane, V a transposed view, both valid until the sequence
+        is freed or relocated by growth beyond its reservation.  The
+        fused kernel reads the planes directly (:attr:`k_arena` +
+        :meth:`segments_of`); this view is the per-sequence
+        compatibility surface.
         """
         entry = self._entry(seq_id)
-        if entry.length == 0:
-            return (
-                np.zeros(
-                    (self.local_k_heads, 0, self.head_dim),
-                    dtype=self._k.dtype,
-                ),
-                np.zeros((self.local_n_heads, 0, self.head_dim)),
-            )
-        lo = entry.offset_blocks * self.block_size
-        k = self._k[lo:lo + entry.length].transpose(1, 0, 2)
-        v = self._v[lo:lo + entry.length].transpose(1, 0, 2)
+        lo = max(entry.offset_blocks, 0) * self.block_size
+        hi = lo + entry.length
+        k = self._k[:, :, lo:hi].reshape(
+            self.local_k_heads, entry.length, self.head_dim
+        )
+        v = self._v[lo:hi].transpose(1, 0, 2)
         k.flags.writeable = False
         v.flags.writeable = False
         return k, v

@@ -102,7 +102,7 @@ class TestStorage:
 
 class TestArena:
     def test_views_are_zero_copy_arena_slices(self):
-        """view() must alias the token-major arena, not copy it."""
+        """view() must alias the arena planes, not copy them."""
         rng = np.random.default_rng(0)
         pool = _pool()
         pool.register(0)
@@ -123,9 +123,7 @@ class TestArena:
         assert segs[1].tolist() == [16, 7]  # reservation sized the run
         off, length = pool.segment(1)
         k, _ = pool.view(1)
-        assert np.array_equal(
-            pool.k_arena[off:off + length].transpose(1, 0, 2), k
-        )
+        assert np.array_equal(pool.k_arena[:, 0, off:off + length], k)
 
     def test_append_rows_scatters_one_token_per_sequence(self):
         rng = np.random.default_rng(2)
@@ -207,6 +205,85 @@ class TestArena:
         pool.append(0, digits, np.zeros((2, 6, 4)))
         assert pool.k_arena.dtype == np.float32
         assert np.array_equal(pool.view(0)[0], digits)  # small ints exact
+
+
+class TestPlaneLayout:
+    """K is stored chunk-major: one C-contiguous (T_cap, d) plane per
+    (head, chunk), a head slice is a leading-axis slice of the planes,
+    and rows still cross the pool's boundary token-major."""
+
+    N_HEADS, N_CHUNKS, HEAD_DIM = 4, 3, 8
+
+    def _pools(self):
+        kw = dict(
+            n_heads=self.N_HEADS,
+            head_dim=self.HEAD_DIM,
+            capacity_tokens=64,
+            block_size=8,
+            k_heads=self.N_HEADS * self.N_CHUNKS,
+            k_dtype=np.float32,
+        )
+        return KVCachePool(**kw), KVCachePool(head_range=(1, 3), **kw)
+
+    def _fill(self, pool, rng_seed=0):
+        """Three append paths; returns the appended full-width rows."""
+        rng = np.random.default_rng(rng_seed)
+        k_heads, h, d = pool.k_heads, self.N_HEADS, self.HEAD_DIM
+
+        def digits(*shape):
+            return rng.integers(-8, 16, size=shape).astype(float)
+
+        pool.register(0, reserve_tokens=16)
+        k_a, v_a = digits(5, k_heads, d), rng.normal(size=(5, h, d))
+        pool.append_encoded(0, k_a, v_a)
+        k_b, v_b = digits(k_heads, 3, d), rng.normal(size=(h, 3, d))
+        pool.append(0, k_b, v_b)
+        k_c, v_c = digits(1, k_heads, d), rng.normal(size=(1, h, d))
+        pool.append_rows([0], k_c, v_c)
+        k_rows = np.concatenate([k_a, k_b.transpose(1, 0, 2), k_c])
+        v_rows = np.concatenate([v_a, v_b.transpose(1, 0, 2), v_c])
+        return k_rows, v_rows
+
+    def test_every_head_chunk_plane_is_contiguous(self):
+        for pool in self._pools():
+            local = pool.head_range[1] - pool.head_range[0]
+            assert pool.k_arena.shape == (
+                local, self.N_CHUNKS, pool.capacity_tokens, self.HEAD_DIM
+            )
+            for h in range(local):
+                for c in range(self.N_CHUNKS):
+                    plane = pool.k_arena[h, c]
+                    assert plane.shape == (pool.capacity_tokens, self.HEAD_DIM)
+                    assert plane.flags.c_contiguous
+
+    def test_head_slice_is_a_plane_slice_and_rows_stay_token_major(self):
+        full, sliced = self._pools()
+        k_rows, v_rows = self._fill(full)
+        self._fill(sliced)
+        assert np.array_equal(sliced.k_arena, full.k_arena[1:3])
+        n = len(k_rows)
+        k4 = k_rows.reshape(n, self.N_HEADS, self.N_CHUNKS, self.HEAD_DIM)
+        off, length = full.segment(0)
+        assert length == n
+        # plane (h, c) row t holds token t's digits k4[t, h, c]
+        assert np.array_equal(
+            full.k_arena[:, :, off:off + n], k4.transpose(1, 2, 0, 3)
+        )
+        rows = np.arange(off, off + n)
+        for pool, want_k, want_v in (
+            (full, k_rows, v_rows),
+            (sliced, k4[:, 1:3].reshape(n, -1, self.HEAD_DIM), v_rows[:, 1:3]),
+        ):
+            got_k, got_v = pool.read_rows(rows)
+            assert np.array_equal(got_k, want_k)
+            assert np.array_equal(got_v, want_v)
+            swapped = pool.swap_out(0)
+            assert np.array_equal(swapped.k_rows, want_k)
+            assert np.array_equal(swapped.v_rows, want_v)
+
+    def test_k_heads_must_be_a_multiple_of_n_heads(self):
+        with pytest.raises(ValueError, match="multiple"):
+            _pool(k_heads=3)
 
 
 class TestAccounting:

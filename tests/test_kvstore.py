@@ -210,16 +210,22 @@ class TestDemotePromoteBytes:
         store.note_append(7, 32, step=0)
         return store, pool
 
+    @staticmethod
+    def _k_rows(pool, rows):
+        """Token-major (n, H*C, d) K rows of the chunk-major arena."""
+        return pool.read_rows(np.asarray(rows))[0]
+
     def test_demote_scrubs_beyond_sketch_and_promote_restores(self):
         store, pool = self._store()
         offset, _ = pool.segment(7)
-        original_k = pool.k_arena[offset:offset + 32].copy()
+        run = np.arange(offset, offset + 32)
+        original_k = self._k_rows(pool, run)
         original_v = pool.v_arena[offset:offset + 32].copy()
         n = store.demote(7, [0, 1, 2, 5])
         assert n == 4
         assert store.demoted_count(7) == 4
         assert store.hot_tokens(7) == 28
-        rows = pool.k_arena[offset + np.array([0, 1, 2, 5])].reshape(
+        rows = self._k_rows(pool, offset + np.array([0, 1, 2, 5])).reshape(
             4, N_HEADS, CFG.quant.n_chunks, HEAD_DIM
         )
         # sketch chunks intact, the rest scrubbed; V gone
@@ -232,10 +238,10 @@ class TestDemotePromoteBytes:
         assert not rows[:, :, store.sketch_chunks:, :].any()
         assert not pool.v_arena[offset + np.array([0, 1, 2, 5])].any()
         # hot rows untouched
-        assert np.array_equal(pool.k_arena[offset + 3], original_k[3])
+        assert np.array_equal(self._k_rows(pool, [offset + 3]), original_k[3:4])
         # promotion restores the exact bytes
         assert store.promote(7, [0, 1, 2, 5]) == 4
-        assert np.array_equal(pool.k_arena[offset:offset + 32], original_k)
+        assert np.array_equal(self._k_rows(pool, run), original_k)
         assert np.array_equal(pool.v_arena[offset:offset + 32], original_v)
         # re-demotion reuses the immutable cold copy: no new slow write
         before = store.dram.slow_write_bytes
@@ -256,7 +262,7 @@ class TestDemotePromoteBytes:
     def test_swap_roundtrip_of_partially_demoted_sequence(self):
         store, pool = self._store()
         offset, _ = pool.segment(7)
-        original_k = pool.k_arena[offset:offset + 32].copy()
+        original_k = self._k_rows(pool, np.arange(offset, offset + 32))
         original_v = pool.v_arena[offset:offset + 32].copy()
         store.demote(7, np.arange(0, 16))
         swapped = store.on_swap_out(7, pool.swap_out(7))
@@ -269,12 +275,15 @@ class TestDemotePromoteBytes:
         offset, _ = pool.segment(7)
         # hot suffix restored exactly; demoted prefix scrubbed again
         assert np.array_equal(
-            pool.k_arena[offset + 16:offset + 32], original_k[16:]
+            self._k_rows(pool, np.arange(offset + 16, offset + 32)),
+            original_k[16:],
         )
         assert not pool.v_arena[offset:offset + 16].any()
         assert store.demoted_count(7) == 16
         assert store.promote(7, np.arange(0, 16)) == 16
-        assert np.array_equal(pool.k_arena[offset:offset + 32], original_k)
+        assert np.array_equal(
+            self._k_rows(pool, np.arange(offset, offset + 32)), original_k
+        )
         assert np.array_equal(pool.v_arena[offset:offset + 32], original_v)
 
 

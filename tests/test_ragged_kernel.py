@@ -51,12 +51,13 @@ def _oracle_scales(arrays, quant):
 
 
 def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
-    """Token-major packed arena (unshifted chunk digits + deq V) with dead
-    inter-segment gaps, as the serving pool lays sequences out."""
+    """Packed arena — chunk-major (H, C, T, d) unshifted digit planes +
+    token-major deq V — with dead inter-segment gaps, as the serving pool
+    lays sequences out."""
     n_seqs = len(keys)
     n_heads, _, head_dim = keys[0].shape
     cap = sum(int(k.shape[1]) for k in keys) + gap * (n_seqs + 1)
-    k_arena = np.zeros((cap, n_heads * quant.n_chunks, head_dim), dtype=dtype)
+    k_arena = np.zeros((n_heads, quant.n_chunks, cap, head_dim), dtype=dtype)
     v_arena = np.zeros((cap, n_heads, head_dim))
     segments = np.zeros((n_seqs, 2), dtype=np.int64)
     offset = gap
@@ -72,9 +73,7 @@ def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
         digits[..., 0] = np.where(
             first >= sign_threshold, first - wrap, first
         )
-        k_arena[offset:offset + t] = digits.transpose(1, 0, 3, 2).reshape(
-            t, n_heads * quant.n_chunks, head_dim
-        )
+        k_arena[:, :, offset:offset + t] = digits.transpose(0, 3, 1, 2)
         vsc = v_sc[s][:, None, None]
         v_arena[offset:offset + t] = (
             np.clip(np.rint(values[s] / vsc), quant.qmin, quant.qmax) * vsc
@@ -238,7 +237,7 @@ class TestBitIdenticalEquivalence:
             )
 
     def test_arena_path_matches_batched(self):
-        """The zero-copy packed-arena path (token-major digit planes +
+        """The zero-copy packed-arena path (chunk-major digit planes +
         segment table, dead gaps between slabs) must be bit-identical to
         independent batched calls — the serving engine's contract — in
         both digit storage widths."""
@@ -291,14 +290,20 @@ class TestBitIdenticalEquivalence:
         config = TokenPickerConfig()
         quant = config.quant
         qs = rng.normal(size=(1, 2, 8))
-        arena = np.zeros((32, 2 * quant.n_chunks, 8))
+        arena = np.zeros((2, quant.n_chunks, 32, 8))
         ones = np.ones((1, 2))
         segs = np.array([[0, 8]], dtype=np.int64)
-        with pytest.raises(ValueError, match="k_plane_arena must be"):
-            token_picker_attention_ragged(
-                qs, config, q_scales=ones, k_scales=ones,
-                k_plane_arena=arena[:, :-1], segments=segs,
-            )
+        for bad in (
+            arena[:, :-1],
+            # the token-major (T, H*C, d) layout is no longer accepted
+            np.zeros((32, 2 * quant.n_chunks, 8)),
+            np.zeros((32, 2, quant.n_chunks, 8)),
+        ):
+            with pytest.raises(ValueError, match="k_plane_arena must be"):
+                token_picker_attention_ragged(
+                    qs, config, q_scales=ones, k_scales=ones,
+                    k_plane_arena=bad, segments=segs,
+                )
         with pytest.raises(ValueError, match="v_arena must be"):
             token_picker_attention_ragged(
                 qs, config, q_scales=ones, k_scales=ones,
@@ -326,7 +331,7 @@ class TestBitIdenticalEquivalence:
                 q_scales=np.full((1, 2), 1e-8),
                 k_scales=np.full((1, 2), 1e-8),
                 k_plane_arena=np.zeros(
-                    (16, 2 * wide.n_chunks, 64), dtype=np.float32
+                    (2, wide.n_chunks, 16, 64), dtype=np.float32
                 ),
                 segments=np.array([[0, 8]], dtype=np.int64),
             )
@@ -400,6 +405,84 @@ class TestExactInFloatBoundary:
             )
 
 
+class TestFloat32ExactnessEdge:
+    """The float32 digit arena is exact only while every digit x query
+    partial sum stays below 2**24.  Query codes reach ``qmin = -2**(N-1)``,
+    so the bound is ``head_dim * (2**cb - 1) * 2**(N-1)``; with
+    ``QuantConfig(8, 4)`` the edge sits between head_dim 8738 (16,776,960)
+    and 8739."""
+
+    QUANT = QuantConfig(total_bits=8, chunk_bits=4)
+
+    def test_gate_counts_qmin_not_qmax(self):
+        """Regression: the gate bounded by ``qmax`` and admitted head_dim
+        8760 (8760 * 15 * 127 < 2**24), where chunk-1 digits of 15 against
+        q = -128 sum to -16,818,885 and float32 rounds it."""
+        from repro.serving import ServingEngine, synthetic_request
+
+        config = TokenPickerConfig(quant=self.QUANT)
+        engine = ServingEngine(config, capacity_tokens=64)
+        engine.submit(
+            synthetic_request(
+                np.random.default_rng(0), 1, 4, 8760, max_new_tokens=1
+            )
+        )
+        engine.run_until_drained()
+        assert engine.pool.k_dtype == np.float64
+        with pytest.raises(ValueError, match="float32"):
+            token_picker_attention_ragged(
+                np.full((1, 1, 8760), -128.0), config,
+                q_scales=np.ones((1, 1)), k_scales=np.ones((1, 1)),
+                k_plane_arena=np.full((1, 2, 4, 8760), 15, dtype=np.float32),
+                segments=np.array([[0, 4]], dtype=np.int64),
+            )
+        from repro.core.pruning import exact_digit_dtype
+
+        assert exact_digit_dtype(self.QUANT, 8738) is np.float32
+        assert exact_digit_dtype(self.QUANT, 8760) is np.float64
+
+    def test_float32_arena_matches_float64_at_the_edge(self):
+        """On the passing side of the edge, extreme digits against
+        extreme query codes give the same result through the float32 and
+        the float64 arena in every field (BLAS contraction both ways)."""
+        n_heads, n_chunks, t, head_dim = 2, self.QUANT.n_chunks, 12, 8738
+        rng = np.random.default_rng(0)
+        planes = np.empty((n_heads, n_chunks, t, head_dim))
+        planes[:, 0] = rng.integers(-8, 8, size=(n_heads, t, head_dim))
+        planes[:, 1] = rng.integers(0, 16, size=(n_heads, t, head_dim))
+        planes[:, 1, :4] = 15  # every refinement partial sum at the bound
+        planes[:, 0, 0] = -8
+        planes[:, 0, 1] = 7
+        # head 0 sits at qmin everywhere, head 1 at qmax
+        qs = np.stack([np.full(head_dim, -128.0), np.full(head_dim, 127.0)])
+        segments = np.array([[0, t]], dtype=np.int64)
+        config = TokenPickerConfig(threshold=2e-3, quant=self.QUANT)
+        v_arena = rng.normal(size=(t, n_heads, head_dim))
+        runs = [
+            token_picker_attention_ragged(
+                qs[None], config,
+                q_scales=np.ones((1, n_heads)),
+                k_scales=np.full((1, n_heads), 2e-6),
+                k_plane_arena=planes.astype(dtype),
+                segments=segments, v_arena=v_arena,
+            )
+            for dtype in (np.float32, np.float64)
+        ]
+        assert np.array_equal(runs[0].round_alive, runs[1].round_alive)
+        _assert_identical(runs[0].results[0], runs[1].results[0], "exact")
+        # the kept scores are the exact integer dot products, scaled
+        kept = runs[1].results[0].kept
+        exact = np.einsum(
+            "htd,hd->ht",
+            (planes[:, 0] * 16 + planes[:, 1]).astype(np.int64),
+            qs.astype(np.int64),
+        ) * (2e-6 / np.sqrt(head_dim))
+        assert kept.any()
+        assert np.allclose(
+            runs[0].results[0].scores[kept], exact[kept], rtol=1e-12
+        )
+
+
 class TestAggregates:
     def test_merged_stats_and_lengths(self):
         rng = np.random.default_rng(0)
@@ -429,7 +512,7 @@ class TestValidation:
             q_scales=np.ones((n_seqs, n_heads)),
             k_scales=np.ones((n_seqs, n_heads)),
             k_plane_arena=np.zeros(
-                (n_seqs * t, n_heads * quant.n_chunks, head_dim)
+                (n_heads, quant.n_chunks, n_seqs * t, head_dim)
             ),
             segments=np.array(
                 [[s * t, t] for s in range(n_seqs)], dtype=np.int64

@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Interleaved A/B pairs of the repo benchmark between two checkouts.
+
+    python3 tools/ab_pairs.py BASE_DIR CHANGE_DIR --workload NAME \\
+        [--seeds 0 1 2 ...] [extra run.py options, e.g. --seconds 8]
+
+For each seed, runs ``benchmarks/e2e/run.py`` once in each checkout (for
+example a ``git worktree`` of the parent and the working tree), swapping
+which side runs first every pair so slow drift of the machine hits both
+sides alike.  Then prints, per end-to-end metric of BASE_DIR's
+``BENCHMARK.json``, each side's median and quartiles and how many pairs
+the change won (ties count for neither side), plus whether the
+``output_digest`` matched in every pair.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout, workload, seed, extra):
+    cmd = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+           "--seed", str(seed), *extra]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                         check=True).stdout.strip().splitlines()
+    info, result = json.loads(out[-2])["info"], json.loads(out[-1])
+    metrics = {k: m["value"] for k, m in result["metrics"].items()}
+    return info["output_digest"], result["failed"], metrics
+
+
+def quartiles(values):
+    """``[q1, median, q3]``; a single run is all three."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
+    args, extra = parser.parse_known_args()
+    with open(os.path.join(args.base, "BENCHMARK.json")) as f:
+        spec = json.load(f)["end_to_end"]
+    runs = {"base": [], "change": []}
+    for i, seed in enumerate(args.seeds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), args.workload, seed, extra))
+        print(f"pair {i + 1}/{len(args.seeds)} (seed {seed}, {order[0]} first)",
+              file=sys.stderr)
+    same = sum(b[0] == c[0] for b, c in zip(runs["base"], runs["change"]))
+    failed = [sum(r[1] for r in runs[side]) for side in ("base", "change")]
+    print(f"{args.workload}: {len(args.seeds)} pairs, digest equal in {same}, "
+          f"failed operations base {failed[0]} / change {failed[1]}")
+    print(f"{'metric':22} {'base median [q1, q3]':>30} "
+          f"{'change median [q1, q3]':>30}  change won-tied-lost")
+    for entry in spec:
+        name, sign = entry["name"], (1 if entry["better"] == "higher" else -1)
+        base = [r[2][name] for r in runs["base"]]
+        change = [r[2][name] for r in runs["change"]]
+        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        ties = sum(c == b for b, c in zip(base, change))
+        cols = []
+        for values in (base, change):
+            q1, med, q3 = quartiles(values)
+            cols.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
+        print(f"{name:22} {cols[0]:>30} {cols[1]:>30}  "
+              f"{wins}-{ties}-{len(base) - wins - ties}")
+
+
+if __name__ == "__main__":
+    main()
