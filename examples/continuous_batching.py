@@ -29,6 +29,7 @@ from repro.core.session import TokenPickerSession
 from repro.eval.batching import measured_batch_point
 from repro.hw.serving import ServingSimulator, tokens_per_second
 from repro.model.config import get_model_config
+from repro.obs.trace import PHASE_ORDER
 from repro.serving import (
     GenerationRequest,
     ServingEngine,
@@ -101,11 +102,11 @@ def main() -> None:
 
     print("\n=== arena fast path: per-step phase breakdown ===")
     busy = [r for r in reports if r.batch_size]
-    for phase in ("pack", "score", "prune", "unpack"):
+    for phase in PHASE_ORDER:
         mean_ms = 1e3 * sum(
             r.phase_seconds.get(phase, 0.0) for r in busy
         ) / len(busy)
-        print(f"  {phase:<6} {mean_ms:6.3f} ms/step")
+        print(f"  {phase:<7} {mean_ms:6.3f} ms/step")
 
     print("\n=== fused step == looped sessions (bit-identical) ===")
     t0 = time.perf_counter()

@@ -250,26 +250,30 @@ def _run_serve_sim(args) -> str:
             f"(step {tiered.total_cycles})"
         )
     if getattr(args, "profile", False) and busy_steps:
-        total = sum(phase_totals.values())
+        from repro.obs.trace import PHASE_ORDER, SCORE_SUBPHASES
+
+        # shares of the top-level phases only: the score sub-phases are
+        # already inside "score"
+        total = sum(phase_totals.get(phase, 0.0) for phase in PHASE_ORDER)
         lines.append(
             f"  per-step phase breakdown over {busy_steps} decode steps "
             "(engine wall-clock):"
         )
-        for phase in ("pack", "score", "prune", "unpack"):
+        for phase in PHASE_ORDER:
             seconds = phase_totals.get(phase, 0.0)
             share = seconds / total if total else 0.0
             lines.append(
-                f"    {phase:<6} {1e3 * seconds / busy_steps:7.3f} ms/step "
+                f"    {phase:<7} {1e3 * seconds / busy_steps:7.3f} ms/step "
                 f"({share:5.1%})"
             )
             if phase == "score":
                 # inside the score phase: the one full-width chunk-0
                 # pass vs alive-set refinement
-                for sub in ("score_chunk0", "score_refine"):
+                for sub in SCORE_SUBPHASES:
                     if sub in phase_totals:
                         seconds = phase_totals[sub]
                         lines.append(
-                            f"      {sub[len('score_'):]:<7}"
+                            f"      {sub[len('score_'):]:<6}"
                             f"{1e3 * seconds / busy_steps:7.3f} ms/step"
                         )
     if getattr(args, "profile", False):

@@ -187,7 +187,9 @@ def signed_chunk_digit(
     carries the sign bit, so its digit is sign-extended to its signed
     value (Eq. 4); chunks 1.. are the raw non-negative digits.
     :func:`chunk_plane_values` builds its digits here; the serving
-    engine's arena encoder applies the same rule with in-place ufuncs.
+    engine's arena encoder gets the same digits without the unsigned
+    pattern, by arithmetic right shifts of the signed codes (the top
+    chunk arrives sign-extended, lower chunks are masked).
     """
     shift = config.total_bits - (c + 1) * config.chunk_bits
     digit = (pattern >> shift) & ((1 << config.chunk_bits) - 1)

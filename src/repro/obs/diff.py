@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.obs.analyze import analyze, load_events
+from repro.obs.trace import PHASE_ORDER, SCORE_SUBPHASES
 
 __all__ = [
     "DiffThresholds",
@@ -44,14 +45,7 @@ __all__ = [
 ]
 
 #: phases aggregated from the wall-clock ``phases`` track
-_WALL_PHASES = (
-    "pack",
-    "score",
-    "score_chunk0",
-    "score_refine",
-    "prune",
-    "unpack",
-)
+_WALL_PHASES = PHASE_ORDER + SCORE_SUBPHASES
 
 #: modelled-cycle fields aggregated from the dual-clock track
 _CYCLE_FIELDS = (

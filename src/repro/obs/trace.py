@@ -54,13 +54,18 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "NULL_TRACER",
+    "PHASE_ORDER",
+    "SCORE_SUBPHASES",
     "span_records_to_perfetto",
 ]
 
-#: layout order of an engine step's phase child spans (score sub-phases
-#: nest inside "score")
-_PHASE_ORDER = ("pack", "score", "prune", "unpack")
-_SCORE_SUBPHASES = ("score_chunk0", "score_refine")
+#: an engine step's top-level phases in execution order — the one list
+#: the trace layout, ``--profile`` shares and ``obs.diff`` use; they do
+#: not overlap, so they may be summed
+PHASE_ORDER = ("prefill", "pack", "score", "prune", "unpack")
+#: reported inside "score" (already counted in it: never add them to a
+#: phase total)
+SCORE_SUBPHASES = ("score_chunk0", "score_refine")
 
 
 @dataclass
@@ -330,8 +335,8 @@ class Tracer:
     ) -> None:
         """One engine step: an ``engine_step`` span on the ``steps``
         track plus its phase breakdown laid out sequentially on the
-        sibling ``phases`` track (pack → score → prune → unpack, with the
-        score sub-phases nested inside "score").  Phases are
+        sibling ``phases`` track (prefill → pack → score → prune →
+        unpack, with the score sub-phases nested inside "score").  Phases are
         *measured* durations placed end to end from the step's start —
         their sum can differ from the step's wall time by the unmeasured
         gaps between phases, so they live on their own track rather than
@@ -350,7 +355,7 @@ class Tracer:
         if not phase_seconds:
             return
         cursor = ts
-        for phase in _PHASE_ORDER:
+        for phase in PHASE_ORDER:
             seconds = phase_seconds.get(phase)
             if seconds is None:
                 continue
@@ -359,7 +364,7 @@ class Tracer:
             if phase == "score":
                 sub_cursor = cursor
                 score_end = cursor + seconds
-                for sub in _SCORE_SUBPHASES:
+                for sub in SCORE_SUBPHASES:
                     sub_seconds = phase_seconds.get(sub)
                     if sub_seconds is None:
                         continue

@@ -83,40 +83,41 @@ def _encode_kv_into(
     elementwise identical to what the kernel would re-derive from the
     raw floats at every later step, so storing them loses nothing and
     saves the per-step requantization of the whole cache.
+
+    The digits come straight from the signed codes, held in the
+    narrowest signed integer dtype that fits ``[qmin, qmax]`` (int16 for
+    the paper's 12-bit format): an arithmetic right shift of a
+    two's-complement code by ``N - cb`` *is* its sign-extended top chunk
+    (Eq. 4), and every lower chunk is the shifted code's low ``cb`` bits,
+    which a two's-complement code shares with its unsigned pattern — the
+    same digits :func:`~repro.core.quantization.signed_chunk_digit`
+    derives from :func:`~repro.core.quantization.to_unsigned`.  V is
+    quantize-dequantized in place in ``v_out`` (a float64 arena view or
+    staging array), in the same op order and so to the same bits as a
+    separate buffer.  Prefill encodes whole prompts through here, so
+    every full-width pass skipped is time-to-first-token saved.
     """
     n, n_heads, head_dim = keys.shape
-    # Reuse one buffer per stage: the quantize → pattern → per-chunk
-    # digit chain is elementwise, so in-place ufuncs (which keep the
-    # input's memory order — head-major for a prompt slice, matching the
-    # digit planes) give the same codes as any other formulation while
-    # skipping temporaries (prefill encodes whole prompts, so this is a
-    # measurable slice of time-to-first-token).
-    buf = np.divide(keys, k_scale[:, :, None])
-    np.rint(buf, out=buf)
-    np.clip(buf, quant.qmin, quant.qmax, out=buf)
-    pattern = buf.astype(np.int64)
-    np.bitwise_and(pattern, (1 << quant.total_bits) - 1, out=pattern)
+    # in-place ufuncs keep the input's memory order (head-major for a
+    # prompt slice, matching the digit planes)
+    code = np.divide(keys, k_scale[:, :, None])
+    np.rint(code, out=code)
+    np.clip(code, quant.qmin, quant.qmax, out=code)
+    code = code.astype(np.min_scalar_type(quant.qmin))
     k3 = k_out.reshape(n, n_heads, quant.n_chunks, head_dim)
     chunk_mask = (1 << quant.chunk_bits) - 1
-    digit = np.empty_like(pattern)
+    digit = np.empty_like(code)
     for c in range(quant.n_chunks):
         shift = quant.total_bits - (c + 1) * quant.chunk_bits
-        np.right_shift(pattern, shift, out=digit)
-        np.bitwise_and(digit, chunk_mask, out=digit)
-        if c == 0:
-            # sign-extend the sign-carrying chunk (same rule as
-            # signed_chunk_digit, Eq. 4)
-            wrap = 1 << quant.chunk_bits
-            np.subtract(
-                digit, wrap, out=digit, where=digit >= (wrap >> 1)
-            )
+        np.right_shift(code, shift, out=digit)
+        if c:
+            np.bitwise_and(digit, chunk_mask, out=digit)
         k3[:, :, c, :] = digit
     vsc = v_scale[:, :, None]
-    vbuf = np.divide(values, vsc)
-    np.rint(vbuf, out=vbuf)
-    np.clip(vbuf, quant.qmin, quant.qmax, out=vbuf)
-    vbuf *= vsc
-    v_out[:] = vbuf
+    np.divide(values, vsc, out=v_out)
+    np.rint(v_out, out=v_out)
+    np.clip(v_out, quant.qmin, quant.qmax, out=v_out)
+    v_out *= vsc
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,15 @@ class EngineStepReport:
     per_sequence: Dict[int, SequenceStepView] = field(default_factory=dict)
     results: Dict[int, BatchedPickerResult] = field(default_factory=dict)
     ragged_utilization: float = 1.0
-    #: wall-clock seconds by phase: "pack" (draw/encode/append), "score"
-    #: (partial-score table + bounds), "prune" (breadth rounds), "unpack"
-    #: (softmax/outputs/slicing + accounting) — the serve-sim ``--profile``
-    #: and benchmark breakdowns read this.  Inside "score" the kernel
-    #: also reports "score_chunk0" (the one full-width chunk-0 pass) and
-    #: "score_refine" (alive-set refinement rounds); "score" is their
-    #: sum plus the kernel's set-up.
+    #: wall-clock seconds by phase (:data:`repro.obs.trace.PHASE_ORDER`):
+    #: "prefill" (admission with its scale freeze, then this step's
+    #: prompt chunks encoded and appended), "pack" (draw/encode/append of
+    #: the decode tokens), "score" (partial-score table + bounds), "prune"
+    #: (breadth rounds), "unpack" (softmax/outputs/slicing + accounting)
+    #: — the serve-sim ``--profile`` and benchmark breakdowns read this.
+    #: Inside "score" the kernel also reports "score_chunk0" (the one
+    #: full-width chunk-0 pass) and "score_refine" (alive-set refinement
+    #: rounds); "score" is their sum plus the kernel's set-up.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: KV-tiering movement this step (zero on an untiered engine):
     #: tokens demoted / promoted, and sequences whose kernel call was
@@ -1336,6 +1339,9 @@ class ServingEngine:
         report = EngineStepReport(step_index=now)
         if self._preempted:
             self._resume_preempted(report)
+        # ---- prefill: admission (scale freeze) and this step's prompt
+        # chunks (encode + append)
+        t_mark = time.perf_counter()
         admitted = self.scheduler.admit(
             lambda r: self.pool is None
             or self.pool.can_fit(self._admission_tokens(r)),
@@ -1345,6 +1351,7 @@ class ServingEngine:
         )
         report.admitted = [r.request_id for r in admitted]
         self._run_prefill(report)
+        report.phase_seconds["prefill"] = time.perf_counter() - t_mark
 
         pooled = [e for e in self._active.values() if not e.prefilling]
         if pooled:

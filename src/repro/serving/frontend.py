@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_TRACER, PHASE_ORDER
 from repro.serving.engine import EngineStepReport, ServingEngine
 from repro.serving.request import (
     CompletedRequest,
@@ -558,7 +558,9 @@ class AsyncStreamingFrontend:
             seconds = self.backend.modelled_seconds(self.simulator, reports)
         else:
             seconds = sum(
-                sum(r.phase_seconds.values()) for _, r in reports
+                r.phase_seconds.get(phase, 0.0)
+                for _, r in reports
+                for phase in PHASE_ORDER
             )
         self.model_time_s += seconds
         tokens = 0

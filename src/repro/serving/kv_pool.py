@@ -85,7 +85,9 @@ def freeze_scales(
     qmax = quant.qmax
 
     def scale_of(x: np.ndarray) -> np.ndarray:
-        max_abs = np.abs(x).max(axis=(1, 2))
+        # max |x| from two reductions, without an |x| copy of the prompt;
+        # exact (negation is), and NaN / inf still propagate to the check
+        max_abs = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
         if not np.isfinite(max_abs).all():
             # a NaN maximum would otherwise fall through to scale 1.0
             raise ValueError("cannot freeze scales from non-finite prompt data")

@@ -39,9 +39,27 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "phase breakdown" in out
-        for phase in ("pack", "score", "prune", "unpack"):
+        for phase in ("prefill", "pack", "score", "prune", "unpack"):
             assert phase in out
         assert "ms/step" in out
+
+    def test_serve_sim_profile_shares_sum_to_100(self, capsys):
+        """The score sub-phases sit inside "score": counting them again
+        left the printed shares at ~80 %."""
+        code = main([
+            "serve-sim", "--batch-size", "4", "--n-requests", "6",
+            "--context-length", "48", "--max-new-tokens", "4",
+            "--prefill-budget", "16", "--profile",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        shares = [
+            float(line.rsplit("(", 1)[1].rstrip("%)"))
+            for line in out.splitlines()
+            if "ms/step (" in line
+        ]
+        assert len(shares) == 5
+        assert sum(shares) == pytest.approx(100.0, abs=0.5)
 
     def test_serve_sim_kv_tiering_profile(self, capsys):
         code = main([

@@ -451,6 +451,26 @@ class TestCalibration:
         with_q = freeze_scales(keys, values, quant, 1.25, queries=queries)
         assert np.all(with_q.q_scale >= scales.q_scale)
 
+    def test_freeze_scales_edge_heads_bit_exact(self):
+        """max |x| from the head's minimum, an all-zero head and a head
+        of -0.0 give exactly the |x|-copy reference scales (1.0 for the
+        zero heads)."""
+        rng = np.random.default_rng(8)
+        quant = QuantConfig()
+        keys = rng.normal(size=(4, 16, 4))
+        keys[0] = np.clip(keys[0], -2.0, 0.5)
+        keys[0, 3, 1] = -7.25  # max |x| sits at the minimum
+        keys[1] = 0.0
+        keys[2] = -0.0
+        values = -keys[::-1].copy()
+        scales = freeze_scales(keys, values, quant, safety_factor=1.25)
+        for x, got in ((keys, scales.k_scale), (values, scales.v_scale)):
+            max_abs = np.abs(x).max(axis=(1, 2))
+            expected = np.where(max_abs > 0, max_abs * 1.25 / quant.qmax, 1.0)
+            assert np.array_equal(got, expected)
+        assert scales.k_scale[0] == 7.25 * 1.25 / quant.qmax
+        assert scales.k_scale[1] == scales.k_scale[2] == 1.0
+
     @pytest.mark.parametrize("which", ["keys", "values", "queries"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_freeze_scales_rejects_non_finite_prompt(self, which, bad):

@@ -117,6 +117,7 @@ class TestTracer:
             dur=1.0,
             args={"step": 0, "tokens": 4},
             phase_seconds={
+                "prefill": 0.05,
                 "pack": 0.1,
                 "score": 0.5,
                 "score_chunk0": 0.3,
@@ -128,10 +129,10 @@ class TestTracer:
         spans = {e.name: e for e in tracer.events}
         assert spans["engine_step"].thread == "steps"
         phases = [e for e in tracer.events if e.thread == "phases"]
-        # pack -> score -> prune -> unpack laid out sequentially
+        # prefill -> pack -> score -> prune -> unpack laid out sequentially
         order = [e.name for e in sorted(phases, key=lambda e: (e.ts_s, -e.dur_s))]
-        assert order == ["pack", "score", "score_chunk0", "score_refine",
-                         "prune", "unpack"]
+        assert order == ["prefill", "pack", "score", "score_chunk0",
+                         "score_refine", "prune", "unpack"]
         score = spans["score"]
         for sub in ("score_chunk0", "score_refine"):
             assert spans[sub].ts_s >= score.ts_s - 1e-12

@@ -146,7 +146,8 @@ class TestLifecycle:
 
     def test_arena_fast_path_and_phase_breakdown(self):
         """Pooled decode runs on the float32 digit arena and every busy
-        step reports the pack/score/prune/unpack wall-clock split."""
+        step reports the prefill/pack/score/prune/unpack wall-clock
+        split."""
         rng = np.random.default_rng(12)
         engine = _engine()
         engine.submit(synthetic_request(rng, 2, 32, 16, max_new_tokens=3))
@@ -156,7 +157,7 @@ class TestLifecycle:
         assert busy
         for report in busy:
             assert set(report.phase_seconds) >= {
-                "pack", "score", "prune", "unpack"
+                "prefill", "pack", "score", "prune", "unpack"
             }
             assert all(v >= 0.0 for v in report.phase_seconds.values())
 

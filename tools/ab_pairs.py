@@ -7,10 +7,12 @@
 For each seed, runs ``benchmarks/e2e/run.py`` once in each checkout (for
 example a ``git worktree`` of the parent and the working tree), swapping
 which side runs first every pair so slow drift of the machine hits both
-sides alike.  Then prints, per end-to-end metric of BASE_DIR's
-``BENCHMARK.json``, each side's median and quartiles and how many pairs
-the change won (ties count for neither side), plus whether the
-``output_digest`` matched in every pair.  Standard library only.
+sides alike.  Then prints, per metric the runs printed (the end-to-end
+metrics, or the per-layer ones with ``--trace 1``), each side's median
+and quartiles and how many pairs the change won (ties count for neither
+side; the better direction comes from BASE_DIR's ``BENCHMARK.json``),
+plus whether the ``output_digest`` matched in every pair.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
     args, extra = parser.parse_known_args()
     with open(os.path.join(args.base, "BENCHMARK.json")) as f:
-        spec = json.load(f)["end_to_end"]
+        manifest = json.load(f)
     runs = {"base": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -58,10 +60,13 @@ def main():
     failed = [sum(r[1] for r in runs[side]) for side in ("base", "change")]
     print(f"{args.workload}: {len(args.seeds)} pairs, digest equal in {same}, "
           f"failed operations base {failed[0]} / change {failed[1]}")
-    print(f"{'metric':22} {'base median [q1, q3]':>30} "
+    print(f"{'metric':32} {'base median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30}  change won-tied-lost")
-    for entry in spec:
+    every_run = runs["base"] + runs["change"]
+    for entry in manifest["end_to_end"] + manifest["per_layer"]:
         name, sign = entry["name"], (1 if entry["better"] == "higher" else -1)
+        if not all(name in r[2] for r in every_run):
+            continue
         base = [r[2][name] for r in runs["base"]]
         change = [r[2][name] for r in runs["change"]]
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
@@ -70,7 +75,7 @@ def main():
         for values in (base, change):
             q1, med, q3 = quartiles(values)
             cols.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
-        print(f"{name:22} {cols[0]:>30} {cols[1]:>30}  "
+        print(f"{name:32} {cols[0]:>30} {cols[1]:>30}  "
               f"{wins}-{ties}-{len(base) - wins - ties}")
 
 
