@@ -122,7 +122,7 @@ def main() -> None:
         "traffic."
     )
     print(
-        "cluster composition: tokenpicker serve-cluster --replicas 2 "
+        "cluster composition: tokenpicker serve --replicas 2 "
         "--shards 2 --profile"
     )
 

@@ -2,7 +2,8 @@
 
 Demonstrates the `repro.serving.frontend` + `repro.cluster.faults` layers:
 
-1. an :class:`AsyncStreamingFrontend` wraps a serving engine behind an
+1. an :class:`AsyncStreamingFrontend` puts a one-replica
+   :class:`ClusterRouter` (bit for bit a bare serving engine) behind an
    asyncio API — requests are admitted continuously and every generated
    token is pushed to its caller as a :class:`TokenEvent` the step it is
    produced;
@@ -32,7 +33,6 @@ from repro.model.config import get_model_config
 from repro.serving import (
     AsyncStreamingFrontend,
     RequestState,
-    ServingEngine,
     SLOConfig,
     ShedError,
 )
@@ -42,11 +42,11 @@ N_HEADS, HEAD_DIM = 4, 64
 CONFIG = TokenPickerConfig(threshold=2e-3)
 
 
-def _engine(**kw) -> ServingEngine:
+def _router(**kw) -> ClusterRouter:
     kw.setdefault("max_batch_size", 4)
     kw.setdefault("capacity_tokens", 4096)
     kw.setdefault("seed", 0)
-    return ServingEngine(CONFIG, **kw)
+    return ClusterRouter(1, CONFIG, admission="conservative", **kw)
 
 
 async def streaming_demo() -> None:
@@ -56,7 +56,7 @@ async def streaming_demo() -> None:
         rng, n_heads=N_HEADS, head_dim=HEAD_DIM,
         n_requests=6, prompt_tokens=32, max_new_tokens=12,
     )
-    async with AsyncStreamingFrontend(_engine()) as frontend:
+    async with AsyncStreamingFrontend(_router()) as frontend:
         streams = [await frontend.submit(req) for _, req in trace[:4]]
         # one request with a (generous) deadline, one doomed to cancel
         deadline = await frontend.submit(trace[4][1], deadline_ms=60_000)
@@ -84,8 +84,9 @@ async def overload_demo() -> None:
         get_model_config("gpt2-medium"), context_length=96, config=CONFIG
     )
     slo = SLOConfig(p95_inter_token_ms=1.5, window_steps=4)
+    # the router owns the hardware model the controller prices steps with
     frontend = AsyncStreamingFrontend(
-        _engine(max_batch_size=2), slo=slo, simulator=simulator
+        _router(max_batch_size=2, cycle_sim=simulator), slo=slo
     )
     trace = sustained_overload_trace(
         rng, n_heads=N_HEADS, head_dim=HEAD_DIM,

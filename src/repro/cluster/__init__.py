@@ -17,7 +17,7 @@ instead of a constant:
 * :mod:`~repro.cluster.metrics` — a dependency-free counter / gauge /
   histogram registry with streaming percentiles, recording TTFT,
   per-token latency, queue depth, preemptions and arena occupancy per
-  replica (``tokenpicker serve-cluster --profile`` prints it).
+  replica (``tokenpicker serve --profile`` prints it).
 * :mod:`~repro.cluster.shard` — head-sharded model parallelism inside a
   replica: :class:`~repro.cluster.shard.ShardedKVPool` slices the KV
   arena head-wise across K modelled workers and

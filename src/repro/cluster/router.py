@@ -38,6 +38,7 @@ from repro.serving.engine import (
     ServingEngine,
 )
 from repro.serving.request import (
+    CompletedRequest,
     GenerationRequest,
     RequestState,
     synthetic_request,
@@ -101,12 +102,15 @@ class ClusterRouter:
         many tokens of work, decode first and the leftover on prompt
         chunks (``None``: monolithic prefill).
 
-        ``cycle_sim`` (a :class:`repro.hw.serving.ServingSimulator`)
-        enables the dual-clock trace: every replica prices its sampled
-        step spans on the modelled hardware (``price``), and the router
-        adds a cluster-level ``modelled_step`` span (the
-        :class:`~repro.hw.serving.FleetCost` straggler's cycles — the
-        synchronous-tick latency) on the ``cluster``/``cycles`` track.
+        ``cycle_sim`` (a :class:`repro.hw.serving.ServingSimulator`) is
+        the stack's one hardware model, handed to every replica the
+        router builds.  It enables the dual-clock trace: every replica
+        prices its sampled step spans on the modelled hardware
+        (``price``), and the router adds a cluster-level
+        ``modelled_step`` span (the :class:`~repro.hw.serving.FleetCost`
+        straggler's cycles — the synchronous-tick latency) on the
+        ``cluster``/``cycles`` track.  The streaming frontend prices its
+        SLO windows with it too.
 
         ``shards`` > 1 runs every replica head-sharded across that many
         modelled tensor-parallel workers (see
@@ -457,17 +461,49 @@ class ClusterRouter:
         self.metrics.counter("fault_reprefills", replica=rid).inc()
         return rid, request_id, "re_prefill"
 
+    # ------------------------------------------------------- request control
+    def _stepped(self) -> List[Tuple[int, ServingEngine]]:
+        """``(replica_id, engine)`` of every replica :meth:`step` steps:
+        live and draining alike (a draining replica still decodes its
+        active sequences); only dead ones are skipped."""
+        return [
+            (rid, engine)
+            for rid, engine in enumerate(self.replicas)
+            if rid not in self._dead
+        ]
+
+    def expire_deadlines(
+        self, now: Optional[float] = None
+    ) -> List[Tuple[int, CompletedRequest]]:
+        """Time out every overdue request on every stepped replica (see
+        :meth:`ServingEngine.expire_deadlines`); returns
+        ``(replica_id, CompletedRequest)`` pairs."""
+        return [
+            (rid, done)
+            for rid, engine in self._stepped()
+            for done in engine.expire_deadlines(now)
+        ]
+
+    def cancel(self, replica_id: int, request_id: int) -> CompletedRequest:
+        """Abort one request mid-flight, freeing its KV on its replica."""
+        return self.replicas[replica_id].cancel(request_id)
+
+    def set_threshold(self, threshold: float) -> None:
+        """Install a keep threshold on every stepped replica (the
+        overload controller's degradation actuator)."""
+        for _, engine in self._stepped():
+            engine.set_threshold(threshold)
+
     # ----------------------------------------------------------------- steps
     def step(self) -> ClusterStepReport:
-        """Step every live replica once and record its telemetry.
+        """Step every live or draining replica once and record its
+        telemetry.
 
         Dead replicas are skipped entirely (no step, no report entry) —
         their in-flight state was harvested at kill time."""
         report = ClusterStepReport(step_index=self._step_index)
         t_step0 = time.perf_counter() if self.tracer else 0.0
-        for rid, engine in enumerate(self.replicas):
-            if rid in self._dead:
-                continue
+        for rid, engine in self._stepped():
             engine_report = engine.step()
             # the engine measured its own wall time (EngineStepReport.
             # wall_seconds) — adopting it here means the step-latency
@@ -579,8 +615,7 @@ class ClusterRouter:
     def busy(self) -> bool:
         return any(
             e.n_pending or e.n_active or e.n_preempted
-            for rid, e in enumerate(self.replicas)
-            if rid not in self._dead
+            for _, e in self._stepped()
         )
 
     def run_until_drained(

@@ -9,12 +9,13 @@ hot path keeps its plain attribute counters (zero registry cost per
 step); this exporter is the read side, called once when a profile,
 snapshot or Prometheus scrape wants the numbers.
 
-:func:`render_profile` renders the profile block the three serve
-subcommands used to assemble from copy-pasted helpers, computed from the
-exported registry — one source for ``serve-sim``, ``serve-cluster`` and
-``serve-frontend`` alike (and, via
-:meth:`~repro.cluster.metrics.MetricsRegistry.render_prometheus`, for a
-text exposition of the same numbers).
+:func:`render_profile` renders one engine's profile block from the
+exported registry (and, via
+:meth:`~repro.cluster.metrics.MetricsRegistry.render_prometheus`, a text
+exposition of the same numbers); :func:`render_fleet_profile` is the
+``tokenpicker serve --profile`` block for a whole router run — the
+per-step phase breakdown, then every replica's engine block and latency
+percentiles.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cluster.metrics import MetricsRegistry
+from repro.obs.trace import PHASE_ORDER, SCORE_SUBPHASES
 
-__all__ = ["export_engine_metrics", "render_profile"]
+__all__ = ["export_engine_metrics", "render_fleet_profile", "render_profile"]
 
 
 def export_engine_metrics(
@@ -196,4 +198,65 @@ def render_profile(
             f"{int(_value(registry, 'prefix_resident_tokens'))} tokens "
             "resident"
         )
+    return lines
+
+
+def _phase_lines(reports) -> List[str]:
+    """Mean wall-clock ms per busy replica step of each top-level engine
+    phase (their shares sum to 100 %), with score's chunk-0 / refine
+    split nested under it."""
+    totals: dict = {}
+    busy = 0
+    for step in reports:
+        for report in step.per_replica.values():
+            if report.batch_size:
+                busy += 1
+                for phase, seconds in report.phase_seconds.items():
+                    totals[phase] = totals.get(phase, 0.0) + seconds
+    if not busy:
+        return []
+    total = sum(totals.get(phase, 0.0) for phase in PHASE_ORDER)
+    lines = [
+        f"  per-step phase breakdown over {busy} busy replica steps "
+        "(engine wall-clock):"
+    ]
+    for phase in PHASE_ORDER:
+        seconds = totals.get(phase, 0.0)
+        lines.append(
+            f"    {phase:<7} {1e3 * seconds / busy:7.3f} ms/step "
+            f"({seconds / total if total else 0.0:5.1%})"
+        )
+        if phase == "score":
+            lines.extend(
+                f"      {sub[len('score_'):]:<6}"
+                f"{1e3 * totals[sub] / busy:7.3f} ms/step"
+                for sub in SCORE_SUBPHASES
+                if sub in totals
+            )
+    return lines
+
+
+def render_fleet_profile(router, reports) -> List[str]:
+    """The ``--profile`` lines for a :class:`~repro.cluster.router.
+    ClusterRouter` run from its step ``reports``: the phase breakdown,
+    then per replica its :func:`render_profile` block and wall-clock
+    TTFT / queue-wait / prefill / token-latency percentiles from the
+    router's registry."""
+    lines = _phase_lines(reports)
+    for rid, engine in enumerate(router.replicas):
+        lines.append(f"  replica {rid}:")
+        lines.extend("  " + line for line in render_profile(engine))
+        for name, label in (
+            ("ttft_seconds", "TTFT"),
+            ("queue_wait_seconds", "queue wait"),
+            ("prefill_seconds", "prefill"),
+            ("token_latency_seconds", "token latency"),
+        ):
+            s = router.metrics.histogram(name, replica=rid).summary()
+            if s["count"]:
+                lines.append(
+                    f"    {label:<13} p50 {1e3 * s['p50']:8.3f} ms  "
+                    f"p95 {1e3 * s['p95']:8.3f} ms  "
+                    f"p99 {1e3 * s['p99']:8.3f} ms  (n={s['count']})"
+                )
     return lines

@@ -169,7 +169,7 @@ class EngineStepReport:
     #: prompt chunks encoded and appended), "pack" (draw/encode/append of
     #: the decode tokens), "score" (partial-score table + bounds), "prune"
     #: (breadth rounds), "unpack" (softmax/outputs/slicing + accounting)
-    #: — the serve-sim ``--profile`` and benchmark breakdowns read this.
+    #: — the ``tokenpicker serve --profile`` and benchmark breakdowns read this.
     #: Inside "score" the kernel also reports "score_chunk0" (the one
     #: full-width chunk-0 pass) and "score_refine" (alive-set refinement
     #: rounds); "score" is their sum plus the kernel's set-up.

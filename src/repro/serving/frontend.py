@@ -1,9 +1,9 @@
 """Async streaming frontend: admission, deadlines, SLO-aware overload control.
 
-The engine (:class:`~repro.serving.engine.ServingEngine`) is a
+The serving stack — a :class:`~repro.cluster.router.ClusterRouter` of
+one or more :class:`~repro.serving.engine.ServingEngine` replicas — is a
 synchronous step loop; real serving is not.  This module puts an
-``asyncio`` event-driven layer in front of it (or in front of a
-:class:`~repro.cluster.router.ClusterRouter`):
+``asyncio`` event-driven layer in front of the router:
 
 * :meth:`AsyncStreamingFrontend.submit` accepts requests continuously
   and returns a :class:`RequestStream` — an async iterator that yields
@@ -34,13 +34,11 @@ and replayable; only the asyncio interleaving is wall-clock.
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, PHASE_ORDER
-from repro.serving.engine import EngineStepReport, ServingEngine
+from repro.obs.trace import PHASE_ORDER
 from repro.serving.request import (
     CompletedRequest,
     GenerationRequest,
@@ -230,8 +228,9 @@ class TokenEvent:
     step_index: int
     context_length: int
     kept_tokens: int
-    #: modelled seconds of the engine step that produced the token
-    #: (0.0 when the frontend has no cost model attached)
+    #: modelled seconds of the fleet step that produced the token (the
+    #: engines' measured phase seconds when the router has no
+    #: ``cycle_sim``)
     step_seconds: float = 0.0
 
 
@@ -246,11 +245,11 @@ class RequestStream:
     """
 
     def __init__(
-        self, frontend: "AsyncStreamingFrontend", key, request_id: int
+        self, frontend: "AsyncStreamingFrontend", key: Tuple[int, int]
     ) -> None:
         self._frontend = frontend
-        self._key = key
-        self.request_id = request_id
+        self._key = key  # (replica, request_id)
+        self.request_id = key[1]
         self.result: Optional[CompletedRequest] = None
         self._queue: asyncio.Queue = asyncio.Queue()
 
@@ -294,120 +293,23 @@ class RequestStream:
         self._queue.put_nowait(("end", done))
 
 
-class _EngineBackend:
-    """Single-engine backend: stream keys are plain request ids."""
-
-    def __init__(self, engine: ServingEngine) -> None:
-        self.engine = engine
-
-    @property
-    def busy(self) -> bool:
-        return (
-            self.engine.n_pending
-            + self.engine.n_active
-            + self.engine.n_preempted
-        ) > 0
-
-    @property
-    def base_threshold(self) -> float:
-        return self.engine.config.threshold
-
-    def submit(self, request: GenerationRequest):
-        return self.engine.submit(request)
-
-    def expire(self, now: Optional[float]):
-        return [
-            (done.request_id, done)
-            for done in self.engine.expire_deadlines(now)
-        ]
-
-    def cancel(self, key) -> CompletedRequest:
-        return self.engine.cancel(key)
-
-    def set_threshold(self, threshold: float) -> None:
-        self.engine.set_threshold(threshold)
-
-    def note_degrade_level(self, level: int) -> None:
-        pass  # one engine: no placement to bias
-
-    def step(self) -> List[Tuple[object, EngineStepReport]]:
-        return [(None, self.engine.step())]
-
-    def stream_key(self, replica, request_id: int):
-        return request_id
-
-    def modelled_seconds(self, simulator, reports) -> float:
-        return simulator.price(reports[0][1]).seconds
-
-
-class _ClusterBackend:
-    """Cluster backend: stream keys are ``(replica, request_id)``."""
-
-    def __init__(self, router) -> None:
-        self.router = router
-
-    @property
-    def busy(self) -> bool:
-        return self.router.busy
-
-    @property
-    def base_threshold(self) -> float:
-        return self.router.replicas[0].config.threshold
-
-    def _live_engines(self):
-        for rid, engine in enumerate(self.router.replicas):
-            if self.router.replica_status(rid) == "live":
-                yield rid, engine
-
-    def submit(self, request: GenerationRequest):
-        return self.router.submit(request)  # (rid, request_id)
-
-    def expire(self, now: Optional[float]):
-        out = []
-        for rid, engine in self._live_engines():
-            for done in engine.expire_deadlines(now):
-                out.append(((rid, done.request_id), done))
-        return out
-
-    def cancel(self, key) -> CompletedRequest:
-        rid, request_id = key
-        return self.router.replicas[rid].cancel(request_id)
-
-    def set_threshold(self, threshold: float) -> None:
-        for _, engine in self._live_engines():
-            engine.set_threshold(threshold)
-
-    def note_degrade_level(self, level: int) -> None:
-        # degraded replicas prune harder, so the router should treat
-        # them as higher-capacity when placing new requests
-        self.router.note_degrade_level(level)
-
-    def step(self) -> List[Tuple[object, EngineStepReport]]:
-        report = self.router.step()
-        return sorted(report.per_replica.items())
-
-    def stream_key(self, replica, request_id: int):
-        return (replica, request_id)
-
-    def modelled_seconds(self, simulator, reports) -> float:
-        return simulator.price_fleet([r for _, r in reports]).seconds
-
-
 class AsyncStreamingFrontend:
-    """Event-driven serving loop over an engine or a cluster router.
+    """Event-driven serving loop over a cluster router.
 
-    ``target`` is a :class:`ServingEngine` or a
-    :class:`~repro.cluster.router.ClusterRouter` (detected by its
-    ``replicas`` attribute).  Passing an :class:`SLOConfig` arms the
-    overload controller; passing a
-    :class:`~repro.hw.serving.ServingSimulator` gives the controller a
-    deterministic modelled cost per step (otherwise it observes the
-    engine's measured wall-clock phase seconds — fine interactively,
-    not replayable).  ``clock`` overrides the deadline clock for tests.
+    ``router`` is a :class:`~repro.cluster.router.ClusterRouter` (one
+    replica serves like a bare engine, bit for bit), held as
+    :attr:`backend`; stream keys are its ``(replica, request_id)``
+    placements.  Passing an :class:`SLOConfig` arms the overload
+    controller.  The controller prices each step with the router's
+    ``cycle_sim`` (a :class:`~repro.hw.serving.ServingSimulator`: a
+    deterministic modelled fleet cost, 0 s for an idle tick); without
+    one it observes the engines' measured wall-clock phase seconds —
+    fine interactively, not replayable.  Control marks go to the
+    router's tracer.  ``clock`` overrides the deadline clock for tests.
 
     Use as::
 
-        frontend = AsyncStreamingFrontend(engine, slo=SLOConfig())
+        frontend = AsyncStreamingFrontend(router, slo=SLOConfig())
         async with frontend:                # starts the step loop
             stream = await frontend.submit(request, deadline_ms=500)
             async for event in stream: ...
@@ -416,44 +318,26 @@ class AsyncStreamingFrontend:
 
     def __init__(
         self,
-        target,
+        router,
         *,
         slo: Optional[SLOConfig] = None,
-        simulator=None,
         registry: Optional[MetricsRegistry] = None,
         clock: Optional[Callable[[], float]] = None,
-        tracer=None,
     ) -> None:
-        self.backend = (
-            _ClusterBackend(target)
-            if hasattr(target, "replicas")
-            else _EngineBackend(target)
-        )
+        # submit/step are looked up on the instance every call, so a
+        # caller may wrap them there to observe placements and reports
+        self.backend = router
         self.registry = registry if registry is not None else MetricsRegistry()
-        # admission-control marks ("shed", overload windows) trace under
-        # the "frontend" process; request/step spans come from the target
-        # engine or router, which carries its own tracer reference
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.simulator = simulator
-        # the frontend already owns a hardware model for SLO pricing —
-        # when the target traces but has no cycle model of its own,
-        # reuse it so step spans carry the dual-clock ``cycles`` track
-        if (
-            simulator is not None
-            and getattr(target, "tracer", None)
-            and getattr(target, "cycle_sim", None) is None
-        ):
-            target.cycle_sim = simulator
         self.clock = clock
         self.controller = (
             OverloadController(
-                self.backend.base_threshold, slo, registry=self.registry
+                router.replicas[0].config.threshold, slo, registry=self.registry
             )
             if slo is not None
             else None
         )
-        self._streams: Dict[object, RequestStream] = {}
-        self._token_counts: Dict[object, int] = {}
+        self._streams: Dict[Tuple[int, int], RequestStream] = {}
+        self._token_counts: Dict[Tuple[int, int], int] = {}
         self._wake = asyncio.Event()
         self._closed = False
         self._task: Optional[asyncio.Task] = None
@@ -504,8 +388,9 @@ class AsyncStreamingFrontend:
             raise RuntimeError("frontend is closed")
         if self.controller is not None and not self.controller.admit():
             self.registry.counter("requests_shed").inc()
-            if self.tracer:
-                self.tracer.instant(
+            tracer = self.backend.tracer
+            if tracer:
+                tracer.instant(
                     "frontend",
                     "control",
                     "shed",
@@ -518,25 +403,19 @@ class AsyncStreamingFrontend:
             raise ShedError(self.controller.slo.retry_after_steps)
         if deadline_ms is not None:
             request.deadline_ms = deadline_ms
-        placed = self.backend.submit(request)
-        if isinstance(placed, tuple):
-            key = self.backend.stream_key(placed[0], placed[1])
-            request_id = placed[1]
-        else:
-            key = self.backend.stream_key(None, placed)
-            request_id = placed
-        stream = RequestStream(self, key, request_id)
+        key = self.backend.submit(request)
+        stream = RequestStream(self, key)
         self._streams[key] = stream
         self._token_counts[key] = 0
         self._wake.set()
         return stream
 
-    def _cancel(self, key) -> None:
-        done = self.backend.cancel(key)
+    def _cancel(self, key: Tuple[int, int]) -> None:
+        done = self.backend.cancel(*key)
         self.registry.counter("requests_cancelled").inc()
         self._finish(key, done)
 
-    def _finish(self, key, done: CompletedRequest) -> None:
+    def _finish(self, key: Tuple[int, int], done: CompletedRequest) -> None:
         stream = self._streams.pop(key, None)
         self._token_counts.pop(key, None)
         if stream is not None:
@@ -546,29 +425,37 @@ class AsyncStreamingFrontend:
     def _now(self) -> Optional[float]:
         return self.clock() if self.clock is not None else None
 
-    def _step_once(self) -> None:
-        """One synchronous frontend tick: expire, step, stream, control."""
-        for key, done in self.backend.expire(self._now()):
-            self.registry.counter("requests_timed_out").inc()
-            self._finish(key, done)
-        reports = self.backend.step()
-        self.steps_run += 1
-        seconds = 0.0
-        if self.simulator is not None:
-            seconds = self.backend.modelled_seconds(self.simulator, reports)
-        else:
-            seconds = sum(
+    def _seconds(self, reports) -> float:
+        """The step's cost as the controller sees it: the modelled fleet
+        step when the router holds a hardware model (an idle tick — every
+        request expired or cancelled — costs 0 s), else measured
+        wall-clock phase seconds."""
+        sim = self.backend.cycle_sim
+        if sim is None:
+            return sum(
                 r.phase_seconds.get(phase, 0.0)
-                for _, r in reports
+                for r in reports
                 for phase in PHASE_ORDER
             )
+        if not any(r.per_sequence or r.prefill_bits for r in reports):
+            return 0.0
+        return sim.price_fleet(reports).seconds
+
+    def _step_once(self) -> None:
+        """One synchronous frontend tick: expire, step, stream, control."""
+        for replica, done in self.backend.expire_deadlines(self._now()):
+            self.registry.counter("requests_timed_out").inc()
+            self._finish((replica, done.request_id), done)
+        per_replica = self.backend.step().per_replica
+        self.steps_run += 1
+        seconds = self._seconds(per_replica.values())
         self.model_time_s += seconds
         tokens = 0
-        for replica, report in reports:
+        for replica, report in per_replica.items():
             for view in report.per_sequence.values():
                 if view.request_id is None:
                     continue
-                key = self.backend.stream_key(replica, view.request_id)
+                key = (replica, view.request_id)
                 stream = self._streams.get(key)
                 if stream is None:
                     continue
@@ -587,14 +474,14 @@ class AsyncStreamingFrontend:
                 )
                 self.registry.counter("requests_streamed").inc()
             for done in report.retired:
-                key = self.backend.stream_key(replica, done.request_id)
-                self._finish(key, done)
+                self._finish((replica, done.request_id), done)
         if self.controller is not None:
             sample = self.controller.observe_step(
                 self.steps_run, seconds, tokens=tokens
             )
-            if sample is not None and self.tracer:
-                self.tracer.instant(
+            tracer = self.backend.tracer
+            if sample is not None and tracer:
+                tracer.instant(
                     "frontend",
                     "control",
                     "overload_window",
@@ -607,6 +494,8 @@ class AsyncStreamingFrontend:
                     },
                 )
             self.backend.set_threshold(self.controller.threshold)
+            # degraded replicas prune harder, so the router treats them
+            # as higher-capacity when placing new requests
             self.backend.note_degrade_level(self.controller.level)
 
     async def _run(self) -> None:
@@ -628,8 +517,3 @@ class AsyncStreamingFrontend:
             stream = self._streams.pop(key)
             if stream.result is None and stream._queue.empty():
                 stream._queue.put_nowait(("end", None))
-
-
-def run_frontend(coro):
-    """Tiny helper: run an async frontend scenario from sync code."""
-    return asyncio.run(coro)

@@ -20,20 +20,23 @@ class TestCLI:
         assert "dominant" in capsys.readouterr().out
 
     def test_serve_sim(self, capsys):
+        """One replica is the default stack."""
         code = main([
-            "serve-sim", "--batch-size", "4", "--n-requests", "6",
+            "serve", "--batch-size", "4", "--n-requests", "6",
             "--context-length", "48", "--max-new-tokens", "4",
+            "--admission", "conservative", "--burst-gap", "0",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Continuous-batching serving simulation" in out
-        assert "peak concurrency: 4" in out
+        assert "Serving simulation" in out
+        assert "1 replica," in out
+        assert "peak batch 4" in out
         assert "KV-bit reduction" in out
         assert "tokens/s" in out
 
     def test_serve_sim_profile(self, capsys):
         code = main([
-            "serve-sim", "--batch-size", "4", "--n-requests", "6",
+            "serve", "--batch-size", "4", "--n-requests", "6",
             "--context-length", "48", "--max-new-tokens", "4", "--profile",
         ])
         out = capsys.readouterr().out
@@ -47,7 +50,7 @@ class TestCLI:
         """The score sub-phases sit inside "score": counting them again
         left the printed shares at ~80 %."""
         code = main([
-            "serve-sim", "--batch-size", "4", "--n-requests", "6",
+            "serve", "--batch-size", "4", "--n-requests", "6",
             "--context-length", "48", "--max-new-tokens", "4",
             "--prefill-budget", "16", "--profile",
         ])
@@ -63,7 +66,7 @@ class TestCLI:
 
     def test_serve_sim_kv_tiering_profile(self, capsys):
         code = main([
-            "serve-sim", "--batch-size", "4", "--n-requests", "6",
+            "serve", "--batch-size", "4", "--n-requests", "6",
             "--context-length", "48", "--max-new-tokens", "4",
             "--kv-tiering", "--prefix-cache", "--profile",
         ])
@@ -73,11 +76,10 @@ class TestCLI:
         assert "demotions" in out
         assert "B/token" in out
         assert "prefix cache: hit rate" in out
-        assert "tiered step" in out
 
     def test_serve_cluster_tiered_admission(self, capsys):
         code = main([
-            "serve-cluster", "--replicas", "2", "--batch-size", "4",
+            "serve", "--replicas", "2", "--batch-size", "4",
             "--n-requests", "8", "--context-length", "48",
             "--max-new-tokens", "4", "--burst-size", "4",
             "--admission", "tiered", "--kv-tiering", "--prefix-cache",
@@ -93,7 +95,7 @@ class TestCLI:
         """`all` regenerates the paper artifacts only."""
         from repro import cli
 
-        assert "serve-sim" not in cli.EXPERIMENTS
+        assert "serve" not in cli.EXPERIMENTS
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -110,11 +112,11 @@ class TestCLI:
 
 
 SERVE_SIM_ARGS = [
-    "serve-sim", "--batch-size", "4", "--n-requests", "8",
+    "serve", "--batch-size", "4", "--n-requests", "8",
     "--context-length", "48", "--max-new-tokens", "4", "--seed", "3",
 ]
 SERVE_CLUSTER_ARGS = [
-    "serve-cluster", "--replicas", "2", "--batch-size", "4",
+    "serve", "--replicas", "2", "--batch-size", "4",
     "--n-requests", "8", "--context-length", "48", "--max-new-tokens", "4",
     "--burst-size", "4", "--burst-gap", "2", "--seed", "3",
 ]
@@ -133,10 +135,10 @@ class TestServeCluster:
         code = main(SERVE_CLUSTER_ARGS)
         out = capsys.readouterr().out
         assert code == 0
-        assert "Cluster serving simulation" in out
+        assert "Serving simulation" in out
         assert "2 replicas" in out
         assert "optimistic admission" in out
-        assert "aggregate decode throughput" in out
+        assert "decode throughput" in out
         assert "replica 0:" in out and "replica 1:" in out
 
     def test_serve_cluster_profile_percentiles(self, capsys):
@@ -145,10 +147,10 @@ class TestServeCluster:
         code = main(SERVE_CLUSTER_ARGS + ["--profile"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "telemetry" in out
-        for rid in (0, 1):
-            assert f"replica {rid} TTFT" in out
-            assert f"replica {rid} token latency" in out
+        blocks = out.split("  replica 1:\n")
+        assert len(blocks) == 2
+        for block in blocks:
+            assert "TTFT" in block and "token latency" in block
         assert "p50" in out and "p95" in out and "p99" in out
 
     def test_serve_cluster_conservative_and_policies(self, capsys):
@@ -183,19 +185,21 @@ class TestServeCluster:
 
 
 SERVE_FRONTEND_ARGS = [
-    "serve-frontend", "--batch-size", "2", "--n-requests", "6",
+    "serve", "--batch-size", "2", "--n-requests", "6",
     "--context-length", "24", "--max-new-tokens", "6", "--seed", "3",
 ]
+#: a deadline no run reaches: the frontend runs, nothing times out
+UNDER_FRONTEND = ["--deadline", "60000"]
 
 
 class TestServeFrontend:
     def test_serve_frontend_runs(self, capsys):
-        code = main(SERVE_FRONTEND_ARGS)
+        code = main(SERVE_FRONTEND_ARGS + UNDER_FRONTEND)
         out = capsys.readouterr().out
         assert code == 0
-        assert "Async streaming frontend" in out
-        assert "completed: 6" in out
+        assert "frontend: submitted: 6  completed: 6" in out
         assert "shed: 0" in out
+        assert "Serving simulation" in out
 
     def test_serve_frontend_slo_profile(self, capsys):
         """Satellite: --slo-p95-ms activates the overload controller and
@@ -223,7 +227,6 @@ class TestServeFrontend:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Chaos run" in out
         assert "kills: 2" in out
         assert "completed: 6/6" in out
         assert "bit-identical to fault-free run: True" in out
@@ -235,6 +238,35 @@ class TestServeFrontend:
             ])
 
     def test_serve_frontend_deterministic_across_runs(self, capsys):
-        first = _output_without_timing(capsys, SERVE_FRONTEND_ARGS)
-        second = _output_without_timing(capsys, SERVE_FRONTEND_ARGS)
+        argv = SERVE_FRONTEND_ARGS + UNDER_FRONTEND + ["--replicas", "2"]
+        first = _output_without_timing(capsys, argv)
+        second = _output_without_timing(capsys, argv)
         assert first == second
+
+    def test_every_flag_applies_to_the_chaos_run(self, capsys):
+        """The stack flags reach both chaos runs (they used to be dropped
+        silently); the frontend flags are refused, not ignored."""
+        code = main(SERVE_FRONTEND_ARGS + [
+            "--inject-faults", "--replicas", "3", "--kv-tiering",
+            "--prefix-cache", "--prefill-budget", "8",
+            "--admission", "tiered", "--profile",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "kv tiering (mass policy" in out
+        assert "prefix cache: hit rate" in out
+        assert "chunked prefill (budget 8)" in out
+        assert "bit-identical to fault-free run: True" in out
+        for flag in (["--slo-p95-ms", "1"], ["--deadline", "50"]):
+            with pytest.raises(ValueError, match="inject-faults"):
+                main(SERVE_FRONTEND_ARGS + [
+                    "--inject-faults", "--replicas", "3", *flag,
+                ])
+
+    def test_idle_tick_after_every_request_timed_out(self, capsys):
+        """A deadline no request can meet: each tick expires what is
+        live, so the frontend prices idle fleet steps (it used to raise)."""
+        code = main(SERVE_FRONTEND_ARGS + ["--deadline", "0.001"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "completed: 0  timed out: 6" in out

@@ -16,6 +16,7 @@ from repro.cluster import (
 )
 from repro.core import TokenPickerConfig
 from repro.core.session import TokenPickerSession
+from repro.kvstore import RadixKVCache, TierConfig
 from repro.serving import (
     GenerationRequest,
     RequestState,
@@ -24,6 +25,7 @@ from repro.serving import (
     replayable_step_source,
     synthetic_request,
 )
+from repro.workloads import shared_prefix_trace
 
 CFG = TokenPickerConfig(threshold=2e-3)
 
@@ -792,3 +794,74 @@ class TestSplitLatencyHistograms:
             router.metrics.counter("prefill_tokens", replica=0).value
             == sum(c.stats.prompt_tokens for c in done)
         )
+
+
+# ----------------------------------------- a one-replica router is an engine
+ONE_REPLICA_CONFIGS = {
+    "plain": {},
+    "chunked_prefill": dict(prefill_budget_tokens=16),
+    "tiered_prefix_cache": dict(kv_tiering=TierConfig(), prefix_cache=True),
+    "sharded": dict(shards=2),
+    "optimistic_preemption": dict(admission="optimistic", capacity_tokens=160),
+}
+
+
+class TestOneReplicaRouter:
+    @pytest.mark.parametrize("name", sorted(ONE_REPLICA_CONFIGS))
+    def test_bit_identical_to_a_bare_engine(self, name):
+        """``ClusterRouter(1, ...)`` serves bit for bit like a bare
+        ``ServingEngine`` with the same knobs — why the frontend and the
+        CLI drive only the router: per-request K/V traffic and token
+        counts, and every step's kept-token counts, match."""
+        kw = dict(max_batch_size=4, capacity_tokens=2048, seed=0)
+        kw.update(ONE_REPLICA_CONFIGS[name])
+        admission = kw.pop("admission", "conservative")
+        prefix_cache = kw.pop("prefix_cache", False)
+        router = ClusterRouter(
+            1, CFG, admission=admission, prefix_cache=prefix_cache, **kw
+        )
+        engine = ServingEngine(
+            CFG,
+            memory_manager=make_memory_manager(admission),
+            prefix_cache=RadixKVCache(capacity_tokens=0) if prefix_cache else None,
+            **kw,
+        )
+
+        def serve(submit, run):
+            trace = shared_prefix_trace(
+                np.random.default_rng(4), 8, n_heads=2, head_dim=16,
+                prefix_tokens=24, suffix_tokens=8, max_new_tokens=8,
+                n_groups=2,
+            )
+            for _, request in trace:
+                submit(request)
+            return [
+                {v.request_id: v.kept_tokens for v in r.per_sequence.values()}
+                for r in run()
+            ]
+
+        def traffic(completed):
+            return sorted(
+                (
+                    done.request_id,
+                    done.stats.counter.k_bits,
+                    done.stats.counter.v_bits,
+                    done.stats.generated_tokens,
+                )
+                for done in completed
+            )
+
+        via_router = serve(
+            router.submit,
+            lambda: [r.per_replica[0] for r in router.run_until_drained()],
+        )
+        bare = serve(engine.submit, engine.run_until_drained)
+        replica = router.replicas[0]
+        assert via_router == bare
+        assert traffic(replica.completed) == traffic(engine.completed)
+        assert len(engine.completed) == 8
+        assert replica.preemptions_total == engine.preemptions_total
+        if admission == "optimistic":
+            assert engine.preemptions_total > 0, "pool never pressured"
+        if prefix_cache:
+            assert engine.prefix_cache.hit_rate > 0
