@@ -19,11 +19,11 @@ instead of a constant:
   per-token latency, queue depth, preemptions and arena occupancy per
   replica (``tokenpicker serve --profile`` prints it).
 * :mod:`~repro.cluster.shard` — head-sharded model parallelism inside a
-  replica: :class:`~repro.cluster.shard.ShardedKVPool` slices the KV
-  arena head-wise across K modelled workers and
-  :class:`~repro.cluster.shard.ShardGroup` runs the ragged kernel per
-  slice with a bit-identical deterministic combine, pricing the kept
-  -token all-gather through ``hw/serving.py``'s interconnect model.
+  replica: :class:`~repro.cluster.shard.ShardGroup` splits the heads of
+  the replica's one KV arena across K modelled workers, runs the ragged
+  kernel on each worker's head slice (views, no copies) and combines
+  the results bit-identically in shard order, pricing the kept-token
+  all-gather through ``hw/serving.py``'s interconnect model.
 """
 
 from repro.cluster.faults import (
@@ -51,7 +51,6 @@ from repro.cluster.router import (
     busiest_step_reports,
 )
 from repro.cluster.shard import (
-    ShardedKVPool,
     ShardGroup,
     ShardStepView,
     partition_heads,
@@ -73,7 +72,6 @@ __all__ = [
     "OptimisticMemory",
     "ShardGroup",
     "ShardStepView",
-    "ShardedKVPool",
     "bursty_trace",
     "busiest_step_reports",
     "make_memory_manager",

@@ -349,8 +349,8 @@ class TieredKVStore:
                 self.pool.k_dtype,
             )
             fresh_rows = self._arena_rows(seq_id, fresh)
-            # row accessors instead of raw arena indexing: a head-sharded
-            # composite pool gathers full-width rows across its slices
+            # token-major row accessors: the cold copy keeps the swap
+            # row format, whatever the arena's plane layout
             k_fresh, v_fresh = self.pool.read_rows(fresh_rows)
             state.cold_k[fresh] = k_fresh
             state.cold_v[fresh] = v_fresh

@@ -384,13 +384,15 @@ class ServingEngine:
         step span is actually emitted, so it costs nothing on unsampled
         steps or with tracing off.
 
-        ``shards`` > 1 runs the engine head-sharded: the KV arena is a
-        :class:`repro.cluster.shard.ShardedKVPool` sliced head-wise
-        across K modelled workers, each step's kernel runs once per
-        slice via :class:`repro.cluster.shard.ShardGroup`, and the
-        kept-token all-gather combining the partial outputs is priced by
-        the hardware model's interconnect term.  Decode outputs stay
-        bit-identical to ``shards=1``.
+        ``shards`` > 1 runs the engine head-sharded across K modelled
+        workers: the pool stays one full-width :class:`KVCachePool`,
+        each step's kernel runs once per worker on that worker's head
+        slice of the arena (views, via
+        :class:`repro.cluster.shard.ShardGroup`), and the kept-token
+        all-gather combining the partial outputs is priced by the
+        hardware model's interconnect term.  Arena bytes and decode
+        outputs stay bit-identical to ``shards=1``; a request with
+        fewer heads than shards is rejected at :meth:`submit`.
         """
         if safety_factor < 1.0:
             raise ValueError("safety_factor must be >= 1 (headroom only)")
@@ -424,9 +426,12 @@ class ServingEngine:
         self.prefix_cache = prefix_cache
         self._prefix_handles: Dict[int, object] = {}
         self.pool: Optional[KVCachePool] = None  # built on first pooled admit
+        #: (n_heads, head_dim) every request must have: fixed by the first
+        #: accepted request, since the pool is built at that width
+        self._geometry: Optional[Tuple[int, int]] = None
         self._scratch = KernelScratch()  # fused-kernel work arrays, reused
         self._shards = shards
-        self._shard_group = None  # ShardGroup, built with the sharded pool
+        self._shard_group = None  # ShardGroup over the pool when shards > 1
         #: engine-layer all-gather bits shipped (pruned) vs the
         #: no-pruning footprint of the same steps — the interconnect
         #: savings Token-Picker's Eq. 5 bounds buy at cluster scale
@@ -528,7 +533,9 @@ class ServingEngine:
 
         Requests whose lifetime footprint (prompt + ``max_new_tokens``)
         exceeds the pool outright are rejected here — queued, they would
-        head-block FIFO admission forever.
+        head-block FIFO admission forever — and so are requests the
+        pool's geometry cannot hold (:meth:`_check_geometry`): admission
+        would fail on them after the scheduler had already dequeued them.
         """
         total_blocks = self._capacity_tokens // self._block_size
         needed = -(-request.total_tokens // self._block_size)
@@ -537,6 +544,7 @@ class ServingEngine:
                 f"request needs {request.total_tokens} tokens "
                 f"({needed} blocks); the pool holds {total_blocks} blocks"
             )
+        self._check_geometry(request)
         request.request_id = self._next_request_id
         self._next_request_id += 1
         request.state = RequestState.QUEUED
@@ -561,6 +569,24 @@ class ServingEngine:
             )
         self.scheduler.submit(request)
         return request.request_id
+
+    def _check_geometry(self, request: GenerationRequest) -> None:
+        """Reject a request with fewer heads than shards, or whose
+        ``(n_heads, head_dim)`` differs from the engine's; the first
+        request that passes fixes the engine's geometry."""
+        geometry = (request.n_heads, request.head_dim)
+        if request.n_heads < self._shards:
+            raise ValueError(
+                f"cannot shard {request.n_heads} heads across "
+                f"{self._shards} workers"
+            )
+        if self._geometry is None:
+            self._geometry = geometry
+        elif geometry != self._geometry:
+            raise ValueError(
+                f"request dims {geometry} do not match the engine's "
+                f"(n_heads, head_dim) {self._geometry}"
+            )
 
     def withdraw_pending(self) -> List[GenerationRequest]:
         """Take back every still-queued request (the drain/rebalance path).
@@ -772,6 +798,7 @@ class ServingEngine:
                 "tier state does not travel); re-prefill instead"
             )
         request = export.request
+        self._check_geometry(request)
         self._ensure_pool(request)
         seq_id = self._next_seq_id
         self._next_seq_id += 1
@@ -891,38 +918,22 @@ class ServingEngine:
                 if exact_digit_dtype(quant, request.head_dim) is np.float32
                 else np.float64
             )
+            self.pool = KVCachePool(
+                n_heads=request.n_heads,
+                head_dim=request.head_dim,
+                capacity_tokens=self._capacity_tokens,
+                block_size=self._block_size,
+                # K channel holds the chunk-digit decomposition (what the
+                # accelerator's DRAM layout streams): C digits per head
+                k_heads=request.n_heads * quant.n_chunks,
+                k_dtype=k_dtype,
+            )
             if self._shards > 1:
                 # lazy import: cluster sits above serving in the layer
                 # stack (the engine only reaches up when sharding is on)
-                from repro.cluster.shard import ShardedKVPool, ShardGroup
+                from repro.cluster.shard import ShardGroup
 
-                if request.n_heads < self._shards:
-                    raise ValueError(
-                        f"cannot shard {request.n_heads} heads across "
-                        f"{self._shards} workers"
-                    )
-                self.pool = ShardedKVPool(
-                    n_heads=request.n_heads,
-                    head_dim=request.head_dim,
-                    capacity_tokens=self._capacity_tokens,
-                    block_size=self._block_size,
-                    k_heads=request.n_heads * self.config.quant.n_chunks,
-                    k_dtype=k_dtype,
-                    n_shards=self._shards,
-                )
-                self._shard_group = ShardGroup(self.pool, quant)
-            else:
-                self.pool = KVCachePool(
-                    n_heads=request.n_heads,
-                    head_dim=request.head_dim,
-                    capacity_tokens=self._capacity_tokens,
-                    block_size=self._block_size,
-                    # K channel holds the chunk-digit decomposition (what
-                    # the accelerator's DRAM layout streams): C digits
-                    # per head
-                    k_heads=request.n_heads * self.config.quant.n_chunks,
-                    k_dtype=k_dtype,
-                )
+                self._shard_group = ShardGroup(self.pool, quant, self._shards)
             if self._tier_config is not None:
                 from repro.kvstore.tiers import TieredKVStore
 
@@ -935,14 +946,6 @@ class ServingEngine:
                     tracer=self.tracer,
                     trace_label=self.trace_label,
                 )
-        elif (
-            self.pool.n_heads != request.n_heads
-            or self.pool.head_dim != request.head_dim
-        ):
-            raise ValueError(
-                f"request dims ({request.n_heads}, {request.head_dim}) do not "
-                f"match pool dims ({self.pool.n_heads}, {self.pool.head_dim})"
-            )
         return self.pool
 
     def _prefill(self, request: GenerationRequest) -> None:
@@ -1044,19 +1047,7 @@ class ServingEngine:
                 self.tracer.instant(
                     self.trace_label, track, "prefill_start", ts=ts
                 )
-        if getattr(self.pool, "supports_inplace_slots", True):
-            k_slots, v_slots = self.pool.append_slots(entry.seq_id, n)
-        else:
-            # sharded pool: no single writable arena view spans the K
-            # slices — encode into full-width staging rows and let the
-            # pool scatter each slice's columns (a float32 staging array
-            # casts exactly like a float32 arena view, so the stored
-            # bytes match the in-place path bit for bit)
-            k_slots = np.empty(
-                (n, self.pool.k_heads, self.pool.head_dim),
-                dtype=self.pool.k_dtype,
-            )
-            v_slots = np.empty((n, self.pool.n_heads, self.pool.head_dim))
+        k_slots, v_slots = self.pool.append_slots(entry.seq_id, n)
         _encode_kv_into(
             request.prompt_keys[:, start:start + n].transpose(1, 0, 2),
             request.prompt_values[:, start:start + n].transpose(1, 0, 2),
@@ -1066,8 +1057,6 @@ class ServingEngine:
             k_slots,
             v_slots,
         )
-        if not getattr(self.pool, "supports_inplace_slots", True):
-            self.pool.append_encoded(entry.seq_id, k_slots, v_slots)
         if self.tiers is not None:
             self.tiers.note_append(entry.seq_id, n, self._step_index)
             handle = self._prefix_handles.get(entry.seq_id)

@@ -124,9 +124,6 @@ class SwappedSequence:
     k_rows: np.ndarray  # (t, k_heads, d) token-major encoded K digits
     v_rows: np.ndarray  # (t, n_heads, d) token-major deq-V rows
     scales: Optional[SequenceScales]
-    # on a head-sliced pool the rows carry that slice's head columns
-    # only; swapping back in through the same (or an identically sliced)
-    # pool reproduces the slice byte-for-byte.
 
     @property
     def length(self) -> int:
@@ -159,25 +156,11 @@ class KVCachePool:
     ``c`` at column ``h * C + c`` — and are converted on the way in and
     out.  Freed runs return to a coalescing first-fit hole list.
 
-    **Head slicing** (model parallelism): ``head_range=(h0, h1)`` makes
-    the pool own only that contiguous slice of the model's heads — the
-    arenas are allocated at slice width, so the K planes are the full
-    pool's ``planes[h0:h1]``.  The *input* surface stays full-width:
-    :meth:`append`/:meth:`append_rows`/:meth:`append_encoded` accept full
-    ``(k_heads, ...)``/``(n_heads, ...)`` tensors and slice internally,
-    so a shard group can feed every slice pool the same encoded rows.
-    :meth:`view`, :attr:`k_arena`/:attr:`v_arena`, :meth:`read_rows` and
-    :meth:`swap_out` return **slice-local** data — a slice's swap
-    segments are byte-exact for that slice and swap back in through the
-    same pool unchanged.  ``head_range=None`` (the default) is the
-    classic full-width pool, bit-for-bit.
+    Head sharding needs no pool of its own: K is head-major, so a shard
+    worker's heads ``[h0, h1)`` are the views ``k_arena[h0:h1]`` and
+    ``v_arena[:, h0:h1]`` of this one full-width arena
+    (:class:`repro.cluster.shard.ShardGroup`).
     """
-
-    #: in-place prefill contract: ``append_slots`` hands out writable
-    #: arena views the caller encodes into directly.  Composite pools
-    #: (e.g. the sharded fan-out pool) publish ``False`` so the engine
-    #: stages encoded rows and calls :meth:`append_encoded` instead.
-    supports_inplace_slots = True
 
     def __init__(
         self,
@@ -187,7 +170,6 @@ class KVCachePool:
         block_size: int = 16,
         k_heads: Optional[int] = None,
         k_dtype=np.float64,
-        head_range: Optional[Tuple[int, int]] = None,
     ) -> None:
         """``k_heads`` is the K rows' width: the engine stores each key as
         its ``n_chunks`` chunk digits, ``k_heads = n_heads * n_chunks``
@@ -195,8 +177,7 @@ class KVCachePool:
         per head).  ``k_dtype`` sets the K-channel storage width: the
         engine stores *unshifted* chunk digits, which fit float32
         exactly for practical formats — halving the fused kernel's arena
-        traffic.  ``head_range=(h0, h1)`` restricts storage to a head
-        slice (see class docstring).
+        traffic.
         """
         if n_heads < 1 or head_dim < 1:
             raise ValueError("n_heads and head_dim must be >= 1")
@@ -216,31 +197,18 @@ class KVCachePool:
                 f"n_heads ({n_heads})"
             )
         self.n_chunks = self.k_heads // n_heads
-        h_lo, h_hi = (0, n_heads) if head_range is None else map(int, head_range)
-        if not 0 <= h_lo < h_hi <= n_heads:
-            raise ValueError(
-                f"head_range must satisfy 0 <= lo < hi <= {n_heads}, "
-                f"got {head_range}"
-            )
-        self.head_range: Tuple[int, int] = (h_lo, h_hi)
-        self._h_lo, self._h_hi = h_lo, h_hi
-        self.local_n_heads = h_hi - h_lo
-        self.local_k_heads = self.local_n_heads * self.n_chunks
         self.block_size = block_size
         self.n_blocks = capacity_tokens // block_size
         t_cap = self.n_blocks * block_size
-        # chunk-major K digit planes at slice width (== full width for an
-        # unsliced pool), plus a token-major view of the same memory for
-        # the row interface: ``_k_rows[t]`` is token t's (k_heads, d) row.
-        # It must stay a view (the head and chunk axes merge without a
-        # copy) so row writes land in the planes.
-        self._k = _lazy_zeros(
-            (self.local_n_heads, self.n_chunks, t_cap, head_dim), k_dtype
-        )
+        # chunk-major K digit planes, plus a token-major view of the same
+        # memory for the row interface: ``_k_rows[t]`` is token t's
+        # (k_heads, d) row.  It must stay a view (the head and chunk axes
+        # merge without a copy) so row writes land in the planes.
+        self._k = _lazy_zeros((n_heads, self.n_chunks, t_cap, head_dim), k_dtype)
         self._k_rows = self._k.transpose(2, 0, 1, 3).reshape(
-            t_cap, self.local_k_heads, head_dim
+            t_cap, self.k_heads, head_dim
         )
-        self._v = np.zeros((t_cap, self.local_n_heads, head_dim))
+        self._v = np.zeros((t_cap, n_heads, head_dim))
         # hole list in block units, sorted by offset, coalesced.  A
         # zero-capacity pool (capacity_tokens == 0) is legal — an
         # always-full placeholder some capacity dashboards construct —
@@ -472,15 +440,15 @@ class KVCachePool:
 
     @property
     def k_arena(self) -> np.ndarray:
-        """Chunk-major ``(local_n_heads, n_chunks, T_cap, d)`` K digit
-        planes; each ``k_arena[h, c]`` is one C-contiguous ``(T_cap, d)``
-        plane (slice-local; all heads on an unsliced pool)."""
+        """Chunk-major ``(n_heads, n_chunks, T_cap, d)`` K digit planes;
+        each ``k_arena[h, c]`` is one C-contiguous ``(T_cap, d)`` plane,
+        and a head range ``k_arena[h0:h1]`` is one shard worker's K."""
         return self._k
 
     @property
     def v_arena(self) -> np.ndarray:
-        """Token-major ``(T_cap, local_n_heads, d)`` V storage
-        (slice-local; full ``n_heads`` width on an unsliced pool)."""
+        """Token-major ``(T_cap, n_heads, d)`` V storage; a shard
+        worker's V is the view ``v_arena[:, h0:h1]``."""
         return self._v
 
     @property
@@ -488,26 +456,10 @@ class KVCachePool:
         """Storage dtype of the K-channel plane."""
         return self._k.dtype
 
-    @property
-    def is_sliced(self) -> bool:
-        """Whether this pool owns only a head slice of the model."""
-        return (self._h_lo, self._h_hi) != (0, self.n_heads)
-
-    def head_columns(self, k_rows: np.ndarray) -> np.ndarray:
-        """The columns of full-width ``(n, k_heads, d)`` K rows that this
-        pool stores, as ``(n, local_k_heads, d)`` — a view (writable
-        through) when ``k_rows`` is C-contiguous."""
-        n = k_rows.shape[0]
-        heads = k_rows.reshape(n, self.n_heads, self.n_chunks, self.head_dim)
-        return heads[:, self._h_lo:self._h_hi].reshape(
-            n, self.local_k_heads, self.head_dim
-        )
-
     def read_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Copy arbitrary token rows out: token-major ``(k_rows,
-        v_rows)`` at the pool's stored (slice-local) width.  The tier
-        store uses this instead of poking the raw arenas so composite
-        pools can gather across slices transparently."""
+        v_rows)``, ``(n, k_heads, d)`` and ``(n, n_heads, d)`` — how the
+        tier store moves rows without knowing the plane layout."""
         return self._k_rows[rows].copy(), self._v[rows].copy()
 
     def write_rows(
@@ -542,8 +494,8 @@ class KVCachePool:
         pos = entry.offset_blocks * self.block_size + entry.length
         self._k[:, :, pos:pos + n] = keys.reshape(
             self.n_heads, self.n_chunks, n, self.head_dim
-        )[self._h_lo:self._h_hi]
-        self._v[pos:pos + n] = values[self._h_lo:self._h_hi].transpose(1, 0, 2)
+        )
+        self._v[pos:pos + n] = values.transpose(1, 0, 2)
         entry.length = new_len
 
     def append_slots(
@@ -576,26 +528,12 @@ class KVCachePool:
     def append_encoded(
         self, seq_id: int, k_rows: np.ndarray, v_rows: np.ndarray
     ) -> None:
-        """Append already-encoded token-major rows (full-width input).
-
-        ``k_rows``: (n, k_heads, d); ``v_rows``: (n, n_heads, d) — the
-        staged-prefill counterpart of :meth:`append_slots` for pools that
-        cannot hand out in-place views (head-sliced and composite pools
-        slice/fan out the staged rows internally).
-        """
-        if k_rows.ndim != 3 or k_rows.shape[1:] != (self.k_heads, self.head_dim):
-            raise ValueError(
-                f"k_rows must be (n, {self.k_heads}, {self.head_dim}), "
-                f"got {k_rows.shape}"
-            )
-        if v_rows.shape != (k_rows.shape[0], self.n_heads, self.head_dim):
-            raise ValueError(
-                f"v_rows must be ({k_rows.shape[0]}, {self.n_heads}, "
-                f"{self.head_dim}), got {v_rows.shape}"
-            )
+        """Append already-encoded token-major rows: ``k_rows`` (n,
+        k_heads, d), ``v_rows`` (n, n_heads, d) — how :meth:`swap_in`
+        writes a swapped sequence back."""
         k_slots, v_slots = self.append_slots(seq_id, k_rows.shape[0])
-        k_slots[:] = self.head_columns(k_rows)
-        v_slots[:] = v_rows[:, self._h_lo:self._h_hi]
+        k_slots[:] = k_rows
+        v_slots[:] = v_rows
 
     def append_rows(
         self,
@@ -627,8 +565,8 @@ class KVCachePool:
             [e.offset_blocks * self.block_size + e.length for e in entries],
             dtype=np.int64,
         )
-        self._k_rows[rows] = self.head_columns(k_rows)
-        self._v[rows] = v_rows[:, self._h_lo:self._h_hi]
+        self._k_rows[rows] = k_rows
+        self._v[rows] = v_rows
         for entry in entries:
             entry.length += 1
 
@@ -679,20 +617,13 @@ class KVCachePool:
             scales=swapped.scales,
             reserve_tokens=max(n, reserve_tokens),
         )
-        try:
-            if n:
-                k_slots, v_slots = self.append_slots(seq_id, n)
-                k_slots[:] = swapped.k_rows
-                v_slots[:] = swapped.v_rows
-        except PoolExhausted:  # pragma: no cover - register sized the run
-            self.free(seq_id)
-            raise
+        if n:  # register sized the run, so this cannot exhaust the pool
+            self.append_encoded(seq_id, swapped.k_rows, swapped.v_rows)
         self.swaps_in_total += 1
 
     def view(self, seq_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """The sequence's logical ``(k_heads, t, d)`` K and ``(n_heads,
-        t, d)`` V tensors (read-only; slice-local heads on a head-sliced
-        pool).
+        t, d)`` V tensors (read-only).
 
         Zero-copy: K is the plain slice of the sequence's run in every
         digit plane, V a transposed view, both valid until the sequence
@@ -705,7 +636,7 @@ class KVCachePool:
         lo = max(entry.offset_blocks, 0) * self.block_size
         hi = lo + entry.length
         k = self._k[:, :, lo:hi].reshape(
-            self.local_k_heads, entry.length, self.head_dim
+            self.k_heads, entry.length, self.head_dim
         )
         v = self._v[lo:hi].transpose(1, 0, 2)
         k.flags.writeable = False

@@ -209,13 +209,14 @@ class TestArena:
 
 class TestPlaneLayout:
     """K is stored chunk-major: one C-contiguous (T_cap, d) plane per
-    (head, chunk), a head slice is a leading-axis slice of the planes,
-    and rows still cross the pool's boundary token-major."""
+    (head, chunk), a head range (one shard worker's K) is a leading-axis
+    slice of the planes, and rows still cross the pool's boundary
+    token-major."""
 
     N_HEADS, N_CHUNKS, HEAD_DIM = 4, 3, 8
 
-    def _pools(self):
-        kw = dict(
+    def _pool(self):
+        return KVCachePool(
             n_heads=self.N_HEADS,
             head_dim=self.HEAD_DIM,
             capacity_tokens=64,
@@ -223,7 +224,6 @@ class TestPlaneLayout:
             k_heads=self.N_HEADS * self.N_CHUNKS,
             k_dtype=np.float32,
         )
-        return KVCachePool(**kw), KVCachePool(head_range=(1, 3), **kw)
 
     def _fill(self, pool, rng_seed=0):
         """Three append paths; returns the appended full-width rows."""
@@ -245,22 +245,21 @@ class TestPlaneLayout:
         return k_rows, v_rows
 
     def test_every_head_chunk_plane_is_contiguous(self):
-        for pool in self._pools():
-            local = pool.head_range[1] - pool.head_range[0]
-            assert pool.k_arena.shape == (
-                local, self.N_CHUNKS, pool.capacity_tokens, self.HEAD_DIM
-            )
-            for h in range(local):
-                for c in range(self.N_CHUNKS):
-                    plane = pool.k_arena[h, c]
-                    assert plane.shape == (pool.capacity_tokens, self.HEAD_DIM)
-                    assert plane.flags.c_contiguous
+        pool = self._pool()
+        assert pool.k_arena.shape == (
+            self.N_HEADS, self.N_CHUNKS, pool.capacity_tokens, self.HEAD_DIM
+        )
+        for h in range(self.N_HEADS):
+            for c in range(self.N_CHUNKS):
+                plane = pool.k_arena[h, c]
+                assert plane.shape == (pool.capacity_tokens, self.HEAD_DIM)
+                assert plane.flags.c_contiguous
+        # a head range is itself one contiguous block of planes
+        assert pool.k_arena[1:3].flags.c_contiguous
 
     def test_head_slice_is_a_plane_slice_and_rows_stay_token_major(self):
-        full, sliced = self._pools()
+        full = self._pool()
         k_rows, v_rows = self._fill(full)
-        self._fill(sliced)
-        assert np.array_equal(sliced.k_arena, full.k_arena[1:3])
         n = len(k_rows)
         k4 = k_rows.reshape(n, self.N_HEADS, self.N_CHUNKS, self.HEAD_DIM)
         off, length = full.segment(0)
@@ -269,17 +268,20 @@ class TestPlaneLayout:
         assert np.array_equal(
             full.k_arena[:, :, off:off + n], k4.transpose(1, 2, 0, 3)
         )
+        # heads [1, 3) — one shard worker's K and V — are views holding
+        # exactly those heads' columns of the appended rows
+        head_k = full.k_arena[1:3, :, off:off + n]
+        head_v = full.v_arena[off:off + n, 1:3]
+        assert np.shares_memory(head_k, full.k_arena)
+        assert np.array_equal(head_k, k4[:, 1:3].transpose(1, 2, 0, 3))
+        assert np.array_equal(head_v, v_rows[:, 1:3])
         rows = np.arange(off, off + n)
-        for pool, want_k, want_v in (
-            (full, k_rows, v_rows),
-            (sliced, k4[:, 1:3].reshape(n, -1, self.HEAD_DIM), v_rows[:, 1:3]),
-        ):
-            got_k, got_v = pool.read_rows(rows)
-            assert np.array_equal(got_k, want_k)
-            assert np.array_equal(got_v, want_v)
-            swapped = pool.swap_out(0)
-            assert np.array_equal(swapped.k_rows, want_k)
-            assert np.array_equal(swapped.v_rows, want_v)
+        got_k, got_v = full.read_rows(rows)
+        assert np.array_equal(got_k, k_rows)
+        assert np.array_equal(got_v, v_rows)
+        swapped = full.swap_out(0)
+        assert np.array_equal(swapped.k_rows, k_rows)
+        assert np.array_equal(swapped.v_rows, v_rows)
 
     def test_k_heads_must_be_a_multiple_of_n_heads(self):
         with pytest.raises(ValueError, match="multiple"):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterRouter
 from repro.core import TokenPickerConfig
 from repro.core.session import TokenPickerSession
 from repro.eval.batching import measured_batch_point
 from repro.model.config import get_model_config
+from repro.obs.trace import Tracer
 from repro.serving import (
     GenerationRequest,
     RequestState,
@@ -264,9 +266,39 @@ class TestValidation:
         engine = _engine()
         engine.submit(synthetic_request(rng, 2, 16, 16, max_new_tokens=1))
         engine.step()
-        engine.submit(synthetic_request(rng, 4, 16, 16, max_new_tokens=1))
-        with pytest.raises(ValueError):
-            engine.run_until_drained()
+        with pytest.raises(ValueError, match="do not match"):
+            engine.submit(synthetic_request(rng, 4, 16, 16, max_new_tokens=1))
+        engine.run_until_drained()
+        assert len(engine.completed) == 1
+
+    def test_geometry_fixed_by_first_submit_not_first_admit(self):
+        """A (3, 8) request after a queued (2, 8) one is rejected at
+        submit — before any pool exists — and is neither queued nor
+        traced; the (2, 8) request still completes."""
+        rng = np.random.default_rng(8)
+        tracer = Tracer()
+        engine = _engine(tracer=tracer)
+        engine.submit(synthetic_request(rng, 2, 16, 8, max_new_tokens=2))
+        odd = synthetic_request(rng, 3, 16, 8, max_new_tokens=2)
+        with pytest.raises(ValueError, match="do not match"):
+            engine.submit(odd)
+        assert engine.n_pending == 1 and engine.pool is None
+        assert tracer.open_span_count == 2  # the accepted request's spans
+        engine.run_until_drained()
+        assert len(engine.completed) == 1
+        assert tracer.open_span_count == 0 and not tracer.errors
+
+    def test_router_rejects_mismatched_geometry_at_submit(self):
+        """Behind a router, a request whose geometry its replica cannot
+        hold raises at submit instead of failing every later step."""
+        rng = np.random.default_rng(9)
+        router = ClusterRouter(1, CFG, capacity_tokens=1024)
+        router.submit(synthetic_request(rng, 2, 16, 8, max_new_tokens=2))
+        with pytest.raises(ValueError, match="do not match"):
+            router.submit(synthetic_request(rng, 3, 16, 8, max_new_tokens=2))
+        while router.busy:
+            router.step()
+        assert len(router.replicas[0].completed) == 1
 
     def test_unknown_sequence(self):
         engine = _engine()

@@ -13,16 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import OptimisticMemory
-from repro.cluster.shard import (
-    ShardedKVPool,
-    ShardGroup,
-    partition_heads,
-)
+from repro.cluster import ClusterRouter, OptimisticMemory
+from repro.cluster import shard as shard_module
+from repro.cluster.shard import ShardGroup, partition_heads
 from repro.core import TokenPickerConfig
 from repro.kvstore.tiers import TierConfig
+from repro.obs.trace import Tracer
 from repro.serving import GenerationRequest, ServingEngine
-from repro.serving.kv_pool import KVCachePool, SwappedSequence
+from repro.serving.kv_pool import KVCachePool
 
 CFG = TokenPickerConfig(threshold=2e-3)
 
@@ -42,7 +40,11 @@ def _requests(rng, n_requests=3, n_heads=5, head_dim=8, prompt=24, new=6):
     return out
 
 
-def _drain(shards, *, n_heads=5, tiering=False, preempt=False, **req_kw):
+def _drain(
+    shards, *, n_heads=5, tiering=False, preempt=False, arenas=None, **req_kw
+):
+    """Run a fresh engine to completion; with ``arenas`` (a list), append
+    a copy of the pool's ``(k_arena, v_arena)`` after every step."""
     kw = dict(capacity_tokens=512, seed=0, shards=shards)
     if tiering:
         kw["kv_tiering"] = TierConfig(
@@ -50,15 +52,27 @@ def _drain(shards, *, n_heads=5, tiering=False, preempt=False, **req_kw):
         )
     if preempt:
         # a tight arena + optimistic admission forces swap-out/swap-in
-        # mid-flight, exercising the per-slice byte-exact swap path
+        # mid-flight, exercising the byte-exact swap path
         kw["capacity_tokens"] = 80
         kw["block_size"] = 8
         kw["memory_manager"] = OptimisticMemory(block_size=8)
     engine = ServingEngine(CFG, **kw)
     for request in _requests(np.random.default_rng(0), n_heads=n_heads, **req_kw):
         engine.submit(request)
-    reports = engine.run_until_drained()
+    reports = []
+    while engine.n_pending or engine.n_active or engine.n_preempted:
+        assert len(reports) < 1000, "engine did not drain"
+        reports.append(engine.step())
+        if arenas is not None:
+            arenas.append(
+                (engine.pool.k_arena.copy(), engine.pool.v_arena.copy())
+            )
     return engine, reports
+
+
+def _per_token_results(reports):
+    """Every decoded token's kernel result, in step order."""
+    return [res for r in reports for res in r.results.values()]
 
 
 def _assert_reports_identical(ref_reports, got_reports):
@@ -100,39 +114,48 @@ class TestPartitionHeads:
 
 # ------------------------------------------------------------- ShardedKVPool
 class TestShardedKVPool:
-    def _pool(self, n_shards=2, n_heads=4, head_dim=8, n_chunks=3):
-        return ShardedKVPool(
+    """A sharded engine's pool is one full-width :class:`KVCachePool`;
+    each shard worker's K and V are views of its head range."""
+
+    def _pool(self, n_heads=4, head_dim=8, n_chunks=3):
+        return KVCachePool(
             n_heads,
             head_dim,
             capacity_tokens=128,
             block_size=8,
             k_heads=n_heads * n_chunks,
-            n_shards=n_shards,
         )
 
-    def test_rejects_inplace_slots(self):
-        pool = self._pool()
-        pool.register(0)
-        with pytest.raises(NotImplementedError):
-            pool.append_slots(0, 4)
+    def _rows(self, rng, pool, n):
+        k = rng.normal(size=(n, pool.k_heads, pool.head_dim))
+        v = rng.normal(size=(n, pool.n_heads, pool.head_dim))
+        return k, v
 
     def test_append_encoded_round_trips_full_width(self):
         rng = np.random.default_rng(0)
-        pool = self._pool(n_shards=3, n_heads=5)
+        pool = self._pool(n_heads=5)
         pool.register(7)
-        k = rng.normal(size=(6, pool.k_heads, pool.head_dim))
-        v = rng.normal(size=(6, pool.n_heads, pool.head_dim))
+        k, v = self._rows(rng, pool, 6)
         pool.append_encoded(7, k, v)
         k_view, v_view = pool.view(7)
         assert np.array_equal(k_view, k.astype(pool.k_dtype).transpose(1, 0, 2))
         assert np.array_equal(v_view, v.transpose(1, 0, 2))
+        # each shard worker's planes hold exactly its heads' columns
+        off, n = pool.segment(7)
+        k4 = k.reshape(n, pool.n_heads, pool.n_chunks, pool.head_dim)
+        for h_lo, h_hi in partition_heads(pool.n_heads, 3):
+            shard_k = pool.k_arena[h_lo:h_hi, :, off:off + n]
+            assert np.array_equal(
+                shard_k, k4[:, h_lo:h_hi].transpose(1, 2, 0, 3)
+            )
+            shard_v = pool.v_arena[off:off + n, h_lo:h_hi]
+            assert np.array_equal(shard_v, v[:, h_lo:h_hi])
 
     def test_read_write_rows_round_trip(self):
         rng = np.random.default_rng(1)
-        pool = self._pool(n_shards=2, n_heads=4)
+        pool = self._pool()
         pool.register(0)
-        k = rng.normal(size=(5, pool.k_heads, pool.head_dim))
-        v = rng.normal(size=(5, pool.n_heads, pool.head_dim))
+        k, v = self._rows(rng, pool, 5)
         pool.append_encoded(0, k, v)
         off, length = pool.segment(0)
         rows = np.arange(off, off + length)
@@ -140,64 +163,61 @@ class TestShardedKVPool:
         assert np.array_equal(k_got, k.astype(pool.k_dtype))
         assert np.array_equal(v_got, v)
         pool.write_rows(rows, k_got * 2, v_got * 3)
-        k_again, _ = pool.read_rows(rows)
+        k_again, v_again = pool.read_rows(rows)
         assert np.array_equal(k_again, k.astype(pool.k_dtype) * 2)
+        assert np.array_equal(v_again, v * 3)
 
     def test_swap_round_trip_byte_exact_and_full_width(self):
         rng = np.random.default_rng(2)
-        pool = self._pool(n_shards=3, n_heads=5)
+        pool = self._pool(n_heads=5)
         pool.register(3)
-        k = rng.normal(size=(9, pool.k_heads, pool.head_dim))
-        v = rng.normal(size=(9, pool.n_heads, pool.head_dim))
+        k, v = self._rows(rng, pool, 9)
         pool.append_encoded(3, k, v)
         swapped = pool.swap_out(3)
-        # the wire format is full-width: an unsharded pool can adopt it
         assert swapped.k_rows.shape == (9, pool.k_heads, pool.head_dim)
         assert swapped.v_rows.shape == (9, pool.n_heads, pool.head_dim)
-        assert 3 not in [s for s in range(pool.n_sequences)] or True
+        assert pool.n_sequences == 0 and pool.blocks_in_use == 0
         pool.swap_in(3, swapped)
         k_view, v_view = pool.view(3)
         assert np.array_equal(k_view, k.astype(pool.k_dtype).transpose(1, 0, 2))
         assert np.array_equal(v_view, v.transpose(1, 0, 2))
 
     def test_swap_interchangeable_with_unsharded_pool(self):
-        """A sharded pool's swap segments resume byte-identically on an
-        unsharded pool and vice versa (shard-layout-agnostic failover)."""
-        rng = np.random.default_rng(3)
-        sharded = self._pool(n_shards=2, n_heads=4)
-        flat = KVCachePool(
-            4, 8, capacity_tokens=128, block_size=8, k_heads=sharded.k_heads
-        )
-        k = rng.normal(size=(6, sharded.k_heads, 8))
-        v = rng.normal(size=(6, 4, 8))
-        sharded.register(0)
-        sharded.append_encoded(0, k, v)
-        flat.register(0)
-        flat.append_encoded(0, k, v)
-        from_sharded = sharded.swap_out(0)
-        from_flat = flat.swap_out(0)
-        assert np.array_equal(from_sharded.k_rows, from_flat.k_rows)
-        assert np.array_equal(from_sharded.v_rows, from_flat.v_rows)
-        flat.swap_in(1, from_sharded)
-        sharded.swap_in(1, from_flat)
-        k_flat, v_flat = flat.view(1)
-        k_shard, v_shard = sharded.view(1)
-        assert np.array_equal(k_flat, k_shard)
-        assert np.array_equal(v_flat, v_shard)
+        """Cross-layout failover: a request preempted and exported on a
+        ``shards=2`` engine finishes on a ``shards=1`` engine (and the
+        reverse) bit-identically to an undisturbed run."""
 
-    def test_bookkeeping_delegates_consistently(self):
-        pool = self._pool(n_shards=2)
-        pool.register(0, reserve_tokens=16)
-        assert pool.blocks_in_use == pool.slices[1].blocks_in_use
-        assert pool.can_fit(32) == pool.slices[0].can_fit(32)
-        pool.free(0)
-        assert pool.blocks_in_use == 0
-        for s in pool.slices:
-            assert s.blocks_in_use == 0
+        def request():
+            (req,) = _requests(np.random.default_rng(5), n_requests=1, n_heads=4)
+            return req
 
-    def test_k_heads_must_divide_on_head_borders(self):
-        with pytest.raises(ValueError):
-            ShardedKVPool(4, 8, k_heads=10, n_shards=2)
+        def engine(shards):
+            return ServingEngine(CFG, capacity_tokens=256, seed=0, shards=shards)
+
+        undisturbed = engine(1)
+        undisturbed.submit(request())
+        want = _per_token_results(undisturbed.run_until_drained())
+        for donor_shards, adopter_shards in ((2, 1), (1, 2)):
+            donor = engine(donor_shards)
+            request_id = donor.submit(request())
+            before = [donor.step() for _ in range(3)]
+            (seq_id,) = donor._active
+            donor.preempt(seq_id)
+            export = donor.export_preempted(request_id)
+            assert export.swapped.k_rows.shape[1:] == (
+                donor.pool.k_heads, donor.pool.head_dim
+            )
+            adopter = engine(adopter_shards)
+            adopter.adopt_preempted(export)
+            after = adopter.run_until_drained()
+            assert adopter.resumes_total == 1
+            got = _per_token_results(before + after)
+            assert len(got) == len(want)
+            for x, y in zip(want, got):
+                assert np.array_equal(x.outputs, y.outputs)
+                assert np.array_equal(x.kept, y.kept)
+                assert np.array_equal(x.chunks_fetched, y.chunks_fetched)
+                assert np.array_equal(x.log_denominators, y.log_denominators)
 
 
 # ------------------------------------------------------- engine bit-identity
@@ -261,18 +281,81 @@ class TestShardedEngineBitIdentity:
         _assert_reports_identical(ref, got)
 
     def test_rejects_more_shards_than_heads(self):
-        engine = ServingEngine(CFG, capacity_tokens=256, shards=8)
-        (request,) = _requests(np.random.default_rng(0), n_requests=1)
+        """Rejected at submit: nothing queued, no span left open, and the
+        engine keeps serving requests it can hold."""
+        tracer = Tracer()
+        engine = ServingEngine(
+            CFG, capacity_tokens=256, shards=4, tracer=tracer
+        )
+        (narrow,) = _requests(np.random.default_rng(0), n_requests=1, n_heads=2)
         with pytest.raises(ValueError, match="shard"):
-            engine.submit(request)
-            engine.step()
+            engine.submit(narrow)
+        assert narrow.submitted_wall < 0  # never stamped as submitted
+        assert engine.n_pending == 0 and tracer.open_span_count == 0
+        engine.step()
+        (wide,) = _requests(np.random.default_rng(1), n_requests=1, n_heads=4)
+        engine.submit(wide)
+        engine.run_until_drained()
+        assert len(engine.completed) == 1
+        assert tracer.open_span_count == 0 and not tracer.errors
+
+    def test_router_rejects_more_shards_than_heads(self):
+        """The same request through a router raises at submit and leaves
+        every replica able to step."""
+        router = ClusterRouter(2, CFG, capacity_tokens=256, shards=4)
+        (narrow,) = _requests(np.random.default_rng(0), n_requests=1, n_heads=2)
+        with pytest.raises(ValueError, match="shard"):
+            router.submit(narrow)
+        assert all(e.n_pending == 0 for e in router.replicas)
+        router.step()
+        for request in _requests(np.random.default_rng(1), n_requests=2, n_heads=4):
+            router.submit(request)
+        while router.busy:
+            router.step()
+        assert sum(len(e.completed) for e in router.replicas) == 2
+
+    @pytest.mark.parametrize("shards, n_heads", [(2, 4), (3, 5)])
+    def test_arena_equals_unsharded_after_every_step(
+        self, monkeypatch, shards, n_heads
+    ):
+        """One arena: the sharded engine's pool is a plain KVCachePool
+        whose bytes equal the unsharded engine's after every step (with
+        preemption and tiering on), and every shard kernel reads views
+        of it."""
+        inputs = []
+        kernel = shard_module.token_picker_attention_ragged
+
+        def spy(*args, **kw):
+            inputs.append((kw["k_plane_arena"], kw["v_arena"]))
+            return kernel(*args, **kw)
+
+        monkeypatch.setattr(shard_module, "token_picker_attention_ragged", spy)
+        ref_arenas, got_arenas = [], []
+        _drain(
+            1, n_heads=n_heads, preempt=True, tiering=True, arenas=ref_arenas
+        )
+        engine, _ = _drain(
+            shards, n_heads=n_heads, preempt=True, tiering=True,
+            arenas=got_arenas,
+        )
+        assert type(engine.pool) is KVCachePool
+        assert engine.preemptions_total > 0
+        assert len(ref_arenas) == len(got_arenas)
+        for (k_ref, v_ref), (k_got, v_got) in zip(ref_arenas, got_arenas):
+            assert k_ref.dtype == k_got.dtype
+            assert k_ref.tobytes() == k_got.tobytes()
+            assert v_ref.tobytes() == v_got.tobytes()
+        assert inputs
+        for k_in, v_in in inputs:
+            assert np.shares_memory(k_in, engine.pool.k_arena)
+            assert np.shares_memory(v_in, engine.pool.v_arena)
 
 
 # -------------------------------------------------------------- ShardGroup
 class TestShardGroup:
     def test_combine_matches_single_call_on_raw_pools(self):
-        """K slice-kernel calls concatenated in shard order reproduce the
-        one-call result on the same arena contents."""
+        """K head-slice kernel calls on one pool, concatenated in shard
+        order, reproduce the one-call result on the same arena."""
         rng = np.random.default_rng(4)
         n_heads, head_dim, t = 4, 8, 20
         quant = CFG.quant
@@ -283,19 +366,10 @@ class TestShardGroup:
             block_size=8,
             k_heads=n_heads * quant.n_chunks,
         )
-        sharded = ShardedKVPool(
-            n_heads,
-            head_dim,
-            capacity_tokens=64,
-            block_size=8,
-            k_heads=n_heads * quant.n_chunks,
-            n_shards=2,
-        )
         k = rng.normal(size=(t, flat.k_heads, head_dim))
         v = rng.normal(size=(t, n_heads, head_dim))
-        for pool in (flat, sharded):
-            pool.register(0)
-            pool.append_encoded(0, k, v)
+        flat.register(0)
+        flat.append_encoded(0, k, v)
         qs = rng.normal(size=(1, n_heads, head_dim))
         q_scales = np.abs(qs).max(axis=2) / quant.qmax + 1e-9
         k_scales = (
@@ -315,7 +389,8 @@ class TestShardGroup:
             v_arena=flat.v_arena,
             segments=segments,
         )
-        group = ShardGroup(sharded, quant)
+        group = ShardGroup(flat, quant, 2)
+        assert group.head_ranges == [(0, 2), (2, 4)]
         combined = group.run(qs, q_scales, k_scales, segments, CFG)
         for x, y in zip(single.results, combined.results):
             assert np.array_equal(x.outputs, y.outputs)
