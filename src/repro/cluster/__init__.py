@@ -33,7 +33,6 @@ from repro.cluster.faults import (
     fault_schedule,
 )
 from repro.cluster.memory import (
-    ConservativeMemory,
     OptimisticMemory,
     make_memory_manager,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ROUTER_POLICIES",
     "ClusterRouter",
     "ClusterStepReport",
-    "ConservativeMemory",
     "Counter",
     "FaultEvent",
     "FaultInjector",

@@ -35,29 +35,6 @@ from repro.serving.request import GenerationRequest
 
 
 @dataclass(frozen=True)
-class ConservativeMemory:
-    """The engine's default contract, as an explicit policy object.
-
-    Admission and reservation both cover the full lifetime footprint;
-    :meth:`select_victim` refuses to name one (decode-time exhaustion is
-    impossible under this rule, so being asked means a bug upstream).
-    """
-
-    name: str = "conservative"
-
-    def admission_tokens(self, request: GenerationRequest) -> int:
-        return request.total_tokens
-
-    def reserve_tokens(self, request: GenerationRequest) -> int:
-        return request.total_tokens
-
-    def select_victim(
-        self, candidates: Sequence[VictimCandidate]
-    ) -> Optional[int]:
-        return None
-
-
-@dataclass(frozen=True)
 class OptimisticMemory:
     """Prompt-footprint admission with probability-guided preemption.
 

@@ -5,8 +5,10 @@ A trace records two clocks: measured wall time (noisy — a loaded runner
 can double it) and modelled hardware cycles (deterministic for a seeded
 run — the paper's actual claim).  The diff treats them accordingly:
 every check carries its own threshold, so CI gates *tightly* on the
-deterministic metrics (modelled cycles, per-round alive fractions,
-token counts) and *loosely* on wall time.
+deterministic metrics (modelled cycles, per-round alive fractions) and
+*loosely* on wall time.  Three lifecycle counts gate exactly, with no
+threshold: finished requests and decoded tokens may not fall, and
+unterminated spans may not rise.
 
 Usage::
 
@@ -223,6 +225,21 @@ def diff_summaries(
                            pct_allowed)
             )
 
+    # lifecycle counts are exact for a seeded run: any move the wrong way
+    # (a request that no longer finishes, a lost token, a leaked span)
+    # gates, with no threshold
+    for metric, sign in (
+        ("requests_finished", -1), ("tokens", -1), ("unterminated_spans", 1),
+    ):
+        base, cand = baseline.get(metric), candidate.get(metric)
+        if base is not None and cand is not None and sign * (cand - base) > 0:
+            out.append(
+                Regression(
+                    metric, float(base), float(cand),
+                    _pct(base, cand) if base else float("inf"), 0.0,
+                )
+            )
+
     base_tps = baseline.get("tokens_per_sec")
     cand_tps = candidate.get("tokens_per_sec")
     if base_tps and cand_tps:
@@ -364,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"trace diff: {args.baseline} (baseline) vs {args.candidate} "
         f"(candidate); compared {', '.join(compared)}"
     )
-    for key in ("steps", "tokens", "requests_finished"):
+    for key in ("steps", "tokens", "requests_finished", "unterminated_spans"):
         if key in baseline and key in candidate:
             print(f"  {key}: {baseline[key]} -> {candidate[key]}")
     if not regressions:

@@ -68,7 +68,6 @@ def export_engine_metrics(
     sched = engine.scheduler.counters()
     gauge("scheduler_pending", sched["pending"])
     counter("scheduler_admitted", sched["admitted"])
-    counter("scheduler_retired", sched["retired"])
     counter("scheduler_bypassed", sched["bypassed"])
     totals = getattr(engine, "round_alive_totals", None)
     if totals is not None:

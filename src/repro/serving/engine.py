@@ -20,6 +20,22 @@ time).  Per step it
 A caller that owns its cache and wants one sequence at a time uses
 :class:`repro.core.session.TokenPickerSession` instead; it shares no code
 with this engine beyond the scale-freezing rule.
+
+An admitted request lives in one :class:`SequenceRecord`; every state
+change goes through ``ServingEngine._transition``, every exit through
+``ServingEngine._finish``.  The trace's ``req<id>`` track follows the state:
+
+==========  ============================================================
+state       spans open inside ``request`` (marks emitted)
+==========  ============================================================
+QUEUED      ``queued``
+PREFILLING  ``queued``, from the first prompt chunk ``prefill``
+            (``prefill_start``; ``prefill_chunk`` per chunk)
+RUNNING     ``decode`` (``first_token``)
+PREEMPTED   ``preempted``, inside the phase span it left
+terminal    none: ``request`` closes with the state — or with
+            ``withdrawn`` / ``exported`` / ``lost`` for a hand-off
+==========  ============================================================
 """
 
 from __future__ import annotations
@@ -125,7 +141,7 @@ class SequenceStepView:
     """One sequence's share of a fused engine step."""
 
     seq_id: int
-    request_id: Optional[int]
+    request_id: int
     context_length: int
     stats: PruneStats  # this step's attention accounting (all heads)
     #: fetch-path split by memory tier when KV tiering is enabled
@@ -214,30 +230,40 @@ class EngineStepReport:
 
 
 @dataclass
-class _ActiveSequence:
+class SequenceRecord:
+    """One admitted request, from admission to exit, resident or not.
+
+    Swapped out (``swapped`` set) it is also the failover wire format
+    (:data:`PreemptedExport`): encoded rows, frozen scales, stats and the
+    (already advanced) decode stream travel together, so an adopting
+    engine continues the sequence bit-identically.
+    """
+
     seq_id: int
+    request: GenerationRequest
     scales: SequenceScales
     stats: RequestStats
-    request: Optional[GenerationRequest] = None
-    step_source: Optional[StepSource] = None
-    remaining: int = 0
+    step_source: StepSource
+    remaining: int
     #: prompt tokens ingested into the pool so far; the sequence joins
     #: the fused decode batch only once this reaches the prompt length
     prefill_pos: int = 0
+    #: the host copy of the rows while swapped out (None while resident)
+    swapped: Optional[SwappedSequence] = None
 
     @property
     def prefilling(self) -> bool:
-        return (
-            self.request is not None
-            and self.prefill_pos < self.request.prompt_tokens
-        )
+        return self.prefill_pos < self.request.prompt_tokens
 
     @property
     def pending_prompt_tokens(self) -> int:
         """Prompt tokens admitted but not yet written to the pool."""
-        if self.request is None:
-            return 0
         return self.request.prompt_tokens - self.prefill_pos
+
+
+#: what :meth:`ServingEngine.export_preempted` returns and
+#: :meth:`ServingEngine.adopt_preempted` takes: a swapped-out record
+PreemptedExport = SequenceRecord
 
 
 @dataclass(frozen=True)
@@ -252,7 +278,7 @@ class VictimCandidate:
     """
 
     seq_id: int
-    request_id: Optional[int]
+    request_id: int
     retained_mass: float
     admitted_step: int
     context_length: int
@@ -266,34 +292,6 @@ class VictimCandidate:
     #: ``remaining_tokens`` includes the not-yet-ingested prompt tail —
     #: policies can prefer these victims (no decoded progress to lose)
     prefilling: bool = False
-
-
-@dataclass
-class _PreemptedSequence:
-    """A swapped-out sequence waiting for headroom to resume."""
-
-    entry: _ActiveSequence
-    swapped: SwappedSequence
-    preempted_step: int
-
-
-@dataclass
-class PreemptedExport:
-    """A swapped-out sequence packaged to resume on *another* engine.
-
-    The byte-exact swap format doubles as a failover wire format: the
-    encoded rows, frozen scales, accumulated stats and the (already
-    advanced) decode stream travel together, so the adopting engine
-    continues the sequence bit-identically from where the donor stopped.
-    """
-
-    request: GenerationRequest
-    swapped: SwappedSequence
-    scales: SequenceScales
-    stats: RequestStats
-    step_source: Optional[StepSource]
-    remaining: int
-    prefill_pos: int
 
 
 @dataclass
@@ -441,13 +439,13 @@ class ServingEngine:
         self.completed: List[CompletedRequest] = []
         #: aborted requests (CANCELLED / TIMED_OUT terminal records)
         self.cancelled: List[CompletedRequest] = []
-        self.cancelled_total = 0
-        self.timed_out_total = 0
         self.adopted_total = 0
-        self._active: Dict[int, _ActiveSequence] = {}
-        self._preempted: Dict[int, _PreemptedSequence] = {}
-        self._submitted_at: Dict[int, int] = {}
-        self._submitted_wall: Dict[int, float] = {}
+        #: queued request id -> the stats made at submit (admission
+        #: moves them onto the sequence record)
+        self._queued: Dict[int, RequestStats] = {}
+        self._active: Dict[int, SequenceRecord] = {}
+        #: swapped-out sequences, oldest preemption first
+        self._preempted: Dict[int, SequenceRecord] = {}
         self._next_seq_id = 0
         self._next_request_id = 0
         self._step_index = 0
@@ -493,6 +491,18 @@ class ServingEngine:
         return len(self._preempted)
 
     @property
+    def cancelled_total(self) -> int:
+        return sum(d.state is RequestState.CANCELLED for d in self.cancelled)
+
+    @property
+    def timed_out_total(self) -> int:
+        return len(self.cancelled) - self.cancelled_total
+
+    def _records(self) -> List[SequenceRecord]:
+        """Every admitted sequence: resident ones, then swapped-out ones."""
+        return [*self._active.values(), *self._preempted.values()]
+
+    @property
     def outstanding_tokens(self) -> int:
         """Remaining lifetime KV footprint of every unfinished request.
 
@@ -502,18 +512,12 @@ class ServingEngine:
         replica's live keep-fraction to estimate effective load.
         """
         total = sum(r.total_tokens for r in self.scheduler.pending)
-        for entry in self._active.values():
-            total += (
-                self.pool.length(entry.seq_id)
-                + entry.pending_prompt_tokens
-                + entry.remaining
-            )
-        for rec in self._preempted.values():
+        for rec in self._records():
             total += (
                 rec.swapped.length
-                + rec.entry.pending_prompt_tokens
-                + rec.entry.remaining
-            )
+                if rec.swapped is not None
+                else self.pool.length(rec.seq_id)
+            ) + rec.pending_prompt_tokens + rec.remaining
         return total
 
     @property
@@ -531,12 +535,27 @@ class ServingEngine:
     def submit(self, request: GenerationRequest) -> int:
         """Queue a request; returns its assigned request id.
 
-        Requests whose lifetime footprint (prompt + ``max_new_tokens``)
-        exceeds the pool outright are rejected here — queued, they would
-        head-block FIFO admission forever — and so are requests the
-        pool's geometry cannot hold (:meth:`_check_geometry`): admission
-        would fail on them after the scheduler had already dequeued them.
+        A request this engine can never serve is rejected here
+        (:meth:`_check_admissible`), before it is stamped or queued.
         """
+        self._check_admissible(request)
+        request.request_id = self._next_request_id
+        self._next_request_id += 1
+        stats = self._queued[request.request_id] = RequestStats(
+            prompt_tokens=request.prompt_tokens,
+            submitted_step=self._step_index,
+        )
+        self._transition(request, stats, RequestState.QUEUED)
+        self.scheduler.submit(request)
+        return request.request_id
+
+    def _check_admissible(self, request: GenerationRequest) -> None:
+        """Raise ``ValueError``, engine unchanged, for a request this
+        engine can never serve (:meth:`submit` and :meth:`adopt_preempted`):
+        a lifetime footprint beyond the whole pool — queued or swapped
+        out, it would wait forever — fewer heads than shards, or
+        ``(n_heads, head_dim)`` other than the engine's, which the first
+        request that passes fixes."""
         total_blocks = self._capacity_tokens // self._block_size
         needed = -(-request.total_tokens // self._block_size)
         if needed > total_blocks:
@@ -544,36 +563,6 @@ class ServingEngine:
                 f"request needs {request.total_tokens} tokens "
                 f"({needed} blocks); the pool holds {total_blocks} blocks"
             )
-        self._check_geometry(request)
-        request.request_id = self._next_request_id
-        self._next_request_id += 1
-        request.state = RequestState.QUEUED
-        request.submitted_wall = time.perf_counter()
-        self._submitted_at[request.request_id] = self._step_index
-        self._submitted_wall[request.request_id] = request.submitted_wall
-        if self.tracer:
-            track = f"req{request.request_id}"
-            self.tracer.begin(
-                self.trace_label,
-                track,
-                "request",
-                ts=request.submitted_wall,
-                args={
-                    "request_id": request.request_id,
-                    "prompt_tokens": request.prompt_tokens,
-                    "max_new_tokens": request.max_new_tokens,
-                },
-            )
-            self.tracer.begin(
-                self.trace_label, track, "queued", ts=request.submitted_wall
-            )
-        self.scheduler.submit(request)
-        return request.request_id
-
-    def _check_geometry(self, request: GenerationRequest) -> None:
-        """Reject a request with fewer heads than shards, or whose
-        ``(n_heads, head_dim)`` differs from the engine's; the first
-        request that passes fixes the engine's geometry."""
         geometry = (request.n_heads, request.head_dim)
         if request.n_heads < self._shards:
             raise ValueError(
@@ -599,60 +588,150 @@ class ServingEngine:
         withdrawn = list(self.scheduler.pending)
         self.scheduler.pending.clear()
         for request in withdrawn:
-            self._submitted_at.pop(request.request_id, None)
-            self._submitted_wall.pop(request.request_id, None)
-            if self.tracer:
-                self.tracer.close_track(
-                    self.trace_label,
-                    f"req{request.request_id}",
-                    args={"state": "withdrawn"},
-                )
+            self._finish(request, "withdrawn")
         return withdrawn
 
-    # -------------------------------------------------- cancellation/deadline
-    def _release_sequence(self, seq_id: int, *, pooled: bool) -> None:
-        """Return every byte a sequence holds: arena blocks (``pooled``
-        sequences only — a swapped-out victim's blocks are already free),
-        tier state and the radix prefix reference.  The exact inverse of
-        what admission acquired, so a cancellation storm leaves arena,
-        tier and radix accounting at baseline."""
-        if pooled:
-            self.pool.free(seq_id)
-        if self.tiers is not None:
-            self.tiers.free(seq_id)
-        handle = self._prefix_handles.pop(seq_id, None)
-        if handle is not None:
-            self.prefix_cache.release(handle)
-
-    def _finish_abort(
+    # -------------------------------------------------------------- lifecycle
+    def _transition(
         self,
         request: GenerationRequest,
         stats: RequestStats,
-        state: RequestState,
-    ) -> CompletedRequest:
-        request.state = state
-        stats.finished_step = self._step_index
-        stats.finished_wall = time.perf_counter()
-        if self.tracer:
-            self.tracer.close_track(
-                self.trace_label,
-                f"req{request.request_id}",
-                ts=stats.finished_wall,
-                args={
-                    "state": state.value,
-                    "generated_tokens": stats.generated_tokens,
-                },
-            )
-        done = CompletedRequest(
-            request_id=request.request_id, stats=stats, state=state
-        )
-        self.cancelled.append(done)
-        if state is RequestState.TIMED_OUT:
-            self.timed_out_total += 1
+        to,
+        *,
+        prefilling: bool = False,
+        args: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Move a live request to state ``to``, or record the mark ``to``
+        names inside its state (``"prefill_start"``, ``"prefill_chunk"``
+        with ``args``, ``"first_token"``, or ``"adopted"`` from another
+        engine, ``prefilling`` naming the phase it left): sets the state,
+        stamps the wall clocks, moves the request-track spans of the
+        module table and bumps the lifecycle counters."""
+        tracer, label = self.tracer, self.trace_label
+        track = f"req{request.request_id}"
+        now = time.perf_counter()
+        if to == "adopted":
+            request.state = RequestState.PREEMPTED
+            self.adopted_total += 1
+            if tracer:
+                # the track reopens on the donor's stamps, so TTFT / queue
+                # wait recomputed from the trace match the carried stats
+                tracer.begin(
+                    label, track, "request", ts=stats.queued_wall,
+                    args={**self._request_args(request), "adopted": True},
+                )
+                for mark, ts in (
+                    ("prefill_start", stats.prefill_start_wall),
+                    ("first_token", stats.first_token_wall),
+                ):
+                    if ts >= 0:
+                        tracer.instant(label, track, mark, ts=ts)
+                if not prefilling:
+                    phase, ts = "decode", now
+                elif stats.prefill_start_wall >= 0:
+                    phase, ts = "prefill", stats.prefill_start_wall
+                else:  # admitted, but no prompt chunk landed yet
+                    phase, ts = "queued", stats.queued_wall
+                tracer.begin(label, track, phase, ts=ts)
+                tracer.begin(label, track, "preempted", ts=now)
+            return
+        if not isinstance(to, RequestState):
+            if to == "prefill_start":
+                stats.prefill_start_wall = now
+                if tracer:
+                    tracer.end(label, track, "queued", ts=now)
+                    tracer.begin(label, track, "prefill", ts=now)
+            elif to == "first_token":
+                stats.first_token_wall = now
+            if tracer:
+                tracer.instant(label, track, to, ts=now, args=args)
+            return
+        prev, request.state = request.state, to
+        if to is RequestState.QUEUED:
+            request.submitted_wall = stats.queued_wall = now
+            if tracer:
+                tracer.begin(
+                    label, track, "request", ts=now,
+                    args=self._request_args(request),
+                )
+                tracer.begin(label, track, "queued", ts=now)
+        elif to is RequestState.PREEMPTED:
+            stats.preemptions += 1
+            self.preemptions_total += 1
+            if tracer:
+                tracer.begin(
+                    label, track, "preempted", ts=now,
+                    args={"step": self._step_index},
+                )
+        elif prev is RequestState.PREEMPTED:  # resumed
+            self.resumes_total += 1
+            if tracer:
+                tracer.end(
+                    label, track, "preempted", ts=now,
+                    args={"resumed_step": self._step_index},
+                )
+        elif to is RequestState.RUNNING:  # the last prompt chunk landed
+            if tracer:
+                tracer.end(label, track, "prefill", ts=now)
+                tracer.begin(label, track, "decode", ts=now)
+        # QUEUED -> PREFILLING (admission): spans move at the first chunk
+
+    @staticmethod
+    def _request_args(request: GenerationRequest) -> Dict[str, object]:
+        return {
+            "request_id": request.request_id,
+            "prompt_tokens": request.prompt_tokens,
+            "max_new_tokens": request.max_new_tokens,
+        }
+
+    def _finish(
+        self,
+        request: GenerationRequest,
+        how: str,
+        seq_id: Optional[int] = None,
+    ) -> Optional[CompletedRequest]:
+        """The one exit: ``request`` (admitted as ``seq_id``) leaves as
+        ``how``.  Releases its queued stats or its arena blocks, tier
+        state and radix reference — the inverse of admission — and closes
+        its track with ``state=how``.  A terminal ``how`` also sets the
+        state, stamps the finish and records the returned
+        :class:`CompletedRequest`; a hand-off (``"withdrawn"``,
+        ``"exported"``, ``"lost"`` — reset to ``QUEUED``) returns None."""
+        if seq_id is None:
+            stats = self._queued.pop(request.request_id)
         else:
-            self.cancelled_total += 1
+            rec = self._active.pop(seq_id, None)
+            if rec is not None:
+                self.pool.free(seq_id)
+            else:
+                rec = self._preempted.pop(seq_id)
+            stats = rec.stats
+            if self.tiers is not None:
+                self.tiers.free(seq_id)
+            handle = self._prefix_handles.pop(seq_id, None)
+            if handle is not None:
+                self.prefix_cache.release(handle)
+        args: Dict[str, object] = {"state": how}
+        ts = done = None
+        if how in ("finished", "cancelled", "timed_out"):
+            request.state = RequestState(how)
+            stats.finished_step = self._step_index
+            ts = stats.finished_wall = time.perf_counter()
+            args["generated_tokens"] = stats.generated_tokens
+            if how == "finished":
+                args["preemptions"] = stats.preemptions
+                args["retained_mass"] = stats.mean_retained_mass
+            done = CompletedRequest(request.request_id, stats, request.state)
+            done_list = self.completed if how == "finished" else self.cancelled
+            done_list.append(done)
+        elif how == "lost":
+            request.state = RequestState.QUEUED
+        if self.tracer:
+            track = f"req{request.request_id}"
+            self.tracer.close_track(self.trace_label, track, ts=ts, args=args)
         return done
 
+    # -------------------------------------------------- cancellation/deadline
     def cancel(
         self, request_id: int, *, timed_out: bool = False
     ) -> CompletedRequest:
@@ -667,40 +746,17 @@ class ServingEngine:
         appended to :attr:`cancelled`.  Unknown or already-terminal
         request ids raise :class:`KeyError`.
         """
-        state = (
-            RequestState.TIMED_OUT if timed_out else RequestState.CANCELLED
-        )
-        for request in self.scheduler.pending:
+        how = "timed_out" if timed_out else "cancelled"
+        pending = self.scheduler.pending
+        for i, request in enumerate(pending):
             if request.request_id == request_id:
-                # remove by identity: dataclass __eq__ compares the
-                # prompt arrays element-wise, which deque.remove chokes on
-                remaining = [
-                    r for r in self.scheduler.pending if r is not request
-                ]
-                self.scheduler.pending.clear()
-                self.scheduler.pending.extend(remaining)
-                stats = RequestStats(
-                    prompt_tokens=request.prompt_tokens,
-                    submitted_step=self._submitted_at.pop(
-                        request_id, self._step_index
-                    ),
-                    queued_wall=self._submitted_wall.pop(
-                        request_id, request.submitted_wall
-                    ),
-                )
-                return self._finish_abort(request, stats, state)
-        for seq_id, entry in list(self._active.items()):
-            request = entry.request
-            if request is not None and request.request_id == request_id:
-                self._release_sequence(seq_id, pooled=True)
-                del self._active[seq_id]
-                return self._finish_abort(request, entry.stats, state)
-        for seq_id, rec in list(self._preempted.items()):
-            request = rec.entry.request
-            if request is not None and request.request_id == request_id:
-                del self._preempted[seq_id]
-                self._release_sequence(seq_id, pooled=False)
-                return self._finish_abort(request, rec.entry.stats, state)
+                # by index: dataclass __eq__ compares the prompt arrays
+                # element-wise, which deque.remove chokes on
+                del pending[i]
+                return self._finish(request, how)
+        for rec in self._records():
+            if rec.request.request_id == request_id:
+                return self._finish(rec.request, how, rec.seq_id)
         raise KeyError(
             f"unknown or already-terminal request {request_id}"
         )
@@ -716,19 +772,10 @@ class ServingEngine:
         inside :meth:`step` — so engine stepping stays deterministic.
         """
         now = time.perf_counter() if now is None else now
-        live: List[GenerationRequest] = list(self.scheduler.pending)
-        live += [
-            e.request
-            for e in self._active.values()
-            if e.request is not None
-        ]
-        live += [
-            r.entry.request
-            for r in self._preempted.values()
-            if r.entry.request is not None
-        ]
         expired: List[CompletedRequest] = []
-        for request in live:
+        for request in [
+            *self.scheduler.pending, *(r.request for r in self._records())
+        ]:
             if request.deadline_ms is None or request.submitted_wall < 0:
                 continue
             if (now - request.submitted_wall) * 1e3 > request.deadline_ms:
@@ -752,31 +799,15 @@ class ServingEngine:
     def export_preempted(self, request_id: int) -> PreemptedExport:
         """Detach a swapped-out sequence for adoption by another engine.
 
-        The sequence's byte-exact host-memory copy, frozen scales, stats
-        and decode stream leave together; this engine forgets the
-        sequence entirely (tier state and radix reference released).
+        The sequence's record — byte-exact host-memory copy, frozen
+        scales, stats and decode stream — leaves whole; this engine
+        forgets the sequence entirely (tier state and radix reference
+        released).
         """
-        for seq_id, rec in list(self._preempted.items()):
-            request = rec.entry.request
-            if request is not None and request.request_id == request_id:
-                del self._preempted[seq_id]
-                self._release_sequence(seq_id, pooled=False)
-                entry = rec.entry
-                if self.tracer:
-                    self.tracer.close_track(
-                        self.trace_label,
-                        f"req{request_id}",
-                        args={"state": "exported"},
-                    )
-                return PreemptedExport(
-                    request=request,
-                    swapped=rec.swapped,
-                    scales=entry.scales,
-                    stats=entry.stats,
-                    step_source=entry.step_source,
-                    remaining=entry.remaining,
-                    prefill_pos=entry.prefill_pos,
-                )
+        for rec in list(self._preempted.values()):
+            if rec.request.request_id == request_id:
+                self._finish(rec.request, "exported", rec.seq_id)
+                return rec
         raise KeyError(f"request {request_id} is not swapped out here")
 
     def adopt_preempted(self, export: PreemptedExport) -> int:
@@ -784,10 +815,11 @@ class ServingEngine:
 
         The sequence lands in this engine's preempted set and swaps into
         the arena when headroom allows, continuing bit-identically from
-        the donor's last decoded token.  A tiered engine refuses: the
-        donor's per-token tier state does not travel, so the caller must
-        fall back to re-prefill.  The request gets a **fresh** request id
-        in this engine's namespace (returned) — per-replica ids restart
+        the donor's last decoded token.  ``ValueError`` refuses it, the
+        engine unchanged, on a tiered engine (per-token tier state does
+        not travel: re-prefill instead) and wherever :meth:`submit` would
+        (:meth:`_check_admissible`).  The request gets a **fresh** request
+        id in this engine's namespace (returned) — per-replica ids restart
         at 0, so keeping the donor's id could collide with a request this
         engine already owns; cross-replica identity is the caller's job
         (the fault injector keys requests by trace origin).
@@ -798,71 +830,16 @@ class ServingEngine:
                 "tier state does not travel); re-prefill instead"
             )
         request = export.request
-        self._check_geometry(request)
+        self._check_admissible(request)
         self._ensure_pool(request)
-        seq_id = self._next_seq_id
+        export.seq_id = self._next_seq_id
         self._next_seq_id += 1
         request.request_id = self._next_request_id
         self._next_request_id += 1
-        request.state = RequestState.PREEMPTED
-        entry = _ActiveSequence(
-            seq_id=seq_id,
-            scales=export.scales,
-            stats=export.stats,
-            request=request,
-            step_source=export.step_source,
-            remaining=export.remaining,
-            prefill_pos=export.prefill_pos,
+        self._preempted[export.seq_id] = export
+        self._transition(
+            request, export.stats, "adopted", prefilling=export.prefilling
         )
-        self._preempted[seq_id] = _PreemptedSequence(
-            entry=entry, swapped=export.swapped, preempted_step=self._step_index
-        )
-        self.adopted_total += 1
-        if self.tracer:
-            # the adopted request's lifecycle continues on this engine's
-            # track, anchored at the donor's stamps so TTFT/queue-wait
-            # recomputed from the trace match the carried RequestStats
-            track = f"req{request.request_id}"
-            now = time.perf_counter()
-            stats = export.stats
-            self.tracer.begin(
-                self.trace_label,
-                track,
-                "request",
-                ts=stats.queued_wall,
-                args={
-                    "request_id": request.request_id,
-                    "prompt_tokens": request.prompt_tokens,
-                    "max_new_tokens": request.max_new_tokens,
-                    "adopted": True,
-                },
-            )
-            if stats.prefill_start_wall >= 0:
-                self.tracer.instant(
-                    self.trace_label,
-                    track,
-                    "prefill_start",
-                    ts=stats.prefill_start_wall,
-                )
-            if stats.first_token_wall >= 0:
-                self.tracer.instant(
-                    self.trace_label,
-                    track,
-                    "first_token",
-                    ts=stats.first_token_wall,
-                )
-            phase_ts = (
-                stats.prefill_start_wall
-                if entry.prefilling and stats.prefill_start_wall >= 0
-                else now
-            )
-            self.tracer.begin(
-                self.trace_label,
-                track,
-                "prefill" if entry.prefilling else "decode",
-                ts=phase_ts,
-            )
-            self.tracer.begin(self.trace_label, track, "preempted", ts=now)
         return request.request_id
 
     def harvest_for_failover(self) -> FailoverHarvest:
@@ -876,25 +853,11 @@ class ServingEngine:
         are bit-identical).  Afterwards the engine holds no requests.
         """
         harvest = FailoverHarvest(queued=self.withdraw_pending())
-        for seq_id, rec in list(self._preempted.items()):
-            request = rec.entry.request
-            if request is None:
-                continue
-            harvest.swapped.append(self.export_preempted(request.request_id))
-        for seq_id, entry in list(self._active.items()):
-            request = entry.request
-            if request is None:
-                continue
-            self._release_sequence(seq_id, pooled=True)
-            del self._active[seq_id]
-            request.state = RequestState.QUEUED
-            if self.tracer:
-                self.tracer.close_track(
-                    self.trace_label,
-                    f"req{request.request_id}",
-                    args={"state": "lost"},
-                )
-            harvest.lost.append(request)
+        for rec in list(self._preempted.values()):
+            harvest.swapped.append(self.export_preempted(rec.request.request_id))
+        for rec in list(self._active.values()):
+            self._finish(rec.request, "lost", rec.seq_id)
+            harvest.lost.append(rec.request)
         return harvest
 
     def _admission_tokens(self, request: GenerationRequest) -> int:
@@ -975,7 +938,8 @@ class ServingEngine:
         pool.register(
             seq_id, scales=scales, reserve_tokens=self._reserve_tokens(request)
         )
-        prefix_hits = 0
+        stats = self._queued.pop(request.request_id)
+        stats.admitted_step = self._step_index
         if self.prefix_cache is not None:
             # dedupe the prompt's cold-tier ingest against shared
             # prefixes; the sequence still encodes from its *own* prompt
@@ -984,39 +948,27 @@ class ServingEngine:
             handle = self.prefix_cache.acquire(
                 request.prompt_keys, request.prompt_values
             )
-            prefix_hits = handle.hit_tokens
+            stats.prefix_hit_tokens = handle.hit_tokens
             self._prefix_handles[seq_id] = handle
         if self.tiers is not None:
             self.tiers.register(seq_id)
-        stats = RequestStats(
-            prompt_tokens=request.prompt_tokens,
-            prefix_hit_tokens=prefix_hits,
-            submitted_step=self._submitted_at.pop(
-                request.request_id, self._step_index
-            ),
-            admitted_step=self._step_index,
-            queued_wall=self._submitted_wall.pop(
-                request.request_id, time.perf_counter()
-            ),
-        )
-        request.state = RequestState.PREFILLING
         source = request.step_source
         if source is None:
             rng = np.random.default_rng(
-                [self._seed, request.request_id or 0]
+                [self._seed, request.request_id]
                 if request.seed is None
                 else request.seed
             )
             source = synthetic_step_source(rng, request.n_heads, request.head_dim)
-        self._active[seq_id] = _ActiveSequence(
+        self._active[seq_id] = SequenceRecord(
             seq_id=seq_id,
+            request=request,
             scales=scales,
             stats=stats,
-            request=request,
             step_source=source,
             remaining=request.max_new_tokens,
-            prefill_pos=0,
         )
+        self._transition(request, stats, RequestState.PREFILLING)
 
     @property
     def _prefill_row_bits(self) -> int:
@@ -1027,26 +979,16 @@ class ServingEngine:
         )
 
     def _ingest_prefill_chunk(
-        self, entry: _ActiveSequence, n: int, report: EngineStepReport
+        self, entry: SequenceRecord, n: int, report: EngineStepReport
     ) -> None:
         """Encode + append ``n`` prompt tokens from where the last chunk
         stopped, charging tier ingest for exactly this chunk."""
-        request = entry.request
+        request, stats = entry.request, entry.stats
         start = entry.prefill_pos
-        if start == 0 and entry.stats.prefill_start_wall < 0:
-            entry.stats.prefill_start_wall = time.perf_counter()
-            if self.tracer:
-                # queued -> prefill at the exact stamp the queue-wait /
-                # prefill split is measured from
-                track = f"req{request.request_id}"
-                ts = entry.stats.prefill_start_wall
-                self.tracer.end(self.trace_label, track, "queued", ts=ts)
-                self.tracer.begin(
-                    self.trace_label, track, "prefill", ts=ts, cat="request"
-                )
-                self.tracer.instant(
-                    self.trace_label, track, "prefill_start", ts=ts
-                )
+        if stats.prefill_start_wall < 0:
+            # queued -> prefill at the exact stamp the queue-wait /
+            # prefill split is measured from
+            self._transition(request, stats, "prefill_start")
         k_slots, v_slots = self.pool.append_slots(entry.seq_id, n)
         _encode_kv_into(
             request.prompt_keys[:, start:start + n].transpose(1, 0, 2),
@@ -1064,27 +1006,17 @@ class ServingEngine:
                 n, handle.hits_in(start, start + n) if handle else 0
             )
         entry.prefill_pos = start + n
-        entry.stats.prefill_chunks += 1
+        stats.prefill_chunks += 1
         self.prefill_chunks_total += 1
         self.prefill_tokens_total += n
         report.prefill_tokens += n
         report.prefill_bits += n * self._prefill_row_bits
-        if self.tracer:
-            self.tracer.instant(
-                self.trace_label,
-                f"req{request.request_id}",
-                "prefill_chunk",
-                args={"tokens": n, "pos": entry.prefill_pos},
-            )
+        self._transition(
+            request, stats, "prefill_chunk",
+            args={"tokens": n, "pos": entry.prefill_pos},
+        )
         if not entry.prefilling:
-            request.state = RequestState.RUNNING
-            if self.tracer:
-                track = f"req{request.request_id}"
-                ts = time.perf_counter()
-                self.tracer.end(self.trace_label, track, "prefill", ts=ts)
-                self.tracer.begin(
-                    self.trace_label, track, "decode", ts=ts, cat="request"
-                )
+            self._transition(request, stats, RequestState.RUNNING)
 
     def _run_prefill(self, report: EngineStepReport) -> None:
         """Spend this step's leftover token budget on prompt chunks.
@@ -1108,11 +1040,8 @@ class ServingEngine:
             return
         budget = self.scheduler.prefill_budget_tokens
         left: Optional[int] = None
-        if budget is not None:
-            n_decoding = sum(
-                1 for e in self._active.values() if not e.prefilling
-            )
-            left = max(budget - n_decoding, 0)
+        if budget is not None:  # every decoding sequence claims one token
+            left = max(budget - (self.n_active - len(waiting)), 0)
         for entry in waiting:
             if left == 0:
                 break
@@ -1141,31 +1070,16 @@ class ServingEngine:
         (:meth:`_resume_preempted` runs at the top of every step).
         """
         entry = self._entry(seq_id)
+        swapped = self.pool.swap_out(seq_id)
         if self.tiers is not None:
             # patch sketch-only demoted rows from their cold copies first,
             # so the swapped segments stay byte-exact; swap_out then only
             # charges the hot remainder as new cold-tier movement
-            swapped = self.tiers.on_swap_out(
-                seq_id, self.pool.swap_out(seq_id)
-            )
-        else:
-            swapped = self.pool.swap_out(seq_id)
+            swapped = self.tiers.on_swap_out(seq_id, swapped)
         del self._active[seq_id]
-        entry.stats.preemptions += 1
-        if entry.request is not None:
-            entry.request.state = RequestState.PREEMPTED
-            if self.tracer:
-                self.tracer.begin(
-                    self.trace_label,
-                    f"req{entry.request.request_id}",
-                    "preempted",
-                    cat="request",
-                    args={"step": self._step_index},
-                )
-        self._preempted[seq_id] = _PreemptedSequence(
-            entry=entry, swapped=swapped, preempted_step=self._step_index
-        )
-        self.preemptions_total += 1
+        entry.swapped = swapped
+        self._preempted[seq_id] = entry
+        self._transition(entry.request, entry.stats, RequestState.PREEMPTED)
 
     def _resume_preempted(self, report: EngineStepReport) -> None:
         """Swap preempted sequences back in, oldest preemption first.
@@ -1175,46 +1089,33 @@ class ServingEngine:
         growth (anti-thrash).  Resumed sequences take batch slots before
         new admissions — they were admitted first.
         """
-        for seq_id in list(self._preempted):
+        for seq_id, rec in list(self._preempted.items()):
             if self.n_active >= self.max_batch_size:
                 break
-            rec = self._preempted[seq_id]
-            entry = rec.entry
             # a mid-prefill victim re-reserves its admission footprint so
             # the remaining prompt chunks can never fail to grow into it
             reserve = rec.swapped.length + self.pool.block_size
-            if entry.prefilling:
-                reserve = max(reserve, self._reserve_tokens(entry.request))
+            if rec.prefilling:
+                reserve = max(reserve, self._reserve_tokens(rec.request))
             if not self.pool.can_fit(reserve):
                 continue
             self.pool.swap_in(seq_id, rec.swapped, reserve_tokens=reserve)
             if self.tiers is not None:
                 self.tiers.on_swap_in(seq_id)
             del self._preempted[seq_id]
-            self._active[seq_id] = entry
-            if entry.request is not None:
-                entry.request.state = (
-                    RequestState.PREFILLING
-                    if entry.prefilling
-                    else RequestState.RUNNING
-                )
-                report.resumed.append(entry.request.request_id)
-                if self.tracer:
-                    self.tracer.end(
-                        self.trace_label,
-                        f"req{entry.request.request_id}",
-                        "preempted",
-                        args={"resumed_step": self._step_index},
-                    )
-            self.resumes_total += 1
+            rec.swapped = None
+            self._active[seq_id] = rec
+            report.resumed.append(rec.request.request_id)
+            self._transition(rec.request, rec.stats, (
+                RequestState.PREFILLING if rec.prefilling
+                else RequestState.RUNNING
+            ))
 
     def _victim_candidates(self) -> List[VictimCandidate]:
         return [
             VictimCandidate(
                 seq_id=entry.seq_id,
-                request_id=(
-                    entry.request.request_id if entry.request else None
-                ),
+                request_id=entry.request.request_id,
                 retained_mass=entry.stats.mean_retained_mass,
                 admitted_step=entry.stats.admitted_step,
                 context_length=self.pool.length(entry.seq_id),
@@ -1233,7 +1134,7 @@ class ServingEngine:
 
     def _ensure_tokens(
         self,
-        entry: _ActiveSequence,
+        entry: SequenceRecord,
         target_tokens: int,
         report: EngineStepReport,
     ) -> bool:
@@ -1258,31 +1159,12 @@ class ServingEngine:
                 )
                 if victim is None or victim not in self._active:
                     raise
-                victim_entry = self._active[victim]
+                report.preempted.append(
+                    self._active[victim].request.request_id
+                )
                 self.preempt(victim)
-                if victim_entry.request is not None:
-                    report.preempted.append(victim_entry.request.request_id)
                 if victim == entry.seq_id:
                     return False
-
-    def _preflight_growth(
-        self, pooled: List[_ActiveSequence], report: EngineStepReport
-    ) -> List[_ActiveSequence]:
-        """Decode-time headroom check: every survivor can append one token.
-
-        Conservative admission sized each run up front, so the fast path
-        is a no-op per sequence.  Under a memory manager, a sequence whose
-        next-token growth cannot be satisfied triggers preemption: the
-        manager picks victims (lowest estimated retained attention mass)
-        until the growth fits or the growing sequence is itself evicted.
-        """
-        for entry in pooled:
-            if entry.seq_id not in self._active:
-                continue  # already evicted as an earlier victim
-            self._ensure_tokens(
-                entry, self.pool.length(entry.seq_id) + 1, report
-            )
-        return [e for e in pooled if e.seq_id in self._active]
 
     # ----------------------------------------------------------- fused decode
     def _run_kernel(
@@ -1342,11 +1224,16 @@ class ServingEngine:
         self._run_prefill(report)
         report.phase_seconds["prefill"] = time.perf_counter() - t_mark
 
+        # decode growth: every decoding sequence can append one token — a
+        # no-op under conservative admission; under a memory manager a
+        # growth that does not fit preempts victims (maybe itself)
+        for entry in [e for e in self._active.values() if not e.prefilling]:
+            if entry.seq_id in self._active:  # not evicted as a victim
+                target = self.pool.length(entry.seq_id) + 1
+                self._ensure_tokens(entry, target, report)
         pooled = [e for e in self._active.values() if not e.prefilling]
-        if pooled:
-            pooled = self._preflight_growth(pooled, report)
         for rec in self._preempted.values():
-            rec.entry.stats.preempted_steps += 1
+            rec.stats.preempted_steps += 1
         report.n_active = len(pooled)
         self.peak_concurrency = max(self.peak_concurrency, len(pooled))
         if not pooled:
@@ -1438,7 +1325,7 @@ class ServingEngine:
             report.results[entry.seq_id] = result
             report.per_sequence[entry.seq_id] = SequenceStepView(
                 seq_id=entry.seq_id,
-                request_id=entry.request.request_id if entry.request else None,
+                request_id=entry.request.request_id,
                 context_length=self.pool.length(entry.seq_id),
                 stats=stats,
                 fast_bits=fast_bits,
@@ -1446,45 +1333,12 @@ class ServingEngine:
             )
             entry.stats.generated_tokens += 1
             if entry.stats.generated_tokens == 1:
-                entry.stats.first_token_wall = time.perf_counter()
-                if self.tracer and entry.request is not None:
-                    self.tracer.instant(
-                        self.trace_label,
-                        f"req{entry.request.request_id}",
-                        "first_token",
-                        ts=entry.stats.first_token_wall,
-                    )
+                self._transition(entry.request, entry.stats, "first_token")
             entry.remaining -= 1
             if entry.remaining <= 0:
-                entry.stats.finished_step = now
-                entry.stats.finished_wall = time.perf_counter()
-                self.pool.free(entry.seq_id)
-                if self.tiers is not None:
-                    self.tiers.free(entry.seq_id)
-                handle = self._prefix_handles.pop(entry.seq_id, None)
-                if handle is not None:
-                    self.prefix_cache.release(handle)
-                if entry.request is not None:
-                    entry.request.state = RequestState.FINISHED
-                if self.tracer:
-                    self.tracer.close_track(
-                        self.trace_label,
-                        f"req{entry.request.request_id}",
-                        ts=entry.stats.finished_wall,
-                        args={
-                            "state": "finished",
-                            "generated_tokens": entry.stats.generated_tokens,
-                            "preemptions": entry.stats.preemptions,
-                            "retained_mass": entry.stats.mean_retained_mass,
-                        },
-                    )
-                done = CompletedRequest(
-                    request_id=entry.request.request_id, stats=entry.stats
+                report.retired.append(
+                    self._finish(entry.request, "finished", entry.seq_id)
                 )
-                self.completed.append(done)
-                report.retired.append(done)
-                del self._active[entry.seq_id]
-        self.scheduler.note_retired(len(report.retired))
         if self.tiers is not None:
             report.tier_demotions += self.tiers.run_policy(now)
         report.phase_seconds["unpack"] = (
@@ -1571,7 +1425,7 @@ class ServingEngine:
 
     def _tier_post_kernel(
         self,
-        pooled: List[_ActiveSequence],
+        pooled: List[SequenceRecord],
         qs: np.ndarray,
         q_scales: np.ndarray,
         k_scales: np.ndarray,
@@ -1642,7 +1496,7 @@ class ServingEngine:
 
     def _account(
         self,
-        entries: Sequence[_ActiveSequence],
+        entries: Sequence[SequenceRecord],
         results: Sequence[BatchedPickerResult],
         instances: int,
         demoted_masks: Optional[Sequence[np.ndarray]] = None,
@@ -1687,7 +1541,7 @@ class ServingEngine:
             step_stats.append(stats)
         return step_stats
 
-    def _entry(self, seq_id: int) -> _ActiveSequence:
+    def _entry(self, seq_id: int) -> SequenceRecord:
         try:
             return self._active[seq_id]
         except KeyError:

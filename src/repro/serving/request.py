@@ -42,6 +42,13 @@ class RequestState(str, Enum):
     mid-prefill, decoding or swapped out — is released immediately via
     :meth:`repro.serving.engine.ServingEngine.cancel`, returning arena
     blocks, tier state and radix refcounts exactly to baseline.
+
+    A live request can also leave an engine without terminating: withdrawn
+    while queued, exported while preempted (it stays ``PREEMPTED`` until
+    another engine adopts it), or lost with a dead arena (reset to
+    ``QUEUED`` for re-prefill).  The engine sets the state in one place
+    and releases every exit through one path; its module docstring maps
+    each state to the trace spans it opens.
     """
 
     QUEUED = "queued"

@@ -58,7 +58,6 @@ class Scheduler:
         self.prefill_budget_tokens = prefill_budget_tokens
         self.pending: Deque[GenerationRequest] = deque()
         self.admitted_total = 0
-        self.retired_total = 0
         self.bypassed_total = 0
 
     # ------------------------------------------------------------- admission
@@ -128,9 +127,6 @@ class Scheduler:
         self.admitted_total += len(admitted)
         return admitted
 
-    def note_retired(self, n: int) -> None:
-        self.retired_total += n
-
     def counters(self) -> Dict[str, int]:
         """Lifetime admission counters, in one dict — what
         :func:`repro.obs.profile.export_engine_metrics` projects onto the
@@ -138,7 +134,6 @@ class Scheduler:
         return {
             "pending": self.n_pending,
             "admitted": self.admitted_total,
-            "retired": self.retired_total,
             "bypassed": self.bypassed_total,
         }
 

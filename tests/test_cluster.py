@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterRouter,
-    ConservativeMemory,
     Histogram,
     MetricsRegistry,
     OptimisticMemory,
@@ -158,10 +157,7 @@ class TestMemoryPolicy:
     def test_footprints(self):
         rng = np.random.default_rng(0)
         request = synthetic_request(rng, 2, 32, 16, max_new_tokens=100)
-        conservative = ConservativeMemory()
         optimistic = OptimisticMemory(margin_blocks=1, block_size=16)
-        assert conservative.admission_tokens(request) == 132
-        assert conservative.reserve_tokens(request) == 132
         assert optimistic.admission_tokens(request) == 48  # prompt + 1 block
         assert optimistic.reserve_tokens(request) == 32
         short = synthetic_request(rng, 2, 32, 16, max_new_tokens=2)
@@ -188,7 +184,6 @@ class TestMemoryPolicy:
             [cand(1, 1.0, 0), cand(2, 1.0, 5), cand(3, 1.0, 5)]
         )
         assert picked == 3  # tie: latest admission, then higher seq id
-        assert ConservativeMemory().select_victim([cand(1, 0.1, 0)]) is None
 
 
 # ------------------------------------------------------- engine preempt/resume

@@ -222,6 +222,26 @@ class TestFailoverHarvest:
         with pytest.raises(ValueError):
             tiered.adopt_preempted(harvest.swapped[0])
 
+    def test_adoption_refuses_work_the_pool_can_never_hold(self):
+        """Adoption applies submit's lifetime-footprint check: a 464-token
+        sequence swapped out of a big engine cannot land in a 256-token
+        pool (it would stay preempted forever), and the refusal leaves
+        the small engine untouched."""
+        donor = ServingEngine(max_batch_size=2, capacity_tokens=4096, seed=1)
+        rng = np.random.default_rng(5)
+        request = synthetic_request(rng, N_HEADS, 64, HEAD_DIM, 400)
+        request_id = donor.submit(request)
+        donor.step()
+        donor.preempt(next(iter(donor._active)))
+        export = donor.export_preempted(request_id)
+        small = ServingEngine(max_batch_size=2, capacity_tokens=256, seed=1)
+        with pytest.raises(ValueError, match="the pool holds"):
+            small.adopt_preempted(export)
+        assert small.n_preempted == 0 and small.adopted_total == 0
+        assert small.pool is None and request.request_id == request_id
+        with pytest.raises(ValueError, match="the pool holds"):
+            small.submit(request)
+
 
 class TestFaultInjectorBitIdentity:
     @settings(max_examples=6, deadline=None)

@@ -100,6 +100,21 @@ def test_detects_injected_slowdown(trace_path):
         assert "REGRESSION" in regression.format()
 
 
+def test_lifecycle_counts_gate_exactly(trace_path):
+    """Fewer finished requests or tokens, or a leaked span, gate with no
+    tolerance however small the move; the opposite moves never do."""
+    baseline = trace_summary(trace_path)
+    leaky = dict(
+        baseline,
+        requests_finished=baseline["requests_finished"] - 3,
+        tokens=baseline["tokens"] - 1,
+        unterminated_spans=baseline["unterminated_spans"] + 5,
+    )
+    metrics = {r.metric for r in diff_summaries(baseline, leaky)}
+    assert metrics == {"requests_finished", "tokens", "unterminated_spans"}
+    assert diff_summaries(leaky, baseline) == []
+
+
 def test_improvements_never_gate(trace_path):
     baseline = trace_summary(trace_path)
     faster = json.loads(json.dumps(baseline))

@@ -157,6 +157,35 @@ class TestSingleEngineIntegrity:
         ]
         assert len(adopted) == 1 and adopted[0].process == "adoptee"
 
+    def test_adopting_a_sequence_before_its_first_chunk(self):
+        """A sequence preempted after admission but before any prompt
+        chunk landed reopens its ``queued`` span on the adopting engine,
+        so the first chunk there closes it like on the donor."""
+        tracer = Tracer()
+        donor = _engine(
+            tracer, max_batch_size=2, capacity_tokens=2048,
+            prefill_budget_tokens=8,
+        )
+        _submit(donor, np.random.default_rng(6), 2, prompt_tokens=40, max_new=4)
+        donor.step()  # both admitted; the budget reaches only the first
+        waiting = [
+            rec for rec in donor._active.values()
+            if rec.stats.prefill_start_wall < 0
+        ]
+        assert len(waiting) == 1
+        donor.preempt(waiting[0].seq_id)
+        export = donor.export_preempted(waiting[0].request.request_id)
+        adoptee = _engine(tracer, seed=1, trace_label="adoptee")
+        adoptee.adopt_preempted(export)
+        adoptee.run_until_drained()
+        donor.run_until_drained()
+        _assert_sound(tracer)
+        reopened = {
+            e.name for e in tracer.events
+            if e.ph == "X" and e.process == "adoptee"
+        }
+        assert {"queued", "prefill", "decode", "preempted"} <= reopened
+
     def test_sampled_steps_keep_request_spans_complete(self):
         tracer = Tracer(sample_steps=4)
         engine = _engine(tracer)
