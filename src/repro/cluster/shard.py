@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import QuantConfig, TokenPickerConfig
+from repro.core.config import TokenPickerConfig
 from repro.core.pruning import (
     BatchedPickerResult,
     KernelScratch,
@@ -130,11 +130,8 @@ class ShardGroup:
     one unsharded kernel call on the full arena.
     """
 
-    def __init__(
-        self, pool: KVCachePool, quant: QuantConfig, n_shards: int
-    ) -> None:
+    def __init__(self, pool: KVCachePool, n_shards: int) -> None:
         self.pool = pool
-        self.quant = quant
         self.head_ranges = partition_heads(pool.n_heads, n_shards)
         self._scratches = [KernelScratch() for _ in self.head_ranges]
 
@@ -221,7 +218,7 @@ class ShardGroup:
         """Per-shard interconnect/traffic telemetry from a step's *final*
         per-sequence results (post tier-repair), sliced by head range —
         computed once per step so tier reruns are not double-counted."""
-        quant = self.quant
+        quant = self.pool.quant
         d = self.pool.head_dim
         views: List[ShardStepView] = []
         for s, (h_lo, h_hi) in enumerate(self.head_ranges):

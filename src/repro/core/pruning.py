@@ -1151,7 +1151,7 @@ def exact_digit_dtype(quant: QuantConfig, head_dim: int) -> type:
     else ``np.float64``.  Within the returned dtype every summation order
     yields the same
     integer, so a BLAS contraction is bit-identical to any other.  The
-    engine picks its K arena dtype here and the ragged kernel checks the
+    KV pool picks its K arena dtype here and the ragged kernel checks the
     arena against it.
     """
     if 2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() > 52:

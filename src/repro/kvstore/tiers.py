@@ -40,7 +40,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import QuantConfig
 from repro.hw.dram import TieredDRAMModel
 from repro.kvstore.policy import (
     DemotionPolicy,
@@ -148,12 +147,11 @@ class _SeqTierState:
         self.seen[sl] = 0
         self.length = new_len
 
-    def ensure_cold(self, k_heads: int, n_heads: int, head_dim: int, k_dtype):
+    def ensure_cold(self, pool: KVCachePool) -> None:
         need = self.length
         if self.cold_k is None or self.cold_k.shape[0] < need:
             cap = max(need, 16, 0 if self.cold_k is None else 2 * self.cold_k.shape[0])
-            cold_k = np.zeros((cap, k_heads, head_dim), dtype=k_dtype)
-            cold_v = np.zeros((cap, n_heads, head_dim))
+            cold_k, cold_v = pool.empty_rows(cap)
             if self.cold_k is not None:
                 cold_k[: self.cold_k.shape[0]] = self.cold_k
                 cold_v[: self.cold_v.shape[0]] = self.cold_v
@@ -166,22 +164,20 @@ class TieredKVStore:
     def __init__(
         self,
         pool: KVCachePool,
-        quant: QuantConfig,
         config: Optional[TierConfig] = None,
-        dram: Optional[TieredDRAMModel] = None,
         prompt_guard: int = 0,
         tracer=None,
         trace_label: str = "engine",
     ) -> None:
         self.pool = pool
-        self.quant = quant
+        quant = self.quant = pool.quant
         self.config = config or TierConfig()
         if self.config.hot_tail < prompt_guard:
             raise ValueError(
                 f"hot_tail ({self.config.hot_tail}) must cover prompt_guard "
                 f"({prompt_guard}): guarded tokens always survive round 1"
             )
-        self.dram = dram if dram is not None else TieredDRAMModel()
+        self.dram = TieredDRAMModel()
         self.sketch_chunks = (
             self.config.sketch_chunks
             if self.config.sketch_chunks is not None
@@ -206,35 +202,10 @@ class TieredKVStore:
 
     # ------------------------------------------------------------ byte model
     @property
-    def _n_heads(self) -> int:
-        return self.pool.n_heads
-
-    @property
-    def k_row_bits(self) -> int:
-        """Modelled bits of one token's packed K row (all chunks)."""
-        return self._n_heads * self.pool.head_dim * self.quant.total_bits
-
-    @property
-    def sketch_row_bits(self) -> int:
-        """Bits of one token's estimator sketch (first MSB chunk digits)."""
-        return (
-            self._n_heads * self.pool.head_dim
-            * self.quant.chunk_bits * self.sketch_chunks
-        )
-
-    @property
-    def v_row_bits(self) -> int:
-        return self._n_heads * self.pool.head_dim * self.quant.total_bits
-
-    @property
     def row_bits(self) -> int:
-        """Modelled bits of one resident token (K digits + V)."""
-        return self.k_row_bits + self.v_row_bits
-
-    @property
-    def raw_row_bits(self) -> int:
-        """Wire bits of one raw prompt token (K + V in transport format)."""
-        return self.row_bits
+        """Modelled bits of one token row, resident or in transport: the
+        pool's :attr:`~repro.serving.kv_pool.KVCachePool.row_bits`."""
+        return self.pool.row_bits
 
     @staticmethod
     def _bytes(bits: int) -> int:
@@ -268,9 +239,9 @@ class TieredKVStore:
         if not 0 <= hit_tokens <= n_tokens:
             raise ValueError("hit_tokens must be in [0, n_tokens]")
         self.dram.slow_write(
-            self._bytes((n_tokens - hit_tokens) * self.raw_row_bits)
+            self._bytes((n_tokens - hit_tokens) * self.row_bits)
         )
-        self.dram.slow_read(self._bytes(hit_tokens * self.raw_row_bits))
+        self.dram.slow_read(self._bytes(hit_tokens * self.row_bits))
 
     # --------------------------------------------------------------- queries
     def tracks(self, seq_id: int) -> bool:
@@ -342,12 +313,7 @@ class TieredKVStore:
         rows = self._arena_rows(seq_id, positions)
         fresh = positions[~state.cold_have[positions]]
         if fresh.size:
-            state.ensure_cold(
-                self.pool.k_heads,
-                self.pool.n_heads,
-                self.pool.head_dim,
-                self.pool.k_dtype,
-            )
+            state.ensure_cold(self.pool)
             fresh_rows = self._arena_rows(seq_id, fresh)
             # token-major row accessors: the cold copy keeps the swap
             # row format, whatever the arena's plane layout
@@ -362,24 +328,10 @@ class TieredKVStore:
             self.dram.slow_write(moved)
         # the kernel may no longer read the demoted bytes: zero every
         # chunk digit past the estimator sketch, and the whole V row
-        self._scrub_rows(rows)
+        self.pool.clear_rows(rows, keep_chunks=self.sketch_chunks)
         state.demoted[positions] = True
         self.demotions_total += int(positions.size)
         return int(positions.size)
-
-    def _scrub_rows(self, rows: np.ndarray) -> None:
-        n_chunks = self.quant.n_chunks
-        k_rows, v_rows = self.pool.read_rows(rows)
-        if self.sketch_chunks < n_chunks:
-            k_rows = k_rows.reshape(
-                rows.size, self._n_heads, n_chunks, self.pool.head_dim
-            )
-            k_rows[:, :, self.sketch_chunks:, :] = 0.0
-            k_rows = k_rows.reshape(
-                rows.size, self.pool.k_heads, self.pool.head_dim
-            )
-        v_rows[:] = 0.0
-        self.pool.write_rows(rows, k_rows, v_rows)
 
     def promote(self, seq_id: int, positions) -> int:
         """Restore tokens' exact encoded bytes into the arena."""
@@ -580,7 +532,10 @@ class TieredKVStore:
         t = state.length
         demoted = np.flatnonzero(state.demoted[:t])
         if demoted.size:
-            self._scrub_rows(self._arena_rows(seq_id, demoted))
+            self.pool.clear_rows(
+                self._arena_rows(seq_id, demoted),
+                keep_chunks=self.sketch_chunks,
+            )
         hot = t - demoted.size
         self.dram.slow_read(self._bytes(hot * self.row_bits))
         self.dram.fast_write(self._bytes(hot * self.row_bits))

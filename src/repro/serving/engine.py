@@ -1,14 +1,17 @@
 """The multi-sequence serving engine: one fused decode step for N sequences.
 
 :class:`ServingEngine` owns the KV cache of every sequence it serves (a
-:class:`~repro.serving.kv_pool.KVCachePool` arena, encoded once at append
-time).  Per step it
+:class:`~repro.serving.kv_pool.KVCachePool` arena).  The engine hands the
+pool raw float K/V; the pool alone knows the stored format (chunk
+digits, plane dtype, row size) and encodes each token once, at append
+time.  Per step the engine
 
 1. admits queued requests while batch slots and KV-pool headroom allow
-   (prefill: prompt K/V into the pool, per-head scales frozen),
+   (prefill: per-head scales frozen, prompt K/V into the pool),
 2. draws every active sequence's new ``(q, k_t, v_t)`` from its decode
-   stream, appends the new token to the pooled cache and counts clip
-   events against the frozen calibration window,
+   stream — a draw that is not three finite ``(H, d)`` arrays raises
+   before anything is written — counts clip events against the frozen
+   calibration window and appends the new token to the pooled cache,
 3. runs **one** fused ragged-batch Token-Picker kernel across all active
    sequences (:func:`repro.core.pruning.token_picker_attention_ragged`,
    straight on the arena) — the breadth-schedule chunk rounds execute
@@ -47,7 +50,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # engine <-> kvstore: runtime import stays lazy
-    from repro.hw.dram import TieredDRAMModel
     from repro.kvstore.radix import RadixKVCache
     from repro.kvstore.tiers import TierConfig
 
@@ -56,7 +58,6 @@ from repro.core.pruning import (
     BatchedPickerResult,
     KernelScratch,
     PruneStats,
-    exact_digit_dtype,
     token_picker_attention_ragged,
 )
 from repro.model.attention import AccessCounter
@@ -77,63 +78,6 @@ from repro.serving.request import (
 )
 from repro.obs.trace import NULL_TRACER
 from repro.serving.scheduler import Scheduler
-
-
-def _encode_kv_into(
-    keys, values, k_scale, v_scale, quant, k_out, v_out
-) -> None:
-    """Frozen-scale encoding applied once, when a token enters the pool —
-    the one encoder for prefill chunks and decode-step tokens alike.
-
-    ``keys``/``values`` are token-major ``(n, H, d)`` (any strides),
-    ``k_scale``/``v_scale`` the rows' ``(n, H)`` frozen scales (``(1,
-    H)`` broadcasts one sequence's scales over its rows).  K is quantized
-    and decomposed into its MSB-first chunk *digits* — the representation
-    the paper's DRAM layout streams — written into ``k_out``, token-major
-    ``(n, H * n_chunks, d)`` rows: the pool's strided view into its
-    chunk-major digit planes, or a staging array.  Digits are stored
-    unshifted (the fused kernel applies each chunk's power-of-two
-    positional shift after its contraction), so they fit the arena's
-    float32 storage exactly for practical formats.  V is stored
-    quantize-dequantized into ``v_out`` ``(n, H, d)``.  Both are
-    elementwise identical to what the kernel would re-derive from the
-    raw floats at every later step, so storing them loses nothing and
-    saves the per-step requantization of the whole cache.
-
-    The digits come straight from the signed codes, held in the
-    narrowest signed integer dtype that fits ``[qmin, qmax]`` (int16 for
-    the paper's 12-bit format): an arithmetic right shift of a
-    two's-complement code by ``N - cb`` *is* its sign-extended top chunk
-    (Eq. 4), and every lower chunk is the shifted code's low ``cb`` bits,
-    which a two's-complement code shares with its unsigned pattern — the
-    same digits :func:`~repro.core.quantization.signed_chunk_digit`
-    derives from :func:`~repro.core.quantization.to_unsigned`.  V is
-    quantize-dequantized in place in ``v_out`` (a float64 arena view or
-    staging array), in the same op order and so to the same bits as a
-    separate buffer.  Prefill encodes whole prompts through here, so
-    every full-width pass skipped is time-to-first-token saved.
-    """
-    n, n_heads, head_dim = keys.shape
-    # in-place ufuncs keep the input's memory order (head-major for a
-    # prompt slice, matching the digit planes)
-    code = np.divide(keys, k_scale[:, :, None])
-    np.rint(code, out=code)
-    np.clip(code, quant.qmin, quant.qmax, out=code)
-    code = code.astype(np.min_scalar_type(quant.qmin))
-    k3 = k_out.reshape(n, n_heads, quant.n_chunks, head_dim)
-    chunk_mask = (1 << quant.chunk_bits) - 1
-    digit = np.empty_like(code)
-    for c in range(quant.n_chunks):
-        shift = quant.total_bits - (c + 1) * quant.chunk_bits
-        np.right_shift(code, shift, out=digit)
-        if c:
-            np.bitwise_and(digit, chunk_mask, out=digit)
-        k3[:, :, c, :] = digit
-    vsc = v_scale[:, :, None]
-    np.divide(values, vsc, out=v_out)
-    np.rint(v_out, out=v_out)
-    np.clip(v_out, quant.qmin, quant.qmax, out=v_out)
-    v_out *= vsc
 
 
 @dataclass(frozen=True)
@@ -331,7 +275,6 @@ class ServingEngine:
         prefill_budget_tokens: Optional[int] = None,
         kv_tiering: "Optional[TierConfig]" = None,
         prefix_cache: "Optional[RadixKVCache]" = None,
-        tier_dram: "Optional[TieredDRAMModel]" = None,
         tracer=None,
         trace_label: str = "engine",
         cycle_sim=None,
@@ -361,10 +304,7 @@ class ServingEngine:
         byte-exact cold tier and promote back on demand, with generated
         outputs bit-identical to the untiered engine.  ``prefix_cache``
         (a :class:`repro.kvstore.radix.RadixKVCache`) dedupes shared
-        prompt prefixes into refcounted cold-tier extents.  ``tier_dram``
-        supplies the :class:`repro.hw.dram.TieredDRAMModel` ledger tier
-        traffic is charged to (a default model is built when tiering is
-        on).
+        prompt prefixes into refcounted cold-tier extents.
 
         ``tracer`` (a :class:`repro.obs.trace.Tracer`) records request
         lifecycle spans and engine step spans under the ``trace_label``
@@ -412,7 +352,6 @@ class ServingEngine:
         self.memory_manager = memory_manager
         self.allow_bypass = allow_bypass
         self._tier_config = kv_tiering
-        self._tier_dram = tier_dram
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_label = trace_label
         self.cycle_sim = cycle_sim
@@ -872,39 +811,25 @@ class ServingEngine:
 
     def _ensure_pool(self, request: GenerationRequest) -> KVCachePool:
         if self.pool is None:
-            quant = self.config.quant
-            # unshifted chunk digits are stored in float32 when every
-            # digit contraction is exact there; otherwise in float64 (the
-            # kernel checks the arena against the same gate)
-            k_dtype = (
-                np.float32
-                if exact_digit_dtype(quant, request.head_dim) is np.float32
-                else np.float64
-            )
             self.pool = KVCachePool(
-                n_heads=request.n_heads,
-                head_dim=request.head_dim,
+                request.n_heads,
+                request.head_dim,
+                self.config.quant,
                 capacity_tokens=self._capacity_tokens,
                 block_size=self._block_size,
-                # K channel holds the chunk-digit decomposition (what the
-                # accelerator's DRAM layout streams): C digits per head
-                k_heads=request.n_heads * quant.n_chunks,
-                k_dtype=k_dtype,
             )
             if self._shards > 1:
                 # lazy import: cluster sits above serving in the layer
                 # stack (the engine only reaches up when sharding is on)
                 from repro.cluster.shard import ShardGroup
 
-                self._shard_group = ShardGroup(self.pool, quant, self._shards)
+                self._shard_group = ShardGroup(self.pool, self._shards)
             if self._tier_config is not None:
                 from repro.kvstore.tiers import TieredKVStore
 
                 self.tiers = TieredKVStore(
                     self.pool,
-                    self.config.quant,
                     config=self._tier_config,
-                    dram=self._tier_dram,
                     prompt_guard=self.config.prompt_guard,
                     tracer=self.tracer,
                     trace_label=self.trace_label,
@@ -970,34 +895,22 @@ class ServingEngine:
         )
         self._transition(request, stats, RequestState.PREFILLING)
 
-    @property
-    def _prefill_row_bits(self) -> int:
-        """Modelled encoded bits one ingested token writes (K digits + V)."""
-        return (
-            2 * self.pool.n_heads * self.pool.head_dim
-            * self.config.quant.total_bits
-        )
-
     def _ingest_prefill_chunk(
         self, entry: SequenceRecord, n: int, report: EngineStepReport
     ) -> None:
-        """Encode + append ``n`` prompt tokens from where the last chunk
-        stopped, charging tier ingest for exactly this chunk."""
+        """Append ``n`` prompt tokens from where the last chunk stopped
+        (the pool encodes them), charging tier ingest for exactly this
+        chunk."""
         request, stats = entry.request, entry.stats
         start = entry.prefill_pos
         if stats.prefill_start_wall < 0:
             # queued -> prefill at the exact stamp the queue-wait /
             # prefill split is measured from
             self._transition(request, stats, "prefill_start")
-        k_slots, v_slots = self.pool.append_slots(entry.seq_id, n)
-        _encode_kv_into(
-            request.prompt_keys[:, start:start + n].transpose(1, 0, 2),
-            request.prompt_values[:, start:start + n].transpose(1, 0, 2),
-            entry.scales.k_scale[None, :],
-            entry.scales.v_scale[None, :],
-            self.config.quant,
-            k_slots,
-            v_slots,
+        self.pool.append(
+            entry.seq_id,
+            request.prompt_keys[:, start:start + n],
+            request.prompt_values[:, start:start + n],
         )
         if self.tiers is not None:
             self.tiers.note_append(entry.seq_id, n, self._step_index)
@@ -1010,7 +923,7 @@ class ServingEngine:
         self.prefill_chunks_total += 1
         self.prefill_tokens_total += n
         report.prefill_tokens += n
-        report.prefill_bits += n * self._prefill_row_bits
+        report.prefill_bits += n * self.pool.row_bits
         self._transition(
             request, stats, "prefill_chunk",
             args={"tokens": n, "pos": entry.prefill_pos},
@@ -1199,6 +1112,30 @@ class ServingEngine:
             phase_times=phase_times,
         )
 
+    def _draw(self, pooled: List[SequenceRecord]) -> np.ndarray:
+        """Every decoding sequence's next ``(q, k, v)``: a ``(3, S, H,
+        d)`` stack.  A draw that is not three finite ``(H, d)`` arrays
+        raises ``ValueError`` naming its request, before anything is
+        appended — a NaN key would encode as digit 0, a NaN value poison
+        every later output, a ``(d,)`` row broadcast to every head."""
+        shape = (self.pool.n_heads, self.pool.head_dim)
+        draws = np.empty((3, len(pooled)) + shape)
+        for i, entry in enumerate(pooled):
+            q, k, v = entry.step_source(entry.stats.generated_tokens)
+            if q.shape == k.shape == v.shape == shape:
+                draws[0, i], draws[1, i], draws[2, i] = q, k, v
+            else:
+                draws[:, i] = np.nan  # fails the finite check below
+        if not np.isfinite(draws).all():
+            finite = np.isfinite(draws).all(axis=(0, 2, 3))
+            bad = pooled[int(np.argmin(finite))]
+            raise ValueError(
+                f"request {bad.request.request_id}: decode draw "
+                f"{bad.stats.generated_tokens} must be three finite {shape} "
+                f"arrays (q, k, v); nothing was appended"
+            )
+        return draws
+
     def step(self) -> EngineStepReport:
         """One fused decode step: resume, admit, prefill, batch-attend,
         retire.  Prompt ingestion is budgeted with decode priority
@@ -1242,20 +1179,14 @@ class ServingEngine:
             return report
 
         # ---- pack: draw every sequence's new token, count clips against
-        # the frozen calibration window, encode once and append in place.
+        # the frozen calibration window, append (the pool encodes once,
+        # in place).
         t_mark = time.perf_counter()
         quant = self.config.quant
-        n = len(pooled)
-        n_heads, head_dim = self.pool.n_heads, self.pool.head_dim
-        qs = np.empty((n, n_heads, head_dim))
-        k_t = np.empty((n, n_heads, head_dim))
-        v_t = np.empty((n, n_heads, head_dim))
-        for i, entry in enumerate(pooled):
-            q_i, k_i, v_i = entry.step_source(entry.stats.generated_tokens)
-            qs[i], k_t[i], v_t[i] = q_i, k_i, v_i
-        q_scales = np.stack([e.scales.q_scale for e in pooled])
-        k_scales = np.stack([e.scales.k_scale for e in pooled])
-        v_scales = np.stack([e.scales.v_scale for e in pooled])
+        qs, k_t, v_t = self._draw(pooled)
+        q_scales = np.array([e.scales.q_scale for e in pooled])
+        k_scales = np.array([e.scales.k_scale for e in pooled])
+        v_scales = np.array([e.scales.v_scale for e in pooled])
         clip_counts = (
             (np.abs(qs) > (q_scales * quant.qmax)[:, :, None]).sum(axis=(1, 2))
             + (np.abs(k_t) > (k_scales * quant.qmax)[:, :, None]).sum(axis=(1, 2))
@@ -1263,16 +1194,8 @@ class ServingEngine:
         )
         for entry, clips in zip(pooled, clip_counts):
             entry.stats.clip_events += int(clips)
-        # the pool holds what DRAM holds: the frozen-scale chunk-digit
-        # encoding, written once per token — one batched encode (the
-        # prefill encoder, per-row scales), one scatter into the arena
-        k_rows = np.empty(
-            (n, self.pool.k_heads, head_dim), dtype=self.pool.k_dtype
-        )
-        v_rows = np.empty((n, n_heads, head_dim))
-        _encode_kv_into(k_t, v_t, k_scales, v_scales, quant, k_rows, v_rows)
         seq_ids = [e.seq_id for e in pooled]
-        self.pool.append_rows(seq_ids, k_rows, v_rows)
+        self.pool.append_rows(seq_ids, k_t, v_t)
         if self.tiers is not None:
             for sid in seq_ids:
                 self.tiers.note_append(sid, 1, now)
@@ -1315,7 +1238,7 @@ class ServingEngine:
             else None
         )
         step_stats = self._account(
-            pooled, ragged.results, instances=n_heads,
+            pooled, ragged.results, instances=self.pool.n_heads,
             demoted_masks=demoted_masks,
         )
         for entry, result, stats in zip(pooled, ragged.results, step_stats):

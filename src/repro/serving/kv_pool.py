@@ -1,19 +1,27 @@
-"""Packed KV arena shared by every active sequence.
+"""Packed KV arena shared by every active sequence — and the one owner of
+its storage format.
 
 The engine stores all sequences' keys/values in one preallocated arena
-with a per-sequence ``(offset, length)`` segment table.  K is held
-**chunk-major**, as ``(H, C, T_cap, d)`` digit planes: every (head,
-chunk) pair owns one contiguous ``(T_cap, d)`` plane, so the kernel's
-chunk-0 estimate pass streams one dense plane per head and later chunks
-sit apart until fetched — the paper's DRAM layout.  V, of which only
-kept rows are ever gathered, stays token-major ``(T_cap, H, d)``.  A
-sequence occupies the same contiguous run of token positions in every
-plane, appended *in place*: a decode step writes exactly one new
-position per sequence and the fused ragged kernel then computes directly
-on views of the arena (``segments`` locate each slab), so the hot path
-performs zero packing copies.  The row interface (appends, row reads and
-writes, swap segments) stays token-major ``(n, H*C, d)`` and converts at
-the boundary.  Space is managed in fixed-size token blocks by a
+with a per-sequence ``(offset, length)`` segment table.  The pool alone
+decides what the arena holds: callers hand it *raw* float K/V
+(:meth:`KVCachePool.append` for a prompt chunk, :meth:`KVCachePool.
+append_rows` for one decode token per sequence) and it encodes them with
+each sequence's frozen scales.  K is held as its ``C = quant.n_chunks``
+MSB-first chunk digits, **chunk-major**, in ``(H, C, T_cap, d)`` planes:
+every (head, chunk) pair owns one contiguous ``(T_cap, d)`` plane, so
+the kernel's chunk-0 estimate pass streams one dense plane per head and
+later chunks sit apart until fetched — the paper's DRAM layout.  The
+plane dtype is float32 whenever every digit contraction is exact there
+(:func:`~repro.core.pruning.exact_digit_dtype`), else float64.  V, of
+which only kept rows are ever gathered, is stored quantize-dequantized
+and token-major ``(T_cap, H, d)``.  A sequence occupies the same
+contiguous run of token positions in every plane, appended *in place*:
+a decode step writes exactly one new position per sequence and the
+fused ragged kernel then computes directly on views of the arena
+(``segments`` locate each slab), so the hot path performs zero packing
+copies.  Encoded rows (swaps, tier moves) cross the boundary token-major
+``(n, H*C, d)`` and convert there; :attr:`KVCachePool.row_bits` is the
+modelled size of one.  Space is managed in fixed-size token blocks by a
 first-fit hole allocator with coalescing — the accounting granularity of
 the old paged pool — and a sequence that outgrows its run is relocated
 (realloc-style); reserving the lifetime footprint up front (what the
@@ -38,6 +46,64 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import QuantConfig
+from repro.core.pruning import exact_digit_dtype
+
+
+def _encode_kv_into(
+    keys, values, k_scale, v_scale, quant, k_out, v_out
+) -> None:
+    """Frozen-scale encoding applied once, when a token enters the pool —
+    the one encoder for prefill chunks and decode-step tokens alike.
+
+    ``keys``/``values`` are token-major ``(n, H, d)`` (any strides),
+    ``k_scale``/``v_scale`` the rows' ``(n, H)`` frozen scales (``(1,
+    H)`` broadcasts one sequence's scales over its rows).  K is quantized
+    and decomposed into its MSB-first chunk *digits* — the representation
+    the paper's DRAM layout streams — written into ``k_out``, token-major
+    ``(n, H * n_chunks, d)`` rows: the pool's strided view into its
+    chunk-major digit planes, or a staging array.  Digits are stored
+    unshifted (the fused kernel applies each chunk's power-of-two
+    positional shift after its contraction), so they fit the arena's
+    float32 storage exactly for practical formats.  V is stored
+    quantize-dequantized into ``v_out`` ``(n, H, d)``.  Both are
+    elementwise identical to what the kernel would re-derive from the
+    raw floats at every later step, so storing them loses nothing and
+    saves the per-step requantization of the whole cache.
+
+    The digits come straight from the signed codes, held in the
+    narrowest signed integer dtype that fits ``[qmin, qmax]`` (int16 for
+    the paper's 12-bit format): an arithmetic right shift of a
+    two's-complement code by ``N - cb`` *is* its sign-extended top chunk
+    (Eq. 4), and every lower chunk is the shifted code's low ``cb`` bits,
+    which a two's-complement code shares with its unsigned pattern — the
+    same digits :func:`~repro.core.quantization.signed_chunk_digit`
+    derives from :func:`~repro.core.quantization.to_unsigned`.  V is
+    quantize-dequantized in place in ``v_out`` (a float64 arena view or
+    staging array), in the same op order and so to the same bits as a
+    separate buffer.  Prefill encodes whole prompts through here, so
+    every full-width pass skipped is time-to-first-token saved.
+    """
+    n, n_heads, head_dim = keys.shape
+    # in-place ufuncs keep the input's memory order (head-major for a
+    # prompt slice, matching the digit planes)
+    code = np.divide(keys, k_scale[:, :, None])
+    np.rint(code, out=code)
+    np.clip(code, quant.qmin, quant.qmax, out=code)
+    code = code.astype(np.min_scalar_type(quant.qmin))
+    k3 = k_out.reshape(n, n_heads, quant.n_chunks, head_dim)
+    chunk_mask = (1 << quant.chunk_bits) - 1
+    digit = np.empty_like(code)
+    for c in range(quant.n_chunks):
+        shift = quant.total_bits - (c + 1) * quant.chunk_bits
+        np.right_shift(code, shift, out=digit)
+        if c:
+            np.bitwise_and(digit, chunk_mask, out=digit)
+        k3[:, :, c, :] = digit
+    vsc = v_scale[:, :, None]
+    np.divide(values, vsc, out=v_out)
+    np.rint(v_out, out=v_out)
+    np.clip(v_out, quant.qmin, quant.qmax, out=v_out)
+    v_out *= vsc
 
 
 def _lazy_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -121,7 +187,7 @@ class SwappedSequence:
     preemption path's zero-divergence guarantee rests on.
     """
 
-    k_rows: np.ndarray  # (t, k_heads, d) token-major encoded K digits
+    k_rows: np.ndarray  # (t, n_heads * n_chunks, d) token-major K digits
     v_rows: np.ndarray  # (t, n_heads, d) token-major deq-V rows
     scales: Optional[SequenceScales]
 
@@ -145,16 +211,17 @@ class KVCachePool:
     """Fixed-capacity packed KV arena with per-sequence contiguous runs.
 
     One chunk-major K array of ``(n_heads, C, T_cap, d)`` digit planes
-    (``C = k_heads // n_heads``) and one token-major V array ``(T_cap,
+    (``C = quant.n_chunks``) and one token-major V array ``(T_cap,
     n_heads, d)`` back every sequence; the segment table maps a sequence
     to its contiguous ``(offset, length)`` run of token positions.
-    Appends write in place; :meth:`view` serves zero-copy read-only
-    ``(k_heads, t, d)`` / ``(n_heads, t, d)`` slices, and
-    :meth:`segments_of` hands the fused kernel the raw segment table so
-    it can compute on arena views directly.  Rows cross the pool's
-    boundary token-major — ``(n, k_heads, d)`` K rows, head ``h`` chunk
-    ``c`` at column ``h * C + c`` — and are converted on the way in and
-    out.  Freed runs return to a coalescing first-fit hole list.
+    Appends encode raw K/V with the sequence's frozen scales and write
+    in place; :meth:`view` serves zero-copy read-only ``(n_heads * C,
+    t, d)`` / ``(n_heads, t, d)`` slices, and :meth:`segments_of` hands
+    the fused kernel the raw segment table so it can compute on arena
+    views directly.  Encoded rows cross the pool's boundary token-major
+    — ``(n, n_heads * C, d)`` K rows, head ``h`` chunk ``c`` at column
+    ``h * C + c`` — and are converted on the way in and out.  Freed runs
+    return to a coalescing first-fit hole list.
 
     Head sharding needs no pool of its own: K is head-major, so a shard
     worker's heads ``[h0, h1)`` are the views ``k_arena[h0:h1]`` and
@@ -166,18 +233,15 @@ class KVCachePool:
         self,
         n_heads: int,
         head_dim: int,
+        quant: QuantConfig,
         capacity_tokens: int = 8192,
         block_size: int = 16,
-        k_heads: Optional[int] = None,
-        k_dtype=np.float64,
     ) -> None:
-        """``k_heads`` is the K rows' width: the engine stores each key as
-        its ``n_chunks`` chunk digits, ``k_heads = n_heads * n_chunks``
-        (it must be a multiple of ``n_heads``; the default is one plane
-        per head).  ``k_dtype`` sets the K-channel storage width: the
-        engine stores *unshifted* chunk digits, which fit float32
-        exactly for practical formats — halving the fused kernel's arena
-        traffic.
+        """``quant`` is the storage format: C chunk-digit planes per
+        head, stored *unshifted* in float32 when every digit contraction
+        is exact there (halving the fused kernel's arena traffic), else
+        float64 — the ragged kernel checks the arena against the same
+        gate.
         """
         if n_heads < 1 or head_dim < 1:
             raise ValueError("n_heads and head_dim must be >= 1")
@@ -190,23 +254,23 @@ class KVCachePool:
             )
         self.n_heads = n_heads
         self.head_dim = head_dim
-        self.k_heads = k_heads if k_heads is not None else n_heads
-        if self.k_heads < 1 or self.k_heads % n_heads:
-            raise ValueError(
-                f"k_heads ({self.k_heads}) must be a positive multiple of "
-                f"n_heads ({n_heads})"
-            )
-        self.n_chunks = self.k_heads // n_heads
+        self.quant = quant
+        self.n_chunks = quant.n_chunks
         self.block_size = block_size
         self.n_blocks = capacity_tokens // block_size
         t_cap = self.n_blocks * block_size
+        k_dtype = (
+            np.float32
+            if exact_digit_dtype(quant, head_dim) is np.float32
+            else np.float64
+        )
         # chunk-major K digit planes, plus a token-major view of the same
         # memory for the row interface: ``_k_rows[t]`` is token t's
-        # (k_heads, d) row.  It must stay a view (the head and chunk axes
-        # merge without a copy) so row writes land in the planes.
+        # (n_heads * C, d) row.  It must stay a view (the head and chunk
+        # axes merge without a copy) so row writes land in the planes.
         self._k = _lazy_zeros((n_heads, self.n_chunks, t_cap, head_dim), k_dtype)
         self._k_rows = self._k.transpose(2, 0, 1, 3).reshape(
-            t_cap, self.k_heads, head_dim
+            t_cap, n_heads * self.n_chunks, head_dim
         )
         self._v = np.zeros((t_cap, n_heads, head_dim))
         # hole list in block units, sorted by offset, coalesced.  A
@@ -264,17 +328,11 @@ class KVCachePool:
         return -(-n_tokens // self.block_size)
 
     @property
-    def outstanding_reserved_blocks(self) -> int:
-        """Blocks promised to live sequences but not yet backed by a run.
-
-        Reservations are materialised as arena runs at :meth:`register`
-        time, so this is normally zero — kept for capacity dashboards
-        that watched the paged pool's lazy reservations.
-        """
-        return sum(
-            max(0, e.reserved_blocks - e.capacity_blocks)
-            for e in self._seqs.values()
-        )
+    def row_bits(self) -> int:
+        """Modelled bits of one stored token in the paper's layout: its K
+        chunk digits plus its V row, ``total_bits`` per element each —
+        what prefill pricing and the tier byte model charge per row."""
+        return 2 * self.n_heads * self.head_dim * self.quant.total_bits
 
     def can_fit(self, n_tokens: int) -> bool:
         """Whether a *new* sequence of ``n_tokens`` lifetime fits right now.
@@ -451,15 +509,10 @@ class KVCachePool:
         worker's V is the view ``v_arena[:, h0:h1]``."""
         return self._v
 
-    @property
-    def k_dtype(self) -> np.dtype:
-        """Storage dtype of the K-channel plane."""
-        return self._k.dtype
-
     def read_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Copy arbitrary token rows out: token-major ``(k_rows,
-        v_rows)``, ``(n, k_heads, d)`` and ``(n, n_heads, d)`` — how the
-        tier store moves rows without knowing the plane layout."""
+        """Copy arbitrary token rows out: token-major encoded ``(k_rows,
+        v_rows)``, ``(n, n_heads * C, d)`` and ``(n, n_heads, d)`` — how
+        the tier store moves rows without knowing the plane layout."""
         return self._k_rows[rows].copy(), self._v[rows].copy()
 
     def write_rows(
@@ -469,53 +522,72 @@ class KVCachePool:
         self._k_rows[rows] = k_rows
         self._v[rows] = v_rows
 
-    def append(self, seq_id: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Append ``n`` tokens — (H, n, d) — growing the run as needed.
+    def empty_rows(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``n`` zeroed encoded rows in the :meth:`read_rows` format — a
+        host-side buffer (the tier store's cold copies) that
+        :meth:`write_rows` accepts."""
+        return (
+            np.zeros((n,) + self._k_rows.shape[1:], dtype=self._k.dtype),
+            np.zeros((n,) + self._v.shape[1:]),
+        )
 
-        Prefill passes the whole prompt at once; decode appends one token
-        per step.  Raises :class:`PoolExhausted` (leaving the sequence
-        unchanged) when no contiguous run can cover the growth.
+    def clear_rows(self, rows: np.ndarray, keep_chunks: int = 0) -> None:
+        """Zero the arena rows' K chunk digits from chunk ``keep_chunks``
+        on, and their whole V rows: the first ``keep_chunks`` MSB digits
+        (a demoted token's estimator sketch) stay readable."""
+        self._k[:, keep_chunks:, rows] = 0.0
+        self._v[rows] = 0.0
+
+    def append(self, seq_id: int, keys: np.ndarray, values: np.ndarray) -> None:
+        """Encode and append a prompt chunk: raw ``keys`` / ``values``
+        (H, n, d), encoded with the sequence's frozen scales straight
+        into its run — no staging copy.
+
+        Appends are incremental: chunked prefill calls this once per
+        budgeted chunk of a partially-ingested sequence, and each call
+        continues exactly where the previous chunk's rows ended (the
+        sequence's run stays one contiguous slab, so a mid-prefill
+        sequence swaps out and resumes like any other).  Within the
+        admission reservation growth never relocates; beyond it (only
+        possible after a mid-prefill preemption cycle under optimistic
+        admission) the engine preflights the chunk with
+        :meth:`ensure_capacity` first.  Raises :class:`PoolExhausted`
+        (leaving the sequence unchanged) when no contiguous run can
+        cover the growth.
         """
         entry = self._entry(seq_id)
-        keys = np.asarray(keys, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if keys.ndim != 3 or keys.shape[0] != self.k_heads or keys.shape[2] != self.head_dim:
+        if entry.scales is None:
+            raise ValueError(f"sequence {seq_id} has no frozen scales")
+        keys, values = np.asarray(keys), np.asarray(values)
+        if keys.ndim != 3 or keys.shape[::2] != (self.n_heads, self.head_dim):
             raise ValueError(
-                f"keys must be ({self.k_heads}, n, {self.head_dim}), got {keys.shape}"
+                f"keys must be ({self.n_heads}, n, {self.head_dim}), "
+                f"got {keys.shape}"
             )
-        if values.shape != (self.n_heads, keys.shape[1], self.head_dim):
+        if values.shape != keys.shape:
             raise ValueError(
-                f"values must be ({self.n_heads}, {keys.shape[1]}, "
-                f"{self.head_dim}), got {values.shape}"
+                f"values must be {keys.shape} like keys, got {values.shape}"
             )
-        n = keys.shape[1]
-        new_len = entry.length + n
-        self._grow(entry, self.blocks_needed(new_len))
-        pos = entry.offset_blocks * self.block_size + entry.length
-        self._k[:, :, pos:pos + n] = keys.reshape(
-            self.n_heads, self.n_chunks, n, self.head_dim
+        if not keys.shape[1]:
+            return
+        k_slots, v_slots = self.append_slots(seq_id, keys.shape[1])
+        _encode_kv_into(
+            keys.transpose(1, 0, 2),
+            values.transpose(1, 0, 2),
+            entry.scales.k_scale[None, :],
+            entry.scales.v_scale[None, :],
+            self.quant,
+            k_slots,
+            v_slots,
         )
-        self._v[pos:pos + n] = values.transpose(1, 0, 2)
-        entry.length = new_len
 
     def append_slots(
         self, seq_id: int, n: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Claim ``n`` new token rows, returning writable arena views.
-
-        The caller fills the returned token-major ``(n, k_heads, d)``
-        (a strided view into the digit planes) and ``(n, n_heads, d)``
-        views in place — how prefill encodes prompt
-        tokens straight into the arena without staging copies.  Appends
-        are incremental: chunked prefill calls this once per budgeted
-        chunk of a partially-ingested sequence, and each call continues
-        exactly where the previous chunk's rows ended (the sequence's run
-        stays one contiguous slab, so a mid-prefill sequence swaps out
-        and resumes like any other).  Within the admission reservation
-        growth never relocates; beyond it (only possible after a
-        mid-prefill preemption cycle under optimistic admission) the
-        engine preflights the chunk with :meth:`ensure_capacity` first.
-        """
+        """Claim ``n`` new token rows, returning writable token-major
+        ``(n, n_heads * C, d)`` / ``(n, n_heads, d)`` arena views (the
+        first a strided view into the digit planes) for :meth:`append`
+        and :meth:`append_encoded` to fill in place."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         entry = self._entry(seq_id)
@@ -528,9 +600,9 @@ class KVCachePool:
     def append_encoded(
         self, seq_id: int, k_rows: np.ndarray, v_rows: np.ndarray
     ) -> None:
-        """Append already-encoded token-major rows: ``k_rows`` (n,
-        k_heads, d), ``v_rows`` (n, n_heads, d) — how :meth:`swap_in`
-        writes a swapped sequence back."""
+        """Append already-encoded token-major rows in the
+        :meth:`read_rows` format — how :meth:`swap_in` writes a swapped
+        sequence back."""
         k_slots, v_slots = self.append_slots(seq_id, k_rows.shape[0])
         k_slots[:] = k_rows
         v_slots[:] = v_rows
@@ -538,27 +610,38 @@ class KVCachePool:
     def append_rows(
         self,
         seq_ids: Sequence[int],
-        k_rows: np.ndarray,
-        v_rows: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
     ) -> None:
-        """Vectorized decode-step append: one new token row per sequence.
+        """Vectorized decode-step append: one new raw token per sequence.
 
-        ``k_rows``: (S, k_heads, d); ``v_rows``: (S, n_heads, d).  All
-        growth is performed first (so a :class:`PoolExhausted` mid-way
-        cannot leave a partial batch), then both arenas are written with
-        one scatter each — the fused step's only KV write.
+        ``keys`` / ``values``: (S, n_heads, d), encoded in one batch with
+        each row's sequence's frozen scales.  All growth is performed
+        first (so a :class:`PoolExhausted` mid-way cannot leave a partial
+        batch), then both arenas are written with one scatter each — the
+        fused step's only KV write.
         """
-        if k_rows.shape != (len(seq_ids), self.k_heads, self.head_dim):
+        keys, values = np.asarray(keys), np.asarray(values)
+        shape = (len(seq_ids), self.n_heads, self.head_dim)
+        if keys.shape != shape or values.shape != shape:
             raise ValueError(
-                f"k_rows must be ({len(seq_ids)}, {self.k_heads}, "
-                f"{self.head_dim}), got {k_rows.shape}"
-            )
-        if v_rows.shape != (len(seq_ids), self.n_heads, self.head_dim):
-            raise ValueError(
-                f"v_rows must be ({len(seq_ids)}, {self.n_heads}, "
-                f"{self.head_dim}), got {v_rows.shape}"
+                f"keys and values must be {shape}, got {keys.shape} "
+                f"and {values.shape}"
             )
         entries = [self._entry(sid) for sid in seq_ids]
+        k_rows, v_rows = (
+            np.empty((len(entries),) + self._k_rows.shape[1:], self._k.dtype),
+            np.empty(shape),
+        )
+        _encode_kv_into(
+            keys,
+            values,
+            np.array([e.scales.k_scale for e in entries]),
+            np.array([e.scales.v_scale for e in entries]),
+            self.quant,
+            k_rows,
+            v_rows,
+        )
         for entry in entries:
             self._grow(entry, self.blocks_needed(entry.length + 1))
         rows = np.array(
@@ -622,8 +705,8 @@ class KVCachePool:
         self.swaps_in_total += 1
 
     def view(self, seq_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The sequence's logical ``(k_heads, t, d)`` K and ``(n_heads,
-        t, d)`` V tensors (read-only).
+        """The sequence's encoded ``(n_heads * C, t, d)`` K digits and
+        ``(n_heads, t, d)`` V tensors (read-only).
 
         Zero-copy: K is the plain slice of the sequence's run in every
         digit plane, V a transposed view, both valid until the sequence
@@ -635,9 +718,7 @@ class KVCachePool:
         entry = self._entry(seq_id)
         lo = max(entry.offset_blocks, 0) * self.block_size
         hi = lo + entry.length
-        k = self._k[:, :, lo:hi].reshape(
-            self.k_heads, entry.length, self.head_dim
-        )
+        k = self._k[:, :, lo:hi].reshape(-1, entry.length, self.head_dim)
         v = self._v[lo:hi].transpose(1, 0, 2)
         k.flags.writeable = False
         v.flags.writeable = False

@@ -1,21 +1,22 @@
-"""The engine's one K/V encoder against the quantization reference.
+"""The pool's one K/V encoder against the quantization reference.
 
-``_encode_kv_into`` derives chunk digits by arithmetic shifts of narrow
-signed integer codes and quantizes V in place; these tests pin every
-stored value to the definition: ``signed_chunk_digit(to_unsigned(code))``
-for K and ``clip(rint(v / s)) * s`` for V.
+:class:`~repro.serving.kv_pool.KVCachePool` encodes raw K/V on the way in:
+chunk digits by arithmetic shifts of narrow signed integer codes, V
+quantized in place.  These tests pin every stored value to the
+definition — ``signed_chunk_digit(to_unsigned(code))`` for K and
+``clip(rint(v / s)) * s`` for V — through both write paths: ``append``
+(a prefill chunk, one sequence's scales) and ``append_rows`` (one decode
+token per sequence, per-row scales).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import QuantConfig
-from repro.core.pruning import exact_digit_dtype
 from repro.core.quantization import signed_chunk_digit, to_unsigned
-from repro.serving.engine import _encode_kv_into
-from repro.serving.kv_pool import KVCachePool
+from repro.serving.kv_pool import KVCachePool, SequenceScales
 
-N_HEADS, HEAD_DIM, N_TOKENS = 3, 4, 40
+N_HEADS, HEAD_DIM, N_TOKENS, PAD = 3, 4, 40, 5
 
 FORMATS = [(8, 4), (12, 4), (12, 6), (12, 12), (16, 4), (16, 8), (40, 8)]
 
@@ -46,26 +47,27 @@ def _edge_codes(rng, quant: QuantConfig) -> np.ndarray:
     return codes
 
 
-def _head_major_view(x: np.ndarray) -> np.ndarray:
-    """``x`` stored head-major, seen token-major — the strided view
-    prefill hands the encoder for a prompt slice."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
-
-
 def _reference(x: np.ndarray, scale: np.ndarray, quant: QuantConfig):
     codes = np.clip(np.rint(x / scale[:, :, None]), quant.qmin, quant.qmax)
     return codes.astype(np.int64)
 
 
+def _seq_scales(k_scale: np.ndarray, v_scale: np.ndarray) -> SequenceScales:
+    return SequenceScales(q_scale=k_scale, k_scale=k_scale, v_scale=v_scale)
+
+
 @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f"{f[0]}b{f[1]}")
 def test_encoder_matches_reference(fmt, per_row):
+    """``broadcast``: one sequence's prompt, appended mid-arena in two
+    chunks.  ``per_row``: one decode token for each of ``N_TOKENS``
+    sequences, each with its own scales."""
     quant = QuantConfig(*fmt)
     n_chunks = quant.n_chunks
     rng = np.random.default_rng(sum(fmt) + per_row)
     k_scale, v_scale = _scales(per_row), _scales(per_row) * 0.5
-    keys = _head_major_view(_edge_codes(rng, quant) * k_scale[:, :, None])
-    values = _head_major_view(_edge_codes(rng, quant) * v_scale[:, :, None])
+    keys = _edge_codes(rng, quant) * k_scale[:, :, None]  # (n, H, d)
+    values = _edge_codes(rng, quant) * v_scale[:, :, None]
 
     codes = _reference(keys, k_scale, quant)
     if quant.total_bits > 32:
@@ -78,48 +80,53 @@ def test_encoder_matches_reference(fmt, per_row):
     )  # (n, H, C, d)
     expected_v = _reference(values, v_scale, quant) * v_scale[:, :, None]
 
-    k_dtype = (
-        np.float64 if quant.total_bits > 32
-        else exact_digit_dtype(quant, HEAD_DIM)
-    )
     pool = KVCachePool(
-        n_heads=N_HEADS, head_dim=HEAD_DIM, capacity_tokens=64, block_size=8,
-        k_heads=N_HEADS * n_chunks, k_dtype=k_dtype,
+        N_HEADS, HEAD_DIM, quant, capacity_tokens=64, block_size=1
     )
-    pool.register(0)
-    pool.register(1)
-    pool.append_slots(0, 5)  # the plane view starts mid-arena
-    k_slots, v_slots = pool.append_slots(1, N_TOKENS)
-    staged_k = np.empty((N_TOKENS, N_HEADS * n_chunks, HEAD_DIM), k_dtype)
-    staged_v = np.empty((N_TOKENS, N_HEADS, HEAD_DIM))
-    for k_out, v_out in ((k_slots, v_slots), (staged_k, staged_v)):
-        _encode_kv_into(keys, values, k_scale, v_scale, quant, k_out, v_out)
-
-    offset, length = pool.segment(1)
-    planes = pool.k_arena[:, :, offset:offset + length]  # (H, C, n, d)
-    assert np.array_equal(planes.transpose(2, 0, 1, 3), expected_k)
+    pool.register(-1)
+    pool.append_slots(-1, PAD)  # the encoded rows start mid-arena
+    if per_row:
+        ids = list(range(N_TOKENS))
+        for i in ids:
+            pool.register(i, scales=_seq_scales(k_scale[i], v_scale[i]))
+        pool.append_rows(ids, keys, values)
+        rows = pool.segments_of(ids)[:, 0]
+    else:
+        pool.register(0, scales=_seq_scales(k_scale[0], v_scale[0]))
+        # a prompt is stored head-major; the pool takes (H, n, d) slices
+        k_prompt = np.ascontiguousarray(keys.transpose(1, 0, 2))
+        v_prompt = np.ascontiguousarray(values.transpose(1, 0, 2))
+        for lo, hi in ((0, 17), (17, N_TOKENS)):
+            pool.append(0, k_prompt[:, lo:hi], v_prompt[:, lo:hi])
+        offset, length = pool.segment(0)
+        assert length == N_TOKENS
+        rows = np.arange(offset, offset + length)
+        planes = pool.k_arena[:, :, offset:offset + length]  # (H, C, n, d)
+        assert np.array_equal(planes.transpose(2, 0, 1, 3), expected_k)
+    k_rows, v_rows = pool.read_rows(rows)
     assert np.array_equal(
-        staged_k.reshape(N_TOKENS, N_HEADS, n_chunks, HEAD_DIM), expected_k
+        k_rows.reshape(N_TOKENS, N_HEADS, n_chunks, HEAD_DIM), expected_k
     )
-    assert np.array_equal(pool.v_arena[offset:offset + length], expected_v)
-    assert np.array_equal(staged_v, expected_v)
+    assert np.array_equal(v_rows, expected_v)
     # the neighbouring sequence's rows were not touched
-    assert not pool.k_arena[:, :, :5].any() and not pool.v_arena[:5].any()
+    assert not pool.k_arena[:, :, :PAD].any() and not pool.v_arena[:PAD].any()
 
 
 def test_ties_round_to_even_and_range_ends_saturate():
     """Spot values, independent of the reference helpers."""
     quant = QuantConfig()
-    scale = np.array([[0.25]])
+    scale = np.array([0.25])
+    pool = KVCachePool(1, 1, quant, capacity_tokens=8, block_size=1)
+    pool.register(0, scales=_seq_scales(scale, scale))
     keys = np.array(
         [2.5, 3.5, -2.5, quant.qmax + 0.5, -(quant.qmax + 0.5), 1e9]
-    )[:, None, None] * 0.25
-    k_out = np.empty((6, quant.n_chunks, 1), np.float32)
-    v_out = np.empty((6, 1, 1))
-    _encode_kv_into(keys, keys, scale, scale, quant, k_out, v_out)
+    )[None, :, None] * 0.25
+    pool.append(0, keys, keys)
+    k_out, v_out = pool.read_rows(np.arange(6))
     codes = [2, 4, -2, quant.qmax, quant.qmin, quant.qmax]
     assert np.array_equal(v_out.ravel(), np.array(codes) * 0.25)
     # 12-bit code -> three 4-bit digits, the top one signed
     assert k_out[4, :, 0].tolist() == [-8, 0, 0]  # qmin = 0x800
     assert k_out[3, :, 0].tolist() == [7, 15, 15]  # qmax = 0x7ff
     assert k_out[2, :, 0].tolist() == [-1, 15, 14]  # -2 = 0xffe
+

@@ -11,11 +11,30 @@ from repro.serving.kv_pool import (
     freeze_scales,
 )
 
+QUANT = QuantConfig()  # (12, 4): three chunk-digit planes per head
+
 
 def _pool(**kw):
-    defaults = dict(n_heads=2, head_dim=4, capacity_tokens=64, block_size=8)
+    defaults = dict(
+        n_heads=2, head_dim=4, quant=QUANT, capacity_tokens=64, block_size=8
+    )
     defaults.update(kw)
     return KVCachePool(**defaults)
+
+
+def _rows(rng, n, n_heads=2, head_dim=4):
+    """``n`` encoded token rows: small-integer K digits (exact in the
+    float32 planes) and float V."""
+    k = rng.integers(-8, 16, size=(n, n_heads * QUANT.n_chunks, head_dim))
+    return k.astype(np.float64), rng.normal(size=(n, n_heads, head_dim))
+
+
+def _fill(pool, seq_id, n, rng):
+    """Append ``n`` random encoded rows; returns them head-major, as
+    :meth:`KVCachePool.view` serves them."""
+    k, v = _rows(rng, n, pool.n_heads, pool.head_dim)
+    pool.append_encoded(seq_id, k, v)
+    return k.transpose(1, 0, 2), v.transpose(1, 0, 2)
 
 
 class TestStorage:
@@ -23,10 +42,8 @@ class TestStorage:
         rng = np.random.default_rng(0)
         pool = _pool()
         pool.register(0)
-        k1, v1 = rng.normal(size=(2, 11, 4)), rng.normal(size=(2, 11, 4))
-        pool.append(0, k1, v1)
-        k2, v2 = rng.normal(size=(2, 1, 4)), rng.normal(size=(2, 1, 4))
-        pool.append(0, k2, v2)
+        k1, v1 = _fill(pool, 0, 11, rng)
+        k2, v2 = _fill(pool, 0, 1, rng)
         keys, values = pool.view(0)
         assert np.array_equal(keys, np.concatenate([k1, k2], axis=1))
         assert np.array_equal(values, np.concatenate([v1, v2], axis=1))
@@ -36,8 +53,7 @@ class TestStorage:
         rng = np.random.default_rng(1)
         pool = _pool()
         pool.register(0)
-        k = rng.normal(size=(2, 5, 4))
-        pool.append(0, k, rng.normal(size=(2, 5, 4)))
+        k, _ = _fill(pool, 0, 5, rng)
         keys, values = pool.view(0)
         with pytest.raises(ValueError):
             keys[:] = 0.0
@@ -49,14 +65,10 @@ class TestStorage:
         rng = np.random.default_rng(9)
         pool = _pool(capacity_tokens=128)
         pool.register(0)
-        ref_k = rng.normal(size=(2, 3, 4))
-        ref_v = rng.normal(size=(2, 3, 4))
-        pool.append(0, ref_k, ref_v)
+        ref_k, ref_v = _fill(pool, 0, 3, rng)
         assert np.array_equal(pool.view(0)[0], ref_k)
         for _ in range(40):  # crosses block and capacity-regrowth boundaries
-            k = rng.normal(size=(2, 1, 4))
-            v = rng.normal(size=(2, 1, 4))
-            pool.append(0, k, v)
+            k, v = _fill(pool, 0, 1, rng)
             ref_k = np.concatenate([ref_k, k], axis=1)
             ref_v = np.concatenate([ref_v, v], axis=1)
             got_k, got_v = pool.view(0)
@@ -69,15 +81,10 @@ class TestStorage:
         tensors = {}
         for sid in (0, 1, 2):
             pool.register(sid)
-            k = rng.normal(size=(2, 3 + sid, 4))
-            v = rng.normal(size=(2, 3 + sid, 4))
-            pool.append(sid, k, v)
-            tensors[sid] = (k, v)
+            tensors[sid] = _fill(pool, sid, 3 + sid, rng)
         for step in range(5):
             for sid in (2, 0, 1):
-                k = rng.normal(size=(2, 1, 4))
-                v = rng.normal(size=(2, 1, 4))
-                pool.append(sid, k, v)
+                k, v = _fill(pool, sid, 1, rng)
                 tensors[sid] = (
                     np.concatenate([tensors[sid][0], k], axis=1),
                     np.concatenate([tensors[sid][1], v], axis=1),
@@ -91,12 +98,11 @@ class TestStorage:
         rng = np.random.default_rng(3)
         pool = _pool(capacity_tokens=16, block_size=8)  # 2 blocks total
         pool.register(0)
-        pool.append(0, rng.normal(size=(2, 16, 4)), rng.normal(size=(2, 16, 4)))
+        _fill(pool, 0, 16, rng)
         assert pool.blocks_free == 0
         assert pool.free(0) == 2
         pool.register(1)
-        k = rng.normal(size=(2, 16, 4))
-        pool.append(1, k, np.zeros_like(k))
+        k, _ = _fill(pool, 1, 16, rng)
         assert np.array_equal(pool.view(1)[0], k)
 
 
@@ -106,7 +112,7 @@ class TestArena:
         rng = np.random.default_rng(0)
         pool = _pool()
         pool.register(0)
-        pool.append(0, rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6, 4)))
+        _fill(pool, 0, 6, rng)
         k, v = pool.view(0)
         assert np.shares_memory(k, pool.k_arena)
         assert np.shares_memory(v, pool.v_arena)
@@ -116,46 +122,49 @@ class TestArena:
         pool = _pool(capacity_tokens=128)
         for sid, n in ((0, 10), (1, 7)):
             pool.register(sid, reserve_tokens=16)
-            pool.append(sid, rng.normal(size=(2, n, 4)), rng.normal(size=(2, n, 4)))
+            _fill(pool, sid, n, rng)
         segs = pool.segments_of([0, 1])
         assert segs.shape == (2, 2)
         assert segs[0].tolist() == [0, 10]
         assert segs[1].tolist() == [16, 7]  # reservation sized the run
         off, length = pool.segment(1)
         k, _ = pool.view(1)
-        assert np.array_equal(pool.k_arena[:, 0, off:off + length], k)
+        # view row h * C + c is plane (h, c): every head's chunk-0 plane
+        assert np.array_equal(
+            pool.k_arena[:, 0, off:off + length], k[::QUANT.n_chunks]
+        )
 
     def test_append_rows_scatters_one_token_per_sequence(self):
+        """One raw decode token per sequence lands at each sequence's next
+        position, encoded exactly as :meth:`append` encodes it."""
         rng = np.random.default_rng(2)
-        pool = _pool(capacity_tokens=128)
-        refs = {}
+        batched, single = _pool(capacity_tokens=128), _pool(capacity_tokens=128)
         for sid in (0, 1, 2):
-            pool.register(sid, reserve_tokens=8)
-            k = rng.normal(size=(2, 3, 4))
-            v = rng.normal(size=(2, 3, 4))
-            pool.append(sid, k, v)
-            refs[sid] = (k, v)
+            scales = freeze_scales(
+                rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)),
+                QUANT, 1.25,
+            )
+            prompt = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+            for pool in (batched, single):
+                pool.register(sid, scales=scales, reserve_tokens=8)
+                pool.append(sid, *prompt)
         for _ in range(4):
-            k_rows = rng.normal(size=(3, 2, 4))
-            v_rows = rng.normal(size=(3, 2, 4))
-            pool.append_rows([0, 1, 2], k_rows, v_rows)
+            keys = rng.normal(size=(3, 2, 4))
+            values = rng.normal(size=(3, 2, 4))
+            batched.append_rows([0, 1, 2], keys, values)
             for i, sid in enumerate((0, 1, 2)):
-                refs[sid] = (
-                    np.concatenate([refs[sid][0], k_rows[i][:, None, :]], axis=1),
-                    np.concatenate([refs[sid][1], v_rows[i][:, None, :]], axis=1),
-                )
-        for sid, (k, v) in refs.items():
-            got_k, got_v = pool.view(sid)
-            assert np.array_equal(got_k, k)
-            assert np.array_equal(got_v, v)
+                single.append(sid, keys[i][:, None], values[i][:, None])
+        for sid in (0, 1, 2):
+            assert batched.length(sid) == 7
+            for got, want in zip(batched.view(sid), single.view(sid)):
+                assert np.array_equal(got, want)
 
     def test_append_slots_write_through(self):
         rng = np.random.default_rng(3)
         pool = _pool()
         pool.register(0)
         k_slots, v_slots = pool.append_slots(0, 5)
-        k = rng.normal(size=(5, 2, 4))
-        v = rng.normal(size=(5, 2, 4))
+        k, v = _rows(rng, 5)
         k_slots[:] = k
         v_slots[:] = v
         got_k, got_v = pool.view(0)
@@ -169,13 +178,10 @@ class TestArena:
         rng = np.random.default_rng(4)
         pool = _pool(capacity_tokens=64, block_size=8)  # 8 blocks
         pool.register(0)
-        k0 = rng.normal(size=(2, 8, 4))
-        pool.append(0, k0, np.zeros_like(k0))
+        k0, _ = _fill(pool, 0, 8, rng)
         pool.register(1)
-        k1 = rng.normal(size=(2, 8, 4))
-        pool.append(1, k1, np.zeros_like(k1))  # sits right after seq 0
-        grow = rng.normal(size=(2, 12, 4))  # forces seq 0 past its block
-        pool.append(0, grow, np.zeros_like(grow))
+        k1, _ = _fill(pool, 1, 8, rng)  # sits right after seq 0
+        grow, _ = _fill(pool, 0, 12, rng)  # forces seq 0 past its block
         assert np.array_equal(
             pool.view(0)[0], np.concatenate([k0, grow], axis=1)
         )
@@ -184,10 +190,11 @@ class TestArena:
     def test_fragmented_pool_needs_contiguous_hole(self):
         """can_fit is a *contiguous* check: free blocks split by live
         runs cannot host a new segment."""
+        rng = np.random.default_rng(5)
         pool = _pool(capacity_tokens=32, block_size=8)  # 4 blocks
         for sid in range(4):
             pool.register(sid)
-            pool.append(sid, np.zeros((2, 8, 4)), np.zeros((2, 8, 4)))
+            _fill(pool, sid, 8, rng)
         pool.free(0)
         pool.free(2)
         assert pool.blocks_free == 2
@@ -199,10 +206,10 @@ class TestArena:
         assert pool.can_fit(24)
 
     def test_float32_k_channel(self):
-        pool = _pool(k_dtype=np.float32)
+        rng = np.random.default_rng(6)
+        pool = _pool()  # (12, 4) digits at d = 4 contract exactly in float32
         pool.register(0)
-        digits = np.arange(2 * 6 * 4, dtype=np.float64).reshape(2, 6, 4) % 13
-        pool.append(0, digits, np.zeros((2, 6, 4)))
+        digits, _ = _fill(pool, 0, 6, rng)
         assert pool.k_arena.dtype == np.float32
         assert np.array_equal(pool.view(0)[0], digits)  # small ints exact
 
@@ -213,36 +220,21 @@ class TestPlaneLayout:
     slice of the planes, and rows still cross the pool's boundary
     token-major."""
 
-    N_HEADS, N_CHUNKS, HEAD_DIM = 4, 3, 8
+    N_HEADS, N_CHUNKS, HEAD_DIM = 4, QUANT.n_chunks, 8
 
     def _pool(self):
         return KVCachePool(
-            n_heads=self.N_HEADS,
-            head_dim=self.HEAD_DIM,
-            capacity_tokens=64,
-            block_size=8,
-            k_heads=self.N_HEADS * self.N_CHUNKS,
-            k_dtype=np.float32,
+            self.N_HEADS, self.HEAD_DIM, QUANT, capacity_tokens=64, block_size=8
         )
 
     def _fill(self, pool, rng_seed=0):
-        """Three append paths; returns the appended full-width rows."""
+        """Three appends; returns the appended full-width rows."""
         rng = np.random.default_rng(rng_seed)
-        k_heads, h, d = pool.k_heads, self.N_HEADS, self.HEAD_DIM
-
-        def digits(*shape):
-            return rng.integers(-8, 16, size=shape).astype(float)
-
         pool.register(0, reserve_tokens=16)
-        k_a, v_a = digits(5, k_heads, d), rng.normal(size=(5, h, d))
-        pool.append_encoded(0, k_a, v_a)
-        k_b, v_b = digits(k_heads, 3, d), rng.normal(size=(h, 3, d))
-        pool.append(0, k_b, v_b)
-        k_c, v_c = digits(1, k_heads, d), rng.normal(size=(1, h, d))
-        pool.append_rows([0], k_c, v_c)
-        k_rows = np.concatenate([k_a, k_b.transpose(1, 0, 2), k_c])
-        v_rows = np.concatenate([v_a, v_b.transpose(1, 0, 2), v_c])
-        return k_rows, v_rows
+        parts = [_rows(rng, n, self.N_HEADS, self.HEAD_DIM) for n in (5, 3, 1)]
+        for k, v in parts:
+            pool.append_encoded(0, k, v)
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     def test_every_head_chunk_plane_is_contiguous(self):
         pool = self._pool()
@@ -283,9 +275,36 @@ class TestPlaneLayout:
         assert np.array_equal(swapped.k_rows, k_rows)
         assert np.array_equal(swapped.v_rows, v_rows)
 
-    def test_k_heads_must_be_a_multiple_of_n_heads(self):
-        with pytest.raises(ValueError, match="multiple"):
-            _pool(k_heads=3)
+    def test_format_derived_from_quant(self):
+        """The pool alone sizes the arena from ``quant``: C planes per
+        head, float32 digits where every contraction is exact there
+        (12-bit codes in 4-bit chunks at d = 64), float64 past it (40-bit
+        codes), and ``row_bits`` is the tier byte model's K-digits-plus-V
+        row."""
+        for fmt, dtype in (((12, 4), np.float32), ((40, 8), np.float64)):
+            quant = QuantConfig(*fmt)
+            pool = KVCachePool(4, 64, quant, capacity_tokens=32, block_size=8)
+            assert pool.k_arena.dtype == dtype
+            assert pool.k_arena.shape == (4, quant.n_chunks, 32, 64)
+            k_row_bits = v_row_bits = 4 * 64 * quant.total_bits
+            assert pool.row_bits == k_row_bits + v_row_bits
+            k_rows, v_rows = pool.empty_rows(3)
+            assert k_rows.shape == (3, 4 * quant.n_chunks, 64)
+            assert k_rows.dtype == dtype and v_rows.shape == (3, 4, 64)
+
+    def test_clear_rows_keeps_the_sketch_chunks(self):
+        full = self._pool()
+        k_rows, v_rows = self._fill(full)
+        off, n = full.segment(0)
+        cleared = off + np.array([1, 4, 7])
+        full.clear_rows(cleared, keep_chunks=1)
+        got_k, got_v = full.read_rows(np.arange(off, off + n))
+        want_k = k_rows.reshape(n, self.N_HEADS, self.N_CHUNKS, -1).copy()
+        want_k[[1, 4, 7], :, 1:] = 0.0
+        want_v = v_rows.copy()
+        want_v[[1, 4, 7]] = 0.0
+        assert np.array_equal(got_k, want_k.reshape(k_rows.shape))
+        assert np.array_equal(got_v, want_v)
 
 
 class TestAccounting:
@@ -294,9 +313,7 @@ class TestAccounting:
         pool = _pool(capacity_tokens=64, block_size=8)
         for sid in range(3):
             pool.register(sid)
-            pool.append(
-                sid, rng.normal(size=(2, 9, 4)), rng.normal(size=(2, 9, 4))
-            )  # 2 blocks each
+            _fill(pool, sid, 9, rng)  # 2 blocks each
         assert pool.blocks_in_use == 6
         assert pool.peak_blocks_in_use == 6
         assert pool.utilization == pytest.approx(6 / 8)
@@ -312,14 +329,12 @@ class TestAccounting:
         rng = np.random.default_rng(5)
         pool = _pool(capacity_tokens=16, block_size=8)
         pool.register(0)
-        pool.append(0, rng.normal(size=(2, 12, 4)), rng.normal(size=(2, 12, 4)))
-        before = pool.view(0)
+        _fill(pool, 0, 12, rng)
+        before = pool.view(0)[0].copy()
         with pytest.raises(PoolExhausted):
-            pool.append(
-                0, rng.normal(size=(2, 8, 4)), rng.normal(size=(2, 8, 4))
-            )
+            _fill(pool, 0, 8, rng)
         assert pool.length(0) == 12
-        assert np.array_equal(pool.view(0)[0], before[0])
+        assert np.array_equal(pool.view(0)[0], before)
         # both blocks are held by sequence 0: a new sequence cannot start
         assert not pool.can_fit(1)
         pool.free(0)
@@ -346,7 +361,7 @@ class TestSwap:
         assert pool.swaps_out_total == 1
         # occupy different blocks so the run comes back at a new offset
         pool.register(9)
-        pool.append(9, rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4)))
+        _fill(pool, 9, 5, rng)
         pool.swap_in(0, swapped)
         assert pool.swaps_in_total == 1
         assert pool.length(0) == 10
@@ -359,7 +374,7 @@ class TestSwap:
         rng = np.random.default_rng(5)
         pool = _pool()
         pool.register(0)
-        pool.append(0, rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
+        _fill(pool, 0, 4, rng)
         swapped = pool.swap_out(0)
         pool.swap_in(0, swapped, reserve_tokens=32)
         entry_blocks = pool.blocks_in_use
@@ -369,12 +384,10 @@ class TestSwap:
         rng = np.random.default_rng(6)
         pool = _pool()
         pool.register(0)
-        pool.append(0, rng.normal(size=(2, 16, 4)), rng.normal(size=(2, 16, 4)))
+        _fill(pool, 0, 16, rng)
         swapped = pool.swap_out(0)
         pool.register(1)
-        pool.append(
-            1, rng.normal(size=(2, 56, 4)), rng.normal(size=(2, 56, 4))
-        )
+        _fill(pool, 1, 56, rng)
         with pytest.raises(PoolExhausted):
             pool.swap_in(0, swapped)
         assert pool.n_sequences == 1  # pool state unchanged
@@ -383,7 +396,7 @@ class TestSwap:
         rng = np.random.default_rng(7)
         pool = _pool()
         pool.register(0)
-        pool.append(0, rng.normal(size=(2, 8, 4)), rng.normal(size=(2, 8, 4)))
+        _fill(pool, 0, 8, rng)
         assert pool.length(0) == 8
         before = pool.blocks_in_use
         pool.ensure_capacity(0, 9)
@@ -413,12 +426,22 @@ class TestValidation:
             pool.free(99)
 
     def test_append_shape_errors(self):
+        rng = np.random.default_rng(8)
         pool = _pool()
         pool.register(0)
-        with pytest.raises(ValueError):
-            pool.append(0, np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
-        with pytest.raises(ValueError):
-            pool.append(0, np.zeros((2, 4, 4)), np.zeros((2, 5, 4)))
+        with pytest.raises(ValueError, match="no frozen scales"):
+            pool.append(0, np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
+        scales = freeze_scales(
+            rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)), QUANT, 1.25
+        )
+        pool.register(1, scales=scales)
+        with pytest.raises(ValueError, match="keys must be"):
+            pool.append(1, np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+        with pytest.raises(ValueError, match="values must be"):
+            pool.append(1, np.zeros((2, 4, 4)), np.zeros((2, 5, 4)))
+        with pytest.raises(ValueError, match="must be"):
+            pool.append_rows([1], np.zeros((1, 2, 4)), np.zeros((1, 4)))
+        assert pool.length(1) == 0
 
     def test_zero_capacity_pool_is_safe(self):
         """Regression: a 0-block pool must not divide by zero anywhere a

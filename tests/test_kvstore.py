@@ -182,9 +182,9 @@ class TestTierConfig:
     def test_sketch_cannot_exceed_chunks(self):
         from repro.serving.kv_pool import KVCachePool
 
-        pool = KVCachePool(N_HEADS, HEAD_DIM, capacity_tokens=64)
+        pool = KVCachePool(N_HEADS, HEAD_DIM, CFG.quant, capacity_tokens=64)
         with pytest.raises(ValueError, match="sketch_chunks"):
-            TieredKVStore(pool, CFG.quant, TierConfig(sketch_chunks=99))
+            TieredKVStore(pool, TierConfig(sketch_chunks=99))
 
 
 class TestDemotePromoteBytes:
@@ -193,19 +193,14 @@ class TestDemotePromoteBytes:
     def _store(self, sketch=None):
         from repro.serving.kv_pool import KVCachePool
 
-        pool = KVCachePool(
-            N_HEADS,
-            HEAD_DIM,
-            capacity_tokens=256,
-            k_heads=N_HEADS * CFG.quant.n_chunks,
-        )
+        pool = KVCachePool(N_HEADS, HEAD_DIM, CFG.quant, capacity_tokens=256)
         cfg = TierConfig(policy="none", hot_tail=4, sketch_chunks=sketch)
-        store = TieredKVStore(pool, CFG.quant, cfg)
+        store = TieredKVStore(pool, cfg)
         rng = np.random.default_rng(0)
         pool.register(7)
-        k = rng.normal(size=(N_HEADS * CFG.quant.n_chunks, 32, HEAD_DIM))
-        v = rng.normal(size=(N_HEADS, 32, HEAD_DIM))
-        pool.append(7, k, v)
+        k = rng.integers(-8, 16, size=(32, N_HEADS * CFG.quant.n_chunks, HEAD_DIM))
+        v = rng.normal(size=(32, N_HEADS, HEAD_DIM))
+        pool.append_encoded(7, k.astype(np.float64), v)
         store.register(7)
         store.note_append(7, 32, step=0)
         return store, pool

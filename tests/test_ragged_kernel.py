@@ -428,7 +428,7 @@ class TestFloat32ExactnessEdge:
             )
         )
         engine.run_until_drained()
-        assert engine.pool.k_dtype == np.float64
+        assert engine.pool.k_arena.dtype == np.float64
         with pytest.raises(ValueError, match="float32"):
             token_picker_attention_ragged(
                 np.full((1, 1, 8760), -128.0), config,

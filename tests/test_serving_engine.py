@@ -305,6 +305,44 @@ class TestValidation:
         with pytest.raises(KeyError):
             engine.stats_of(3)
 
+    @pytest.mark.parametrize(
+        "bad", ["nan_key", "nan_value", "flat_query", "nan_query"]
+    )
+    def test_bad_decode_draw_raises_before_append(self, bad):
+        """A decode draw that is not three finite (H, d) arrays used to
+        encode a NaN key as digit 0, poison every later output with a NaN
+        value, broadcast a (d,) query to every head, or append the token
+        before the kernel rejected a NaN query.  It must raise, naming the
+        request, with nothing appended."""
+        rng = np.random.default_rng(13)
+        good = synthetic_request(rng, 2, 24, 8, max_new_tokens=3)
+        q, k, v = (rng.normal(size=(2, 8)) for _ in range(3))
+        if bad == "nan_key":
+            k[1, 3] = np.nan
+        elif bad == "nan_value":
+            v[0, 0] = np.nan
+        elif bad == "flat_query":
+            q = q[0]
+        else:
+            q[0, 5] = np.nan
+        request = GenerationRequest(
+            prompt_keys=rng.normal(size=(2, 24, 8)),
+            prompt_values=rng.normal(size=(2, 24, 8)),
+            max_new_tokens=3,
+            step_source=lambda step: (q, k, v),
+        )
+        engine = _engine()
+        engine.submit(good)
+        rid = engine.submit(request)
+        with pytest.raises(ValueError, match=f"request {rid}: decode draw 0"):
+            engine.step()
+        seq_id = next(
+            s for s, rec in engine._active.items() if rec.request is request
+        )
+        assert engine.pool.length(seq_id) == 24  # the prompt only
+        assert engine.stats_of(seq_id).clip_events == 0
+        assert engine.stats_of(seq_id).generated_tokens == 0
+
 
 class TestAdmissionEdgeCases:
     def test_zero_pool_headroom_waits_without_hanging(self):

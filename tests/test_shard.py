@@ -117,19 +117,18 @@ class TestShardedKVPool:
     """A sharded engine's pool is one full-width :class:`KVCachePool`;
     each shard worker's K and V are views of its head range."""
 
-    def _pool(self, n_heads=4, head_dim=8, n_chunks=3):
+    def _pool(self, n_heads=4, head_dim=8):
         return KVCachePool(
-            n_heads,
-            head_dim,
-            capacity_tokens=128,
-            block_size=8,
-            k_heads=n_heads * n_chunks,
+            n_heads, head_dim, CFG.quant, capacity_tokens=128, block_size=8
         )
 
     def _rows(self, rng, pool, n):
-        k = rng.normal(size=(n, pool.k_heads, pool.head_dim))
+        """Encoded rows: small-integer digits, exact in any plane dtype."""
+        k = rng.integers(
+            -8, 16, size=(n, pool.n_heads * pool.n_chunks, pool.head_dim)
+        )
         v = rng.normal(size=(n, pool.n_heads, pool.head_dim))
-        return k, v
+        return k.astype(np.float64), v
 
     def test_append_encoded_round_trips_full_width(self):
         rng = np.random.default_rng(0)
@@ -138,7 +137,7 @@ class TestShardedKVPool:
         k, v = self._rows(rng, pool, 6)
         pool.append_encoded(7, k, v)
         k_view, v_view = pool.view(7)
-        assert np.array_equal(k_view, k.astype(pool.k_dtype).transpose(1, 0, 2))
+        assert np.array_equal(k_view, k.transpose(1, 0, 2))
         assert np.array_equal(v_view, v.transpose(1, 0, 2))
         # each shard worker's planes hold exactly its heads' columns
         off, n = pool.segment(7)
@@ -160,11 +159,11 @@ class TestShardedKVPool:
         off, length = pool.segment(0)
         rows = np.arange(off, off + length)
         k_got, v_got = pool.read_rows(rows)
-        assert np.array_equal(k_got, k.astype(pool.k_dtype))
+        assert np.array_equal(k_got, k)
         assert np.array_equal(v_got, v)
         pool.write_rows(rows, k_got * 2, v_got * 3)
         k_again, v_again = pool.read_rows(rows)
-        assert np.array_equal(k_again, k.astype(pool.k_dtype) * 2)
+        assert np.array_equal(k_again, k * 2)
         assert np.array_equal(v_again, v * 3)
 
     def test_swap_round_trip_byte_exact_and_full_width(self):
@@ -174,12 +173,14 @@ class TestShardedKVPool:
         k, v = self._rows(rng, pool, 9)
         pool.append_encoded(3, k, v)
         swapped = pool.swap_out(3)
-        assert swapped.k_rows.shape == (9, pool.k_heads, pool.head_dim)
+        assert swapped.k_rows.shape == (
+            9, pool.n_heads * pool.n_chunks, pool.head_dim
+        )
         assert swapped.v_rows.shape == (9, pool.n_heads, pool.head_dim)
         assert pool.n_sequences == 0 and pool.blocks_in_use == 0
         pool.swap_in(3, swapped)
         k_view, v_view = pool.view(3)
-        assert np.array_equal(k_view, k.astype(pool.k_dtype).transpose(1, 0, 2))
+        assert np.array_equal(k_view, k.transpose(1, 0, 2))
         assert np.array_equal(v_view, v.transpose(1, 0, 2))
 
     def test_swap_interchangeable_with_unsharded_pool(self):
@@ -205,7 +206,7 @@ class TestShardedKVPool:
             donor.preempt(seq_id)
             export = donor.export_preempted(request_id)
             assert export.swapped.k_rows.shape[1:] == (
-                donor.pool.k_heads, donor.pool.head_dim
+                donor.pool.n_heads * donor.pool.n_chunks, donor.pool.head_dim
             )
             adopter = engine(adopter_shards)
             adopter.adopt_preempted(export)
@@ -360,13 +361,11 @@ class TestShardGroup:
         n_heads, head_dim, t = 4, 8, 20
         quant = CFG.quant
         flat = KVCachePool(
-            n_heads,
-            head_dim,
-            capacity_tokens=64,
-            block_size=8,
-            k_heads=n_heads * quant.n_chunks,
+            n_heads, head_dim, quant, capacity_tokens=64, block_size=8
         )
-        k = rng.normal(size=(t, flat.k_heads, head_dim))
+        k = rng.integers(
+            -8, 16, size=(t, n_heads * quant.n_chunks, head_dim)
+        ).astype(np.float64)
         v = rng.normal(size=(t, n_heads, head_dim))
         flat.register(0)
         flat.append_encoded(0, k, v)
@@ -389,7 +388,7 @@ class TestShardGroup:
             v_arena=flat.v_arena,
             segments=segments,
         )
-        group = ShardGroup(flat, quant, 2)
+        group = ShardGroup(flat, 2)
         assert group.head_ranges == [(0, 2), (2, 4)]
         combined = group.run(qs, q_scales, k_scales, segments, CFG)
         for x, y in zip(single.results, combined.results):

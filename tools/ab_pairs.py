@@ -11,8 +11,10 @@ sides alike.  Then prints, per metric the runs printed (the end-to-end
 metrics, or the per-layer ones with ``--trace 1``), each side's median
 and quartiles and how many pairs the change won (ties count for neither
 side; the better direction comes from BASE_DIR's ``BENCHMARK.json``),
-plus whether the ``output_digest`` matched in every pair.  Standard
-library only.
+plus whether the ``output_digest`` matched in every pair.  With
+``--trace 1``, when the two sides' ``missing_trace_targets`` differ (a
+refactor dropped or renamed a span target) both lists are printed.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ def run_once(checkout, workload, seed, extra):
                          check=True).stdout.strip().splitlines()
     info, result = json.loads(out[-2])["info"], json.loads(out[-1])
     metrics = {k: m["value"] for k, m in result["metrics"].items()}
-    return info["output_digest"], result["failed"], metrics
+    missing = tuple(info.get("missing_trace_targets", ()))
+    return info["output_digest"], result["failed"], metrics, missing
 
 
 def quartiles(values):
@@ -60,6 +63,11 @@ def main():
     failed = [sum(r[1] for r in runs[side]) for side in ("base", "change")]
     print(f"{args.workload}: {len(args.seeds)} pairs, digest equal in {same}, "
           f"failed operations base {failed[0]} / change {failed[1]}")
+    missing = {side: sorted({t for r in runs[side] for t in r[3]})
+               for side in ("base", "change")}
+    if missing["base"] != missing["change"]:
+        for side in ("base", "change"):
+            print(f"missing_trace_targets {side}: {missing[side] or 'none'}")
     print(f"{'metric':32} {'base median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30}  change won-tied-lost")
     every_run = runs["base"] + runs["change"]
