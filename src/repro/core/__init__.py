@@ -5,8 +5,12 @@ Public surface:
 * :class:`~repro.core.config.QuantConfig`,
   :class:`~repro.core.config.TokenPickerConfig` — formats and policy.
 * :func:`~repro.core.pruning.token_picker_attention` — pruned attention for
-  one (q, K, V) instance with certified safety and access accounting.
+  one (q, K, V) instance with certified safety and access accounting;
+  its ``breadth`` schedule is a one-head call into the batched kernel.
 * :func:`~repro.core.pruning.token_picker_scores` — step 0 only.
+* :func:`~repro.core.pruning.token_picker_attention_batched` — the breadth
+  reference over heads; :func:`~repro.core.pruning.token_picker_attention_ragged`
+  is its fused multi-sequence form, bit-identical per sequence.
 * :class:`~repro.core.ooo.OutOfOrderEngine` — the latency-aware scheduler.
 * :func:`~repro.core.thresholds.calibrate_threshold` — quality-budget
   threshold search.
@@ -38,8 +42,6 @@ from repro.core.pruning import (
     PruneStats,
     RaggedPickerResult,
     TokenPickerResult,
-    exact_threshold_pruning,
-    multi_head_token_picker,
     token_picker_attention,
     token_picker_attention_batched,
     token_picker_attention_ragged,
@@ -103,10 +105,8 @@ __all__ = [
     "dominant_token_count",
     "exact_attention",
     "exact_attention_probs",
-    "exact_threshold_pruning",
     "margin_pairs",
     "margin_pairs_batch",
-    "multi_head_token_picker",
     "order_rank",
     "partial_values",
     "processing_order",

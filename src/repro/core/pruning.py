@@ -9,23 +9,21 @@ Two functionally-equivalent schedules are provided:
 * ``breadth`` — chunk *rounds* across all tokens: round 1 evaluates chunk 0
   of every token (every first chunk must be fetched regardless), survivors
   proceed to round 2, and so on.  This is the steady-state order the
-  out-of-order hardware converges to under uniform DRAM latency, and it is
-  fully vectorised (used for perplexity evaluation and large sweeps).
+  out-of-order hardware converges to under uniform DRAM latency.  It has
+  one reference implementation, :func:`token_picker_attention_batched`
+  (vectorised over heads): the single-instance API runs it as a one-head
+  call, and the fused arena kernel :func:`token_picker_attention_ragged`
+  is tested against it bit for bit.
 
 Both satisfy the safety property (tested exhaustively): every pruned
 token's *true* softmax probability is at most ``thr``.
-
-The module also implements ``exact_threshold_pruning`` — pruning on the
-exact probabilities once all of K is on-chip — which models the
-"estimation-only" design point (prunes V but streams all of K; the paper's
-ToPick-V / Fig. 10 intermediate configuration).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -34,12 +32,7 @@ from repro.core.config import QuantConfig, TokenPickerConfig
 from repro.core.estimator import DenominatorAggregator, PruneRule
 from repro.core.margins import margin_pairs, margin_pairs_batch, score_bounds
 from repro.core.ordering import processing_order
-from repro.core.quantization import (
-    QuantizedTensor,
-    chunk_plane_values,
-    compute_scale,
-    quantize,
-)
+from repro.core.quantization import chunk_plane_values, compute_scale, quantize
 from repro.utils.numerics import softmax
 
 
@@ -133,7 +126,46 @@ class TokenPickerResult:
     output: Optional[np.ndarray]  # (d,) attention output, None if V absent
     stats: PruneStats
     log_denominator: float  # ln(D) at the end of step 0
-    trace: Dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _require_finite(**operands) -> None:
+    """``ValueError`` naming the first operand holding a NaN or an inf
+    (``None`` operands are skipped)."""
+    for name, arr in operands.items():
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+
+
+def _checked_bias(score_bias: Optional[np.ndarray], shape) -> np.ndarray:
+    """A known additive score term of ``shape`` (zeros when absent)."""
+    if score_bias is None:
+        return np.zeros(shape)
+    bias = np.asarray(score_bias, dtype=np.float64)
+    if bias.shape != shape:
+        raise ValueError(f"score_bias must have shape {shape}, got {bias.shape}")
+    return bias
+
+
+def _checked_instance(q, keys, values, score_bias):
+    """One ``(q (d,), keys (t, d), values (t, d) or None, bias (t,))``
+    instance as float64 arrays, shared by both schedules.  Shapes are
+    checked before anything else reads them (an empty context included),
+    then every operand must be finite."""
+    q = np.asarray(q, dtype=np.float64)
+    keys = np.asarray(keys, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError(f"q must be 1-D, got {q.shape}")
+    if keys.ndim != 2 or keys.shape[1] != q.shape[0]:
+        raise ValueError(f"keys must be (t, {q.shape[0]}), got {keys.shape}")
+    if values is not None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != keys.shape:
+            raise ValueError(
+                f"values shape {values.shape} must match keys shape {keys.shape}"
+            )
+    bias = _checked_bias(score_bias, (keys.shape[0],))
+    _require_finite(q=q, keys=keys, values=values, score_bias=bias)
+    return q, keys, values, bias
 
 
 def _quantize_operands(
@@ -179,7 +211,6 @@ def token_picker_scores(
     config: TokenPickerConfig,
     q_scale: Optional[float] = None,
     k_scale: Optional[float] = None,
-    collect_trace: bool = False,
     score_bias: Optional[np.ndarray] = None,
 ) -> TokenPickerResult:
     """Run step 0 (score computation + certified pruning) for one query.
@@ -193,59 +224,70 @@ def token_picker_scores(
     ``score_bias`` is an optional known additive score term per token
     (e.g. an ALiBi distance bias).  It travels with the query — no DRAM
     traffic — and shifts both score bounds equally, so the certificate
-    ``p'' >= p`` is unchanged.
+    ``p'' >= p`` is unchanged.  Malformed or non-finite operands raise
+    ``ValueError``.
     """
-    quant = config.quant
-    n_tokens = keys.shape[0] if keys.ndim == 2 else 0
-    head_dim = int(np.asarray(q).shape[-1])
-    bias = _check_bias(score_bias, n_tokens)
-    if n_tokens == 0:
-        empty_stats = PruneStats(0, 0, 0, 0, head_dim, quant)
-        return TokenPickerResult(
-            kept=np.zeros(0, dtype=bool),
-            chunks_fetched=np.zeros(0, dtype=np.int64),
-            scores=np.zeros(0),
-            probs=np.zeros(0),
-            output=None,
-            stats=empty_stats,
-            log_denominator=-np.inf,
-        )
+    q, keys, _, bias = _checked_instance(q, keys, None, score_bias)
+    if config.schedule == "breadth":
+        return _breadth_instance(q, keys, None, config, bias, q_scale, k_scale)
+    return _depth_scores(q, keys, config, q_scale, k_scale, bias)
 
+
+def _breadth_instance(
+    q, keys, values, config, bias, q_scale, k_scale, v_scale=None
+) -> TokenPickerResult:
+    """The breadth schedule on one checked instance: row 0 of a one-head
+    :func:`token_picker_attention_batched` call."""
+
+    def one(scale):
+        return None if scale is None else np.full(1, scale, dtype=np.float64)
+
+    r = token_picker_attention_batched(
+        q[None], keys[None], None if values is None else values[None], config,
+        score_bias=bias[None], q_scales=one(q_scale), k_scales=one(k_scale),
+        v_scales=one(v_scale),
+    )
+    return TokenPickerResult(
+        kept=r.kept[0],
+        chunks_fetched=r.chunks_fetched[0],
+        scores=r.scores[0],
+        probs=r.probs[0],
+        output=None if r.outputs is None else r.outputs[0],
+        stats=r.stats(),
+        log_denominator=float(r.log_denominators[0]),
+    )
+
+
+def _depth_scores(q, keys, config, q_scale, k_scale, bias) -> TokenPickerResult:
+    """Step 0 of the depth schedule on one checked instance."""
+    quant = config.quant
+    n_tokens, head_dim = keys.shape
     q_codes, k_codes, score_scale = _quantize_operands(
         q, keys, quant, q_scale, k_scale
     )
     ps = _chunk_score_table(q_codes, k_codes, quant)  # (t, C) cumulative
     margins = margin_pairs(q_codes, quant)
     guard = _guard_mask(n_tokens, config.prompt_guard)
-
-    if config.schedule == "depth":
-        kept, chunks_fetched, log_den, trace = _run_depth(
-            ps, margins, guard, config, score_scale, collect_trace, bias
-        )
-    else:
-        kept, chunks_fetched, log_den, trace = _run_breadth(
-            ps, margins, guard, config, score_scale, collect_trace, bias
-        )
-
-    exact_scores = ps[:, -1].astype(np.float64) * score_scale + bias
-    probs = _renormalised_probs(exact_scores, kept)
-    stats = PruneStats(
-        n_tokens=n_tokens,
-        n_kept=int(kept.sum()),
-        k_chunks_fetched=int(chunks_fetched.sum()),
-        v_vectors_fetched=int(kept.sum()),
-        head_dim=head_dim,
-        quant=quant,
+    kept, chunks_fetched, log_den = _run_depth(
+        ps, margins, guard, config, score_scale, bias
     )
+    exact_scores = ps[:, -1].astype(np.float64) * score_scale + bias
+    n_kept = int(kept.sum())
     return TokenPickerResult(
         kept=kept,
         chunks_fetched=chunks_fetched,
         scores=exact_scores,
-        probs=probs,
+        probs=_renormalised_probs(exact_scores, kept),
         output=None,
-        stats=stats,
+        stats=PruneStats(
+            n_tokens=n_tokens,
+            n_kept=n_kept,
+            k_chunks_fetched=int(chunks_fetched.sum()),
+            v_vectors_fetched=n_kept,
+            head_dim=head_dim,
+            quant=quant,
+        ),
         log_denominator=log_den,
-        trace=trace,
     )
 
 
@@ -257,25 +299,12 @@ def _guard_mask(n_tokens: int, prompt_guard: int) -> np.ndarray:
     return guard
 
 
-def _check_bias(score_bias: Optional[np.ndarray], n_tokens: int) -> np.ndarray:
-    """Validate/normalise a per-token score bias (zeros when absent)."""
-    if score_bias is None:
-        return np.zeros(n_tokens)
-    bias = np.asarray(score_bias, dtype=np.float64)
-    if bias.shape != (n_tokens,):
-        raise ValueError(
-            f"score_bias must have shape ({n_tokens},), got {bias.shape}"
-        )
-    return bias
-
-
 def _run_depth(
     ps: np.ndarray,
     margins,
     guard: np.ndarray,
     config: TokenPickerConfig,
     score_scale: float,
-    collect_trace: bool,
     bias: np.ndarray,
 ):
     """Sequential reference: one token at a time, chunk by chunk."""
@@ -285,7 +314,6 @@ def _run_depth(
     kept = np.zeros(n_tokens, dtype=bool)
     chunks_fetched = np.zeros(n_tokens, dtype=np.int64)
     order = processing_order(n_tokens, config.order)
-    ub_trace = np.full(n_tokens, np.nan) if collect_trace else None
 
     for token in order:
         pruned = False
@@ -300,82 +328,13 @@ def _run_depth(
             else:
                 decision = rule.check(s_max, dag.log_denominator)
                 dag.submit(int(token), s_min)
-            if collect_trace and b == 1:
-                ub_trace[token] = decision.log_upper_bound
             if decision.pruned and not guard[token]:
                 pruned = True
                 break
         if not pruned:
             kept[token] = True
 
-    trace = {}
-    if collect_trace:
-        trace["log_upper_bound_first_chunk"] = ub_trace
-    return kept, chunks_fetched, dag.log_denominator, trace
-
-
-def _run_breadth(
-    ps: np.ndarray,
-    margins,
-    guard: np.ndarray,
-    config: TokenPickerConfig,
-    score_scale: float,
-    collect_trace: bool,
-    bias: np.ndarray,
-):
-    """Vectorised chunk rounds (the out-of-order hardware's steady state).
-
-    Round ``b``: tokens still alive fetch their ``b``-th chunk, the
-    denominator absorbs every tightened lower bound, and the prune predicate
-    is applied to all alive tokens at once.
-    """
-    n_tokens, n_chunks = ps.shape
-    log_thr = config.log_threshold
-    s_min = ps * score_scale + margins.mins[1:][None, :] * score_scale + bias[:, None]
-    s_max = ps * score_scale + margins.maxs[1:][None, :] * score_scale + bias[:, None]
-
-    alive = np.ones(n_tokens, dtype=bool)
-    chunks_fetched = np.zeros(n_tokens, dtype=np.int64)
-    current_lb = np.full(n_tokens, -np.inf)
-    ub_trace = np.full(n_tokens, np.nan) if collect_trace else None
-
-    # ln(D) = logsumexp over every token's current lower bound.  A token
-    # pruned in an earlier round keeps the bound it died with, so the sum
-    # splits into a *frozen* part (dead tokens, absorbed once at death)
-    # and the alive part, whose bounds are the only ones that tightened
-    # this round — recomputing only the latter turns the per-round
-    # denominator from O(n_tokens) into O(alive).
-    log_den = -np.inf
-    frozen_den = -np.inf  # logsumexp over dead tokens' final lower bounds
-    for b in range(n_chunks):
-        chunks_fetched[alive] = b + 1
-        current_lb[alive] = s_min[alive, b]
-        log_den = float(
-            np.logaddexp(frozen_den, _logsumexp_1d(current_lb[alive]))
-        )
-        prune_now = alive & ((s_max[:, b] - log_den) <= log_thr) & ~guard
-        if collect_trace and b == 0:
-            ub_trace[:] = s_max[:, 0] - log_den
-        if prune_now.any():
-            frozen_den = float(
-                np.logaddexp(frozen_den, _logsumexp_1d(current_lb[prune_now]))
-            )
-        alive = alive & ~prune_now
-        if not alive.any():
-            break
-
-    trace = {}
-    if collect_trace:
-        trace["log_upper_bound_first_chunk"] = ub_trace
-    return alive, chunks_fetched, float(log_den), trace
-
-
-def _logsumexp_1d(x: np.ndarray) -> float:
-    finite = x[np.isfinite(x)]
-    if finite.size == 0:
-        return -np.inf
-    m = finite.max()
-    return float(m + np.log(np.exp(finite - m).sum()))
+    return kept, chunks_fetched, dag.log_denominator
 
 
 _ZERO_INDEX = np.array([0], dtype=np.intp)
@@ -487,7 +446,6 @@ def token_picker_attention(
     q_scale: Optional[float] = None,
     k_scale: Optional[float] = None,
     v_scale: Optional[float] = None,
-    collect_trace: bool = False,
     score_bias: Optional[np.ndarray] = None,
 ) -> TokenPickerResult:
     """Full pruned attention: step 0 (scores + pruning) then step 1 (x V).
@@ -496,45 +454,17 @@ def token_picker_attention(
     the DRAM bus) and only the kept tokens' V vectors are fetched and
     accumulated.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != np.asarray(keys).shape:
-        raise ValueError(
-            f"values shape {values.shape} must match keys shape {np.asarray(keys).shape}"
+    q, keys, values, bias = _checked_instance(q, keys, values, score_bias)
+    if config.schedule == "breadth":
+        return _breadth_instance(
+            q, keys, values, config, bias, q_scale, k_scale, v_scale
         )
-    result = token_picker_scores(
-        q, keys, config, q_scale=q_scale, k_scale=k_scale,
-        collect_trace=collect_trace, score_bias=score_bias,
-    )
-    if result.stats.n_tokens == 0:
-        result.output = np.zeros(np.asarray(q).shape[-1])
-        return result
+    result = _depth_scores(q, keys, config, q_scale, k_scale, bias)
     vs = float(v_scale) if v_scale is not None else float(
         compute_scale(values, config.quant)
     )
-    v_q = quantize(values, config.quant, scale=vs)
-    v_deq = v_q.dequantize()
-    result.output = result.probs @ v_deq
+    result.output = result.probs @ quantize(values, config.quant, scale=vs).dequantize()
     return result
-
-
-def exact_threshold_pruning(scores: np.ndarray, threshold: float) -> np.ndarray:
-    """Keep mask from *exact* probabilities (estimation-only design point).
-
-    Models the configuration that streams all of K (full precision scores
-    on-chip) and uses the threshold only to skip V fetches.  This is the
-    upper bound on V pruning for a given ``thr`` and the paper's
-    "probability estimation without out-of-order K access" variant.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        return np.zeros(0, dtype=bool)
-    m = scores.max()
-    e = np.exp(scores - m)
-    p = e / e.sum()
-    kept = p > threshold
-    if not kept.any():
-        kept[int(np.argmax(scores))] = True
-    return kept
 
 
 @dataclass
@@ -618,28 +548,25 @@ def token_picker_attention_batched(
     token's reported score is exact.  Only the breadth schedule is
     supported (it is the one the out-of-order hardware realises).
     ``score_bias`` is an optional (H, t) known additive score term (ALiBi).
-    ``q`` and explicit scales must be finite (``ValueError`` otherwise).
+    Malformed or non-finite operands and scales raise ``ValueError``.
     """
     if config.schedule != "breadth":
         raise ValueError("batched kernel supports only the breadth schedule")
     quant = config.quant
     q = np.asarray(q, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
-    if q.ndim != 2 or keys.ndim != 3 or keys.shape[0] != q.shape[0]:
+    if q.ndim != 2 or keys.ndim != 3 or (keys.shape[0], keys.shape[2]) != q.shape:
         raise ValueError("q must be (H, d) and keys (H, t, d)")
-    if not np.isfinite(q).all():
-        raise ValueError("q must be finite")
+    if values is not None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != keys.shape:
+            raise ValueError(
+                f"values shape {values.shape} must match keys shape {keys.shape}"
+            )
     n_heads, head_dim = q.shape
     n_tokens = keys.shape[1]
-    if score_bias is None:
-        bias = np.zeros((n_heads, n_tokens))
-    else:
-        bias = np.asarray(score_bias, dtype=np.float64)
-        if bias.shape != (n_heads, n_tokens):
-            raise ValueError(
-                f"score_bias must have shape ({n_heads}, {n_tokens}), "
-                f"got {bias.shape}"
-            )
+    bias = _checked_bias(score_bias, (n_heads, n_tokens))
+    _require_finite(q=q, keys=keys, values=values, score_bias=bias)
     if n_tokens == 0:
         return _empty_result(n_heads, head_dim, quant, values is not None)
 
@@ -648,8 +575,6 @@ def token_picker_attention_batched(
         if explicit is not None:
             return _checked_scales(explicit, (n_heads,))
         max_abs = np.abs(data).max(axis=axes)
-        if not np.isfinite(max_abs).all():
-            raise ValueError("cannot derive scales from non-finite data")
         return np.where(max_abs > 0, max_abs / quant.qmax, 1.0)
 
     q_scale = _head_scales(q_scales, q, 1)
@@ -697,11 +622,6 @@ def token_picker_attention_batched(
 
     outputs = None
     if values is not None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != keys.shape:
-            raise ValueError(
-                f"values shape {values.shape} must match keys shape {keys.shape}"
-            )
         v_scale = _head_scales(v_scales, values, (1, 2))
         v_deq = (
             np.clip(
@@ -1317,29 +1237,3 @@ def token_picker_attention_ragged(
         results=results, lengths=lengths, round_alive=round_alive
     )
 
-
-def multi_head_token_picker(
-    q: np.ndarray,
-    keys: np.ndarray,
-    values: Optional[np.ndarray],
-    config: TokenPickerConfig,
-) -> list:
-    """Convenience: run the algorithm independently per head.
-
-    ``q`` is ``(H, d)``, ``keys``/``values`` are ``(H, t, d)``.  Returns a
-    list of :class:`TokenPickerResult`, one per head.  Scales are computed
-    per head, matching the per-head calibration the models use.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    if q.ndim != 2 or keys.ndim != 3 or q.shape[0] != keys.shape[0]:
-        raise ValueError("q must be (H, d) and keys (H, t, d)")
-    results = []
-    for h in range(q.shape[0]):
-        if values is None:
-            results.append(token_picker_scores(q[h], keys[h], config))
-        else:
-            results.append(
-                token_picker_attention(q[h], keys[h], values[h], config)
-            )
-    return results

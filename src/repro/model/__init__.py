@@ -2,9 +2,7 @@
 
 from repro.model.attention import (
     AccessCounter,
-    EstimationOnlyBackend,
     ExactAttentionBackend,
-    FixedRatioBackend,
     TokenPickerBackend,
 )
 from repro.model.config import (
@@ -20,10 +18,8 @@ from repro.model.transformer import KVCache, TinyGPT
 
 __all__ = [
     "AccessCounter",
-    "EstimationOnlyBackend",
     "ExactAttentionBackend",
     "FIG8_MODELS",
-    "FixedRatioBackend",
     "HW_EVAL_CONTEXT",
     "KVCache",
     "MODEL_ZOO",

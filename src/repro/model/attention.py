@@ -9,18 +9,16 @@ accounting come from the *same* run:
 * :class:`ExactAttentionBackend` — the baseline: all K and V fetched.
 * :class:`TokenPickerBackend` — the paper's method (breadth schedule,
   vectorised over heads).
-* :class:`EstimationOnlyBackend` — prunes V by exact probabilities but
-  streams all of K (the "probability estimation without out-of-order
-  on-demand K" design point of Fig. 10).
-* :class:`FixedRatioBackend` — SpAtten-style local ranking: keeps a fixed
-  fraction of tokens with the highest probabilities (the strategy the paper
-  argues is mis-matched to instance variability).
+
+Fig. 10's estimation-only design point is the ``v_only`` variant of
+:class:`repro.hw.accelerator.ToPickAccelerator`, and Fig. 9's SpAtten
+baseline is :mod:`repro.hw.spatten`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -126,96 +124,3 @@ class TokenPickerBackend:
         )
         self.counter.add(result.stats(), instances=keys.shape[0])
         return result.outputs
-
-
-class EstimationOnlyBackend:
-    """Prune V on exact probabilities; stream all of K.
-
-    Without on-demand chunked K access (no out-of-order engine) the design
-    must fetch every K vector in full; only the ``x V`` traffic shrinks.
-    """
-
-    def __init__(
-        self,
-        threshold: float = 1e-3,
-        quant: Optional[QuantConfig] = None,
-        prompt_guard: int = 1,
-    ) -> None:
-        if not 0 < threshold < 1:
-            raise ValueError("threshold must be in (0, 1)")
-        self.threshold = threshold
-        self.quant = quant or QuantConfig()
-        self.prompt_guard = prompt_guard
-        self.counter = AccessCounter()
-
-    def __call__(self, layer: int, q, keys, values, bias=None) -> np.ndarray:
-        h, t, dh = keys.shape
-        scores = np.einsum("htd,hd->ht", keys, q) / math.sqrt(dh)
-        if bias is not None:
-            scores = scores + bias
-        m = scores.max(axis=1, keepdims=True)
-        e = np.exp(scores - m)
-        probs = e / e.sum(axis=1, keepdims=True)
-        kept = probs > self.threshold
-        if self.prompt_guard > 0:
-            kept[:, max(0, t - self.prompt_guard):] = True
-        out = np.einsum("ht,htd->hd", probs * kept, values)
-        # renormalise over the kept support (step-1 softmax over survivors)
-        denom = (probs * kept).sum(axis=1, keepdims=True)
-        out = out / np.clip(denom, 1e-300, None)
-
-        word = dh * self.quant.total_bits
-        c = self.counter
-        c.k_bits += h * t * word
-        c.v_bits += int(kept.sum()) * word
-        c.baseline_k_bits += h * t * word
-        c.baseline_v_bits += h * t * word
-        c.instances += h
-        c.tokens_seen += h * t
-        c.tokens_kept += int(kept.sum())
-        return out
-
-
-class FixedRatioBackend:
-    """SpAtten-style fixed-ratio token ranking (local, per instance).
-
-    Keeps the ``keep_ratio`` fraction of tokens with the largest exact
-    probabilities regardless of how many are actually important — the
-    behaviour Fig. 3 shows is mis-calibrated across instances.
-    """
-
-    def __init__(
-        self, keep_ratio: float, quant: Optional[QuantConfig] = None
-    ) -> None:
-        if not 0 < keep_ratio <= 1:
-            raise ValueError("keep_ratio must be in (0, 1]")
-        self.keep_ratio = keep_ratio
-        self.quant = quant or QuantConfig()
-        self.counter = AccessCounter()
-
-    def __call__(self, layer: int, q, keys, values, bias=None) -> np.ndarray:
-        h, t, dh = keys.shape
-        scores = np.einsum("htd,hd->ht", keys, q) / math.sqrt(dh)
-        if bias is not None:
-            scores = scores + bias
-        m = scores.max(axis=1, keepdims=True)
-        e = np.exp(scores - m)
-        probs = e / e.sum(axis=1, keepdims=True)
-        n_keep = max(1, int(math.ceil(self.keep_ratio * t)))
-        kept = np.zeros((h, t), dtype=bool)
-        top = np.argpartition(-probs, n_keep - 1, axis=1)[:, :n_keep]
-        np.put_along_axis(kept, top, True, axis=1)
-        masked = probs * kept
-        out = np.einsum("ht,htd->hd", masked, values)
-        out = out / masked.sum(axis=1, keepdims=True)
-
-        word = dh * self.quant.total_bits
-        c = self.counter
-        c.k_bits += h * t * word
-        c.v_bits += h * n_keep * word
-        c.baseline_k_bits += h * t * word
-        c.baseline_v_bits += h * t * word
-        c.instances += h
-        c.tokens_seen += h * t
-        c.tokens_kept += h * n_keep
-        return out

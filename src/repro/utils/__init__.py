@@ -8,18 +8,13 @@ from repro.utils.numerics import (
 )
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.tables import format_table
-from repro.utils.units import format_bytes, gib, kib, mib
 
 __all__ = [
     "EXP_CLIP",
-    "format_bytes",
     "format_table",
-    "gib",
-    "kib",
     "log_softmax",
     "logsumexp",
     "make_rng",
-    "mib",
     "softmax",
     "spawn_rngs",
 ]

@@ -6,9 +6,7 @@ import pytest
 from repro.core.config import TokenPickerConfig
 from repro.model.attention import (
     AccessCounter,
-    EstimationOnlyBackend,
     ExactAttentionBackend,
-    FixedRatioBackend,
     TokenPickerBackend,
 )
 
@@ -80,69 +78,6 @@ class TestTokenPickerBackend:
         one = backend.counter.tokens_seen
         backend(1, q, keys, values)
         assert backend.counter.tokens_seen == 2 * one
-
-
-class TestEstimationOnlyBackend:
-    def test_streams_all_k(self, instance):
-        q, keys, values = instance
-        backend = EstimationOnlyBackend(threshold=5e-2)
-        backend(0, q, keys, values)
-        c = backend.counter
-        assert c.k_bits == c.baseline_k_bits
-        assert c.v_bits < c.baseline_v_bits
-
-    def test_output_close_to_exact_when_keeping_everything(self, instance):
-        q, keys, values = instance
-        backend = EstimationOnlyBackend(threshold=1e-9)
-        out = backend(0, q, keys, values)
-        assert np.allclose(out, exact_reference(q, keys, values), atol=1e-8)
-
-    def test_guard_keeps_newest(self, instance):
-        q, keys, values = instance
-        backend = EstimationOnlyBackend(threshold=0.9, prompt_guard=1)
-        out = backend(0, q, keys, values)
-        assert np.all(np.isfinite(out))
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            EstimationOnlyBackend(threshold=0.0)
-
-
-class TestFixedRatioBackend:
-    def test_keep_ratio_respected(self, instance):
-        q, keys, values = instance
-        backend = FixedRatioBackend(keep_ratio=0.25)
-        backend(0, q, keys, values)
-        c = backend.counter
-        assert c.keep_fraction == pytest.approx(0.25, abs=0.02)
-
-    def test_ratio_one_is_exact(self, instance):
-        q, keys, values = instance
-        backend = FixedRatioBackend(keep_ratio=1.0)
-        out = backend(0, q, keys, values)
-        assert np.allclose(out, exact_reference(q, keys, values), atol=1e-8)
-
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            FixedRatioBackend(keep_ratio=0.0)
-        with pytest.raises(ValueError):
-            FixedRatioBackend(keep_ratio=1.2)
-
-    def test_fixed_ratio_misses_instance_variability(self):
-        """The Fig. 3 argument: a ratio tuned on a diffuse instance wastes
-        fetches on a peaky one (and vice versa), unlike Token-Picker."""
-        rng = np.random.default_rng(1)
-        h, t, dh = 1, 128, 16
-        keys = rng.normal(size=(h, t, dh))
-        values = rng.normal(size=(h, t, dh))
-        # peaky instance: one dominant token
-        q_peaky = 6.0 * keys[:, 17]
-        fixed = FixedRatioBackend(keep_ratio=0.5)
-        fixed(0, q_peaky, keys, values)
-        picker = TokenPickerBackend(TokenPickerConfig(threshold=1e-3))
-        picker(0, q_peaky, keys, values)
-        # adaptive pruning fetches far fewer V vectors on the peaky instance
-        assert picker.counter.tokens_kept < fixed.counter.tokens_kept
 
 
 class TestAccessCounter:

@@ -10,10 +10,9 @@ from repro.core import (
     TokenPickerConfig,
     exact_attention,
     exact_attention_probs,
-    exact_threshold_pruning,
-    multi_head_token_picker,
     pruning_error,
     token_picker_attention,
+    token_picker_attention_batched,
     token_picker_scores,
 )
 
@@ -196,30 +195,71 @@ class TestEdgeCases:
         assert r.kept[-1]
 
 
-class TestBreadthIncrementalDenominator:
-    """`_run_breadth` maintains ln(D) incrementally (frozen dead part +
-    logaddexp over the bounds that tightened this round) instead of a
-    full-array logsumexp per round; this pins the refactor against a
-    reimplementation of the full recompute.
+def _poisoned(a, bad=np.nan):
+    a = np.array(a, dtype=np.float64)
+    a.flat[a.size // 2] = bad
+    return a
 
-    What "identical" means here: the two schemes sum the same terms in
-    different association orders, so the last float64 ulp of ln(D) can
-    legitimately differ — no incremental scheme can reproduce the full
-    recompute's pairwise-summation bits.  The pin is therefore (a) exact
-    equality of every *decision* the denominator drives (`kept`,
-    `chunks_fetched`) across a seed x threshold grid, and (b) ln(D)
-    itself to 1e-12 relative.  Safety never depends on those last bits:
-    any lower-bound denominator keeps the certificate sound (tested
-    below), and the serving-path bit-identity contract (batched vs
-    ragged kernels) is unaffected — both share one denominator
-    expression."""
+
+class TestHostileInput:
+    """Malformed or non-finite operands raise ``ValueError`` instead of
+    returning a silently wrong result.  Shapes are checked before the
+    empty-context shortcut, so a mis-ranked ``keys`` is never mistaken
+    for an empty context.  The batched kernel runs on explicit scales,
+    where no data-derived scale trips over the bad operand first."""
+
+    CASES = {
+        "keys_3d": {"keys": lambda a: a[None], "values": lambda a: a[None]},
+        "keys_1d": {"keys": lambda a: a[0], "values": lambda a: a[0]},
+        "nan_q": {"q": _poisoned},
+        "nan_keys": {"keys": _poisoned},
+        "inf_values": {"values": lambda a: _poisoned(a, np.inf)},
+        "nan_bias": {"score_bias": lambda _: _poisoned(np.zeros(32))},
+    }
+
+    @pytest.mark.parametrize("api", ["breadth", "depth", "batched"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected(self, api, case):
+        q, keys, values = _instance(50, t=32, d=16)
+        ops = {"q": q, "keys": keys, "values": values, "score_bias": None}
+        for name, corrupt in self.CASES[case].items():
+            ops[name] = corrupt(ops[name])
+        cfg = TokenPickerConfig(schedule="depth" if api == "depth" else "breadth")
+        with pytest.raises(ValueError):
+            if api == "batched":
+                one = np.ones(1)
+                stacked = {k: None if v is None else v[None] for k, v in ops.items()}
+                token_picker_attention_batched(
+                    stacked["q"], stacked["keys"], stacked["values"], cfg,
+                    score_bias=stacked["score_bias"],
+                    q_scales=one, k_scales=one, v_scales=one,
+                )
+            else:
+                token_picker_attention(
+                    ops["q"], ops["keys"], ops["values"], cfg,
+                    score_bias=ops["score_bias"],
+                )
+
+
+class TestBreadthIncrementalDenominator:
+    """The breadth rounds tighten ln(D) incrementally: each round every
+    alive token's lower bound moves to its next chunk and the denominator
+    is re-summed over every token's current bound.  This pins the
+    kernel's decisions against a plain reimplementation of those rounds.
+
+    The two sum the same terms in different association orders, so the
+    last float64 ulp of ln(D) can legitimately differ.  The pin is
+    therefore (a) exact equality of every *decision* the denominator
+    drives (`kept`, `chunks_fetched`) across a seed x threshold grid, and
+    (b) ln(D) itself to 1e-12 relative.  Safety never depends on those
+    last bits: any lower-bound denominator keeps the certificate sound
+    (tested below)."""
 
     def _full_recompute_reference(self, q, keys, cfg):
         from repro.core.margins import margin_pairs
         from repro.core.pruning import (
             _chunk_score_table,
             _guard_mask,
-            _logsumexp_1d,
             _quantize_operands,
         )
 
@@ -230,9 +270,8 @@ class TestBreadthIncrementalDenominator:
         margins = margin_pairs(q_codes, cfg.quant)
         guard = _guard_mask(keys.shape[0], cfg.prompt_guard)
         n, n_chunks = ps.shape
-        bias = np.zeros(n)
-        s_min = ps * score_scale + margins.mins[1:][None, :] * score_scale + bias[:, None]
-        s_max = ps * score_scale + margins.maxs[1:][None, :] * score_scale + bias[:, None]
+        s_min = ps * score_scale + margins.mins[1:][None, :] * score_scale
+        s_max = ps * score_scale + margins.maxs[1:][None, :] * score_scale
         alive = np.ones(n, dtype=bool)
         chunks = np.zeros(n, dtype=np.int64)
         lb = np.full(n, -np.inf)
@@ -240,7 +279,8 @@ class TestBreadthIncrementalDenominator:
         for b in range(n_chunks):
             chunks[alive] = b + 1
             lb[alive] = s_min[alive, b]
-            log_den = _logsumexp_1d(lb)  # the old full recompute
+            m = lb.max()  # every bound is finite from round 1 on
+            log_den = m + np.log(np.exp(lb - m).sum())
             prune = alive & ((s_max[:, b] - log_den) <= cfg.log_threshold) & ~guard
             alive = alive & ~prune
             if not alive.any():
@@ -284,6 +324,58 @@ class TestBreadthIncrementalDenominator:
         assert np.isclose(r.log_denominator, log_den_ref, rtol=1e-12, atol=0)
 
 
+class TestBreadthIsBatchedRowZero:
+    """The single-instance breadth schedule *is* row 0 of a one-head
+    :func:`token_picker_attention_batched` call — the one breadth
+    reference — bit for bit in every reported field."""
+
+    @staticmethod
+    def assert_row(single, batched, h=0):
+        assert np.array_equal(single.kept, batched.kept[h])
+        assert np.array_equal(single.chunks_fetched, batched.chunks_fetched[h])
+        assert np.array_equal(single.scores, batched.scores[h])
+        assert np.array_equal(single.probs, batched.probs[h])
+        assert np.array_equal(single.output, batched.outputs[h])
+        assert single.log_denominator == batched.log_denominators[h]
+
+    @pytest.mark.parametrize("case", ["plain", "scales", "bias", "empty"])
+    @pytest.mark.parametrize("guard", [0, 1, 4])
+    @pytest.mark.parametrize("fmt", [(12, 4), (12, 2), (8, 4)])
+    def test_single_instance_is_row_zero(self, fmt, guard, case):
+        q, keys, values = _instance(60 + guard, t=192)
+        if case == "empty":
+            keys, values = keys[:0], values[:0]
+        cfg = TokenPickerConfig(
+            threshold=2e-3, prompt_guard=guard,
+            quant=QuantConfig(total_bits=fmt[0], chunk_bits=fmt[1]),
+        )
+        single_kw, batched_kw = {}, {}
+        if case == "scales":
+            # frozen calibration-time scales; out-of-range codes saturate
+            scales = (0.04, 0.03, 0.02)
+            single_kw = dict(zip(("q_scale", "k_scale", "v_scale"), scales))
+            batched_kw = {
+                name: np.array([s])
+                for name, s in zip(("q_scales", "k_scales", "v_scales"), scales)
+            }
+        elif case == "bias":
+            bias = -0.05 * np.arange(keys.shape[0])[::-1]
+            single_kw = {"score_bias": bias}
+            batched_kw = {"score_bias": bias[None]}
+        single = token_picker_attention(q, keys, values, cfg, **single_kw)
+        batched = token_picker_attention_batched(
+            q[None], keys[None], values[None], cfg, **batched_kw
+        )
+        self.assert_row(single, batched)
+        assert single.stats == batched.stats()
+        scores_only = token_picker_scores(
+            q, keys, cfg,
+            **{k: v for k, v in single_kw.items() if k != "v_scale"},
+        )
+        assert np.array_equal(scores_only.probs, single.probs)
+        assert scores_only.output is None
+
+
 class TestBatchedScoreBias:
     """The rectangular kernel's ``score_bias`` (ALiBi) input, which the
     session's ``step(..., score_bias=)`` routes to."""
@@ -299,8 +391,8 @@ class TestBatchedScoreBias:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_head_scalar_reference(self, seed):
-        from repro.core import token_picker_attention_batched
-
+        """Heads are independent: each row of a biased multi-head call
+        equals the single-instance call on that head, bit for bit."""
         q, keys, values, bias = self._heads(seed)
         cfg = TokenPickerConfig(threshold=2e-3, schedule="breadth")
         batched = token_picker_attention_batched(
@@ -311,13 +403,12 @@ class TestBatchedScoreBias:
             batched.log_denominators, unbiased.log_denominators
         )
         for h in range(q.shape[0]):
-            scalar = token_picker_scores(q[h], keys[h], cfg, score_bias=bias[h])
-            assert np.array_equal(batched.kept[h], scalar.kept)
-            assert np.array_equal(batched.chunks_fetched[h], scalar.chunks_fetched)
-            assert np.allclose(batched.scores[h], scalar.scores, rtol=1e-12)
+            scalar = token_picker_attention(
+                q[h], keys[h], values[h], cfg, score_bias=bias[h]
+            )
+            TestBreadthIsBatchedRowZero.assert_row(scalar, batched, h)
 
     def test_session_step_passes_bias_through(self):
-        from repro.core import token_picker_attention_batched
         from repro.core.session import TokenPickerSession
 
         q, keys, values, bias = self._heads(7)
@@ -336,56 +427,38 @@ class TestBatchedScoreBias:
             session.step(q, keys, values, score_bias=bias[:, :-1])
 
 
-class TestExactThresholdPruning:
-    def test_matches_definition(self):
-        scores = np.array([0.0, 1.0, 5.0, -3.0])
-        p = np.exp(scores - scores.max())
-        p /= p.sum()
-        kept = exact_threshold_pruning(scores, 1e-2)
-        assert np.array_equal(kept, p > 1e-2)
-
-    def test_never_empty(self):
-        kept = exact_threshold_pruning(np.zeros(10), 0.5)
-        assert kept.sum() == 1
-
-    def test_empty_input(self):
-        assert exact_threshold_pruning(np.zeros(0), 0.5).size == 0
-
-    def test_upper_bounds_chunked_pruning(self):
-        """Exact pruning (full K on-chip) keeps no more than chunked."""
-        q, keys, _ = _instance(20, sharpness=3.0)
-        cfg = TokenPickerConfig(threshold=1e-3, prompt_guard=0)
-        r = token_picker_scores(q, keys, cfg)
-        kept_exact = exact_threshold_pruning(r.scores, cfg.threshold)
-        # chunked estimation is conservative: keeps a superset
-        assert kept_exact.sum() <= r.stats.n_kept
-
-
 class TestMultiHead:
+    """One batched call covers every head."""
+
     def test_per_head_results(self):
         rng = np.random.default_rng(30)
         H, t, d = 3, 64, 16
         q = rng.normal(size=(H, d))
         keys = rng.normal(size=(H, t, d))
         values = rng.normal(size=(H, t, d))
-        results = multi_head_token_picker(q, keys, values, TokenPickerConfig())
-        assert len(results) == H
-        for r in results:
-            assert r.output is not None
-            assert r.stats.n_tokens == t
+        r = token_picker_attention_batched(q, keys, values, TokenPickerConfig())
+        assert r.kept.shape == r.probs.shape == (H, t)
+        assert r.outputs.shape == (H, d)
+        assert r.log_denominators.shape == (H,)
+        assert r.stats().n_tokens == H * t
+        assert np.allclose(r.probs.sum(axis=1), 1.0)
 
     def test_scores_only(self):
         rng = np.random.default_rng(31)
         q = rng.normal(size=(2, 8))
         keys = rng.normal(size=(2, 16, 8))
-        results = multi_head_token_picker(q, keys, None, TokenPickerConfig())
-        assert all(r.output is None for r in results)
+        r = token_picker_attention_batched(q, keys, None, TokenPickerConfig())
+        assert r.outputs is None
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            multi_head_token_picker(
-                np.zeros(8), np.zeros((2, 4, 8)), None, TokenPickerConfig()
-            )
+        for q_shape, keys_shape in [
+            ((8,), (2, 4, 8)), ((2, 8), (2, 4, 6)), ((3, 8), (2, 4, 8)),
+        ]:
+            with pytest.raises(ValueError, match="q must be"):
+                token_picker_attention_batched(
+                    np.zeros(q_shape), np.zeros(keys_shape), None,
+                    TokenPickerConfig(),
+                )
 
 
 class TestConfigValidation:
@@ -411,13 +484,3 @@ class TestConfigValidation:
     def test_log_threshold(self):
         cfg = TokenPickerConfig(threshold=1e-3)
         assert np.isclose(cfg.log_threshold, np.log(1e-3))
-
-
-class TestTrace:
-    def test_trace_collection(self, schedule):
-        q, keys, _ = _instance(40)
-        cfg = TokenPickerConfig(schedule=schedule)
-        r = token_picker_scores(q, keys, cfg, collect_trace=True)
-        ub = r.trace["log_upper_bound_first_chunk"]
-        assert ub.shape == (keys.shape[0],)
-        assert np.isfinite(ub).any()

@@ -1,4 +1,4 @@
-"""Tests for shared utilities (rng, tables, units, numerics helpers)."""
+"""Tests for shared utilities (rng, tables, numerics helpers)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.utils.numerics import log_softmax, logsumexp, safe_exp, softmax
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
 from repro.utils.tables import format_series, format_table
-from repro.utils.units import GIB, KIB, MIB, format_bytes, gib, kib, mib
 
 
 class TestRng:
@@ -90,16 +89,3 @@ class TestTables:
         s = format_series("curve", [1, 2], [0.5, 0.25], unit="x")
         assert "1=0.5x" in s and "2=0.25x" in s
 
-
-class TestUnits:
-    def test_conversions(self):
-        assert kib(2048) == 2.0
-        assert mib(3 * MIB) == 3.0
-        assert gib(GIB) == 1.0
-        assert KIB * 1024 == MIB
-
-    def test_format_bytes(self):
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(2 * KIB) == "2.00 KiB"
-        assert format_bytes(5 * MIB) == "5.00 MiB"
-        assert format_bytes(3 * GIB) == "3.00 GiB"
