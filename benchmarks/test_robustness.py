@@ -16,10 +16,10 @@ Two robustness checks for the serving stack, at small sizes:
 
 2. **Fault recovery** — a 3-replica cluster runs a long-decode trace
    while a seeded :class:`repro.cluster.faults.FaultInjector` kills two
-   replicas mid-flight (reviving them later) and injects latency
-   spikes.  Every completed request's lifetime pruning traffic
-   ``(k_bits, v_bits, generated_tokens)`` must be **bit-identical** to
-   a fault-free run of the same trace.
+   replicas mid-flight (reviving them later).  Every completed
+   request's lifetime pruning traffic ``(k_bits, v_bits,
+   generated_tokens)`` must be **bit-identical** to a fault-free run of
+   the same trace.
 """
 
 import numpy as np
@@ -147,8 +147,6 @@ def _failover_run(with_faults: bool) -> FaultInjector:
             n_kills=N_KILLS,
             revive_after=6,
             first_kill_step=3,
-            n_spikes=2,
-            spike_seconds=4e-3,
         )
         if with_faults
         else []

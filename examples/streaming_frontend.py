@@ -152,8 +152,7 @@ def chaos_demo() -> None:
 
     s = faulted.stats
     print(
-        f"  {s.kills} kills, {s.revives} revives, {s.spikes} latency "
-        f"spikes; {s.retries} retries "
+        f"  {s.kills} kills, {s.revives} revives; {s.retries} retries "
         f"({s.swap_resumes} swap-resumes, {s.re_prefills} re-prefills, "
         f"{s.requeues} requeues)"
     )

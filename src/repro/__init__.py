@@ -27,24 +27,12 @@ Quickstart::
     print(result.stats.v_pruning_ratio, result.stats.total_reduction)
 """
 
-from repro.core import (
-    QuantConfig,
-    TokenPickerConfig,
-    calibrate_threshold,
-    exact_attention,
-    token_picker_attention,
-    token_picker_scores,
-)
-from repro.serving import GenerationRequest, ServingEngine
+from repro.core import TokenPickerConfig, token_picker_attention
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "QuantConfig",
     "TokenPickerConfig",
-    "calibrate_threshold",
-    "exact_attention",
     "token_picker_attention",
-    "token_picker_scores",
     "__version__",
 ]

@@ -295,8 +295,8 @@ def _run_serve(args) -> str:
         injector, reports = runs[1]
         router, s = injector.router, injector.stats
         extra = [
-            f"  faults: kills: {s.kills}  revives: {s.revives}  spikes: "
-            f"{s.spikes}  retries: {s.retries}  swap-resumes: "
+            f"  faults: kills: {s.kills}  revives: {s.revives}  "
+            f"retries: {s.retries}  swap-resumes: "
             f"{s.swap_resumes}  re-prefills: {s.re_prefills}  requeues: "
             f"{s.requeues}",
             f"  completed: {len(injector.outputs)}/{args.n_requests}  "
@@ -434,7 +434,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "wall-clock deadline in ms; expired requests free their KV "
         "mid-flight (0: none)")
     add("--inject-faults", action="store_true",
-        help="seeded replica kills/revives/latency spikes, checked "
+        help="seeded replica kills/revives, checked "
         "bit-identical against a fault-free rerun (needs --replicas >= 2)")
     add("--profile", action="store_true",
         help="print the per-step phase breakdown and each replica's "

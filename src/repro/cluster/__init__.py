@@ -26,52 +26,27 @@ instead of a constant:
   all-gather through ``hw/serving.py``'s interconnect model.
 """
 
-from repro.cluster.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultInjectorStats,
-    fault_schedule,
-)
+from repro.cluster.faults import FaultEvent, FaultInjector, fault_schedule
 from repro.cluster.memory import (
     OptimisticMemory,
     make_memory_manager,
 )
-from repro.cluster.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.cluster.metrics import Histogram, MetricsRegistry
 from repro.cluster.router import (
-    ROUTER_POLICIES,
     ClusterRouter,
-    ClusterStepReport,
     bursty_trace,
     busiest_step_reports,
 )
-from repro.cluster.shard import (
-    ShardGroup,
-    ShardStepView,
-    partition_heads,
-)
 
 __all__ = [
-    "ROUTER_POLICIES",
     "ClusterRouter",
-    "ClusterStepReport",
-    "Counter",
     "FaultEvent",
     "FaultInjector",
-    "FaultInjectorStats",
-    "Gauge",
     "fault_schedule",
     "Histogram",
     "MetricsRegistry",
     "OptimisticMemory",
-    "ShardGroup",
-    "ShardStepView",
     "bursty_trace",
     "busiest_step_reports",
     "make_memory_manager",
-    "partition_heads",
 ]

@@ -1,11 +1,11 @@
-"""Deterministic fault injection for the cluster: kills, revives, spikes.
+"""Deterministic fault injection for the cluster: kills and revives.
 
 A production fleet loses replicas; the property worth testing is that it
 loses *nothing else*.  This module drives a
 :class:`~repro.cluster.router.ClusterRouter` through a seeded schedule of
-:class:`FaultEvent`\\ s — replica kills, revivals, and per-step modelled
-latency spikes — and re-places every in-flight request of a dead replica
-on the survivors with capped exponential backoff:
+:class:`FaultEvent`\\ s — replica kills and revivals — and re-places
+every in-flight request of a dead replica on the survivors with capped
+exponential backoff:
 
 * **swap-resume**: a sequence that was swapped out of the dead arena has
   a byte-exact host-memory copy
@@ -19,14 +19,13 @@ on the survivors with capped exponential backoff:
   ``tests/test_faults.py`` pins.
 
 Everything is deterministic: the schedule is a pure function of its
-seed, events fire on router step indices (never wall-clock), and a
-latency spike is only counted and marked on the trace — injecting a
-fault never perturbs the engines' arithmetic.
+seed, events fire on router step indices (never wall-clock), and
+injecting a fault never perturbs the engines' arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +34,7 @@ from repro.cluster.router import ClusterRouter, ClusterStepReport
 from repro.serving.engine import PreemptedExport
 from repro.serving.request import CompletedRequest, GenerationRequest
 
-FAULT_ACTIONS = ("kill", "revive", "spike")
+FAULT_ACTIONS = ("kill", "revive")
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,6 @@ class FaultEvent:
     step: int
     action: str
     replica: int
-    #: modelled latency penalty of a ``"spike"`` in seconds (recorded on
-    #: its trace instant); 0 for kill/revive
-    spike_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.action not in FAULT_ACTIONS:
@@ -56,8 +52,6 @@ class FaultEvent:
             )
         if self.step < 0 or self.replica < 0:
             raise ValueError("step and replica must be >= 0")
-        if self.action == "spike" and self.spike_seconds <= 0:
-            raise ValueError("a spike needs spike_seconds > 0")
 
 
 def _event_order(event: FaultEvent) -> Tuple[int, int, int]:
@@ -73,12 +67,8 @@ def fault_schedule(
     n_kills: int = 2,
     revive_after: int = 6,
     first_kill_step: int = 2,
-    n_spikes: int = 2,
-    spike_seconds: float = 4e-3,
-    spike_span: int = 32,
 ) -> List[FaultEvent]:
-    """A valid deterministic schedule: ``n_kills`` kill/revive pairs plus
-    ``n_spikes`` latency spikes.
+    """A valid deterministic schedule: ``n_kills`` kill/revive pairs.
 
     Kill windows are strided ``revive_after + 2`` apart so at most one
     replica is ever dead at a time — the schedule can never strand the
@@ -87,8 +77,8 @@ def fault_schedule(
     """
     if n_replicas < 2:
         raise ValueError("fault injection needs >= 2 replicas")
-    if n_kills < 0 or n_spikes < 0 or revive_after < 1:
-        raise ValueError("n_kills/n_spikes >= 0 and revive_after >= 1")
+    if n_kills < 0 or revive_after < 1:
+        raise ValueError("n_kills >= 0 and revive_after >= 1")
     rng = np.random.default_rng([seed, n_replicas, n_kills])
     events: List[FaultEvent] = []
     stride = revive_after + 2
@@ -106,15 +96,6 @@ def fault_schedule(
             )
         )
         dead_until[replica] = step + revive_after
-    for _ in range(n_spikes):
-        events.append(
-            FaultEvent(
-                step=int(rng.integers(1, max(spike_span, 2))),
-                action="spike",
-                replica=int(rng.integers(n_replicas)),
-                spike_seconds=spike_seconds,
-            )
-        )
     return sorted(events, key=_event_order)
 
 
@@ -138,26 +119,12 @@ class FaultInjectorStats:
 
     kills: int = 0
     revives: int = 0
-    spikes: int = 0
     retries: int = 0
     swap_resumes: int = 0
     re_prefills: int = 0
     requeues: int = 0
     backoff_deferrals: int = 0
     events_skipped: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "kills": self.kills,
-            "revives": self.revives,
-            "spikes": self.spikes,
-            "retries": self.retries,
-            "swap_resumes": self.swap_resumes,
-            "re_prefills": self.re_prefills,
-            "requeues": self.requeues,
-            "backoff_deferrals": self.backoff_deferrals,
-            "events_skipped": self.events_skipped,
-        }
 
 
 class FaultInjector:
@@ -215,20 +182,6 @@ class FaultInjector:
 
     # ---------------------------------------------------------------- events
     def _apply(self, event: FaultEvent) -> None:
-        if event.action == "spike":
-            self.stats.spikes += 1
-            if self.router.tracer:
-                self.router.tracer.instant(
-                    "cluster",
-                    "faults",
-                    "latency_spike",
-                    args={
-                        "replica": event.replica,
-                        "step": event.step,
-                        "spike_seconds": event.spike_seconds,
-                    },
-                )
-            return
         if event.action == "revive":
             try:
                 self.router.revive_replica(event.replica)
@@ -356,10 +309,6 @@ class FaultInjector:
                 if key is not None:
                     self.outputs[key] = done
         return report
-
-    @property
-    def pending_retries(self) -> int:
-        return len(self._retry)
 
     def run_trace(
         self,

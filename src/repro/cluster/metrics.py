@@ -144,26 +144,6 @@ class Histogram:
             "max": self.max,
         }
 
-    def state_dict(self) -> Dict[str, object]:
-        """Full lossless state (buckets included), JSON-safe: the empty
-        sentinels ``min=inf`` / ``max=-inf`` serialize as ``None``."""
-        return {
-            "buckets": {str(k): v for k, v in sorted(self._buckets.items())},
-            "underflow": self._underflow,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if math.isfinite(self.min) else None,
-            "max": self.max if math.isfinite(self.max) else None,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._buckets = {int(k): int(v) for k, v in state["buckets"].items()}
-        self._underflow = int(state["underflow"])
-        self.count = int(state["count"])
-        self.total = float(state["total"])
-        self.min = math.inf if state["min"] is None else float(state["min"])
-        self.max = -math.inf if state["max"] is None else float(state["max"])
-
 
 @dataclass
 class _Series:
@@ -236,50 +216,6 @@ class MetricsRegistry:
                 record["value"] = metric.value
             out.setdefault(name, []).append(record)
         return out
-
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-ready export of every series; the inverse of
-        :meth:`from_dict`.  Unlike :meth:`snapshot` (which summarises
-        histograms down to percentiles), this keeps the full bucket
-        state, so ``from_dict(to_dict())`` reports identical numbers."""
-        series = []
-        for name, labels, metric in self.series():
-            record: Dict[str, object] = {
-                "name": name,
-                "labels": dict(labels),
-                "type": type(metric).__name__.lower(),
-            }
-            if isinstance(metric, Histogram):
-                record["state"] = metric.state_dict()
-            else:
-                record["value"] = metric.value
-            series.append(record)
-        return {"series": series}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_dict` output.
-
-        The one-type-per-name invariant is enforced on the way in: a
-        record that rebinds an existing name to a different metric type
-        raises the same ``TypeError`` live registration would."""
-        kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-        registry = cls()
-        for record in data.get("series", []):
-            kind = kinds.get(record.get("type"))
-            if kind is None:
-                raise ValueError(
-                    f"unknown metric type {record.get('type')!r} for "
-                    f"series {record.get('name')!r}"
-                )
-            metric = registry._get(kind, record["name"], record.get("labels", {}))
-            if kind is Histogram:
-                metric.load_state_dict(record["state"])
-            elif kind is Counter:
-                metric.inc(float(record["value"]))
-            else:
-                metric.set(float(record["value"]))
-        return registry
 
     def render_prometheus(self, prefix: str = "tokenpicker") -> str:
         """Prometheus text exposition (one scrape body).

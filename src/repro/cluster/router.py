@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.config import TokenPickerConfig
 from repro.cluster.memory import make_memory_manager
 from repro.cluster.metrics import MetricsRegistry
+from repro.hw.serving import FleetCost
 from repro.obs.trace import NULL_TRACER
 from repro.serving.engine import (
     EngineStepReport,
@@ -89,7 +90,6 @@ class ClusterRouter:
         tracer=None,
         cycle_sim=None,
         shards: int = 1,
-        degrade_capacity_boost: float = 0.5,
     ) -> None:
         """``kv_tiering`` (a :class:`repro.kvstore.tiers.TierConfig`)
         enables the two-tier KV store on every replica; ``prefix_cache``
@@ -115,12 +115,7 @@ class ClusterRouter:
         ``shards`` > 1 runs every replica head-sharded across that many
         modelled tensor-parallel workers (see
         :mod:`repro.cluster.shard`) — the router composes shard-groups x
-        replicas.  ``degrade_capacity_boost`` scales how strongly a
-        replica's SLO degrade level (reported by the frontend's overload
-        controller via :meth:`note_degrade_level`) raises its advertised
-        effective capacity: a degraded replica prunes more aggressively
-        and streams fewer bytes per token, so dispatch divides its
-        marginal cost by ``1 + boost * level``."""
+        replicas."""
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
         if policy not in ROUTER_POLICIES:
@@ -137,14 +132,6 @@ class ClusterRouter:
         self._trace_gen: Dict[int, int] = {}
         self._seed = seed
         self.cycle_sim = cycle_sim
-        if degrade_capacity_boost < 0:
-            raise ValueError(
-                f"degrade_capacity_boost must be >= 0, got "
-                f"{degrade_capacity_boost}"
-            )
-        self.degrade_capacity_boost = degrade_capacity_boost
-        #: last SLO degrade level the frontend reported per replica
-        self._degrade_level: Dict[int, int] = {}
         self._replica_kwargs = dict(
             config=config,
             max_batch_size=max_batch_size,
@@ -242,55 +229,20 @@ class ClusterRouter:
             return "draining"
         return "live"
 
-    def note_degrade_level(
-        self, level: int, replica_id: Optional[int] = None
-    ) -> None:
-        """Feed the overload controller's degrade level into placement.
-
-        The frontend's SLO controller reports its current degrade level
-        each control tick (:class:`repro.serving.frontend` calls this for
-        the whole fleet); a test or an external controller can pin one
-        replica's level via ``replica_id``.  A degraded replica runs a
-        looser prune threshold — fewer bytes per decoded token — so
-        dispatch treats it as proportionally higher-capacity
-        (:meth:`capacity_factor`) instead of keeping the pre-degrade
-        placement that under-uses exactly the replicas the controller
-        just made cheaper.
-        """
-        if level < 0:
-            raise ValueError(f"degrade level must be >= 0, got {level}")
-        if replica_id is None:
-            for rid in range(self.n_replicas):
-                if rid not in self._dead:
-                    self._degrade_level[rid] = level
-        else:
-            if not 0 <= replica_id < self.n_replicas:
-                raise ValueError(f"unknown replica {replica_id}")
-            self._degrade_level[replica_id] = level
-
-    def capacity_factor(self, replica_id: int) -> float:
-        """Effective-capacity multiplier from the replica's degrade level."""
-        level = self._degrade_level.get(replica_id, 0)
-        return 1.0 + self.degrade_capacity_boost * level
-
-    def effective_load(self, replica_id: int) -> float:
-        """Outstanding arena tokens, discounted by live pruning behaviour.
+    def effective_load(self, replica_id: int, extra_tokens: int = 0) -> float:
+        """Outstanding arena tokens (plus ``extra_tokens`` about to be
+        placed), discounted by live pruning behaviour.
 
         ``keep_fraction`` starts at 1.0 (no pruning evidence yet) and
         falls as the replica's Token-Picker traffic proves most of its
         KV rows are never fetched; the product estimates the DRAM-traffic
         cost of the replica's backlog, which is what actually bounds its
-        decode-step latency (Fig. 2's argument).  A degraded replica's
-        advertised capacity rises with its degrade level
-        (:meth:`capacity_factor`), so the same backlog reads as lighter
-        load there.
+        decode-step latency (Fig. 2's argument).
         """
         engine = self.replicas[replica_id]
         return (
-            engine.outstanding_tokens
-            * engine.counter.keep_fraction
-            / self.capacity_factor(replica_id)
-        )
+            engine.outstanding_tokens + extra_tokens
+        ) * engine.counter.keep_fraction
 
     def select_replica(self, request: GenerationRequest) -> int:
         """Route one request under the configured policy."""
@@ -305,18 +257,11 @@ class ClusterRouter:
                 self._rr_next += 1
                 if rid in routable:
                     return rid
-        # least-loaded: marginal effective cost of placing the request,
-        # discounted by the replica's degrade-boosted capacity
+        # least-loaded: marginal effective cost of placing the request
         return min(
             routable,
             key=lambda rid: (
-                (
-                    self.replicas[rid].outstanding_tokens
-                    + request.total_tokens
-                )
-                * self.replicas[rid].counter.keep_fraction
-                / self.capacity_factor(rid),
-                rid,
+                self.effective_load(rid, request.total_tokens), rid
             ),
         )
 
@@ -370,9 +315,8 @@ class ClusterRouter:
         queued requests, swapped-out sequences (byte-exact host copies)
         and arena-resident sequences (KV lost — re-prefill) come back as
         a :class:`~repro.serving.engine.FailoverHarvest` the caller
-        resubmits to survivors (:meth:`resubmit_harvest` applies the
-        default policy; :class:`repro.cluster.faults.FaultInjector` adds
-        backoff).  At least one replica must remain routable.
+        resubmits to survivors (:class:`repro.cluster.faults.FaultInjector`
+        does so with backoff).  At least one replica must remain routable.
         """
         if not 0 <= replica_id < self.n_replicas:
             raise ValueError(f"unknown replica {replica_id}")
@@ -417,32 +361,6 @@ class ClusterRouter:
                 "replica_revive",
                 args={"replica": replica_id, "step": self._step_index},
             )
-
-    def resubmit_harvest(
-        self, harvest: "FailoverHarvest"
-    ) -> List[Tuple[int, int, str]]:
-        """Place a dead replica's harvest on survivors, preferring the
-        byte-exact swap-resume path.
-
-        Queued and KV-lost requests re-route through :meth:`submit`
-        (re-prefill); swapped-out exports are adopted by the least-loaded
-        survivor so decode continues without re-ingesting the prompt —
-        falling back to re-prefill when no survivor can adopt (tiered
-        engines refuse).  Returns ``(replica_id, request_id, how)``
-        per request, ``how`` in ``{"requeued", "swap_resume",
-        "re_prefill"}``.
-        """
-        placed: List[Tuple[int, int, str]] = []
-        for request in harvest.queued:
-            rid, request_id = self.submit(request)
-            placed.append((rid, request_id, "requeued"))
-        for export in harvest.swapped:
-            placed.append(self.adopt_export(export))
-        for request in harvest.lost:
-            rid, request_id = self.submit(request)
-            self.metrics.counter("fault_reprefills", replica=rid).inc()
-            placed.append((rid, request_id, "re_prefill"))
-        return placed
 
     def adopt_export(self, export) -> Tuple[int, int, str]:
         """Adopt one swapped-out export on the least-loaded survivor,
@@ -524,25 +442,21 @@ class ClusterRouter:
         ``modelled_step`` span per sampled cluster step on the
         ``cluster``/``cycles`` track, priced at the straggler replica
         (the synchronous-tick latency) with the concurrent fleet total
-        alongside.  Per-replica cycle tracks come from the engines
-        themselves."""
+        alongside.  Each replica is priced by its own rule
+        (:meth:`ServingEngine.price_step`), so the straggler is exactly
+        one of the per-replica cycle spans the engines emit."""
         if self.cycle_sim is None or not self.tracer:
             return
         if not self.tracer.want_step(self._step_index):
             return
-        busy = [
-            rid
+        per_replica = tuple(
+            self.replicas[rid].price_step(r)
             for rid, r in report.per_replica.items()
             if r.per_sequence or r.prefill_bits
-        ]
-        if not busy:
-            return
-        # at the head scale the replicas' own spans are priced at (one
-        # request geometry per cluster), so the straggler is one of them
-        cost = self.cycle_sim.price_fleet(
-            report.per_replica.values(),
-            engine_heads=self.replicas[busy[0]].pool.n_heads,
         )
+        if not per_replica:
+            return
+        cost = FleetCost(per_replica)
         self.tracer.cycle_span(
             "cluster",
             ts=t0,

@@ -17,104 +17,31 @@ Public surface:
 """
 
 from repro.core.attention import (
-    ApproximationError,
-    dominant_token_count,
     exact_attention,
     exact_attention_probs,
     pruning_error,
 )
-from repro.core.config import (
-    PRESET_PPL_BUDGETS,
-    QuantConfig,
-    TokenPickerConfig,
-)
-from repro.core.estimator import (
-    DenominatorAggregator,
-    PruneRule,
-    certified_upper_bounds,
-    true_probabilities,
-)
-from repro.core.margins import MarginPairs, margin_pairs, margin_pairs_batch, score_bounds
-from repro.core.ooo import OoOConfig, OoOResult, OutOfOrderEngine
-from repro.core.ordering import order_rank, processing_order
+from repro.core.config import QuantConfig, TokenPickerConfig
+from repro.core.margins import margin_pairs, score_bounds
 from repro.core.pruning import (
-    BatchedPickerResult,
-    PruneStats,
-    RaggedPickerResult,
-    TokenPickerResult,
     token_picker_attention,
     token_picker_attention_batched,
     token_picker_attention_ragged,
     token_picker_scores,
 )
-from repro.core.quantization import (
-    QuantizedTensor,
-    assemble_from_chunks,
-    chunk_plane_values,
-    compute_scale,
-    dequantize,
-    partial_values,
-    quantize,
-    split_chunks,
-)
-from repro.core.thresholds import (
-    CalibrationResult,
-    calibrate_presets,
-    calibrate_threshold,
-    scale_threshold_for_context,
-)
-from repro.core.session import SessionScales, TokenPickerSession
-from repro.core.verification import (
-    CertificateViolation,
-    VerificationReport,
-    verify_result,
-)
+from repro.core.quantization import quantize
 
 __all__ = [
-    "ApproximationError",
-    "SessionScales",
-    "TokenPickerSession",
-    "CertificateViolation",
-    "VerificationReport",
-    "scale_threshold_for_context",
-    "verify_result",
-    "BatchedPickerResult",
-    "RaggedPickerResult",
     "token_picker_attention_batched",
     "token_picker_attention_ragged",
-    "CalibrationResult",
-    "DenominatorAggregator",
-    "MarginPairs",
-    "OoOConfig",
-    "OoOResult",
-    "OutOfOrderEngine",
-    "PRESET_PPL_BUDGETS",
-    "PruneRule",
-    "PruneStats",
     "QuantConfig",
-    "QuantizedTensor",
     "TokenPickerConfig",
-    "TokenPickerResult",
-    "assemble_from_chunks",
-    "calibrate_presets",
-    "calibrate_threshold",
-    "certified_upper_bounds",
-    "chunk_plane_values",
-    "compute_scale",
-    "dequantize",
-    "dominant_token_count",
     "exact_attention",
     "exact_attention_probs",
     "margin_pairs",
-    "margin_pairs_batch",
-    "order_rank",
-    "partial_values",
-    "processing_order",
     "pruning_error",
     "quantize",
     "score_bounds",
-    "split_chunks",
     "token_picker_attention",
     "token_picker_scores",
-    "true_probabilities",
 ]

@@ -50,10 +50,6 @@ class ApproximationError:
     output_linf: float
     total_variation: float
 
-    def within_certified_bound(self, threshold: float, slack: float = 1e-9) -> bool:
-        """True when no pruned token exceeded the threshold (+ fp slack)."""
-        return self.max_pruned_probability <= threshold + slack
-
 
 def pruning_error(
     q: np.ndarray,
@@ -91,15 +87,3 @@ def pruning_error(
         output_linf=float(np.max(np.abs(diff))) if diff.size else 0.0,
         total_variation=tv,
     )
-
-
-def dominant_token_count(
-    q: np.ndarray, keys: np.ndarray, threshold: float = 1e-3
-) -> int:
-    """Number of tokens whose exact probability exceeds ``threshold``.
-
-    This is the quantity Fig. 3 compares across instances (48 vs 241 tokens
-    at context length 1024).
-    """
-    probs = exact_attention_probs(q, keys)
-    return int(np.sum(probs > threshold))

@@ -21,7 +21,6 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Tuple
 
 #: Named threshold presets from the paper's evaluated configurations.
 #: ToPick      — "minimal performance decrease of at most +0.05 PPL"
@@ -153,10 +152,3 @@ class TokenPickerConfig:
         import math
 
         return math.log(self.threshold)
-
-
-def preset_config(name: str, threshold: float, **kwargs) -> Tuple[str, TokenPickerConfig]:
-    """Build a named configuration (helper for experiment drivers)."""
-    if name not in PRESET_PPL_BUDGETS:
-        raise KeyError(f"unknown preset {name!r}; valid: {sorted(PRESET_PPL_BUDGETS)}")
-    return name, TokenPickerConfig(threshold=threshold, **kwargs)

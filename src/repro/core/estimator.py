@@ -27,7 +27,7 @@ tightens, and the module maintains ``ln(D)`` for broadcast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -85,10 +85,6 @@ class DenominatorAggregator:
             self._sum.add(s_min)
         self._current[token] = s_min
 
-    def lower_bound(self, token: int) -> float:
-        """Last submitted bound for a token (KeyError if never seen)."""
-        return self._current[token]
-
 
 @dataclass
 class PruneRule:
@@ -103,16 +99,6 @@ class PruneRule:
             return PruneDecision(False, np.inf, log_denominator)
         log_ub = float(s_max) - float(log_denominator)
         return PruneDecision(log_ub <= self.log_threshold, log_ub, log_denominator)
-
-    def check_batch(
-        self, s_max: np.ndarray, log_denominator: float
-    ) -> np.ndarray:
-        """Vectorised predicate; returns boolean prune mask."""
-        if not np.isfinite(log_denominator):
-            return np.zeros(np.shape(s_max), dtype=bool)
-        return (np.asarray(s_max, dtype=np.float64) - log_denominator) <= (
-            self.log_threshold
-        )
 
 
 def certified_upper_bounds(

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class OoOResult:
     requests_issued: int
     max_scoreboard_occupancy: int
     stats: PruneStats
-
-    @property
-    def stall_cycles(self) -> int:
-        return self.cycles - self.busy_cycles
 
     @property
     def utilization(self) -> float:

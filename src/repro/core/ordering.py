@@ -51,11 +51,3 @@ def processing_order(n_tokens: int, policy: str = "sink_recency") -> np.ndarray:
             [np.array([n_tokens - 1, 0], dtype=np.int64), rest]
         )
     raise ValueError(f"unknown order policy {policy!r}")
-
-
-def order_rank(n_tokens: int, policy: str = "sink_recency") -> np.ndarray:
-    """Inverse permutation: ``rank[i]`` is when token ``i`` is examined."""
-    order = processing_order(n_tokens, policy)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n_tokens, dtype=np.int64)
-    return rank

@@ -217,8 +217,3 @@ def chunk_plane_values(values: np.ndarray, config: QuantConfig) -> np.ndarray:
         shift = config.total_bits - (c + 1) * config.chunk_bits
         planes[..., c] = signed_chunk_digit(pattern, c, config) << shift
     return planes
-
-
-def quantization_error_bound(config: QuantConfig, scale: float) -> float:
-    """Worst-case absolute rounding error of one element: half a step."""
-    return 0.5 * float(scale)

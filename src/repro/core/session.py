@@ -35,8 +35,11 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import TokenPickerConfig
-from repro.core.pruning import BatchedPickerResult, token_picker_attention_batched
-from repro.model.attention import AccessCounter
+from repro.core.pruning import (
+    AccessCounter,
+    BatchedPickerResult,
+    token_picker_attention_batched,
+)
 from repro.serving.kv_pool import SequenceScales, count_clips, freeze_scales
 
 #: Back-compat alias: frozen per-head quantization scales (set at prompt
@@ -124,11 +127,3 @@ class TokenPickerSession:
         self.counter.add(result.stats(), instances=q.shape[0])
         self.steps += 1
         return result
-
-    # -------------------------------------------------------------- accounting
-    @property
-    def clip_rate(self) -> float:
-        """Clipped elements per token seen (calibration-quality signal)."""
-        if self.counter.tokens_seen == 0:
-            return 0.0
-        return self.clip_events / self.counter.tokens_seen

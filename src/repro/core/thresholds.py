@@ -30,10 +30,6 @@ class CalibrationResult:
     evaluations: int
     history: tuple  # ((threshold, metric), ...) in evaluation order
 
-    @property
-    def within_budget(self) -> bool:
-        return self.metric_value <= self.budget + 1e-12
-
 
 def calibrate_threshold(
     metric: Callable[[float], float],
@@ -60,8 +56,8 @@ def calibrate_threshold(
 
     Returns:
         :class:`CalibrationResult` with the best feasible threshold (or
-        ``low`` if even that exceeds the budget — callers can check
-        ``within_budget``).
+        ``low`` if even that exceeds the budget — callers compare
+        ``metric_value`` with ``budget``).
     """
     if not 0 < low < high < 1:
         raise ValueError(f"need 0 < low < high < 1, got low={low} high={high}")

@@ -1,51 +1,1 @@
 """Evaluation harness: memory models, perplexity, experiment drivers."""
-
-from repro.eval.distributions import (
-    ScoreHistogram,
-    attention_locality_profile,
-    instance_variability,
-    locality_summary,
-    score_histogram,
-)
-from repro.eval.memory_model import (
-    FIG2_BATCH_SIZES,
-    FIG2_MODELS,
-    MemoryBreakdown,
-    fig2_breakdowns,
-    kv_fraction_summary,
-    step_memory_breakdown,
-)
-from repro.eval.perplexity import (
-    PerplexityResult,
-    PPLDeltaMetric,
-    backend_perplexity_and_traffic,
-    corpus_perplexity,
-    sequence_nll,
-)
-from repro.eval.pretrained import (
-    get_calibrated_thresholds,
-    get_reference_model,
-    reference_corpus,
-)
-
-__all__ = [
-    "FIG2_BATCH_SIZES",
-    "FIG2_MODELS",
-    "MemoryBreakdown",
-    "PPLDeltaMetric",
-    "PerplexityResult",
-    "ScoreHistogram",
-    "attention_locality_profile",
-    "backend_perplexity_and_traffic",
-    "corpus_perplexity",
-    "fig2_breakdowns",
-    "get_calibrated_thresholds",
-    "get_reference_model",
-    "instance_variability",
-    "kv_fraction_summary",
-    "locality_summary",
-    "reference_corpus",
-    "score_histogram",
-    "sequence_nll",
-    "step_memory_breakdown",
-]

@@ -1,27 +1,14 @@
 """Per-figure/table experiment drivers (see DESIGN.md §4 for the index)."""
 
-from repro.eval.experiments.fig2 import Fig2Result, run_fig2
-from repro.eval.experiments.fig3 import Fig3Result, run_fig3
-from repro.eval.experiments.fig4 import Fig4Result, run_fig4
-from repro.eval.experiments.fig8 import Fig8Result, run_fig8
-from repro.eval.experiments.fig9 import Fig9Result, run_fig9
-from repro.eval.experiments.fig10 import Fig10Result, run_fig10
-from repro.eval.experiments.tables import (
-    Table1Result,
-    Table2Result,
-    run_table1,
-    run_table2,
-)
+from repro.eval.experiments.fig2 import run_fig2
+from repro.eval.experiments.fig3 import run_fig3
+from repro.eval.experiments.fig4 import run_fig4
+from repro.eval.experiments.fig8 import run_fig8
+from repro.eval.experiments.fig9 import run_fig9
+from repro.eval.experiments.fig10 import run_fig10
+from repro.eval.experiments.tables import run_table1, run_table2
 
 __all__ = [
-    "Fig10Result",
-    "Fig2Result",
-    "Fig3Result",
-    "Fig4Result",
-    "Fig8Result",
-    "Fig9Result",
-    "Table1Result",
-    "Table2Result",
     "run_fig10",
     "run_fig2",
     "run_fig3",

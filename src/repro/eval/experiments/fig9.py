@@ -9,8 +9,7 @@ ends at total length b), four designs:
 * ToPick-0.5 (Token-Picker at the +0.5 PPL threshold).
 
 All at 12-bit precision and a +0.5 PPL budget (Sec. 5.2.1).  SpAtten's
-keep ratios under each budget are fixed per design (calibrated once
-against the reference LM — see ``calibrate_spatten_ratios``); ToPick's
+keep ratios under each budget are fixed per design; ToPick's
 per-instance fractions are measured from the functional algorithm on
 GPT2-Medium-shaped workloads at each cell's context.
 """
@@ -19,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.config import TokenPickerConfig
 from repro.core.pruning import token_picker_scores
@@ -57,8 +54,7 @@ PAPER_FIG9 = {
 #: drives them); fine-tuning (SpAtten*) recovers far lower ratios at the
 #: same budget.  Head pruning (0.7 keep after the ranking matures) is
 #: shared.  Constants are fitted so the model reproduces the paper's
-#: Fig. 9 series; ``calibrate_spatten_ratios`` regenerates the
-#: quality-vs-ratio data on the reference LM.
+#: Fig. 9 series.
 SPATTEN_KEEP_RATIO = 0.40
 SPATTEN_FT_KEEP_RATIO = 0.18
 SPATTEN_V_RATIO = 0.90
@@ -211,31 +207,3 @@ def run_fig9(
             "spatten_ft": SPATTEN_FT_KEEP_RATIO,
         },
     )
-
-
-def calibrate_spatten_ratios(budget: float = 0.5, ratios=None) -> Dict[float, float]:
-    """Measure ΔPPL of SpAtten keep ratios on the reference LM.
-
-    Returns {keep_ratio: ΔPPL}; the Fig. 9 constants are the smallest
-    ratios whose ΔPPL stays within the budget (without / with the
-    fine-tuning bonus).  Expensive — used by the calibration benchmark,
-    not by :func:`run_fig9` itself.
-    """
-    from repro.eval.perplexity import corpus_perplexity
-    from repro.eval.pretrained import get_reference_model, reference_corpus
-    from repro.hw.spatten import SpAttenBackend
-
-    model = get_reference_model()
-    _, eval_tokens = reference_corpus()
-    reference = corpus_perplexity(model, eval_tokens).ppl
-    out = {}
-    for ratio in ratios or (0.9, 0.72, 0.55, 0.42, 0.3):
-        cfg = SpAttenConfig(
-            n_layers=model.config.n_layers, final_keep_ratio=ratio,
-            v_keep_ratio=SPATTEN_V_RATIO,
-        )
-        ppl = corpus_perplexity(
-            model, eval_tokens, lambda: SpAttenBackend(cfg)
-        ).ppl
-        out[ratio] = ppl - reference
-    return out

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.core.config import TokenPickerConfig
+from repro.core.pruning import AccessCounter
 from repro.model.attention import TokenPickerBackend
 from repro.model.transformer import AttentionBackend, TinyGPT
 
@@ -136,8 +137,6 @@ def backend_perplexity_and_traffic(
     n_windows = min(max_windows, len(corpus) // window)
     if n_windows < 1:
         raise ValueError("corpus shorter than one evaluation window")
-    from repro.model.attention import AccessCounter
-
     total = AccessCounter()
     total_nll, total_tokens = 0.0, 0
     for w in range(n_windows):

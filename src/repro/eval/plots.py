@@ -1,9 +1,9 @@
-"""Terminal plots for the figure drivers (ASCII bars, histograms, heatmaps).
+"""Terminal plots for the figure drivers (histograms, heatmaps).
 
-The paper's figures are bar charts, histograms and a heatmap; the drivers
-print their numeric series, and these helpers render the same data as
-terminal graphics so `tokenpicker figX` output *looks* like the figure it
-regenerates.  Pure-text, dependency-free.
+The drivers print their numeric series, and these helpers render the
+paper's histogram and heatmap figures as terminal graphics so
+`tokenpicker figX` output *looks* like the figure it regenerates.
+Pure-text, dependency-free.
 """
 
 from __future__ import annotations
@@ -13,32 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 _SHADES = " .:-=+*#%@"
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    max_value: Optional[float] = None,
-    unit: str = "",
-    title: Optional[str] = None,
-) -> str:
-    """Horizontal bar chart, one row per (label, value)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    values = [float(v) for v in values]
-    peak = max_value if max_value is not None else (max(values) if values else 1.0)
-    if peak <= 0:
-        peak = 1.0
-    label_w = max((len(l) for l in labels), default=0)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        filled = int(round(min(value / peak, 1.0) * width))
-        bar = "#" * filled + " " * (width - filled)
-        lines.append(f"{label.ljust(label_w)} |{bar}| {value:.3g}{unit}")
-    return "\n".join(lines)
 
 
 def histogram(
@@ -89,36 +63,4 @@ def heatmap(
         prefix = (row_labels[i].ljust(label_w) + " ") if row_labels else ""
         lines.append(f"{prefix}[{cells}]")
     lines.append(f"scale: ' '=0 .. '@'={peak:.3f}")
-    return "\n".join(lines)
-
-
-def series_plot(
-    xs: Sequence[float],
-    series: dict,
-    width: int = 50,
-    height: int = 10,
-    title: Optional[str] = None,
-) -> str:
-    """Multiple named series as a scatter of letters (Fig. 8/10 lines)."""
-    if height < 2 or width < 2:
-        raise ValueError("width and height must be >= 2")
-    xs = np.asarray(xs, dtype=float)
-    all_vals = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    lo, hi = float(all_vals.min()), float(all_vals.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    markers = "abcdefghij"
-    for si, (name, ys) in enumerate(series.items()):
-        ys = np.asarray(ys, dtype=float)
-        for x, y in zip(xs, ys):
-            col = int((x - xs.min()) / max(xs.max() - xs.min(), 1e-12) * (width - 1))
-            row = int((1.0 - (y - lo) / (hi - lo)) * (height - 1))
-            grid[row][col] = markers[si % len(markers)]
-    lines = [title] if title else []
-    lines.extend("|" + "".join(row) + "|" for row in grid)
-    legend = "  ".join(
-        f"{markers[i % len(markers)]}={name}" for i, name in enumerate(series)
-    )
-    lines.append(f"y: [{lo:.3g}, {hi:.3g}]  {legend}")
     return "\n".join(lines)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -99,21 +98,6 @@ def get_reference_model(
     return model
 
 
-def scaled_threshold(name: str, target_context: int) -> float:
-    """Calibrated preset threshold transferred to ``target_context``.
-
-    Converts the short-context calibration outcome to the selectivity it
-    encodes at a full workload context (see
-    :func:`repro.core.thresholds.scale_threshold_for_context`).
-    """
-    from repro.core.thresholds import scale_threshold_for_context
-
-    thresholds = get_calibrated_thresholds()
-    return scale_threshold_for_context(
-        thresholds[name], CALIBRATION_CONTEXT, target_context
-    )
-
-
 def get_calibrated_thresholds(
     force_recalibrate: bool = False,
     window: int = CALIBRATION_WINDOW,
@@ -142,8 +126,3 @@ def get_calibrated_thresholds(
     path.write_text(json.dumps(thresholds, indent=2))
     _memo[key] = thresholds
     return thresholds
-
-
-def clear_memo() -> None:
-    """Drop in-process caches (tests use this to exercise reload paths)."""
-    _memo.clear()

@@ -174,7 +174,7 @@ class ToPickAccelerator:
     def run_workload(
         self, instances: Sequence, variant: str = "topick"
     ) -> WorkloadResult:
-        """Run a list of :class:`repro.workloads.AttentionInstance` items."""
+        """Run a list of :class:`repro.workloads.scores.AttentionInstance` items."""
         result = WorkloadResult(variant=variant)
         for inst in instances:
             result.add(self.run_instance(inst.q, inst.keys, variant=variant))

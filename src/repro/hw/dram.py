@@ -19,8 +19,8 @@ sequential streaming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -91,18 +91,6 @@ class HBM2Model:
     def total_bytes(self) -> int:
         return int(self.bytes_transferred.sum())
 
-    def utilisation(self, elapsed_cycles: int) -> float:
-        """Mean fraction of channel time spent transferring data."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return float(self.busy_time.sum()) / (self.n_channels * elapsed_cycles)
-
-    def drain_cycle(self) -> int:
-        """Cycle at which every queued transfer has completed."""
-        if self.requests_served == 0:
-            return 0
-        return int(math.ceil(self._channel_free.max())) + self.latency_cycles
-
 
 def streaming_cycles(
     total_bytes: int,
@@ -163,7 +151,7 @@ class TieredDRAMModel:
     transfers — split by tier and direction.  Cycle costs are the same
     closed-form streaming model as :func:`streaming_cycles`, per tier;
     the tiers stream concurrently, so a step's transfer time is the
-    *maximum* of the two tiers' cycle counts (:meth:`step_cycles`).
+    *maximum* of the two tiers' cycle counts.
     """
 
     def __init__(
@@ -212,10 +200,6 @@ class TieredDRAMModel:
     @property
     def total_bytes(self) -> int:
         return self.fast_bytes + self.slow_bytes
-
-    def step_cycles(self, fast_bytes: int, slow_bytes: int) -> int:
-        """Transfer time of one step moving bytes on both tiers at once."""
-        return max(self.fast.cycles(fast_bytes), self.slow.cycles(slow_bytes))
 
     def snapshot(self) -> dict:
         """JSON-ready ledger dump (the CLI ``--profile`` block reads it)."""

@@ -60,17 +60,6 @@ class FixedPointFormat:
     def min_value(self) -> float:
         return -(1 << (self.total_bits - 1)) / self.scale
 
-    def to_fixed(self, x: float, rounding: Rounding = "down") -> int:
-        """Quantize a float to the raw integer representation."""
-        scaled = x * self.scale
-        raw = math.floor(scaled) if rounding == "down" else math.ceil(scaled)
-        lo = -(1 << (self.total_bits - 1))
-        hi = (1 << (self.total_bits - 1)) - 1
-        return int(min(max(raw, lo), hi))
-
-    def to_float(self, raw: int) -> float:
-        return raw / self.scale
-
 
 class Pow2LUT:
     """Staircase lookup of ``2^f`` for ``f`` in [0, 1).
@@ -189,7 +178,6 @@ class ConservativeExpUnit:
     """The pair of units a PE lane carries, wired for certificate safety.
 
     * :meth:`exp_lower` — for denominator terms (never overestimates),
-    * :meth:`exp_upper` — for numerator bounds (never underestimates),
     * :meth:`ln_lower` — for the broadcast ``ln(denominator)``.
     """
 
@@ -201,16 +189,5 @@ class ConservativeExpUnit:
     def exp_lower(self, x: float) -> float:
         return self._exp(x, rounding="down")
 
-    def exp_upper(self, x: float) -> float:
-        return self._exp(x, rounding="up")
-
     def ln_lower(self, y: float) -> float:
         return self._ln(y, rounding="down")
-
-    def ln_upper(self, y: float) -> float:
-        return self._ln(y, rounding="up")
-
-    @property
-    def relative_step(self) -> float:
-        """Worst-case relative LUT step, ``2^(1/entries) - 1``."""
-        return 2.0 ** (1.0 / self.lut_entries) - 1.0

@@ -75,13 +75,6 @@ class HardwareParams:
         bits = head_dim * self.quant.total_bits
         return max(1, bits // 8)
 
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / (self.clock_ghz * 1e9)
-
-
-#: The configuration used throughout the paper's evaluation.
-DEFAULT_PARAMS = HardwareParams()
-
 
 @dataclass(frozen=True)
 class InterconnectParams:

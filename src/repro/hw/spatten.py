@@ -18,22 +18,15 @@ must be tuned to the *worst-case* number of important tokens — the exact
 mismatch Fig. 3 illustrates — and reaches high ratios only with
 fine-tuning (SpAtten* in Fig. 9).
 
-Two entry points:
-
-* :class:`SpAttenBackend` — a stateful attention backend for the NumPy LM
-  (used to calibrate keep ratios against a PPL budget like the paper's
-  +0.5 PPL setting).
-* :func:`spatten_generation_accesses` — closed-form K/V byte counts for a
-  prompt-``a`` / end-``b`` generation run (the Fig. 9 sweep).
+The entry point is :func:`spatten_generation_accesses`: closed-form
+K/V byte counts for a prompt-``a`` / end-``b`` generation run (the
+Fig. 9 sweep).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.config import QuantConfig
 
@@ -89,88 +82,6 @@ class SpAttenConfig:
             return self.final_keep_ratio
         frac = layer / (self.n_layers - 1)
         return 1.0 - frac * (1.0 - self.final_keep_ratio)
-
-
-class SpAttenBackend:
-    """Cascade token pruning as a drop-in LM attention backend.
-
-    Keeps cross-call state: cumulative importance per absolute position and
-    the set of cascade-pruned positions (never fetched again).  Create one
-    backend per evaluated sequence.
-    """
-
-    def __init__(self, config: SpAttenConfig) -> None:
-        self.config = config
-        self.importance = np.zeros(0)
-        self.cascade_pruned: set = set()
-        from repro.model.attention import AccessCounter
-
-        self.counter = AccessCounter()
-
-    def _grow(self, t: int) -> None:
-        if t > len(self.importance):
-            grown = np.zeros(t)
-            grown[: len(self.importance)] = self.importance
-            self.importance = grown
-
-    def __call__(self, layer: int, q, keys, values, bias=None) -> np.ndarray:
-        h, t, dh = keys.shape
-        cfg = self.config
-        self._grow(t)
-
-        alive = np.array(
-            [i not in self.cascade_pruned for i in range(t)], dtype=bool
-        )
-        alive[t - 1] = True  # the newest token is always present
-        n_alive = int(alive.sum())
-        n_keep = max(1, int(math.ceil(cfg.keep_ratio(layer) * t)))
-        n_keep = min(n_keep, n_alive)
-
-        # rank alive tokens by accumulated importance (newest always kept)
-        alive_idx = np.flatnonzero(alive)
-        scores_rank = self.importance[alive_idx].copy()
-        scores_rank[alive_idx == t - 1] = np.inf
-        top = alive_idx[np.argsort(-scores_rank)[:n_keep]]
-        kept_mask = np.zeros(t, dtype=bool)
-        kept_mask[top] = True
-
-        # cascade: tokens dropped at this layer never come back
-        dropped = alive_idx[~kept_mask[alive_idx]]
-        if layer == cfg.n_layers - 1:
-            # only persist cascade decisions once per decode step (the
-            # deepest layer's survivors define the cache going forward)
-            for i in dropped:
-                self.cascade_pruned.add(int(i))
-
-        scores = np.einsum("htd,hd->ht", keys, q) / math.sqrt(dh)
-        if bias is not None:
-            scores = scores + bias
-        scores = np.where(kept_mask[None, :], scores, -np.inf)
-        m = scores.max(axis=1, keepdims=True)
-        e = np.exp(scores - m)
-        probs = e / e.sum(axis=1, keepdims=True)
-        self.importance[:t] += probs.sum(axis=0)
-
-        # local value pruning among the kept tokens
-        n_v = max(1, int(math.ceil(cfg.v_keep_ratio * n_keep)))
-        mean_probs = probs.mean(axis=0)
-        v_order = np.argsort(-mean_probs)[:n_v]
-        v_mask = np.zeros(t, dtype=bool)
-        v_mask[v_order] = True
-        masked = probs * v_mask
-        out = np.einsum("ht,htd->hd", masked, values)
-        out = out / np.clip(masked.sum(axis=1, keepdims=True), 1e-300, None)
-
-        word = dh * cfg.quant.total_bits
-        c = self.counter
-        c.k_bits += h * n_keep * word
-        c.v_bits += h * n_v * word
-        c.baseline_k_bits += h * t * word
-        c.baseline_v_bits += h * t * word
-        c.instances += h
-        c.tokens_seen += h * t
-        c.tokens_kept += h * n_keep
-        return out
 
 
 @dataclass(frozen=True)

@@ -18,28 +18,21 @@ package turns that signal into a **memory hierarchy**:
 """
 
 from repro.kvstore.policy import (
-    POLICY_NAMES,
-    DemotionPolicy,
     LRUDemotionPolicy,
     MassDemotionPolicy,
     RecencyDemotionPolicy,
-    TokenTierView,
     make_demotion_policy,
 )
-from repro.kvstore.radix import PrefixHandle, RadixKVCache, token_digests
+from repro.kvstore.radix import RadixKVCache, token_digests
 from repro.kvstore.tiers import TierConfig, TieredKVStore
 
 __all__ = [
-    "POLICY_NAMES",
-    "DemotionPolicy",
     "LRUDemotionPolicy",
     "MassDemotionPolicy",
-    "PrefixHandle",
     "RadixKVCache",
     "RecencyDemotionPolicy",
     "TierConfig",
     "TieredKVStore",
-    "TokenTierView",
     "make_demotion_policy",
     "token_digests",
 ]

@@ -103,10 +103,6 @@ class PrefixHandle:
     _leaf: Optional[_Extent] = field(default=None, repr=False)
     _released: bool = field(default=False, repr=False)
 
-    @property
-    def miss_tokens(self) -> int:
-        return self.prompt_tokens - self.hit_tokens
-
     def hits_in(self, start: int, stop: int) -> int:
         """Cache-hit tokens inside the prompt slice ``[start, stop)``.
 
@@ -173,15 +169,6 @@ class RadixKVCache:
         if self.lookup_tokens == 0:
             return 0.0
         return self.hit_tokens_total / self.lookup_tokens
-
-    def match_length(self, keys: np.ndarray, values: np.ndarray) -> int:
-        """Resident prefix length for a prompt, without acquiring it.
-
-        A pure probe: neither refcounts nor LRU recency change.
-        """
-        digests = token_digests(keys, values)
-        _, matched, _ = self._walk(digests, split=False, touch=False)
-        return matched
 
     # ---------------------------------------------------------------- walk
     def _walk(self, digests: List[bytes], split: bool, touch: bool = True):

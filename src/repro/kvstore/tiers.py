@@ -251,9 +251,6 @@ class TieredKVStore:
         state = self._state(seq_id)
         return state.demoted[: state.length]
 
-    def demoted_count(self, seq_id: int) -> int:
-        return int(self.demoted_mask(seq_id).sum())
-
     def hot_tokens(self, seq_id: int) -> int:
         state = self._state(seq_id)
         return state.length - int(state.demoted[: state.length].sum())

@@ -18,63 +18,12 @@ baseline is :mod:`repro.hw.spatten`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.config import QuantConfig, TokenPickerConfig
-from repro.core.pruning import PruneStats, token_picker_attention_batched
-
-
-@dataclass
-class AccessCounter:
-    """Accumulated K/V traffic of a backend, in bits."""
-
-    k_bits: int = 0
-    v_bits: int = 0
-    baseline_k_bits: int = 0
-    baseline_v_bits: int = 0
-    instances: int = 0
-    tokens_seen: int = 0
-    tokens_kept: int = 0
-
-    def add(self, stats: PruneStats, instances: int) -> None:
-        """Accumulate one kernel call's accounting over ``instances``
-        attention instances (heads)."""
-        self.k_bits += stats.k_bits_fetched
-        self.v_bits += stats.v_bits_fetched
-        self.baseline_k_bits += stats.baseline_k_bits
-        self.baseline_v_bits += stats.baseline_v_bits
-        self.instances += instances
-        self.tokens_seen += stats.n_tokens
-        self.tokens_kept += stats.n_kept
-
-    @property
-    def total_bits(self) -> int:
-        return self.k_bits + self.v_bits
-
-    @property
-    def baseline_total_bits(self) -> int:
-        return self.baseline_k_bits + self.baseline_v_bits
-
-    @property
-    def k_reduction(self) -> float:
-        return self.baseline_k_bits / self.k_bits if self.k_bits else math.inf
-
-    @property
-    def v_pruning_ratio(self) -> float:
-        return self.baseline_v_bits / self.v_bits if self.v_bits else math.inf
-
-    @property
-    def total_reduction(self) -> float:
-        return (
-            self.baseline_total_bits / self.total_bits if self.total_bits else math.inf
-        )
-
-    @property
-    def keep_fraction(self) -> float:
-        return self.tokens_kept / self.tokens_seen if self.tokens_seen else 1.0
+from repro.core.pruning import AccessCounter, token_picker_attention_batched
 
 
 def _exact_heads(q: np.ndarray, keys: np.ndarray, values: np.ndarray,

@@ -9,7 +9,7 @@ pruning experiments to be meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -62,15 +62,6 @@ class TrainResult:
     losses: List[float]
     final_loss: float
     steps: int
-
-    @property
-    def initial_loss(self) -> float:
-        return self.losses[0]
-
-    @property
-    def improved(self) -> bool:
-        tail = np.mean(self.losses[-10:]) if len(self.losses) >= 10 else self.final_loss
-        return tail < self.initial_loss
 
 
 def sample_batch(

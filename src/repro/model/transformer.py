@@ -19,8 +19,8 @@ Weights are float64; shapes come from :class:`repro.model.config.ModelConfig`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -136,9 +136,6 @@ class TinyGPT:
         self.params = p
 
     # --- helpers ----------------------------------------------------------------
-    @property
-    def n_params(self) -> int:
-        return sum(int(np.prod(p.shape)) for p in self.params.values())
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         """(..., T, d) -> (..., H, T, dh)."""

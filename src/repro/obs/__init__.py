@@ -18,40 +18,18 @@ from repro.obs.schema import (
     validate_trace,
     validate_trace_file,
 )
-from repro.obs.sinks import (
-    BufferedSink,
-    JsonlStreamingSink,
-    SpanSink,
-    TeeSink,
-    open_span_log,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    TraceEvent,
-    Tracer,
-    span_records_to_perfetto,
-)
+from repro.obs.sinks import BufferedSink, JsonlStreamingSink, TeeSink
+from repro.obs.trace import NULL_TRACER, Tracer, span_records_to_perfetto
 
 __all__ = [
     "BufferedSink",
-    "DiffThresholds",
     "JsonlStreamingSink",
     "NULL_TRACER",
-    "SpanSink",
     "TeeSink",
-    "TraceAnalysis",
-    "TraceEvent",
     "TraceSchemaError",
     "Tracer",
-    "analyze_file",
-    "diff_summaries",
-    "export_engine_metrics",
     "load_events",
-    "load_summary",
-    "open_span_log",
-    "render_profile",
     "span_records_to_perfetto",
-    "trace_summary",
     "validate_span_log",
     "validate_span_log_file",
     "validate_trace",
@@ -62,15 +40,7 @@ __all__ = [
 # of the same name would shadow it after first import; reach it as
 # ``repro.obs.analyze.analyze``.
 _LAZY = {
-    "TraceAnalysis": "repro.obs.analyze",
-    "analyze_file": "repro.obs.analyze",
     "load_events": "repro.obs.analyze",
-    "DiffThresholds": "repro.obs.diff",
-    "diff_summaries": "repro.obs.diff",
-    "load_summary": "repro.obs.diff",
-    "trace_summary": "repro.obs.diff",
-    "export_engine_metrics": "repro.obs.profile",
-    "render_profile": "repro.obs.profile",
 }
 
 

@@ -23,68 +23,31 @@ serving context:
   per-request traffic and latency stats.
 """
 
-from repro.serving.engine import (
-    EngineStepReport,
-    FailoverHarvest,
-    PreemptedExport,
-    SequenceStepView,
-    ServingEngine,
-    VictimCandidate,
-)
+from repro.serving.engine import ServingEngine, VictimCandidate
 from repro.serving.frontend import (
     AsyncStreamingFrontend,
-    ControlSample,
     OverloadController,
-    RequestStream,
     SLOConfig,
     ShedError,
-    TokenEvent,
-)
-from repro.serving.kv_pool import (
-    KVCachePool,
-    PoolExhausted,
-    SequenceScales,
-    SwappedSequence,
-    count_clips,
-    freeze_scales,
 )
 from repro.serving.request import (
-    CompletedRequest,
     GenerationRequest,
     RequestState,
-    RequestStats,
     replayable_step_source,
     synthetic_request,
-    synthetic_step_source,
 )
 from repro.serving.scheduler import Scheduler
 
 __all__ = [
     "AsyncStreamingFrontend",
-    "CompletedRequest",
-    "ControlSample",
-    "EngineStepReport",
-    "FailoverHarvest",
     "GenerationRequest",
     "OverloadController",
-    "PreemptedExport",
-    "RequestStream",
     "SLOConfig",
     "ShedError",
-    "TokenEvent",
-    "KVCachePool",
-    "PoolExhausted",
     "RequestState",
-    "RequestStats",
     "Scheduler",
-    "SequenceScales",
-    "SequenceStepView",
     "ServingEngine",
-    "SwappedSequence",
     "VictimCandidate",
-    "count_clips",
-    "freeze_scales",
     "replayable_step_source",
     "synthetic_request",
-    "synthetic_step_source",
 ]

@@ -55,12 +55,12 @@ if TYPE_CHECKING:  # engine <-> kvstore: runtime import stays lazy
 
 from repro.core.config import TokenPickerConfig
 from repro.core.pruning import (
+    AccessCounter,
     BatchedPickerResult,
     KernelScratch,
     PruneStats,
     token_picker_attention_ragged,
 )
-from repro.model.attention import AccessCounter
 from repro.serving.kv_pool import (
     KVCachePool,
     PoolExhausted,
@@ -466,9 +466,6 @@ class ServingEngine:
     @property
     def max_batch_size(self) -> int:
         return self.scheduler.max_batch_size
-
-    def stats_of(self, seq_id: int) -> RequestStats:
-        return self._entry(seq_id).stats
 
     # ------------------------------------------------------------- admission
     def submit(self, request: GenerationRequest) -> int:
@@ -1329,14 +1326,7 @@ class ServingEngine:
         if self.cycle_sim is not None and (
             report.per_sequence or report.prefill_bits
         ):
-            # sharded pricing wins over two-tier: the shard views already
-            # reflect post-tier-repair fetch decisions, and the straggler
-            # + all-gather terms are the step's dominant modelled costs
-            cycle = self.cycle_sim.price(
-                report,
-                engine_heads=self.pool.n_heads if self.pool is not None else None,
-                two_tier=self.tiers is not None and not report.shard_views,
-            ).span_payload()
+            cycle = self.price_step(report).span_payload()
         tracer.step_span(
             self.trace_label,
             ts=t0,
@@ -1344,6 +1334,18 @@ class ServingEngine:
             args=args,
             phase_seconds=report.phase_seconds or None,
             cycle=cycle,
+        )
+
+    def price_step(self, report: EngineStepReport):
+        """This engine's modelled cost of one of its (non-idle) step
+        reports on ``cycle_sim``, at the pool's head scale.  Sharded
+        pricing wins over two-tier: the shard views already reflect
+        post-tier-repair fetch decisions, and the straggler + all-gather
+        terms are the step's dominant modelled costs."""
+        return self.cycle_sim.price(
+            report,
+            engine_heads=self.pool.n_heads if self.pool is not None else None,
+            two_tier=self.tiers is not None and not report.shard_views,
         )
 
     def _tier_post_kernel(

@@ -494,9 +494,6 @@ class AsyncStreamingFrontend:
                     },
                 )
             self.backend.set_threshold(self.controller.threshold)
-            # degraded replicas prune harder, so the router treats them
-            # as higher-capacity when placing new requests
-            self.backend.note_degrade_level(self.controller.level)
 
     async def _run(self) -> None:
         while True:

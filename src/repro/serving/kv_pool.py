@@ -320,10 +320,6 @@ class KVCachePool:
         """
         return self.blocks_in_use / self.n_blocks if self.n_blocks else 0.0
 
-    @property
-    def n_sequences(self) -> int:
-        return len(self._seqs)
-
     def blocks_needed(self, n_tokens: int) -> int:
         return -(-n_tokens // self.block_size)
 
@@ -476,9 +472,6 @@ class KVCachePool:
                 ) from None
             entry.capacity_blocks = reserved
         self._seqs[seq_id] = entry
-
-    def scales_of(self, seq_id: int) -> Optional[SequenceScales]:
-        return self._entry(seq_id).scales
 
     def length(self, seq_id: int) -> int:
         return self._entry(seq_id).length

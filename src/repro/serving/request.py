@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.model.attention import AccessCounter
+from repro.core.pruning import AccessCounter
 
 #: One decode step's new tensors: ``(q (H, d), k_t (H, d), v_t (H, d))``.
 StepTensors = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -200,19 +200,6 @@ class RequestStats:
         return self.admitted_step - self.submitted_step
 
     @property
-    def service_steps(self) -> int:
-        """Steps between admission and retirement."""
-        if self.finished_step < 0:
-            return -1
-        return self.finished_step - self.admitted_step
-
-    @property
-    def total_latency_steps(self) -> int:
-        if self.finished_step < 0:
-            return -1
-        return self.finished_step - self.submitted_step
-
-    @property
     def mean_retained_mass(self) -> float:
         """Mean estimated attention mass kept per decode step (1.0 = all).
 
@@ -255,18 +242,6 @@ class RequestStats:
         if self.finished_wall < 0 or self.queued_wall < 0:
             return -1.0
         return self.finished_wall - self.queued_wall
-
-    @property
-    def kv_reduction(self) -> float:
-        """Total KV-bit reduction achieved for this request."""
-        return self.counter.total_reduction
-
-    @property
-    def clip_rate(self) -> float:
-        """Clipped elements per token seen (calibration-quality signal)."""
-        if self.counter.tokens_seen == 0:
-            return 0.0
-        return self.clip_events / self.counter.tokens_seen
 
 
 @dataclass(frozen=True)

@@ -16,38 +16,12 @@ import numpy as np
 EXP_CLIP = 700.0
 
 
-def safe_exp(x: np.ndarray) -> np.ndarray:
-    """``exp`` with the argument clipped to avoid overflow warnings."""
-    return np.exp(np.clip(x, -EXP_CLIP, EXP_CLIP))
-
-
-def logsumexp(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-    """Stable ``log(sum(exp(x)))`` without a scipy dependency at runtime."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return np.float64(-np.inf)
-    m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
-    if not keepdims and axis is not None:
-        out = np.squeeze(out, axis=axis)
-    elif not keepdims:
-        out = out.reshape(())
-    return out
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable log-softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    return x - logsumexp(x, axis=axis, keepdims=True)
 
 
 class RunningLogSum:
@@ -70,10 +44,6 @@ class RunningLogSum:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def is_empty(self) -> bool:
-        return self._count == 0
 
     def _rescale(self, new_offset: float) -> None:
         if new_offset == self._offset:

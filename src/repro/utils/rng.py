@@ -7,7 +7,7 @@ experiment reproducible from a single integer seed.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -27,31 +27,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if seed is None:
         seed = _DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` independent child generators from one seed.
-
-    Children are independent streams; reordering consumers of one child does
-    not perturb the others, which keeps per-instance workloads stable when
-    sweeps change shape.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    root = make_rng(seed)
-    return [np.random.default_rng(s) for s in root.bit_generator.seed_seq.spawn(n)]
-
-
-def derive_seed(seed: SeedLike, *salts: Iterable[int]) -> int:
-    """Mix integer salts into a seed, for per-(layer, head, step) streams."""
-    mask = (1 << 64) - 1
-    mixed = _DEFAULT_SEED if seed is None else (seed if isinstance(seed, int) else 0)
-    mixed &= mask
-    for salt in salts:
-        mixed = (mixed * 6364136223846793005 + (int(salt) * 2 + 1)) & mask
-    return mixed & 0x7FFFFFFFFFFFFFFF
-
-
-def optional_seed(seed: SeedLike, default: Optional[int]) -> SeedLike:
-    """Return ``seed`` unless it is None, in which case ``default``."""
-    return default if seed is None else seed

@@ -45,9 +45,3 @@ def format_table(
         if headers is not None and idx == 0:
             lines.append("-+-".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def format_series(name: str, xs: Sequence, ys: Sequence, unit: str = "") -> str:
-    """Render an (x, y) series like a figure's line/bar data."""
-    pairs = ", ".join(f"{x}={_stringify(y)}{unit}" for x, y in zip(xs, ys))
-    return f"{name}: {pairs}"

@@ -1,124 +1,13 @@
-"""Harvest real attention instances from a trained LM.
-
-The synthetic generator (:mod:`repro.workloads.scores`) gives controllable
-instances; this module extracts *actual* (q, K, V) triples from a forward
-pass of the NumPy LM so hardware and pruning experiments can run on
-distribution-faithful inputs as well (the paper's setup harvests from HF
-models during Wikitext inference).
+"""Seeded arrival traces for the serving stack: long-context, failover,
+shared-prefix and sustained-overload request streams of synthetic
+:class:`~repro.serving.request.GenerationRequest`\\ s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
-
-from repro.model.transformer import TinyGPT
-from repro.workloads.scores import AttentionInstance, InstanceParams
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """Which instances to harvest from a forward pass."""
-
-    positions: Sequence[int]  # query positions (each attends to 0..pos)
-    layers: Optional[Sequence[int]] = None  # default: all layers
-    heads: Optional[Sequence[int]] = None  # default: all heads
-
-
-def harvest_instances(
-    model: TinyGPT,
-    tokens: np.ndarray,
-    spec: TraceSpec,
-) -> List[AttentionInstance]:
-    """Run one exact forward pass and extract attention instances.
-
-    Each harvested instance carries the ALiBi score bias baked into the
-    *keys-independent* way the evaluation uses it — callers that want the
-    bias should use :func:`harvest_with_bias` instead; plain instances here
-    are the raw (q, K, V) triples (sufficient for access-pattern studies
-    where the bias only shifts scores).
-    """
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 1:
-        raise ValueError("tokens must be a 1-D sequence")
-    t_total = len(tokens)
-    for pos in spec.positions:
-        if not 0 < pos < t_total:
-            raise ValueError(f"position {pos} outside (0, {t_total})")
-
-    _, cache = model.forward(tokens[None, :])
-    _, layer_caches, _, _ = cache
-    layers = list(spec.layers) if spec.layers is not None else list(
-        range(model.config.n_layers)
-    )
-    heads = list(spec.heads) if spec.heads is not None else list(
-        range(model.config.n_heads)
-    )
-
-    params = InstanceParams(
-        context_length=max(spec.positions) + 1, head_dim=model.config.head_dim
-    )
-    out: List[AttentionInstance] = []
-    for li in layers:
-        q_all = layer_caches[li][2][0]  # (H, T, dh)
-        k_all = layer_caches[li][3][0]
-        v_all = layer_caches[li][4][0]
-        for h in heads:
-            for pos in spec.positions:
-                out.append(
-                    AttentionInstance(
-                        q=q_all[h, pos].copy(),
-                        keys=k_all[h, : pos + 1].copy(),
-                        values=v_all[h, : pos + 1].copy(),
-                        params=params,
-                    )
-                )
-    return out
-
-
-def harvest_with_bias(
-    model: TinyGPT,
-    tokens: np.ndarray,
-    spec: TraceSpec,
-) -> List[tuple]:
-    """Harvest ``(instance, score_bias)`` pairs including the ALiBi bias.
-
-    ``score_bias`` is the per-token additive term for the instance's head
-    and position (None for learned-position models), ready to pass to
-    ``token_picker_scores(..., score_bias=...)``.
-    """
-    instances = harvest_instances(model, tokens, spec)
-    layers = list(spec.layers) if spec.layers is not None else list(
-        range(model.config.n_layers)
-    )
-    heads = list(spec.heads) if spec.heads is not None else list(
-        range(model.config.n_heads)
-    )
-    out = []
-    idx = 0
-    for _li in layers:
-        for h in heads:
-            for pos in spec.positions:
-                inst = instances[idx]
-                idx += 1
-                if model.alibi is None:
-                    bias = None
-                else:
-                    dist = pos - np.arange(pos + 1)
-                    bias = -model.alibi[h] * dist
-                out.append((inst, bias))
-    return out
-
-
-def harvested_dominance_profile(
-    instances: Sequence[AttentionInstance], threshold: float = 1e-3
-) -> np.ndarray:
-    """Dominant-token fractions of harvested instances (Fig. 3 on real data)."""
-    return np.array(
-        [inst.dominant_count(threshold) / inst.context_length for inst in instances]
-    )
 
 
 def long_context_trace(

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import TokenPickerConfig
-from repro.model.attention import (
-    AccessCounter,
-    ExactAttentionBackend,
-    TokenPickerBackend,
-)
+from repro.core.pruning import AccessCounter
+from repro.model.attention import ExactAttentionBackend, TokenPickerBackend
 
 
 @pytest.fixture

@@ -1,0 +1,76 @@
+"""The reachability census (``tools/census.py``) on a throwaway tree and
+on this repository."""
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+CENSUS = Path(__file__).resolve().parent.parent / "tools" / "census.py"
+
+
+def _census(root):
+    done = subprocess.run(
+        [sys.executable, str(CENSUS), str(root)],
+        capture_output=True, text=True, check=False,
+    )
+    findings = [
+        line for line in done.stdout.splitlines()
+        if not line.startswith("census:")
+    ]
+    return done.returncode, findings
+
+
+def _write(root, files):
+    for name, body in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(body))
+
+
+def test_flags_unreachable_test_only_and_unused_reexport(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/__init__.py": "from pkg.mod import helper\n",
+        "src/pkg/cli.py": """\
+            from pkg.mod import run
+
+            run()
+        """,
+        "src/pkg/mod.py": """\
+            def run():
+                return helper()
+
+
+            def helper():
+                return 1
+
+
+            def only_tested():
+                return 2
+
+
+            class Target:
+                def step(self):
+                    return 3
+        """,
+        "src/pkg/dead.py": "VALUE = 1\n",
+        "benchmarks/bench.py": """\
+            TARGETS = (("pkg.mod:Target", "step"),)
+        """,
+        "tests/test_mod.py": """\
+            from pkg.dead import VALUE
+            from pkg.mod import only_tested
+        """,
+    })
+    code, findings = _census(tmp_path)
+    assert code == 1
+    assert findings == [
+        "module not reached from a root: pkg.dead",
+        "reached only by tests or itself: pkg.mod:only_tested (mod.py:9)",
+        "re-export nothing imports through its package: pkg.helper",
+    ]
+
+
+def test_repository_is_clean():
+    code, findings = _census(CENSUS.parent.parent)
+    assert (code, findings) == (0, [])

@@ -399,48 +399,6 @@ class TestRouter:
         second, _ = router.submit(synthetic_request(rng, 2, 24, 16, 4))
         assert first == 0 and second == 1  # backlog pushed it to the peer
 
-    def test_degrade_level_shifts_placement_toward_degraded_replica(self):
-        """Regression pin: the overload controller's degrade level raises
-        a replica's advertised capacity, so a request that would go to
-        the idle peer without feedback lands on the loaded-but-degraded
-        replica instead (it prunes harder per token)."""
-        def route_second(degrade_level):
-            rng = np.random.default_rng(3)
-            router = ClusterRouter(
-                2, CFG, policy="least-loaded", max_batch_size=4,
-                capacity_tokens=1024, seed=0,
-            )
-            router.submit(synthetic_request(rng, 2, 64, 16, 8))
-            if degrade_level:
-                router.note_degrade_level(degrade_level, replica_id=0)
-            probe = synthetic_request(rng, 2, 24, 16, 4)
-            return router.submit(probe)[0], router
-
-        # without feedback, the backlog pushes the probe to replica 1:
-        # cost0 = (72 + 28) x 1.0 = 100 vs cost1 = 28
-        rid_plain, _ = route_second(0)
-        assert rid_plain == 1
-        # at level 6 replica 0 advertises 1 + 0.5 * 6 = 4x capacity, so
-        # its discounted marginal cost (100 / 4 = 25) undercuts the
-        # idle peer's 28 and the placement flips
-        rid_degraded, router = route_second(6)
-        assert rid_degraded == 0
-        assert router.capacity_factor(0) == 4.0
-        assert router.capacity_factor(1) == 1.0
-
-    def test_degrade_level_fleet_wide_and_validation(self):
-        router = ClusterRouter(2, CFG, capacity_tokens=512, seed=0)
-        router.note_degrade_level(2)
-        assert router.capacity_factor(0) == router.capacity_factor(1) == 2.0
-        router.note_degrade_level(0)
-        assert router.capacity_factor(0) == 1.0
-        with pytest.raises(ValueError):
-            router.note_degrade_level(-1)
-        with pytest.raises(ValueError):
-            router.note_degrade_level(1, replica_id=9)
-        with pytest.raises(ValueError):
-            ClusterRouter(1, CFG, degrade_capacity_boost=-0.1)
-
     def test_drain_rebalances_queued_requests(self):
         rng = np.random.default_rng(2)
         router = ClusterRouter(
@@ -536,42 +494,51 @@ class TestRouter:
 class TestClusterHardwareModel:
     def test_cluster_span_is_its_straggler_replica(self):
         """The ``cluster`` track summarises the replicas' own ``cycles``
-        spans at their head scale: on an untiered cluster its
-        ``modelled_step`` is exactly the slowest replica's (it used to
-        be priced without ``engine_heads`` and came out *cheaper* than
-        either replica)."""
+        spans: its ``modelled_step`` is exactly the slowest replica's.  It
+        used to be priced without ``engine_heads`` (cheaper than either
+        replica), and then one-tier on a tiered cluster, whose replicas
+        price their slow-tier bits on the slow stream."""
         from repro.hw.serving import ServingSimulator
         from repro.model.config import get_model_config
         from repro.obs import Tracer
 
-        tracer = Tracer()
-        router = ClusterRouter(
-            2, CFG, max_batch_size=4, capacity_tokens=1024, seed=5,
-            tracer=tracer,
-            cycle_sim=ServingSimulator(
-                get_model_config("gpt2-medium"), 64, config=CFG
-            ),
+        tiered = TierConfig(
+            hot_budget_tokens=32, hot_tail=8, min_seen=1, survive_idle_steps=1
         )
-        rng = np.random.default_rng(5)
-        for _ in range(8):
-            router.submit(synthetic_request(rng, 4, 64, 16, 4))
-        router.run_until_drained()
-        steps = [
-            e for e in tracer.events
-            if e.name == "modelled_step" and e.ph == "X"
-        ]
-        cluster = [e for e in steps if e.process == "cluster"]
-        assert cluster
-        for span in cluster:
-            replicas = [
-                e.args["total_cycles"]
-                for e in steps
-                if e.process != "cluster"
-                and span.ts_s <= e.ts_s <= span.ts_s + span.dur_s
+        for kv_tiering in (None, tiered):
+            tracer = Tracer()
+            router = ClusterRouter(
+                2, CFG, max_batch_size=4, capacity_tokens=1024, seed=5,
+                tracer=tracer, kv_tiering=kv_tiering,
+                cycle_sim=ServingSimulator(
+                    get_model_config("gpt2-medium"), 64, config=CFG
+                ),
+            )
+            rng = np.random.default_rng(5)
+            for _ in range(8):
+                router.submit(synthetic_request(rng, 4, 64, 16, 4))
+            router.run_until_drained()
+            steps = [
+                e for e in tracer.events
+                if e.name == "modelled_step" and e.ph == "X"
             ]
-            assert span.args["n_replicas"] == len(replicas)
-            assert span.args["total_cycles"] == max(replicas)
-            assert span.args["cluster_total_cycles"] == sum(replicas)
+            cluster = [e for e in steps if e.process == "cluster"]
+            assert cluster
+            for span in cluster:
+                replicas = [
+                    e.args
+                    for e in steps
+                    if e.process != "cluster"
+                    and span.ts_s <= e.ts_s <= span.ts_s + span.dur_s
+                ]
+                cycles = [args["total_cycles"] for args in replicas]
+                assert span.args["n_replicas"] == len(replicas)
+                assert span.args["total_cycles"] == max(cycles)
+                assert span.args["cluster_total_cycles"] == sum(cycles)
+                straggler = replicas[cycles.index(max(cycles))]
+                assert span.args["variant"] == straggler["variant"]
+            if kv_tiering is not None:
+                assert any(e.args.get("slow_bytes") for e in cluster)
 
 
 # ------------------------------------------------------ mid-prefill preemption

@@ -1,6 +1,5 @@
 """Tests for the HBM2 channel model."""
 
-import numpy as np
 import pytest
 
 from repro.hw.dram import DRAMRequest, HBM2Model, streaming_cycles
@@ -52,12 +51,13 @@ class TestSubmit:
         assert m.bytes_transferred[0] == 128
 
     def test_reset(self):
-        m = HBM2Model()
+        m = HBM2Model(latency_cycles=24, bytes_per_cycle=64)
         m.submit(DRAMRequest(channel=0, n_bytes=64, issue_cycle=0))
         m.reset()
         assert m.total_bytes == 0
         assert m.requests_served == 0
-        assert m.drain_cycle() == 0
+        # the channel is idle again: a fresh request sees no queueing
+        assert m.submit(DRAMRequest(channel=0, n_bytes=64, issue_cycle=0)) == 25
 
     def test_invalid_channel(self):
         m = HBM2Model(n_channels=2)
@@ -74,22 +74,6 @@ class TestSubmit:
             HBM2Model(n_channels=0)
         with pytest.raises(ValueError):
             HBM2Model(random_access_penalty=-1)
-
-
-class TestUtilisation:
-    def test_full_utilisation(self):
-        m = HBM2Model(n_channels=2, bytes_per_cycle=64, latency_cycles=0)
-        m.submit(DRAMRequest(channel=0, n_bytes=640, issue_cycle=0))
-        m.submit(DRAMRequest(channel=1, n_bytes=640, issue_cycle=0))
-        assert np.isclose(m.utilisation(10), 1.0)
-
-    def test_zero_elapsed(self):
-        assert HBM2Model().utilisation(0) == 0.0
-
-    def test_drain_cycle(self):
-        m = HBM2Model(latency_cycles=5, bytes_per_cycle=64)
-        m.submit(DRAMRequest(channel=0, n_bytes=128, issue_cycle=0))
-        assert m.drain_cycle() == 7
 
 
 class TestStreamingCycles:

@@ -99,13 +99,6 @@ class TestDenominatorAggregator:
         dag.submit(0, 1.5)
         assert len(dag) == 2
 
-    def test_lower_bound_lookup(self):
-        dag = DenominatorAggregator()
-        dag.submit(7, 0.25)
-        assert dag.lower_bound(7) == 0.25
-        with pytest.raises(KeyError):
-            dag.lower_bound(8)
-
 
 class TestPruneRule:
     def test_never_prunes_on_empty_denominator(self):
@@ -119,13 +112,6 @@ class TestPruneRule:
         assert rule.check(-10.0, 0.0).pruned
         # p'' = exp(-2) = 0.135 > 1e-3 -> keep
         assert not rule.check(-2.0, 0.0).pruned
-
-    def test_batch_matches_scalar(self):
-        rule = PruneRule(np.log(1e-2))
-        s_max = np.linspace(-20, 5, 40)
-        batch = rule.check_batch(s_max, 0.0)
-        scalar = np.array([rule.check(s, 0.0).pruned for s in s_max])
-        assert np.array_equal(batch, scalar)
 
     def test_boundary_inclusive(self):
         """p'' == thr prunes (predicate is <=)."""

@@ -70,10 +70,10 @@ def _traffic(outputs):
 
 class TestFaultSchedule:
     def test_deterministic(self):
-        a = fault_schedule(3, 4, n_kills=3, n_spikes=2)
-        b = fault_schedule(3, 4, n_kills=3, n_spikes=2)
+        a = fault_schedule(3, 4, n_kills=3)
+        b = fault_schedule(3, 4, n_kills=3)
         assert a == b
-        c = fault_schedule(4, 4, n_kills=3, n_spikes=2)
+        c = fault_schedule(4, 4, n_kills=3)
         assert a != c
 
     def test_never_two_dead_at_once(self):
@@ -90,8 +90,6 @@ class TestFaultSchedule:
     def test_event_validation(self):
         with pytest.raises(ValueError):
             FaultEvent(step=0, action="explode", replica=0)
-        with pytest.raises(ValueError):
-            FaultEvent(step=0, action="spike", replica=0, spike_seconds=0.0)
         with pytest.raises(ValueError):
             fault_schedule(0, 1)
 
@@ -193,7 +191,7 @@ class TestFailoverHarvest:
                 for sid in list(engine._active):
                     engine.preempt(sid)
                 inj._apply(FaultEvent(step=0, action="kill", replica=0))
-            while router.busy or inj.pending_retries:
+            while router.busy or inj._retry:
                 inj.step()
             return inj
 
@@ -258,7 +256,7 @@ class TestFaultInjectorBitIdentity:
             return inj
 
         schedule = fault_schedule(
-            seed, 3, n_kills=n_kills, revive_after=4, n_spikes=1
+            seed, 3, n_kills=n_kills, revive_after=4
         )
         clean = run([])
         faulted = run(schedule)

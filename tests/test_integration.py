@@ -44,8 +44,7 @@ def trained_setup():
 class TestTrainingPipeline:
     def test_loss_improves(self, trained_setup):
         _, _, result = trained_setup
-        assert result.improved
-        assert np.mean(result.losses[-10:]) < result.initial_loss - 0.3
+        assert np.mean(result.losses[-10:]) < result.losses[0] - 0.3
 
     def test_trained_ppl_beats_uniform(self, trained_setup):
         model, eval_tokens, _ = trained_setup

@@ -323,7 +323,7 @@ class TestAccounting:
         assert pool.blocks_allocated_total == 6
         assert pool.blocks_freed_total == 2
         assert pool.tokens_cached == 18
-        assert pool.n_sequences == 2
+        assert len(pool._seqs) == 2
 
     def test_exhaustion_raises_and_leaves_state(self):
         rng = np.random.default_rng(5)
@@ -357,7 +357,7 @@ class TestSwap:
         k_before, v_before = (a.copy() for a in pool.view(0))
         swapped = pool.swap_out(0)
         assert swapped.length == 10
-        assert pool.n_sequences == 0 and pool.blocks_in_use == 0
+        assert not pool._seqs and pool.blocks_in_use == 0
         assert pool.swaps_out_total == 1
         # occupy different blocks so the run comes back at a new offset
         pool.register(9)
@@ -365,7 +365,7 @@ class TestSwap:
         pool.swap_in(0, swapped)
         assert pool.swaps_in_total == 1
         assert pool.length(0) == 10
-        assert pool.scales_of(0) is scales
+        assert pool._entry(0).scales is scales
         k_after, v_after = pool.view(0)
         assert np.array_equal(k_before, k_after)
         assert np.array_equal(v_before, v_after)
@@ -390,7 +390,7 @@ class TestSwap:
         _fill(pool, 1, 56, rng)
         with pytest.raises(PoolExhausted):
             pool.swap_in(0, swapped)
-        assert pool.n_sequences == 1  # pool state unchanged
+        assert len(pool._seqs) == 1  # pool state unchanged
 
     def test_ensure_capacity_grows_without_writing(self):
         rng = np.random.default_rng(7)

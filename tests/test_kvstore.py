@@ -96,8 +96,6 @@ class TestTieredDRAMModel:
         assert model.total_bytes == 1636
         # slow tier is slower per byte: same bytes, more cycles
         assert model.slow.cycles(4096) > model.fast.cycles(4096)
-        # concurrent tiers: the step takes the slower stream
-        assert model.step_cycles(4096, 4096) == model.slow.cycles(4096)
         model.reset()
         assert model.total_bytes == 0
         with pytest.raises(ValueError):
@@ -218,7 +216,7 @@ class TestDemotePromoteBytes:
         original_v = pool.v_arena[offset:offset + 32].copy()
         n = store.demote(7, [0, 1, 2, 5])
         assert n == 4
-        assert store.demoted_count(7) == 4
+        assert store.demoted_mask(7).sum() == 4
         assert store.hot_tokens(7) == 28
         rows = self._k_rows(pool, offset + np.array([0, 1, 2, 5])).reshape(
             4, N_HEADS, CFG.quant.n_chunks, HEAD_DIM
@@ -274,7 +272,7 @@ class TestDemotePromoteBytes:
             original_k[16:],
         )
         assert not pool.v_arena[offset:offset + 16].any()
-        assert store.demoted_count(7) == 16
+        assert store.demoted_mask(7).sum() == 16
         assert store.promote(7, np.arange(0, 16)) == 16
         assert np.array_equal(
             self._k_rows(pool, np.arange(offset, offset + 32)), original_k
@@ -412,7 +410,7 @@ class TestRadixCache:
         cache = RadixKVCache()
         k, v = self._prompt(rng, 16)
         h1 = cache.acquire(k, v)
-        assert h1.hit_tokens == 0 and h1.miss_tokens == 16
+        assert h1.hit_tokens == 0 and h1.prompt_tokens == 16
         # identical prompt: full hit
         h2 = cache.acquire(k, v)
         assert h2.hit_tokens == 16
@@ -426,8 +424,8 @@ class TestRadixCache:
         assert cache.total_tokens == 16 + 6
         assert cache.hit_rate == pytest.approx((16 + 10) / 48)
         # the split preserved the stored rows bit-for-bit
-        assert cache.match_length(k, v) == 16
-        assert cache.match_length(k3, v3) == 16
+        assert cache.acquire(k, v).hit_tokens == 16
+        assert cache.acquire(k3, v3).hit_tokens == 16
 
     def test_release_frees_exactly_at_last_sharer(self):
         rng = np.random.default_rng(2)
@@ -470,25 +468,11 @@ class TestRadixCache:
         # never is
         h3 = cache.acquire(k3, v3)
         assert cache.total_tokens == 16
-        assert cache.match_length(k1, v1) == 0
-        assert cache.match_length(k2, v2) == 8
         cache.release(h3)
+        assert cache.acquire(k2, v2).hit_tokens == 8
+        assert cache.acquire(k1, v1).hit_tokens == 0
         with pytest.raises(ValueError):
             RadixKVCache(capacity_tokens=-1)
-
-    def test_match_length_is_a_pure_probe(self):
-        rng = np.random.default_rng(6)
-        cache = RadixKVCache(capacity_tokens=16)
-        k1, v1 = self._prompt(rng, 8)
-        k2, v2 = self._prompt(rng, 8)
-        cache.release(cache.acquire(k1, v1))
-        cache.release(cache.acquire(k2, v2))
-        # probing the older extent must not refresh its LRU stamp
-        assert cache.match_length(k1, v1) == 8
-        k3, v3 = self._prompt(rng, 8)
-        cache.release(cache.acquire(k3, v3))
-        assert cache.match_length(k1, v1) == 0  # still the eviction victim
-        assert cache.match_length(k2, v2) == 8
 
     def test_eviction_spares_referenced_extents(self):
         rng = np.random.default_rng(4)

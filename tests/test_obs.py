@@ -296,29 +296,6 @@ class TestProfile:
 
 
 class TestRegistrySerialization:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("requests", replica="0").inc(3)
-        registry.gauge("depth").set(7.5)
-        hist = registry.histogram("latency", replica="0", route="fast")
-        for v in (0.01, 0.02, 0.4):
-            hist.observe(v)
-        return registry
-
-    def test_round_trip(self):
-        registry = self._registry()
-        clone = MetricsRegistry.from_dict(registry.to_dict())
-        assert clone.to_dict() == registry.to_dict()
-        hist = clone.histogram("latency", replica="0", route="fast")
-        assert hist.count == 3
-        assert hist.total == pytest.approx(0.43)
-        assert clone.counter("requests", replica="0").value == 3
-
-    def test_empty_registry_round_trip(self):
-        registry = MetricsRegistry()
-        clone = MetricsRegistry.from_dict(registry.to_dict())
-        assert clone.to_dict() == {"series": []}
-
     def test_type_conflict_raises(self):
         registry = MetricsRegistry()
         registry.counter("x")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ordering import order_rank, processing_order
+from repro.core.ordering import processing_order
 
 
 class TestProcessingOrder:
@@ -35,17 +35,6 @@ class TestProcessingOrder:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             processing_order(-1)
-
-
-class TestOrderRank:
-    @pytest.mark.parametrize("policy", ["sink_recency", "recency", "chronological"])
-    def test_rank_is_inverse(self, policy):
-        n = 17
-        order = processing_order(n, policy)
-        rank = order_rank(n, policy)
-        assert np.array_equal(order[rank[order]], order)
-        for position, token in enumerate(order):
-            assert rank[token] == position
 
 
 class TestOrderEffectOnPruning:

@@ -3,35 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.plots import bar_chart, heatmap, histogram, series_plot
-
-
-class TestBarChart:
-    def test_renders_all_rows(self):
-        out = bar_chart(["a", "bb"], [1.0, 2.0], width=10)
-        lines = out.split("\n")
-        assert len(lines) == 2
-        assert lines[1].count("#") == 10  # max fills the width
-
-    def test_proportional(self):
-        out = bar_chart(["x", "y"], [1.0, 4.0], width=20)
-        first, second = out.split("\n")
-        assert second.count("#") == 4 * first.count("#")
-
-    def test_title_and_unit(self):
-        out = bar_chart(["x"], [2.0], title="T", unit="x")
-        assert out.startswith("T\n")
-        assert "2x" in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0], width=0)
-
-    def test_zero_values(self):
-        out = bar_chart(["a"], [0.0])
-        assert "#" not in out
+from repro.eval.plots import heatmap, histogram
 
 
 class TestHistogram:
@@ -67,18 +39,3 @@ class TestHeatmap:
             heatmap(np.zeros(3))
         with pytest.raises(ValueError):
             heatmap(np.zeros((2, 2)), row_labels=["only-one"])
-
-
-class TestSeriesPlot:
-    def test_markers_present(self):
-        out = series_plot([0, 1, 2], {"up": [0, 1, 2], "down": [2, 1, 0]})
-        assert "a" in out and "b" in out
-        assert "a=up" in out and "b=down" in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            series_plot([0, 1], {"s": [0, 1]}, height=1)
-
-    def test_flat_series(self):
-        out = series_plot([0, 1], {"flat": [1.0, 1.0]})
-        assert "a" in out

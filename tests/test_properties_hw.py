@@ -35,15 +35,6 @@ class TestDRAMProperties:
         assert m.total_bytes == sum(sizes)
         assert m.requests_served == len(sizes)
 
-    @given(sizes=st.lists(st.integers(1, 512), min_size=1, max_size=30))
-    @settings(max_examples=30, deadline=None)
-    def test_utilisation_bounded(self, sizes):
-        m = HBM2Model(n_channels=2, latency_cycles=4)
-        for i, n in enumerate(sizes):
-            m.submit(DRAMRequest(channel=i % 2, n_bytes=n, issue_cycle=0))
-        drain = m.drain_cycle()
-        assert 0.0 <= m.utilisation(drain) <= 1.0 + 1e-9
-
 
 class TestDAGEquivalence:
     @given(terms=st.lists(st.floats(-30, 30), min_size=1, max_size=40))

@@ -494,7 +494,7 @@ class TestAggregates:
             _oracle_scales(keys, config.quant),
             _oracle_scales(values, config.quant),
         )
-        assert ragged.n_sequences == 5
+        assert len(ragged.results) == 5
         assert np.array_equal(
             ragged.lengths, np.array([k.shape[1] for k in keys])
         )
@@ -531,9 +531,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="breadth"):
             token_picker_attention_batched(qs[0], keys, None, depth)
         breadth = TokenPickerConfig(schedule="breadth")
-        assert token_picker_attention_ragged(
+        assert len(token_picker_attention_ragged(
             qs, breadth, **self._inputs(rng)
-        ).n_sequences == 2
+        ).results) == 2
 
     def test_shape_errors(self):
         rng = np.random.default_rng(0)

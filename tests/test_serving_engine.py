@@ -57,7 +57,7 @@ class TestLifecycle:
         assert done.request_id == rid
         assert done.generated_tokens == 3
         assert done.stats.queue_delay_steps == 0
-        assert done.stats.service_steps == 2
+        assert done.stats.finished_step - done.stats.admitted_step == 2
         assert done.stats.counter.tokens_seen > 0
         assert engine.pool.blocks_in_use == 0
 
@@ -300,11 +300,6 @@ class TestValidation:
             router.step()
         assert len(router.replicas[0].completed) == 1
 
-    def test_unknown_sequence(self):
-        engine = _engine()
-        with pytest.raises(KeyError):
-            engine.stats_of(3)
-
     @pytest.mark.parametrize(
         "bad", ["nan_key", "nan_value", "flat_query", "nan_query"]
     )
@@ -340,8 +335,8 @@ class TestValidation:
             s for s, rec in engine._active.items() if rec.request is request
         )
         assert engine.pool.length(seq_id) == 24  # the prompt only
-        assert engine.stats_of(seq_id).clip_events == 0
-        assert engine.stats_of(seq_id).generated_tokens == 0
+        stats = engine._active[seq_id].stats
+        assert stats.clip_events == 0 and stats.generated_tokens == 0
 
 
 class TestAdmissionEdgeCases:

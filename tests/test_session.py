@@ -84,10 +84,9 @@ class TestSteps:
         q, k, v = steps[0]
         session.step(q, k, v)
         assert session.clip_events > 0
-        assert session.clip_rate > 0
 
     def test_values_clips_counted(self):
-        """Saturating V elements must show up in clip_rate: V travels the
+        """Saturating V elements must show up in clip_events: V travels the
         same quantized fetch path as Q/K (full V saturation coverage)."""
         keys, values, steps = _prompt_and_steps(seed=5)
         session = TokenPickerSession(TokenPickerConfig(threshold=1e-2),
@@ -101,7 +100,6 @@ class TestSteps:
         k = np.clip(k, -limit_k, limit_k)
         session.step(q, k, v * 100.0)
         assert session.clip_events > 0
-        assert session.clip_rate > 0
 
     def test_no_clips_with_headroom(self):
         keys, values, steps = _prompt_and_steps(seed=3)
@@ -111,7 +109,7 @@ class TestSteps:
         q, k, v = steps[0]
         session.step(q, k, v)
         # generous headroom: clipping should be rare or absent
-        assert session.clip_rate < 0.05
+        assert session.clip_events / session.counter.tokens_seen < 0.05
 
     def test_recalibration_preserves_accumulated_stats(self):
         """A second observe_prompt refreshes the scales but must not reset

@@ -177,7 +177,7 @@ class TestShardedKVPool:
             9, pool.n_heads * pool.n_chunks, pool.head_dim
         )
         assert swapped.v_rows.shape == (9, pool.n_heads, pool.head_dim)
-        assert pool.n_sequences == 0 and pool.blocks_in_use == 0
+        assert not pool._seqs and pool.blocks_in_use == 0
         pool.swap_in(3, swapped)
         k_view, v_view = pool.view(3)
         assert np.array_equal(k_view, k.transpose(1, 0, 2))

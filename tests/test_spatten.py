@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import QuantConfig
 from repro.hw.spatten import (
-    SpAttenBackend,
     SpAttenConfig,
     baseline_generation_accesses,
     spatten_generation_accesses,
@@ -33,57 +32,6 @@ class TestSpAttenConfig:
             SpAttenConfig(n_layers=2, v_keep_ratio=1.5)
         with pytest.raises(ValueError):
             SpAttenConfig(n_layers=2).keep_ratio(2)
-
-
-class TestSpAttenBackend:
-    def _run(self, backend, t=32, h=2, dh=8, layers=2, seed=0):
-        rng = np.random.default_rng(seed)
-        out = None
-        for step_t in range(4, t):
-            for layer in range(layers):
-                keys = rng.normal(size=(h, step_t, dh))
-                values = rng.normal(size=(h, step_t, dh))
-                q = rng.normal(size=(h, dh))
-                out = backend(layer, q, keys, values)
-        return out
-
-    def test_output_shape(self):
-        backend = SpAttenBackend(SpAttenConfig(n_layers=2, final_keep_ratio=0.5))
-        out = self._run(backend)
-        assert out.shape == (2, 8)
-        assert np.all(np.isfinite(out))
-
-    def test_cascade_prunes_persistently(self):
-        backend = SpAttenBackend(SpAttenConfig(n_layers=2, final_keep_ratio=0.25))
-        self._run(backend, t=40)
-        assert len(backend.cascade_pruned) > 0
-
-    def test_access_counting(self):
-        backend = SpAttenBackend(SpAttenConfig(n_layers=2, final_keep_ratio=0.5))
-        self._run(backend)
-        c = backend.counter
-        assert 0 < c.k_bits <= c.baseline_k_bits
-        assert 0 < c.v_bits <= c.k_bits  # local V pruning on top of token pruning
-        assert c.total_reduction > 1.0
-
-    def test_full_keep_fetches_all_k(self):
-        backend = SpAttenBackend(
-            SpAttenConfig(n_layers=1, final_keep_ratio=1.0, v_keep_ratio=1.0)
-        )
-        self._run(backend, layers=1)
-        c = backend.counter
-        assert c.k_bits == c.baseline_k_bits
-        assert c.v_bits == c.baseline_v_bits
-
-    def test_newest_token_never_pruned(self):
-        backend = SpAttenBackend(SpAttenConfig(n_layers=1, final_keep_ratio=0.1))
-        rng = np.random.default_rng(1)
-        for t in range(4, 30):
-            backend(0, rng.normal(size=(1, 8)), rng.normal(size=(1, t, 8)),
-                    rng.normal(size=(1, t, 8)))
-        # position t-1 is always alive at call time, so it must never be in
-        # the cascade set before being revisited
-        assert 29 not in backend.cascade_pruned or len(backend.importance) > 29
 
 
 class TestGenerationAccessModels:

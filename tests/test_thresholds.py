@@ -10,17 +10,17 @@ class TestCalibrateThreshold:
     def test_monotone_metric(self):
         # metric = 10 * thr (monotone); budget 0.3 -> thr 0.03
         res = calibrate_threshold(lambda t: 10 * t, budget=0.3, iterations=30)
-        assert res.within_budget
+        assert res.metric_value <= res.budget
         assert np.isclose(res.threshold, 0.03, rtol=0.01)
 
     def test_budget_never_reachable(self):
         res = calibrate_threshold(lambda t: 1.0, budget=0.1)
-        assert not res.within_budget
+        assert res.metric_value > res.budget
         assert res.threshold == 1e-6
 
     def test_high_always_feasible(self):
         res = calibrate_threshold(lambda t: 0.0, budget=0.1, high=0.05)
-        assert res.within_budget
+        assert res.metric_value <= res.budget
         assert res.threshold == 0.05
         assert res.evaluations == 2  # early exit
 
@@ -33,7 +33,7 @@ class TestCalibrateThreshold:
         # metric jumps at thr = 1e-3
         metric = lambda t: 0.0 if t <= 1e-3 else 1.0
         res = calibrate_threshold(metric, budget=0.5, iterations=25)
-        assert res.within_budget
+        assert res.metric_value <= res.budget
         assert 5e-4 <= res.threshold <= 1e-3
 
     def test_invalid_bracket(self):

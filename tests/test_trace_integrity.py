@@ -204,7 +204,7 @@ class TestClusterIntegrity:
         n_kills=st.integers(min_value=1, max_value=3),
     )
     def test_faulted_runs_trace_soundly(self, seed, n_kills):
-        """Hypothesis sweep: seeded kills/revives/spikes (reusing the
+        """Hypothesis sweep: seeded kills/revives (reusing the
         chaos harness's own schedules) never unbalance the trace."""
         tracer = Tracer()
         router = ClusterRouter(
@@ -216,8 +216,7 @@ class TestClusterIntegrity:
         )
         injector = FaultInjector(
             router,
-            fault_schedule(seed, 3, n_kills=n_kills, revive_after=4,
-                           n_spikes=1),
+            fault_schedule(seed, 3, n_kills=n_kills, revive_after=4),
         )
         injector.run_trace(
             failover_trace(

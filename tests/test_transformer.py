@@ -50,7 +50,7 @@ class TestForward:
             model.forward(np.zeros(5, dtype=int))
 
     def test_param_count_positive(self, model):
-        assert model.n_params > 5_000
+        assert sum(p.size for p in model.params.values()) > 5_000
 
 
 class TestGradients:
