@@ -4,9 +4,11 @@ Demonstrates the `repro.cluster.shard` subsystem end to end:
 
 1. the same bursty decode workload is served by one engine at
    tensor-parallel widths K in {1, 2, 4}: `partition_heads` splits the
-   attention heads contiguously across K modelled workers, each running
-   the ragged lazy kernel on views of its heads in the engine's one
-   `KVCachePool` arena (`k_arena[h0:h1]`, `v_arena[:, h0:h1]`);
+   attention heads contiguously across K modelled workers, each owning
+   the views of its heads in the engine's one `KVCachePool` arena
+   (`k_arena[h0:h1]`, `v_arena[:, h0:h1]`); the kernel still runs once
+   per step over every head, and a worker is its head range of the
+   results;
 2. the per-head kept-token partial outputs are combined by a modelled
    **all-gather** whose payload is proportional to *kept* (head, token)
    pairs — Token-Picker's Eq. 5 pruning shrinks the interconnect

@@ -20,10 +20,11 @@ instead of a constant:
   replica (``tokenpicker serve --profile`` prints it).
 * :mod:`~repro.cluster.shard` — head-sharded model parallelism inside a
   replica: :class:`~repro.cluster.shard.ShardGroup` splits the heads of
-  the replica's one KV arena across K modelled workers, runs the ragged
-  kernel on each worker's head slice (views, no copies) and combines
-  the results bit-identically in shard order, pricing the kept-token
-  all-gather through ``hw/serving.py``'s interconnect model.
+  the replica's one KV arena across K modelled workers.  The ragged
+  kernel still runs once per step over the full width (no per-head
+  quantity couples heads); each worker is the head-range view of its
+  results whose kept-token all-gather ``hw/serving.py``'s interconnect
+  model prices.
 """
 
 from repro.cluster.faults import FaultEvent, FaultInjector, fault_schedule

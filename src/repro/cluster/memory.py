@@ -38,30 +38,28 @@ from repro.serving.request import GenerationRequest
 class OptimisticMemory:
     """Prompt-footprint admission with probability-guided preemption.
 
-    ``margin_blocks`` extra blocks are required (not reserved) at
-    admission so a newly admitted sequence has a few steps of guaranteed
-    growth before it can feel pool pressure.
+    ``margin_blocks`` extra blocks of the engine's pool are required
+    (not reserved) at admission so a newly admitted sequence has a few
+    steps of guaranteed growth before it can feel pool pressure.
     """
 
     name: str = "optimistic"
     margin_blocks: int = 1
-    block_size: int = 16
 
     def __post_init__(self) -> None:
         if self.margin_blocks < 0:
             raise ValueError(
                 f"margin_blocks must be >= 0, got {self.margin_blocks}"
             )
-        if self.block_size < 1:
-            raise ValueError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
 
-    def admission_tokens(self, request: GenerationRequest) -> int:
-        """Headroom a request must see to be admitted: prompt + margin,
-        capped at the lifetime footprint (a short request never waits for
-        more room than it could ever use)."""
-        margin = self.margin_blocks * self.block_size
+    def admission_tokens(
+        self, request: GenerationRequest, block_size: int
+    ) -> int:
+        """Headroom a request must see to be admitted on a pool of
+        ``block_size``-token blocks: prompt + margin, capped at the
+        lifetime footprint (a short request never waits for more room
+        than it could ever use)."""
+        margin = self.margin_blocks * block_size
         return min(request.prompt_tokens + margin, request.total_tokens)
 
     def reserve_tokens(self, request: GenerationRequest) -> int:
@@ -132,18 +130,16 @@ class TieredMemory(OptimisticMemory):
         return best.seq_id
 
 
-def make_memory_manager(
-    name: str, block_size: int = 16
-) -> Optional[object]:
+def make_memory_manager(name: str) -> Optional[object]:
     """CLI-facing factory: ``conservative`` -> ``None`` (engine default),
     ``optimistic`` -> :class:`OptimisticMemory`, ``tiered`` ->
     :class:`TieredMemory` (hot-footprint-aware victim selection)."""
     if name == "conservative":
         return None
     if name == "optimistic":
-        return OptimisticMemory(block_size=block_size)
+        return OptimisticMemory()
     if name == "tiered":
-        return TieredMemory(block_size=block_size)
+        return TieredMemory()
     raise ValueError(
         f"unknown admission policy {name!r} "
         "(expected 'conservative', 'optimistic' or 'tiered')"

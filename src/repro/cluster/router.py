@@ -103,10 +103,11 @@ class ClusterRouter:
         chunks (``None``: monolithic prefill).
 
         ``cycle_sim`` (a :class:`repro.hw.serving.ServingSimulator`) is
-        the stack's one hardware model, handed to every replica the
-        router builds.  It enables the dual-clock trace: every replica
-        prices its sampled step spans on the modelled hardware
-        (``price``), and the router adds a cluster-level
+        the stack's one hardware model, and the router is its one
+        cycle-projection hook.  It enables the dual-clock trace: each
+        busy replica step whose ``engine_step`` span was drawn is priced
+        once (``price``) and projected as that replica's
+        ``modelled_step``, and the same costs make a cluster-level
         ``modelled_step`` span (the :class:`~repro.hw.serving.FleetCost`
         straggler's cycles — the synchronous-tick latency) on the
         ``cluster``/``cycles`` track.  The streaming frontend prices its
@@ -189,16 +190,13 @@ class ClusterRouter:
             capacity_tokens=kw["capacity_tokens"],
             block_size=kw["block_size"],
             seed=self._seed * 100_003 + rid,
-            memory_manager=make_memory_manager(
-                self.admission, block_size=kw["block_size"]
-            ),
+            memory_manager=make_memory_manager(self.admission),
             allow_bypass=kw["allow_bypass"],
             prefill_budget_tokens=kw["prefill_budget_tokens"],
             kv_tiering=kw["kv_tiering"],
             prefix_cache=prefix_cache,
             tracer=self.tracer,
             trace_label=f"r{rid}" if gen == 0 else f"r{rid}+{gen}",
-            cycle_sim=self.cycle_sim,
             shards=kw["shards"],
         )
 
@@ -431,38 +429,49 @@ class ClusterRouter:
             report.per_replica[rid] = engine_report
             report.step_seconds[rid] = seconds
             self._observe(rid, engine, engine_report, seconds)
-        self._trace_cluster_cycles(report, t_step0)
+        self._trace_cycles(report, t_step0)
         self._step_index += 1
         return report
 
-    def _trace_cluster_cycles(
-        self, report: ClusterStepReport, t0: float
-    ) -> None:
-        """The fleet-level rung of the dual-clock timeline: one
-        ``modelled_step`` span per sampled cluster step on the
-        ``cluster``/``cycles`` track, priced at the straggler replica
-        (the synchronous-tick latency) with the concurrent fleet total
-        alongside.  Each replica is priced by its own rule
-        (:meth:`ServingEngine.price_step`), so the straggler is exactly
-        one of the per-replica cycle spans the engines emit."""
-        if self.cycle_sim is None or not self.tracer:
+    def _trace_cycles(self, report: ClusterStepReport, t0: float) -> None:
+        """The dual-clock timeline's one pricing site.
+
+        Each busy replica step whose ``engine_step`` span was drawn (by
+        the engine's own step index, which restarts on a revived
+        replica) is priced once, at the pool's head scale, and projected
+        at that span's wall anchor.  The same costs make the tick's
+        ``cluster`` span (the straggler, the fleet total alongside), so a
+        fleet span aggregates exactly the replica spans drawn under it.
+        Sharded pricing wins over two-tier: the shard views already
+        reflect post-tier-repair fetches."""
+        tracer = self.tracer
+        if self.cycle_sim is None or not tracer:
             return
-        if not self.tracer.want_step(self._step_index):
-            return
-        per_replica = tuple(
-            self.replicas[rid].price_step(r)
-            for rid, r in report.per_replica.items()
-            if r.per_sequence or r.prefill_bits
-        )
-        if not per_replica:
-            return
-        cost = FleetCost(per_replica)
-        self.tracer.cycle_span(
-            "cluster",
-            ts=t0,
-            dur=time.perf_counter() - t0,
-            payload=cost.span_payload(),
-        )
+        costs = []
+        for rid, r in report.per_replica.items():
+            busy = r.per_sequence or r.prefill_bits
+            if not busy or not tracer.want_step(r.step_index):
+                continue
+            engine = self.replicas[rid]
+            cost = self.cycle_sim.price(
+                r,
+                engine_heads=engine.pool.n_heads,
+                two_tier=engine.tiers is not None and not r.shard_views,
+            )
+            tracer.cycle_span(
+                engine.trace_label,
+                ts=r.wall_start,
+                dur=r.wall_seconds,
+                payload=cost.span_payload(),
+            )
+            costs.append(cost)
+        if costs:
+            tracer.cycle_span(
+                "cluster",
+                ts=t0,
+                dur=time.perf_counter() - t0,
+                payload=FleetCost(tuple(costs)).span_payload(),
+            )
 
     def _observe(
         self,

@@ -7,45 +7,44 @@ chunk-digit planes and deq-V rows are partitioned head-wise across K
 modelled shard workers.  Each worker owns a contiguous head range of
 the engine's one full-width :class:`~repro.serving.kv_pool.KVCachePool`
 — because K is stored head-major, that range is the leading-axis
-slice ``k_arena[h0:h1]`` — and runs the fused ragged kernel on views of
-it; the per-head kept-token partial outputs are then combined by a
-modelled **all-gather** whose byte count is proportional to *kept*
-(head, token) pairs — so Token-Picker's Eq. 5 certified pruning directly
-shrinks the interconnect traffic, the cluster-scale analogue of the
-paper's DRAM-transfer reduction (a result the DAC'24 paper never
-measured).
+slice ``k_arena[h0:h1]`` — and the per-head kept-token partial outputs
+are combined by a modelled **all-gather** whose byte count is
+proportional to *kept* (head, token) pairs — so Token-Picker's Eq. 5
+certified pruning directly shrinks the interconnect traffic, the
+cluster-scale analogue of the paper's DRAM-transfer reduction (a result
+the DAC'24 paper never measured).
 
-Bit-identity is structural, not approximate: the ragged kernel computes
-every per-head quantity (log denominators, alive masks, prune
+A worker is a pricing view, not a second kernel call: the ragged kernel
+computes every per-head quantity (log denominators, alive masks, prune
 predicates, grouped softmax, outputs) with no cross-head coupling, so K
-kernel calls on disjoint head slices, concatenated back in shard-index
-order (a fixed, deterministic reduction order), reproduce the unsharded
-call's arrays bit for bit.  Storage is shared, so the arena, its block
-bookkeeping and the swap / tier / failover row format are the unsharded
-engine's by construction.  ``tests/test_shard.py`` sweeps this property
-across K, uneven head splits, preemption and tiering.
+calls on disjoint head slices would reproduce one full-width call's
+arrays bit for bit.  The engine therefore makes that one call, and each
+worker exists only as its head range in :meth:`ShardGroup.step_views`.
+Storage is shared, so the arena, its block bookkeeping and the swap /
+tier / failover row format are the unsharded engine's by construction.
+``tests/test_shard.py`` sweeps sharded ≡ unsharded across K, uneven
+head splits, preemption and tiering.
 
 Pieces:
 
 * :func:`partition_heads` — contiguous head ranges, remainder spread
   over the leading shards (``H % K != 0`` is fine).
-* :class:`ShardGroup` — runs the K kernel calls on head slices of one
-  pool and the deterministic combine; :meth:`ShardGroup.step_views`
-  derives each shard's interconnect telemetry (:class:`ShardStepView`)
-  from the step's final per-sequence results.
+* :class:`ShardGroup` — the step's one kernel call on the pool's arena
+  (:meth:`ShardGroup.run`) and each worker's interconnect telemetry
+  (:class:`ShardStepView`) sliced by head range from the step's final
+  per-sequence results (:meth:`ShardGroup.step_views`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import TokenPickerConfig
 from repro.core.pruning import (
     BatchedPickerResult,
-    KernelScratch,
     RaggedPickerResult,
     token_picker_attention_ragged,
 )
@@ -115,101 +114,32 @@ class ShardedKVPool(KVCachePool):
 
 
 class ShardGroup:
-    """Run the fused ragged kernel shard-by-shard and combine exactly.
+    """K modelled head-shard workers over one pool.
 
     Shard ``s`` owns heads ``head_ranges[s] = [h0, h1)`` of the engine's
-    one full-width pool.  Its kernel call reads the views
-    ``pool.k_arena[h0:h1]`` (a leading-axis slice of the chunk-major
-    planes, still one contiguous ``(T_cap, d)`` plane per head and
-    chunk) and ``pool.v_arena[:, h0:h1]`` — no copies — with its head
-    slice of the queries and frozen scales and its own
-    :class:`~repro.core.pruning.KernelScratch` (modelled workers do not
-    share SRAM).  The combine concatenates every per-head array back in
-    shard-index order — a fixed reduction order, so the assembled
-    :class:`~repro.core.pruning.RaggedPickerResult` is bit-identical to
-    one unsharded kernel call on the full arena.
+    one full-width pool.  :meth:`run` is the step's single kernel call on
+    the whole arena — bit-identical to K calls on the views
+    ``pool.k_arena[h0:h1]`` / ``pool.v_arena[:, h0:h1]`` concatenated in
+    shard order, because no per-head quantity couples heads — and
+    :meth:`step_views` slices its results back into per-worker telemetry.
     """
 
     def __init__(self, pool: KVCachePool, n_shards: int) -> None:
         self.pool = pool
         self.head_ranges = partition_heads(pool.n_heads, n_shards)
-        self._scratches = [KernelScratch() for _ in self.head_ranges]
 
     def run(
-        self,
-        qs: np.ndarray,
-        q_scales: np.ndarray,
-        k_scales: np.ndarray,
-        segments: np.ndarray,
-        config: TokenPickerConfig,
-        phase_times: Optional[Dict[str, float]] = None,
+        self, qs: np.ndarray, config: TokenPickerConfig, **kernel_kw
     ) -> RaggedPickerResult:
-        """K head-slice kernel calls + deterministic combine (see class
-        doc)."""
-        k_arena, v_arena = self.pool.k_arena, self.pool.v_arena
-        shard_results = [
-            token_picker_attention_ragged(
-                qs[:, h_lo:h_hi],
-                config,
-                q_scales=q_scales[:, h_lo:h_hi],
-                k_scales=k_scales[:, h_lo:h_hi],
-                k_plane_arena=k_arena[h_lo:h_hi],
-                v_arena=v_arena[:, h_lo:h_hi],
-                segments=segments,
-                scratch=scratch,
-                phase_times=phase_times,
-            )
-            for (h_lo, h_hi), scratch in zip(
-                self.head_ranges, self._scratches
-            )
-        ]
-        return self._combine(shard_results)
-
-    @staticmethod
-    def _combine(
-        shard_results: List[RaggedPickerResult],
-    ) -> RaggedPickerResult:
-        first = shard_results[0]
-        if len(shard_results) == 1:
-            return first
-        results: List[BatchedPickerResult] = []
-        for i in range(len(first.results)):
-            parts = [sr.results[i] for sr in shard_results]
-            lead = parts[0]
-            results.append(
-                BatchedPickerResult(
-                    kept=np.concatenate([p.kept for p in parts], axis=0),
-                    chunks_fetched=np.concatenate(
-                        [p.chunks_fetched for p in parts], axis=0
-                    ),
-                    scores=np.concatenate(
-                        [p.scores for p in parts], axis=0
-                    ),
-                    probs=np.concatenate([p.probs for p in parts], axis=0),
-                    outputs=(
-                        np.concatenate(
-                            [p.outputs for p in parts], axis=0
-                        )
-                        if lead.outputs is not None
-                        else None
-                    ),
-                    log_denominators=np.concatenate(
-                        [p.log_denominators for p in parts]
-                    ),
-                    quant=lead.quant,
-                    head_dim=lead.head_dim,
-                )
-            )
-        round_alive = None
-        if first.round_alive is not None:
-            # alive pairs are disjoint across head slices: sum elementwise
-            round_alive = np.sum(
-                [sr.round_alive for sr in shard_results], axis=0
-            )
-        return RaggedPickerResult(
-            results=results,
-            lengths=first.lengths,
-            round_alive=round_alive,
+        """One full-width :func:`token_picker_attention_ragged` call on
+        the pool's arena; ``kernel_kw`` carries the rest of its keyword
+        arguments (scales, segments, scratch, phase times)."""
+        return token_picker_attention_ragged(
+            qs,
+            config,
+            k_plane_arena=self.pool.k_arena,
+            v_arena=self.pool.v_arena,
+            **kernel_kw,
         )
 
     def step_views(

@@ -706,12 +706,10 @@ class RaggedPickerResult:
     kernel is a packing optimisation, never an approximation.  A *pruned*
     token's ``scores`` entry is its certified upper bound at the round
     that pruned it (``p'' >= p``, Eq. 5): its remaining chunks are never
-    fetched, which is the point.  ``lengths`` holds the per-sequence
-    context lengths.
+    fetched, which is the point.
     """
 
     results: list  # List[BatchedPickerResult], in the caller's order
-    lengths: np.ndarray  # int (S,)
     #: alive (head, token) pairs entering each chunk round, plus the
     #: final kept-pair count in the last slot — shape (n_chunks + 1,).
     #: ``round_alive[b] - round_alive[b + 1]`` is how many pairs were
@@ -1224,13 +1222,13 @@ def token_picker_attention_ragged(
             "float32 (head_dim * digit_max * |qmin| < 2**24)"
         )
 
-    lengths = segments[:, 1].copy()
+    lengths = segments[:, 1]
     results: list = [None] * n_seqs
     for s in np.flatnonzero(lengths == 0):
         results[s] = _empty_result(n_heads, head_dim, quant, v_arena is not None)
     live = np.flatnonzero(lengths > 0)
     if live.size == 0:
-        return RaggedPickerResult(results=results, lengths=lengths)
+        return RaggedPickerResult(results=results)
 
     geo = _segment_geometry(segments, live, config.prompt_guard)
     take_buf = (scratch if scratch is not None else KernelScratch()).take
@@ -1279,6 +1277,4 @@ def token_picker_attention_ragged(
             head_dim=head_dim,
         )
     clock.lap("unpack")
-    return RaggedPickerResult(
-        results=results, lengths=lengths, round_alive=round_alive
-    )
+    return RaggedPickerResult(results=results, round_alive=round_alive)

@@ -2,8 +2,9 @@
 
 Each of the 16 lanes carries (besides the 64-dim multiplier/adder tree):
 
-* :class:`Scoreboard` — 32 x 67-bit entries buffering the partial score and
-  partial exp of tokens awaiting their next chunk;
+* :class:`Scoreboard` — 32 x 67-bit entries (token index + 24-bit partial
+  score + 32-bit partial exp + bookkeeping, Fig. 7) buffering the partial
+  score and partial exp of tokens awaiting their next chunk;
 * :class:`PartialExpCalculator` (PEC) — produces ``exp(s_min)`` and the
   *difference* between chunk indices that the DAG aggregates;
 * :class:`RequestPruneDecisionUnit` (RPDU) — evaluates
@@ -30,11 +31,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.hw.fixedpoint import ConservativeExpUnit
-
-#: Bit widths from Fig. 7 (token idx + 24b partial score + 32b partial exp
-#: + bookkeeping = 67 bits per entry).
-PARTIAL_SCORE_BITS = 24
-PARTIAL_EXP_BITS = 32
 
 
 class ScoreboardFullError(RuntimeError):

@@ -331,7 +331,6 @@ class Tracer:
         dur: float,
         args: Dict[str, object],
         phase_seconds: Optional[Dict[str, float]] = None,
-        cycle: Optional[Dict[str, object]] = None,
     ) -> None:
         """One engine step: an ``engine_step`` span on the ``steps``
         track plus its phase breakdown laid out sequentially on the
@@ -340,18 +339,11 @@ class Tracer:
         *measured* durations placed end to end from the step's start —
         their sum can differ from the step's wall time by the unmeasured
         gaps between phases, so they live on their own track rather than
-        pretending to tile the step span exactly.
-
-        ``cycle`` (a :meth:`repro.hw.serving.StepCost.span_payload`
-        dict) additionally projects the step's *modelled* hardware cost
-        onto the sibling ``cycles`` track via :meth:`cycle_span` — the
-        dual-clock timeline."""
+        pretending to tile the step span exactly."""
         self.complete(
             process, "steps", "engine_step", ts=ts, dur=dur, cat="step",
             args=args,
         )
-        if cycle is not None:
-            self.cycle_span(process, ts=ts, dur=dur, payload=cycle)
         if not phase_seconds:
             return
         cursor = ts

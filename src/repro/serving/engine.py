@@ -147,6 +147,9 @@ class EngineStepReport:
     prefilling: int = 0
     prefill_tokens: int = 0
     prefill_bits: int = 0
+    #: ``time.perf_counter()`` at the step's start: the wall anchor its
+    #: ``engine_step`` span and the router's ``modelled_step`` twin share
+    wall_start: float = 0.0
     #: wall-clock seconds the whole step took, measured inside
     #: :meth:`ServingEngine.step` — the one step-latency float: the
     #: cluster router's ``step_seconds`` / ``token_latency_seconds``
@@ -277,7 +280,6 @@ class ServingEngine:
         prefix_cache: "Optional[RadixKVCache]" = None,
         tracer=None,
         trace_label: str = "engine",
-        cycle_sim=None,
         shards: int = 1,
     ) -> None:
         """``memory_manager`` switches admission from the conservative
@@ -312,25 +314,15 @@ class ServingEngine:
         ``None`` installs the falsy :data:`repro.obs.trace.NULL_TRACER`,
         so every instrumentation site reduces to one truthiness check.
 
-        ``cycle_sim`` (a :class:`repro.hw.serving.ServingSimulator`)
-        turns each sampled step span into a *dual-clock* record: the
-        step's measured per-sequence traffic is priced on the modelled
-        hardware (:meth:`~repro.hw.serving.ServingSimulator.price`,
-        two-tier when KV tiering is on and the step is unsharded) and its
-        :class:`~repro.hw.serving.StepCost` terms are projected onto the
-        trace's ``cycles`` track sharing the step's wall anchor.  Only consulted when a
-        step span is actually emitted, so it costs nothing on unsampled
-        steps or with tracing off.
-
         ``shards`` > 1 runs the engine head-sharded across K modelled
-        workers: the pool stays one full-width :class:`KVCachePool`,
-        each step's kernel runs once per worker on that worker's head
-        slice of the arena (views, via
-        :class:`repro.cluster.shard.ShardGroup`), and the kept-token
-        all-gather combining the partial outputs is priced by the
-        hardware model's interconnect term.  Arena bytes and decode
-        outputs stay bit-identical to ``shards=1``; a request with
-        fewer heads than shards is rejected at :meth:`submit`.
+        workers (:class:`repro.cluster.shard.ShardGroup`): the pool
+        stays one full-width :class:`KVCachePool`, each step's kernel is
+        still one full-width call, and every worker's head range is
+        reported as a :class:`~repro.cluster.shard.ShardStepView` whose
+        kept-token all-gather the hardware model's interconnect term
+        prices.  Arena bytes and decode outputs stay bit-identical to
+        ``shards=1``; a request with fewer heads than shards is rejected
+        at :meth:`submit`.
         """
         if safety_factor < 1.0:
             raise ValueError("safety_factor must be >= 1 (headroom only)")
@@ -354,7 +346,6 @@ class ServingEngine:
         self._tier_config = kv_tiering
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_label = trace_label
-        self.cycle_sim = cycle_sim
         #: sampled-in step spans whose attribute payload was actually
         #: built — benchmarks/test_trace_overhead.py asserts sampling
         #: skips the payload work entirely, not just the emit
@@ -799,7 +790,7 @@ class ServingEngine:
     def _admission_tokens(self, request: GenerationRequest) -> int:
         if self.memory_manager is None:
             return request.total_tokens
-        return self.memory_manager.admission_tokens(request)
+        return self.memory_manager.admission_tokens(request, self._block_size)
 
     def _reserve_tokens(self, request: GenerationRequest) -> int:
         if self.memory_manager is None:
@@ -1085,28 +1076,23 @@ class ServingEngine:
         segments: np.ndarray,
         phase_times: Dict[str, float],
     ) -> "RaggedPickerResult":
-        """The step's attention kernel: one fused arena call, or — on a
-        head-sharded engine — K slice calls combined in deterministic
-        shard order (bit-identical either way; see ShardGroup)."""
-        if self._shard_group is not None:
-            return self._shard_group.run(
-                qs,
-                q_scales,
-                k_scales,
-                segments,
-                self.config,
-                phase_times=phase_times,
-            )
-        return token_picker_attention_ragged(
-            qs,
-            self.config,
+        """The step's attention kernel: one fused call on the whole
+        arena, through the shard group on a head-sharded engine."""
+        kernel_kw = dict(
             q_scales=q_scales,
             k_scales=k_scales,
-            k_plane_arena=self.pool.k_arena,
-            v_arena=self.pool.v_arena,
             segments=segments,
             scratch=self._scratch,
             phase_times=phase_times,
+        )
+        if self._shard_group is not None:
+            return self._shard_group.run(qs, self.config, **kernel_kw)
+        return token_picker_attention_ragged(
+            qs,
+            self.config,
+            k_plane_arena=self.pool.k_arena,
+            v_arena=self.pool.v_arena,
+            **kernel_kw,
         )
 
     def _draw(self, pooled: List[SequenceRecord]) -> np.ndarray:
@@ -1139,9 +1125,10 @@ class ServingEngine:
         (active decodes each claim one budget token, the leftover feeds
         prefill — decode is never throttled); a sequence joins the fused
         decode batch the step its last prompt chunk lands."""
-        t_step0 = time.perf_counter()
         now = self._step_index
-        report = EngineStepReport(step_index=now)
+        report = EngineStepReport(
+            step_index=now, wall_start=time.perf_counter()
+        )
         if self._preempted:
             self._resume_preempted(report)
         # ---- prefill: admission (scale freeze) and this step's prompt
@@ -1172,7 +1159,7 @@ class ServingEngine:
         self.peak_concurrency = max(self.peak_concurrency, len(pooled))
         if not pooled:
             self._step_index += 1
-            self._trace_step(report, t_step0)
+            self._trace_step(report)
             return report
 
         # ---- pack: draw every sequence's new token, count clips against
@@ -1199,9 +1186,8 @@ class ServingEngine:
         segments = self.pool.segments_of(seq_ids)
         report.phase_seconds["pack"] = time.perf_counter() - t_mark
 
-        # ---- one fused kernel call straight on the arena (or one per
-        # head shard): the segment table is the only per-step metadata,
-        # no packing copies
+        # ---- one fused kernel call straight on the arena: the segment
+        # table is the only per-step metadata, no packing copies
         ragged = self._run_kernel(
             qs, q_scales, k_scales, segments, report.phase_seconds
         )
@@ -1267,10 +1253,10 @@ class ServingEngine:
             - t_mark
         )
         self._step_index += 1
-        self._trace_step(report, t_step0)
+        self._trace_step(report)
         return report
 
-    def _trace_step(self, report: EngineStepReport, t0: float) -> None:
+    def _trace_step(self, report: EngineStepReport) -> None:
         """Stamp the step's wall time and (when sampled) emit its span.
 
         ``wall_seconds`` is always measured — the cluster router reads it
@@ -1279,7 +1265,7 @@ class ServingEngine:
         value.  The span itself is emitted only when tracing is on, the
         step is sampled, and the step did any work.
         """
-        report.wall_seconds = time.perf_counter() - t0
+        report.wall_seconds = time.perf_counter() - report.wall_start
         tracer = self.tracer
         if not tracer or not tracer.want_step(report.step_index):
             return
@@ -1322,30 +1308,12 @@ class ServingEngine:
             if fast or slow:
                 args["fast_bits"] = fast
                 args["slow_bits"] = slow
-        cycle = None
-        if self.cycle_sim is not None and (
-            report.per_sequence or report.prefill_bits
-        ):
-            cycle = self.price_step(report).span_payload()
         tracer.step_span(
             self.trace_label,
-            ts=t0,
+            ts=report.wall_start,
             dur=report.wall_seconds,
             args=args,
             phase_seconds=report.phase_seconds or None,
-            cycle=cycle,
-        )
-
-    def price_step(self, report: EngineStepReport):
-        """This engine's modelled cost of one of its (non-idle) step
-        reports on ``cycle_sim``, at the pool's head scale.  Sharded
-        pricing wins over two-tier: the shard views already reflect
-        post-tier-repair fetch decisions, and the straggler + all-gather
-        terms are the step's dominant modelled costs."""
-        return self.cycle_sim.price(
-            report,
-            engine_heads=self.pool.n_heads if self.pool is not None else None,
-            two_tier=self.tiers is not None and not report.shard_views,
         )
 
     def _tier_post_kernel(

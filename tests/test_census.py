@@ -37,8 +37,12 @@ def test_flags_unreachable_test_only_and_unused_reexport(tmp_path):
             run()
         """,
         "src/pkg/mod.py": """\
+            SCALE = 2
+            UNREAD = 3
+
+
             def run():
-                return helper()
+                return helper() * SCALE
 
 
             def helper():
@@ -59,14 +63,16 @@ def test_flags_unreachable_test_only_and_unused_reexport(tmp_path):
         """,
         "tests/test_mod.py": """\
             from pkg.dead import VALUE
-            from pkg.mod import only_tested
+            from pkg.mod import UNREAD, only_tested
         """,
     })
     code, findings = _census(tmp_path)
     assert code == 1
     assert findings == [
         "module not reached from a root: pkg.dead",
-        "reached only by tests or itself: pkg.mod:only_tested (mod.py:9)",
+        "reached only by tests or itself: pkg.dead:VALUE (dead.py:1)",
+        "reached only by tests or itself: pkg.mod:UNREAD (mod.py:2)",
+        "reached only by tests or itself: pkg.mod:only_tested (mod.py:13)",
         "re-export nothing imports through its package: pkg.helper",
     ]
 

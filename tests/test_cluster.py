@@ -157,11 +157,23 @@ class TestMemoryPolicy:
     def test_footprints(self):
         rng = np.random.default_rng(0)
         request = synthetic_request(rng, 2, 32, 16, max_new_tokens=100)
-        optimistic = OptimisticMemory(margin_blocks=1, block_size=16)
-        assert optimistic.admission_tokens(request) == 48  # prompt + 1 block
+        optimistic = OptimisticMemory(margin_blocks=1)
+        assert optimistic.admission_tokens(request, 16) == 48  # + 1 block
+        assert optimistic.admission_tokens(request, 32) == 64
         assert optimistic.reserve_tokens(request) == 32
         short = synthetic_request(rng, 2, 32, 16, max_new_tokens=2)
-        assert optimistic.admission_tokens(short) == 34  # capped at lifetime
+        assert optimistic.admission_tokens(short, 16) == 34  # capped
+
+    def test_margin_is_counted_in_the_engines_blocks(self):
+        """On 32-token blocks the one-block margin is 32 tokens: with two
+        blocks free, a 40-token prompt (needing 72) waits; a 16-token
+        margin would have admitted it."""
+        engine = _optimistic_engine(capacity_tokens=96, block_size=32)
+        rng = np.random.default_rng(0)
+        first = engine.submit(synthetic_request(rng, 2, 32, 16, 8))
+        engine.submit(synthetic_request(rng, 2, 40, 16, 48))
+        assert engine.step().admitted == [first]
+        assert engine.n_pending == 1
 
     def test_victim_selection_prefers_lowest_mass_then_lifo(self):
         def cand(seq_id, mass, admitted):
@@ -539,6 +551,82 @@ class TestClusterHardwareModel:
                 assert span.args["variant"] == straggler["variant"]
             if kv_tiering is not None:
                 assert any(e.args.get("slow_bytes") for e in cluster)
+
+    @staticmethod
+    def _traced_run(tracer, revive=False):
+        """Eight requests on a traced two-replica router with a cycle
+        model; ``revive`` kills and revives replica 1 after one idle
+        tick, so its step count restarts one behind the router's."""
+        from repro.hw.serving import ServingSimulator
+        from repro.model.config import get_model_config
+
+        router = ClusterRouter(
+            2, CFG, max_batch_size=4, capacity_tokens=1024, seed=5,
+            tracer=tracer,
+            cycle_sim=ServingSimulator(
+                get_model_config("gpt2-medium"), 64, config=CFG
+            ),
+        )
+        if revive:
+            router.step()
+            router.kill_replica(1)
+            router.revive_replica(1)
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            router.submit(synthetic_request(rng, 4, 64, 16, 4))
+        router.run_until_drained()
+        spans = [e for e in tracer.events if e.ph == "X"]
+        modelled = [e for e in spans if e.name == "modelled_step"]
+        return (
+            spans,
+            [e for e in modelled if e.process != "cluster"],
+            [e for e in modelled if e.process == "cluster"],
+        )
+
+    def test_sampled_fleet_spans_after_a_revive(self):
+        """A revived replica samples by its restarted step index, so
+        under step sampling its spans fall on other ticks than its
+        peer's.  Every replica ``modelled_step`` still has its
+        ``engine_step`` twin, and each fleet span aggregates exactly the
+        replica spans drawn under it."""
+        from repro.obs import Tracer
+
+        spans, replica, fleet = self._traced_run(
+            Tracer(sample_steps=2), revive=True
+        )
+        steps = {(e.process, e.ts_s) for e in spans if e.name == "engine_step"}
+        assert {e.process for e in replica} == {"r0", "r1+1"}
+        assert all((e.process, e.ts_s) in steps for e in replica)
+        assert fleet
+        for span in fleet:
+            drawn = [
+                e.args["total_cycles"]
+                for e in replica
+                if span.ts_s <= e.ts_s <= span.ts_s + span.dur_s
+            ]
+            assert span.args["n_replicas"] == len(drawn)
+            assert span.args["total_cycles"] == max(drawn)
+            assert span.args["cluster_total_cycles"] == sum(drawn)
+        assert sum(span.args["n_replicas"] for span in fleet) == len(replica)
+
+    def test_each_drawn_replica_step_is_priced_once(self, monkeypatch):
+        """The router is the one pricer: one ``price`` call per replica
+        ``modelled_step``, none for steps the sampler skipped."""
+        from repro.hw.serving import ServingSimulator
+        from repro.obs import Tracer
+
+        priced = []
+        price = ServingSimulator.price
+
+        def counting(self, report, *args, **kw):
+            priced.append(report)
+            return price(self, report, *args, **kw)
+
+        monkeypatch.setattr(ServingSimulator, "price", counting)
+        _, replica, fleet = self._traced_run(Tracer(sample_steps=2))
+        assert replica and fleet
+        assert len(priced) == len(replica)
+        assert len({id(r) for r in priced}) == len(priced)
 
 
 # ------------------------------------------------------ mid-prefill preemption

@@ -352,7 +352,7 @@ class TestTieredEngineBitIdentity:
                 block_size=8,
                 seed=0,
                 memory_manager=make_memory_manager(
-                    "tiered" if tier else "optimistic", block_size=8
+                    "tiered" if tier else "optimistic"
                 ),
                 kv_tiering=tier,
             )

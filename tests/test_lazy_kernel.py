@@ -254,9 +254,7 @@ class TestEngineMatchesBatched:
 
             kwargs = dict(
                 block_size=8,
-                memory_manager=make_memory_manager(
-                    "optimistic", block_size=8
-                ),
+                memory_manager=make_memory_manager("optimistic"),
             )
         return ServingEngine(
             CFG,

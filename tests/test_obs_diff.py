@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterRouter
 from repro.core import TokenPickerConfig
 from repro.hw.serving import ServingSimulator
 from repro.model.config import get_model_config
@@ -22,20 +23,24 @@ from repro.obs.diff import (
     main,
     trace_summary,
 )
-from repro.serving import ServingEngine, synthetic_request
+from repro.serving import synthetic_request
 
 CFG = TokenPickerConfig(threshold=2e-3)
 
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
-    """One small traced run with the dual-clock track, written once."""
+    """One small traced run with the dual-clock track, written once: a
+    one-replica router under conservative admission serves like a bare
+    engine, and the router prices its steps."""
     tracer = Tracer()
     sim = ServingSimulator(
         get_model_config("gpt2-medium"), context_length=64, config=CFG
     )
-    engine = ServingEngine(
+    router = ClusterRouter(
+        1,
         CFG,
+        admission="conservative",
         max_batch_size=4,
         capacity_tokens=4096,
         seed=0,
@@ -44,8 +49,8 @@ def trace_path(tmp_path_factory):
     )
     rng = np.random.default_rng(0)
     for _ in range(6):
-        engine.submit(synthetic_request(rng, 2, 32, 16, 4))
-    engine.run_until_drained()
+        router.submit(synthetic_request(rng, 2, 32, 16, 4))
+    router.run_until_drained()
     path = tmp_path_factory.mktemp("diff") / "run.jsonl"
     tracer.write_span_log(path)
     return path

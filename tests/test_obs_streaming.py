@@ -34,14 +34,13 @@ from repro.serving import ServingEngine, synthetic_request
 CFG = TokenPickerConfig(threshold=2e-3)
 
 
-def _drive_engine(tracer, n_requests=6, seed=0, cycle_sim=None):
+def _drive_engine(tracer, n_requests=6, seed=0):
     engine = ServingEngine(
         CFG,
         max_batch_size=4,
         capacity_tokens=4096,
         seed=seed,
         tracer=tracer,
-        cycle_sim=cycle_sim,
     )
     rng = np.random.default_rng(seed)
     for _ in range(n_requests):
@@ -178,22 +177,34 @@ def test_gzip_round_trip(tmp_path):
 
 
 def test_cycle_track_streams_and_validates(tmp_path):
-    """A traced engine with a cycle model streams the dual-clock track:
+    """A traced router with a cycle model streams the dual-clock track:
     modelled_step spans on thread "cycles" with exact cycle args, and
     the post-hoc Perfetto projection passes full schema validation."""
+    from repro.cluster import ClusterRouter
     from repro.hw.serving import ServingSimulator
     from repro.model.config import get_model_config
 
     path = tmp_path / "cycles.jsonl"
     tracer = Tracer(sink=JsonlStreamingSink(path))
-    sim = ServingSimulator(
-        get_model_config("gpt2-medium"), context_length=64, config=CFG
+    router = ClusterRouter(
+        1,
+        CFG,
+        admission="conservative",
+        max_batch_size=4,
+        capacity_tokens=4096,
+        tracer=tracer,
+        cycle_sim=ServingSimulator(
+            get_model_config("gpt2-medium"), context_length=64, config=CFG
+        ),
     )
-    _drive_engine(tracer, cycle_sim=sim)
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        router.submit(synthetic_request(rng, 2, 32, 16, 4))
+    router.run_until_drained()
     tracer.close()
 
     analysis = analyze_file(path)
-    modelled = analysis.modelled["engine"]
+    modelled = analysis.modelled["r0"]
     assert modelled["steps"] > 0
     assert modelled["total_cycles"] > 0
     assert modelled["modelled_seconds"] > 0
@@ -204,7 +215,7 @@ def test_cycle_track_streams_and_validates(tmp_path):
         == modelled["total_cycles"]
     )
     summary = analysis.summary()
-    assert summary["replicas"]["engine"]["modelled"]["steps"] == modelled[
+    assert summary["replicas"]["r0"]["modelled"]["steps"] == modelled[
         "steps"
     ]
 
@@ -212,9 +223,15 @@ def test_cycle_track_streams_and_validates(tmp_path):
 
     record = span_records_to_perfetto(load_events(path))
     validate_trace(record, name="cycles")
+    r0 = next(
+        e["pid"]
+        for e in record["traceEvents"]
+        if e["name"] == "process_name" and e["args"]["name"] == "r0"
+    )
     cycle_spans = [
         e
         for e in record["traceEvents"]
         if e.get("ph") == "X" and e["name"] == "modelled_step"
+        and e["pid"] == r0
     ]
     assert len(cycle_spans) == modelled["steps"]

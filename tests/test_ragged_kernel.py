@@ -495,9 +495,6 @@ class TestAggregates:
             _oracle_scales(values, config.quant),
         )
         assert len(ragged.results) == 5
-        assert np.array_equal(
-            ragged.lengths, np.array([k.shape[1] for k in keys])
-        )
         merged = ragged.stats()
         assert merged.n_tokens == sum(2 * k.shape[1] for k in keys)
         assert merged.k_chunks_fetched == sum(

@@ -55,7 +55,7 @@ def _drain(
         # mid-flight, exercising the byte-exact swap path
         kw["capacity_tokens"] = 80
         kw["block_size"] = 8
-        kw["memory_manager"] = OptimisticMemory(block_size=8)
+        kw["memory_manager"] = OptimisticMemory()
     engine = ServingEngine(CFG, **kw)
     for request in _requests(np.random.default_rng(0), n_heads=n_heads, **req_kw):
         engine.submit(request)
@@ -354,9 +354,9 @@ class TestShardedEngineBitIdentity:
 
 # -------------------------------------------------------------- ShardGroup
 class TestShardGroup:
-    def test_combine_matches_single_call_on_raw_pools(self):
-        """K head-slice kernel calls on one pool, concatenated in shard
-        order, reproduce the one-call result on the same arena."""
+    def test_run_is_one_direct_kernel_call_on_raw_pool(self):
+        """``run`` is the plain full-width kernel call on its pool's
+        arena: its result equals a direct call's."""
         rng = np.random.default_rng(4)
         n_heads, head_dim, t = 4, 8, 20
         quant = CFG.quant
@@ -390,12 +390,34 @@ class TestShardGroup:
         )
         group = ShardGroup(flat, 2)
         assert group.head_ranges == [(0, 2), (2, 4)]
-        combined = group.run(qs, q_scales, k_scales, segments, CFG)
-        for x, y in zip(single.results, combined.results):
+        ran = group.run(
+            qs, CFG, q_scales=q_scales, k_scales=k_scales, segments=segments
+        )
+        for x, y in zip(single.results, ran.results):
             assert np.array_equal(x.outputs, y.outputs)
             assert np.array_equal(x.kept, y.kept)
             assert np.array_equal(x.chunks_fetched, y.chunks_fetched)
-        assert np.array_equal(single.round_alive, combined.round_alive)
+        assert np.array_equal(single.round_alive, ran.round_alive)
+
+    @pytest.mark.parametrize("shards, n_heads", [(2, 4), (3, 5)])
+    def test_one_full_width_kernel_call_per_step(
+        self, monkeypatch, shards, n_heads
+    ):
+        """Shards are views of one call: every decoding step of a
+        sharded engine (no tiering, so no repair reruns) calls the
+        kernel exactly once, over all of its heads."""
+        widths = []
+        kernel = shard_module.token_picker_attention_ragged
+
+        def spy(qs, *args, **kw):
+            widths.append(qs.shape[1])
+            return kernel(qs, *args, **kw)
+
+        monkeypatch.setattr(shard_module, "token_picker_attention_ragged", spy)
+        engine, reports = _drain(shards, n_heads=n_heads)
+        decoding = [r for r in reports if r.per_sequence]
+        assert engine.tiers is None and decoding
+        assert widths == [n_heads] * len(decoding)
 
     def test_step_views_account_kept_pairs(self):
         engine, reports = _drain(2)

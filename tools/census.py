@@ -10,9 +10,10 @@ listing what it found, when
 
 1. a ``src/`` module is not imported, directly or through other
    modules, from a root;
-2. a function, class or method is referenced only inside its own body,
-   in ``tests/``, in a package ``__init__`` (a re-export), or from
-   definitions this rule already flagged;
+2. a function, class, method or module-level ``ALL_CAPS`` constant is
+   referenced only inside its own body, in ``tests/``, in a package
+   ``__init__`` (a re-export), or from definitions this rule already
+   flagged;
 3. a package ``__init__`` re-exports a name that no other file imports
    through that package.
 
@@ -48,6 +49,7 @@ ALLOWED = {
 }
 
 _NAME_STRING = re.compile(r"[A-Za-z_][\w.:]*")
+_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 class Source:
@@ -93,6 +95,10 @@ class Source:
             if isinstance(node, ast.ClassDef) and not owner:
                 for child in node.body:
                     self._define(child, node.name + ".")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not owner:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            self.defs += [(t.id, node.lineno, node.end_lineno) for t in targets
+                          if isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id)]
 
 
 def load(root: Path):
