@@ -44,8 +44,8 @@ import numpy as np
 
 from repro.core.config import TokenPickerConfig
 from repro.core.pruning import (
-    BatchedPickerResult,
     RaggedPickerResult,
+    RaggedSequenceResult,
     token_picker_attention_ragged,
 )
 from repro.serving.kv_pool import KVCachePool
@@ -143,43 +143,43 @@ class ShardGroup:
         )
 
     def step_views(
-        self, results: Sequence[BatchedPickerResult]
+        self, results: Sequence[RaggedSequenceResult]
     ) -> List[ShardStepView]:
         """Per-shard interconnect/traffic telemetry from a step's *final*
-        per-sequence results (post tier-repair), sliced by head range —
-        computed once per step so tier reruns are not double-counted."""
+        per-sequence results (post tier-repair), summed by head range from
+        their per-head kept and chunk counts — computed once per step so
+        tier reruns are not double-counted."""
         quant = self.pool.quant
         d = self.pool.head_dim
+        starts = [lo for lo, _ in self.head_ranges]
+        widths = np.array([hi - lo for lo, hi in self.head_ranges])
+        # (S, K) kept pairs, fetched chunks and pairs per sequence and shard
+        per_head = np.array(
+            [(r.kept_per_head, r.chunks_per_head) for r in results]
+        ).reshape(-1, 2, self.pool.n_heads)
+        per_shard = np.add.reduceat(per_head, starts, axis=2)
+        kept, chunks = per_shard[:, 0], per_shard[:, 1]
+        pairs = np.outer([r.n_tokens for r in results], widths)
+        seq_bits = (chunks * quant.chunk_bits + kept * quant.total_bits) * d
+        seq_baseline_bits = 2 * pairs * d * quant.total_bits
         views: List[ShardStepView] = []
-        for s, (h_lo, h_hi) in enumerate(self.head_ranges):
-            kept_pairs = 0
-            total_pairs = 0
-            seq_bits: List[int] = []
-            seq_baseline_bits: List[int] = []
-            for result in results:
-                kept = result.kept[h_lo:h_hi]
-                chunks = result.chunks_fetched[h_lo:h_hi]
-                pairs = kept.size
-                n_kept = int(kept.sum())
-                kept_pairs += n_kept
-                total_pairs += pairs
-                seq_bits.append(
-                    int(chunks.sum()) * d * quant.chunk_bits
-                    + n_kept * d * quant.total_bits
-                )
-                seq_baseline_bits.append(2 * pairs * d * quant.total_bits)
+        for s, head_range in enumerate(self.head_ranges):
+            kept_pairs = int(kept[:, s].sum())
+            total_pairs = int(pairs[:, s].sum())
             views.append(
                 ShardStepView(
                     shard=s,
-                    head_range=(h_lo, h_hi),
+                    head_range=head_range,
                     kept_pairs=kept_pairs,
                     total_pairs=total_pairs,
                     allgather_bits=kept_pairs * d * quant.total_bits,
                     baseline_allgather_bits=(
                         total_pairs * d * quant.total_bits
                     ),
-                    seq_bits=tuple(seq_bits),
-                    seq_baseline_bits=tuple(seq_baseline_bits),
+                    seq_bits=tuple(seq_bits[:, s].tolist()),
+                    seq_baseline_bits=tuple(
+                        seq_baseline_bits[:, s].tolist()
+                    ),
                 )
             )
         return views

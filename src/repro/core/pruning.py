@@ -391,15 +391,17 @@ _ZERO_INDEX = np.array([0], dtype=np.intp)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Whole-row sums with ``np.add.reduceat``'s deterministic fold.
+    """Whole-row sums with ``np.add.reduceat``'s fold.
 
-    ``ndarray.sum`` uses pairwise summation whose grouping depends on the
-    reduction length, so a sequence's reductions would come out different
-    bits depending on how the batch around it is packed.  ``reduceat``
-    applies one left-to-right fold per slice that depends only on the
-    slice's own values, which is what lets the ragged kernel reduce many
-    sequences in one call (`np.add.reduceat` over segment boundaries) and
-    still match this rectangular kernel bit for bit.
+    ``ndarray.sum`` groups its additions by how the reduction is laid
+    out (the length, the axis, the buffering), so a sequence's sums
+    would come out different bits depending on how the batch around it
+    is packed.  ``reduceat`` is not a left-to-right fold either — it
+    blocks pairwise inside a long slice — but each slice's result
+    depends only on that slice's own values, in order, wherever the
+    slice sits.  That is what lets the ragged kernel reduce many
+    sequences in one call (``np.add.reduceat`` over segment boundaries)
+    and still match this rectangular kernel bit for bit.
     """
     return np.add.reduceat(x, _ZERO_INDEX, axis=1)[:, 0]
 
@@ -431,26 +433,29 @@ def _grouped_softmax(flat_scores: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def _grouped_weighted_v(
-    flat_probs: np.ndarray, v_rows: np.ndarray, bounds: np.ndarray, head_dim: int
+    flat_probs: np.ndarray, v_rows: np.ndarray, bounds: np.ndarray
 ) -> np.ndarray:
     """Per-group sums of ``p_i * v_i`` over kept tokens — the step-1 AV.
 
-    ``flat_probs`` (n,) and ``v_rows`` (n, d) hold the *kept* tokens only
-    (group-major, token order preserved), ``bounds`` their (G + 1,)
-    cumulative boundaries.  Pruned tokens carry probability exactly zero:
-    adding a zero term to a left fold cannot change its value (only,
-    at most, the sign of a zero result, which compares equal), so
-    reducing the kept subset matches the dense reduction bit-for-bit
-    while touching ~keep-fraction of the memory.  Groups reduce with the
-    same ``reduceat`` fold as :func:`_row_sums`.
+    ``flat_probs`` (n,) and ``v_rows`` (n, d) hold the *kept* tokens
+    only (group-major, token order preserved), ``bounds`` their (G + 1,)
+    cumulative boundaries; ``v_rows`` is weighted in place.  Reducing
+    the kept subset is not the same sum as reducing a dense row with
+    zeros at the pruned tokens: the zero terms would move ``reduceat``'s
+    pairwise blocking and change the bits.  The kept-row reduction is
+    the definition — it is what the hardware's step 1 accumulates — and
+    both kernels reduce the same kept rows, in the same order, through
+    this one function, which is why they agree bit for bit.  Groups
+    reduce with the same ``reduceat`` fold as :func:`_row_sums`; empty
+    groups are skipped as in :func:`_grouped_softmax`.
     """
-    out = np.zeros((len(bounds) - 1, head_dim))
+    out = np.zeros((len(bounds) - 1, v_rows.shape[1]))
     if flat_probs.size == 0:
         return out
-    weighted = flat_probs[:, None] * v_rows
+    np.multiply(v_rows, flat_probs[:, None], out=v_rows)
     counts = np.diff(bounds)
     nonempty = counts > 0
-    out[nonempty] = np.add.reduceat(weighted, bounds[:-1][nonempty], axis=0)
+    out[nonempty] = np.add.reduceat(v_rows, bounds[:-1][nonempty], axis=0)
     return out
 
 
@@ -470,7 +475,7 @@ class KernelScratch:
 
     def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         dt = np.dtype(dtype)
-        n = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
+        n = math.prod(shape)  # not np.prod: its array round trip dominated
         key = (name, dt.str)
         buf = self._buffers.get(key)
         if buf is None or buf.size < n:
@@ -561,7 +566,7 @@ def _checked_scales(explicit, shape) -> np.ndarray:
 
 
 def _empty_result(n_heads, head_dim, quant, has_values) -> BatchedPickerResult:
-    """What both kernels return for a zero-length context."""
+    """What the batched kernel returns for a zero-length context."""
     return BatchedPickerResult(
         kept=np.zeros((n_heads, 0), dtype=bool),
         chunks_fetched=np.zeros((n_heads, 0), dtype=np.int64),
@@ -679,9 +684,7 @@ def token_picker_attention_batched(
             )
             * v_scale[:, None, None]
         )
-        outputs = _grouped_weighted_v(
-            flat_probs, v_deq[alive], kept_bounds, head_dim
-        )
+        outputs = _grouped_weighted_v(flat_probs, v_deq[alive], kept_bounds)
 
     return BatchedPickerResult(
         kept=alive,
@@ -695,21 +698,133 @@ def token_picker_attention_batched(
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_NO_PAIRS = (
+    _read_only(np.zeros(0, dtype=np.intp)),
+    _read_only(np.zeros(0)),
+)
+
+
+class RaggedSequenceResult:
+    """One sequence's outcome of a :func:`token_picker_attention_ragged`
+    call, stored at the cost of what the kernel decided.
+
+    The kernel hands each sequence its own copy of the two per-token
+    records no aggregate can replace, plus views of the call's kept
+    pairs and per-(head, segment) aggregates:
+
+    * ``scores`` (H, t) float64: exact for kept tokens, the certified
+      bound for pruned ones; ``chunks_fetched`` (H, t) uint8 counts;
+    * ``kept_pairs``: ``(index, probs)``, the kept pairs' ascending
+      flat indices into the (H, t) grid and their probabilities — what
+      the tier store and the retained-mass signal read beside
+      ``scores``;
+    * ``stats()``, ``kept_per_head`` and ``chunks_per_head``: O(1) reads
+      of the aggregates — what the engine's accounting and the shard
+      views use;
+    * ``outputs`` (H, d) (``None`` when the call had no V) and
+      ``log_denominators`` (H,): the call's per-segment rows;
+    * ``kept`` and ``probs``: dense (H, t) arrays built from the kept
+      pairs on first access, then cached.
+
+    Every array is read-only and none views :class:`KernelScratch`, so
+    a result outlives later calls on the same scratch (a tiered engine
+    re-runs the kernel mid-step).  The per-token records are the
+    sequence's own copies, so a result holds no other sequence's
+    per-token data; its kept pairs and aggregates view small per-call
+    arrays.
+    """
+
+    __slots__ = (
+        "scores", "chunks_fetched", "kept_pairs", "kept_per_head",
+        "chunks_per_head", "outputs", "log_denominators", "quant",
+        "head_dim", "_kept", "_probs",
+    )
+
+    def __init__(
+        self, scores, chunks, kept_pairs, kept_per_head, chunks_per_head,
+        outputs, log_denominators, quant, head_dim,
+    ) -> None:
+        self.scores = _read_only(scores)
+        self.chunks_fetched = _read_only(chunks)
+        self.kept_pairs = kept_pairs
+        self.kept_per_head = kept_per_head
+        self.chunks_per_head = chunks_per_head
+        self.outputs = outputs
+        self.log_denominators = log_denominators
+        self.quant, self.head_dim = quant, head_dim
+        self._kept = self._probs = None
+
+    @property
+    def n_tokens(self) -> int:
+        return self.scores.shape[1]
+
+    def _dense(self, values, dtype) -> np.ndarray:
+        """(H, t) with ``values`` at the kept pairs, zero elsewhere."""
+        dense = np.zeros(self.scores.shape, dtype=dtype)
+        dense.reshape(-1)[self.kept_pairs[0]] = values
+        return _read_only(dense)
+
+    @property
+    def kept(self) -> np.ndarray:
+        if self._kept is None:
+            self._kept = self._dense(True, bool)
+        return self._kept
+
+    @property
+    def probs(self) -> np.ndarray:
+        if self._probs is None:
+            self._probs = self._dense(self.kept_pairs[1], np.float64)
+        return self._probs
+
+    def stats(self) -> PruneStats:
+        """Accounting over all heads, from the aggregates."""
+        n_kept = sum(self.kept_per_head.tolist())
+        return PruneStats(
+            n_tokens=self.scores.size,
+            n_kept=n_kept,
+            k_chunks_fetched=sum(self.chunks_per_head.tolist()),
+            v_vectors_fetched=n_kept,
+            head_dim=self.head_dim,
+            quant=self.quant,
+        )
+
+
+def _empty_sequence(n_heads, head_dim, quant, has_values):
+    """The ragged kernel's result for a zero-length segment."""
+    zeros = _read_only(np.zeros(n_heads, dtype=np.int64))
+    return RaggedSequenceResult(
+        np.zeros((n_heads, 0)),
+        np.zeros((n_heads, 0), dtype=np.uint8),
+        _NO_PAIRS,
+        zeros,
+        zeros,
+        _read_only(np.zeros((n_heads, head_dim))) if has_values else None,
+        _read_only(np.full(n_heads, -np.inf)),
+        quant,
+        head_dim,
+    )
+
+
 @dataclass
 class RaggedPickerResult:
     """Results of one fused ragged-batch kernel call.
 
-    ``results[s]`` matches an independent
-    :func:`token_picker_attention_batched` call on sequence ``s`` bit for
-    bit in ``kept``, ``chunks_fetched``, ``probs``, ``outputs``,
-    ``log_denominators`` and the kept tokens' ``scores`` — the fused
-    kernel is a packing optimisation, never an approximation.  A *pruned*
-    token's ``scores`` entry is its certified upper bound at the round
-    that pruned it (``p'' >= p``, Eq. 5): its remaining chunks are never
-    fetched, which is the point.
+    ``results[s]`` (a :class:`RaggedSequenceResult`) matches an
+    independent :func:`token_picker_attention_batched` call on sequence
+    ``s`` bit for bit in ``kept``, ``chunks_fetched``, ``probs``,
+    ``outputs``, ``log_denominators``, ``stats()`` and the kept tokens'
+    ``scores`` — the fused kernel is a packing optimisation, never an
+    approximation.  A *pruned* token's ``scores`` entry is its certified
+    upper bound at the round that pruned it (``p'' >= p``, Eq. 5): its
+    remaining chunks are never fetched, which is the point.
     """
 
-    results: list  # List[BatchedPickerResult], in the caller's order
+    results: list  # List[RaggedSequenceResult], in the caller's order
     #: alive (head, token) pairs entering each chunk round, plus the
     #: final kept-pair count in the last slot — shape (n_chunks + 1,).
     #: ``round_alive[b] - round_alive[b + 1]`` is how many pairs were
@@ -832,13 +947,6 @@ def _spread(table, index, out) -> None:
     np.take(table, index, axis=1, out=out, mode="clip")
 
 
-def _pairs(mask):
-    """``np.nonzero`` of a C-contiguous (H, total) mask as ``(h, t)``, via
-    the 1-D scan — an order of magnitude faster than the 2-D one on the
-    thinned-out masks of the later rounds."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
 def _contract_chunk(planes_c, q_seg, st, en, out) -> None:
     """Every token's digit row of one chunk dotted with its sequence's
     query, into ``out`` (H, total).  ``planes_c`` is the (H, total, d)
@@ -855,20 +963,9 @@ def _contract_chunk(planes_c, q_seg, st, en, out) -> None:
         )
 
 
-def _contract_pairs(planes, chunk, t_idx, h_idx, q_pair, out) -> None:
-    """The alive ``(head, token)`` pairs' digit rows of one chunk dotted
-    with their (A, d) gathered query rows, into ``out`` (A,).  ``planes``
-    is the full (H, C, total, d) digit view; ``out.dtype`` selects
-    integer accumulation."""
-    rows = planes[h_idx, chunk, t_idx]  # (A, d) gather
-    if out.dtype == np.int64 and rows.dtype != np.int64:
-        rows = rows.astype(np.int64)  # lossless: digits are exact ints
-    np.einsum("ad,ad->a", rows, q_pair, out=out)
-
-
 def _score_rounds(
     geo: _SegmentGeometry,
-    planes: np.ndarray,
+    k_arena: np.ndarray,
     q_codes: np.ndarray,
     score_scale: np.ndarray,
     config: TokenPickerConfig,
@@ -879,29 +976,39 @@ def _score_rounds(
     """The breadth rounds over the flat axis: score, then prune, per chunk.
 
     Round 1 (chunk 0) touches every token once through one batched
-    contraction; each later round extends only the surviving
-    (head, token) pairs' partial scores by their next chunk digit, so
-    per-round score cost scales with the alive set (the keep fraction of
-    T) instead of T * C — the paper's on-demand fetch.  Chunk
-    contractions are exact integers (float64 under the 52-bit gate,
-    float32 digits under the 2**24 gate, int64 otherwise), so incremental
-    accumulation equals the rectangular kernel's cumulative table, and
-    the per-round denominators re-reduce the whole lower-bound row
-    through the same ``reduceat`` folds as :func:`_row_sums`.
+    contraction, and so do later rounds while the alive set is a
+    sizeable fraction of the grid.  Once it thins, a round works on the
+    alive (head, token) pairs only, indexed by one ascending flat array
+    ``h * total + t``: each pair's digit row and query row arrive by one
+    ``np.take`` each into scratch, and the per-pair state is read and
+    written through flat views — per-round score cost scales with the
+    alive set (the keep fraction of T) instead of T * C, the paper's
+    on-demand fetch.  Chunk contractions are exact integers (float64
+    under the 52-bit gate, float32 digits under the 2**24 gate, int64
+    otherwise), so any contraction order gives the same bits and
+    incremental accumulation equals the rectangular kernel's cumulative
+    table; the per-round denominators re-reduce the whole lower-bound
+    row through the same ``reduceat`` folds as :func:`_row_sums`.
 
-    ``planes`` is the (H, C, total, d) unshifted-digit view of the arena
-    span, ``q_codes`` (S, H, d) int64, ``score_scale`` (S, H).  Returns
-    ``(alive, chunks_fetched, scores, log_den_seg, round_alive)`` — the
-    first three (H, total), ``log_den_seg`` (H, n_live).
+    ``k_arena`` is the whole (H, C, T_cap, d) unshifted-digit arena,
+    ``q_codes`` (S, H, d) int64, ``score_scale`` (S, H).  Returns
+    ``(kept_flat, kept_scores, chunks_fetched, scores, log_den_seg,
+    round_alive)``: the kept pairs' ascending flat indices and exact
+    scores (owned arrays), the (H, total) uint8 chunk counts and scores
+    (scratch views; kept pairs hold their exact scores) and the
+    (H, n_live) log denominators.
     """
     quant = config.quant
     n_chunks = quant.n_chunks
-    n_heads, head_dim = q_codes.shape[1:]
+    n_seqs, n_heads, head_dim = q_codes.shape
+    t_cap = k_arena.shape[2]
     total, st, en, seq_of_tok = geo.total, geo.st, geo.en, geo.seq_of_tok
+    planes = k_arena[:, :, geo.base:geo.base + total]
     n_live = len(geo.seg_ids)
     n_cols = geo.reduce_idx.size
     log_thr = config.log_threshold
-    prunable_row = ~geo.guard[None, :]
+    prunable = ~geo.guard
+    prunable_row = prunable[None, :]
 
     ss_ht = take_buf("ss", (n_heads, total))
     _spread(score_scale.T, seq_of_tok, ss_ht)
@@ -944,7 +1051,7 @@ def _score_rounds(
 
     alive = take_buf("alive", (n_heads, total), bool)
     alive[:] = geo.valid[None, :]
-    chunks_fetched = take_buf("chunks", (n_heads, total), np.int64)
+    chunks_fetched = take_buf("chunks", (n_heads, total), np.uint8)
     chunks_fetched.fill(0)
     current_lb = take_buf("lb", (n_heads, total))
     current_lb.fill(-np.inf)
@@ -993,21 +1100,92 @@ def _score_rounds(
     m_row = take_buf("lz_mrow", (n_heads, total))
     scores = take_buf("scores", (n_heads, total))
     scores.fill(0.0)
+
+    # flat views for the pair rounds: (H * S, d) query rows (row ``h * S
+    # + seq``, the margin tables' order), the arena's (H * C * T_cap, d)
+    # digit rows, and the (H * total,) per-pair state
+    q_rows_src = q_f.transpose(1, 0, 2).reshape(n_heads * n_seqs, head_dim)
+    k_rows_src = k_arena.reshape(-1, head_dim)
+    ps_flat = ps_run.reshape(-1)
+    ss_flat = ss_ht.reshape(-1)
+    lb_flat = current_lb.reshape(-1)
+    chunks_flat = chunks_fetched.reshape(-1)
+    scores_flat = scores.reshape(-1)
+
+    def _extend_pairs(b, pidx):
+        """Round ``b`` on the alive pairs ``pidx``: contract each pair's
+        chunk-``b`` digit row with its query row, extend its partial
+        score and record its bounds — the dense round's per-element value
+        chain.  Returns scratch views ``(s_max, t)`` of the pairs' upper
+        bounds and token columns."""
+        n = pidx.size
+        h = take_buf("pr_h", (n,), np.intp)
+        t = take_buf("pr_t", (n,), np.intp)
+        np.divmod(pidx, total, out=(h, t))
+        row = take_buf("pr_row", (n,), np.intp)
+        hs = take_buf("pr_hs", (n,), np.intp)  # (h, seq): query, margins
+        np.take(seq_of_tok, t, out=hs, mode="clip")
+        np.multiply(h, n_seqs, out=row)
+        hs += row
+        q_rows = take_buf("pr_q", (n, head_dim), q_f.dtype)
+        np.take(q_rows_src, hs, axis=0, out=q_rows, mode="clip")
+        np.multiply(h, n_chunks, out=row)  # digit row (h, b, base + t)
+        row += b
+        row *= t_cap
+        row += t
+        row += geo.base
+        k_rows = take_buf("pr_k", (n, head_dim), k_arena.dtype)
+        np.take(k_rows_src, row, axis=0, out=k_rows, mode="clip")
+        if int_mode:  # lossless: digits are exact ints
+            k_int = take_buf("pr_k_i", (n, head_dim), np.int64)
+            np.copyto(k_int, k_rows, casting="unsafe")
+            k_rows = k_int
+        contrib = take_buf("pr_c", (n,), contrib0.dtype)
+        np.einsum("ad,ad->a", k_rows, q_rows, out=contrib)
+        ps = take_buf("pr_ps", (n,), ps_run.dtype)
+        np.take(ps_flat, pidx, out=ps, mode="clip")
+        if int_mode:
+            contrib *= shifts[b]
+            ps += contrib
+        else:
+            shifted = take_buf("pr_shift", (n,))
+            np.multiply(
+                contrib, float(shifts[b]), out=shifted, dtype=np.float64
+            )
+            ps += shifted
+        ps_flat[pidx] = ps
+        base = take_buf("pr_base", (n,))
+        np.take(ss_flat, pidx, out=base, mode="clip")
+        np.multiply(ps, base, out=base)
+        s_min = take_buf("pr_smin", (n,))
+        np.take(mlo_tbl[b].reshape(-1), hs, out=s_min, mode="clip")
+        s_min += base
+        s_max = take_buf("pr_smax", (n,))
+        np.take(mhi_tbl[b].reshape(-1), hs, out=s_max, mode="clip")
+        s_max += base
+        chunks_flat[pidx] = b + 1
+        lb_flat[pidx] = s_min
+        return s_max, t
+
     survivors = int(np.count_nonzero(alive))
+    pidx = None  # the alive pairs, once the rounds have gone thin
     for b in range(n_chunks):
         if not survivors:
             break
         round_alive[b] = survivors
         # Strategy per round: a dense full-width chunk extension (one
-        # batched per-segment contraction) beats compacted pair gathers
-        # while the alive set is still a sizeable fraction of the arena
-        # — the threshold-driven first refinement round typically
-        # retains tens of percent of pairs, and only later rounds thin
-        # to the ~0.4% keep fraction.  Both strategies run the identical
-        # per-element value chain, so the switch is purely a performance
-        # decision — every output is bit-identical either way.
-        dense = b == 0 or (not int_mode and survivors * 8 >= alive.size)
-        if dense:
+        # batched per-segment contraction) beats pair gathers while the
+        # alive set is still a sizeable fraction of the arena — the
+        # threshold-driven first refinement round typically retains tens
+        # of percent of pairs, and only later rounds thin to the ~0.4%
+        # keep fraction.  The alive set only shrinks, so once a round
+        # goes thin every later one does.  Both strategies run the
+        # identical per-element value chain, so the switch is purely a
+        # performance decision — every output is bit-identical either
+        # way.
+        if pidx is None and (
+            b == 0 or (not int_mode and survivors * 8 >= alive.size)
+        ):
             planes_cb = planes_c0 if b == 0 else planes[:, b]
             _contract_chunk(planes_cb, q_seg, st, en, contrib0)
             if b == 0:
@@ -1058,48 +1236,39 @@ def _score_rounds(
             survivors = int(np.count_nonzero(alive))
             clock.lap("prune")
         else:
-            h_idx, t_idx = _pairs(alive)
-            seqs_pair = seq_of_tok[t_idx]
-            q_pair = q_f[seqs_pair, h_idx]  # (A, d)
-            contrib_pair = np.empty(h_idx.size, dtype=contrib0.dtype)
-            _contract_pairs(planes, b, t_idx, h_idx, q_pair, contrib_pair)
-            ps_pair = ps_run[h_idx, t_idx]
-            if int_mode:
-                ps_pair += contrib_pair * shifts[b]
-            else:
-                ps_pair += contrib_pair.astype(
-                    np.float64, copy=False
-                ) * float(shifts[b])
-            ps_run[h_idx, t_idx] = ps_pair
-            ss_pair = ss_ht[h_idx, t_idx]
-            s_min_pair = ps_pair * ss_pair
-            s_min_pair += mlo_tbl[b][h_idx, seqs_pair]
-            s_max_pair = ps_pair * ss_pair
-            s_max_pair += mhi_tbl[b][h_idx, seqs_pair]
-            chunks_fetched[h_idx, t_idx] = b + 1
-            current_lb[h_idx, t_idx] = s_min_pair
+            if pidx is None:
+                pidx = np.flatnonzero(alive)
+            s_max, t = _extend_pairs(b, pidx)
             clock.lap("score_refine")
 
             log_den_seg, log_den_tok = _round_denominator(current_lb)
-            prune_pair = (
-                (s_max_pair - log_den_tok[h_idx, t_idx]) <= log_thr
-            ) & ~geo.guard[t_idx]
-            if prune_pair.any():
-                dh = h_idx[prune_pair]
-                dt = t_idx[prune_pair]
-                scores[dh, dt] = s_max_pair[prune_pair]
-                alive[dh, dt] = False
-                survivors -= int(dh.size)
+            n = pidx.size
+            prune = take_buf("pr_prune", (n,), bool)
+            margin = take_buf("pr_margin", (n,))
+            np.take(log_den_tok.reshape(-1), pidx, out=margin, mode="clip")
+            np.subtract(s_max, margin, out=margin)
+            np.less_equal(margin, log_thr, out=prune)
+            guard_ok = take_buf("pr_ok", (n,), bool)
+            np.take(prunable, t, out=guard_ok, mode="clip")
+            prune &= guard_ok
+            n_dead = int(np.count_nonzero(prune))
+            if n_dead:
+                scores_flat[pidx[prune]] = s_max[prune]
+                pidx = pidx[~prune]
+                survivors -= n_dead
             clock.lap("prune")
     round_alive[n_chunks] = survivors
 
-    # kept tokens survived every round, so their running partial scores
+    # kept pairs survived every round, so their running partial scores
     # are the exact full-depth values
-    kh, kt = _pairs(alive)
-    if kh.size:
-        scores[kh, kt] = ps_run[kh, kt] * ss_ht[kh, kt]
+    if pidx is None:
+        pidx = (
+            np.flatnonzero(alive) if survivors else np.zeros(0, dtype=np.intp)
+        )
+    kept_scores = ps_flat[pidx] * ss_flat[pidx]
+    scores_flat[pidx] = kept_scores
     clock.lap("score_refine")
-    return alive, chunks_fetched, scores, log_den_seg, round_alive
+    return pidx, kept_scores, chunks_fetched, scores, log_den_seg, round_alive
 
 
 def exact_digit_dtype(quant: QuantConfig, head_dim: int) -> type:
@@ -1167,8 +1336,17 @@ def token_picker_attention_ragged(
     this kernel is tested against; see :class:`RaggedPickerResult` for
     the exact contract.
 
+    Everything after the dense rounds costs O(alive pairs): the thin
+    rounds, the kept pairs' exact scores, their softmax and their V
+    rows.  Each sequence's :class:`RaggedSequenceResult` carries its
+    kept pairs and per-head aggregates (kept count, chunks fetched, log
+    denominator) and its own copy of the two per-token records (scores
+    and 1-byte chunk counts); dense ``kept`` / ``probs`` arrays are
+    built only when a caller reads them.
+
     ``scratch`` (a :class:`KernelScratch`) lets a caller reuse the
-    kernel's work arrays across steps; ``phase_times`` accumulates
+    kernel's work arrays across steps — no result ever views it;
+    ``phase_times`` accumulates
     per-phase wall-clock seconds under ``"score"`` (with its
     ``"score_chunk0"`` / ``"score_refine"`` parts), ``"prune"`` and
     ``"unpack"``.
@@ -1225,7 +1403,9 @@ def token_picker_attention_ragged(
     lengths = segments[:, 1]
     results: list = [None] * n_seqs
     for s in np.flatnonzero(lengths == 0):
-        results[s] = _empty_result(n_heads, head_dim, quant, v_arena is not None)
+        results[s] = _empty_sequence(
+            n_heads, head_dim, quant, v_arena is not None
+        )
     live = np.flatnonzero(lengths > 0)
     if live.size == 0:
         return RaggedPickerResult(results=results)
@@ -1236,45 +1416,74 @@ def token_picker_attention_ragged(
         np.rint(qs / q_scale[:, :, None]), quant.qmin, quant.qmax
     ).astype(np.int64)
     score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (S, H)
-    span = slice(geo.base, geo.base + geo.total)
-    alive, chunks_fetched, scores, log_den_seg, round_alive = _score_rounds(
-        geo, k_arena[:, :, span], q_codes, score_scale, config, exact_in_float,
-        take_buf, clock,
+    kept_flat, kept_scores, chunks, scores, log_den_seg, round_alive = (
+        _score_rounds(
+            geo, k_arena, q_codes, score_scale, config, exact_in_float,
+            take_buf, clock,
+        )
     )
 
-    # ---- unpack: masked grouped softmax over the packed (H, T) score
-    # matrix, one segment-reduced weighted-V pass, per-sequence slicing.
+    # ---- unpack at kept-pair cost.  The kept pairs are regrouped
+    # segment-major — group ``i * H + h`` is head ``h`` of live segment
+    # ``i``, tokens in order — so every sequence's pairs are one slice;
+    # each group's softmax and V sum see the same values in the same
+    # order as the reference's, wherever the group sits.  Then one
+    # grouped softmax, one flat V-row gather, and each sequence copies
+    # its slice of the two per-token records.
     n_live = len(geo.seg_ids)
-    probs_ht = take_buf("probs", (n_heads, geo.total))
-    probs_ht.fill(0.0)
-    kept_counts = np.add.reduceat(
-        alive.astype(np.int64), geo.reduce_idx, axis=1
-    )[:, ::2]  # (H, n_live) kept tokens per (head, segment)
-    bounds = np.zeros(n_heads * n_live + 1, dtype=np.intp)
-    np.cumsum(kept_counts.ravel(), out=bounds[1:])
-    flat_probs = _grouped_softmax(scores[alive], bounds)
-    if flat_probs.size:
-        probs_ht[alive] = flat_probs
+    total, n_groups = geo.total, n_live * n_heads
+    heads = np.arange(n_heads)[:, None]
+    # each group's run of the ascending kept pairs, by binary search
+    first = np.searchsorted(kept_flat, (heads * total + geo.st).T.ravel())
+    counts = np.searchsorted(kept_flat, (heads * total + geo.en).T.ravel())
+    counts -= first
+    bounds = np.zeros(n_groups + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    # concatenate the groups' runs in segment-major order
+    order = np.repeat(first - bounds[:-1], counts)
+    order += np.arange(kept_flat.size)
+    kept_flat = kept_flat[order]
+    flat_probs = _read_only(_grouped_softmax(kept_scores[order], bounds))
     outs = None
     if v_arena is not None:
-        # gather only the *kept* tokens' V rows (keep fraction of the
-        # cache) — the step-1 AV the hardware actually fetches
-        kh, kt = _pairs(alive)  # head-major, the order of ``scores[alive]``
-        v_flat = v_arena[span][kt, kh]
-        outs = _grouped_weighted_v(
-            flat_probs, v_flat, bounds, head_dim
-        ).reshape(n_heads, n_live, head_dim)
-    for i in range(n_live):
-        lo, hi = int(geo.st[i]), int(geo.en[i])
-        results[int(geo.seg_ids[i])] = BatchedPickerResult(
-            kept=alive[:, lo:hi].copy(),
-            chunks_fetched=chunks_fetched[:, lo:hi].copy(),
-            scores=scores[:, lo:hi].copy(),
-            probs=probs_ht[:, lo:hi].copy(),
-            outputs=outs[:, i].copy() if outs is not None else None,
-            log_denominators=log_den_seg[:, i].copy(),
-            quant=quant,
-            head_dim=head_dim,
+        # only the *kept* tokens' V rows (keep fraction of the cache) —
+        # the step-1 AV the hardware actually fetches
+        kh, kt = np.divmod(kept_flat, total)
+        v_rows = take_buf("v_rows", (kept_flat.size, head_dim))
+        np.take(
+            v_arena.reshape(-1, head_dim),
+            (kt + geo.base) * n_heads + kh,  # row (base + t, h)
+            axis=0, out=v_rows, mode="clip",
+        )
+        outs = _read_only(
+            _grouped_weighted_v(flat_probs, v_rows, bounds).reshape(
+                n_live, n_heads, head_dim
+            )
+        )
+    # grid index h * total + st + c  ->  segment grid index h * width + c
+    offset = (heads * (total - (geo.en - geo.st)) + geo.st).T.ravel()
+    index = _read_only(kept_flat - np.repeat(offset, counts))
+    kept_seg = _read_only(counts.reshape(n_live, n_heads))
+    chunks_seg = _read_only(
+        np.add.reduceat(chunks, geo.reduce_idx, axis=1, dtype=np.int64)[
+            :, ::2
+        ].T.copy()
+    )
+    log_den = _read_only(log_den_seg.T.copy())
+    cuts = bounds[::n_heads].tolist()
+    spans = zip(geo.seg_ids.tolist(), geo.st.tolist(), geo.en.tolist())
+    for i, (s, lo, hi) in enumerate(spans):
+        k_lo, k_hi = cuts[i], cuts[i + 1]
+        results[s] = RaggedSequenceResult(
+            scores[:, lo:hi].copy(),
+            chunks[:, lo:hi].copy(),
+            (index[k_lo:k_hi], flat_probs[k_lo:k_hi]),
+            kept_seg[i],
+            chunks_seg[i],
+            outs[i] if outs is not None else None,
+            log_den[i],
+            quant,
+            head_dim,
         )
     clock.lap("unpack")
     return RaggedPickerResult(results=results, round_alive=round_alive)

@@ -373,10 +373,14 @@ class TieredKVStore:
         demoted = state.demoted[:t]
         if not demoted.any():
             return np.zeros(0, dtype=np.int64)
-        survived = result.kept.any(axis=0) | (
-            result.chunks_fetched > self.sketch_chunks
-        ).any(axis=0)
-        return np.flatnonzero(demoted & survived[:t])
+        return np.flatnonzero(demoted & self._survived(result, t))
+
+    def _survived(self, result, t: int) -> np.ndarray:
+        """(t,) tokens kept on any head, or fetched past the sketch on
+        any head, this step; the result spans the ``t`` tokens."""
+        survived = (result.chunks_fetched > self.sketch_chunks).any(axis=0)
+        survived[result.kept_pairs[0] % t] = True
+        return survived
 
     # ------------------------------------------------------------ observation
     def observe_step(self, seq_id: int, result, step: int) -> Tuple[int, int]:
@@ -389,18 +393,16 @@ class TieredKVStore:
         """
         state = self._state(seq_id)
         t = state.length
-        kept = result.kept[:, :t]
-        probs = result.probs[:, :t]
+        kept_index, kept_probs = result.kept_pairs
         # certified per-token mass this step: exact probability for kept
         # tokens, the Eq. 5 upper bound p'' for pruned ones (capped at 1)
-        bounds = np.exp(
+        mass = np.exp(
             np.clip(
-                result.scores[:, :t] - result.log_denominators[:, None],
-                -700.0,
-                0.0,
+                result.scores - result.log_denominators[:, None], -700.0, 0.0
             )
         )
-        p_tok = np.where(kept, probs, bounds).mean(axis=0)
+        mass.reshape(-1)[kept_index] = kept_probs
+        p_tok = mass.mean(axis=0)
         decay = self.config.mass_decay
         # the no-evidence prior is 1.0 (retain); the first real
         # observation replaces it outright, later ones blend in
@@ -409,24 +411,20 @@ class TieredKVStore:
             first, p_tok, decay * state.mass[:t] + (1.0 - decay) * p_tok
         )
         state.seen[:t] += 1
-        kept_any = kept.any(axis=0)
-        state.last_kept[:t][kept_any] = step
+        state.last_kept[:t][kept_index % t] = step
         # outliving the sketch is what predicts whether demotion would
         # hold: such a token's exact bytes would be promoted right back
-        survived = kept_any | (
-            result.chunks_fetched[:, :t] > self.sketch_chunks
-        ).any(axis=0)
-        state.last_survived[:t][survived] = step
+        state.last_survived[:t][self._survived(result, t)] = step
         # fetch-path traffic split: demoted tokens were (post-promotion)
         # all pruned within their sketch — every chunk they fetched
         # streamed from the slow tier; every other fetched bit (hot
         # tokens' chunks, kept tokens' V) streams from the fast tier
         d = self.pool.head_dim
         dem = state.demoted[:t]
-        slow_chunks = int(result.chunks_fetched[:, :t][:, dem].sum())
+        slow_chunks = int(result.chunks_fetched[:, dem].sum())
         slow_bits = slow_chunks * d * self.quant.chunk_bits
-        k_bits = int(result.chunks_fetched.sum()) * d * self.quant.chunk_bits
-        v_bits = int(kept.sum()) * d * self.quant.total_bits
+        k_bits = int(result.chunks_per_head.sum()) * d * self.quant.chunk_bits
+        v_bits = int(result.kept_per_head.sum()) * d * self.quant.total_bits
         fast_bits = k_bits - slow_bits + v_bits
         self.dram.fast_read(self._bytes(fast_bits))
         self.dram.slow_read(self._bytes(slow_bits))

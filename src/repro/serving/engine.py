@@ -56,9 +56,9 @@ if TYPE_CHECKING:  # engine <-> kvstore: runtime import stays lazy
 from repro.core.config import TokenPickerConfig
 from repro.core.pruning import (
     AccessCounter,
-    BatchedPickerResult,
     KernelScratch,
     PruneStats,
+    RaggedSequenceResult,
     token_picker_attention_ragged,
 )
 from repro.serving.kv_pool import (
@@ -122,7 +122,7 @@ class EngineStepReport:
     retired: List[CompletedRequest] = field(default_factory=list)
     n_active: int = 0
     per_sequence: Dict[int, SequenceStepView] = field(default_factory=dict)
-    results: Dict[int, BatchedPickerResult] = field(default_factory=dict)
+    results: Dict[int, RaggedSequenceResult] = field(default_factory=dict)
     ragged_utilization: float = 1.0
     #: wall-clock seconds by phase (:data:`repro.obs.trace.PHASE_ORDER`):
     #: "prefill" (admission with its scale freeze, then this step's
@@ -1390,11 +1390,12 @@ class ServingEngine:
     def _account(
         self,
         entries: Sequence[SequenceRecord],
-        results: Sequence[BatchedPickerResult],
+        results: Sequence[RaggedSequenceResult],
         instances: int,
         demoted_masks: Optional[Sequence[np.ndarray]] = None,
     ) -> List[PruneStats]:
-        """Per-sequence + engine-wide traffic accounting for one step.
+        """Per-sequence + engine-wide traffic accounting for one step,
+        from each result's O(1) ``stats()``.
 
         ``demoted_masks`` (tiered engines only) excludes demoted tokens
         from the retained-mass bound: their reported ``scores`` are the
@@ -1407,7 +1408,7 @@ class ServingEngine:
         track_mass = self.memory_manager is not None
         for i, (entry, result) in enumerate(zip(entries, results)):
             stats = result.stats()
-            if track_mass and result.kept.size:
+            if track_mass and result.n_tokens:
                 # estimated attention probability mass retained this step:
                 # 1 minus the pruned tokens' certified upper bounds
                 # (Eq. 5, p'' = exp(s - ln D) >= p), averaged over heads
@@ -1421,12 +1422,10 @@ class ServingEngine:
                         700.0,
                     )
                 )
-                excluded = result.kept
+                bounds.reshape(-1)[result.kept_pairs[0]] = 0.0
                 if demoted_masks is not None and demoted_masks[i].any():
-                    excluded = excluded | demoted_masks[i][None, :]
-                lost = np.minimum(
-                    np.where(excluded, 0.0, bounds).sum(axis=1), 1.0
-                )
+                    bounds[:, demoted_masks[i]] = 0.0
+                lost = np.minimum(bounds.sum(axis=1), 1.0)
                 entry.stats.retained_mass_sum += float(1.0 - lost.mean())
                 entry.stats.retained_mass_steps += 1
             entry.stats.counter.add(stats, instances)

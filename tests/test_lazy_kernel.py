@@ -32,7 +32,7 @@ from repro.core import (
     token_picker_attention_batched,
     token_picker_attention_ragged,
 )
-from repro.core.pruning import KernelScratch
+from repro.core.pruning import KernelScratch, PruneStats
 from repro.kvstore import TierConfig
 from repro.serving import (
     GenerationRequest,
@@ -122,6 +122,17 @@ class TestRoundsVsBatchedSweep:
             scratch=KernelScratch(),
         )
         _assert_matches_batched(ragged, config, qs, keys, values, scales)
+        # the O(1) aggregates equal the accounting of the dense arrays
+        for r in ragged.results:
+            n_kept = int(r.kept.sum())
+            assert r.stats() == PruneStats(
+                n_tokens=r.kept.size,
+                n_kept=n_kept,
+                k_chunks_fetched=int(r.chunks_fetched.sum()),
+                v_vectors_fetched=n_kept,
+                head_dim=HEAD_DIM,
+                quant=quant,
+            )
 
 
 class TestRoundEdges:
@@ -163,11 +174,11 @@ class TestScratchReuse:
     def test_round_buffers_stable_across_steps(self):
         """The round loop's scratch views (partial scores, bounds,
         denominator work arrays, the hoisted ``ld_cols``/``m_tok``/exp
-        buffers) must come from the same backing allocations on every
-        same-shaped call — per-step allocator traffic must not creep
-        back."""
+        buffers), the thin rounds' pair gathers and the unpack's V rows
+        must come from the same backing allocations on every same-shaped
+        call — per-step allocator traffic must not creep back."""
         qs, keys, values, (q_sc, k_sc, v_sc) = _case(seed=5, max_len=80)
-        config = TokenPickerConfig(threshold=2e-3)
+        config = TokenPickerConfig(threshold=5e-2)
         k_arena, v_arena, segments = _build_arena(
             keys, values, k_sc, v_sc, config.quant, np.float32
         )
@@ -185,7 +196,10 @@ class TestScratchReuse:
         buffers_after_first = dict(scratch._buffers)
         for name in (
             "ld_cols", "m_tok", "ex", "m_cols", "m_fix", "den_cols",
-            "lz_ps", "lz_smin", "lz_smax", "lz_mrow", "scores",
+            "lz_ps", "lz_smin", "lz_smax", "lz_mrow", "scores", "chunks",
+            "pr_h", "pr_t", "pr_hs", "pr_row", "pr_q", "pr_k", "pr_c",
+            "pr_ps", "pr_shift", "pr_base", "pr_smin", "pr_smax",
+            "pr_margin", "pr_prune", "pr_ok", "v_rows",
         ):
             assert any(k[0] == name for k in buffers_after_first), name
         second = call()
@@ -196,6 +210,27 @@ class TestScratchReuse:
         assert np.array_equal(second.round_alive, first.round_alive)
         for a, b in zip(second.results, first.results):
             _assert_identical(a, b, "exact")
+
+    def test_results_outlive_the_scratch(self):
+        """Results never view the scratch: every call's results, kept
+        across later calls on growing, different batches through one
+        :class:`KernelScratch`, still equal their independent oracle
+        calls after the last one.  Nothing is read before then, so no
+        dense array can have been cached early."""
+        config = TokenPickerConfig(threshold=5e-2)
+        scratch = KernelScratch()
+        calls = []
+        for n_seqs, seed in enumerate(range(20, 25), start=1):
+            qs, keys, values, scales = _case(
+                seed=seed, n_seqs=n_seqs, max_len=40 + 20 * n_seqs
+            )
+            ragged = _run_arena(
+                qs, keys, values, config, *scales, dtype=np.float32,
+                scratch=scratch,
+            )
+            calls.append((ragged, qs, keys, values, scales))
+        for ragged, qs, keys, values, scales in calls:
+            _assert_matches_batched(ragged, config, qs, keys, values, scales)
 
 
 CFG = TokenPickerConfig(threshold=2e-3)

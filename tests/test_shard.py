@@ -429,3 +429,35 @@ class TestShardGroup:
                 int(res.kept.sum()) for res in r.results.values()
             )
             assert kept == expected
+
+    @pytest.mark.parametrize("shards, n_heads", [(2, 4), (3, 5)])
+    def test_step_views_equal_dense_head_slices(self, shards, n_heads):
+        """The views summed from per-head aggregates equal the per-head
+        slices of the dense ``kept`` / ``chunks_fetched`` arrays."""
+        engine, reports = _drain(shards, n_heads=n_heads)
+        quant, d = engine.pool.quant, engine.pool.head_dim
+        busy = [r for r in reports if r.shard_views]
+        assert busy
+        for r in busy:
+            results = list(r.results.values())
+            for s, (h_lo, h_hi) in enumerate(partition_heads(n_heads, shards)):
+                kept = [res.kept[h_lo:h_hi] for res in results]
+                chunks = [res.chunks_fetched[h_lo:h_hi] for res in results]
+                kept_pairs = sum(int(k.sum()) for k in kept)
+                total_pairs = sum(k.size for k in kept)
+                assert r.shard_views[s] == shard_module.ShardStepView(
+                    shard=s,
+                    head_range=(h_lo, h_hi),
+                    kept_pairs=kept_pairs,
+                    total_pairs=total_pairs,
+                    allgather_bits=kept_pairs * d * quant.total_bits,
+                    baseline_allgather_bits=total_pairs * d * quant.total_bits,
+                    seq_bits=tuple(
+                        int(c.sum()) * d * quant.chunk_bits
+                        + int(k.sum()) * d * quant.total_bits
+                        for k, c in zip(kept, chunks)
+                    ),
+                    seq_baseline_bits=tuple(
+                        2 * k.size * d * quant.total_bits for k in kept
+                    ),
+                )

@@ -9,11 +9,13 @@ example a ``git worktree`` of the parent and the working tree), swapping
 which side runs first every pair so slow drift of the machine hits both
 sides alike.  Then prints, per metric the runs printed (the end-to-end
 metrics, or the per-layer ones with ``--trace 1``), each side's median
-and quartiles and how many pairs the change won (ties count for neither
-side; the better direction comes from BASE_DIR's ``BENCHMARK.json``),
-plus whether the ``output_digest`` matched in every pair.  With
+and quartiles, how many pairs the change won (ties count for neither
+side; the better direction comes from BASE_DIR's ``BENCHMARK.json``)
+and whether that is a claimable gain (:func:`claim`), plus whether the
+``output_digest`` matched in every pair.  With
 ``--trace 1``, when the two sides' ``missing_trace_targets`` differ (a
 refactor dropped or renamed a span target) both lists are printed.
+A run that fails stops the tool with that run's stderr.
 Standard library only.
 """
 
@@ -30,8 +32,11 @@ import sys
 def run_once(checkout, workload, seed, extra):
     cmd = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
            "--seed", str(seed), *extra]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                         check=True).stdout.strip().splitlines()
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{' '.join(cmd)} failed in {checkout} "
+                 f"(exit {done.returncode}):\n{done.stderr}")
+    out = done.stdout.strip().splitlines()
     info, result = json.loads(out[-2])["info"], json.loads(out[-1])
     metrics = {k: m["value"] for k, m in result["metrics"].items()}
     missing = tuple(info.get("missing_trace_targets", ()))
@@ -41,6 +46,24 @@ def run_once(checkout, workload, seed, extra):
 def quartiles(values):
     """``[q1, median, q3]``; a single run is all three."""
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def wins(base, change, better):
+    """Pairs the change won; a tie counts for neither side."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - b) > 0 for b, c in zip(base, change))
+
+
+def claim(base, change, better):
+    """The gain rule: the change won at least nine tenths of the pairs,
+    and its median beats the parent's by more than the parent's own
+    spread (the distance between its quartiles)."""
+    if not base:
+        return False
+    sign = 1 if better == "higher" else -1
+    q1, base_median, q3 = quartiles(base)
+    gap = sign * (quartiles(change)[1] - base_median)
+    return wins(base, change, better) >= 0.9 * len(base) and gap > q3 - q1
 
 
 def main():
@@ -69,22 +92,23 @@ def main():
         for side in ("base", "change"):
             print(f"missing_trace_targets {side}: {missing[side] or 'none'}")
     print(f"{'metric':32} {'base median [q1, q3]':>30} "
-          f"{'change median [q1, q3]':>30}  change won-tied-lost")
+          f"{'change median [q1, q3]':>30}  change won-tied-lost  claim")
     every_run = runs["base"] + runs["change"]
     for entry in manifest["end_to_end"] + manifest["per_layer"]:
-        name, sign = entry["name"], (1 if entry["better"] == "higher" else -1)
+        name, better = entry["name"], entry["better"]
         if not all(name in r[2] for r in every_run):
             continue
         base = [r[2][name] for r in runs["base"]]
         change = [r[2][name] for r in runs["change"]]
-        wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        won = wins(base, change, better)
         ties = sum(c == b for b, c in zip(base, change))
         cols = []
         for values in (base, change):
             q1, med, q3 = quartiles(values)
             cols.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
-        print(f"{name:32} {cols[0]:>30} {cols[1]:>30}  "
-              f"{wins}-{ties}-{len(base) - wins - ties}")
+        record = f"{won}-{ties}-{len(base) - won - ties}"
+        print(f"{name:32} {cols[0]:>30} {cols[1]:>30}  {record:>20}  "
+              f"{'yes' if claim(base, change, better) else 'no'}")
 
 
 if __name__ == "__main__":
