@@ -12,8 +12,8 @@ a long prefix.  This example serves one such workload
    fast-DRAM bytes per decoded token drop),
 
 and shows that all three produce **bit-identical** generated outputs —
-the tiered store's promotion-on-demand restores exact encoded bytes
-whenever a pruning decision needs them.
+a demoted token's sketch digits decide every pruning round it takes
+part in, and one that outlives its sketch is promoted on demand.
 
 Run:  PYTHONPATH=src python examples/prefix_caching.py
 """
@@ -108,8 +108,7 @@ def main():
     tsnap = tiered.tiers.snapshot()
     print(
         f"\ntiering: {tsnap['demotions']} demotions, "
-        f"{tsnap['promotions']} on-demand promotions, "
-        f"{tsnap['rerun_steps']} kernel re-runs "
+        f"{tsnap['promotions']} on-demand promotions "
         f"({tsnap['sketch_chunks']}-chunk sketch stays reachable)"
     )
 

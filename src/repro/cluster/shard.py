@@ -145,10 +145,9 @@ class ShardGroup:
     def step_views(
         self, results: Sequence[RaggedSequenceResult]
     ) -> List[ShardStepView]:
-        """Per-shard interconnect/traffic telemetry from a step's *final*
-        per-sequence results (post tier-repair), summed by head range from
-        their per-head kept and chunk counts — computed once per step so
-        tier reruns are not double-counted."""
+        """Per-shard interconnect/traffic telemetry from a step's
+        per-sequence results, summed by head range from their per-head
+        kept and chunk counts — computed once per step."""
         quant = self.pool.quant
         d = self.pool.head_dim
         starts = [lo for lo, _ in self.head_ranges]

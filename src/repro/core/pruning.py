@@ -732,11 +732,10 @@ class RaggedSequenceResult:
       pairs on first access, then cached.
 
     Every array is read-only and none views :class:`KernelScratch`, so
-    a result outlives later calls on the same scratch (a tiered engine
-    re-runs the kernel mid-step).  The per-token records are the
-    sequence's own copies, so a result holds no other sequence's
-    per-token data; its kept pairs and aggregates view small per-call
-    arrays.
+    a result outlives later calls on the same scratch.  The per-token
+    records are the sequence's own copies, so a result holds no other
+    sequence's per-token data; its kept pairs and aggregates view small
+    per-call arrays.
     """
 
     __slots__ = (

@@ -5,11 +5,11 @@ how much attention probability mass a KV row is actually worth.  This
 package turns that signal into a **memory hierarchy**:
 
 * :mod:`~repro.kvstore.tiers` — :class:`TieredKVStore`: a two-tier token
-  store over the packed arena.  Low-mass tokens demote to a byte-exact
-  encoded cold tier, keeping only their round-1 MSB-chunk sketch
-  reachable; promotion restores exact bytes on demand, so generated
-  outputs stay bit-identical to the untiered engine.  All movement is
-  charged to a :class:`~repro.hw.dram.TieredDRAMModel` ledger.
+  map over the packed arena.  Low-mass tokens demote to a modelled cold
+  tier, keeping only their MSB-chunk sketch reachable; a demoted token
+  that outlives its sketch is promoted on demand, and generated outputs
+  stay bit-identical to the untiered engine.  All movement is a charge
+  on a :class:`~repro.hw.dram.TieredDRAMModel` ledger.
 * :mod:`~repro.kvstore.policy` — demotion policies: certified
   retained-probability-mass (default), LRU and recency baselines.
 * :mod:`~repro.kvstore.radix` — :class:`RadixKVCache`: a prefix-sharing

@@ -1,36 +1,38 @@
-"""Two-tier KV token store layered over the packed arena.
+"""Two-tier KV token store: a per-token tier map over the packed arena.
 
 The serving engine's :class:`~repro.serving.kv_pool.KVCachePool` is the
 **hot tier** — the fast DRAM the accelerator streams during decode.
-:class:`TieredKVStore` adds a byte-exact **cold tier** beneath it plus
-explicit promote/demote token movement, all charged to a
-:class:`~repro.hw.dram.TieredDRAMModel` ledger:
+:class:`TieredKVStore` models a **cold tier** beneath it: per token, a
+``demoted`` flag (only the estimator sketch is modelled as reachable)
+and a ``cold_have`` flag (a slow-tier copy exists), plus the policy
+signals that choose what to demote.  Every movement is a charge on a
+:class:`~repro.hw.dram.TieredDRAMModel` ledger; the host arena keeps
+every row's exact encoded bytes, so no byte moves on the host.
 
-* A **demoted** token's exact encoded bytes (frozen-scale chunk digits +
-  quantize-dequantized V row) move to a cold extent; only its
-  **estimator sketch** — the first ``sketch_chunks`` MSB chunk digits the
-  breadth schedule's early rounds read — remains functionally reachable,
-  modelled as streamed from the slow tier.  Its remaining chunk digits
-  and its V row are zeroed in the arena: the kernel cannot read them.
-* Bit-exactness is structural, not statistical: breadth-round ``b``
-  decisions depend only on the first ``b`` chunk digits (exact for every
-  token, demoted or not — a pruned token's frozen denominator
-  contribution is the bound it died with), so a demoted token the kernel
-  prunes within the sketch rounds is pruned with exactly the untiered
-  bits.  A demoted token that *outlives* its sketch is **promoted on
-  demand** — its exact bytes restored from the cold tier — and the
-  engine re-runs the kernel for that sequence, which then computes on
-  exact data end to end.  Outputs are therefore bit-identical to the
-  untiered engine (property tested).
+* A **demoted** token keeps only its **estimator sketch** — the first
+  ``sketch_chunks`` MSB chunk digits the breadth schedule's early rounds
+  read — modelled as streamed from the slow tier.  Its first demotion
+  charges the one slow-tier write of its row: encoded rows are immutable
+  (frozen scales, append-only arena), so a row is written to the slow
+  tier at most once, however often it is demoted, promoted or swapped.
+* Bit-exactness is a theorem, not a mechanism: breadth-round ``b``
+  decisions depend only on the first ``b`` chunk digits of every token
+  (a pruned token's frozen denominator contribution is the bound it died
+  with), so whether a demoted token dies within the sketch rounds does
+  not depend on its later digits.  One that *outlives* its sketch is
+  **promoted on demand**, charged as a slow-to-fast move of its row; the
+  step's one exact kernel pass already computed what the promoted bytes
+  give.  Outputs are therefore bit-identical to the untiered engine
+  (property tested, with the theorem itself tested on the kernel).
 * Demotion is driven by :mod:`repro.kvstore.policy` — certified
   per-token retained-probability-mass by default, with LRU and recency
   baselines — plus a fast-tier residency budget the store enforces by
   demoting the lowest-ranked eligible tokens.
 
-Preemption composes with the tiers: a swapped-out victim's already-
-demoted rows are *already in the cold tier*, so the swap only moves the
-hot remainder (:meth:`TieredKVStore.on_swap_out`) — the cheaper the
-sequence's retained mass says it is, the less it costs to evict.
+Preemption composes with the tiers: a swapped-out victim's rows that
+already have a slow-tier copy cost nothing more to evict, so the swap
+charges only the rest (:meth:`TieredKVStore.on_swap_out`) — the cheaper
+the sequence's retained mass says it is, the less it costs to evict.
 """
 
 from __future__ import annotations
@@ -103,11 +105,11 @@ class TierConfig:
 
 
 class _SeqTierState:
-    """Per-sequence tier map + policy signals + cold row storage."""
+    """Per-sequence tier map + policy signals."""
 
     __slots__ = (
         "length", "demoted", "cold_have", "mass", "last_kept",
-        "last_survived", "seen", "cold_k", "cold_v", "swapped_out",
+        "last_survived", "seen", "swapped_out",
     )
 
     def __init__(self) -> None:
@@ -118,8 +120,6 @@ class _SeqTierState:
         self.last_kept = np.zeros(0, dtype=np.int64)
         self.last_survived = np.zeros(0, dtype=np.int64)
         self.seen = np.zeros(0, dtype=np.int64)
-        self.cold_k: Optional[np.ndarray] = None
-        self.cold_v: Optional[np.ndarray] = None
         self.swapped_out = False
 
     def grow(self, n: int, step: int) -> None:
@@ -147,19 +147,10 @@ class _SeqTierState:
         self.seen[sl] = 0
         self.length = new_len
 
-    def ensure_cold(self, pool: KVCachePool) -> None:
-        need = self.length
-        if self.cold_k is None or self.cold_k.shape[0] < need:
-            cap = max(need, 16, 0 if self.cold_k is None else 2 * self.cold_k.shape[0])
-            cold_k, cold_v = pool.empty_rows(cap)
-            if self.cold_k is not None:
-                cold_k[: self.cold_k.shape[0]] = self.cold_k
-                cold_v[: self.cold_v.shape[0]] = self.cold_v
-            self.cold_k, self.cold_v = cold_k, cold_v
-
 
 class TieredKVStore:
-    """Hot/cold token tiers over one :class:`KVCachePool` arena."""
+    """A per-token hot/cold tier map, and its DRAM ledger, over one
+    :class:`KVCachePool` arena."""
 
     def __init__(
         self,
@@ -197,7 +188,6 @@ class TieredKVStore:
         # movement accounting
         self.demotions_total = 0
         self.promotions_total = 0
-        self.rerun_steps_total = 0
         self.swap_rows_skipped_total = 0  # already-cold rows a swap avoided
 
     # ------------------------------------------------------------ byte model
@@ -210,6 +200,18 @@ class TieredKVStore:
     @staticmethod
     def _bytes(bits: int) -> int:
         return -(-int(bits) // 8)
+
+    def _write_cold(self, rows: int) -> None:
+        """Charge ``rows`` token rows' move fast -> slow."""
+        moved = self._bytes(rows * self.row_bits)
+        self.dram.fast_read(moved)
+        self.dram.slow_write(moved)
+
+    def _read_cold(self, rows: int) -> None:
+        """Charge ``rows`` token rows' move slow -> fast."""
+        moved = self._bytes(rows * self.row_bits)
+        self.dram.slow_read(moved)
+        self.dram.fast_write(moved)
 
     # -------------------------------------------------------------- lifecycle
     def register(self, seq_id: int) -> None:
@@ -244,9 +246,6 @@ class TieredKVStore:
         self.dram.slow_read(self._bytes(hit_tokens * self.row_bits))
 
     # --------------------------------------------------------------- queries
-    def tracks(self, seq_id: int) -> bool:
-        return seq_id in self._seqs
-
     def demoted_mask(self, seq_id: int) -> np.ndarray:
         state = self._state(seq_id)
         return state.demoted[: state.length]
@@ -274,23 +273,18 @@ class TieredKVStore:
 
     @property
     def total_cold_tokens(self) -> int:
-        """Tokens with a cold-tier copy (demoted, or demoted-then-promoted
-        rows whose immutable cold copy stays valid)."""
+        """Tokens with a modelled slow-tier copy: demoted, promoted back
+        after a demotion, or swapped out once (the copy of an immutable
+        row stays valid)."""
         return sum(
             int(s.cold_have[: s.length].sum()) for s in self._seqs.values()
         )
 
     # ------------------------------------------------------- demote / promote
-    def _arena_rows(self, seq_id: int, positions: np.ndarray):
-        offset, length = self.pool.segment(seq_id)
-        if positions.size and positions.max() >= length:
-            raise ValueError("position outside the sequence")
-        rows = offset + positions
-        return rows
-
     def demote(self, seq_id: int, positions) -> int:
-        """Move tokens' exact bytes to the cold tier; keep the round-1
-        sketch. Returns the number of tokens newly demoted."""
+        """Mark tokens cold; only their estimator sketch stays reachable.
+        Charges the slow-tier write of rows without a copy yet.  Returns
+        the number of tokens newly demoted."""
         state = self._state(seq_id)
         if state.swapped_out:
             raise ValueError(f"sequence {seq_id} is swapped out of the arena")
@@ -307,46 +301,20 @@ class TieredKVStore:
         positions = positions[~state.demoted[positions]]
         if positions.size == 0:
             return 0
-        rows = self._arena_rows(seq_id, positions)
-        fresh = positions[~state.cold_have[positions]]
-        if fresh.size:
-            state.ensure_cold(self.pool)
-            fresh_rows = self._arena_rows(seq_id, fresh)
-            # token-major row accessors: the cold copy keeps the swap
-            # row format, whatever the arena's plane layout
-            k_fresh, v_fresh = self.pool.read_rows(fresh_rows)
-            state.cold_k[fresh] = k_fresh
-            state.cold_v[fresh] = v_fresh
-            state.cold_have[fresh] = True
-            # encoded rows are immutable once written (frozen scales,
-            # append-only arena), so this copy never goes stale
-            moved = self._bytes(fresh.size * self.row_bits)
-            self.dram.fast_read(moved)
-            self.dram.slow_write(moved)
-        # the kernel may no longer read the demoted bytes: zero every
-        # chunk digit past the estimator sketch, and the whole V row
-        self.pool.clear_rows(rows, keep_chunks=self.sketch_chunks)
+        self._write_cold(int((~state.cold_have[positions]).sum()))
+        state.cold_have[positions] = True
         state.demoted[positions] = True
         self.demotions_total += int(positions.size)
         return int(positions.size)
 
     def promote(self, seq_id: int, positions) -> int:
-        """Restore tokens' exact encoded bytes into the arena."""
+        """Mark demoted tokens hot again, charged as a slow -> fast move."""
         state = self._state(seq_id)
         positions = np.unique(np.asarray(positions, dtype=np.int64))
         positions = positions[state.demoted[positions]]
         if positions.size == 0:
             return 0
-        if not state.cold_have[positions].all():  # pragma: no cover - invariant
-            raise RuntimeError("demoted token has no cold copy")
-        if not state.swapped_out:
-            rows = self._arena_rows(seq_id, positions)
-            self.pool.write_rows(
-                rows, state.cold_k[positions], state.cold_v[positions]
-            )
-        moved = self._bytes(positions.size * self.row_bits)
-        self.dram.slow_read(moved)
-        self.dram.fast_write(moved)
+        self._read_cold(positions.size)
         state.demoted[positions] = False
         self.promotions_total += int(positions.size)
         if self.tracer:
@@ -360,13 +328,12 @@ class TieredKVStore:
         return int(positions.size)
 
     def tokens_needing_promotion(self, seq_id: int, result) -> np.ndarray:
-        """Demoted positions whose pruning decision needs exact bytes.
+        """Demoted positions whose pruning decision read past the sketch.
 
         Outliving the sketch is the trigger: ``kept`` on any head, or
         more chunks than the sketch fetched on any head.  Everything else
-        was pruned within the sketch rounds from exact digits —
-        bit-identical to the untiered kernel without touching the cold
-        tier.
+        was pruned within the sketch rounds, which read only sketch
+        digits — the same decision without the cold tier's bytes.
         """
         state = self._state(seq_id)
         t = state.length
@@ -415,10 +382,10 @@ class TieredKVStore:
         # outliving the sketch is what predicts whether demotion would
         # hold: such a token's exact bytes would be promoted right back
         state.last_survived[:t][self._survived(result, t)] = step
-        # fetch-path traffic split: demoted tokens were (post-promotion)
-        # all pruned within their sketch — every chunk they fetched
-        # streamed from the slow tier; every other fetched bit (hot
-        # tokens' chunks, kept tokens' V) streams from the fast tier
+        # fetch-path traffic split: demoted tokens are (after this step's
+        # promotions) all pruned within their sketch — every chunk they
+        # fetched streamed from the slow tier; every other fetched bit
+        # (hot tokens' chunks, kept tokens' V) streams from the fast tier
         d = self.pool.head_dim
         dem = state.demoted[:t]
         slow_chunks = int(result.chunks_fetched[:, dem].sum())
@@ -489,14 +456,13 @@ class TieredKVStore:
         return demoted
 
     # ------------------------------------------------------------ preemption
-    def on_swap_out(self, seq_id: int, swapped: SwappedSequence) -> SwappedSequence:
-        """Patch a preemption swap so it is byte-exact and cheap.
+    def on_swap_out(self, seq_id: int, swapped: SwappedSequence) -> None:
+        """Charge a preemption swap of the sequence's rows to the slow tier.
 
-        The arena copy of a demoted row is sketch-only (later chunks and V
-        zeroed); restore those rows from their cold copies so the swapped
-        segments stay byte-exact.  Only the *hot* rows are charged as new
-        cold-tier writes — the demoted rows already live there, which is
-        what makes a mostly-demoted victim nearly free to preempt.
+        Only rows without a slow-tier copy are written; every swapped
+        row has one afterwards.  That is what makes a mostly-demoted
+        victim nearly free to preempt, and a row demoted after the
+        resume free to demote.
         """
         state = self._state(seq_id)
         t = state.length
@@ -504,36 +470,18 @@ class TieredKVStore:
             raise ValueError(
                 f"swap length {swapped.length} != tiered length {t}"
             )
-        demoted = np.flatnonzero(state.demoted[:t])
-        if demoted.size:
-            swapped.k_rows[demoted] = state.cold_k[demoted]
-            swapped.v_rows[demoted] = state.cold_v[demoted]
-        hot = t - demoted.size
-        self.dram.fast_read(self._bytes(hot * self.row_bits))
-        self.dram.slow_write(self._bytes(hot * self.row_bits))
-        self.swap_rows_skipped_total += int(demoted.size)
+        fresh = int((~state.cold_have[:t]).sum())
+        self._write_cold(fresh)
+        self.swap_rows_skipped_total += t - fresh
+        state.cold_have[:t] = True
         state.swapped_out = True
-        return swapped
 
     def on_swap_in(self, seq_id: int) -> None:
-        """Re-establish the tier map after a resume swap-in.
-
-        The pool restored every row byte-exactly; re-zero the demoted
-        rows' non-sketch bytes (they stay cold) and charge only the hot
-        rows' move back into the fast tier.
-        """
+        """Charge a resume: the hot rows move back into the fast tier;
+        demoted rows stay cold."""
         state = self._state(seq_id)
         state.swapped_out = False
-        t = state.length
-        demoted = np.flatnonzero(state.demoted[:t])
-        if demoted.size:
-            self.pool.clear_rows(
-                self._arena_rows(seq_id, demoted),
-                keep_chunks=self.sketch_chunks,
-            )
-        hot = t - demoted.size
-        self.dram.slow_read(self._bytes(hot * self.row_bits))
-        self.dram.fast_write(self._bytes(hot * self.row_bits))
+        self._read_cold(self.hot_tokens(seq_id))
 
     # -------------------------------------------------------------- reporting
     def snapshot(self) -> dict:
@@ -545,7 +493,6 @@ class TieredKVStore:
             "cold_copy_tokens": self.total_cold_tokens,
             "demotions": self.demotions_total,
             "promotions": self.promotions_total,
-            "rerun_steps": self.rerun_steps_total,
             "swap_rows_skipped": self.swap_rows_skipped_total,
             "dram": self.dram.snapshot(),
         }

@@ -81,7 +81,6 @@ def export_engine_metrics(
         gauge("tier_sketch_chunks", snap["sketch_chunks"], **policy)
         counter("tier_demotions", snap["demotions"], **policy)
         counter("tier_promotions", snap["promotions"], **policy)
-        counter("tier_rerun_steps", snap["rerun_steps"], **policy)
         counter("tier_swap_rows_skipped", snap["swap_rows_skipped"], **policy)
         dram = snap["dram"]
         counter(
@@ -179,9 +178,7 @@ def render_profile(
             "-chunk sketch): "
             f"{int(demotions.value)} demotions, "
             f"{int(_value(registry, 'tier_promotions', policy=policy))} "
-            "promotions, "
-            f"{int(_value(registry, 'tier_rerun_steps', policy=policy))} "
-            "kernel re-runs"
+            "promotions"
         )
         lines.append(
             f"    modelled traffic: fast {fast / tokens:,.0f} B/token, "

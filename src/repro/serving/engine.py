@@ -135,8 +135,8 @@ class EngineStepReport:
     #: rounds); "score" is their sum plus the kernel's set-up.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: KV-tiering movement this step (zero on an untiered engine):
-    #: tokens demoted / promoted, and sequences whose kernel call was
-    #: re-run after an on-demand promotion
+    #: tokens demoted / promoted.  ``tier_reruns`` is always 0 (a step
+    #: makes one kernel call); the benchmark recorder still reads it.
     tier_demotions: int = 0
     tier_promotions: int = 0
     tier_reruns: int = 0
@@ -303,7 +303,7 @@ class ServingEngine:
 
         ``kv_tiering`` (a :class:`repro.kvstore.tiers.TierConfig`) layers
         the two-tier KV store over the arena: low-mass tokens demote to a
-        byte-exact cold tier and promote back on demand, with generated
+        modelled cold tier and promote back on demand, with generated
         outputs bit-identical to the untiered engine.  ``prefix_cache``
         (a :class:`repro.kvstore.radix.RadixKVCache`) dedupes shared
         prompt prefixes into refcounted cold-tier extents.
@@ -384,8 +384,7 @@ class ServingEngine:
         self.resumes_total = 0
         self.prefill_chunks_total = 0
         self.prefill_tokens_total = 0
-        #: elementwise sum of every main kernel call's ``round_alive``
-        #: (tier-repair reruns excluded — they would double-count pairs):
+        #: elementwise sum of every step's kernel ``round_alive``:
         #: alive (head, token) pairs entering each chunk round plus the
         #: final kept count, shape (n_chunks + 1,).  The serve CLIs'
         #: ``--profile`` derives per-round survival fractions and the
@@ -973,10 +972,7 @@ class ServingEngine:
         entry = self._entry(seq_id)
         swapped = self.pool.swap_out(seq_id)
         if self.tiers is not None:
-            # patch sketch-only demoted rows from their cold copies first,
-            # so the swapped segments stay byte-exact; swap_out then only
-            # charges the hot remainder as new cold-tier movement
-            swapped = self.tiers.on_swap_out(seq_id, swapped)
+            self.tiers.on_swap_out(seq_id, swapped)
         del self._active[seq_id]
         entry.swapped = swapped
         self._preempted[seq_id] = entry
@@ -1200,12 +1196,8 @@ class ServingEngine:
 
         tier_bits: Optional[Dict[int, Tuple[int, int]]] = None
         if self.tiers is not None:
-            tier_bits = self._tier_post_kernel(
-                pooled, qs, q_scales, k_scales, segments, ragged, report
-            )
+            tier_bits = self._tier_post_kernel(pooled, ragged.results, report)
         if self._shard_group is not None:
-            # derive interconnect telemetry from the step's *final*
-            # results (post tier-repair) so reruns are not double-counted
             report.shard_views = self._shard_group.step_views(ragged.results)
             self.allgather_bits_total += sum(
                 v.allgather_bits for v in report.shard_views
@@ -1290,7 +1282,6 @@ class ServingEngine:
         if self.tiers is not None:
             args["tier_demotions"] = report.tier_demotions
             args["tier_promotions"] = report.tier_promotions
-            args["tier_reruns"] = report.tier_reruns
         if report.shard_views:
             args["n_shards"] = len(report.shard_views)
             args["allgather_bits"] = sum(
@@ -1319,56 +1310,26 @@ class ServingEngine:
     def _tier_post_kernel(
         self,
         pooled: List[SequenceRecord],
-        qs: np.ndarray,
-        q_scales: np.ndarray,
-        k_scales: np.ndarray,
-        segments: np.ndarray,
-        ragged,
+        results: Sequence[RaggedSequenceResult],
         report: EngineStepReport,
     ) -> Dict[int, Tuple[int, int]]:
-        """On-demand promotion and its bit-exactness repair loop.
+        """On-demand promotion, then the tier store's per-step signals.
 
-        A demoted token the kernel pruned within its sketch rounds was
-        pruned from exact chunk digits — the untiered decision, bit for
-        bit.  A demoted token that *outlived* the sketch needs the bytes
-        the cold tier holds: promote it (exact encoded rows restored) and
-        re-run the kernel for just that sequence (per-sequence results
-        are independent of batch composition, so the re-run is
-        bit-identical to the full fused call).  Sketch-round decisions
-        cannot change across re-runs — the sketch digits are exact either
-        way — so one pass converges; the loop bound is a defensive
-        invariant.
-
-        Afterwards every sequence's final result feeds the tier store's
-        policy signals and per-tier traffic split.
+        The step's one kernel pass read exact digits for every token.  A
+        demoted token it pruned within the sketch rounds read only sketch
+        digits, so the cold tier's bytes could not change its decision; a
+        demoted token that *outlived* the sketch is promoted (charged as a
+        slow -> fast move), and the pass already holds what its exact
+        bytes give.  Every result then feeds the policy signals and the
+        per-tier traffic split.
         """
-        for _ in range(self.config.quant.n_chunks + 1):
-            rerun: List[int] = []
-            for i, entry in enumerate(pooled):
-                need = self.tiers.tokens_needing_promotion(
-                    entry.seq_id, ragged.results[i]
-                )
-                if need.size:
-                    report.tier_promotions += self.tiers.promote(
-                        entry.seq_id, need
-                    )
-                    rerun.append(i)
-            if not rerun:
-                break
-            idx = np.asarray(rerun, dtype=np.int64)
-            redo = self._run_kernel(
-                qs[idx],
-                q_scales[idx],
-                k_scales[idx],
-                segments[idx],
-                report.phase_seconds,
-            )
-            for j, i in enumerate(rerun):
-                ragged.results[i] = redo.results[j]
-            report.tier_reruns += len(rerun)
-            self.tiers.rerun_steps_total += len(rerun)
         tier_bits: Dict[int, Tuple[int, int]] = {}
-        for entry, result in zip(pooled, ragged.results):
+        for entry, result in zip(pooled, results):
+            need = self.tiers.tokens_needing_promotion(entry.seq_id, result)
+            if need.size:
+                report.tier_promotions += self.tiers.promote(
+                    entry.seq_id, need
+                )
             tier_bits[entry.seq_id] = self.tiers.observe_step(
                 entry.seq_id, result, self._step_index
             )
@@ -1398,11 +1359,10 @@ class ServingEngine:
         from each result's O(1) ``stats()``.
 
         ``demoted_masks`` (tiered engines only) excludes demoted tokens
-        from the retained-mass bound: their reported ``scores`` are the
-        round-1 partials, not exact scores, so their Eq. 5 bound is not
-        evaluable here — the tier store tracks their mass per token
-        instead, and by construction of the demotion policy it is
-        negligible.
+        from the retained-mass bound: after the step's promotions every
+        demoted token died within the sketch rounds, and the tier store
+        tracks its mass per token instead — by construction of the
+        demotion policy it is negligible.
         """
         step_stats: List[PruneStats] = []
         track_mass = self.memory_manager is not None

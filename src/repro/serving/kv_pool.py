@@ -19,7 +19,7 @@ contiguous run of token positions in every plane, appended *in place*:
 a decode step writes exactly one new position per sequence and the
 fused ragged kernel then computes directly on views of the arena
 (``segments`` locate each slab), so the hot path performs zero packing
-copies.  Encoded rows (swaps, tier moves) cross the boundary token-major
+copies.  Encoded rows (swaps) cross the boundary token-major
 ``(n, H*C, d)`` and convert there; :attr:`KVCachePool.row_bits` is the
 modelled size of one.  Space is managed in fixed-size token blocks by a
 first-fit hole allocator with coalescing — the accounting granularity of
@@ -502,10 +502,13 @@ class KVCachePool:
         worker's V is the view ``v_arena[:, h0:h1]``."""
         return self._v
 
+    # read_rows / write_rows have no caller in the program: they are
+    # kept because the frozen benchmark recorder
+    # (benchmarks/e2e/e2e_spans.py) names them in its TARGETS.
     def read_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Copy arbitrary token rows out: token-major encoded ``(k_rows,
-        v_rows)``, ``(n, n_heads * C, d)`` and ``(n, n_heads, d)`` — how
-        the tier store moves rows without knowing the plane layout."""
+        v_rows)``, ``(n, n_heads * C, d)`` and ``(n, n_heads, d)``,
+        whatever the plane layout."""
         return self._k_rows[rows].copy(), self._v[rows].copy()
 
     def write_rows(
@@ -514,22 +517,6 @@ class KVCachePool:
         """Scatter rows back into the arena (inverse of :meth:`read_rows`)."""
         self._k_rows[rows] = k_rows
         self._v[rows] = v_rows
-
-    def empty_rows(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``n`` zeroed encoded rows in the :meth:`read_rows` format — a
-        host-side buffer (the tier store's cold copies) that
-        :meth:`write_rows` accepts."""
-        return (
-            np.zeros((n,) + self._k_rows.shape[1:], dtype=self._k.dtype),
-            np.zeros((n,) + self._v.shape[1:]),
-        )
-
-    def clear_rows(self, rows: np.ndarray, keep_chunks: int = 0) -> None:
-        """Zero the arena rows' K chunk digits from chunk ``keep_chunks``
-        on, and their whole V rows: the first ``keep_chunks`` MSB digits
-        (a demoted token's estimator sketch) stay readable."""
-        self._k[:, keep_chunks:, rows] = 0.0
-        self._v[rows] = 0.0
 
     def append(self, seq_id: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Encode and append a prompt chunk: raw ``keys`` / ``values``

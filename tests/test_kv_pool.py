@@ -288,23 +288,6 @@ class TestPlaneLayout:
             assert pool.k_arena.shape == (4, quant.n_chunks, 32, 64)
             k_row_bits = v_row_bits = 4 * 64 * quant.total_bits
             assert pool.row_bits == k_row_bits + v_row_bits
-            k_rows, v_rows = pool.empty_rows(3)
-            assert k_rows.shape == (3, 4 * quant.n_chunks, 64)
-            assert k_rows.dtype == dtype and v_rows.shape == (3, 4, 64)
-
-    def test_clear_rows_keeps_the_sketch_chunks(self):
-        full = self._pool()
-        k_rows, v_rows = self._fill(full)
-        off, n = full.segment(0)
-        cleared = off + np.array([1, 4, 7])
-        full.clear_rows(cleared, keep_chunks=1)
-        got_k, got_v = full.read_rows(np.arange(off, off + n))
-        want_k = k_rows.reshape(n, self.N_HEADS, self.N_CHUNKS, -1).copy()
-        want_k[[1, 4, 7], :, 1:] = 0.0
-        want_v = v_rows.copy()
-        want_v[[1, 4, 7]] = 0.0
-        assert np.array_equal(got_k, want_k.reshape(k_rows.shape))
-        assert np.array_equal(got_v, want_v)
 
 
 class TestAccounting:

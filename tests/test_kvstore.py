@@ -4,14 +4,13 @@ The load-bearing properties:
 
 * **Tiering bit-identity** — with demotion/promotion active, every
   generated step's kept mask, probabilities and attention outputs are
-  bit-equal to the untiered engine's (the promotion-on-sketch-survival
-  repair loop at work).
+  bit-equal to the untiered engine's, from one kernel call per step.
 * **Prefix-sharing bit-identity + refcounting** — N requests with a
   shared prompt prefix produce bit-identical outputs vs unshared runs,
   and refcounted extents free exactly when the last sharer finishes.
-* **Byte-exact movement** — demote scrubs the arena beyond the sketch,
-  promote restores the original encoded rows bit-for-bit, and swaps of
-  partially-demoted sequences stay byte-exact.
+* **Ledger-exact movement** — demote, promote and swaps flip the tier
+  map and charge the modelled bytes; a row is written to the slow tier
+  at most once, and the host arena's bytes never change.
 """
 
 import numpy as np
@@ -36,13 +35,17 @@ CFG = TokenPickerConfig(threshold=2e-3)
 N_HEADS, HEAD_DIM = 4, 32
 
 
-def _drain_collecting(engine, requests_or_trace):
-    """Submit everything, drain, and collect per-request step outputs."""
+def _drain_collecting(engine, requests_or_trace, reports=None):
+    """Submit everything, drain, and collect per-request step outputs
+    (and the step reports into ``reports`` when given)."""
     for item in requests_or_trace:
         request = item[1] if isinstance(item, tuple) else item
         engine.submit(request)
     outputs = {}
-    for report in engine.run_until_drained():
+    drained = engine.run_until_drained()
+    if reports is not None:
+        reports.extend(drained)
+    for report in drained:
         for sid, result in report.results.items():
             rid = report.per_sequence[sid].request_id
             outputs.setdefault(rid, []).append(
@@ -63,6 +66,28 @@ def _assert_identical(a, b):
             assert np.array_equal(k1, k2)
             assert np.array_equal(p1, p2)
             assert np.array_equal(o1, o2)
+
+
+def _spy_kernel_calls(monkeypatch):
+    """Count the engine's calls of the fused kernel; returns the list
+    each call appends its batch size to."""
+    import repro.serving.engine as engine_module
+
+    calls = []
+    kernel = engine_module.token_picker_attention_ragged
+
+    def spy(qs, *args, **kw):
+        calls.append(qs.shape[0])
+        return kernel(qs, *args, **kw)
+
+    monkeypatch.setattr(engine_module, "token_picker_attention_ragged", spy)
+    return calls
+
+
+def _assert_one_kernel_call_per_busy_step(calls, reports):
+    busy = [r.batch_size for r in reports if r.batch_size]
+    assert busy and calls == busy
+    assert not any(r.tier_reruns for r in reports)
 
 
 def _engine(tier=None, cache=None, batch=4, capacity=None, prompt=96, new=12):
@@ -186,7 +211,7 @@ class TestTierConfig:
 
 
 class TestDemotePromoteBytes:
-    """Byte-exact movement on a store wired straight to a pool."""
+    """Modelled byte charges on a store wired straight to a pool."""
 
     def _store(self, sketch=None):
         from repro.serving.kv_pool import KVCachePool
@@ -204,42 +229,42 @@ class TestDemotePromoteBytes:
         return store, pool
 
     @staticmethod
-    def _k_rows(pool, rows):
-        """Token-major (n, H*C, d) K rows of the chunk-major arena."""
-        return pool.read_rows(np.asarray(rows))[0]
+    def _ledger(store):
+        snap = store.dram.snapshot()
+        return {k: v for k, v in snap.items() if k.endswith("_bytes")}
 
-    def test_demote_scrubs_beyond_sketch_and_promote_restores(self):
+    @staticmethod
+    def _moved(store, before, **rows):
+        """Assert the ledger charged each named counter (``fast_read=4``
+        …) that many rows' bytes since ``before``, and nothing else."""
+        row = -(-store.row_bits // 8)
+        after = TestDemotePromoteBytes._ledger(store)
+        assert after == {
+            k: v + rows.get(k[: -len("_bytes")], 0) * row
+            for k, v in before.items()
+        }
+
+    def test_demote_and_promote_flip_flags_and_charge(self):
         store, pool = self._store()
-        offset, _ = pool.segment(7)
-        run = np.arange(offset, offset + 32)
-        original_k = self._k_rows(pool, run)
-        original_v = pool.v_arena[offset:offset + 32].copy()
-        n = store.demote(7, [0, 1, 2, 5])
-        assert n == 4
+        arena = (pool.k_arena.copy(), pool.v_arena.copy())
+        before = self._ledger(store)
+        assert store.demote(7, [0, 1, 2, 5]) == 4
         assert store.demoted_mask(7).sum() == 4
         assert store.hot_tokens(7) == 28
-        rows = self._k_rows(pool, offset + np.array([0, 1, 2, 5])).reshape(
-            4, N_HEADS, CFG.quant.n_chunks, HEAD_DIM
-        )
-        # sketch chunks intact, the rest scrubbed; V gone
-        assert np.array_equal(
-            rows[:, :, : store.sketch_chunks, :],
-            original_k[[0, 1, 2, 5]].reshape(
-                4, N_HEADS, CFG.quant.n_chunks, HEAD_DIM
-            )[:, :, : store.sketch_chunks, :],
-        )
-        assert not rows[:, :, store.sketch_chunks:, :].any()
-        assert not pool.v_arena[offset + np.array([0, 1, 2, 5])].any()
-        # hot rows untouched
-        assert np.array_equal(self._k_rows(pool, [offset + 3]), original_k[3:4])
-        # promotion restores the exact bytes
-        assert store.promote(7, [0, 1, 2, 5]) == 4
-        assert np.array_equal(self._k_rows(pool, run), original_k)
-        assert np.array_equal(pool.v_arena[offset:offset + 32], original_v)
+        self._moved(store, before, fast_read=4, slow_write=4)
+        before = self._ledger(store)
+        assert store.promote(7, [0, 1, 2, 5, 6]) == 4  # 6 was never demoted
+        assert not store.demoted_mask(7).any()
+        self._moved(store, before, slow_read=4, fast_write=4)
         # re-demotion reuses the immutable cold copy: no new slow write
-        before = store.dram.slow_write_bytes
-        store.demote(7, [0, 1])
-        assert store.dram.slow_write_bytes == before
+        before = self._ledger(store)
+        assert store.demote(7, [0, 1]) == 2
+        self._moved(store, before)
+        assert store.total_cold_tokens == 4
+        assert (store.demotions_total, store.promotions_total) == (6, 4)
+        # the tiers are a ledger: the host arena's bytes never moved
+        assert np.array_equal(pool.k_arena, arena[0])
+        assert np.array_equal(pool.v_arena, arena[1])
 
     def test_demote_guards_hot_tail_and_bounds(self):
         store, _ = self._store()
@@ -254,30 +279,43 @@ class TestDemotePromoteBytes:
 
     def test_swap_roundtrip_of_partially_demoted_sequence(self):
         store, pool = self._store()
-        offset, _ = pool.segment(7)
-        original_k = self._k_rows(pool, np.arange(offset, offset + 32))
-        original_v = pool.v_arena[offset:offset + 32].copy()
         store.demote(7, np.arange(0, 16))
-        swapped = store.on_swap_out(7, pool.swap_out(7))
-        # the swap image is byte-exact despite the scrubbed arena rows
-        assert np.array_equal(swapped.k_rows, original_k)
-        assert np.array_equal(swapped.v_rows, original_v)
+        before = self._ledger(store)
+        swapped = pool.swap_out(7)
+        store.on_swap_out(7, swapped)
+        # only the hot half is new slow-tier movement
+        self._moved(store, before, fast_read=16, slow_write=16)
         assert store.swap_rows_skipped_total == 16
+        assert store.total_cold_tokens == 32
+        with pytest.raises(ValueError, match="swapped out"):
+            store.demote(7, [20])
         pool.swap_in(7, swapped)
+        before = self._ledger(store)
         store.on_swap_in(7)
-        offset, _ = pool.segment(7)
-        # hot suffix restored exactly; demoted prefix scrubbed again
-        assert np.array_equal(
-            self._k_rows(pool, np.arange(offset + 16, offset + 32)),
-            original_k[16:],
-        )
-        assert not pool.v_arena[offset:offset + 16].any()
+        # the hot half moves back; the demoted half stays cold
+        self._moved(store, before, slow_read=16, fast_write=16)
         assert store.demoted_mask(7).sum() == 16
         assert store.promote(7, np.arange(0, 16)) == 16
-        assert np.array_equal(
-            self._k_rows(pool, np.arange(offset, offset + 32)), original_k
-        )
-        assert np.array_equal(pool.v_arena[offset:offset + 32], original_v)
+        assert store.hot_tokens(7) == 32
+
+    def test_swap_charges_only_rows_without_a_cold_copy(self):
+        """Regression: a row is written to the slow tier at most once.
+        A swap after a demote-promote round trip charges only the rows
+        that never went cold, and demoting a row the swap already wrote
+        charges nothing."""
+        store, pool = self._store()
+        store.demote(7, [0, 1, 2, 3])
+        store.promote(7, [0, 1, 2, 3])
+        before = self._ledger(store)
+        swapped = pool.swap_out(7)
+        store.on_swap_out(7, swapped)
+        self._moved(store, before, fast_read=28, slow_write=28)
+        assert store.swap_rows_skipped_total == 4
+        pool.swap_in(7, swapped)
+        store.on_swap_in(7)
+        before = self._ledger(store)
+        assert store.demote(7, [10, 11]) == 2
+        self._moved(store, before)
 
 
 class TestTieredEngineBitIdentity:
@@ -314,19 +352,21 @@ class TestTieredEngineBitIdentity:
         _assert_identical(baseline, tiered)
         assert engine.tiers.demotions_total > 0
 
-    def test_promotion_rerun_path_exercised(self):
-        """An aggressive recency window forces sketch-survivor promotions
-        and kernel re-runs — and outputs still match bit for bit."""
+    def test_promotions_from_one_kernel_call_per_step(self, monkeypatch):
+        """An aggressive recency window forces sketch-survivor
+        promotions; each step still makes exactly one kernel call over
+        the whole batch, and outputs match bit for bit."""
         tier = TierConfig(
             policy="recency", recency_window=4, hot_tail=4,
             survive_idle_steps=1,
         )
         baseline = _drain_collecting(_engine(), _requests(4))
         engine = _engine(tier)
-        tiered = _drain_collecting(engine, _requests(4))
+        calls, reports = _spy_kernel_calls(monkeypatch), []
+        tiered = _drain_collecting(engine, _requests(4), reports)
         _assert_identical(baseline, tiered)
         assert engine.tiers.promotions_total > 0
-        assert engine.tiers.rerun_steps_total > 0
+        _assert_one_kernel_call_per_busy_step(calls, reports)
 
     def test_hot_budget_enforced(self):
         tier = TierConfig(

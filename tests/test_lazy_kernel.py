@@ -19,7 +19,7 @@ thins.  Its contract against independent
 Property-swept across arena dtypes (float32 / float64 / the int64
 wide-format fallback), quant formats straddling the 52-bit float64
 exactness limit, prompt-guard edges and thresholds; plus engine-level
-identity under preemption and tiered promotion re-runs.
+identity under preemption and tiered on-demand promotions.
 """
 
 import numpy as np
@@ -41,7 +41,11 @@ from repro.serving import (
 )
 from repro.serving.kv_pool import freeze_scales
 from test_kvstore import _assert_identical as _assert_drains_identical
-from test_kvstore import _drain_collecting
+from test_kvstore import (
+    _assert_one_kernel_call_per_busy_step,
+    _drain_collecting,
+    _spy_kernel_calls,
+)
 from test_ragged_kernel import (
     _assert_identical,
     _build_arena,
@@ -311,20 +315,22 @@ class TestEngineMatchesBatched:
         assert engine.preemptions_total > 0
         _assert_drains_identical(drained, _batched_replay(pairs))
 
-    def test_tiered_identical_through_promotion_reruns(self):
+    def test_tiered_identical_through_promotions(self, monkeypatch):
         """The strongest composition: the kernel under tiered KV
-        demotion (including promotion-triggered kernel re-runs) against
-        the untiered rectangular oracle — still bit-identical."""
+        demotion (including on-demand promotions, read from the step's
+        one kernel call) against the untiered rectangular oracle — still
+        bit-identical."""
         tier = TierConfig(
             policy="recency", recency_window=4, hot_tail=4,
             survive_idle_steps=1,
         )
         engine = self._engine(tier=tier)
         pairs = _requests(4)
-        drained = _drain_collecting(engine, [r for r, _ in pairs])
+        calls, reports = _spy_kernel_calls(monkeypatch), []
+        drained = _drain_collecting(engine, [r for r, _ in pairs], reports)
         _assert_drains_identical(drained, _batched_replay(pairs))
         assert engine.tiers.promotions_total > 0
-        assert engine.tiers.rerun_steps_total > 0
+        _assert_one_kernel_call_per_busy_step(calls, reports)
 
     def test_engine_accumulates_round_alive(self):
         engine = self._engine()

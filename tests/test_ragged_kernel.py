@@ -361,6 +361,66 @@ class TestBitIdenticalEquivalence:
         assert ragged.stats().n_tokens == 2 * 20
 
 
+class TestSketchTheorem:
+    """Breadth round ``b`` reads only the first ``b`` chunk digits of
+    every token — the theorem the tiered KV store rests on: a demoted
+    token keeps only its first ``sketch`` digits reachable, and whatever
+    its later digits and V row hold, every decision of rounds ``<=
+    sketch`` is the same.  Scramble them on a random subset of tokens and
+    compare against the unscrambled call."""
+
+    @pytest.mark.parametrize("sketch", [1, 2])
+    def test_scrambled_tail_digits_keep_every_sketch_round_decision(
+        self, sketch
+    ):
+        config = TokenPickerConfig(threshold=2e-3)
+        quant = config.quant
+        assert 1 <= sketch < quant.n_chunks
+        died = np.zeros(sketch + 1, dtype=np.int64)  # [b]: died in round b
+        outlived = 0
+        rng = np.random.default_rng(sketch)
+        for _ in range(30):
+            n_seqs, n_heads = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            head_dim = int(rng.integers(4, 33))
+            qs, keys, values = _make_batch(rng, n_seqs, n_heads, head_dim, 96)
+            q_sc = _oracle_scales(qs[:, :, None, :], quant)
+            k_sc = _oracle_scales(keys, quant)
+            v_sc = _oracle_scales(values, quant)
+            k_arena, v_arena, segments = _build_arena(
+                keys, values, k_sc, v_sc, quant, np.float64
+            )
+            tokens = np.concatenate([np.arange(o, o + t) for o, t in segments])
+            hit = rng.choice(tokens, size=max(tokens.size // 3, 1), replace=False)
+            k_scrambled, v_scrambled = k_arena.copy(), v_arena.copy()
+            k_scrambled[:, sketch:, hit] = rng.integers(
+                0, 1 << quant.chunk_bits, size=k_scrambled[:, sketch:, hit].shape
+            )
+            v_scrambled[hit] = rng.normal(size=v_scrambled[hit].shape)
+            runs = [
+                token_picker_attention_ragged(
+                    qs, config, q_scales=q_sc, k_scales=k_sc,
+                    k_plane_arena=k, segments=segments, v_arena=v,
+                )
+                for k, v in ((k_arena, v_arena), (k_scrambled, v_scrambled))
+            ]
+            for (offset, _), a, b in zip(segments, *(r.results for r in runs)):
+                assert np.array_equal(
+                    np.minimum(a.chunks_fetched, sketch + 1),
+                    np.minimum(b.chunks_fetched, sketch + 1),
+                )
+                within = a.chunks_fetched <= sketch
+                assert np.array_equal(a.scores[within], b.scores[within])
+                mine = np.isin(offset + np.arange(a.n_tokens), hit)
+                counts = np.bincount(
+                    a.chunks_fetched[:, mine].ravel(), minlength=quant.n_chunks + 1
+                )
+                died += counts[: sketch + 1]
+                outlived += int(counts[sketch + 1:].sum())
+        # the check has teeth: scrambled tokens die in every sketch round,
+        # and some outlive the sketch (their decisions may then move)
+        assert (died[1:] > 0).all() and outlived > 0
+
+
 class TestExactInFloatBoundary:
     """The arena score path picks float64 or int64 accumulation by the
     52-bit mantissa gate; formats straddling the limit must agree with

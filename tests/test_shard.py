@@ -404,8 +404,8 @@ class TestShardGroup:
         self, monkeypatch, shards, n_heads
     ):
         """Shards are views of one call: every decoding step of a
-        sharded engine (no tiering, so no repair reruns) calls the
-        kernel exactly once, over all of its heads."""
+        sharded engine calls the kernel exactly once, over all of its
+        heads."""
         widths = []
         kernel = shard_module.token_picker_attention_ragged
 
