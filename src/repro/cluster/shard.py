@@ -3,7 +3,7 @@
 The cluster layer's replicas are pure data parallelism — N independent
 engines.  This module adds the orthogonal axis, Megatron-style **tensor
 parallelism over attention heads**: one engine's ``(H, C, T_cap, d)``
-chunk-digit planes and deq-V rows are partitioned head-wise across K
+chunk-digit planes and V-code rows are partitioned head-wise across K
 modelled shard workers.  Each worker owns a contiguous head range of
 the engine's one full-width :class:`~repro.serving.kv_pool.KVCachePool`
 — because K is stored head-major, that range is the leading-axis
@@ -133,7 +133,7 @@ class ShardGroup:
     ) -> RaggedPickerResult:
         """One full-width :func:`token_picker_attention_ragged` call on
         the pool's arena; ``kernel_kw`` carries the rest of its keyword
-        arguments (scales, segments, scratch, phase times)."""
+        arguments (q/k/v scales, segments, scratch, phase times)."""
         return token_picker_attention_ragged(
             qs,
             config,

@@ -946,20 +946,30 @@ def _spread(table, index, out) -> None:
     np.take(table, index, axis=1, out=out, mode="clip")
 
 
-def _contract_chunk(planes_c, q_seg, st, en, out) -> None:
+#: bytes of the float tile a dense round casts digits into: about an
+#: L2's worth, so a tile is contracted while it is still cached
+_TILE_BYTES = 1 << 19
+
+
+def _contract_chunk(planes_c, q_seg, st, en, tile, out) -> None:
     """Every token's digit row of one chunk dotted with its sequence's
     query, into ``out`` (H, total).  ``planes_c`` is the (H, total, d)
-    single-chunk digit planes, each head's a contiguous (total, d) block,
-    ``q_seg`` the (n_live, H, d) per-segment query codes in the same
-    dtype.  One batched matrix-vector product per segment (BLAS in the
-    float modes): the query is constant within a segment, so this never
-    materialises a per-token query gather.  Any summation order gives the
-    same exact integer (see :func:`exact_digit_dtype`)."""
+    single-chunk integer digit planes, ``q_seg`` the (n_live, H, d)
+    per-segment query codes and ``tile`` an (H, rows, d) scratch, both
+    in the float accumulator dtype.  Each segment is cast into the tile
+    ``rows`` tokens at a time and contracted by one batched
+    matrix-vector product (BLAS), never a per-token query gather.  Any
+    summation order gives the same exact integer (see
+    :func:`exact_digit_dtype`), so the tiling never moves a bit."""
+    rows = tile.shape[1]
     for i in range(st.shape[0]):
-        lo, hi = int(st[i]), int(en[i])
-        np.matmul(
-            planes_c[:, lo:hi], q_seg[i][:, :, None], out=out[:, lo:hi, None]
-        )
+        q = q_seg[i][:, :, None]
+        end = int(en[i])
+        for lo in range(int(st[i]), end, rows):
+            hi = min(lo + rows, end)
+            t = tile[:, :hi - lo]
+            np.copyto(t, planes_c[:, lo:hi])
+            np.matmul(t, q, out=out[:, lo:hi, None])
 
 
 def _score_rounds(
@@ -968,7 +978,7 @@ def _score_rounds(
     q_codes: np.ndarray,
     score_scale: np.ndarray,
     config: TokenPickerConfig,
-    exact_in_float: bool,
+    accumulator,
     take_buf,
     clock: _PhaseClock,
 ):
@@ -982,15 +992,16 @@ def _score_rounds(
     ``np.take`` each into scratch, and the per-pair state is read and
     written through flat views — per-round score cost scales with the
     alive set (the keep fraction of T) instead of T * C, the paper's
-    on-demand fetch.  Chunk contractions are exact integers (float64
-    under the 52-bit gate, float32 digits under the 2**24 gate, int64
-    otherwise), so any contraction order gives the same bits and
-    incremental accumulation equals the rectangular kernel's cumulative
-    table; the per-round denominators re-reduce the whole lower-bound
-    row through the same ``reduceat`` folds as :func:`_row_sums`.
+    on-demand fetch.  Chunk contractions are exact integers in the
+    ``accumulator`` dtype (float32 under the 2**24 gate, else float64;
+    :func:`exact_digit_dtype`), so any contraction order gives the same
+    bits and incremental accumulation equals the rectangular kernel's
+    cumulative table; the per-round denominators re-reduce the whole
+    lower-bound row through the same ``reduceat`` folds as
+    :func:`_row_sums`.
 
-    ``k_arena`` is the whole (H, C, T_cap, d) unshifted-digit arena,
-    ``q_codes`` (S, H, d) int64, ``score_scale`` (S, H).  Returns
+    ``k_arena`` is the whole (H, C, T_cap, d) integer arena of unshifted
+    digits, ``q_codes`` (S, H, d) int64, ``score_scale`` (S, H).  Returns
     ``(kept_flat, kept_scores, chunks_fetched, scores, log_den_seg,
     round_alive)``: the kept pairs' ascending flat indices and exact
     scores (owned arrays), the (H, total) uint8 chunk counts and scores
@@ -1062,28 +1073,12 @@ def _score_rounds(
         1 << (quant.total_bits - (c + 1) * quant.chunk_bits)
         for c in range(n_chunks)
     ]
-    int_mode = not exact_in_float
-    if int_mode:
-        # wide-format fallback: only the chunk-0 slice needs an int64
-        # copy up front; later rounds cast just the gathered alive rows
-        q_f = q_codes
-        contrib0 = take_buf("lz_c0_i", (n_heads, total), np.int64)
-        planes_c0 = take_buf("lz_p0_i", (n_heads, total, head_dim), np.int64)
-        np.copyto(planes_c0, planes[:, 0], casting="unsafe")
-    elif planes.dtype == np.float32:
-        q_f = q_codes.astype(np.float32)
-        contrib0 = take_buf("lz_c0_f32", (n_heads, total), np.float32)
-        planes_c0 = planes[:, 0]
-    else:
-        q_f = q_codes.astype(np.float64)
-        contrib0 = take_buf("lz_c0", (n_heads, total))
-        planes_c0 = planes[:, 0]
+    q_f = q_codes.astype(accumulator)
+    contrib0 = take_buf("lz_c0", (n_heads, total), accumulator)
+    rows = max(_TILE_BYTES // (n_heads * head_dim * contrib0.itemsize), 1)
+    tile = take_buf("k_tile", (n_heads, rows, head_dim), accumulator)
     q_seg = q_f[geo.seg_ids]  # (n_live, H, d)
-    ps_run = take_buf(
-        "lz_ps_i" if int_mode else "lz_ps",
-        (n_heads, total),
-        np.int64 if int_mode else np.float64,
-    )
+    ps_run = take_buf("lz_ps", (n_heads, total))
     # pre-scaled margin tables (C, H, S): the same ``margin * scale``
     # products the rectangular kernel computes per token, evaluated once
     # per (sequence, head, chunk) and gathered per round
@@ -1133,25 +1128,17 @@ def _score_rounds(
         row *= t_cap
         row += t
         row += geo.base
-        k_rows = take_buf("pr_k", (n, head_dim), k_arena.dtype)
-        np.take(k_rows_src, row, axis=0, out=k_rows, mode="clip")
-        if int_mode:  # lossless: digits are exact ints
-            k_int = take_buf("pr_k_i", (n, head_dim), np.int64)
-            np.copyto(k_int, k_rows, casting="unsafe")
-            k_rows = k_int
-        contrib = take_buf("pr_c", (n,), contrib0.dtype)
+        k_digits = take_buf("pr_k", (n, head_dim), k_arena.dtype)
+        np.take(k_rows_src, row, axis=0, out=k_digits, mode="clip")
+        k_rows = take_buf("pr_kf", (n, head_dim), accumulator)
+        np.copyto(k_rows, k_digits)  # only the gathered rows are cast
+        contrib = take_buf("pr_c", (n,), accumulator)
         np.einsum("ad,ad->a", k_rows, q_rows, out=contrib)
-        ps = take_buf("pr_ps", (n,), ps_run.dtype)
+        ps = take_buf("pr_ps", (n,))
         np.take(ps_flat, pidx, out=ps, mode="clip")
-        if int_mode:
-            contrib *= shifts[b]
-            ps += contrib
-        else:
-            shifted = take_buf("pr_shift", (n,))
-            np.multiply(
-                contrib, float(shifts[b]), out=shifted, dtype=np.float64
-            )
-            ps += shifted
+        shifted = take_buf("pr_shift", (n,))
+        np.multiply(contrib, float(shifts[b]), out=shifted, dtype=np.float64)
+        ps += shifted
         ps_flat[pidx] = ps
         base = take_buf("pr_base", (n,))
         np.take(ss_flat, pidx, out=base, mode="clip")
@@ -1182,11 +1169,8 @@ def _score_rounds(
         # identical per-element value chain, so the switch is purely a
         # performance decision — every output is bit-identical either
         # way.
-        if pidx is None and (
-            b == 0 or (not int_mode and survivors * 8 >= alive.size)
-        ):
-            planes_cb = planes_c0 if b == 0 else planes[:, b]
-            _contract_chunk(planes_cb, q_seg, st, en, contrib0)
+        if pidx is None and (b == 0 or survivors * 8 >= alive.size):
+            _contract_chunk(planes[:, b], q_seg, st, en, tile, contrib0)
             if b == 0:
                 if not geo.valid.all():  # scrub stale gap columns
                     contrib0[:, ~geo.valid] = 0
@@ -1271,23 +1255,26 @@ def _score_rounds(
 
 
 def exact_digit_dtype(quant: QuantConfig, head_dim: int) -> type:
-    """The narrowest accumulator in which digit-plane scoring is exact.
+    """The narrowest float dtype in which digit-plane scoring is exact.
 
     Chunk digits reach ``2**chunk_bits - 1`` in magnitude and query codes
     ``|qmin| = 2**(N-1)``, so every partial sum of a ``head_dim``-long
     digit x query dot product lies below ``head_dim * (2**chunk_bits - 1)
     * 2**(N-1)``; full-depth partial scores lie below ``head_dim *
-    2**(2N-2)``.  Returns ``np.int64`` when the second bound, with
-    ``head_dim`` rounded up to a power of two, exceeds ``2**52``, else
-    ``np.float32`` when the first is under ``2**24``,
-    else ``np.float64``.  Within the returned dtype every summation order
-    yields the same
-    integer, so a BLAS contraction is bit-identical to any other.  The
-    KV pool picks its K arena dtype here and the ragged kernel checks the
-    arena against it.
+    2**(2N-2)``.  Returns ``np.float32`` when the first bound is under
+    ``2**24``, else ``np.float64``; within it every summation order
+    yields the same integer, so a BLAS contraction is bit-identical to
+    any other.  A format whose second bound, with ``head_dim`` rounded
+    up to a power of two, passes ``2**52`` raises ``ValueError`` naming
+    it — at ``KVCachePool(...)`` and at the ragged kernel's entry, which
+    both call this (the int64 batched reference serves every format).
     """
     if 2 * quant.total_bits - 2 + max(head_dim - 1, 1).bit_length() > 52:
-        return np.int64
+        raise ValueError(
+            f"format ({quant.total_bits}, {quant.chunk_bits}) at head_dim "
+            f"{head_dim}: full-depth scores pass 2**52, so no float "
+            "accumulator scores its digit planes exactly"
+        )
     if head_dim * ((1 << quant.chunk_bits) - 1) * -quant.qmin < 2 ** 24:
         return np.float32
     return np.float64
@@ -1302,6 +1289,7 @@ def token_picker_attention_ragged(
     k_plane_arena: np.ndarray,
     segments: np.ndarray,
     v_arena: Optional[np.ndarray] = None,
+    v_scales: Optional[np.ndarray] = None,
     scratch: Optional[KernelScratch] = None,
     phase_times: Optional[Dict[str, float]] = None,
 ) -> RaggedPickerResult:
@@ -1313,15 +1301,20 @@ def token_picker_attention_ragged(
     * ``qs`` (S, H, d): one query per sequence, quantized here with the
       frozen ``q_scales`` (S, H); ``k_scales`` (S, H) are the scales the
       arena's keys were encoded with.
-    * ``k_plane_arena``: the chunk-major (H, C, T_cap, d) digit planes of
-      *unshifted* MSB-first chunk digits, float32 or float64 — the
-      decomposition the paper's DRAM layout streams, with every
-      (head, chunk) plane a contiguous (T_cap, d) block so a chunk round
-      is one matrix-vector product per head and segment.  The kernel
-      applies each chunk's power-of-two positional shift after the
-      contraction, so digit-times-query products stay exact integers.
-    * ``v_arena`` (T_cap, H, d): quantize-dequantized values; ``None``
-      runs step 0 only (``outputs`` is ``None``).
+    * ``k_plane_arena``: the chunk-major (H, C, T_cap, d) planes of
+      *unshifted* MSB-first chunk digits in a signed integer dtype (int8
+      for chunks of up to 7 bits) — the paper's DRAM layout, every
+      (head, chunk) plane a contiguous (T_cap, d) block.  Dense rounds
+      cast segment tiles, thin rounds only their gathered rows, to
+      :func:`exact_digit_dtype`'s float dtype; each chunk's
+      power-of-two shift is applied after the contraction, so
+      digit-times-query products stay exact integers.
+    * ``v_arena`` (T_cap, H, d): the signed V codes ``clip(rint(v /
+      s))``, with the spare code ``qmin - 1`` standing for a code of
+      ``-0.0``, and ``v_scales`` (S, H) the scales they were encoded
+      with.  Unpack dequantises only the kept rows, ``code * s`` — the
+      bits of ``clip(rint(v / s)) * s``, sign of zero included.
+      ``v_arena=None`` runs step 0 only (``outputs`` is ``None``).
     * ``segments`` (S, 2): ``(offset, length)`` rows locating each
       sequence's contiguous slab.  The caller appends tokens in place
       and hands over views — no per-step packing copies at all.
@@ -1366,8 +1359,8 @@ def token_picker_attention_ragged(
     k_scale = _checked_scales(k_scales, (n_seqs, n_heads))
 
     k_arena = np.asarray(k_plane_arena)
-    if k_arena.dtype not in (np.float32, np.float64):
-        raise ValueError("k_plane_arena must hold float32/float64 chunk digits")
+    if k_arena.dtype.kind != "i":
+        raise ValueError("k_plane_arena must hold signed integer chunk digits")
     if k_arena.ndim != 4 or (
         k_arena.shape[:2] + k_arena.shape[3:] != (n_heads, n_chunks, head_dim)
     ):
@@ -1385,19 +1378,22 @@ def token_picker_attention_ragged(
     if np.any(segments < 0) or np.any(segments.sum(axis=1) > t_cap):
         raise ValueError("segments must lie within the arena")
     if v_arena is not None:
-        v_arena = np.asarray(v_arena, dtype=np.float64)
+        v_arena = np.asarray(v_arena)
         if v_arena.shape != (t_cap, n_heads, head_dim):
             raise ValueError(
                 f"v_arena must be ({t_cap}, {n_heads}, "
                 f"{head_dim}), got {v_arena.shape}"
             )
+        v_neg_zero = quant.qmin - 1
+        if v_arena.dtype.kind != "i" or not np.can_cast(
+            np.min_scalar_type(v_neg_zero), v_arena.dtype
+        ):
+            raise ValueError(
+                f"v_arena must hold signed integer V codes down to "
+                f"qmin - 1 = {v_neg_zero}"
+            )
+        v_scale = _checked_scales(v_scales, (n_seqs, n_heads))
     accumulator = exact_digit_dtype(quant, head_dim)
-    exact_in_float = accumulator is not np.int64
-    if k_arena.dtype == np.float32 and accumulator is not np.float32:
-        raise ValueError(
-            "float32 k_plane_arena requires digit contractions exact in "
-            "float32 (head_dim * digit_max * |qmin| < 2**24)"
-        )
 
     lengths = segments[:, 1]
     results: list = [None] * n_seqs
@@ -1417,7 +1413,7 @@ def token_picker_attention_ragged(
     score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (S, H)
     kept_flat, kept_scores, chunks, scores, log_den_seg, round_alive = (
         _score_rounds(
-            geo, k_arena, q_codes, score_scale, config, exact_in_float,
+            geo, k_arena, q_codes, score_scale, config, accumulator,
             take_buf, clock,
         )
     )
@@ -1448,12 +1444,16 @@ def token_picker_attention_ragged(
         # only the *kept* tokens' V rows (keep fraction of the cache) —
         # the step-1 AV the hardware actually fetches
         kh, kt = np.divmod(kept_flat, total)
-        v_rows = take_buf("v_rows", (kept_flat.size, head_dim))
+        codes = take_buf("v_codes", (kept_flat.size, head_dim), v_arena.dtype)
         np.take(
             v_arena.reshape(-1, head_dim),
             (kt + geo.base) * n_heads + kh,  # row (base + t, h)
-            axis=0, out=v_rows, mode="clip",
+            axis=0, out=codes, mode="clip",
         )
+        v_rows = take_buf("v_rows", (kept_flat.size, head_dim))
+        np.copyto(v_rows, codes)
+        np.copyto(v_rows, -0.0, where=codes == v_neg_zero)
+        v_rows *= v_scale[geo.seq_of_tok[kt], kh][:, None]
         outs = _read_only(
             _grouped_weighted_v(flat_probs, v_rows, bounds).reshape(
                 n_live, n_heads, head_dim

@@ -1069,6 +1069,7 @@ class ServingEngine:
         qs: np.ndarray,
         q_scales: np.ndarray,
         k_scales: np.ndarray,
+        v_scales: np.ndarray,
         segments: np.ndarray,
         phase_times: Dict[str, float],
     ) -> "RaggedPickerResult":
@@ -1077,6 +1078,7 @@ class ServingEngine:
         kernel_kw = dict(
             q_scales=q_scales,
             k_scales=k_scales,
+            v_scales=v_scales,
             segments=segments,
             scratch=self._scratch,
             phase_times=phase_times,
@@ -1185,7 +1187,7 @@ class ServingEngine:
         # ---- one fused kernel call straight on the arena: the segment
         # table is the only per-step metadata, no packing copies
         ragged = self._run_kernel(
-            qs, q_scales, k_scales, segments, report.phase_seconds
+            qs, q_scales, k_scales, v_scales, segments, report.phase_seconds
         )
         report.ragged_utilization = Scheduler.ragged_utilization(
             segments[:, 1].tolist()

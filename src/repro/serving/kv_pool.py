@@ -6,15 +6,20 @@ with a per-sequence ``(offset, length)`` segment table.  The pool alone
 decides what the arena holds: callers hand it *raw* float K/V
 (:meth:`KVCachePool.append` for a prompt chunk, :meth:`KVCachePool.
 append_rows` for one decode token per sequence) and it encodes them with
-each sequence's frozen scales.  K is held as its ``C = quant.n_chunks``
-MSB-first chunk digits, **chunk-major**, in ``(H, C, T_cap, d)`` planes:
-every (head, chunk) pair owns one contiguous ``(T_cap, d)`` plane, so
-the kernel's chunk-0 estimate pass streams one dense plane per head and
-later chunks sit apart until fetched — the paper's DRAM layout.  The
-plane dtype is float32 whenever every digit contraction is exact there
-(:func:`~repro.core.pruning.exact_digit_dtype`), else float64.  V, of
-which only kept rows are ever gathered, is stored quantize-dequantized
-and token-major ``(T_cap, H, d)``.  A sequence occupies the same
+each sequence's frozen scales, and stores the paper's bits.  K is held
+as its ``C = quant.n_chunks`` MSB-first chunk digits, **chunk-major**,
+in ``(H, C, T_cap, d)`` integer planes: every (head, chunk) pair owns
+one contiguous ``(T_cap, d)`` plane, so the kernel's chunk-0 estimate
+pass streams one dense plane per head and later chunks sit apart until
+fetched — the paper's DRAM layout.  Digits are stored unshifted in the
+narrowest signed integer holding ``[-2**(cb-1), 2**cb - 1]`` (int8 for
+chunks of up to 7 bits).  V, of which only kept rows are ever gathered,
+is stored token-major ``(T_cap, H, d)`` as its signed codes in
+``np.min_scalar_type(qmin - 1)`` (int16 at 12 bits), the spare code
+``qmin - 1`` marking a code of ``-0.0``; the kernel dequantises kept
+rows with the sequence's frozen scale.  At the paper's (12, 4) format
+that is 5 bytes per (token, head, dim) element: three int8 digits and
+one int16 code.  A sequence occupies the same
 contiguous run of token positions in every plane, appended *in place*:
 a decode step writes exactly one new position per sequence and the
 fused ragged kernel then computes directly on views of the arena
@@ -61,14 +66,16 @@ def _encode_kv_into(
     and decomposed into its MSB-first chunk *digits* — the representation
     the paper's DRAM layout streams — written into ``k_out``, token-major
     ``(n, H * n_chunks, d)`` rows: the pool's strided view into its
-    chunk-major digit planes, or a staging array.  Digits are stored
-    unshifted (the fused kernel applies each chunk's power-of-two
-    positional shift after its contraction), so they fit the arena's
-    float32 storage exactly for practical formats.  V is stored
-    quantize-dequantized into ``v_out`` ``(n, H, d)``.  Both are
-    elementwise identical to what the kernel would re-derive from the
-    raw floats at every later step, so storing them loses nothing and
-    saves the per-step requantization of the whole cache.
+    chunk-major integer digit planes, or a staging array.  Digits are
+    stored unshifted (the fused kernel applies each chunk's power-of-two
+    positional shift after its contraction).  V is stored as its signed
+    codes ``clip(rint(v / s))`` into ``v_out`` ``(n, H, d)``, a code of
+    ``-0.0`` (``v / s`` in ``[-0.5, -0.0]``) as the spare code ``qmin -
+    1``, so the kernel's ``code * s`` is bit for bit ``clip(rint(v /
+    s)) * s``, sign of zero included.  Both are what the
+    kernel would re-derive from the raw floats at every later step, so
+    storing them loses nothing and saves the per-step requantization of
+    the whole cache.
 
     The digits come straight from the signed codes, held in the
     narrowest signed integer dtype that fits ``[qmin, qmax]`` (int16 for
@@ -77,11 +84,9 @@ def _encode_kv_into(
     (Eq. 4), and every lower chunk is the shifted code's low ``cb`` bits,
     which a two's-complement code shares with its unsigned pattern — the
     same digits :func:`~repro.core.quantization.signed_chunk_digit`
-    derives from :func:`~repro.core.quantization.to_unsigned`.  V is
-    quantize-dequantized in place in ``v_out`` (a float64 arena view or
-    staging array), in the same op order and so to the same bits as a
-    separate buffer.  Prefill encodes whole prompts through here, so
-    every full-width pass skipped is time-to-first-token saved.
+    derives from :func:`~repro.core.quantization.to_unsigned`.  Prefill
+    encodes whole prompts through here, so every full-width pass skipped
+    is time-to-first-token saved.
     """
     n, n_heads, head_dim = keys.shape
     # in-place ufuncs keep the input's memory order (head-major for a
@@ -99,11 +104,22 @@ def _encode_kv_into(
         if c:
             np.bitwise_and(digit, chunk_mask, out=digit)
         k3[:, :, c, :] = digit
-    vsc = v_scale[:, :, None]
-    np.divide(values, vsc, out=v_out)
-    np.rint(v_out, out=v_out)
-    np.clip(v_out, quant.qmin, quant.qmax, out=v_out)
-    v_out *= vsc
+    code = np.divide(values, v_scale[:, :, None])
+    np.rint(code, out=code)
+    np.clip(code, quant.qmin, quant.qmax, out=code)
+    v_out[...] = code
+    # -0.0 is the one float64 whose bit pattern is int64's minimum: one
+    # compare finds the codes that take the spare code qmin - 1
+    neg_zero = code.view(np.int64) == np.iinfo(np.int64).min
+    np.copyto(v_out, quant.qmin - 1, where=neg_zero)
+
+
+def _reject_nan(keys: np.ndarray, values: np.ndarray) -> None:
+    """``ValueError`` if raw K/V hold a NaN: it has no code (a cast would
+    turn it into a silent garbage digit or code).  ``min`` propagates a
+    NaN without an elementwise mask copy."""
+    if keys.size and (np.isnan(keys.min()) or np.isnan(values.min())):
+        raise ValueError("keys and values must not contain NaN")
 
 
 def _lazy_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -182,13 +198,13 @@ class SwappedSequence:
     """A preempted sequence's KV segments, swapped out of the arena.
 
     The rows are byte-exact copies of the arena's *encoded* storage
-    (frozen-scale chunk digits + quantize-dequantized V), so swapping back
+    (frozen-scale integer chunk digits + signed V codes), so swapping back
     in reproduces the sequence's cache bit-for-bit — the property the
     preemption path's zero-divergence guarantee rests on.
     """
 
     k_rows: np.ndarray  # (t, n_heads * n_chunks, d) token-major K digits
-    v_rows: np.ndarray  # (t, n_heads, d) token-major deq-V rows
+    v_rows: np.ndarray  # (t, n_heads, d) token-major V codes
     scales: Optional[SequenceScales]
 
     @property
@@ -237,11 +253,11 @@ class KVCachePool:
         capacity_tokens: int = 8192,
         block_size: int = 16,
     ) -> None:
-        """``quant`` is the storage format: C chunk-digit planes per
-        head, stored *unshifted* in float32 when every digit contraction
-        is exact there (halving the fused kernel's arena traffic), else
-        float64 — the ragged kernel checks the arena against the same
-        gate.
+        """``quant`` is the storage format: C integer chunk-digit planes
+        per head, stored *unshifted*, and one signed V code per element
+        (see the module docstring).  A format no float accumulator
+        scores exactly (full-depth scores past ``2**52``) raises
+        ``ValueError`` here, as it would at the ragged kernel's entry.
         """
         if n_heads < 1 or head_dim < 1:
             raise ValueError("n_heads and head_dim must be >= 1")
@@ -259,11 +275,8 @@ class KVCachePool:
         self.block_size = block_size
         self.n_blocks = capacity_tokens // block_size
         t_cap = self.n_blocks * block_size
-        k_dtype = (
-            np.float32
-            if exact_digit_dtype(quant, head_dim) is np.float32
-            else np.float64
-        )
+        exact_digit_dtype(quant, head_dim)  # rejects a too-wide format
+        k_dtype = np.min_scalar_type(-(1 << quant.chunk_bits))
         # chunk-major K digit planes, plus a token-major view of the same
         # memory for the row interface: ``_k_rows[t]`` is token t's
         # (n_heads * C, d) row.  It must stay a view (the head and chunk
@@ -272,7 +285,9 @@ class KVCachePool:
         self._k_rows = self._k.transpose(2, 0, 1, 3).reshape(
             t_cap, n_heads * self.n_chunks, head_dim
         )
-        self._v = np.zeros((t_cap, n_heads, head_dim))
+        self._v = np.zeros(
+            (t_cap, n_heads, head_dim), np.min_scalar_type(quant.qmin - 1)
+        )
         # hole list in block units, sorted by offset, coalesced.  A
         # zero-capacity pool (capacity_tokens == 0) is legal — an
         # always-full placeholder some capacity dashboards construct —
@@ -491,15 +506,17 @@ class KVCachePool:
 
     @property
     def k_arena(self) -> np.ndarray:
-        """Chunk-major ``(n_heads, n_chunks, T_cap, d)`` K digit planes;
+        """Chunk-major ``(n_heads, n_chunks, T_cap, d)`` integer K digit
+        planes;
         each ``k_arena[h, c]`` is one C-contiguous ``(T_cap, d)`` plane,
         and a head range ``k_arena[h0:h1]`` is one shard worker's K."""
         return self._k
 
     @property
     def v_arena(self) -> np.ndarray:
-        """Token-major ``(T_cap, n_heads, d)`` V storage; a shard
-        worker's V is the view ``v_arena[:, h0:h1]``."""
+        """Token-major ``(T_cap, n_heads, d)`` signed V codes (``qmin -
+        1`` for ``-0.0``); a shard worker's V is the view
+        ``v_arena[:, h0:h1]``."""
         return self._v
 
     # read_rows / write_rows have no caller in the program: they are
@@ -507,8 +524,8 @@ class KVCachePool:
     # (benchmarks/e2e/e2e_spans.py) names them in its TARGETS.
     def read_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Copy arbitrary token rows out: token-major encoded ``(k_rows,
-        v_rows)``, ``(n, n_heads * C, d)`` and ``(n, n_heads, d)``,
-        whatever the plane layout."""
+        v_rows)``, ``(n, n_heads * C, d)`` integer digits and ``(n,
+        n_heads, d)`` V codes, whatever the plane layout."""
         return self._k_rows[rows].copy(), self._v[rows].copy()
 
     def write_rows(
@@ -533,7 +550,8 @@ class KVCachePool:
         admission) the engine preflights the chunk with
         :meth:`ensure_capacity` first.  Raises :class:`PoolExhausted`
         (leaving the sequence unchanged) when no contiguous run can
-        cover the growth.
+        cover the growth, and ``ValueError`` (before any row is claimed)
+        when ``keys`` or ``values`` hold a NaN, which has no code.
         """
         entry = self._entry(seq_id)
         if entry.scales is None:
@@ -550,6 +568,7 @@ class KVCachePool:
             )
         if not keys.shape[1]:
             return
+        _reject_nan(keys, values)
         k_slots, v_slots = self.append_slots(seq_id, keys.shape[1])
         _encode_kv_into(
             keys.transpose(1, 0, 2),
@@ -599,7 +618,8 @@ class KVCachePool:
         each row's sequence's frozen scales.  All growth is performed
         first (so a :class:`PoolExhausted` mid-way cannot leave a partial
         batch), then both arenas are written with one scatter each — the
-        fused step's only KV write.
+        fused step's only KV write.  A NaN in ``keys`` or ``values``
+        raises ``ValueError`` before any row is claimed.
         """
         keys, values = np.asarray(keys), np.asarray(values)
         shape = (len(seq_ids), self.n_heads, self.head_dim)
@@ -608,10 +628,11 @@ class KVCachePool:
                 f"keys and values must be {shape}, got {keys.shape} "
                 f"and {values.shape}"
             )
+        _reject_nan(keys, values)
         entries = [self._entry(sid) for sid in seq_ids]
         k_rows, v_rows = (
             np.empty((len(entries),) + self._k_rows.shape[1:], self._k.dtype),
-            np.empty(shape),
+            np.empty(shape, self._v.dtype),
         )
         _encode_kv_into(
             keys,
@@ -686,7 +707,7 @@ class KVCachePool:
 
     def view(self, seq_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """The sequence's encoded ``(n_heads * C, t, d)`` K digits and
-        ``(n_heads, t, d)`` V tensors (read-only).
+        ``(n_heads, t, d)`` V codes (read-only).
 
         Zero-copy: K is the plain slice of the sequence's run in every
         digit plane, V a transposed view, both valid until the sequence

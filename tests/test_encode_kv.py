@@ -1,12 +1,14 @@
 """The pool's one K/V encoder against the quantization reference.
 
 :class:`~repro.serving.kv_pool.KVCachePool` encodes raw K/V on the way in:
-chunk digits by arithmetic shifts of narrow signed integer codes, V
-quantized in place.  These tests pin every stored value to the
-definition — ``signed_chunk_digit(to_unsigned(code))`` for K and
-``clip(rint(v / s)) * s`` for V — through both write paths: ``append``
-(a prefill chunk, one sequence's scales) and ``append_rows`` (one decode
-token per sequence, per-row scales).
+chunk digits by arithmetic shifts of narrow signed integer codes, V as
+its signed codes with ``-0.0`` as the spare code ``qmin - 1``.  These
+tests pin every stored value to the definition —
+``signed_chunk_digit(to_unsigned(code))`` for K and, byte for byte,
+``clip(rint(v / s)) * s`` for the dequantised V — through both write
+paths: ``append`` (a prefill chunk, one sequence's scales) and
+``append_rows`` (one decode token per sequence, per-row scales).  A
+format whose full-depth scores pass 2**52 is refused by the pool.
 """
 
 import numpy as np
@@ -56,6 +58,13 @@ def _seq_scales(k_scale: np.ndarray, v_scale: np.ndarray) -> SequenceScales:
     return SequenceScales(q_scale=k_scale, k_scale=k_scale, v_scale=v_scale)
 
 
+def _dequantised(v_codes: np.ndarray, scale: np.ndarray, quant: QuantConfig):
+    """Stored V codes back to floats: the kernel's ``code * s``, with the
+    spare code ``qmin - 1`` read as ``-0.0``."""
+    codes = np.where(v_codes == quant.qmin - 1, -0.0, v_codes)
+    return codes * scale[:, :, None]
+
+
 @pytest.mark.parametrize("per_row", [False, True], ids=["broadcast", "per_row"])
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f"{f[0]}b{f[1]}")
 def test_encoder_matches_reference(fmt, per_row):
@@ -63,6 +72,11 @@ def test_encoder_matches_reference(fmt, per_row):
     chunks.  ``per_row``: one decode token for each of ``N_TOKENS``
     sequences, each with its own scales."""
     quant = QuantConfig(*fmt)
+    if 2 * quant.total_bits - 2 + (HEAD_DIM - 1).bit_length() > 52:
+        # no float accumulator scores these digits exactly: refused
+        with pytest.raises(ValueError, match=rf"\({fmt[0]}, {fmt[1]}\)"):
+            KVCachePool(N_HEADS, HEAD_DIM, quant, capacity_tokens=64)
+        return
     n_chunks = quant.n_chunks
     rng = np.random.default_rng(sum(fmt) + per_row)
     k_scale, v_scale = _scales(per_row), _scales(per_row) * 0.5
@@ -70,15 +84,19 @@ def test_encoder_matches_reference(fmt, per_row):
     values = _edge_codes(rng, quant) * v_scale[:, :, None]
 
     codes = _reference(keys, k_scale, quant)
-    if quant.total_bits > 32:
-        # an int32 cast would wrap these
-        assert np.abs(codes).max() > np.iinfo(np.int32).max
     pattern = to_unsigned(codes, quant)
     expected_k = np.stack(
         [signed_chunk_digit(pattern, c, quant) for c in range(n_chunks)],
         axis=2,
     )  # (n, H, C, d)
-    expected_v = _reference(values, v_scale, quant) * v_scale[:, :, None]
+    v_float = np.clip(
+        np.rint(values / v_scale[:, :, None]), quant.qmin, quant.qmax
+    )
+    expected_v = v_float * v_scale[:, :, None]  # -0.0 where v / s rounds to it
+    expected_codes = np.where(
+        np.signbit(v_float) & (v_float == 0), quant.qmin - 1, v_float
+    )
+    assert (expected_codes == quant.qmin - 1).any()  # a -0.0 code is stored
 
     pool = KVCachePool(
         N_HEADS, HEAD_DIM, quant, capacity_tokens=64, block_size=1
@@ -107,7 +125,10 @@ def test_encoder_matches_reference(fmt, per_row):
     assert np.array_equal(
         k_rows.reshape(N_TOKENS, N_HEADS, n_chunks, HEAD_DIM), expected_k
     )
-    assert np.array_equal(v_rows, expected_v)
+    assert np.array_equal(v_rows, expected_codes)
+    row_scale = np.broadcast_to(v_scale, (N_TOKENS, N_HEADS))
+    deq = _dequantised(v_rows, row_scale, quant)
+    assert deq.tobytes() == expected_v.tobytes()
     # the neighbouring sequence's rows were not touched
     assert not pool.k_arena[:, :, :PAD].any() and not pool.v_arena[:PAD].any()
 
@@ -124,7 +145,7 @@ def test_ties_round_to_even_and_range_ends_saturate():
     pool.append(0, keys, keys)
     k_out, v_out = pool.read_rows(np.arange(6))
     codes = [2, 4, -2, quant.qmax, quant.qmin, quant.qmax]
-    assert np.array_equal(v_out.ravel(), np.array(codes) * 0.25)
+    assert v_out.ravel().tolist() == codes
     # 12-bit code -> three 4-bit digits, the top one signed
     assert k_out[4, :, 0].tolist() == [-8, 0, 0]  # qmin = 0x800
     assert k_out[3, :, 0].tolist() == [7, 15, 15]  # qmax = 0x7ff

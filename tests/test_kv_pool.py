@@ -10,6 +10,7 @@ from repro.serving.kv_pool import (
     count_clips,
     freeze_scales,
 )
+from test_encode_kv import FORMATS
 
 QUANT = QuantConfig()  # (12, 4): three chunk-digit planes per head
 
@@ -23,10 +24,14 @@ def _pool(**kw):
 
 
 def _rows(rng, n, n_heads=2, head_dim=4):
-    """``n`` encoded token rows: small-integer K digits (exact in the
-    float32 planes) and float V."""
+    """``n`` encoded token rows in the arena's dtypes: int8 K digits
+    across the 4-bit chunk range and int16 V codes across ``[qmin - 1,
+    qmax]`` (``qmin - 1`` is the ``-0.0`` code)."""
     k = rng.integers(-8, 16, size=(n, n_heads * QUANT.n_chunks, head_dim))
-    return k.astype(np.float64), rng.normal(size=(n, n_heads, head_dim))
+    v = rng.integers(
+        QUANT.qmin - 1, QUANT.qmax, size=(n, n_heads, head_dim), endpoint=True
+    )
+    return k.astype(np.int8), v.astype(np.int16)
 
 
 def _fill(pool, seq_id, n, rng):
@@ -56,9 +61,9 @@ class TestStorage:
         k, _ = _fill(pool, 0, 5, rng)
         keys, values = pool.view(0)
         with pytest.raises(ValueError):
-            keys[:] = 0.0
+            keys[:] = 0
         with pytest.raises(ValueError):
-            values[:] = 0.0
+            values[:] = 0
         assert np.array_equal(pool.view(0)[0], k)
 
     def test_incremental_staging_tracks_appends(self):
@@ -205,13 +210,15 @@ class TestArena:
         assert pool.largest_hole_blocks == 3
         assert pool.can_fit(24)
 
-    def test_float32_k_channel(self):
+    def test_int8_k_channel(self):
         rng = np.random.default_rng(6)
-        pool = _pool()  # (12, 4) digits at d = 4 contract exactly in float32
+        pool = _pool()  # (12, 4): 4-bit digits in [-8, 15] fit int8
         pool.register(0)
-        digits, _ = _fill(pool, 0, 6, rng)
-        assert pool.k_arena.dtype == np.float32
-        assert np.array_equal(pool.view(0)[0], digits)  # small ints exact
+        digits, codes = _fill(pool, 0, 6, rng)
+        assert pool.k_arena.dtype == np.int8
+        assert pool.v_arena.dtype == np.int16
+        assert np.array_equal(pool.view(0)[0], digits)
+        assert np.array_equal(pool.view(0)[1], codes)
 
 
 class TestPlaneLayout:
@@ -276,18 +283,43 @@ class TestPlaneLayout:
         assert np.array_equal(swapped.v_rows, v_rows)
 
     def test_format_derived_from_quant(self):
-        """The pool alone sizes the arena from ``quant``: C planes per
-        head, float32 digits where every contraction is exact there
-        (12-bit codes in 4-bit chunks at d = 64), float64 past it (40-bit
-        codes), and ``row_bits`` is the tier byte model's K-digits-plus-V
-        row."""
-        for fmt, dtype in (((12, 4), np.float32), ((40, 8), np.float64)):
+        """The pool alone sizes the arena from ``quant``, at the paper's
+        bits: C planes per head of digits in the narrowest signed integer
+        holding ``[-2**(cb-1), 2**cb - 1]`` and V codes in the narrowest
+        one holding ``qmin - 1``, so the arena costs exactly ``H * d *
+        (C * k_itemsize + v_itemsize)`` bytes per token — 5 B per (token,
+        head, dim) at (12, 4) — and ``row_bits`` is the tier byte model's
+        K-digits-plus-V row.  A format whose full-depth scores pass
+        2**52 at d = 64 (40-bit codes) is refused, naming the format."""
+        n_heads, head_dim, t_cap = 4, 64, 32
+        k_dtype = {4: np.int8, 6: np.int8, 8: np.int16, 12: np.int16}
+        v_dtype = {8: np.int16, 12: np.int16, 16: np.int32}
+        n_refused = 0
+        for fmt in FORMATS:
             quant = QuantConfig(*fmt)
-            pool = KVCachePool(4, 64, quant, capacity_tokens=32, block_size=8)
-            assert pool.k_arena.dtype == dtype
-            assert pool.k_arena.shape == (4, quant.n_chunks, 32, 64)
-            k_row_bits = v_row_bits = 4 * 64 * quant.total_bits
+            if 2 * quant.total_bits - 2 + (head_dim - 1).bit_length() > 52:
+                n_refused += 1
+                named = rf"\({fmt[0]}, {fmt[1]}\) at head_dim {head_dim}"
+                with pytest.raises(ValueError, match=named):
+                    KVCachePool(n_heads, head_dim, quant, capacity_tokens=t_cap)
+                continue
+            pool = KVCachePool(
+                n_heads, head_dim, quant, capacity_tokens=t_cap, block_size=8
+            )
+            assert pool.k_arena.dtype == k_dtype[quant.chunk_bits], fmt
+            assert pool.v_arena.dtype == v_dtype[quant.total_bits], fmt
+            assert pool.k_arena.shape == (
+                n_heads, quant.n_chunks, t_cap, head_dim
+            )
+            per_token = (pool.k_arena.nbytes + pool.v_arena.nbytes) / t_cap
+            assert per_token == n_heads * head_dim * (
+                quant.n_chunks * pool.k_arena.itemsize + pool.v_arena.itemsize
+            ), fmt
+            if fmt == (12, 4):
+                assert per_token == 5 * n_heads * head_dim
+            k_row_bits = v_row_bits = n_heads * head_dim * quant.total_bits
             assert pool.row_bits == k_row_bits + v_row_bits
+        assert n_refused == 1  # (40, 8)
 
 
 class TestAccounting:
@@ -425,6 +457,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be"):
             pool.append_rows([1], np.zeros((1, 2, 4)), np.zeros((1, 4)))
         assert pool.length(1) == 0
+
+    @pytest.mark.parametrize("which", ["keys", "values"])
+    def test_nan_append_rejected_before_any_row_is_claimed(self, which):
+        """Regression: a NaN key used to be cast to digit 0 with only a
+        cast warning, and an integer V arena would store a garbage code
+        instead of a visible NaN.  Both write paths now raise before
+        claiming a row: length, blocks and stored rows are unchanged."""
+        rng = np.random.default_rng(9)
+        pool = _pool()
+        scales = freeze_scales(
+            rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)), QUANT, 1.25
+        )
+        pool.register(0, scales=scales)
+        pool.append(0, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
+        before = [a.copy() for a in pool.view(0)], pool.blocks_in_use
+        prompt = {n: rng.normal(size=(2, 9, 4)) for n in ("keys", "values")}
+        prompt[which][1, 8, 2] = np.nan  # the chunk's last element
+        with pytest.raises(ValueError, match="NaN"):
+            pool.append(0, prompt["keys"], prompt["values"])
+        step = {n: rng.normal(size=(1, 2, 4)) for n in ("keys", "values")}
+        step[which][0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            pool.append_rows([0], step["keys"], step["values"])
+        assert pool.length(0) == 3
+        assert pool.blocks_in_use == before[1]
+        for got, want in zip(pool.view(0), before[0]):
+            assert np.array_equal(got, want)
 
     def test_zero_capacity_pool_is_safe(self):
         """Regression: a 0-block pool must not divide by zero anywhere a

@@ -59,13 +59,17 @@ def _drain_collecting(engine, requests_or_trace, reports=None):
 
 
 def _assert_identical(a, b):
+    """Per-request step records equal: kept sets by value, probabilities
+    and outputs byte for byte (a ``-0.0`` output must stay ``-0.0``)."""
     assert set(a) == set(b)
     for rid in a:
         assert len(a[rid]) == len(b[rid])
         for (k1, p1, o1), (k2, p2, o2) in zip(a[rid], b[rid]):
             assert np.array_equal(k1, k2)
-            assert np.array_equal(p1, p2)
-            assert np.array_equal(o1, o2)
+            for x, y in ((p1, p2), (o1, o2)):
+                x, y = np.asarray(x), np.asarray(y)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
 
 
 def _spy_kernel_calls(monkeypatch):
@@ -222,8 +226,8 @@ class TestDemotePromoteBytes:
         rng = np.random.default_rng(0)
         pool.register(7)
         k = rng.integers(-8, 16, size=(32, N_HEADS * CFG.quant.n_chunks, HEAD_DIM))
-        v = rng.normal(size=(32, N_HEADS, HEAD_DIM))
-        pool.append_encoded(7, k.astype(np.float64), v)
+        v = rng.integers(-2048, 2048, size=(32, N_HEADS, HEAD_DIM))
+        pool.append_encoded(7, k.astype(np.int8), v.astype(np.int16))
         store.register(7)
         store.note_append(7, 32, step=0)
         return store, pool

@@ -6,9 +6,9 @@ dense full-width rounds and compacted pair gathers as the alive set
 thins.  Its contract against independent
 ``token_picker_attention_batched`` calls:
 
-* kept sets, chunks fetched, probabilities, outputs and log
-  denominators are **bit-identical** (``array_equal``) — pruning
-  decisions never move;
+* kept sets and chunks fetched are equal, and probabilities, outputs
+  and log denominators are **byte-identical** (a ``-0.0`` output stays
+  ``-0.0``) — pruning decisions never move;
 * kept tokens' reported scores are the exact full-depth values;
 * a pruned token's reported score is its certified upper bound at the
   round that pruned it (``p'' >= p``, Eq. 5) — its remaining chunks
@@ -16,10 +16,12 @@ thins.  Its contract against independent
 * ``round_alive`` (pairs entering each round) is what the oracle's
   ``chunks_fetched`` implies and is monotone non-increasing.
 
-Property-swept across arena dtypes (float32 / float64 / the int64
-wide-format fallback), quant formats straddling the 52-bit float64
-exactness limit, prompt-guard edges and thresholds; plus engine-level
-identity under preemption and tiered on-demand promotions.
+Property-swept across integer digit dtypes (int8 / int16; the pool
+stores int8 for chunks of up to 7 bits), float32 and float64
+accumulation (the 2**24 gate), formats up to the 52-bit float64
+exactness limit (the kernel refuses wider ones), prompt-guard edges and
+thresholds; plus engine-level identity under preemption and tiered
+on-demand promotions.
 """
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.core import (
     token_picker_attention_batched,
     token_picker_attention_ragged,
 )
+from repro.core import pruning
 from repro.core.pruning import KernelScratch, PruneStats
 from repro.kvstore import TierConfig
 from repro.serving import (
@@ -53,18 +56,18 @@ from test_ragged_kernel import (
     _run_arena,
 )
 
-#: (quant format, arena dtype) — float32 for the paper's 12-bit format,
-#: float64 for formats exact under the 52-bit gate
-#: (2*total_bits - 2 + bit_length(head_dim - 1) <= 52: 24-bit chunks at
-#: head_dim 24 give 46 + 5 = 51), and the int64 fallback one format
-#: beyond it (26-bit: 50 + 5 = 55), plus a single-chunk format whose
-#: refinement loop is empty.
+#: (quant format, digit dtype) — the paper's 12-bit format in int8 (the
+#: pool's width) and int16, contracted in float32; a format exact in
+#: float64 only, close to the 52-bit gate (2*total_bits - 2 +
+#: bit_length(head_dim - 1) <= 52: 24-bit codes at head_dim 24 give
+#: 46 + 5 = 51), in its int16 width; 13-bit chunks (int16) contracted in
+#: float64; plus a single-chunk format whose refinement loop is empty.
 FORMATS = [
-    (QuantConfig(12, 4), np.float32),
-    (QuantConfig(12, 4), np.float64),
-    (QuantConfig(24, 8), np.float64),
-    (QuantConfig(26, 13), np.float64),
-    (QuantConfig(8, 8), np.float64),
+    (QuantConfig(12, 4), np.int8),
+    (QuantConfig(12, 4), np.int16),
+    (QuantConfig(24, 8), np.int16),
+    (QuantConfig(13, 13), np.int16),
+    (QuantConfig(8, 8), np.int16),
 ]
 HEAD_DIM = 24
 
@@ -157,7 +160,7 @@ class TestRoundEdges:
         qs, keys, values, scales = _case(seed=3)
         config = TokenPickerConfig(threshold=2e-3, prompt_guard=10_000)
         ragged = _run_arena(
-            qs, keys, values, config, *scales, dtype=np.float32
+            qs, keys, values, config, *scales, dtype=np.int8
         )
         _assert_matches_batched(
             ragged, config, qs, keys, values, scales, scores="exact"
@@ -169,9 +172,25 @@ class TestRoundEdges:
         qs, keys, values, scales = _case(seed=11)
         config = TokenPickerConfig(threshold=2e-3)
         ragged = _run_arena(
-            qs, keys, values, config, *scales, dtype=np.float32
+            qs, keys, values, config, *scales, dtype=np.int8
         )
         _assert_matches_batched(ragged, config, qs, keys, values, scales)
+
+
+    def test_tile_boundaries_never_move_a_bit(self, monkeypatch):
+        """Dense rounds cast each segment into a float tile a bounded
+        number of tokens at a time; tiles of one token and of seven
+        tokens, far shorter than the segments, give the oracle's bits."""
+        qs, keys, values, scales = _case(seed=13)
+        config = TokenPickerConfig(threshold=2e-3, prompt_guard=0)
+        n_heads = qs.shape[1]
+        for tile_tokens in (1, 7):
+            tile_bytes = tile_tokens * n_heads * HEAD_DIM * 4  # float32
+            monkeypatch.setattr(pruning, "_TILE_BYTES", tile_bytes)
+            ragged = _run_arena(
+                qs, keys, values, config, *scales, dtype=np.int8
+            )
+            _assert_matches_batched(ragged, config, qs, keys, values, scales)
 
 
 class TestScratchReuse:
@@ -184,7 +203,7 @@ class TestScratchReuse:
         qs, keys, values, (q_sc, k_sc, v_sc) = _case(seed=5, max_len=80)
         config = TokenPickerConfig(threshold=5e-2)
         k_arena, v_arena, segments = _build_arena(
-            keys, values, k_sc, v_sc, config.quant, np.float32
+            keys, values, k_sc, v_sc, config.quant, np.int8
         )
         scratch = KernelScratch()
 
@@ -192,7 +211,7 @@ class TestScratchReuse:
             return token_picker_attention_ragged(
                 qs, config,
                 q_scales=q_sc, k_scales=k_sc,
-                k_plane_arena=k_arena, v_arena=v_arena,
+                k_plane_arena=k_arena, v_arena=v_arena, v_scales=v_sc,
                 segments=segments, scratch=scratch,
             )
 
@@ -201,9 +220,10 @@ class TestScratchReuse:
         for name in (
             "ld_cols", "m_tok", "ex", "m_cols", "m_fix", "den_cols",
             "lz_ps", "lz_smin", "lz_smax", "lz_mrow", "scores", "chunks",
-            "pr_h", "pr_t", "pr_hs", "pr_row", "pr_q", "pr_k", "pr_c",
-            "pr_ps", "pr_shift", "pr_base", "pr_smin", "pr_smax",
-            "pr_margin", "pr_prune", "pr_ok", "v_rows",
+            "lz_c0", "k_tile", "pr_h", "pr_t", "pr_hs", "pr_row", "pr_q",
+            "pr_k", "pr_kf", "pr_c", "pr_ps", "pr_shift", "pr_base",
+            "pr_smin", "pr_smax", "pr_margin", "pr_prune", "pr_ok",
+            "v_codes", "v_rows",
         ):
             assert any(k[0] == name for k in buffers_after_first), name
         second = call()
@@ -229,7 +249,7 @@ class TestScratchReuse:
                 seed=seed, n_seqs=n_seqs, max_len=40 + 20 * n_seqs
             )
             ragged = _run_arena(
-                qs, keys, values, config, *scales, dtype=np.float32,
+                qs, keys, values, config, *scales, dtype=np.int8,
                 scratch=scratch,
             )
             calls.append((ragged, qs, keys, values, scales))

@@ -6,9 +6,10 @@ arena changes *nothing* — every pruning decision, fetched-chunk count,
 probability, output and traffic statistic is bit-identical to calling the
 rectangular reference ``token_picker_attention_batched`` on each sequence
 alone, and a pruned token's reported score is its certified upper bound.
-These tests assert exact (``array_equal``, not ``allclose``) equality,
-property-based over mixed lengths, head counts, thresholds, chunk
-formats, arena dtypes and frozen-vs-derived scales.
+These tests assert exact equality — float fields byte for byte, so a
+``-0.0`` that came out ``+0.0`` fails — property-based over mixed
+lengths, head counts, thresholds, chunk formats, digit dtypes and
+frozen-vs-derived scales.
 """
 
 import numpy as np
@@ -50,15 +51,27 @@ def _oracle_scales(arrays, quant):
     return out
 
 
+def _v_codes(values, v_sc, quant):
+    """Signed V codes ``clip(rint(v / s))`` with ``-0.0`` stored as the
+    spare code ``qmin - 1`` — the pool's V storage, derived here on its
+    own."""
+    code = np.clip(np.rint(values / v_sc), quant.qmin, quant.qmax)
+    out = code.astype(np.min_scalar_type(quant.qmin - 1))
+    out[np.signbit(code) & (code == 0)] = quant.qmin - 1
+    return out
+
+
 def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
-    """Packed arena — chunk-major (H, C, T, d) unshifted digit planes +
-    token-major deq V — with dead inter-segment gaps, as the serving pool
-    lays sequences out."""
+    """Packed arena — chunk-major (H, C, T, d) unshifted integer digit
+    planes of ``dtype`` + token-major V codes — with dead inter-segment
+    gaps, as the serving pool lays sequences out."""
     n_seqs = len(keys)
     n_heads, _, head_dim = keys[0].shape
     cap = sum(int(k.shape[1]) for k in keys) + gap * (n_seqs + 1)
     k_arena = np.zeros((n_heads, quant.n_chunks, cap, head_dim), dtype=dtype)
-    v_arena = np.zeros((cap, n_heads, head_dim))
+    v_arena = np.zeros(
+        (cap, n_heads, head_dim), np.min_scalar_type(quant.qmin - 1)
+    )
     segments = np.zeros((n_seqs, 2), dtype=np.int64)
     offset = gap
     for s in range(n_seqs):
@@ -74,9 +87,8 @@ def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
             first >= sign_threshold, first - wrap, first
         )
         k_arena[:, :, offset:offset + t] = digits.transpose(0, 3, 1, 2)
-        vsc = v_sc[s][:, None, None]
-        v_arena[offset:offset + t] = (
-            np.clip(np.rint(values[s] / vsc), quant.qmin, quant.qmax) * vsc
+        v_arena[offset:offset + t] = _v_codes(
+            values[s], v_sc[s][:, None, None], quant
         ).transpose(1, 0, 2)
         segments[s] = (offset, t)
         offset += t + gap
@@ -84,30 +96,42 @@ def _build_arena(keys, values, k_sc, v_sc, quant, dtype, gap=5):
 
 
 def _run_arena(
-    qs, keys, values, config, q_sc, k_sc, v_sc=None, dtype=np.float64,
+    qs, keys, values, config, q_sc, k_sc, v_sc=None, dtype=np.int16,
     scratch=None,
 ):
     """Encode the batch into a gapped arena and run the fused kernel;
     ``values=None`` runs scores-only (no V arena)."""
+    v_sc = v_sc if v_sc is not None else np.ones_like(k_sc)
     k_arena, v_arena, segments = _build_arena(
         keys,
         values if values is not None else [np.zeros_like(k) for k in keys],
         k_sc,
-        v_sc if v_sc is not None else np.ones_like(k_sc),
+        v_sc,
         config.quant,
         dtype,
     )
+    with_v = values is not None
     return token_picker_attention_ragged(
         qs, config,
         q_scales=q_sc, k_scales=k_sc,
         k_plane_arena=k_arena, segments=segments,
-        v_arena=v_arena if values is not None else None,
+        v_arena=v_arena if with_v else None,
+        v_scales=v_sc if with_v else None,
         scratch=scratch,
     )
 
 
+def _same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes: unlike ``array_equal``, ``-0.0``
+    differs from ``+0.0``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
 def _assert_identical(ragged_result, independent, scores="bound"):
-    """Bit-identity of every decision-bearing field.
+    """Bit-identity of every decision-bearing field, floats byte for byte.
 
     ``scores="bound"`` is the arena kernel's contract: kept tokens'
     scores are the exact full-depth values, while a pruned token's
@@ -120,23 +144,23 @@ def _assert_identical(ragged_result, independent, scores="bound"):
     assert np.array_equal(ragged_result.kept, independent.kept)
     assert np.array_equal(ragged_result.chunks_fetched, independent.chunks_fetched)
     if scores == "exact":
-        assert np.array_equal(ragged_result.scores, independent.scores)
+        assert _same_bytes(ragged_result.scores, independent.scores)
     else:
         kept = independent.kept
-        assert np.array_equal(ragged_result.scores[kept], independent.scores[kept])
+        assert _same_bytes(ragged_result.scores[kept], independent.scores[kept])
         pruned_lazy = ragged_result.scores[~kept]
         pruned_exact = independent.scores[~kept]
         assert np.all(
             pruned_lazy >= pruned_exact - (1e-9 + 1e-9 * np.abs(pruned_exact))
         )
-    assert np.array_equal(ragged_result.probs, independent.probs)
-    assert np.array_equal(
+    assert _same_bytes(ragged_result.probs, independent.probs)
+    assert _same_bytes(
         ragged_result.log_denominators, independent.log_denominators
     )
     if independent.outputs is None:
         assert ragged_result.outputs is None
     else:
-        assert np.array_equal(ragged_result.outputs, independent.outputs)
+        assert _same_bytes(ragged_result.outputs, independent.outputs)
     assert ragged_result.stats() == independent.stats()
 
 
@@ -178,7 +202,7 @@ class TestBitIdenticalEquivalence:
             explicit = [{}] * n_seqs
         ragged = _run_arena(
             qs, keys, values, config, q_sc, k_sc, v_sc,
-            dtype=(np.float32, np.float64)[seed % 2],
+            dtype=(np.int8, np.int16)[seed % 2],
         )
         for s in range(n_seqs):
             independent = token_picker_attention_batched(
@@ -228,7 +252,7 @@ class TestBitIdenticalEquivalence:
             _oracle_scales(list(qs), quant),
             _oracle_scales(keys, quant),
             _oracle_scales(values, quant),
-            dtype=np.float32,
+            dtype=np.int8,
         )
         for s in range(3):
             _assert_identical(
@@ -241,7 +265,7 @@ class TestBitIdenticalEquivalence:
         segment table, dead gaps between slabs) must be bit-identical to
         independent batched calls — the serving engine's contract — in
         both digit storage widths."""
-        for dtype, seed in ((np.float32, 0), (np.float64, 1)):
+        for dtype, seed in ((np.int8, 0), (np.int16, 1)):
             rng = np.random.default_rng(seed)
             config = TokenPickerConfig(threshold=2e-3)
             n_seqs, n_heads, head_dim = 4, 2, 24
@@ -273,7 +297,7 @@ class TestBitIdenticalEquivalence:
             k_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
             v_sc = rng.uniform(0.005, 0.05, size=(n_seqs, n_heads))
             arena = _run_arena(
-                qs, keys, values, config, q_sc, k_sc, v_sc, np.float32,
+                qs, keys, values, config, q_sc, k_sc, v_sc, np.int8,
                 scratch=scratch,
             )
             for s in range(n_seqs):
@@ -290,14 +314,14 @@ class TestBitIdenticalEquivalence:
         config = TokenPickerConfig()
         quant = config.quant
         qs = rng.normal(size=(1, 2, 8))
-        arena = np.zeros((2, quant.n_chunks, 32, 8))
+        arena = np.zeros((2, quant.n_chunks, 32, 8), dtype=np.int8)
         ones = np.ones((1, 2))
         segs = np.array([[0, 8]], dtype=np.int64)
         for bad in (
             arena[:, :-1],
             # the token-major (T, H*C, d) layout is no longer accepted
-            np.zeros((32, 2 * quant.n_chunks, 8)),
-            np.zeros((32, 2, quant.n_chunks, 8)),
+            np.zeros((32, 2 * quant.n_chunks, 8), dtype=np.int8),
+            np.zeros((32, 2, quant.n_chunks, 8), dtype=np.int8),
         ):
             with pytest.raises(ValueError, match="k_plane_arena must be"):
                 token_picker_attention_ragged(
@@ -308,7 +332,27 @@ class TestBitIdenticalEquivalence:
             token_picker_attention_ragged(
                 qs, config, q_scales=ones, k_scales=ones,
                 k_plane_arena=arena, segments=segs,
-                v_arena=np.zeros((31, 2, 8)),
+                v_arena=np.zeros((31, 2, 8), dtype=np.int16), v_scales=ones,
+            )
+        # the arena holds the paper's bits: integer digits and V codes
+        # wide enough for the -0.0 code, with the scales to dequantise
+        with pytest.raises(ValueError, match="signed integer chunk digits"):
+            token_picker_attention_ragged(
+                qs, config, q_scales=ones, k_scales=ones,
+                k_plane_arena=arena.astype(np.float32), segments=segs,
+            )
+        for v_bad in (np.float64, np.int8):  # int8 cannot hold qmin - 1
+            with pytest.raises(ValueError, match="signed integer V codes"):
+                token_picker_attention_ragged(
+                    qs, config, q_scales=ones, k_scales=ones,
+                    k_plane_arena=arena, segments=segs,
+                    v_arena=np.zeros((32, 2, 8), dtype=v_bad), v_scales=ones,
+                )
+        with pytest.raises(ValueError, match="explicit scales"):
+            token_picker_attention_ragged(
+                qs, config, q_scales=ones, k_scales=ones,
+                k_plane_arena=arena, segments=segs,
+                v_arena=np.zeros((32, 2, 8), dtype=np.int16),
             )
         with pytest.raises(ValueError, match="within the arena"):
             token_picker_attention_ragged(
@@ -323,7 +367,8 @@ class TestBitIdenticalEquivalence:
                 k_plane_arena=arena,
                 segments=np.array([[0, 8], [4, 8]], dtype=np.int64),
             )
-        with pytest.raises(ValueError, match="float32"):
+        # a format no float accumulator scores exactly is refused by name
+        with pytest.raises(ValueError, match=r"\(28, 4\) at head_dim 64"):
             wide = QuantConfig(total_bits=28, chunk_bits=4)
             cfg_wide = TokenPickerConfig(quant=wide)
             token_picker_attention_ragged(
@@ -331,10 +376,36 @@ class TestBitIdenticalEquivalence:
                 q_scales=np.full((1, 2), 1e-8),
                 k_scales=np.full((1, 2), 1e-8),
                 k_plane_arena=np.zeros(
-                    (2, wide.n_chunks, 16, 64), dtype=np.float32
+                    (2, wide.n_chunks, 16, 64), dtype=np.int8
                 ),
                 segments=np.array([[0, 8]], dtype=np.int64),
             )
+
+    def test_negative_zero_value_survives_a_lone_kept_token(self):
+        """The only kept token's V row holds an element with ``v / s`` in
+        ``(-0.5, 0)``: ``clip(rint(v / s)) * s`` is ``-0.0`` there, and
+        with one kept token the output inherits that sign.  The integer
+        arena must reproduce it through the spare ``qmin - 1`` code —
+        ``array_equal`` would pass a ``+0.0``, the byte check does not."""
+        config = TokenPickerConfig(threshold=2e-3, prompt_guard=0)
+        head_dim, t = 8, 10
+        keys = -np.ones((1, t, head_dim))
+        keys[0, 0] = 1.0  # the query's one match
+        values = np.full((1, t, head_dim), 0.5)
+        values[0, 0] = [1.0, -1e-4, 0.25, -0.3, 0.0, -0.0, 0.5, -1.0]
+        qs = np.full((1, 1, head_dim), 5.0)
+        scales = [
+            _oracle_scales(x, config.quant) for x in (list(qs), [keys], [values])
+        ]
+        ragged = _run_arena(qs, [keys], [values], config, *scales)
+        independent = token_picker_attention_batched(
+            qs[0], keys, values, config
+        )
+        assert independent.kept.sum() == 1 and independent.kept[0, 0]
+        _assert_identical(ragged.results[0], independent)
+        out = ragged.results[0].outputs[0]
+        assert out[1] == 0.0 and np.signbit(out[1])  # -1e-4 / s = -0.2
+        assert np.signbit(out[5]) and not np.signbit(out[4])
 
     def test_empty_context_sequences_mix(self):
         rng = np.random.default_rng(5)
@@ -387,7 +458,7 @@ class TestSketchTheorem:
             k_sc = _oracle_scales(keys, quant)
             v_sc = _oracle_scales(values, quant)
             k_arena, v_arena, segments = _build_arena(
-                keys, values, k_sc, v_sc, quant, np.float64
+                keys, values, k_sc, v_sc, quant, np.int8
             )
             tokens = np.concatenate([np.arange(o, o + t) for o, t in segments])
             hit = rng.choice(tokens, size=max(tokens.size // 3, 1), replace=False)
@@ -395,11 +466,15 @@ class TestSketchTheorem:
             k_scrambled[:, sketch:, hit] = rng.integers(
                 0, 1 << quant.chunk_bits, size=k_scrambled[:, sketch:, hit].shape
             )
-            v_scrambled[hit] = rng.normal(size=v_scrambled[hit].shape)
+            v_scrambled[hit] = rng.integers(
+                quant.qmin - 1, quant.qmax, size=v_scrambled[hit].shape,
+                endpoint=True,
+            )
             runs = [
                 token_picker_attention_ragged(
                     qs, config, q_scales=q_sc, k_scales=k_sc,
                     k_plane_arena=k, segments=segments, v_arena=v,
+                    v_scales=v_sc,
                 )
                 for k, v in ((k_arena, v_arena), (k_scrambled, v_scrambled))
             ]
@@ -422,17 +497,19 @@ class TestSketchTheorem:
 
 
 class TestExactInFloatBoundary:
-    """The arena score path picks float64 or int64 accumulation by the
-    52-bit mantissa gate; formats straddling the limit must agree with
-    the always-integer rectangular kernel."""
+    """The arena score path accumulates in float64 up to the 52-bit
+    mantissa gate and refuses formats past it; formats straddling the
+    limit must agree with the always-integer rectangular kernel on the
+    near side and raise ``ValueError`` naming the format on the far
+    side."""
 
     FORMATS = [  # (total_bits, chunk_bits, head_dim): gate = 2N-2+bl(d-1)
         (26, 13, 4),    # 52 -> float64 accumulation
-        (26, 13, 8),    # 53 -> int64 fallback
+        (26, 13, 8),    # 53 -> rejected
         (25, 5, 16),    # 52 -> float64 accumulation
-        (25, 5, 32),    # 53 -> int64 fallback
+        (25, 5, 32),    # 53 -> rejected
         (24, 8, 64),    # 52 -> float64 accumulation
-        (24, 12, 128),  # 53 -> int64 fallback
+        (24, 12, 128),  # 53 -> rejected
     ]
 
     @settings(
@@ -454,6 +531,12 @@ class TestExactInFloatBoundary:
         # oracle (saturating) scales stress the most-significant chunks
         k_sc = _oracle_scales(keys, quant)
         q_sc = _oracle_scales(list(qs), quant)
+        if fmt % 2:
+            with pytest.raises(ValueError, match=(
+                rf"\({total_bits}, {chunk_bits}\) at head_dim {head_dim}"
+            )):
+                _run_arena(qs, keys, None, config, q_sc, k_sc)
+            return
         via_arena = _run_arena(qs, keys, None, config, q_sc, k_sc)
         for s in range(n_seqs):
             _assert_identical(
@@ -466,18 +549,20 @@ class TestExactInFloatBoundary:
 
 
 class TestFloat32ExactnessEdge:
-    """The float32 digit arena is exact only while every digit x query
-    partial sum stays below 2**24.  Query codes reach ``qmin = -2**(N-1)``,
-    so the bound is ``head_dim * (2**cb - 1) * 2**(N-1)``; with
-    ``QuantConfig(8, 4)`` the edge sits between head_dim 8738 (16,776,960)
-    and 8739."""
+    """Integer digits are contracted in float32 only while every digit x
+    query partial sum stays below 2**24.  Query codes reach ``qmin =
+    -2**(N-1)``, so the bound is ``head_dim * (2**cb - 1) * 2**(N-1)``;
+    with ``QuantConfig(8, 4)`` the edge sits between head_dim 8738
+    (16,776,960) and 8739."""
 
     QUANT = QuantConfig(total_bits=8, chunk_bits=4)
 
     def test_gate_counts_qmin_not_qmax(self):
         """Regression: the gate bounded by ``qmax`` and admitted head_dim
         8760 (8760 * 15 * 127 < 2**24), where chunk-1 digits of 15 against
-        q = -128 sum to -16,818,885 and float32 rounds it."""
+        q = -128 sum to -16,818,885 and float32 rounds it.  The arena is
+        int8 either way; the gate picks the accumulator."""
+        from repro.core.pruning import exact_digit_dtype
         from repro.serving import ServingEngine, synthetic_request
 
         config = TokenPickerConfig(quant=self.QUANT)
@@ -488,26 +573,28 @@ class TestFloat32ExactnessEdge:
             )
         )
         engine.run_until_drained()
-        assert engine.pool.k_arena.dtype == np.float64
-        with pytest.raises(ValueError, match="float32"):
+        assert engine.pool.k_arena.dtype == np.int8
+        for head_dim, dtype in ((8738, np.float32), (8760, np.float64)):
+            assert exact_digit_dtype(self.QUANT, head_dim) is dtype
+            # the kernel casts its digit tiles to exactly that dtype
+            scratch = KernelScratch()
             token_picker_attention_ragged(
-                np.full((1, 1, 8760), -128.0), config,
+                np.full((1, 1, head_dim), -128.0), config,
                 q_scales=np.ones((1, 1)), k_scales=np.ones((1, 1)),
-                k_plane_arena=np.full((1, 2, 4, 8760), 15, dtype=np.float32),
-                segments=np.array([[0, 4]], dtype=np.int64),
+                k_plane_arena=np.full((1, 2, 4, head_dim), 15, dtype=np.int8),
+                segments=np.array([[0, 4]], dtype=np.int64), scratch=scratch,
             )
-        from repro.core.pruning import exact_digit_dtype
+            tiles = {dt for name, dt in scratch._buffers if name == "k_tile"}
+            assert tiles == {np.dtype(dtype).str}
 
-        assert exact_digit_dtype(self.QUANT, 8738) is np.float32
-        assert exact_digit_dtype(self.QUANT, 8760) is np.float64
-
-    def test_float32_arena_matches_float64_at_the_edge(self):
+    def test_float32_contraction_exact_at_the_edge(self):
         """On the passing side of the edge, extreme digits against
-        extreme query codes give the same result through the float32 and
-        the float64 arena in every field (BLAS contraction both ways)."""
+        extreme query codes give the same result from int8 and int16
+        planes in every field, and the kept scores are the exact integer
+        dot products, scaled."""
         n_heads, n_chunks, t, head_dim = 2, self.QUANT.n_chunks, 12, 8738
         rng = np.random.default_rng(0)
-        planes = np.empty((n_heads, n_chunks, t, head_dim))
+        planes = np.empty((n_heads, n_chunks, t, head_dim), dtype=np.int64)
         planes[:, 0] = rng.integers(-8, 8, size=(n_heads, t, head_dim))
         planes[:, 1] = rng.integers(0, 16, size=(n_heads, t, head_dim))
         planes[:, 1, :4] = 15  # every refinement partial sum at the bound
@@ -517,16 +604,17 @@ class TestFloat32ExactnessEdge:
         qs = np.stack([np.full(head_dim, -128.0), np.full(head_dim, 127.0)])
         segments = np.array([[0, t]], dtype=np.int64)
         config = TokenPickerConfig(threshold=2e-3, quant=self.QUANT)
-        v_arena = rng.normal(size=(t, n_heads, head_dim))
+        v_arena = rng.integers(-128, 128, size=(t, n_heads, head_dim))
         runs = [
             token_picker_attention_ragged(
                 qs[None], config,
                 q_scales=np.ones((1, n_heads)),
                 k_scales=np.full((1, n_heads), 2e-6),
                 k_plane_arena=planes.astype(dtype),
-                segments=segments, v_arena=v_arena,
+                segments=segments, v_arena=v_arena.astype(np.int16),
+                v_scales=np.full((1, n_heads), 0.01),
             )
-            for dtype in (np.float32, np.float64)
+            for dtype in (np.int8, np.int16)
         ]
         assert np.array_equal(runs[0].round_alive, runs[1].round_alive)
         _assert_identical(runs[0].results[0], runs[1].results[0], "exact")
@@ -534,13 +622,11 @@ class TestFloat32ExactnessEdge:
         kept = runs[1].results[0].kept
         exact = np.einsum(
             "htd,hd->ht",
-            (planes[:, 0] * 16 + planes[:, 1]).astype(np.int64),
+            planes[:, 0] * 16 + planes[:, 1],
             qs.astype(np.int64),
         ) * (2e-6 / np.sqrt(head_dim))
         assert kept.any()
-        assert np.allclose(
-            runs[0].results[0].scores[kept], exact[kept], rtol=1e-12
-        )
+        assert _same_bytes(runs[0].results[0].scores[kept], exact[kept])
 
 
 class TestAggregates:
@@ -569,7 +655,7 @@ class TestValidation:
             q_scales=np.ones((n_seqs, n_heads)),
             k_scales=np.ones((n_seqs, n_heads)),
             k_plane_arena=np.zeros(
-                (n_heads, quant.n_chunks, n_seqs * t, head_dim)
+                (n_heads, quant.n_chunks, n_seqs * t, head_dim), dtype=np.int8
             ),
             segments=np.array(
                 [[s * t, t] for s in range(n_seqs)], dtype=np.int64

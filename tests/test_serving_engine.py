@@ -147,14 +147,15 @@ class TestLifecycle:
         assert report.ragged_utilization == pytest.approx((17 + 65) / (2 * 65))
 
     def test_arena_fast_path_and_phase_breakdown(self):
-        """Pooled decode runs on the float32 digit arena and every busy
-        step reports the prefill/pack/score/prune/unpack wall-clock
-        split."""
+        """Pooled decode runs on the int8 digit / int16 V-code arena and
+        every busy step reports the prefill/pack/score/prune/unpack
+        wall-clock split."""
         rng = np.random.default_rng(12)
         engine = _engine()
         engine.submit(synthetic_request(rng, 2, 32, 16, max_new_tokens=3))
         reports = engine.run_until_drained()
-        assert engine.pool.k_arena.dtype == np.float32
+        assert engine.pool.k_arena.dtype == np.int8
+        assert engine.pool.v_arena.dtype == np.int16
         busy = [r for r in reports if r.batch_size]
         assert busy
         for report in busy:

@@ -123,12 +123,17 @@ class TestShardedKVPool:
         )
 
     def _rows(self, rng, pool, n):
-        """Encoded rows: small-integer digits, exact in any plane dtype."""
+        """Encoded rows in the arena's dtypes: digits across the 4-bit
+        chunk range and V codes across ``[qmin - 1, qmax]``."""
         k = rng.integers(
             -8, 16, size=(n, pool.n_heads * pool.n_chunks, pool.head_dim)
         )
-        v = rng.normal(size=(n, pool.n_heads, pool.head_dim))
-        return k.astype(np.float64), v
+        quant = pool.quant
+        v = rng.integers(
+            quant.qmin - 1, quant.qmax, size=(n, pool.n_heads, pool.head_dim),
+            endpoint=True,
+        )
+        return k.astype(pool.k_arena.dtype), v.astype(pool.v_arena.dtype)
 
     def test_append_encoded_round_trips_full_width(self):
         rng = np.random.default_rng(0)
@@ -161,10 +166,12 @@ class TestShardedKVPool:
         k_got, v_got = pool.read_rows(rows)
         assert np.array_equal(k_got, k)
         assert np.array_equal(v_got, v)
-        pool.write_rows(rows, k_got * 2, v_got * 3)
+        k_new, v_new = self._rows(rng, pool, 5)
+        pool.write_rows(rows, k_new, v_new)
         k_again, v_again = pool.read_rows(rows)
-        assert np.array_equal(k_again, k * 2)
-        assert np.array_equal(v_again, v * 3)
+        assert k_again.dtype == k.dtype and v_again.dtype == v.dtype
+        assert np.array_equal(k_again, k_new)
+        assert np.array_equal(v_again, v_new)
 
     def test_swap_round_trip_byte_exact_and_full_width(self):
         rng = np.random.default_rng(2)
@@ -365,8 +372,11 @@ class TestShardGroup:
         )
         k = rng.integers(
             -8, 16, size=(t, n_heads * quant.n_chunks, head_dim)
-        ).astype(np.float64)
-        v = rng.normal(size=(t, n_heads, head_dim))
+        ).astype(np.int8)
+        v = rng.integers(
+            quant.qmin - 1, quant.qmax, size=(t, n_heads, head_dim),
+            endpoint=True,
+        ).astype(np.int16)
         flat.register(0)
         flat.append_encoded(0, k, v)
         qs = rng.normal(size=(1, n_heads, head_dim))
@@ -376,6 +386,7 @@ class TestShardGroup:
             .max(axis=(0, 2, 3))[None, :]
             / quant.qmax
         )
+        v_scales = rng.uniform(0.005, 0.05, size=(1, n_heads))
         segments = flat.segments_of([0])
         from repro.core.pruning import token_picker_attention_ragged
 
@@ -386,15 +397,17 @@ class TestShardGroup:
             k_scales=k_scales,
             k_plane_arena=flat.k_arena,
             v_arena=flat.v_arena,
+            v_scales=v_scales,
             segments=segments,
         )
         group = ShardGroup(flat, 2)
         assert group.head_ranges == [(0, 2), (2, 4)]
         ran = group.run(
-            qs, CFG, q_scales=q_scales, k_scales=k_scales, segments=segments
+            qs, CFG, q_scales=q_scales, k_scales=k_scales, v_scales=v_scales,
+            segments=segments,
         )
         for x, y in zip(single.results, ran.results):
-            assert np.array_equal(x.outputs, y.outputs)
+            assert x.outputs.tobytes() == y.outputs.tobytes()
             assert np.array_equal(x.kept, y.kept)
             assert np.array_equal(x.chunks_fetched, y.chunks_fetched)
         assert np.array_equal(single.round_alive, ran.round_alive)
