@@ -118,9 +118,10 @@ class TokenPickerConfig:
         prompt_guard: number of most-recent tokens that are never pruned.
             The current token's own score always participates; guarding a
             small recent window mirrors the locality prior and costs little.
-        include_self_in_denominator: whether a token's own lower bound is
-            added to the denominator before its prune check (the hardware
-            aggregates each lane's partial-exp in the same cycle, so True).
+
+    A token's own lower bound always joins the denominator before its
+    prune check: the hardware aggregates each lane's partial exp in the
+    same cycle.
     """
 
     threshold: float = 1e-3
@@ -128,7 +129,6 @@ class TokenPickerConfig:
     order: str = "sink_recency"
     schedule: str = "breadth"
     prompt_guard: int = 1
-    include_self_in_denominator: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:

@@ -13,7 +13,10 @@ Two functionally-equivalent schedules are provided:
   one reference implementation, :func:`token_picker_attention_batched`
   (vectorised over heads): the single-instance API runs it as a one-head
   call, and the fused arena kernel :func:`token_picker_attention_ragged`
-  is tested against it bit for bit.
+  is tested against it bit for bit.  Both run one round step,
+  :func:`_dense_round` (bounds, the :func:`_log_denominators` fold, the
+  Eq. 5 predicate); the reference keeps its own quantisation from float
+  K, an exact int64 score table for every token and dense V.
 
 Both satisfy the safety property (tested exhaustively): every pruned
 token's *true* softmax probability is at most ``thr``.
@@ -316,10 +319,8 @@ def _depth_scores(q, keys, config, q_scale, k_scale, bias) -> TokenPickerResult:
         q, keys, quant, q_scale, k_scale
     )
     ps = _chunk_score_table(q_codes, k_codes, quant)  # (t, C) cumulative
-    margins = margin_pairs(q_codes, quant)
-    guard = _guard_mask(n_tokens, config.prompt_guard)
     kept, chunks_fetched, log_den = _run_depth(
-        ps, margins, guard, config, score_scale, bias
+        ps, margin_pairs(q_codes, quant), config, score_scale, bias
     )
     exact_scores = ps[:, -1].astype(np.float64) * score_scale + bias
     n_kept = int(kept.sum())
@@ -341,18 +342,9 @@ def _depth_scores(q, keys, config, q_scale, k_scale, bias) -> TokenPickerResult:
     )
 
 
-def _guard_mask(n_tokens: int, prompt_guard: int) -> np.ndarray:
-    """Boolean mask of tokens that may never be pruned (most recent ones)."""
-    guard = np.zeros(n_tokens, dtype=bool)
-    if prompt_guard > 0:
-        guard[max(0, n_tokens - prompt_guard):] = True
-    return guard
-
-
 def _run_depth(
     ps: np.ndarray,
     margins,
-    guard: np.ndarray,
     config: TokenPickerConfig,
     score_scale: float,
     bias: np.ndarray,
@@ -363,47 +355,21 @@ def _run_depth(
     dag = DenominatorAggregator()
     kept = np.zeros(n_tokens, dtype=bool)
     chunks_fetched = np.zeros(n_tokens, dtype=np.int64)
-    order = processing_order(n_tokens, config.order)
+    guarded = np.arange(n_tokens) >= n_tokens - config.prompt_guard
 
-    for token in order:
-        pruned = False
+    for token in processing_order(n_tokens, config.order):
         for b in range(1, n_chunks + 1):
             chunks_fetched[token] = b
             s_min_i, s_max_i = score_bounds(ps[token, b - 1], b, margins)
             s_min = float(s_min_i) * score_scale + bias[token]
             s_max = float(s_max_i) * score_scale + bias[token]
-            if config.include_self_in_denominator:
-                dag.submit(int(token), s_min)
-                decision = rule.check(s_max, dag.log_denominator)
-            else:
-                decision = rule.check(s_max, dag.log_denominator)
-                dag.submit(int(token), s_min)
-            if decision.pruned and not guard[token]:
-                pruned = True
+            dag.submit(int(token), s_min)  # own bound first: see the config
+            if rule.check(s_max, dag.log_denominator).pruned and not guarded[token]:
                 break
-        if not pruned:
+        else:
             kept[token] = True
 
     return kept, chunks_fetched, dag.log_denominator
-
-
-_ZERO_INDEX = np.array([0], dtype=np.intp)
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Whole-row sums with ``np.add.reduceat``'s fold.
-
-    ``ndarray.sum`` groups its additions by how the reduction is laid
-    out (the length, the axis, the buffering), so a sequence's sums
-    would come out different bits depending on how the batch around it
-    is packed.  ``reduceat`` is not a left-to-right fold either — it
-    blocks pairwise inside a long slice — but each slice's result
-    depends only on that slice's own values, in order, wherever the
-    slice sits.  That is what lets the ragged kernel reduce many
-    sequences in one call (``np.add.reduceat`` over segment boundaries)
-    and still match this rectangular kernel bit for bit.
-    """
-    return np.add.reduceat(x, _ZERO_INDEX, axis=1)[:, 0]
 
 
 def _grouped_softmax(flat_scores: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -411,12 +377,13 @@ def _grouped_softmax(flat_scores: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
     ``bounds`` is a (G + 1,) cumulative-boundary array with ``bounds[-1]
     == flat_scores.size``; empty groups are allowed.  Group max / sum use
-    the same ``reduceat`` fold as :func:`_row_sums`, so each group's
-    probabilities depend only on its own scores.  Reductions run over the
-    *non-empty* groups only: their start indices are strictly increasing
-    and consecutive non-empty groups abut, so every reduceat slice covers
-    exactly one group's elements — appending sentinel elements instead
-    would change the fold's blocking for the trailing group.
+    the same ``reduceat`` fold as :func:`_log_denominators`, so each
+    group's probabilities depend only on its own scores.  Reductions run
+    over the *non-empty* groups only: their start indices are strictly
+    increasing and consecutive non-empty groups abut, so every reduceat
+    slice covers exactly one group's elements — appending sentinel
+    elements instead would change the fold's blocking for the trailing
+    group.
     """
     if flat_scores.size == 0:
         return flat_scores
@@ -446,8 +413,8 @@ def _grouped_weighted_v(
     the definition — it is what the hardware's step 1 accumulates — and
     both kernels reduce the same kept rows, in the same order, through
     this one function, which is why they agree bit for bit.  Groups
-    reduce with the same ``reduceat`` fold as :func:`_row_sums`; empty
-    groups are skipped as in :func:`_grouped_softmax`.
+    reduce with the same ``reduceat`` fold as :func:`_log_denominators`;
+    empty groups are skipped as in :func:`_grouped_softmax`.
     """
     out = np.zeros((len(bounds) - 1, v_rows.shape[1]))
     if flat_probs.size == 0:
@@ -483,6 +450,11 @@ class KernelScratch:
             buf = np.empty(grown, dtype=dt)
             self._buffers[key] = buf
         return buf[:n].reshape(shape)
+
+
+def _allocate(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """:meth:`KernelScratch.take` without the reuse, for one-off calls."""
+    return np.empty(shape, dtype)
 
 
 def _renormalised_probs(scores: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -625,50 +597,44 @@ def token_picker_attention_batched(
     if n_tokens == 0:
         return _empty_result(n_heads, head_dim, quant, values is not None)
 
-    # Per-head symmetric scales (data-derived unless frozen ones are given).
-    def _head_scales(explicit, data, axes) -> np.ndarray:
-        if explicit is not None:
-            return _checked_scales(explicit, (n_heads,))
-        max_abs = np.abs(data).max(axis=axes)
-        return np.where(max_abs > 0, max_abs / quant.qmax, 1.0)
-
-    q_scale = _head_scales(q_scales, q, 1)
-    k_scale = _head_scales(k_scales, keys, (1, 2))
-    q_codes = np.clip(
-        np.rint(q / q_scale[:, None]), quant.qmin, quant.qmax
-    ).astype(np.int64)
-    k_codes = np.clip(
-        np.rint(keys / k_scale[:, None, None]), quant.qmin, quant.qmax
-    ).astype(np.int64)
+    # per-head symmetric scales, data-derived unless frozen ones are given
+    q_scale = (
+        compute_scale(q, quant, axis=1).ravel() if q_scales is None
+        else _checked_scales(q_scales, (n_heads,))
+    )
+    k_scale = (
+        compute_scale(keys, quant, axis=(1, 2)).ravel() if k_scales is None
+        else _checked_scales(k_scales, (n_heads,))
+    )
+    q_codes = _codes(q, q_scale[:, None], quant).astype(np.int64)
+    k_codes = _codes(keys, k_scale[:, None, None], quant).astype(np.int64)
     score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (H,)
 
+    # the exact int64 cumulative score table, every token to full depth
     planes = chunk_plane_values(k_codes, quant)  # (H, t, d, C)
     ps = np.cumsum(np.einsum("htdc,hd->htc", planes, q_codes), axis=2)
-    mins, maxs = margin_pairs_batch(q_codes, quant)  # (H, C+1)
 
-    scale3 = score_scale[:, None, None]
-    s_min = ps * scale3 + mins[:, None, 1:] * scale3 + bias[:, :, None]
-    s_max = ps * scale3 + maxs[:, None, 1:] * scale3 + bias[:, :, None]
-
-    guard = _guard_mask(n_tokens, config.prompt_guard)[None, :]
-    log_thr = config.log_threshold
-    alive = np.ones((n_heads, n_tokens), dtype=bool)
-    chunks_fetched = np.zeros((n_heads, n_tokens), dtype=np.int64)
-    current_lb = np.full((n_heads, n_tokens), -np.inf)
-    log_den = np.full(n_heads, -np.inf)
-
+    # the shared round step on a one-segment geometry
+    geo = _segment_geometry(
+        np.array([[0, n_tokens]]), np.zeros(1, dtype=np.intp),
+        config.prompt_guard,
+    )
+    grid = (n_heads, n_tokens)
+    alive, chunks_fetched = np.ones(grid, bool), np.zeros(grid, np.int64)
+    # the last entry takes pruned pairs' bounds, which the reference
+    # does not report: every token's score is exact here
+    state = (alive, chunks_fetched, np.full(grid, -np.inf), np.empty(grid))
+    margins = _scaled_margins(q_codes[None], score_scale[None], quant)
+    take_buf, clock = _allocate, _PhaseClock(None)
     for b in range(quant.n_chunks):
-        np.copyto(chunks_fetched, b + 1, where=alive)
-        np.copyto(current_lb, s_min[:, :, b], where=alive)
-        m = current_lb.max(axis=1)
-        ex = np.exp(np.clip(current_lb - m[:, None], -700.0, 0.0))
-        log_den = m + np.log(_row_sums(ex))
-        prune_now = alive & ((s_max[:, :, b] - log_den[:, None]) <= log_thr) & ~guard
-        alive &= ~prune_now
+        log_den = _dense_round(
+            b, ps[:, :, b], score_scale[:, None], bias, margins, state, geo,
+            config.log_threshold, take_buf, clock,
+        )
         if not alive.any():
             break
 
-    exact_scores = ps[:, :, -1] * scale3[:, :, 0] + bias
+    exact_scores = ps[:, :, -1] * score_scale[:, None] + bias
     probs = np.zeros_like(exact_scores)
     kept_bounds = np.zeros(n_heads + 1, dtype=np.intp)
     np.cumsum(alive.sum(axis=1), out=kept_bounds[1:])
@@ -677,13 +643,11 @@ def token_picker_attention_batched(
 
     outputs = None
     if values is not None:
-        v_scale = _head_scales(v_scales, values, (1, 2))
-        v_deq = (
-            np.clip(
-                np.rint(values / v_scale[:, None, None]), quant.qmin, quant.qmax
-            )
-            * v_scale[:, None, None]
+        v_scale = (
+            compute_scale(values, quant, axis=(1, 2)) if v_scales is None
+            else _checked_scales(v_scales, (n_heads,))[:, None, None]
         )
+        v_deq = _codes(values, v_scale, quant) * v_scale
         outputs = _grouped_weighted_v(flat_probs, v_deq[alive], kept_bounds)
 
     return BatchedPickerResult(
@@ -692,7 +656,7 @@ def token_picker_attention_batched(
         scores=exact_scores,
         probs=probs,
         outputs=outputs,
-        log_denominators=log_den,
+        log_denominators=log_den[:, 0],
         quant=quant,
         head_dim=head_dim,
     )
@@ -779,6 +743,17 @@ class RaggedSequenceResult:
         if self._probs is None:
             self._probs = self._dense(self.kept_pairs[1], np.float64)
         return self._probs
+
+    def pruned_bounds(self) -> np.ndarray:
+        """(H, t) Eq. 5 upper bounds ``p'' = exp(s - ln D)`` of the pruned
+        pairs, zero at the kept ones; a fresh writable array.  A pruned
+        pair's bound passed ``s - ln D <= ln thr < 0``, so the clip to
+        ``[-700, 0]`` only guards ``exp``."""
+        bounds = np.exp(
+            np.clip(self.scores - self.log_denominators[:, None], -700.0, 0.0)
+        )
+        bounds.reshape(-1)[self.kept_pairs[0]] = 0.0
+        return bounds
 
     def stats(self) -> PruneStats:
         """Accounting over all heads, from the aggregates."""
@@ -890,7 +865,7 @@ class _SegmentGeometry:
     col_of_tok: np.ndarray  # (total,) reduceat column of each token
     seq_of_tok: np.ndarray  # (total,) caller sequence index; 0 on gaps
     valid: np.ndarray  # (total,) False on gaps
-    guard: np.ndarray  # (total,) tokens that may never be pruned
+    prunable: np.ndarray  # (total,) False on the guarded newest tokens
 
 
 def _segment_geometry(
@@ -906,35 +881,28 @@ def _segment_geometry(
     st = starts - base
     en = ends - base
 
-    n_cols = 2 * len(seg_ids) - 1
-    reduce_idx = np.empty(n_cols, dtype=np.intp)
-    reduce_idx[::2] = st
-    reduce_idx[1::2] = en[:-1]
-    widths = np.empty(n_cols, dtype=np.int64)
-    widths[::2] = en - st
-    widths[1::2] = st[1:] - en[:-1]
-    col_seq = np.empty(n_cols, dtype=np.int64)
-    col_seq[::2] = seg_ids
-    col_seq[1::2] = -1
-    seq_idx = np.repeat(col_seq, widths)  # (total,); -1 on arena gaps
-    valid = seq_idx >= 0
-    end_col = np.empty(n_cols, dtype=np.int64)
-    end_col[::2] = en
-    end_col[1::2] = total + prompt_guard + 1  # gaps: never guarded
-    guard = valid & (
-        np.arange(total) >= np.repeat(end_col, widths) - prompt_guard
+    # column 2i is segment i, column 2i + 1 the (possibly empty) gap
+    # after it; a column's width is the step to the next boundary
+    bounds = np.empty(2 * len(seg_ids), dtype=np.intp)
+    bounds[::2] = st
+    bounds[1::2] = en
+    col_of_tok = np.repeat(
+        np.arange(bounds.size - 1, dtype=np.intp), np.diff(bounds)
     )
+    seg_of_tok = col_of_tok // 2
+    valid = col_of_tok % 2 == 0
+    guarded = valid & (np.arange(total) >= en[seg_of_tok] - prompt_guard)
     return _SegmentGeometry(
         seg_ids=seg_ids,
         st=st,
         en=en,
         base=base,
         total=total,
-        reduce_idx=reduce_idx,
-        col_of_tok=np.repeat(np.arange(n_cols, dtype=np.intp), widths),
-        seq_of_tok=np.where(valid, seq_idx, 0),
+        reduce_idx=bounds[:-1],
+        col_of_tok=col_of_tok,
+        seq_of_tok=np.where(valid, seg_ids[seg_of_tok], 0),
         valid=valid,
-        guard=guard,
+        prunable=~guarded,
     )
 
 
@@ -944,6 +912,109 @@ def _spread(table, index, out) -> None:
     are always in range; ``mode="clip"`` only selects ``np.take``'s
     unbuffered write path (``"raise"`` stages ``out`` through a copy)."""
     np.take(table, index, axis=1, out=out, mode="clip")
+
+
+def _codes(x: np.ndarray, scale, quant: QuantConfig) -> np.ndarray:
+    """Round-to-nearest codes ``clip(rint(x / scale))``, as float64.
+
+    Callers cast Q and K codes to int64; V is dequantised from these
+    floats, so a code of ``-0.0`` keeps its sign."""
+    return np.clip(np.rint(x / scale), quant.qmin, quant.qmax)
+
+
+def _scaled_margins(q_codes: np.ndarray, score_scale: np.ndarray, quant):
+    """Pre-scaled margin tables ``(lo, hi)``, each (C, H, S): ``margin *
+    scale`` per (chunk, head, sequence) for ``q_codes`` (S, H, d) and
+    ``score_scale`` (S, H) — the products a round's bound rows spread
+    over their tokens, computed once per call."""
+    mins, maxs = margin_pairs_batch(q_codes, quant)  # (S, H, C+1)
+    return tuple(
+        np.ascontiguousarray(
+            (m[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
+        )
+        for m in (mins, maxs)
+    )
+
+
+def _log_denominators(lb: np.ndarray, geo: _SegmentGeometry, take_buf):
+    """A round's per-segment ``ln D``, folded from the whole (H, total)
+    lower-bound row ``lb`` — decided tokens' frozen bounds included, as
+    their exp terms shift with the running max.  Segment max and sum are
+    ``reduceat`` folds over the geometry's boundary table: ``ndarray.sum``
+    groups its additions by the reduction's layout (length, axis,
+    buffering), while a ``reduceat`` slice's result depends only on the
+    slice's own values, in order, wherever it sits.  So a one-segment
+    call and a packed many-segment call agree bit for bit.  Returns
+    ``(log_den_seg (H, n_live), log_den_tok (H, total))``, the latter a
+    scratch view valid until the next fold.
+    """
+    cols = (lb.shape[0], geo.reduce_idx.size)
+    m_cols = take_buf("m_cols", cols)
+    np.maximum.reduceat(lb, geo.reduce_idx, axis=1, out=m_cols)
+    m_fix = take_buf("m_fix", cols)
+    np.copyto(m_fix, m_cols)
+    np.copyto(m_fix, 0.0, where=~np.isfinite(m_cols))
+    ex = take_buf("ex", lb.shape)
+    m_tok = take_buf("m_tok", lb.shape)
+    _spread(m_fix, geo.col_of_tok, m_tok)
+    np.subtract(lb, m_tok, out=ex)
+    np.clip(ex, -700.0, 0.0, out=ex)
+    np.exp(ex, out=ex)
+    den_cols = take_buf("den_cols", cols)
+    np.add.reduceat(ex, geo.reduce_idx, axis=1, out=den_cols)
+    seg_den = m_cols[:, ::2] + np.log(den_cols[:, ::2])
+    ld_cols = take_buf("ld_cols", cols)
+    ld_cols[:, 1::2] = 0.0  # gap columns never receive a denominator
+    ld_cols[:, ::2] = seg_den
+    ld_tok = take_buf("ld_tok", lb.shape)
+    _spread(ld_cols, geo.col_of_tok, ld_tok)
+    return seg_den, ld_tok
+
+
+def _dense_round(b, ps, ss, bias, margins, state, geo, log_thr, take_buf, clock):
+    """Round ``b`` over every pair of the flat axis: the one bound, fold
+    and prune step.  ``ps`` (H, total) is each pair's integer partial
+    score over its first ``b + 1`` chunks, ``ss`` its score scale
+    (broadcastable), ``bias`` ``None`` or an (H, total) known score term;
+    the bounds are ``ps * scale + margin * scale (+ bias)``.  Alive pairs
+    fetch chunk ``b`` and move their lower bound; then an alive, prunable
+    pair with ``s_max - ln D <= ln thr`` (Eq. 5) dies.  Every pair that
+    entered the round records ``s_max`` in ``scores``: a pruned pair's
+    certified bound, overwritten for a survivor later.  ``state`` is the
+    (H, total) ``(alive, chunks_fetched, current_lb, scores)``, updated in
+    place.  Returns the (H, n_live) log denominators.
+    """
+    alive, chunks_fetched, current_lb, scores = state
+    s_min = take_buf("lz_smin", ps.shape)
+    s_max = take_buf("lz_smax", ps.shape)
+    row = take_buf("lz_mrow", ps.shape)
+    # one base product shared by both bounds; the sum commutes, so the
+    # lower margin is spread straight into its row and the base added
+    np.multiply(ps, ss, out=s_max)
+    _spread(margins[0][b], geo.seq_of_tok, s_min)
+    s_min += s_max
+    _spread(margins[1][b], geo.seq_of_tok, row)
+    s_max += row
+    if bias is not None:
+        s_min += bias
+        s_max += bias
+    # every alive pair has fetched exactly ``b`` chunks so far
+    chunks_fetched += alive
+    np.copyto(current_lb, s_min, where=alive)
+    clock.lap("score_chunk0" if b == 0 else "score_refine")
+
+    log_den_seg, log_den_tok = _log_denominators(current_lb, geo, take_buf)
+    np.subtract(s_max, log_den_tok, out=row)
+    prune = row <= log_thr
+    prune &= alive
+    prune &= geo.prunable
+    # written for every pair that entered the round: in round 0 that
+    # mask is all-true but for gaps, and a uniform mask copies several
+    # times faster than the scattered ``prune``
+    np.copyto(scores, s_max, where=alive)
+    alive &= ~prune
+    clock.lap("prune")
+    return log_den_seg
 
 
 #: bytes of the float tile a dense round casts digits into: about an
@@ -996,9 +1067,9 @@ def _score_rounds(
     ``accumulator`` dtype (float32 under the 2**24 gate, else float64;
     :func:`exact_digit_dtype`), so any contraction order gives the same
     bits and incremental accumulation equals the rectangular kernel's
-    cumulative table; the per-round denominators re-reduce the whole
-    lower-bound row through the same ``reduceat`` folds as
-    :func:`_row_sums`.
+    cumulative table.  Dense rounds run the shared :func:`_dense_round`;
+    thin rounds gather their bounds pair by pair but fold the same
+    :func:`_log_denominators` and apply the same predicate.
 
     ``k_arena`` is the whole (H, C, T_cap, d) integer arena of unshifted
     digits, ``q_codes`` (S, H, d) int64, ``score_scale`` (S, H).  Returns
@@ -1015,49 +1086,10 @@ def _score_rounds(
     total, st, en, seq_of_tok = geo.total, geo.st, geo.en, geo.seq_of_tok
     planes = k_arena[:, :, geo.base:geo.base + total]
     n_live = len(geo.seg_ids)
-    n_cols = geo.reduce_idx.size
     log_thr = config.log_threshold
-    prunable = ~geo.guard
-    prunable_row = prunable[None, :]
 
     ss_ht = take_buf("ss", (n_heads, total))
     _spread(score_scale.T, seq_of_tok, ss_ht)
-
-    # ---- per-round denominator scratch, hoisted out of the chunk loop;
-    # ``col_of_tok`` turns per-column ``np.repeat`` broadcasts into
-    # :func:`_spread` writes into reused buffers
-    m_cols_buf = take_buf("m_cols", (n_heads, n_cols))
-    m_fix_buf = take_buf("m_fix", (n_heads, n_cols))
-    den_cols_buf = take_buf("den_cols", (n_heads, n_cols))
-    ld_cols_buf = take_buf("ld_cols", (n_heads, n_cols))
-    ld_cols_buf.fill(0.0)  # gap columns never receive a denominator
-    m_tok_buf = take_buf("m_tok", (n_heads, total))
-    ld_tok_buf = take_buf("ld_tok", (n_heads, total))
-    ex = take_buf("ex", (n_heads, total))
-
-    def _round_denominator(lb):
-        """One round's per-segment log denominators, full-row fold.
-
-        Every round re-reduces the whole (H, T) lower-bound row —
-        decided tokens' frozen bounds included, since their exp terms
-        shift as the running max rises; a sequence whose tokens are all
-        decided simply reproduces its frozen value.  Returns
-        ``(log_den_seg (H, n_live), log_den_tok (H, total))``; the
-        latter is a scratch view valid until the next round.
-        """
-        np.maximum.reduceat(lb, geo.reduce_idx, axis=1, out=m_cols_buf)
-        m_seg = m_cols_buf[:, ::2]
-        np.copyto(m_fix_buf, m_cols_buf)
-        np.copyto(m_fix_buf, 0.0, where=~np.isfinite(m_cols_buf))
-        _spread(m_fix_buf, geo.col_of_tok, m_tok_buf)
-        np.subtract(lb, m_tok_buf, out=ex)
-        np.clip(ex, -700.0, 0.0, out=ex)
-        np.exp(ex, out=ex)
-        np.add.reduceat(ex, geo.reduce_idx, axis=1, out=den_cols_buf)
-        seg_den = m_seg + np.log(den_cols_buf[:, ::2])
-        ld_cols_buf[:, ::2] = seg_den
-        _spread(ld_cols_buf, geo.col_of_tok, ld_tok_buf)
-        return seg_den, ld_tok_buf
 
     alive = take_buf("alive", (n_heads, total), bool)
     alive[:] = geo.valid[None, :]
@@ -1079,21 +1111,10 @@ def _score_rounds(
     tile = take_buf("k_tile", (n_heads, rows, head_dim), accumulator)
     q_seg = q_f[geo.seg_ids]  # (n_live, H, d)
     ps_run = take_buf("lz_ps", (n_heads, total))
-    # pre-scaled margin tables (C, H, S): the same ``margin * scale``
-    # products the rectangular kernel computes per token, evaluated once
-    # per (sequence, head, chunk) and gathered per round
-    mins, maxs = margin_pairs_batch(q_codes, quant)  # (S, H, C+1)
-    mlo_tbl = np.ascontiguousarray(
-        (mins[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-    )
-    mhi_tbl = np.ascontiguousarray(
-        (maxs[:, :, 1:] * score_scale[:, :, None]).transpose(2, 1, 0)
-    )
-    s_min_row = take_buf("lz_smin", (n_heads, total))
-    s_max_row = take_buf("lz_smax", (n_heads, total))
-    m_row = take_buf("lz_mrow", (n_heads, total))
+    margins = _scaled_margins(q_codes, score_scale, quant)
     scores = take_buf("scores", (n_heads, total))
     scores.fill(0.0)
+    state = (alive, chunks_fetched, current_lb, scores)
 
     # flat views for the pair rounds: (H * S, d) query rows (row ``h * S
     # + seq``, the margin tables' order), the arena's (H * C * T_cap, d)
@@ -1144,10 +1165,10 @@ def _score_rounds(
         np.take(ss_flat, pidx, out=base, mode="clip")
         np.multiply(ps, base, out=base)
         s_min = take_buf("pr_smin", (n,))
-        np.take(mlo_tbl[b].reshape(-1), hs, out=s_min, mode="clip")
+        np.take(margins[0][b].reshape(-1), hs, out=s_min, mode="clip")
         s_min += base
         s_max = take_buf("pr_smax", (n,))
-        np.take(mhi_tbl[b].reshape(-1), hs, out=s_max, mode="clip")
+        np.take(margins[1][b].reshape(-1), hs, out=s_max, mode="clip")
         s_max += base
         chunks_flat[pidx] = b + 1
         lb_flat[pidx] = s_min
@@ -1159,16 +1180,11 @@ def _score_rounds(
         if not survivors:
             break
         round_alive[b] = survivors
-        # Strategy per round: a dense full-width chunk extension (one
-        # batched per-segment contraction) beats pair gathers while the
-        # alive set is still a sizeable fraction of the arena — the
-        # threshold-driven first refinement round typically retains tens
-        # of percent of pairs, and only later rounds thin to the ~0.4%
-        # keep fraction.  The alive set only shrinks, so once a round
-        # goes thin every later one does.  Both strategies run the
-        # identical per-element value chain, so the switch is purely a
-        # performance decision — every output is bit-identical either
-        # way.
+        # A dense round (one batched contraction per segment) beats pair
+        # gathers while the alive set is a sizeable fraction of the grid;
+        # it only shrinks, so once a round goes thin every later one
+        # does.  Both run the same per-element value chain, so the switch
+        # is a performance decision only: every output bit is the same.
         if pidx is None and (b == 0 or survivors * 8 >= alive.size):
             _contract_chunk(planes[:, b], q_seg, st, en, tile, contrib0)
             if b == 0:
@@ -1184,47 +1200,25 @@ def _score_rounds(
                 # dead and gap columns accumulate garbage here —
                 # harmless: every consumer below is masked by ``alive``
                 # and death scores were already recorded
+                shifted = take_buf("lz_mrow", (n_heads, total))
                 np.multiply(
-                    contrib0, float(shifts[b]), out=m_row, dtype=np.float64
+                    contrib0, float(shifts[b]), out=shifted, dtype=np.float64
                 )
-                ps_run += m_row
-            # same elementwise tree as the rectangular kernel:
-            # ps * scale + margin * scale (one base product shared by
-            # both bounds; the sum commutes, so the lower margin is
-            # spread straight into its row and the base added to it)
-            np.multiply(ps_run, ss_ht, out=s_max_row)
-            _spread(mlo_tbl[b], seq_of_tok, s_min_row)
-            s_min_row += s_max_row
-            _spread(mhi_tbl[b], seq_of_tok, m_row)
-            s_max_row += m_row
-            # every alive pair has fetched exactly ``b`` chunks so far
-            chunks_fetched += alive
-            np.copyto(current_lb, s_min_row, where=alive)
-            clock.lap("score_chunk0" if b == 0 else "score_refine")
-
-            log_den_seg, log_den_tok = _round_denominator(current_lb)
-            np.subtract(s_max_row, log_den_tok, out=m_row)
-            prune_now = m_row <= log_thr
-            prune_now &= alive
-            prune_now &= prunable_row
-            # a pruned token's reported score is its certified upper
-            # bound at the pruning decision (p'' >= p, Eq. 5).  Written
-            # for every pair that entered the round (in round 0 that
-            # mask is all-true but for gaps, and a uniform mask copies
-            # several times faster than the scattered ``prune_now``):
-            # a survivor's entry is overwritten by the round that
-            # decides it, or by its exact score at the end
-            np.copyto(scores, s_max_row, where=alive)
-            alive &= ~prune_now
+                ps_run += shifted
+            log_den_seg = _dense_round(
+                b, ps_run, ss_ht, None, margins, state, geo, log_thr,
+                take_buf, clock,
+            )
             survivors = int(np.count_nonzero(alive))
-            clock.lap("prune")
         else:
             if pidx is None:
                 pidx = np.flatnonzero(alive)
             s_max, t = _extend_pairs(b, pidx)
             clock.lap("score_refine")
 
-            log_den_seg, log_den_tok = _round_denominator(current_lb)
+            log_den_seg, log_den_tok = _log_denominators(
+                current_lb, geo, take_buf
+            )
             n = pidx.size
             prune = take_buf("pr_prune", (n,), bool)
             margin = take_buf("pr_margin", (n,))
@@ -1232,7 +1226,7 @@ def _score_rounds(
             np.subtract(s_max, margin, out=margin)
             np.less_equal(margin, log_thr, out=prune)
             guard_ok = take_buf("pr_ok", (n,), bool)
-            np.take(prunable, t, out=guard_ok, mode="clip")
+            np.take(geo.prunable, t, out=guard_ok, mode="clip")
             prune &= guard_ok
             n_dead = int(np.count_nonzero(prune))
             if n_dead:
@@ -1407,9 +1401,7 @@ def token_picker_attention_ragged(
 
     geo = _segment_geometry(segments, live, config.prompt_guard)
     take_buf = (scratch if scratch is not None else KernelScratch()).take
-    q_codes = np.clip(
-        np.rint(qs / q_scale[:, :, None]), quant.qmin, quant.qmax
-    ).astype(np.int64)
+    q_codes = _codes(qs, q_scale[:, :, None], quant).astype(np.int64)
     score_scale = q_scale * k_scale / math.sqrt(head_dim)  # (S, H)
     kept_flat, kept_scores, chunks, scores, log_den_seg, round_alive = (
         _score_rounds(

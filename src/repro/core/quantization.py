@@ -23,7 +23,7 @@ estimator need follows from that decomposition, implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,13 +57,15 @@ class QuantizedTensor:
 
 
 def compute_scale(
-    x: np.ndarray, config: QuantConfig, axis: Optional[int] = None
+    x: np.ndarray,
+    config: QuantConfig,
+    axis: Union[None, int, Tuple[int, ...]] = None,
 ) -> np.ndarray:
     """Symmetric scale mapping ``max |x|`` to the largest positive code.
 
-    ``axis=None`` gives a per-tensor scale; an integer axis gives a
-    per-slice scale (kept broadcastable against ``x``).  A zero tensor maps
-    to scale 1.0 so downstream division is safe.
+    ``axis=None`` gives a per-tensor scale; an axis or tuple of axes
+    gives a per-slice scale (kept broadcastable against ``x``).  A zero
+    tensor maps to scale 1.0 so downstream division is safe.
     """
     x = np.asarray(x, dtype=np.float64)
     if axis is None:

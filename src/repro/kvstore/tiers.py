@@ -363,11 +363,7 @@ class TieredKVStore:
         kept_index, kept_probs = result.kept_pairs
         # certified per-token mass this step: exact probability for kept
         # tokens, the Eq. 5 upper bound p'' for pruned ones (capped at 1)
-        mass = np.exp(
-            np.clip(
-                result.scores - result.log_denominators[:, None], -700.0, 0.0
-            )
-        )
+        mass = result.pruned_bounds()
         mass.reshape(-1)[kept_index] = kept_probs
         p_tok = mass.mean(axis=0)
         decay = self.config.mass_decay

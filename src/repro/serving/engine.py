@@ -21,8 +21,10 @@ time.  Per step the engine
    sequences, freeing their blocks for the next admission.
 
 A caller that owns its cache and wants one sequence at a time uses
-:class:`repro.core.session.TokenPickerSession` instead; it shares no code
-with this engine beyond the scale-freezing rule.
+:class:`repro.core.session.TokenPickerSession` instead.  It runs the
+batched reference kernel, which shares this engine's kernel's breadth
+round step (bounds, ``ln D`` fold, prune predicate) and the
+scale-freezing rule, but not its arena, packing or pair rounds.
 
 An admitted request lives in one :class:`SequenceRecord`; every state
 change goes through ``ServingEngine._transition``, every exit through
@@ -1377,14 +1379,7 @@ class ServingEngine:
                 # — the signal the preemption policy ranks victims by.
                 # Only computed when a memory manager can consume it, so
                 # the default hot path pays nothing.
-                bounds = np.exp(
-                    np.clip(
-                        result.scores - result.log_denominators[:, None],
-                        -700.0,
-                        700.0,
-                    )
-                )
-                bounds.reshape(-1)[result.kept_pairs[0]] = 0.0
+                bounds = result.pruned_bounds()
                 if demoted_masks is not None and demoted_masks[i].any():
                     bounds[:, demoted_masks[i]] = 0.0
                 lost = np.minimum(bounds.sum(axis=1), 1.0)

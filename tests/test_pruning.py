@@ -255,37 +255,41 @@ class TestBreadthIncrementalDenominator:
     last bits: any lower-bound denominator keeps the certificate sound
     (tested below)."""
 
-    def _full_recompute_reference(self, q, keys, cfg):
+    def _full_recompute_reference(self, q, keys, cfg, bias=None):
+        """Per-head plain loop over (H, d) queries and (H, t, d) keys,
+        with an optional (H, t) known score term; returns the (H, t)
+        ``kept`` / ``chunks`` and the (H,) ``ln D``."""
         from repro.core.margins import margin_pairs
-        from repro.core.pruning import (
-            _chunk_score_table,
-            _guard_mask,
-            _quantize_operands,
-        )
+        from repro.core.pruning import _chunk_score_table, _quantize_operands
 
-        q_codes, k_codes, score_scale = _quantize_operands(
-            q, keys, cfg.quant, None, None
-        )
-        ps = _chunk_score_table(q_codes, k_codes, cfg.quant)
-        margins = margin_pairs(q_codes, cfg.quant)
-        guard = _guard_mask(keys.shape[0], cfg.prompt_guard)
-        n, n_chunks = ps.shape
-        s_min = ps * score_scale + margins.mins[1:][None, :] * score_scale
-        s_max = ps * score_scale + margins.maxs[1:][None, :] * score_scale
-        alive = np.ones(n, dtype=bool)
-        chunks = np.zeros(n, dtype=np.int64)
-        lb = np.full(n, -np.inf)
-        log_den = -np.inf
-        for b in range(n_chunks):
-            chunks[alive] = b + 1
-            lb[alive] = s_min[alive, b]
-            m = lb.max()  # every bound is finite from round 1 on
-            log_den = m + np.log(np.exp(lb - m).sum())
-            prune = alive & ((s_max[:, b] - log_den) <= cfg.log_threshold) & ~guard
-            alive = alive & ~prune
-            if not alive.any():
-                break
-        return alive, chunks, log_den
+        n_heads, n, _ = keys.shape
+        guard = np.arange(n) >= n - cfg.prompt_guard
+        kept, chunks, log_dens = [], [], []
+        for h in range(n_heads):
+            q_codes, k_codes, score_scale = _quantize_operands(
+                q[h], keys[h], cfg.quant, None, None
+            )
+            ps = _chunk_score_table(q_codes, k_codes, cfg.quant)
+            margins = margin_pairs(q_codes, cfg.quant)
+            b_h = np.zeros((n, 1)) if bias is None else bias[h][:, None]
+            s_min = ps * score_scale + margins.mins[1:] * score_scale + b_h
+            s_max = ps * score_scale + margins.maxs[1:] * score_scale + b_h
+            alive = np.ones(n, dtype=bool)
+            fetched = np.zeros(n, dtype=np.int64)
+            lb = np.full(n, -np.inf)
+            for b in range(ps.shape[1]):
+                fetched[alive] = b + 1
+                lb[alive] = s_min[alive, b]
+                m = lb.max()  # every bound is finite from round 1 on
+                log_den = m + np.log(np.exp(lb - m).sum())
+                prune = (s_max[:, b] - log_den <= cfg.log_threshold) & ~guard
+                alive &= ~prune
+                if not alive.any():
+                    break
+            kept.append(alive)
+            chunks.append(fetched)
+            log_dens.append(log_den)
+        return np.array(kept), np.array(chunks), np.array(log_dens)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("thr", [1e-2, 2e-3, 1e-4])
@@ -294,11 +298,32 @@ class TestBreadthIncrementalDenominator:
         cfg = TokenPickerConfig(threshold=thr, schedule="breadth")
         r = token_picker_scores(q, keys, cfg)
         kept_ref, chunks_ref, log_den_ref = self._full_recompute_reference(
-            q, keys, cfg
+            q[None], keys[None], cfg
+        )
+        assert np.array_equal(r.kept, kept_ref[0])
+        assert np.array_equal(r.chunks_fetched, chunks_ref[0])
+        assert np.isclose(r.log_denominator, log_den_ref[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("guard", [0, 1, 300])
+    def test_multi_head_alibi_matches_full_recompute(self, seed, guard):
+        """Several heads in one batched call, each with its own ALiBi
+        slope, at guard 0, the default 1 and a guard past the context."""
+        n_heads, t = 4, 160
+        parts = [_instance(10 * seed + h, t=t, d=32) for h in range(n_heads)]
+        q = np.stack([p[0] for p in parts])
+        keys = np.stack([p[1] for p in parts])
+        slopes = 2.0 ** -np.arange(3, 3 + n_heads)
+        bias = -slopes[:, None] * np.arange(t - 1, -1, -1)[None, :]
+        cfg = TokenPickerConfig(threshold=2e-3, prompt_guard=guard)
+        r = token_picker_attention_batched(q, keys, None, cfg, score_bias=bias)
+        kept_ref, chunks_ref, log_den_ref = self._full_recompute_reference(
+            q, keys, cfg, bias
         )
         assert np.array_equal(r.kept, kept_ref)
         assert np.array_equal(r.chunks_fetched, chunks_ref)
-        assert np.isclose(r.log_denominator, log_den_ref, rtol=1e-12, atol=0)
+        assert np.allclose(r.log_denominators, log_den_ref, rtol=1e-12, atol=0)
+        assert r.kept.all() if guard >= t else not r.kept.all()
 
     def test_denominator_still_a_lower_bound(self):
         """Safety: the incremental ln(D) must stay <= the exact-score
@@ -318,10 +343,10 @@ class TestBreadthIncrementalDenominator:
         cfg = TokenPickerConfig(threshold=0.5, schedule="breadth", prompt_guard=1)
         r = token_picker_scores(q, keys, cfg)
         kept_ref, chunks_ref, log_den_ref = self._full_recompute_reference(
-            q, keys, cfg
+            q[None], keys[None], cfg
         )
-        assert np.array_equal(r.kept, kept_ref)
-        assert np.isclose(r.log_denominator, log_den_ref, rtol=1e-12, atol=0)
+        assert np.array_equal(r.kept, kept_ref[0])
+        assert np.isclose(r.log_denominator, log_den_ref[0], rtol=1e-12, atol=0)
 
 
 class TestBreadthIsBatchedRowZero:

@@ -432,6 +432,49 @@ class TestBitIdenticalEquivalence:
         assert ragged.stats().n_tokens == 2 * 20
 
 
+class TestEdgeCorpus:
+    """Hostile-but-legal inputs: the fused kernel still equals the
+    per-sequence batched reference byte for byte."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "threshold_1e-300",
+            "threshold_0.999999",
+            "all_equal_keys",
+            "zero_query_and_keys",
+            "guard_past_context",
+            "length_one_segments_guard_0",
+        ],
+    )
+    def test_matches_batched(self, case):
+        rng = np.random.default_rng(13)
+        qs, keys, values = _make_batch(rng, 3, 2, 16, 48)
+        threshold, guard = 2e-3, 1
+        if case.startswith("threshold_"):
+            threshold = float(case.split("_")[1])
+        elif case == "all_equal_keys":
+            keys = [np.full_like(k, 0.7) for k in keys]
+        elif case == "zero_query_and_keys":
+            qs = np.zeros_like(qs)
+            keys = [np.zeros_like(k) for k in keys]
+        elif case == "guard_past_context":
+            guard = 49
+        else:
+            keys, values = [k[:, :1] for k in keys], [v[:, :1] for v in values]
+            guard = 0
+        config = TokenPickerConfig(threshold=threshold, prompt_guard=guard)
+        scales = [
+            _oracle_scales(x, config.quant) for x in (list(qs), keys, values)
+        ]
+        ragged = _run_arena(qs, keys, values, config, *scales)
+        for s in range(3):
+            _assert_identical(
+                ragged.results[s],
+                token_picker_attention_batched(qs[s], keys[s], values[s], config),
+            )
+
+
 class TestSketchTheorem:
     """Breadth round ``b`` reads only the first ``b`` chunk digits of
     every token — the theorem the tiered KV store rests on: a demoted
