@@ -1018,7 +1018,8 @@ def _dense_round(b, ps, ss, bias, margins, state, geo, log_thr, take_buf, clock)
 
 
 #: bytes of the float tile a dense round casts digits into: about an
-#: L2's worth, so a tile is contracted while it is still cached
+#: L2's worth, so a tile is contracted while it is still cached (the
+#: pool's encoder sizes its float64 code tiles from it too)
 _TILE_BYTES = 1 << 19
 
 

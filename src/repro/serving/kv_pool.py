@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import QuantConfig
-from repro.core.pruning import exact_digit_dtype
+from repro.core.pruning import _TILE_BYTES, exact_digit_dtype
 
 
 def _encode_kv_into(
@@ -61,8 +61,9 @@ def _encode_kv_into(
     the one encoder for prefill chunks and decode-step tokens alike.
 
     ``keys``/``values`` are token-major ``(n, H, d)`` (any strides),
-    ``k_scale``/``v_scale`` the rows' ``(n, H)`` frozen scales (``(1,
-    H)`` broadcasts one sequence's scales over its rows).  K is quantized
+    ``k_scale``/``v_scale`` the rows' ``(n, H)`` frozen scales (any
+    strides: a prompt chunk passes one sequence's scales broadcast over
+    its rows).  K is quantized
     and decomposed into its MSB-first chunk *digits* — the representation
     the paper's DRAM layout streams — written into ``k_out``, token-major
     ``(n, H * n_chunks, d)`` rows: the pool's strided view into its
@@ -84,34 +85,46 @@ def _encode_kv_into(
     (Eq. 4), and every lower chunk is the shifted code's low ``cb`` bits,
     which a two's-complement code shares with its unsigned pattern — the
     same digits :func:`~repro.core.quantization.signed_chunk_digit`
-    derives from :func:`~repro.core.quantization.to_unsigned`.  Prefill
-    encodes whole prompts through here, so every full-width pass skipped
-    is time-to-first-token saved.
+    derives from :func:`~repro.core.quantization.to_unsigned`.
+
+    The token axis is walked in tiles of ``_TILE_BYTES`` of float64 (256
+    tokens at H = 4, d = 64), and each tile runs the whole chain, so no
+    temporary grows with the prompt.  A full-prompt float64 temporary
+    would outgrow the L2 and cross NumPy's 4 MiB huge-page advice
+    threshold, faulting in fresh 2 MiB pages on every prefill chunk; a
+    tile stays cached from its divide to its last digit write.  A
+    decode step (one row per sequence) is usually one tile.
     """
     n, n_heads, head_dim = keys.shape
-    # in-place ufuncs keep the input's memory order (head-major for a
-    # prompt slice, matching the digit planes)
-    code = np.divide(keys, k_scale[:, :, None])
-    np.rint(code, out=code)
-    np.clip(code, quant.qmin, quant.qmax, out=code)
-    code = code.astype(np.min_scalar_type(quant.qmin))
-    k3 = k_out.reshape(n, n_heads, quant.n_chunks, head_dim)
+    rows = max(_TILE_BYTES // (n_heads * head_dim * 8), 1)  # float64 codes
+    k4 = k_out.reshape(n, n_heads, quant.n_chunks, head_dim)
+    code_dtype = np.min_scalar_type(quant.qmin)
     chunk_mask = (1 << quant.chunk_bits) - 1
-    digit = np.empty_like(code)
-    for c in range(quant.n_chunks):
-        shift = quant.total_bits - (c + 1) * quant.chunk_bits
-        np.right_shift(code, shift, out=digit)
-        if c:
-            np.bitwise_and(digit, chunk_mask, out=digit)
-        k3[:, :, c, :] = digit
-    code = np.divide(values, v_scale[:, :, None])
-    np.rint(code, out=code)
-    np.clip(code, quant.qmin, quant.qmax, out=code)
-    v_out[...] = code
-    # -0.0 is the one float64 whose bit pattern is int64's minimum: one
-    # compare finds the codes that take the spare code qmin - 1
-    neg_zero = code.view(np.int64) == np.iinfo(np.int64).min
-    np.copyto(v_out, quant.qmin - 1, where=neg_zero)
+    for lo in range(0, n, rows):
+        tile = slice(lo, lo + rows)
+        # in-place ufuncs keep the input's memory order (head-major for
+        # a prompt slice, matching the digit planes)
+        code = np.divide(keys[tile], k_scale[tile, :, None])
+        np.rint(code, out=code)
+        np.clip(code, quant.qmin, quant.qmax, out=code)
+        code = code.astype(code_dtype)
+        k_tile = k4[tile]
+        digit = np.empty_like(code)
+        for c in range(quant.n_chunks):
+            shift = quant.total_bits - (c + 1) * quant.chunk_bits
+            np.right_shift(code, shift, out=digit)
+            if c:
+                np.bitwise_and(digit, chunk_mask, out=digit)
+            k_tile[:, :, c, :] = digit
+        code = np.divide(values[tile], v_scale[tile, :, None])
+        np.rint(code, out=code)
+        np.clip(code, quant.qmin, quant.qmax, out=code)
+        v_tile = v_out[tile]
+        v_tile[...] = code
+        # -0.0 is the one float64 whose bit pattern is int64's minimum:
+        # one compare finds the codes that take the spare code qmin - 1
+        neg_zero = code.view(np.int64) == np.iinfo(np.int64).min
+        np.copyto(v_tile, quant.qmin - 1, where=neg_zero)
 
 
 def _reject_nan(keys: np.ndarray, values: np.ndarray) -> None:
@@ -175,9 +188,14 @@ def freeze_scales(
             raise ValueError("cannot freeze scales from non-finite prompt data")
         return np.where(max_abs > 0, max_abs * safety_factor / qmax, 1.0)
 
-    q_src = np.asarray(queries, dtype=np.float64) if queries is not None else keys
+    k_scale = scale_of(keys)
+    q_scale = (
+        scale_of(np.asarray(queries, dtype=np.float64))
+        if queries is not None
+        else k_scale.copy()
+    )
     return SequenceScales(
-        q_scale=scale_of(q_src), k_scale=scale_of(keys), v_scale=scale_of(values)
+        q_scale=q_scale, k_scale=k_scale, v_scale=scale_of(values)
     )
 
 
@@ -566,15 +584,16 @@ class KVCachePool:
             raise ValueError(
                 f"values must be {keys.shape} like keys, got {values.shape}"
             )
-        if not keys.shape[1]:
+        n = keys.shape[1]
+        if not n:
             return
         _reject_nan(keys, values)
-        k_slots, v_slots = self.append_slots(seq_id, keys.shape[1])
+        k_slots, v_slots = self.append_slots(seq_id, n)
         _encode_kv_into(
             keys.transpose(1, 0, 2),
             values.transpose(1, 0, 2),
-            entry.scales.k_scale[None, :],
-            entry.scales.v_scale[None, :],
+            np.broadcast_to(entry.scales.k_scale, (n, self.n_heads)),
+            np.broadcast_to(entry.scales.v_scale, (n, self.n_heads)),
             self.quant,
             k_slots,
             v_slots,
@@ -618,8 +637,9 @@ class KVCachePool:
         each row's sequence's frozen scales.  All growth is performed
         first (so a :class:`PoolExhausted` mid-way cannot leave a partial
         batch), then both arenas are written with one scatter each — the
-        fused step's only KV write.  A NaN in ``keys`` or ``values``
-        raises ``ValueError`` before any row is claimed.
+        fused step's only KV write.  A NaN in ``keys`` or ``values``, a
+        repeated sequence id or a sequence without frozen scales raises
+        ``ValueError`` before any row is claimed.
         """
         keys, values = np.asarray(keys), np.asarray(values)
         shape = (len(seq_ids), self.n_heads, self.head_dim)
@@ -630,6 +650,11 @@ class KVCachePool:
             )
         _reject_nan(keys, values)
         entries = [self._entry(sid) for sid in seq_ids]
+        if len(set(seq_ids)) != len(seq_ids):
+            raise ValueError(f"seq_ids must be distinct, got {list(seq_ids)}")
+        for sid, entry in zip(seq_ids, entries):
+            if entry.scales is None:
+                raise ValueError(f"sequence {sid} has no frozen scales")
         k_rows, v_rows = (
             np.empty((len(entries),) + self._k_rows.shape[1:], self._k.dtype),
             np.empty(shape, self._v.dtype),

@@ -485,6 +485,30 @@ class TestValidation:
         for got, want in zip(pool.view(0), before[0]):
             assert np.array_equal(got, want)
 
+    def test_append_rows_rejects_repeated_or_unscaled_sequences(self):
+        """Regression: a repeated sequence id used to write both tokens
+        into one row and advance the length by 2, and a sequence without
+        frozen scales failed with ``AttributeError``.  Both raise
+        ``ValueError`` before any row is claimed."""
+        rng = np.random.default_rng(10)
+        pool = _pool()
+        scales = freeze_scales(
+            rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)), QUANT, 1.25
+        )
+        pool.register(0, scales=scales)
+        pool.register(1)  # no scales
+        pool.append(0, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
+        before = [a.copy() for a in pool.view(0)], pool.blocks_in_use
+        step = rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4))
+        with pytest.raises(ValueError, match="distinct"):
+            pool.append_rows([0, 0], *step)
+        with pytest.raises(ValueError, match="sequence 1 has no frozen scales"):
+            pool.append_rows([0, 1], *step)
+        assert pool.length(0) == 3 and pool.length(1) == 0
+        assert pool.blocks_in_use == before[1]
+        for got, want in zip(pool.view(0), before[0]):
+            assert np.array_equal(got, want)
+
     def test_zero_capacity_pool_is_safe(self):
         """Regression: a 0-block pool must not divide by zero anywhere a
         dashboard polls (utilization, hole sizes, fit checks)."""
@@ -514,6 +538,9 @@ class TestCalibration:
         expected_k = np.abs(keys).max(axis=(1, 2)) * 1.25 / quant.qmax
         assert np.allclose(scales.k_scale, expected_k)
         assert np.allclose(scales.q_scale, expected_k)  # K stands in for Q
+        # K's own scale, byte for byte, in an array of its own
+        assert scales.q_scale.tobytes() == scales.k_scale.tobytes()
+        assert not np.shares_memory(scales.q_scale, scales.k_scale)
         queries = rng.normal(size=(2, 32, 4)) * 3
         with_q = freeze_scales(keys, values, quant, 1.25, queries=queries)
         assert np.all(with_q.q_scale >= scales.q_scale)
