@@ -23,7 +23,7 @@ from repro.kvstore.policy import (
     RecencyDemotionPolicy,
     make_demotion_policy,
 )
-from repro.kvstore.radix import RadixKVCache, token_digests
+from repro.kvstore.radix import RadixKVCache
 from repro.kvstore.tiers import TierConfig, TieredKVStore
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "TierConfig",
     "TieredKVStore",
     "make_demotion_policy",
-    "token_digests",
 ]

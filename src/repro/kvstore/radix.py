@@ -10,11 +10,13 @@ prompts agree on a prefix map onto the same extent chain; a prompt that
 diverges mid-edge splits the edge at the fork point (copy-on-divergence:
 the shared prefix keeps one extent, the suffixes get their own).
 
-Tokens are identified by **chained digests**: token ``i``'s digest hashes
-its raw K/V rows together with token ``i-1``'s digest, so two prompts
-share the first ``L`` digests iff their first ``L`` (position, K, V)
-triples are byte-identical — prefix identity needs no float comparisons
-during the walk, and a child edge is addressed by its first digest alone.
+Tokens are identified by **their raw rows**: the tree keeps each edge's
+prompt K and V as ``(H, t, d)`` uint64 views of the float64 bytes, so a
+walk matches bytes, not floats (``-0.0`` differs from ``0.0``, and a NaN
+matches only its own payload) and needs no collision argument.  A child
+edge is addressed by the bytes of its first token's rows (siblings always
+differ there), and one vectorised compare of the edge's rows against the
+prompt's finds the fork point: one dict lookup per edge, not per token.
 
 Sharing never changes outputs: the serving engine still calibrates and
 encodes each sequence from its *own* prompt tensors (per-sequence frozen
@@ -25,35 +27,15 @@ tested in ``tests/test_kvstore.py``).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 
-def token_digests(keys: np.ndarray, values: np.ndarray) -> List[bytes]:
-    """Chained per-token digests of (H, t, d) prompt K/V tensors.
-
-    ``digest[i] = H(digest[i-1] || K_rows[i] || V_rows[i])`` over the raw
-    float64 bytes, so equality of ``digest[:L]`` is equality of the whole
-    prefix, not just of token ``L-1``.
-    """
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if keys.ndim != 3 or keys.shape != values.shape:
-        raise ValueError("keys and values must both be (H, t, d)")
-    keys = np.ascontiguousarray(keys.transpose(1, 0, 2))
-    values = np.ascontiguousarray(values.transpose(1, 0, 2))
-    out: List[bytes] = []
-    prev = b""
-    for i in range(keys.shape[0]):
-        h = hashlib.blake2b(prev, digest_size=16)
-        h.update(keys[i].tobytes())
-        h.update(values[i].tobytes())
-        prev = h.digest()
-        out.append(prev)
-    return out
+def _row_key(k: np.ndarray, v: np.ndarray, i: int) -> bytes:
+    """Token ``i``'s K then V row bytes: the key of an edge starting there."""
+    return k[:, i].tobytes() + v[:, i].tobytes()
 
 
 class _Extent:
@@ -64,21 +46,13 @@ class _Extent:
     sharer holds every prefix extent on its path).
     """
 
-    __slots__ = (
-        "digests", "k_rows", "v_rows", "children", "parent", "refs",
-        "last_use",
-    )
+    __slots__ = ("k", "v", "children", "parent", "refs", "last_use")
 
     def __init__(
-        self,
-        digests: List[bytes],
-        k_rows: np.ndarray,
-        v_rows: np.ndarray,
-        parent: Optional["_Extent"],
+        self, k: np.ndarray, v: np.ndarray, parent: Optional["_Extent"]
     ) -> None:
-        self.digests = digests
-        self.k_rows = k_rows  # (t, H, d) token-major raw prompt keys
-        self.v_rows = v_rows
+        self.k = k  # (H, t, d) uint64 view of the prompt keys' bytes
+        self.v = v
         self.children: Dict[bytes, "_Extent"] = {}
         self.parent = parent
         self.refs = 0
@@ -86,7 +60,11 @@ class _Extent:
 
     @property
     def n_tokens(self) -> int:
-        return len(self.digests)
+        return self.k.shape[1]
+
+    @property
+    def key(self) -> bytes:
+        return _row_key(self.k, self.v, 0)
 
 
 @dataclass
@@ -143,7 +121,8 @@ class RadixKVCache:
             raise ValueError("capacity_tokens must be >= 0")
         self.retain_unreferenced = retain_unreferenced
         self.capacity_tokens = capacity_tokens
-        self._root = _Extent([], np.zeros((0, 1, 1)), np.zeros((0, 1, 1)), None)
+        empty = np.zeros((0, 0, 0), np.uint64)
+        self._root = _Extent(empty, empty, None)
         self._clock = 0
         # accounting
         self.lookups = 0
@@ -156,12 +135,9 @@ class RadixKVCache:
     # -------------------------------------------------------------- queries
     @property
     def total_tokens(self) -> int:
-        """Tokens resident in cold-tier extents (dedupe capacity metric)."""
-
-        def walk(node: _Extent) -> int:
-            return node.n_tokens + sum(walk(c) for c in node.children.values())
-
-        return walk(self._root)
+        """Tokens resident in cold-tier extents (dedupe capacity metric):
+        inserts add them, :meth:`_reap` frees them, a split moves none."""
+        return self.inserted_tokens_total - self.freed_tokens_total
 
     @property
     def hit_rate(self) -> float:
@@ -171,57 +147,48 @@ class RadixKVCache:
         return self.hit_tokens_total / self.lookup_tokens
 
     # ---------------------------------------------------------------- walk
-    def _walk(self, digests: List[bytes], split: bool, touch: bool = True):
-        """Longest-prefix walk; returns ``(node, matched, exact_edge_end)``.
+    def _walk(self, k: np.ndarray, v: np.ndarray):
+        """Longest-prefix walk; returns ``(node, matched)``.
 
-        With ``split=True`` a divergence *inside* an edge splits it at the
-        fork point (copy-on-divergence), so the returned node's extents
-        cover exactly the matched tokens.  ``touch=False`` leaves every
-        node's LRU stamp alone (read-only probes).
+        A divergence *inside* an edge splits it at the fork point
+        (copy-on-divergence), so the returned node's extents cover
+        exactly the matched tokens.  Every node on the path is stamped
+        with the current clock.
         """
         node = self._root
-        i = 0
-        while i < len(digests):
-            child = node.children.get(digests[i])
+        i, t = 0, k.shape[1]
+        while i < t:
+            child = node.children.get(_row_key(k, v, i))
             if child is None:
                 break
-            # chained digests: the first digest matching pins the whole
-            # prefix so far; extend the match token by token along the edge
-            m = 1
-            limit = min(len(child.digests), len(digests) - i)
-            while m < limit and child.digests[m] == digests[i + m]:
-                m += 1
-            if m < len(child.digests):
-                if not split:
-                    return child, i + m, False
+            # the key matched token i; the first differing row ends the run
+            n = min(child.n_tokens, t - i)
+            differs = (child.k[:, :n] != k[:, i:i + n]).any(axis=0)
+            differs |= (child.v[:, :n] != v[:, i:i + n]).any(axis=0)
+            differs = differs.any(axis=1)
+            m = int(differs.argmax()) if differs.any() else n
+            if m < child.n_tokens:
                 child = self._split(child, m)
             node = child
             i += m
-            if touch:
-                node.last_use = self._clock
-        return node, i, True
+            node.last_use = self._clock
+        return node, i
 
     def _split(self, child: _Extent, m: int) -> _Extent:
         """Split an edge after ``m`` tokens; returns the new prefix node.
 
         The shared prefix keeps one extent (the fork point's new node);
         the original node keeps the suffix rows, so live handles that end
-        at it remain valid — their path simply gains one ancestor.
+        at it remain valid — their path simply gains one ancestor.  Both
+        halves stay views of the edge's buffer; :meth:`_reap` gives the
+        survivor its own copy once the half below it is freed.
         """
         parent = child.parent
-        prefix = _Extent(
-            child.digests[:m],
-            child.k_rows[:m].copy(),
-            child.v_rows[:m].copy(),
-            parent,
-        )
-        prefix.last_use = child.last_use
-        parent.children[prefix.digests[0]] = prefix
-        child.digests = child.digests[m:]
-        child.k_rows = child.k_rows[m:].copy()
-        child.v_rows = child.v_rows[m:].copy()
+        prefix = _Extent(child.k[:, :m], child.v[:, :m], parent)
+        parent.children[prefix.key] = prefix
+        child.k, child.v = child.k[:, m:], child.v[:, m:]
         child.parent = prefix
-        prefix.children[child.digests[0]] = child
+        prefix.children[child.key] = child
         self.splits_total += 1
         return prefix
 
@@ -229,32 +196,27 @@ class RadixKVCache:
     def acquire(self, keys: np.ndarray, values: np.ndarray) -> PrefixHandle:
         """Map a prompt onto the tree: match the longest resident prefix,
         insert the remainder as a new extent, and take one reference."""
-        keys = np.asarray(keys, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        digests = token_digests(keys, values)
+        k = np.asarray(keys, dtype=np.float64).view(np.uint64)
+        v = np.asarray(values, dtype=np.float64).view(np.uint64)
+        if k.ndim != 3 or k.shape != v.shape:
+            raise ValueError("keys and values must both be (H, t, d)")
+        t = k.shape[1]
         self._clock += 1
         self.lookups += 1
-        self.lookup_tokens += len(digests)
-        node, matched, _ = self._walk(digests, split=True)
-        if matched < len(digests):
-            rows_k = np.ascontiguousarray(
-                keys.transpose(1, 0, 2)[matched:]
-            ).copy()
-            rows_v = np.ascontiguousarray(
-                values.transpose(1, 0, 2)[matched:]
-            ).copy()
-            leaf = _Extent(digests[matched:], rows_k, rows_v, node)
+        self.lookup_tokens += t
+        node, matched = self._walk(k, v)
+        if matched < t:
+            # the tree keeps its own copy: the caller may reuse its arrays
+            leaf = _Extent(k[:, matched:].copy(), v[:, matched:].copy(), node)
             leaf.last_use = self._clock
-            node.children[leaf.digests[0]] = leaf
+            node.children[leaf.key] = leaf
             node = leaf
-            self.inserted_tokens_total += len(digests) - matched
+            self.inserted_tokens_total += t - matched
         node.refs += 1
         self.hit_tokens_total += matched
         if self.capacity_tokens:
             self.evict_unreferenced(self.capacity_tokens)
-        return PrefixHandle(
-            hit_tokens=matched, prompt_tokens=len(digests), _leaf=node
-        )
+        return PrefixHandle(hit_tokens=matched, prompt_tokens=t, _leaf=node)
 
     def release(self, handle: PrefixHandle) -> int:
         """Drop one sharer's reference; returns tokens freed (0 when the
@@ -274,7 +236,7 @@ class RadixKVCache:
 
     def _reap(self, node: _Extent) -> int:
         """Free the chain of now-unreferenced leaf extents ending here."""
-        freed = 0
+        freed, gone = 0, None
         while (
             node is not None
             and node is not self._root
@@ -282,10 +244,16 @@ class RadixKVCache:
             and not node.children
         ):
             parent = node.parent
-            del parent.children[node.digests[0]]
+            del parent.children[node.key]
             freed += node.n_tokens
             node.parent = None
-            node = parent
+            gone, node = node, parent
+        # the split-off ancestors still viewing the freed rows' buffer
+        # copy their own rows, so the buffer goes with its last extent
+        owner = None if gone is None else gone.k.base
+        while owner is not None and node.k.base is owner:
+            node.k, node.v = node.k.copy(), node.v.copy()
+            node = node.parent
         self.freed_tokens_total += freed
         return freed
 
@@ -303,13 +271,11 @@ class RadixKVCache:
         resident = self.total_tokens
         if resident <= keep_tokens:
             return 0
+        # no two candidates share a stamp: the nodes one acquire stamps
+        # lie on one root path, which has at most one childless node
         victims = sorted(
-            (
-                node
-                for node in self._leaves()
-                if node.refs == 0 and not node.children
-            ),
-            key=lambda n: (n.last_use, n.digests[0]),
+            (node for node in self._leaves() if node.refs == 0),
+            key=lambda n: n.last_use,
         )
         freed = 0
         for victim in victims:

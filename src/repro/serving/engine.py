@@ -856,9 +856,11 @@ class ServingEngine:
         stats.admitted_step = self._step_index
         if self.prefix_cache is not None:
             # dedupe the prompt's cold-tier ingest against shared
-            # prefixes; the sequence still encodes from its *own* prompt
-            # tensors chunk by chunk (per-sequence frozen scales), so a
-            # hit only removes modelled transfer, never changes bytes
+            # prefixes: the tree matches the prompt's raw K/V bytes (one
+            # compare per edge) and copies only the unmatched suffix; the
+            # sequence still encodes from its *own* prompt tensors chunk
+            # by chunk (per-sequence frozen scales), so a hit only
+            # removes modelled transfer, never changes bytes
             handle = self.prefix_cache.acquire(
                 request.prompt_keys, request.prompt_values
             )

@@ -26,7 +26,6 @@ from repro.kvstore import (
     TierConfig,
     TieredKVStore,
     make_demotion_policy,
-    token_digests,
 )
 from repro.serving import ServingEngine, synthetic_request
 from repro.workloads.traces import long_context_trace, shared_prefix_trace
@@ -437,17 +436,183 @@ class TestRadixCache:
             rng.normal(size=(N_HEADS, t, HEAD_DIM)),
         )
 
-    def test_chained_digests_detect_prefixes(self):
+    def test_rows_decide_the_match(self):
         rng = np.random.default_rng(0)
+        cache = RadixKVCache()
         k, v = self._prompt(rng)
-        d1 = token_digests(k, v)
-        d2 = token_digests(k.copy(), v.copy())
-        assert d1 == d2
+        cache.acquire(k, v)
+        assert cache.acquire(k.copy(), v.copy()).hit_tokens == 12
+        # a divergence only in V, only in the last head, forks there
+        v2 = v.copy()
+        v2[-1, 6, -1] += 1.0
+        assert cache.acquire(k, v2).hit_tokens == 6
+        assert cache.splits_total == 1
+        # bytes, not floats: -0.0 is not 0.0
+        zeros = np.zeros((N_HEADS, 4, HEAD_DIM))
+        cache.acquire(zeros, zeros)
+        signed = zeros.copy()
+        signed[0, 2, 0] = -0.0
+        assert cache.acquire(signed, zeros).hit_tokens == 2
+        # a NaN matches its own payload only
+        nan_a, nan_b = np.array(
+            [0x7FF8000000000001, 0x7FF8000000000002], np.uint64
+        ).view(np.float64)
+        k3 = k.copy()
+        k3[1, 3, 5] = nan_a
+        cache.acquire(k3, v)
+        assert cache.acquire(k3.copy(), v).hit_tokens == 12
+        k3[1, 3, 5] = nan_b
+        assert cache.acquire(k3, v).hit_tokens == 3
+
+    def test_hits_splits_and_residency_match_brute_force(self):
+        """Every acquire hits the longest common prefix with any earlier
+        prompt; a split happens exactly when that prefix ends inside an
+        edge; residency is the number of distinct prompt prefixes."""
+        rng = np.random.default_rng(11)
+        h, d = 2, 4
+        cache = RadixKVCache(retain_unreferenced=True, capacity_tokens=0)
+        prompts, prefixes, boundaries = [], set(), set()
+
+        def prefix_id(k, v, n):
+            return k[:, :n].tobytes() + v[:, :n].tobytes()
+
+        def common(a, b):
+            n = 0
+            while (
+                n < min(a[0].shape[1], b[0].shape[1])
+                and np.array_equal(
+                    a[0][:, n].view(np.uint64), b[0][:, n].view(np.uint64)
+                )
+                and np.array_equal(
+                    a[1][:, n].view(np.uint64), b[1][:, n].view(np.uint64)
+                )
+            ):
+                n += 1
+            return n
+
+        splits = 0
+        for _ in range(80):
+            bk = bv = np.zeros((h, 0, d))
+            if prompts and rng.random() < 0.85:
+                bk, bv = prompts[rng.integers(len(prompts))]
+            n = int(rng.integers(0, bk.shape[1] + 1))
+            k, v = bk[:, :n], bv[:, :n]
+            extra = int(rng.integers(0 if n else 1, 10))
+            nk = rng.normal(size=(h, extra, d))
+            nv = rng.normal(size=(h, extra, d))
+            if extra and n < bk.shape[1] and rng.random() < 0.5:
+                nk[:, 0] = bk[:, n]  # fork in V only
+            k = np.concatenate([k, nk], axis=1)
+            v = np.concatenate([v, nv], axis=1)
+            want = max((common((k, v), p) for p in prompts), default=0)
+            # a matched run that ends at no node end ends inside an edge
+            splits += bool(want) and prefix_id(k, v, want) not in boundaries
+            got = cache.acquire(k, v)
+            assert got.hit_tokens == want
+            prompts.append((k, v))
+            boundaries.update(
+                {prefix_id(k, v, want), prefix_id(k, v, k.shape[1])}
+            )
+            prefixes.update(
+                prefix_id(k, v, j) for j in range(1, k.shape[1] + 1)
+            )
+            assert cache.splits_total == splits
+            assert cache.total_tokens == len(prefixes)
+        assert 0 < splits < cache.lookups
+
+    @pytest.mark.parametrize(
+        "retain, capacity", [(True, 0), (True, 40), (False, 0)]
+    )
+    def test_residency_counter_matches_a_walk(self, retain, capacity):
+        rng = np.random.default_rng(12)
+        cache = RadixKVCache(
+            retain_unreferenced=retain, capacity_tokens=capacity
+        )
+        shared = self._prompt(rng, 10)
+
+        def walk(node):
+            return node.n_tokens + sum(walk(c) for c in node.children.values())
+
+        def nodes(node):
+            for child in node.children.values():
+                yield child
+                yield from nodes(child)
+
+        row_bytes = N_HEADS * HEAD_DIM * 8
+
+        handles = []
+        for _ in range(120):
+            op = rng.random()
+            if op < 0.5 or not handles:
+                n = int(rng.integers(0, 11))
+                k, v = self._prompt(rng, int(rng.integers(1, 8)))
+                handles.append(
+                    cache.acquire(
+                        np.concatenate([shared[0][:, :n], k], axis=1),
+                        np.concatenate([shared[1][:, :n], v], axis=1),
+                    )
+                )
+            elif op < 0.9:
+                cache.release(handles.pop(int(rng.integers(len(handles)))))
+            else:
+                cache.evict_unreferenced(int(rng.integers(0, 30)))
+            assert cache.total_tokens == walk(cache._root)
+            # no buffer keeps rows of a freed extent
+            owners = {}
+            for node in nodes(cache._root):
+                for rows in (node.k, node.v):
+                    owner = rows if rows.base is None else rows.base
+                    owners[id(owner)] = owner.nbytes
+            assert sum(owners.values()) == 2 * cache.total_tokens * row_bytes
+            # eviction order needs no tie-break: candidates' stamps differ
+            stamps = [n.last_use for n in cache._leaves() if n.refs == 0]
+            assert len(stamps) == len(set(stamps))
+        assert cache.splits_total > 0 and cache.freed_tokens_total > 0
+
+    def test_tree_keeps_its_own_rows(self):
+        rng = np.random.default_rng(13)
+        cache = RadixKVCache()
+        k, v = self._prompt(rng)
+        saved = k.copy(), v.copy()
+        cache.acquire(k, v)
+        k += 1.0  # the caller reuses its buffers
+        v[:] = 0.0
+        assert cache.acquire(*saved).hit_tokens == 12
+
+    def test_strided_prompt_matches_its_contiguous_copy(self):
+        rng = np.random.default_rng(14)
+        k_t = rng.normal(size=(N_HEADS, HEAD_DIM, 12))
+        v_t = rng.normal(size=(N_HEADS, HEAD_DIM, 12))
+        fork_t = k_t.copy()
+        fork_t[:, :, 7:] += 1.0
+        # (H, t, d) views whose last axis is not contiguous
+        k, v, fork = (a.transpose(0, 2, 1) for a in (k_t, v_t, fork_t))
+        assert k.strides[-1] != k.itemsize
+        dense = np.ascontiguousarray
+        mixed = [(k, v), (dense(fork), dense(v)), (fork, v), (dense(k), v)]
+        cache = RadixKVCache()
+        assert [cache.acquire(*p).hit_tokens for p in mixed] == [0, 7, 12, 12]
+        cache = RadixKVCache()
+        assert [
+            cache.acquire(dense(pk), dense(pv)).hit_tokens for pk, pv in mixed
+        ] == [0, 7, 12, 12]
+
+    def test_split_prefix_owns_only_its_tokens(self):
+        rng = np.random.default_rng(15)
+        cache = RadixKVCache(retain_unreferenced=False)
+        k, v = self._prompt(rng, 16)
+        h1 = cache.acquire(k, v)
         k2 = k.copy()
-        k2[:, 6, :] += 1.0
-        d3 = token_digests(k2, v)
-        assert d3[:6] == d1[:6]
-        assert all(a != b for a, b in zip(d3[6:], d1[6:]))
+        k2[:, 10:] = rng.normal(size=(N_HEADS, 6, HEAD_DIM))
+        h2 = cache.acquire(k2, v)
+        assert cache.release(h1) == 6  # reaps the suffix that split off
+        (prefix,) = cache._root.children.values()
+        assert prefix.n_tokens == 10
+        for rows in (prefix.k, prefix.v):
+            owner = rows if rows.base is None else rows.base
+            assert owner.nbytes == N_HEADS * 10 * HEAD_DIM * 8
+        cache.release(h2)
+        assert cache.total_tokens == 0
 
     def test_acquire_hit_miss_and_split(self):
         rng = np.random.default_rng(1)
