@@ -27,12 +27,19 @@ Quickstart::
     print(result.stats.v_pruning_ratio, result.stats.total_reduction)
 """
 
-from repro.core import TokenPickerConfig, token_picker_attention
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "TokenPickerConfig",
-    "token_picker_attention",
-    "__version__",
-]
+_LAZY = {
+    "TokenPickerConfig": "repro.core.config",
+    "token_picker_attention": "repro.core.pruning",
+}
+__all__ = [*_LAZY, "__version__"]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

@@ -198,13 +198,7 @@ def _run_serve(args) -> str:
     (``--inject-faults``); its fullest step is priced as a fleet."""
     import numpy as np
 
-    from repro.cluster import (
-        ClusterRouter,
-        FaultInjector,
-        bursty_trace,
-        busiest_step_reports,
-        fault_schedule,
-    )
+    from repro.cluster import ClusterRouter, bursty_trace, busiest_step_reports
     from repro.core import TokenPickerConfig
     from repro.hw.serving import ServingSimulator
     from repro.kvstore import TierConfig
@@ -271,6 +265,8 @@ def _run_serve(args) -> str:
     extra: List[str] = []
     identical = True
     if args.inject_faults:
+        from repro.cluster import FaultInjector, fault_schedule
+
         # the fault-free rerun (untraced) is the bit-identity witness
         runs = []
         for faulted in (False, True):

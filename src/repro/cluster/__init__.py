@@ -27,27 +27,25 @@ instead of a constant:
   model prices.
 """
 
-from repro.cluster.faults import FaultEvent, FaultInjector, fault_schedule
-from repro.cluster.memory import (
-    OptimisticMemory,
-    make_memory_manager,
-)
-from repro.cluster.metrics import Histogram, MetricsRegistry
-from repro.cluster.router import (
-    ClusterRouter,
-    bursty_trace,
-    busiest_step_reports,
-)
+_LAZY = {
+    "ClusterRouter": "repro.cluster.router",
+    "FaultEvent": "repro.cluster.faults",
+    "FaultInjector": "repro.cluster.faults",
+    "fault_schedule": "repro.cluster.faults",
+    "Histogram": "repro.cluster.metrics",
+    "MetricsRegistry": "repro.cluster.metrics",
+    "OptimisticMemory": "repro.cluster.memory",
+    "bursty_trace": "repro.cluster.router",
+    "busiest_step_reports": "repro.cluster.router",
+    "make_memory_manager": "repro.cluster.memory",
+}
+__all__ = list(_LAZY)
 
-__all__ = [
-    "ClusterRouter",
-    "FaultEvent",
-    "FaultInjector",
-    "fault_schedule",
-    "Histogram",
-    "MetricsRegistry",
-    "OptimisticMemory",
-    "bursty_trace",
-    "busiest_step_reports",
-    "make_memory_manager",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

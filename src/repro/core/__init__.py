@@ -16,32 +16,27 @@ Public surface:
   threshold search.
 """
 
-from repro.core.attention import (
-    exact_attention,
-    exact_attention_probs,
-    pruning_error,
-)
-from repro.core.config import QuantConfig, TokenPickerConfig
-from repro.core.margins import margin_pairs, score_bounds
-from repro.core.pruning import (
-    token_picker_attention,
-    token_picker_attention_batched,
-    token_picker_attention_ragged,
-    token_picker_scores,
-)
-from repro.core.quantization import quantize
+_LAZY = {
+    "token_picker_attention_batched": "repro.core.pruning",
+    "token_picker_attention_ragged": "repro.core.pruning",
+    "QuantConfig": "repro.core.config",
+    "TokenPickerConfig": "repro.core.config",
+    "exact_attention": "repro.core.attention",
+    "exact_attention_probs": "repro.core.attention",
+    "margin_pairs": "repro.core.margins",
+    "pruning_error": "repro.core.attention",
+    "quantize": "repro.core.quantization",
+    "score_bounds": "repro.core.margins",
+    "token_picker_attention": "repro.core.pruning",
+    "token_picker_scores": "repro.core.pruning",
+}
+__all__ = list(_LAZY)
 
-__all__ = [
-    "token_picker_attention_batched",
-    "token_picker_attention_ragged",
-    "QuantConfig",
-    "TokenPickerConfig",
-    "exact_attention",
-    "exact_attention_probs",
-    "margin_pairs",
-    "pruning_error",
-    "quantize",
-    "score_bounds",
-    "token_picker_attention",
-    "token_picker_scores",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

@@ -42,9 +42,9 @@ import numpy as np
 from repro.core.config import TokenPickerConfig
 from repro.hw.dram import DEFAULT_SLOW_TIER, DRAMTierParams
 from repro.hw.params import DEFAULT_INTERCONNECT, HardwareParams
-from repro.model.config import ModelConfig
 
-if TYPE_CHECKING:  # avoid a runtime hw -> serving dependency
+if TYPE_CHECKING:  # avoid runtime hw -> serving and hw -> model dependencies
+    from repro.model.config import ModelConfig
     from repro.serving.engine import EngineStepReport
 
 #: the designs :meth:`ServingSimulator.price` knows how to charge

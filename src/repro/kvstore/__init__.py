@@ -17,21 +17,22 @@ package turns that signal into a **memory hierarchy**:
   refcounted cold-tier extent, with copy-on-divergence splits.
 """
 
-from repro.kvstore.policy import (
-    LRUDemotionPolicy,
-    MassDemotionPolicy,
-    RecencyDemotionPolicy,
-    make_demotion_policy,
-)
-from repro.kvstore.radix import RadixKVCache
-from repro.kvstore.tiers import TierConfig, TieredKVStore
+_LAZY = {
+    "LRUDemotionPolicy": "repro.kvstore.policy",
+    "MassDemotionPolicy": "repro.kvstore.policy",
+    "RadixKVCache": "repro.kvstore.radix",
+    "RecencyDemotionPolicy": "repro.kvstore.policy",
+    "TierConfig": "repro.kvstore.tiers",
+    "TieredKVStore": "repro.kvstore.tiers",
+    "make_demotion_policy": "repro.kvstore.policy",
+}
+__all__ = list(_LAZY)
 
-__all__ = [
-    "LRUDemotionPolicy",
-    "MassDemotionPolicy",
-    "RadixKVCache",
-    "RecencyDemotionPolicy",
-    "TierConfig",
-    "TieredKVStore",
-    "make_demotion_policy",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

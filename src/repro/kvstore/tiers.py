@@ -148,6 +148,20 @@ class _SeqTierState:
         self.length = new_len
 
 
+def _distinct_positions(state: _SeqTierState, positions, what: str) -> np.ndarray:
+    """``positions`` sorted and deduplicated, checked against
+    ``[0, state.length)``.  A sort and a neighbour compare rather than
+    ``np.unique``, whose first call imports ``numpy.ma``."""
+    positions = np.sort(np.asarray(positions, dtype=np.int64).ravel())
+    if positions.size == 0:
+        return positions
+    if positions[0] < 0 or positions[-1] >= state.length:
+        raise ValueError(f"{what} position outside the sequence")
+    distinct = np.ones(positions.size, dtype=bool)
+    distinct[1:] = positions[1:] != positions[:-1]
+    return positions[distinct]
+
+
 class TieredKVStore:
     """A per-token hot/cold tier map, and its DRAM ledger, over one
     :class:`KVCachePool` arena."""
@@ -288,12 +302,10 @@ class TieredKVStore:
         state = self._state(seq_id)
         if state.swapped_out:
             raise ValueError(f"sequence {seq_id} is swapped out of the arena")
-        positions = np.unique(np.asarray(positions, dtype=np.int64))
+        positions = _distinct_positions(state, positions, "demotion")
         if positions.size == 0:
             return 0
-        if positions.min() < 0 or positions.max() >= state.length:
-            raise ValueError("demotion position outside the sequence")
-        if positions.max() >= state.length - self.config.hot_tail:
+        if positions[-1] >= state.length - self.config.hot_tail:
             raise ValueError(
                 f"cannot demote inside the hot tail (last "
                 f"{self.config.hot_tail} tokens)"
@@ -310,7 +322,7 @@ class TieredKVStore:
     def promote(self, seq_id: int, positions) -> int:
         """Mark demoted tokens hot again, charged as a slow -> fast move."""
         state = self._state(seq_id)
-        positions = np.unique(np.asarray(positions, dtype=np.int64))
+        positions = _distinct_positions(state, positions, "promotion")
         positions = positions[state.demoted[positions]]
         if positions.size == 0:
             return 0

@@ -1,12 +1,18 @@
 """NumPy transformer LM substrate (models, backends, trainer)."""
 
-from repro.model.config import tiny_config
-from repro.model.trainer import TrainConfig, train
-from repro.model.transformer import TinyGPT
+_LAZY = {
+    "TinyGPT": "repro.model.transformer",
+    "TrainConfig": "repro.model.trainer",
+    "tiny_config": "repro.model.config",
+    "train": "repro.model.trainer",
+}
+__all__ = list(_LAZY)
 
-__all__ = [
-    "TinyGPT",
-    "TrainConfig",
-    "tiny_config",
-    "train",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

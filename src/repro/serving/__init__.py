@@ -23,31 +23,26 @@ serving context:
   per-request traffic and latency stats.
 """
 
-from repro.serving.engine import ServingEngine, VictimCandidate
-from repro.serving.frontend import (
-    AsyncStreamingFrontend,
-    OverloadController,
-    SLOConfig,
-    ShedError,
-)
-from repro.serving.request import (
-    GenerationRequest,
-    RequestState,
-    replayable_step_source,
-    synthetic_request,
-)
-from repro.serving.scheduler import Scheduler
+_LAZY = {
+    "AsyncStreamingFrontend": "repro.serving.frontend",
+    "GenerationRequest": "repro.serving.request",
+    "OverloadController": "repro.serving.frontend",
+    "SLOConfig": "repro.serving.frontend",
+    "ShedError": "repro.serving.frontend",
+    "RequestState": "repro.serving.request",
+    "Scheduler": "repro.serving.scheduler",
+    "ServingEngine": "repro.serving.engine",
+    "VictimCandidate": "repro.serving.engine",
+    "replayable_step_source": "repro.serving.request",
+    "synthetic_request": "repro.serving.request",
+}
+__all__ = list(_LAZY)
 
-__all__ = [
-    "AsyncStreamingFrontend",
-    "GenerationRequest",
-    "OverloadController",
-    "SLOConfig",
-    "ShedError",
-    "RequestState",
-    "Scheduler",
-    "ServingEngine",
-    "VictimCandidate",
-    "replayable_step_source",
-    "synthetic_request",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

@@ -1,33 +1,25 @@
 """Workload generators: synthetic corpora and attention instances."""
 
-from repro.workloads.corpus import (
-    markov_corpus,
-    mixed_corpus,
-    train_eval_split,
-)
-from repro.workloads.traces import (
-    failover_trace,
-    shared_prefix_trace,
-    sustained_overload_trace,
-)
-from repro.workloads.scores import (
-    HEAD_ARCHETYPES,
-    InstanceParams,
-    fig3_instances,
-    sample_workload,
-    synthetic_instance,
-)
+_LAZY = {
+    "HEAD_ARCHETYPES": "repro.workloads.scores",
+    "failover_trace": "repro.workloads.traces",
+    "sustained_overload_trace": "repro.workloads.traces",
+    "InstanceParams": "repro.workloads.scores",
+    "fig3_instances": "repro.workloads.scores",
+    "markov_corpus": "repro.workloads.corpus",
+    "mixed_corpus": "repro.workloads.corpus",
+    "sample_workload": "repro.workloads.scores",
+    "shared_prefix_trace": "repro.workloads.traces",
+    "synthetic_instance": "repro.workloads.scores",
+    "train_eval_split": "repro.workloads.corpus",
+}
+__all__ = list(_LAZY)
 
-__all__ = [
-    "HEAD_ARCHETYPES",
-    "failover_trace",
-    "sustained_overload_trace",
-    "InstanceParams",
-    "fig3_instances",
-    "markov_corpus",
-    "mixed_corpus",
-    "sample_workload",
-    "shared_prefix_trace",
-    "synthetic_instance",
-    "train_eval_split",
-]
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module), name)

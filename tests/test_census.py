@@ -77,6 +77,37 @@ def test_flags_unreachable_test_only_and_unused_reexport(tmp_path):
     ]
 
 
+def test_lazy_table_entries_are_reexports_and_imports(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/__init__.py": """\
+            _LAZY = {
+                "run": "pkg.core.mod",
+                "helper": "pkg.core.mod",
+            }
+        """,
+        "src/pkg/core/__init__.py": "",
+        "src/pkg/cli.py": """\
+            from pkg import run
+
+            run()
+        """,
+        "src/pkg/core/mod.py": """\
+            def run():
+                return helper()
+
+
+            def helper():
+                return 1
+        """,
+    })
+    code, findings = _census(tmp_path)
+    assert code == 1
+    # pkg.core.mod is reached only through the table; helper is used
+    # inside it, but nothing imports it through the package, and the
+    # table's module strings name no re-export of their own
+    assert findings == ["re-export nothing imports through its package: pkg.helper"]
+
+
 def test_repository_is_clean():
     code, findings = _census(CENSUS.parent.parent)
     assert (code, findings) == (0, [])

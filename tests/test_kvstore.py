@@ -280,6 +280,46 @@ class TestDemotePromoteBytes:
         assert store.demote(7, [4]) == 1
         assert store.demote(7, [4]) == 0
 
+    def test_promote_rejects_positions_outside_the_sequence(self):
+        """A negative position must not wrap around to the sequence's
+        end, and one past it must not reach the tier arrays' spare
+        capacity: both raise before the ledger or the flags move."""
+        store, _ = self._store()
+        store.demote(7, [0, 1])
+        before, flags = self._ledger(store), store.demoted_mask(7).copy()
+        for bad in ([-1], [0, -1], [32], [1, 40]):
+            with pytest.raises(ValueError, match="outside the sequence"):
+                store.promote(7, bad)
+        self._moved(store, before)
+        assert np.array_equal(store.demoted_mask(7), flags)
+        assert store.promotions_total == 0
+
+    def test_duplicate_and_unsorted_positions_count_once(self):
+        """Raw position lists (duplicates, any order, empty) act exactly
+        as their ``np.unique`` would: same counts, same tier flags, same
+        slow-tier bytes."""
+        raw, ref = self._store()[0], self._store()[0]
+        ops = [
+            ("demote", [5, 3, 5, 3, 1]),
+            ("demote", []),
+            ("demote", [9, 8, 7, 7, 8, 1]),
+            ("promote", [3, 3, 1, 20]),
+            ("promote", []),
+            ("demote", np.array([[2, 2], [3, 11]])),
+            ("promote", [11, 7, 0, 7, 11]),
+        ]
+        for method, positions in ops:
+            got = getattr(raw, method)(7, positions)
+            want = getattr(ref, method)(7, np.unique(positions))
+            assert got == want, (method, positions)
+            a, b = raw._state(7), ref._state(7)
+            assert np.array_equal(a.demoted[: a.length], b.demoted[: b.length])
+            assert np.array_equal(a.cold_have[: a.length], b.cold_have[: b.length])
+            assert self._ledger(raw) == self._ledger(ref)
+        assert (raw.demotions_total, raw.promotions_total) == (
+            ref.demotions_total, ref.promotions_total,
+        )
+
     def test_swap_roundtrip_of_partially_demoted_sequence(self):
         store, pool = self._store()
         store.demote(7, np.arange(0, 16))

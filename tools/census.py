@@ -17,6 +17,10 @@ listing what it found, when
 3. a package ``__init__`` re-exports a name that no other file imports
    through that package.
 
+A re-export is a ``from … import`` line in a package ``__init__`` or an
+entry of its lazy ``_LAZY = {"name": "pkg.module"}`` table, which counts
+as ``from pkg.module import name``.
+
 A reference is an AST identifier or attribute, an import alias, or a
 string that names the definition (``"pkg.mod:Class"``, a method name).
 Names are matched without their owner, so a method counts as used when
@@ -64,8 +68,11 @@ class Source:
         self.through: set[tuple[str, str]] = set()  # (package, name) imported
         self.defs: list[tuple[str, int, int]] = []  # (qualname, first, last line)
         tree = ast.parse(path.read_text(), str(path))
+        lazy = self._lazy_exports(tree)
         for node in ast.walk(tree):
             line = getattr(node, "lineno", 0)
+            if node in lazy:
+                continue
             if isinstance(node, ast.Name):
                 self.refs.append((node.id, line))
             elif isinstance(node, ast.Attribute):
@@ -87,6 +94,22 @@ class Source:
                 self.through.add(tuple(dotted.rpartition(".")[::2]))
         for node in tree.body:
             self._define(node, "")
+
+    def _lazy_exports(self, tree: ast.Module) -> set:
+        """A package's ``_LAZY = {"name": "pkg.module", ...}`` table: each
+        entry re-exports ``name`` (rule 3) and imports ``pkg.module`` (rule
+        1), like ``from pkg.module import name``.  Returns the table's
+        string nodes, which are not read again as name strings."""
+        nodes = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                    and any(isinstance(t, ast.Name) and t.id == "_LAZY"
+                            for t in node.targets)):
+                for key, value in zip(node.value.keys, node.value.values):
+                    self.imports.update((value.value, f"{value.value}.{key.value}"))
+                    self.through.add((value.value, key.value))
+                    nodes.update((key, value))
+        return nodes
 
     def _define(self, node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
