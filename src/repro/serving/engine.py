@@ -7,7 +7,8 @@ digits, plane dtype, row size) and encodes each token once, at append
 time.  Per step the engine
 
 1. admits queued requests while batch slots and KV-pool headroom allow
-   (prefill: per-head scales frozen, prompt K/V into the pool),
+   (the pool takes the scales frozen at :meth:`ServingEngine.submit` and
+   the prompt) and has the pool encode this step's prompt chunks,
 2. draws every active sequence's new ``(q, k_t, v_t)`` from its decode
    stream — a draw that is not three finite ``(H, d)`` arrays raises
    before anything is written — counts clip events against the frozen
@@ -127,8 +128,8 @@ class EngineStepReport:
     results: Dict[int, RaggedSequenceResult] = field(default_factory=dict)
     ragged_utilization: float = 1.0
     #: wall-clock seconds by phase (:data:`repro.obs.trace.PHASE_ORDER`):
-    #: "prefill" (admission with its scale freeze, then this step's
-    #: prompt chunks encoded and appended), "pack" (draw/encode/append of
+    #: "prefill" (admission, then this step's prompt chunks encoded and
+    #: appended; scales were frozen at submit), "pack" (draw/encode/append of
     #: the decode tokens), "score" (partial-score table + bounds), "prune"
     #: (breadth rounds), "unpack" (softmax/outputs/slicing + accounting)
     #: — the ``tokenpicker serve --profile`` and benchmark breakdowns read this.
@@ -300,8 +301,8 @@ class ServingEngine:
         in over several steps instead of stalling every co-resident
         decode for one monolithic prefill.  ``None`` (default) keeps the
         monolithic behaviour.  Scales are always frozen from the *full*
-        prompt before the first chunk, so chunked ingestion is
-        bit-identical to monolithic prefill.
+        prompt at :meth:`submit`, so chunked ingestion is bit-identical
+        to monolithic prefill.
 
         ``kv_tiering`` (a :class:`repro.kvstore.tiers.TierConfig`) layers
         the two-tier KV store over the arena: low-mass tokens demote to a
@@ -372,9 +373,9 @@ class ServingEngine:
         #: aborted requests (CANCELLED / TIMED_OUT terminal records)
         self.cancelled: List[CompletedRequest] = []
         self.adopted_total = 0
-        #: queued request id -> the stats made at submit (admission
-        #: moves them onto the sequence record)
-        self._queued: Dict[int, RequestStats] = {}
+        #: queued request id -> the stats and frozen scales made at
+        #: submit (admission moves them onto the sequence record)
+        self._queued: Dict[int, Tuple[RequestStats, SequenceScales]] = {}
         self._active: Dict[int, SequenceRecord] = {}
         #: swapped-out sequences, oldest preemption first
         self._preempted: Dict[int, SequenceRecord] = {}
@@ -463,16 +464,23 @@ class ServingEngine:
     def submit(self, request: GenerationRequest) -> int:
         """Queue a request; returns its assigned request id.
 
-        A request this engine can never serve is rejected here
-        (:meth:`_check_admissible`), before it is stamped or queued.
+        Its scales are frozen here, once, from the full prompt.  A prompt
+        they cannot be frozen from, or a request this engine can never
+        serve (:meth:`_check_admissible`), raises ``ValueError`` before it
+        is stamped or queued, the engine unchanged.
         """
+        scales = freeze_scales(
+            request.prompt_keys, request.prompt_values, self.config.quant,
+            self.safety_factor, queries=request.queries,
+        )
         self._check_admissible(request)
         request.request_id = self._next_request_id
         self._next_request_id += 1
-        stats = self._queued[request.request_id] = RequestStats(
+        stats = RequestStats(
             prompt_tokens=request.prompt_tokens,
             submitted_step=self._step_index,
         )
+        self._queued[request.request_id] = stats, scales
         self._transition(request, stats, RequestState.QUEUED)
         self.scheduler.submit(request)
         return request.request_id
@@ -626,7 +634,7 @@ class ServingEngine:
         :class:`CompletedRequest`; a hand-off (``"withdrawn"``,
         ``"exported"``, ``"lost"`` — reset to ``QUEUED``) returns None."""
         if seq_id is None:
-            stats = self._queued.pop(request.request_id)
+            stats, _ = self._queued.pop(request.request_id)
         else:
             rec = self._active.pop(seq_id, None)
             if rec is not None:
@@ -826,33 +834,26 @@ class ServingEngine:
         return self.pool
 
     def _prefill(self, request: GenerationRequest) -> None:
-        """Admit one request: reserve its arena run and freeze its scales.
+        """Admit one request: reserve its arena run and hand the pool its
+        scales (frozen at :meth:`submit`) and prompt.
 
-        Admission commits the reservation exactly as before, but prompt
-        *ingestion* is now resumable: the prompt lands in the pool in
+        Prompt *ingestion* is resumable: the pool encodes the prompt in
         budgeted chunks (:meth:`_run_prefill`, called from every step —
         one chunk covering the whole prompt when the budget is
-        unbounded).  Scales are frozen here, once, from the full prompt,
-        so every later chunk encodes with the same per-head windows and
-        the encoded bytes stay bit-identical to monolithic prefill.
+        unbounded), every chunk with the same per-head windows, so the
+        encoded bytes stay bit-identical to monolithic prefill.
         """
         pool = self._ensure_pool(request)
         seq_id = self._next_seq_id
         self._next_seq_id += 1
-        scales = freeze_scales(
-            request.prompt_keys,
-            request.prompt_values,
-            self.config.quant,
-            self.safety_factor,
-            queries=request.queries,
-        )
+        stats, scales = self._queued.pop(request.request_id)
         # conservative admission reserves the full lifetime footprint so
         # decode can never hit PoolExhausted mid-flight; a memory manager
         # (optimistic admission) reserves less and preempts under pressure
         pool.register(
-            seq_id, scales=scales, reserve_tokens=self._reserve_tokens(request)
+            seq_id, scales, (request.prompt_keys, request.prompt_values),
+            self._reserve_tokens(request),
         )
-        stats = self._queued.pop(request.request_id)
         stats.admitted_step = self._step_index
         if self.prefix_cache is not None:
             # dedupe the prompt's cold-tier ingest against shared
@@ -889,20 +890,15 @@ class ServingEngine:
     def _ingest_prefill_chunk(
         self, entry: SequenceRecord, n: int, report: EngineStepReport
     ) -> None:
-        """Append ``n`` prompt tokens from where the last chunk stopped
-        (the pool encodes them), charging tier ingest for exactly this
-        chunk."""
+        """Have the pool encode its next ``n`` prompt rows, charging tier
+        ingest for exactly this chunk."""
         request, stats = entry.request, entry.stats
         start = entry.prefill_pos
         if stats.prefill_start_wall < 0:
             # queued -> prefill at the exact stamp the queue-wait /
             # prefill split is measured from
             self._transition(request, stats, "prefill_start")
-        self.pool.append(
-            entry.seq_id,
-            request.prompt_keys[:, start:start + n],
-            request.prompt_values[:, start:start + n],
-        )
+        self.pool.append(entry.seq_id, n)
         if self.tiers is not None:
             self.tiers.note_append(entry.seq_id, n, self._step_index)
             handle = self._prefix_handles.get(entry.seq_id)
@@ -1133,8 +1129,7 @@ class ServingEngine:
         )
         if self._preempted:
             self._resume_preempted(report)
-        # ---- prefill: admission (scale freeze) and this step's prompt
-        # chunks (encode + append)
+        # ---- prefill: admission and this step's prompt chunks
         t_mark = time.perf_counter()
         admitted = self.scheduler.admit(
             lambda r: self.pool is None
@@ -1168,20 +1163,20 @@ class ServingEngine:
         # the frozen calibration window, append (the pool encodes once,
         # in place).
         t_mark = time.perf_counter()
-        quant = self.config.quant
-        qs, k_t, v_t = self._draw(pooled)
-        q_scales = np.array([e.scales.q_scale for e in pooled])
-        k_scales = np.array([e.scales.k_scale for e in pooled])
-        v_scales = np.array([e.scales.v_scale for e in pooled])
+        draws = self._draw(pooled)
+        # (3, S, H) q/k/v scales: the kernel's scale arguments, one clip count
+        stack = np.array([
+            [e.scales.q_scale for e in pooled],
+            [e.scales.k_scale for e in pooled],
+            [e.scales.v_scale for e in pooled],
+        ])
         clip_counts = (
-            (np.abs(qs) > (q_scales * quant.qmax)[:, :, None]).sum(axis=(1, 2))
-            + (np.abs(k_t) > (k_scales * quant.qmax)[:, :, None]).sum(axis=(1, 2))
-            + (np.abs(v_t) > (v_scales * quant.qmax)[:, :, None]).sum(axis=(1, 2))
-        )
+            np.abs(draws) > stack[..., None] * self.config.quant.qmax
+        ).sum(axis=(0, 2, 3))
         for entry, clips in zip(pooled, clip_counts):
             entry.stats.clip_events += int(clips)
         seq_ids = [e.seq_id for e in pooled]
-        self.pool.append_rows(seq_ids, k_t, v_t)
+        self.pool.append_rows(seq_ids, draws[1], draws[2])
         if self.tiers is not None:
             for sid in seq_ids:
                 self.tiers.note_append(sid, 1, now)
@@ -1191,7 +1186,7 @@ class ServingEngine:
         # ---- one fused kernel call straight on the arena: the segment
         # table is the only per-step metadata, no packing copies
         ragged = self._run_kernel(
-            qs, q_scales, k_scales, v_scales, segments, report.phase_seconds
+            draws[0], *stack, segments, report.phase_seconds
         )
         report.ragged_utilization = Scheduler.ragged_utilization(
             segments[:, 1].tolist()

@@ -3,10 +3,10 @@ its storage format.
 
 The engine stores all sequences' keys/values in one preallocated arena
 with a per-sequence ``(offset, length)`` segment table.  The pool alone
-decides what the arena holds: callers hand it *raw* float K/V
-(:meth:`KVCachePool.append` for a prompt chunk, :meth:`KVCachePool.
-append_rows` for one decode token per sequence) and it encodes them with
-each sequence's frozen scales, and stores the paper's bits.  K is held
+decides what the arena holds: it keeps each sequence's frozen scales and
+raw prompt K/V (references), encodes that prompt chunk by chunk
+(:meth:`KVCachePool.append`) and raw decode tokens (:meth:`KVCachePool.
+append_rows`) with them, and stores the paper's bits.  K is held
 as its ``C = quant.n_chunks`` MSB-first chunk digits, **chunk-major**,
 in ``(H, C, T_cap, d)`` integer planes: every (head, chunk) pair owns
 one contiguous ``(T_cap, d)`` plane, so the kernel's chunk-0 estimate
@@ -128,8 +128,8 @@ def _encode_kv_into(
 
 
 def _reject_nan(keys: np.ndarray, values: np.ndarray) -> None:
-    """``ValueError`` if raw K/V hold a NaN: it has no code (a cast would
-    turn it into a silent garbage digit or code).  ``min`` propagates a
+    """``ValueError`` if raw decode K/V hold a NaN, which has no code (a
+    prompt's NaN was refused by its scale freeze).  ``min`` propagates a
     NaN without an elementwise mask copy."""
     if keys.size and (np.isnan(keys.min()) or np.isnan(values.min())):
         raise ValueError("keys and values must not contain NaN")
@@ -172,6 +172,8 @@ def freeze_scales(
     absent, K statistics stand in for Q (they share the residual stream's
     magnitude at calibration quality).  The ``safety_factor`` widens the
     window for decode-time headroom; out-of-range values later saturate.
+    ``ValueError`` refuses non-finite data and a scale that is not finite
+    and positive (a maximum past ``float max / safety_factor``, or tiny).
     """
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -186,7 +188,11 @@ def freeze_scales(
         if not np.isfinite(max_abs).all():
             # a NaN maximum would otherwise fall through to scale 1.0
             raise ValueError("cannot freeze scales from non-finite prompt data")
-        return np.where(max_abs > 0, max_abs * safety_factor / qmax, 1.0)
+        with np.errstate(over="ignore"):  # an infinite scale is refused
+            scale = np.where(max_abs > 0, max_abs * safety_factor / qmax, 1.0)
+        if not (np.isfinite(scale) & (scale > 0)).all():
+            raise ValueError(f"frozen scales {scale} not finite and positive")
+        return scale
 
     k_scale = scale_of(keys)
     q_scale = (
@@ -223,7 +229,8 @@ class SwappedSequence:
 
     k_rows: np.ndarray  # (t, n_heads * n_chunks, d) token-major K digits
     v_rows: np.ndarray  # (t, n_heads, d) token-major V codes
-    scales: Optional[SequenceScales]
+    scales: SequenceScales
+    prompt: Optional[Tuple[np.ndarray, np.ndarray]]  # not ingested yet
 
     @property
     def length(self) -> int:
@@ -234,10 +241,11 @@ class SwappedSequence:
 class _SequenceEntry:
     """Arena segment + logical length of one pooled sequence."""
 
+    scales: SequenceScales
+    prompt: Optional[Tuple[np.ndarray, np.ndarray]]  # rows to ingest
     offset_blocks: int = -1  # -1: no arena run allocated yet
     capacity_blocks: int = 0
     length: int = 0  # tokens written
-    scales: Optional[SequenceScales] = None
     reserved_blocks: int = 0  # lifetime budget admission promised this seq
 
 
@@ -482,19 +490,32 @@ class KVCachePool:
     def register(
         self,
         seq_id: int,
-        scales: Optional[SequenceScales] = None,
+        scales: SequenceScales,
+        prompt: Optional[Tuple[np.ndarray, np.ndarray]],
         reserve_tokens: int = 0,
     ) -> None:
-        """Create a sequence entry (its frozen scales travel here).
+        """Create a sequence entry under its frozen ``scales``.
 
+        ``prompt``: the raw ``(keys, values)``, both ``(H, T, d)``, the
+        scales were frozen from (so finite), or None for encoded rows
+        only; the pool keeps references for :meth:`append`.
         ``reserve_tokens`` sizes the sequence's lifetime arena run, which
         is claimed immediately so later growth can never fail or relocate
         — the admission contract the serving engine relies on.
         """
         if seq_id in self._seqs:
             raise ValueError(f"sequence {seq_id} already registered")
+        if prompt is not None and not (
+            prompt[0].ndim == 3
+            and prompt[0].shape[::2] == (self.n_heads, self.head_dim)
+            and prompt[1].shape == prompt[0].shape
+        ):
+            raise ValueError(
+                f"prompt keys and values must both be ({self.n_heads}, T, "
+                f"{self.head_dim}), got {[a.shape for a in prompt]}"
+            )
         reserved = self.blocks_needed(reserve_tokens)
-        entry = _SequenceEntry(scales=scales, reserved_blocks=reserved)
+        entry = _SequenceEntry(scales, prompt, reserved_blocks=reserved)
         if reserved:
             try:
                 entry.offset_blocks = self._alloc(reserved)
@@ -553,51 +574,37 @@ class KVCachePool:
         self._k_rows[rows] = k_rows
         self._v[rows] = v_rows
 
-    def append(self, seq_id: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Encode and append a prompt chunk: raw ``keys`` / ``values``
-        (H, n, d), encoded with the sequence's frozen scales straight
-        into its run — no staging copy.
+    def append(self, seq_id: int, n: int) -> None:
+        """Encode the next ``n`` rows of the sequence's registered prompt
+        with its frozen scales, straight into its run — no staging copy —
+        continuing where the last chunk ended; the pool drops its prompt
+        references after the last row.
 
-        Appends are incremental: chunked prefill calls this once per
-        budgeted chunk of a partially-ingested sequence, and each call
-        continues exactly where the previous chunk's rows ended (the
-        sequence's run stays one contiguous slab, so a mid-prefill
-        sequence swaps out and resumes like any other).  Within the
-        admission reservation growth never relocates; beyond it (only
-        possible after a mid-prefill preemption cycle under optimistic
-        admission) the engine preflights the chunk with
-        :meth:`ensure_capacity` first.  Raises :class:`PoolExhausted`
-        (leaving the sequence unchanged) when no contiguous run can
-        cover the growth, and ``ValueError`` (before any row is claimed)
-        when ``keys`` or ``values`` hold a NaN, which has no code.
+        The run stays one contiguous slab, so a mid-prefill sequence
+        swaps out and resumes like any other.  Within the admission
+        reservation growth never relocates; beyond it (only possible
+        after a mid-prefill preemption cycle under optimistic admission)
+        the engine preflights the chunk with :meth:`ensure_capacity`
+        first.  Raises :class:`PoolExhausted` (sequence unchanged) when
+        no contiguous run can cover the growth, and ``ValueError`` unless
+        ``1 <= n <=`` the prompt rows left.
         """
         entry = self._entry(seq_id)
-        if entry.scales is None:
-            raise ValueError(f"sequence {seq_id} has no frozen scales")
-        keys, values = np.asarray(keys), np.asarray(values)
-        if keys.ndim != 3 or keys.shape[::2] != (self.n_heads, self.head_dim):
+        left = 0 if entry.prompt is None else entry.prompt[0].shape[1]
+        if not 0 < n <= left:
             raise ValueError(
-                f"keys must be ({self.n_heads}, n, {self.head_dim}), "
-                f"got {keys.shape}"
+                f"sequence {seq_id}: {left} prompt rows left, not {n}"
             )
-        if values.shape != keys.shape:
-            raise ValueError(
-                f"values must be {keys.shape} like keys, got {values.shape}"
-            )
-        n = keys.shape[1]
-        if not n:
-            return
-        _reject_nan(keys, values)
-        k_slots, v_slots = self.append_slots(seq_id, n)
+        keys, values = entry.prompt
         _encode_kv_into(
-            keys.transpose(1, 0, 2),
-            values.transpose(1, 0, 2),
+            keys[:, :n].transpose(1, 0, 2),
+            values[:, :n].transpose(1, 0, 2),
             np.broadcast_to(entry.scales.k_scale, (n, self.n_heads)),
             np.broadcast_to(entry.scales.v_scale, (n, self.n_heads)),
             self.quant,
-            k_slots,
-            v_slots,
+            *self.append_slots(seq_id, n),  # claimed only after the check
         )
+        entry.prompt = (keys[:, n:], values[:, n:]) if n < left else None
 
     def append_slots(
         self, seq_id: int, n: int
@@ -637,9 +644,9 @@ class KVCachePool:
         each row's sequence's frozen scales.  All growth is performed
         first (so a :class:`PoolExhausted` mid-way cannot leave a partial
         batch), then both arenas are written with one scatter each — the
-        fused step's only KV write.  A NaN in ``keys`` or ``values``, a
-        repeated sequence id or a sequence without frozen scales raises
-        ``ValueError`` before any row is claimed.
+        fused step's only KV write.  A NaN in ``keys`` or ``values`` or a
+        repeated sequence id raises ``ValueError`` before any row is
+        claimed.
         """
         keys, values = np.asarray(keys), np.asarray(values)
         shape = (len(seq_ids), self.n_heads, self.head_dim)
@@ -652,9 +659,6 @@ class KVCachePool:
         entries = [self._entry(sid) for sid in seq_ids]
         if len(set(seq_ids)) != len(seq_ids):
             raise ValueError(f"seq_ids must be distinct, got {list(seq_ids)}")
-        for sid, entry in zip(seq_ids, entries):
-            if entry.scales is None:
-                raise ValueError(f"sequence {sid} has no frozen scales")
         k_rows, v_rows = (
             np.empty((len(entries),) + self._k_rows.shape[1:], self._k.dtype),
             np.empty(shape, self._v.dtype),
@@ -694,7 +698,8 @@ class KVCachePool:
 
         The sequence is removed from the pool entirely (its blocks return
         to the hole list); :meth:`swap_in` re-admits the returned segments
-        byte-identically.  Frozen scales travel with the swap.
+        byte-identically.  Frozen scales and the prompt rows not yet
+        ingested travel with the swap.
         """
         entry = self._entry(seq_id)
         lo = max(entry.offset_blocks, 0) * self.block_size
@@ -702,6 +707,7 @@ class KVCachePool:
             k_rows=self._k_rows[lo:lo + entry.length].copy(),
             v_rows=self._v[lo:lo + entry.length].copy(),
             scales=entry.scales,
+            prompt=entry.prompt,
         )
         self.free(seq_id)
         self.swaps_out_total += 1
@@ -722,9 +728,7 @@ class KVCachePool:
         """
         n = swapped.length
         self.register(
-            seq_id,
-            scales=swapped.scales,
-            reserve_tokens=max(n, reserve_tokens),
+            seq_id, swapped.scales, swapped.prompt, max(n, reserve_tokens)
         )
         if n:  # register sized the run, so this cannot exhaust the pool
             self.append_encoded(seq_id, swapped.k_rows, swapped.v_rows)

@@ -6,8 +6,9 @@ its signed codes with ``-0.0`` as the spare code ``qmin - 1``.  These
 tests pin every stored value to the definition —
 ``signed_chunk_digit(to_unsigned(code))`` for K and, byte for byte,
 ``clip(rint(v / s)) * s`` for the dequantised V — through both write
-paths: ``append`` (a prefill chunk, one sequence's scales) and
-``append_rows`` (one decode token per sequence, per-row scales).  A
+paths: ``append`` (the next chunk of a registered prompt, one
+sequence's scales) and ``append_rows`` (one decode token per sequence,
+per-row scales).  A
 format whose full-depth scores pass 2**52 is refused by the pool.  The
 encoder walks the token axis in cache-sized tiles: the stored bytes may
 not depend on where a tile ends, and ingest memory may not grow with
@@ -22,7 +23,9 @@ import pytest
 from repro.core.config import QuantConfig
 from repro.core.quantization import signed_chunk_digit, to_unsigned
 from repro.serving import kv_pool
-from repro.serving.kv_pool import KVCachePool, SequenceScales, freeze_scales
+from repro.serving.kv_pool import KVCachePool, SequenceScales
+
+from pool_helpers import register
 
 N_HEADS, HEAD_DIM, N_TOKENS, PAD = 3, 4, 40, 5
 
@@ -70,17 +73,19 @@ def _scoreable(quant: QuantConfig, head_dim: int) -> bool:
 
 
 def _append_prompt(pool, keys, values, k_scale, v_scale, cuts):
-    """Register sequence 0 and append token-major ``keys`` / ``values``
-    in chunks of ``cuts`` tokens; returns the arena rows they took."""
+    """Register sequence 0 with token-major ``keys`` / ``values`` as its
+    prompt and append it in chunks of ``cuts`` tokens; returns the arena
+    rows they took."""
     assert sum(cuts) == len(keys)
-    pool.register(0, scales=_seq_scales(k_scale[0], v_scale[0]))
-    # a prompt is stored head-major; the pool takes (H, n, d) slices
+    # a prompt is stored head-major; the pool takes (H, T, d)
     k_prompt = np.ascontiguousarray(keys.transpose(1, 0, 2))
     v_prompt = np.ascontiguousarray(values.transpose(1, 0, 2))
-    lo = 0
+    register(
+        pool, 0, (k_prompt, v_prompt),
+        scales=_seq_scales(k_scale[0], v_scale[0]),
+    )
     for cut in cuts:
-        pool.append(0, k_prompt[:, lo:lo + cut], v_prompt[:, lo:lo + cut])
-        lo += cut
+        pool.append(0, cut)
     offset, length = pool.segment(0)
     assert length == len(keys)
     return np.arange(offset, offset + length)
@@ -147,12 +152,12 @@ def test_encoder_matches_reference(fmt, per_row):
     pool = KVCachePool(
         N_HEADS, HEAD_DIM, quant, capacity_tokens=64, block_size=1
     )
-    pool.register(-1)
+    register(pool, -1)
     pool.append_slots(-1, PAD)  # the encoded rows start mid-arena
     if per_row:
         ids = list(range(N_TOKENS))
         for i in ids:
-            pool.register(i, scales=_seq_scales(k_scale[i], v_scale[i]))
+            register(pool, i, scales=_seq_scales(k_scale[i], v_scale[i]))
         pool.append_rows(ids, keys, values)
         rows = pool.segments_of(ids)[:, 0]
     else:
@@ -170,11 +175,11 @@ def test_ties_round_to_even_and_range_ends_saturate():
     quant = QuantConfig()
     scale = np.array([0.25])
     pool = KVCachePool(1, 1, quant, capacity_tokens=8, block_size=1)
-    pool.register(0, scales=_seq_scales(scale, scale))
     keys = np.array(
         [2.5, 3.5, -2.5, quant.qmax + 0.5, -(quant.qmax + 0.5), 1e9]
     )[None, :, None] * 0.25
-    pool.append(0, keys, keys)
+    register(pool, 0, (keys, keys), scales=_seq_scales(scale, scale))
+    pool.append(0, 6)
     k_out, v_out = pool.read_rows(np.arange(6))
     codes = [2, 4, -2, quant.qmax, quant.qmin, quant.qmax]
     assert v_out.ravel().tolist() == codes
@@ -241,7 +246,7 @@ def test_prompt_bytes_do_not_depend_on_tile_edges(fmt, cuts):
         TILE_HEADS, TILE_DIM, quant, capacity_tokens=N_TILED + PAD,
         block_size=1,
     )
-    pool.register(-1)
+    register(pool, -1)
     pool.append_slots(-1, PAD)
     rows = _append_prompt(pool, keys, values, k_scale, v_scale, cuts)
     _assert_stored(pool, rows, keys, values, k_scale, v_scale, quant)
@@ -261,7 +266,7 @@ def test_decode_rows_past_one_tile(fmt):
     )
     ids = list(range(n))
     for i in ids:
-        pool.register(i, scales=_seq_scales(k_scale[i], v_scale[i]))
+        register(pool, i, scales=_seq_scales(k_scale[i], v_scale[i]))
     pool.append_rows(ids, keys, values)
     rows = pool.segments_of(ids)[:, 0]
     _assert_stored(pool, rows, keys, values, k_scale, v_scale, quant)
@@ -275,10 +280,10 @@ def _append_peak_bytes(n_tokens: int) -> int:
     shape = (TILE_HEADS, n_tokens, TILE_DIM)
     keys, values = rng.normal(size=shape), rng.normal(size=shape)
     pool = KVCachePool(TILE_HEADS, TILE_DIM, quant, capacity_tokens=n_tokens)
-    pool.register(0, scales=freeze_scales(keys, values, quant, 1.25))
+    register(pool, 0, (keys, values))  # scales frozen at 1.25
     tracemalloc.start()
     try:
-        pool.append(0, keys, values)
+        pool.append(0, n_tokens)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

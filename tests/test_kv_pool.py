@@ -1,5 +1,7 @@
 """Tests for the block-pooled (paged) KV cache."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.serving.kv_pool import (
     count_clips,
     freeze_scales,
 )
+from pool_helpers import register
 from test_encode_kv import FORMATS
 
 QUANT = QuantConfig()  # (12, 4): three chunk-digit planes per head
@@ -46,7 +49,7 @@ class TestStorage:
     def test_append_view_roundtrip(self):
         rng = np.random.default_rng(0)
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         k1, v1 = _fill(pool, 0, 11, rng)
         k2, v2 = _fill(pool, 0, 1, rng)
         keys, values = pool.view(0)
@@ -57,7 +60,7 @@ class TestStorage:
     def test_views_are_read_only(self):
         rng = np.random.default_rng(1)
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         k, _ = _fill(pool, 0, 5, rng)
         keys, values = pool.view(0)
         with pytest.raises(ValueError):
@@ -69,7 +72,7 @@ class TestStorage:
     def test_incremental_staging_tracks_appends(self):
         rng = np.random.default_rng(9)
         pool = _pool(capacity_tokens=128)
-        pool.register(0)
+        register(pool, 0)
         ref_k, ref_v = _fill(pool, 0, 3, rng)
         assert np.array_equal(pool.view(0)[0], ref_k)
         for _ in range(40):  # crosses block and capacity-regrowth boundaries
@@ -85,7 +88,7 @@ class TestStorage:
         pool = _pool(capacity_tokens=128)
         tensors = {}
         for sid in (0, 1, 2):
-            pool.register(sid)
+            register(pool, sid)
             tensors[sid] = _fill(pool, sid, 3 + sid, rng)
         for step in range(5):
             for sid in (2, 0, 1):
@@ -102,11 +105,11 @@ class TestStorage:
     def test_blocks_reused_after_free(self):
         rng = np.random.default_rng(3)
         pool = _pool(capacity_tokens=16, block_size=8)  # 2 blocks total
-        pool.register(0)
+        register(pool, 0)
         _fill(pool, 0, 16, rng)
         assert pool.blocks_free == 0
         assert pool.free(0) == 2
-        pool.register(1)
+        register(pool, 1)
         k, _ = _fill(pool, 1, 16, rng)
         assert np.array_equal(pool.view(1)[0], k)
 
@@ -116,7 +119,7 @@ class TestArena:
         """view() must alias the arena planes, not copy them."""
         rng = np.random.default_rng(0)
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         _fill(pool, 0, 6, rng)
         k, v = pool.view(0)
         assert np.shares_memory(k, pool.k_arena)
@@ -126,7 +129,7 @@ class TestArena:
         rng = np.random.default_rng(1)
         pool = _pool(capacity_tokens=128)
         for sid, n in ((0, 10), (1, 7)):
-            pool.register(sid, reserve_tokens=16)
+            register(pool, sid, reserve_tokens=16)
             _fill(pool, sid, n, rng)
         segs = pool.segments_of([0, 1])
         assert segs.shape == (2, 2)
@@ -141,24 +144,35 @@ class TestArena:
 
     def test_append_rows_scatters_one_token_per_sequence(self):
         """One raw decode token per sequence lands at each sequence's next
-        position, encoded exactly as :meth:`append` encodes it."""
+        position, encoded exactly as :meth:`append` encodes a prompt row
+        (``single`` holds the decode tokens as the prompt's tail)."""
         rng = np.random.default_rng(2)
         batched, single = _pool(capacity_tokens=128), _pool(capacity_tokens=128)
-        for sid in (0, 1, 2):
+        prompts = {
+            sid: (rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
+            for sid in (0, 1, 2)
+        }
+        steps = [
+            (rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 2, 4)))
+            for _ in range(4)
+        ]
+        for i, sid in enumerate((0, 1, 2)):
             scales = freeze_scales(
                 rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)),
                 QUANT, 1.25,
             )
-            prompt = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+            tail = [np.stack([step[j][i] for step in steps], axis=1) for j in (0, 1)]
+            full = tuple(
+                np.concatenate([p, t], axis=1) for p, t in zip(prompts[sid], tail)
+            )
+            register(batched, sid, prompts[sid], scales=scales, reserve_tokens=8)
+            register(single, sid, full, scales=scales, reserve_tokens=8)
             for pool in (batched, single):
-                pool.register(sid, scales=scales, reserve_tokens=8)
-                pool.append(sid, *prompt)
-        for _ in range(4):
-            keys = rng.normal(size=(3, 2, 4))
-            values = rng.normal(size=(3, 2, 4))
+                pool.append(sid, 3)
+        for keys, values in steps:
             batched.append_rows([0, 1, 2], keys, values)
-            for i, sid in enumerate((0, 1, 2)):
-                single.append(sid, keys[i][:, None], values[i][:, None])
+            for sid in (0, 1, 2):
+                single.append(sid, 1)
         for sid in (0, 1, 2):
             assert batched.length(sid) == 7
             for got, want in zip(batched.view(sid), single.view(sid)):
@@ -167,7 +181,7 @@ class TestArena:
     def test_append_slots_write_through(self):
         rng = np.random.default_rng(3)
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         k_slots, v_slots = pool.append_slots(0, 5)
         k, v = _rows(rng, 5)
         k_slots[:] = k
@@ -182,9 +196,9 @@ class TestArena:
         keep its contents bit-identical."""
         rng = np.random.default_rng(4)
         pool = _pool(capacity_tokens=64, block_size=8)  # 8 blocks
-        pool.register(0)
+        register(pool, 0)
         k0, _ = _fill(pool, 0, 8, rng)
-        pool.register(1)
+        register(pool, 1)
         k1, _ = _fill(pool, 1, 8, rng)  # sits right after seq 0
         grow, _ = _fill(pool, 0, 12, rng)  # forces seq 0 past its block
         assert np.array_equal(
@@ -198,7 +212,7 @@ class TestArena:
         rng = np.random.default_rng(5)
         pool = _pool(capacity_tokens=32, block_size=8)  # 4 blocks
         for sid in range(4):
-            pool.register(sid)
+            register(pool, sid)
             _fill(pool, sid, 8, rng)
         pool.free(0)
         pool.free(2)
@@ -213,7 +227,7 @@ class TestArena:
     def test_int8_k_channel(self):
         rng = np.random.default_rng(6)
         pool = _pool()  # (12, 4): 4-bit digits in [-8, 15] fit int8
-        pool.register(0)
+        register(pool, 0)
         digits, codes = _fill(pool, 0, 6, rng)
         assert pool.k_arena.dtype == np.int8
         assert pool.v_arena.dtype == np.int16
@@ -237,7 +251,7 @@ class TestPlaneLayout:
     def _fill(self, pool, rng_seed=0):
         """Three appends; returns the appended full-width rows."""
         rng = np.random.default_rng(rng_seed)
-        pool.register(0, reserve_tokens=16)
+        register(pool, 0, reserve_tokens=16)
         parts = [_rows(rng, n, self.N_HEADS, self.HEAD_DIM) for n in (5, 3, 1)]
         for k, v in parts:
             pool.append_encoded(0, k, v)
@@ -327,7 +341,7 @@ class TestAccounting:
         rng = np.random.default_rng(4)
         pool = _pool(capacity_tokens=64, block_size=8)
         for sid in range(3):
-            pool.register(sid)
+            register(pool, sid)
             _fill(pool, sid, 9, rng)  # 2 blocks each
         assert pool.blocks_in_use == 6
         assert pool.peak_blocks_in_use == 6
@@ -343,7 +357,7 @@ class TestAccounting:
     def test_exhaustion_raises_and_leaves_state(self):
         rng = np.random.default_rng(5)
         pool = _pool(capacity_tokens=16, block_size=8)
-        pool.register(0)
+        register(pool, 0)
         _fill(pool, 0, 12, rng)
         before = pool.view(0)[0].copy()
         with pytest.raises(PoolExhausted):
@@ -366,16 +380,16 @@ class TestSwap:
             QuantConfig(),
             1.25,
         )
-        pool.register(0, scales=scales)
         keys, values = rng.normal(size=(2, 10, 4)), rng.normal(size=(2, 10, 4))
-        pool.append(0, keys, values)
+        register(pool, 0, (keys, values), scales=scales)
+        pool.append(0, 10)
         k_before, v_before = (a.copy() for a in pool.view(0))
         swapped = pool.swap_out(0)
         assert swapped.length == 10
         assert not pool._seqs and pool.blocks_in_use == 0
         assert pool.swaps_out_total == 1
         # occupy different blocks so the run comes back at a new offset
-        pool.register(9)
+        register(pool, 9)
         _fill(pool, 9, 5, rng)
         pool.swap_in(0, swapped)
         assert pool.swaps_in_total == 1
@@ -385,10 +399,34 @@ class TestSwap:
         assert np.array_equal(k_before, k_after)
         assert np.array_equal(v_before, v_after)
 
+    def test_swap_mid_prompt_carries_the_rest(self):
+        """A sequence swapped out mid-prompt carries references to the
+        prompt rows it has not ingested; after ``swap_in``, ``append``
+        continues where it stopped, stores an uninterrupted ingest's
+        bytes, and drops the references after the last row."""
+        rng = np.random.default_rng(11)
+        prompt = rng.normal(size=(2, 10, 4)), rng.normal(size=(2, 10, 4))
+        whole, split = _pool(), _pool()
+        for pool in (whole, split):
+            register(pool, 0, prompt)
+        whole.append(0, 10)
+        split.append(0, 6)
+        swapped = split.swap_out(0)
+        assert swapped.length == 6
+        for rest, full in zip(swapped.prompt, prompt):
+            assert rest.shape == (2, 4, 4) and np.shares_memory(rest, full)
+        register(split, 9)
+        _fill(split, 9, 5, rng)  # the run comes back at a new offset
+        split.swap_in(0, swapped)
+        split.append(0, 4)
+        assert split._entry(0).prompt is None
+        for got, want in zip(split.view(0), whole.view(0)):
+            assert np.array_equal(got, want)
+
     def test_swap_in_respects_reservation(self):
         rng = np.random.default_rng(5)
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         _fill(pool, 0, 4, rng)
         swapped = pool.swap_out(0)
         pool.swap_in(0, swapped, reserve_tokens=32)
@@ -398,10 +436,10 @@ class TestSwap:
     def test_swap_in_raises_when_no_room(self):
         rng = np.random.default_rng(6)
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         _fill(pool, 0, 16, rng)
         swapped = pool.swap_out(0)
-        pool.register(1)
+        register(pool, 1)
         _fill(pool, 1, 56, rng)
         with pytest.raises(PoolExhausted):
             pool.swap_in(0, swapped)
@@ -410,7 +448,7 @@ class TestSwap:
     def test_ensure_capacity_grows_without_writing(self):
         rng = np.random.default_rng(7)
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         _fill(pool, 0, 8, rng)
         assert pool.length(0) == 8
         before = pool.blocks_in_use
@@ -432,28 +470,32 @@ class TestValidation:
 
     def test_register_and_lookup_errors(self):
         pool = _pool()
-        pool.register(0)
+        register(pool, 0)
         with pytest.raises(ValueError):
-            pool.register(0)
+            register(pool, 0)
         with pytest.raises(KeyError):
             pool.view(99)
         with pytest.raises(KeyError):
             pool.free(99)
 
     def test_append_shape_errors(self):
+        """A prompt's shape is checked once, at ``register``; ``append``
+        takes only rows the registered prompt still holds."""
         rng = np.random.default_rng(8)
         pool = _pool()
-        pool.register(0)
-        with pytest.raises(ValueError, match="no frozen scales"):
-            pool.append(0, np.zeros((2, 4, 4)), np.zeros((2, 4, 4)))
+        register(pool, 0)  # encoded rows only: no prompt to append
+        with pytest.raises(ValueError, match="0 prompt rows left"):
+            pool.append(0, 1)
         scales = freeze_scales(
             rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)), QUANT, 1.25
         )
-        pool.register(1, scales=scales)
-        with pytest.raises(ValueError, match="keys must be"):
-            pool.append(1, np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
-        with pytest.raises(ValueError, match="values must be"):
-            pool.append(1, np.zeros((2, 4, 4)), np.zeros((2, 5, 4)))
+        with pytest.raises(ValueError, match="must both be"):
+            pool.register(1, scales, (np.zeros((3, 4, 4)), np.zeros((3, 4, 4))))
+        with pytest.raises(ValueError, match="must both be"):
+            pool.register(1, scales, (np.zeros((2, 4, 4)), np.zeros((2, 5, 4))))
+        register(pool, 1, (np.zeros((2, 4, 4)), np.zeros((2, 4, 4))), scales=scales)
+        with pytest.raises(ValueError, match="4 prompt rows left"):
+            pool.append(1, 5)
         with pytest.raises(ValueError, match="must be"):
             pool.append_rows([1], np.zeros((1, 2, 4)), np.zeros((1, 4)))
         assert pool.length(1) == 0
@@ -462,20 +504,19 @@ class TestValidation:
     def test_nan_append_rejected_before_any_row_is_claimed(self, which):
         """Regression: a NaN key used to be cast to digit 0 with only a
         cast warning, and an integer V arena would store a garbage code
-        instead of a visible NaN.  Both write paths now raise before
-        claiming a row: length, blocks and stored rows are unchanged."""
+        instead of a visible NaN.  A decode row now raises before
+        claiming a row: length, blocks and stored rows are unchanged.  A
+        NaN prompt is refused earlier, when its scales are frozen at
+        submit (``test_serving_engine.py::TestSubmitRefusesUnfreezable``)."""
         rng = np.random.default_rng(9)
         pool = _pool()
         scales = freeze_scales(
             rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)), QUANT, 1.25
         )
-        pool.register(0, scales=scales)
-        pool.append(0, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
+        prompt = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+        register(pool, 0, prompt, scales=scales)
+        pool.append(0, 3)
         before = [a.copy() for a in pool.view(0)], pool.blocks_in_use
-        prompt = {n: rng.normal(size=(2, 9, 4)) for n in ("keys", "values")}
-        prompt[which][1, 8, 2] = np.nan  # the chunk's last element
-        with pytest.raises(ValueError, match="NaN"):
-            pool.append(0, prompt["keys"], prompt["values"])
         step = {n: rng.normal(size=(1, 2, 4)) for n in ("keys", "values")}
         step[which][0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
@@ -485,26 +526,23 @@ class TestValidation:
         for got, want in zip(pool.view(0), before[0]):
             assert np.array_equal(got, want)
 
-    def test_append_rows_rejects_repeated_or_unscaled_sequences(self):
+    def test_append_rows_rejects_repeated_sequences(self):
         """Regression: a repeated sequence id used to write both tokens
-        into one row and advance the length by 2, and a sequence without
-        frozen scales failed with ``AttributeError``.  Both raise
+        into one row and advance the length by 2.  It raises
         ``ValueError`` before any row is claimed."""
         rng = np.random.default_rng(10)
         pool = _pool()
         scales = freeze_scales(
             rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)), QUANT, 1.25
         )
-        pool.register(0, scales=scales)
-        pool.register(1)  # no scales
-        pool.append(0, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
+        prompt = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+        register(pool, 0, prompt, scales=scales)
+        pool.append(0, 3)
         before = [a.copy() for a in pool.view(0)], pool.blocks_in_use
         step = rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4))
         with pytest.raises(ValueError, match="distinct"):
             pool.append_rows([0, 0], *step)
-        with pytest.raises(ValueError, match="sequence 1 has no frozen scales"):
-            pool.append_rows([0, 1], *step)
-        assert pool.length(0) == 3 and pool.length(1) == 0
+        assert pool.length(0) == 3
         assert pool.blocks_in_use == before[1]
         for got, want in zip(pool.view(0), before[0]):
             assert np.array_equal(got, want)
@@ -519,7 +557,7 @@ class TestValidation:
         assert pool.blocks_in_use == 0
         assert pool.largest_hole_blocks == 0
         assert not pool.can_fit(1)
-        pool.register(0)  # registering with no reservation is legal...
+        register(pool, 0)  # registering with no reservation is legal...
         assert pool.utilization == 0.0
         with pytest.raises(PoolExhausted):  # ...but any growth is not
             pool.append_slots(0, 1)
@@ -580,6 +618,31 @@ class TestCalibration:
                 tensors["keys"], tensors["values"], QuantConfig(), 1.25,
                 queries=tensors["queries"],
             )
+
+    @pytest.mark.parametrize("which", ["keys", "values", "queries"])
+    @pytest.mark.parametrize(
+        "peak", [1.5e308, 5e-324], ids=["overflow", "subnormal"]
+    )
+    def test_freeze_scales_refuses_scale_not_finite_and_positive(
+        self, which, peak
+    ):
+        """A finite maximum past ``float max / safety_factor`` used to
+        freeze an infinite scale (with only an overflow warning), and a
+        subnormal one a scale of 0.0.  Both raise, without a warning."""
+        rng = np.random.default_rng(13)
+        tensors = {
+            name: rng.normal(size=(2, 8, 4))
+            for name in ("keys", "values", "queries")
+        }
+        tensors[which][1] = 0.0
+        tensors[which][1, 3, 2] = peak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite and positive"):
+                freeze_scales(
+                    tensors["keys"], tensors["values"], QuantConfig(), 1.25,
+                    queries=tensors["queries"],
+                )
 
     def test_count_clips(self):
         quant = QuantConfig()

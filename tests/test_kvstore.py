@@ -30,6 +30,8 @@ from repro.kvstore import (
 from repro.serving import ServingEngine, synthetic_request
 from repro.workloads.traces import long_context_trace, shared_prefix_trace
 
+from pool_helpers import register
+
 CFG = TokenPickerConfig(threshold=2e-3)
 N_HEADS, HEAD_DIM = 4, 32
 
@@ -223,7 +225,7 @@ class TestDemotePromoteBytes:
         cfg = TierConfig(policy="none", hot_tail=4, sketch_chunks=sketch)
         store = TieredKVStore(pool, cfg)
         rng = np.random.default_rng(0)
-        pool.register(7)
+        register(pool, 7)
         k = rng.integers(-8, 16, size=(32, N_HEADS * CFG.quant.n_chunks, HEAD_DIM))
         v = rng.integers(-2048, 2048, size=(32, N_HEADS, HEAD_DIM))
         pool.append_encoded(7, k.astype(np.int8), v.astype(np.int16))

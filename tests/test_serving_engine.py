@@ -340,6 +340,104 @@ class TestValidation:
         assert stats.clip_events == 0 and stats.generated_tokens == 0
 
 
+class TestSubmitRefusesUnfreezable:
+    """Scales are frozen at submit: a prompt they cannot be frozen from
+    raises there, the engine unchanged, instead of failing a later step."""
+
+    @pytest.mark.parametrize("via", ["engine", "router"])
+    @pytest.mark.parametrize("which", ["keys", "values"])
+    def test_nan_prompt_refused_at_submit(self, via, which):
+        """Regression: a NaN prompt used to pass submit, and the next step
+        raised from the scale freeze after the scheduler had popped the
+        request.  It was then neither queued nor active: its stats stayed
+        queued, its ``request`` / ``queued`` spans never closed and
+        ``cancel`` could not find it."""
+        rng = np.random.default_rng(40)
+        tracer = Tracer()
+        if via == "router":
+            router = ClusterRouter(1, CFG, capacity_tokens=1024, tracer=tracer)
+            engine, submit = router.replicas[0], router.submit
+        else:
+            engine = _engine(tracer=tracer)
+            submit = engine.submit
+        submit(synthetic_request(rng, 2, 24, 8, max_new_tokens=2))
+        bad = synthetic_request(rng, 2, 24, 8, max_new_tokens=2)
+        getattr(bad, f"prompt_{which}")[1, 23, 7] = np.nan  # the last element
+
+        def snapshot():
+            return (
+                list(engine._queued), engine._next_request_id,
+                engine.n_pending, tracer.open_span_count, len(tracer.events),
+            )
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="non-finite"):
+            submit(bad)
+        assert snapshot() == before
+        assert bad.request_id is None and bad.state is RequestState.QUEUED
+        submit(synthetic_request(rng, 2, 24, 8, max_new_tokens=2))
+        engine.run_until_drained()
+        assert len(engine.completed) == 2 and not engine._queued
+        assert tracer.open_span_count == 0 and not tracer.errors
+
+    @pytest.mark.parametrize(
+        "peak", [1.5e308, 5e-324], ids=["overflow", "subnormal"]
+    )
+    def test_scale_not_finite_and_positive_refused_at_submit(self, peak):
+        """Regression: a finite maximum past ``float max / 1.25`` froze an
+        infinite scale and a subnormal one froze 0.0; the request was
+        admitted and every later step raised, so no co-batched request
+        finished.  Now it is refused at submit."""
+        rng = np.random.default_rng(41)
+        engine = _engine()
+        good = engine.submit(synthetic_request(rng, 2, 24, 8, max_new_tokens=3))
+        bad = synthetic_request(rng, 2, 24, 8, max_new_tokens=3)
+        bad.prompt_values[1] = 0.0
+        bad.prompt_values[1, 5, 2] = peak
+        with pytest.raises(ValueError, match="not finite and positive"):
+            engine.submit(bad)
+        other = engine.submit(synthetic_request(rng, 2, 24, 8, max_new_tokens=3))
+        engine.run_until_drained()
+        assert sorted(c.request_id for c in engine.completed) == [good, other]
+
+    def test_half_ingested_sequence_adopted_finishes_bit_equal(self):
+        """A sequence preempted mid-prompt and exported carries the rest
+        of its prompt in the swap; the adopting engine's pool continues
+        the ingest where the donor's stopped, and every decode step
+        equals an uninterrupted run's."""
+
+        def request():
+            rng = np.random.default_rng(42)
+            return _replayable_request(rng, prompt=40, max_new=5)[0]
+
+        def results(reports):
+            return [r for rep in reports for r in rep.results.values()]
+
+        undisturbed = _engine(prefill_budget_tokens=16)
+        undisturbed.submit(request())
+        want = results(undisturbed.run_until_drained())
+        donor = _engine(prefill_budget_tokens=16)
+        original = request()
+        request_id = donor.submit(original)
+        before = [donor.step()]  # 16 of 40 prompt rows ingested
+        (seq_id,) = donor._active
+        donor.preempt(seq_id)
+        export = donor.export_preempted(request_id)
+        assert export.swapped.length == 16 and export.prefilling
+        rest_k, rest_v = export.swapped.prompt
+        assert rest_k.shape == rest_v.shape == (2, 24, 16)
+        assert np.shares_memory(rest_k, original.prompt_keys)
+        adopter = _engine(prefill_budget_tokens=16)
+        adopter.adopt_preempted(export)
+        got = results(before + adopter.run_until_drained())
+        assert adopter.resumes_total == 1 and len(adopter.completed) == 1
+        assert len(got) == len(want) == 5
+        for x, y in zip(want, got):
+            assert np.array_equal(x.outputs, y.outputs)
+            assert np.array_equal(x.kept, y.kept)
+            assert np.array_equal(x.scores, y.scores)
+
+
 class TestAdmissionEdgeCases:
     def test_zero_pool_headroom_waits_without_hanging(self):
         """With the pool fully committed, admission yields nothing, the

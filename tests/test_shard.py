@@ -22,6 +22,8 @@ from repro.obs.trace import Tracer
 from repro.serving import GenerationRequest, ServingEngine
 from repro.serving.kv_pool import KVCachePool
 
+from pool_helpers import register
+
 CFG = TokenPickerConfig(threshold=2e-3)
 
 
@@ -138,7 +140,7 @@ class TestShardedKVPool:
     def test_append_encoded_round_trips_full_width(self):
         rng = np.random.default_rng(0)
         pool = self._pool(n_heads=5)
-        pool.register(7)
+        register(pool, 7)
         k, v = self._rows(rng, pool, 6)
         pool.append_encoded(7, k, v)
         k_view, v_view = pool.view(7)
@@ -158,7 +160,7 @@ class TestShardedKVPool:
     def test_read_write_rows_round_trip(self):
         rng = np.random.default_rng(1)
         pool = self._pool()
-        pool.register(0)
+        register(pool, 0)
         k, v = self._rows(rng, pool, 5)
         pool.append_encoded(0, k, v)
         off, length = pool.segment(0)
@@ -176,7 +178,7 @@ class TestShardedKVPool:
     def test_swap_round_trip_byte_exact_and_full_width(self):
         rng = np.random.default_rng(2)
         pool = self._pool(n_heads=5)
-        pool.register(3)
+        register(pool, 3)
         k, v = self._rows(rng, pool, 9)
         pool.append_encoded(3, k, v)
         swapped = pool.swap_out(3)
@@ -377,7 +379,7 @@ class TestShardGroup:
             quant.qmin - 1, quant.qmax, size=(t, n_heads, head_dim),
             endpoint=True,
         ).astype(np.int16)
-        flat.register(0)
+        register(flat, 0)
         flat.append_encoded(0, k, v)
         qs = rng.normal(size=(1, n_heads, head_dim))
         q_scales = np.abs(qs).max(axis=2) / quant.qmax + 1e-9
