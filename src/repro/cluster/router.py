@@ -161,16 +161,18 @@ class ClusterRouter:
         # deterministic occupancy accounting (no wall-clock involved);
         # the denominator counts only steps the replica was live-and-
         # routable or still finishing work, so a drained/dead replica's
-        # idle ticks cannot skew the fleet mean (they used to)
+        # idle ticks cannot skew the fleet mean
         self._occupancy_sum: Dict[int, int] = {
             rid: 0 for rid in range(n_replicas)
         }
         self._occupancy_steps: Dict[int, int] = {
             rid: 0 for rid in range(n_replicas)
         }
-        #: finished requests of replicas that have since been replaced
-        #: (``revive_replica``), so :attr:`completed` never loses history
+        #: finished and aborted requests of replicas that have since been
+        #: replaced (``revive_replica``), so :attr:`completed` and
+        #: :attr:`cancelled` never lose history
         self._archived_completed: List[Tuple[int, object]] = []
+        self._archived_cancelled: List[Tuple[int, object]] = []
 
     def _make_replica(self, rid: int) -> ServingEngine:
         kw = self._replica_kwargs
@@ -250,9 +252,9 @@ class ClusterRouter:
                 "every replica is draining or dead; nowhere to route"
             )
         if self.policy == "round-robin":
-            for _ in range(self.n_replicas):
-                rid = self._rr_next % self.n_replicas
-                self._rr_next += 1
+            # the turn moves on in submit, once the replica took the request
+            for offset in range(self.n_replicas):
+                rid = (self._rr_next + offset) % self.n_replicas
                 if rid in routable:
                     return rid
         # least-loaded: marginal effective cost of placing the request
@@ -267,6 +269,7 @@ class ClusterRouter:
         """Dispatch a request; returns ``(replica_id, request_id)``."""
         rid = self.select_replica(request)
         request_id = self.replicas[rid].submit(request)
+        self._rr_next = rid + 1
         self._routed[rid].append(request_id)
         self.metrics.counter("requests_routed", replica=rid).inc()
         return rid, request_id
@@ -338,14 +341,18 @@ class ClusterRouter:
         """Bring a dead replica back as a **fresh** engine.
 
         Death lost the arena, so revival is a cold start: the old
-        engine's finished-request history is archived (``completed``
-        keeps reporting it) and its occupancy accounting resets.
+        engine's finished and aborted requests are archived
+        (``completed`` and ``cancelled`` keep reporting them) and its
+        occupancy accounting resets.
         """
         if replica_id not in self._dead:
             raise ValueError(f"replica {replica_id} is not dead")
         old = self.replicas[replica_id]
         self._archived_completed.extend(
             (replica_id, done) for done in old.completed
+        )
+        self._archived_cancelled.extend(
+            (replica_id, done) for done in old.cancelled
         )
         self.replicas[replica_id] = self._make_replica(replica_id)
         self._occupancy_sum[replica_id] = 0
@@ -586,8 +593,9 @@ class ClusterRouter:
     @property
     def cancelled(self) -> List[Tuple[int, object]]:
         """Every aborted request as ``(replica_id, CompletedRequest)``
-        (terminal state ``CANCELLED`` or ``TIMED_OUT``)."""
-        out: List[Tuple[int, object]] = []
+        (terminal state ``CANCELLED`` or ``TIMED_OUT``), including
+        requests aborted on since-replaced replicas."""
+        out: List[Tuple[int, object]] = list(self._archived_cancelled)
         for rid, engine in enumerate(self.replicas):
             out.extend((rid, done) for done in engine.cancelled)
         return out
@@ -597,8 +605,8 @@ class ClusterRouter:
 
         Deterministic (counts only): the quantity the optimistic-vs-
         conservative admission test compares.  Counted steps exclude a
-        drained replica's idle tail and everything after a kill — a
-        parked replica used to drag the fleet mean toward zero while
+        drained replica's idle tail and everything after a kill, so a
+        parked replica cannot drag the fleet mean toward zero while
         still being stepped.  Zero counted steps reports 0.0 (not a
         division error); an unknown replica id is a
         :class:`ValueError`, never a silent negative-index alias.
@@ -677,7 +685,8 @@ class ClusterRouter:
             "requests_cancelled": sum(
                 r["requests_cancelled"] + r["requests_timed_out"]
                 for r in per_replica
-            ),
+            )
+            + len(self._archived_cancelled),
             "generated_tokens": sum(
                 r["generated_tokens"] for r in per_replica
             )

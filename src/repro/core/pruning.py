@@ -625,7 +625,7 @@ def token_picker_attention_batched(
     # does not report: every token's score is exact here
     state = (alive, chunks_fetched, np.full(grid, -np.inf), np.empty(grid))
     margins = _scaled_margins(q_codes[None], score_scale[None], quant)
-    take_buf, clock = _allocate, _PhaseClock(None)
+    take_buf, clock = _allocate, PhaseClock(None)
     for b in range(quant.n_chunks):
         log_den = _dense_round(
             b, ps[:, :, b], score_scale[:, None], bias, margins, state, geo,
@@ -818,8 +818,9 @@ class RaggedPickerResult:
         return merged
 
 
-class _PhaseClock:
-    """Laps of one wall clock, accumulated into a caller's ``phase_times``.
+class PhaseClock:
+    """Laps of one wall clock, accumulated into a caller's ``phase_times``
+    (the kernel's phases, and the serving engine's around it).
 
     The score sub-phases nest inside ``"score"``: a ``score_chunk0`` or
     ``score_refine`` lap is added to both keys, so the two never sum to
@@ -839,6 +840,11 @@ class _PhaseClock:
         if phase.startswith("score_"):
             times["score"] = times.get("score", 0.0) + lap
         self._mark = now
+
+    def restart(self) -> None:
+        """Start the next lap now: the time since the last lap goes to no
+        phase."""
+        self._mark = time.perf_counter()
 
 
 @dataclass(frozen=True)
@@ -1052,7 +1058,7 @@ def _score_rounds(
     config: TokenPickerConfig,
     accumulator,
     take_buf,
-    clock: _PhaseClock,
+    clock: PhaseClock,
 ):
     """The breadth rounds over the flat axis: score, then prune, per chunk.
 
@@ -1340,7 +1346,7 @@ def token_picker_attention_ragged(
     """
     if config.schedule != "breadth":
         raise ValueError("ragged kernel supports only the breadth schedule")
-    clock = _PhaseClock(phase_times)
+    clock = PhaseClock(phase_times)
     quant = config.quant
     n_chunks = quant.n_chunks
 

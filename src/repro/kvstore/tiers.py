@@ -33,12 +33,20 @@ Preemption composes with the tiers: a swapped-out victim's rows that
 already have a slow-tier copy cost nothing more to evict, so the swap
 charges only the rest (:meth:`TieredKVStore.on_swap_out`) — the cheaper
 the sequence's retained mass says it is, the less it costs to evict.
+
+The serving engine reaches the store at its arena events — a prompt
+chunk (:meth:`~TieredKVStore.note_prompt_chunk`), the step's decode rows
+(:meth:`~TieredKVStore.note_decode`), a swap, an exit — and once per
+step after the kernel (:meth:`~TieredKVStore.after_kernel`: promotions,
+policy signals and the per-tier traffic split), then runs the demotion
+policy (:meth:`~TieredKVStore.run_policy`) after retirement.  A sequence
+enters the tier map the first time the engine names it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,7 +172,13 @@ def _distinct_positions(state: _SeqTierState, positions, what: str) -> np.ndarra
 
 class TieredKVStore:
     """A per-token hot/cold tier map, and its DRAM ledger, over one
-    :class:`KVCachePool` arena."""
+    :class:`KVCachePool` arena.
+
+    The serving engine's per-step seam is :meth:`after_kernel`: it folds
+    the step's kernel results in (promotions, then the policy signals)
+    and hands back what the engine's accounting needs, the per-tier
+    traffic split and the demoted masks; :meth:`run_policy` demotes once
+    the step's finished sequences have left."""
 
     def __init__(
         self,
@@ -228,11 +242,6 @@ class TieredKVStore:
         self.dram.fast_write(moved)
 
     # -------------------------------------------------------------- lifecycle
-    def register(self, seq_id: int) -> None:
-        if seq_id in self._seqs:
-            raise ValueError(f"sequence {seq_id} already tiered")
-        self._seqs[seq_id] = _SeqTierState()
-
     def free(self, seq_id: int) -> None:
         self._seqs.pop(seq_id, None)
 
@@ -243,8 +252,18 @@ class TieredKVStore:
         state.grow(n, step)
         self.dram.fast_write(self._bytes(n * self.row_bits))
 
-    def charge_prefill_ingest(self, n_tokens: int, hit_tokens: int) -> None:
-        """Prompt ingestion: missed tokens are written into the cold tier
+    def note_decode(self, seq_ids, step: int) -> None:
+        """One decoded token per sequence enters hot: :meth:`note_append`
+        of one row for each of ``seq_ids``."""
+        for seq_id in seq_ids:
+            self._state(seq_id).grow(1, step)
+        self.dram.fast_write(len(seq_ids) * self._bytes(self.row_bits))
+
+    def note_prompt_chunk(
+        self, seq_id: int, n: int, hit_tokens: int, step: int
+    ) -> None:
+        """A prompt chunk of ``n`` tokens enters hot (:meth:`note_append`)
+        after its ingest: missed tokens are written into the cold tier
         from outside; hit tokens are already resident (read only).
 
         Called once per prompt *chunk* under chunked prefill (with that
@@ -252,11 +271,10 @@ class TieredKVStore:
         :meth:`repro.kvstore.radix.PrefixHandle.hits_in`), so the ledger
         charges ingest in the step it actually happens — the per-chunk
         charges sum exactly to the monolithic charge."""
-        if not 0 <= hit_tokens <= n_tokens:
-            raise ValueError("hit_tokens must be in [0, n_tokens]")
-        self.dram.slow_write(
-            self._bytes((n_tokens - hit_tokens) * self.row_bits)
-        )
+        if not 0 <= hit_tokens <= n:
+            raise ValueError("hit_tokens must be in [0, n]")
+        self.note_append(seq_id, n, step)
+        self.dram.slow_write(self._bytes((n - hit_tokens) * self.row_bits))
         self.dram.slow_read(self._bytes(hit_tokens * self.row_bits))
 
     # --------------------------------------------------------------- queries
@@ -405,6 +423,34 @@ class TieredKVStore:
         self.dram.slow_read(self._bytes(slow_bits))
         return fast_bits, slow_bits
 
+    def after_kernel(
+        self, seq_ids, results, step: int
+    ) -> Tuple[List[Tuple[int, int]], int, List[np.ndarray]]:
+        """The step's tier work after its one kernel pass, per sequence in
+        order: on-demand promotion, then :meth:`observe_step`.
+
+        The pass read exact digits for every token.  A demoted token it
+        pruned within the sketch rounds read only sketch digits, so the
+        cold tier's bytes could not change its decision; a demoted token
+        that *outlived* the sketch is promoted (charged as a slow -> fast
+        move), and the pass already holds what its exact bytes give.
+
+        Returns each sequence's ``(fast_bits, slow_bits)``, the number of
+        tokens promoted, and each sequence's demoted mask after the
+        promotions (every demoted token then died within the sketch
+        rounds, so accounting may drop its mass bound).
+        """
+        bits: List[Tuple[int, int]] = []
+        masks: List[np.ndarray] = []
+        promoted = 0
+        for seq_id, result in zip(seq_ids, results):
+            need = self.tokens_needing_promotion(seq_id, result)
+            if need.size:
+                promoted += self.promote(seq_id, need)
+            bits.append(self.observe_step(seq_id, result, step))
+            masks.append(self.demoted_mask(seq_id))
+        return bits, promoted, masks
+
     # ---------------------------------------------------------------- policy
     def run_policy(self, step: int) -> int:
         """Demote per the policy rule, then enforce the hot budget.
@@ -506,7 +552,8 @@ class TieredKVStore:
         }
 
     def _state(self, seq_id: int) -> _SeqTierState:
-        try:
-            return self._seqs[seq_id]
-        except KeyError:
-            raise KeyError(f"untracked sequence {seq_id}") from None
+        """The sequence's tier map, empty the first time it is named."""
+        state = self._seqs.get(seq_id)
+        if state is None:
+            state = self._seqs[seq_id] = _SeqTierState()
+        return state

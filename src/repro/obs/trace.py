@@ -117,6 +117,9 @@ class _NullTracer:
     def step_span(self, *a, **kw) -> None:
         pass
 
+    def engine_step(self, *a, **kw) -> None:
+        pass
+
     def cycle_span(self, *a, **kw) -> None:
         pass
 
@@ -372,6 +375,52 @@ class Tracer:
                     )
                     sub_cursor += sub_seconds
             cursor += seconds
+
+    def engine_step(
+        self, process: str, report, *, keep_fraction: float, tiered: bool
+    ) -> None:
+        """One engine step's :meth:`step_span`, its ``engine_step`` args
+        built here from the step report (read by field name: any object
+        with :class:`repro.serving.engine.EngineStepReport`'s fields) —
+        the schema :mod:`repro.obs.analyze` and :mod:`repro.obs.diff`
+        read back.  ``keep_fraction`` is the engine's running one;
+        ``tiered`` adds the tier movement, zeros included."""
+        args: Dict[str, object] = {
+            "step": report.step_index,
+            "wall_seconds": report.wall_seconds,
+            "tokens": report.tokens_generated,
+            "admitted": len(report.admitted),
+            "preempted": len(report.preempted),
+            "resumed": len(report.resumed),
+            "retired": len(report.retired),
+            "prefilling": report.prefilling,
+            "prefill_tokens": report.prefill_tokens,
+            "ragged_utilization": report.ragged_utilization,
+            "keep_fraction": keep_fraction,
+        }
+        if report.round_alive is not None:
+            args["round_alive"] = [int(x) for x in report.round_alive]
+        if tiered:
+            args["tier_demotions"] = report.tier_demotions
+            args["tier_promotions"] = report.tier_promotions
+        if report.shard_views:
+            args["n_shards"] = len(report.shard_views)
+            args["allgather_bits"] = sum(
+                v.allgather_bits for v in report.shard_views
+            )
+        views = report.per_sequence.values()
+        fast = sum(v.fast_bits for v in views if v.fast_bits >= 0)
+        slow = sum(v.slow_bits for v in views if v.slow_bits >= 0)
+        if fast or slow:
+            args["fast_bits"] = fast
+            args["slow_bits"] = slow
+        self.step_span(
+            process,
+            ts=report.wall_start,
+            dur=report.wall_seconds,
+            args=args,
+            phase_seconds=report.phase_seconds or None,
+        )
 
     def cycle_span(
         self,

@@ -4,22 +4,27 @@
 :class:`~repro.serving.kv_pool.KVCachePool` arena).  The engine hands the
 pool raw float K/V; the pool alone knows the stored format (chunk
 digits, plane dtype, row size) and encodes each token once, at append
-time.  Per step the engine
+time.  :meth:`ServingEngine.step` runs named stages:
 
-1. admits queued requests while batch slots and KV-pool headroom allow
-   (the pool takes the scales frozen at :meth:`ServingEngine.submit` and
-   the prompt) and has the pool encode this step's prompt chunks,
-2. draws every active sequence's new ``(q, k_t, v_t)`` from its decode
-   stream — a draw that is not three finite ``(H, d)`` arrays raises
-   before anything is written — counts clip events against the frozen
-   calibration window and appends the new token to the pooled cache,
-3. runs **one** fused ragged-batch Token-Picker kernel across all active
-   sequences (:func:`repro.core.pruning.token_picker_attention_ragged`,
-   straight on the arena) — the breadth-schedule chunk rounds execute
-   once per *batch*, with pruning decisions bit-identical to stepping
-   each sequence alone,
-4. accumulates per-request traffic/latency stats and retires finished
-   sequences, freeing their blocks for the next admission.
+1. **resume** swapped-out sequences, then **admit** queued requests,
+   while batch slots and KV-pool headroom allow (the pool takes the
+   scales frozen at :meth:`ServingEngine.submit` and the prompt);
+2. **prefill**: the pool encodes this step's prompt chunks;
+3. **grow** each decoding sequence's arena run by one token (under a
+   memory manager, preempting victims when it does not fit);
+4. **pack**: draw each decoding sequence's new ``(q, k_t, v_t)`` — a
+   draw that is not three finite ``(H, d)`` arrays raises before
+   anything is written — count clips against the frozen calibration
+   window and append the new token to the pool;
+5. **kernel**: **one** fused ragged-batch Token-Picker kernel on the
+   arena (:func:`repro.core.pruning.token_picker_attention_ragged`) —
+   the breadth-schedule chunk rounds execute once per *batch*, pruning
+   decisions bit-identical to stepping each sequence alone — then the
+   tier store's and the shard group's reads of its results;
+6. **account / retire**: per-request traffic stats; finished sequences
+   retire, freeing their blocks.  The finished :class:`EngineStepReport`
+   is folded into the engine's totals in one place and, when sampled,
+   traced.
 
 A caller that owns its cache and wants one sequence at a time uses
 :class:`repro.core.session.TokenPickerSession` instead.  It runs the
@@ -27,14 +32,17 @@ batched reference kernel, which shares this engine's kernel's breadth
 round step (bounds, ``ln D`` fold, prune predicate) and the
 scale-freezing rule, but not its arena, packing or pair rounds.
 
-An admitted request lives in one :class:`SequenceRecord`; every state
-change goes through ``ServingEngine._transition``, every exit through
-``ServingEngine._finish``.  The trace's ``req<id>`` track follows the state:
+Every request lives in one :class:`SequenceRecord` from
+:meth:`~ServingEngine.submit` to its exit: the scheduler's queue holds
+records, and admission gives a record its arena ``seq_id``.  Every
+state change goes through ``ServingEngine._transition``, every exit
+through ``ServingEngine._finish``.  The trace's ``req<id>`` track
+follows the state:
 
 ==========  ============================================================
 state       spans open inside ``request`` (marks emitted)
 ==========  ============================================================
-QUEUED      ``queued``
+QUEUED      ``queued``, from submit (the record has no ``seq_id`` yet)
 PREFILLING  ``queued``, from the first prompt chunk ``prefill``
             (``prefill_start``; ``prefill_chunk`` per chunk)
 RUNNING     ``decode`` (``first_token``)
@@ -53,13 +61,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # engine <-> kvstore: runtime import stays lazy
-    from repro.kvstore.radix import RadixKVCache
-    from repro.kvstore.tiers import TierConfig
+    from repro.kvstore.radix import PrefixHandle, RadixKVCache
+    from repro.kvstore.tiers import TierConfig, TieredKVStore
 
 from repro.core.config import TokenPickerConfig
 from repro.core.pruning import (
     AccessCounter,
     KernelScratch,
+    PhaseClock,
     PruneStats,
     RaggedSequenceResult,
     token_picker_attention_ragged,
@@ -91,10 +100,9 @@ class SequenceStepView:
     request_id: int
     context_length: int
     stats: PruneStats  # this step's attention accounting (all heads)
-    #: fetch-path split by memory tier when KV tiering is enabled
-    #: (``fast_bits + slow_bits == stats.total_bits_fetched``); both are
-    #: -1 on an untiered engine, and two-tier pricing falls back to
-    #: charging everything to the fast tier.
+    #: fetch-path split by memory tier (``fast_bits + slow_bits ==
+    #: stats.total_bits_fetched``); -1 on an untiered engine, where
+    #: two-tier pricing charges everything to the fast tier
     fast_bits: int = -1
     slow_bits: int = -1
 
@@ -109,11 +117,13 @@ class EngineStepReport:
 
     ``per_sequence`` carries each active sequence's *measured* traffic for
     this step — the quantity :meth:`repro.hw.serving.ServingSimulator.
-    price` converts to a :class:`~repro.hw.serving.StepCost`, replacing
-    the old single-instance-mean approximation.  ``prefill_bits`` carries the
-    encoded KV bits of every prompt chunk ingested *this step*, so the
-    hardware model prices prefill traffic inside the step it actually
-    happens instead of silently omitting it.
+    price` converts to a :class:`~repro.hw.serving.StepCost`.
+    ``prefill_bits`` carries the encoded KV bits of every prompt chunk
+    ingested *this step*, so the hardware model prices prefill traffic
+    inside the step it happens.  The engine's running totals
+    (``peak_concurrency``, ``prefill_chunks_total``, ... ) are folded from
+    the finished report, so each equals the sum (or maximum) over the
+    reports.
     """
 
     step_index: int
@@ -128,14 +138,10 @@ class EngineStepReport:
     results: Dict[int, RaggedSequenceResult] = field(default_factory=dict)
     ragged_utilization: float = 1.0
     #: wall-clock seconds by phase (:data:`repro.obs.trace.PHASE_ORDER`):
-    #: "prefill" (admission, then this step's prompt chunks encoded and
-    #: appended; scales were frozen at submit), "pack" (draw/encode/append of
-    #: the decode tokens), "score" (partial-score table + bounds), "prune"
-    #: (breadth rounds), "unpack" (softmax/outputs/slicing + accounting)
-    #: — the ``tokenpicker serve --profile`` and benchmark breakdowns read this.
-    #: Inside "score" the kernel also reports "score_chunk0" (the one
-    #: full-width chunk-0 pass) and "score_refine" (alive-set refinement
-    #: rounds); "score" is their sum plus the kernel's set-up.
+    #: "prefill" (admission and prompt chunks), "pack" (draw/encode/append
+    #: of the decode tokens), "score" (partial scores + bounds; inside it
+    #: "score_chunk0", the full-width chunk-0 pass, and "score_refine"),
+    #: "prune" (breadth rounds), "unpack" (softmax/outputs + accounting)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: KV-tiering movement this step (zero on an untiered engine):
     #: tokens demoted / promoted.  ``tier_reruns`` is always 0 (a step
@@ -144,30 +150,27 @@ class EngineStepReport:
     tier_promotions: int = 0
     tier_reruns: int = 0
     #: chunked-prefill work this step: sequences still mid-prefill after
-    #: it, prompt tokens ingested, and the modelled encoded bits those
-    #: tokens wrote (K chunk digits + V) — what the serving simulator
-    #: prices as this step's ingest stream
+    #: it, prompt chunks and tokens ingested, and the modelled encoded
+    #: bits those tokens wrote (K chunk digits + V) — what the serving
+    #: simulator prices as this step's ingest stream
     prefilling: int = 0
+    prefill_chunks: int = 0
     prefill_tokens: int = 0
     prefill_bits: int = 0
     #: ``time.perf_counter()`` at the step's start: the wall anchor its
     #: ``engine_step`` span and the router's ``modelled_step`` twin share
     wall_start: float = 0.0
-    #: wall-clock seconds the whole step took, measured inside
-    #: :meth:`ServingEngine.step` — the one step-latency float: the
-    #: cluster router's ``step_seconds`` / ``token_latency_seconds``
-    #: histograms and the step span's ``wall_seconds`` trace attribute
-    #: both carry exactly this value, so post-hoc trace analysis matches
-    #: live telemetry bit for bit
+    #: wall-clock seconds of the whole step — the one step-latency float
+    #: the router's histograms and the step span's ``wall_seconds`` both
+    #: carry, so trace analysis matches live telemetry bit for bit
     wall_seconds: float = 0.0
     #: this step's main kernel call's alive (head, token) pairs entering
     #: each chunk round plus the final kept count — shape
     #: (n_chunks + 1,); None when the step ran no kernel call
     round_alive: Optional[np.ndarray] = None
-    #: per-shard interconnect telemetry (List[repro.cluster.shard.
-    #: ShardStepView]) when the engine runs head-sharded; empty on an
-    #: unsharded engine.  ``price`` charges the per-shard straggler and
-    #: the all-gather whenever this is non-empty.
+    #: per-shard interconnect telemetry (``repro.cluster.shard.
+    #: ShardStepView``s) on a head-sharded engine, else empty; ``price``
+    #: charges the per-shard straggler and the all-gather when non-empty
     shard_views: List = field(default_factory=list)
 
     @property
@@ -179,9 +182,10 @@ class EngineStepReport:
         return len(self.per_sequence)
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceRecord:
-    """One admitted request, from admission to exit, resident or not.
+    """One request, from :meth:`ServingEngine.submit` to its exit: queued,
+    resident or swapped out.  Records compare by identity.
 
     Swapped out (``swapped`` set) it is also the failover wire format
     (:data:`PreemptedExport`): encoded rows, frozen scales, stats and the
@@ -189,17 +193,22 @@ class SequenceRecord:
     engine continues the sequence bit-identically.
     """
 
-    seq_id: int
     request: GenerationRequest
     scales: SequenceScales
     stats: RequestStats
     step_source: StepSource
     remaining: int
+    #: arena sequence id, assigned at admission in admission order (arena
+    #: placement and victim tie-breaks follow it); -1 while queued
+    seq_id: int = -1
     #: prompt tokens ingested into the pool so far; the sequence joins
     #: the fused decode batch only once this reaches the prompt length
     prefill_pos: int = 0
     #: the host copy of the rows while swapped out (None while resident)
     swapped: Optional[SwappedSequence] = None
+    #: the prefix-cache reference taken at admission (None without a
+    #: cache, and once released)
+    prefix: "Optional[PrefixHandle]" = None
 
     @property
     def prefilling(self) -> bool:
@@ -285,7 +294,14 @@ class ServingEngine:
         trace_label: str = "engine",
         shards: int = 1,
     ) -> None:
-        """``memory_manager`` switches admission from the conservative
+        """The engine holds one :class:`SequenceRecord` per request (queued,
+        resident or swapped out) and folds each finished step report into
+        its totals (``peak_concurrency``, ``prefill_*_total``,
+        ``allgather_*_total``, ``round_alive_totals``); the lifecycle
+        counters (``preemptions_total``, ``resumes_total``,
+        ``adopted_total``) move with each state change.
+
+        ``memory_manager`` switches admission from the conservative
         full-lifetime reservation (``None``, the default — decode can
         never exhaust the pool) to the manager's policy: it decides the
         admission/reservation footprint and, under decode-time pool
@@ -305,9 +321,12 @@ class ServingEngine:
         to monolithic prefill.
 
         ``kv_tiering`` (a :class:`repro.kvstore.tiers.TierConfig`) layers
-        the two-tier KV store over the arena: low-mass tokens demote to a
-        modelled cold tier and promote back on demand, with generated
-        outputs bit-identical to the untiered engine.  ``prefix_cache``
+        the two-tier KV store (:attr:`tiers`) over the arena: low-mass
+        tokens demote to a modelled cold tier and promote back on demand,
+        outputs bit-identical to the untiered engine.  The store hears of
+        each arena event and reads each step's kernel results in one call
+        (:meth:`~repro.kvstore.tiers.TieredKVStore.after_kernel`).
+        ``prefix_cache``
         (a :class:`repro.kvstore.radix.RadixKVCache`) dedupes shared
         prompt prefixes into refcounted cold-tier extents.
 
@@ -318,14 +337,12 @@ class ServingEngine:
         so every instrumentation site reduces to one truthiness check.
 
         ``shards`` > 1 runs the engine head-sharded across K modelled
-        workers (:class:`repro.cluster.shard.ShardGroup`): the pool
-        stays one full-width :class:`KVCachePool`, each step's kernel is
-        still one full-width call, and every worker's head range is
-        reported as a :class:`~repro.cluster.shard.ShardStepView` whose
-        kept-token all-gather the hardware model's interconnect term
-        prices.  Arena bytes and decode outputs stay bit-identical to
-        ``shards=1``; a request with fewer heads than shards is rejected
-        at :meth:`submit`.
+        workers (:class:`repro.cluster.shard.ShardGroup`): one full-width
+        pool and kernel call, with every worker's head range reported as
+        a :class:`~repro.cluster.shard.ShardStepView` whose kept-token
+        all-gather the interconnect term prices.  Outputs stay
+        bit-identical to ``shards=1``; a request with fewer heads than
+        shards is rejected at :meth:`submit`.
         """
         if safety_factor < 1.0:
             raise ValueError("safety_factor must be >= 1 (headroom only)")
@@ -353,9 +370,8 @@ class ServingEngine:
         #: built — benchmarks/test_trace_overhead.py asserts sampling
         #: skips the payload work entirely, not just the emit
         self.trace_payloads_built = 0
-        self.tiers = None  # TieredKVStore, built with the pool
+        self.tiers: "Optional[TieredKVStore]" = None  # built with the pool
         self.prefix_cache = prefix_cache
-        self._prefix_handles: Dict[int, object] = {}
         self.pool: Optional[KVCachePool] = None  # built on first pooled admit
         #: (n_heads, head_dim) every request must have: fixed by the first
         #: accepted request, since the pool is built at that width
@@ -373,9 +389,6 @@ class ServingEngine:
         #: aborted requests (CANCELLED / TIMED_OUT terminal records)
         self.cancelled: List[CompletedRequest] = []
         self.adopted_total = 0
-        #: queued request id -> the stats and frozen scales made at
-        #: submit (admission moves them onto the sequence record)
-        self._queued: Dict[int, Tuple[RequestStats, SequenceScales]] = {}
         self._active: Dict[int, SequenceRecord] = {}
         #: swapped-out sequences, oldest preemption first
         self._preempted: Dict[int, SequenceRecord] = {}
@@ -443,7 +456,7 @@ class ServingEngine:
         The cluster router's least-loaded policy weighs this by the
         replica's live keep-fraction to estimate effective load.
         """
-        total = sum(r.total_tokens for r in self.scheduler.pending)
+        total = sum(rec.request.total_tokens for rec in self.scheduler.pending)
         for rec in self._records():
             total += (
                 rec.swapped.length
@@ -462,7 +475,8 @@ class ServingEngine:
 
     # ------------------------------------------------------------- admission
     def submit(self, request: GenerationRequest) -> int:
-        """Queue a request; returns its assigned request id.
+        """Queue a request as a :class:`SequenceRecord`; returns its
+        assigned request id.
 
         Its scales are frozen here, once, from the full prompt.  A prompt
         they cannot be frozen from, or a request this engine can never
@@ -476,13 +490,26 @@ class ServingEngine:
         self._check_admissible(request)
         request.request_id = self._next_request_id
         self._next_request_id += 1
-        stats = RequestStats(
-            prompt_tokens=request.prompt_tokens,
-            submitted_step=self._step_index,
+        source = request.step_source
+        if source is None:
+            rng = np.random.default_rng(
+                [self._seed, request.request_id]
+                if request.seed is None
+                else request.seed
+            )
+            source = synthetic_step_source(rng, request.n_heads, request.head_dim)
+        rec = SequenceRecord(
+            request,
+            scales,
+            RequestStats(
+                prompt_tokens=request.prompt_tokens,
+                submitted_step=self._step_index,
+            ),
+            source,
+            remaining=request.max_new_tokens,
         )
-        self._queued[request.request_id] = stats, scales
-        self._transition(request, stats, RequestState.QUEUED)
-        self.scheduler.submit(request)
+        self._transition(rec, RequestState.QUEUED)
+        self.scheduler.submit(rec)
         return request.request_id
 
     def _check_admissible(self, request: GenerationRequest) -> None:
@@ -516,33 +543,31 @@ class ServingEngine:
     def withdraw_pending(self) -> List[GenerationRequest]:
         """Take back every still-queued request (the drain/rebalance path).
 
-        Queued requests have not touched the pool, so they can be moved to
-        another replica safely; active and preempted sequences stay and
-        drain naturally.  Each request keeps its assigned ``request_id``
-        from this engine but will be re-assigned on re-submission.
+        Queued requests have not touched the pool, so they can move to
+        another replica (which assigns a new ``request_id``); active and
+        preempted sequences stay and drain naturally.
         """
         withdrawn = list(self.scheduler.pending)
         self.scheduler.pending.clear()
-        for request in withdrawn:
-            self._finish(request, "withdrawn")
-        return withdrawn
+        for rec in withdrawn:
+            self._finish(rec, "withdrawn")
+        return [rec.request for rec in withdrawn]
 
     # -------------------------------------------------------------- lifecycle
     def _transition(
         self,
-        request: GenerationRequest,
-        stats: RequestStats,
+        rec: SequenceRecord,
         to,
         *,
-        prefilling: bool = False,
         args: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Move a live request to state ``to``, or record the mark ``to``
+        """Move a live record to state ``to``, or record the mark ``to``
         names inside its state (``"prefill_start"``, ``"prefill_chunk"``
         with ``args``, ``"first_token"``, or ``"adopted"`` from another
-        engine, ``prefilling`` naming the phase it left): sets the state,
-        stamps the wall clocks, moves the request-track spans of the
-        module table and bumps the lifecycle counters."""
+        engine, mid-prefill or not): sets the state, stamps the wall
+        clocks, moves the request-track spans of the module table and
+        bumps the lifecycle counters."""
+        request, stats = rec.request, rec.stats
         tracer, label = self.tracer, self.trace_label
         track = f"req{request.request_id}"
         now = time.perf_counter()
@@ -562,7 +587,7 @@ class ServingEngine:
                 ):
                     if ts >= 0:
                         tracer.instant(label, track, mark, ts=ts)
-                if not prefilling:
+                if not rec.prefilling:
                     phase, ts = "decode", now
                 elif stats.prefill_start_wall >= 0:
                     phase, ts = "prefill", stats.prefill_start_wall
@@ -621,32 +646,25 @@ class ServingEngine:
         }
 
     def _finish(
-        self,
-        request: GenerationRequest,
-        how: str,
-        seq_id: Optional[int] = None,
+        self, rec: SequenceRecord, how: str
     ) -> Optional[CompletedRequest]:
-        """The one exit: ``request`` (admitted as ``seq_id``) leaves as
-        ``how``.  Releases its queued stats or its arena blocks, tier
-        state and radix reference — the inverse of admission — and closes
-        its track with ``state=how``.  A terminal ``how`` also sets the
-        state, stamps the finish and records the returned
-        :class:`CompletedRequest`; a hand-off (``"withdrawn"``,
-        ``"exported"``, ``"lost"`` — reset to ``QUEUED``) returns None."""
-        if seq_id is None:
-            stats, _ = self._queued.pop(request.request_id)
-        else:
-            rec = self._active.pop(seq_id, None)
-            if rec is not None:
-                self.pool.free(seq_id)
-            else:
-                rec = self._preempted.pop(seq_id)
-            stats = rec.stats
-            if self.tiers is not None:
-                self.tiers.free(seq_id)
-            handle = self._prefix_handles.pop(seq_id, None)
-            if handle is not None:
-                self.prefix_cache.release(handle)
+        """The one exit: ``rec`` leaves as ``how``.  Releases what it
+        holds — arena blocks or its swapped-out copy, tier state, radix
+        reference; nothing while it is queued, once the caller took it
+        off the queue — and closes its track with ``state=how``.  A
+        terminal ``how`` also sets the state, stamps the finish and
+        records the returned :class:`CompletedRequest`; a hand-off
+        (``"withdrawn"``, ``"exported"``, ``"lost"`` — reset to
+        ``QUEUED``) returns None."""
+        if self._active.pop(rec.seq_id, None) is not None:
+            self.pool.free(rec.seq_id)
+        self._preempted.pop(rec.seq_id, None)
+        if self.tiers is not None:
+            self.tiers.free(rec.seq_id)
+        if rec.prefix is not None:
+            self.prefix_cache.release(rec.prefix)
+            rec.prefix = None
+        request, stats = rec.request, rec.stats
         args: Dict[str, object] = {"state": how}
         ts = done = None
         if how in ("finished", "cancelled", "timed_out"):
@@ -673,26 +691,18 @@ class ServingEngine:
     ) -> CompletedRequest:
         """Abort a request mid-flight, freeing its KV immediately.
 
-        Works in every live phase: still queued (removed from the
-        scheduler, nothing was reserved), mid-prefill or decoding (arena
-        blocks, tier state and the radix prefix reference are all
-        released), or preempted (the swapped-out host copy is dropped).
-        Returns the terminal :class:`CompletedRequest` (state
-        ``TIMED_OUT`` when ``timed_out`` else ``CANCELLED``), also
-        appended to :attr:`cancelled`.  Unknown or already-terminal
-        request ids raise :class:`KeyError`.
+        Works in every live phase — queued, mid-prefill, decoding or
+        preempted — through :meth:`_finish`.  Returns the terminal
+        :class:`CompletedRequest` (state ``TIMED_OUT`` when ``timed_out``
+        else ``CANCELLED``), also appended to :attr:`cancelled`.  Unknown
+        or already-terminal request ids raise :class:`KeyError`.
         """
         how = "timed_out" if timed_out else "cancelled"
-        pending = self.scheduler.pending
-        for i, request in enumerate(pending):
-            if request.request_id == request_id:
-                # by index: dataclass __eq__ compares the prompt arrays
-                # element-wise, which deque.remove chokes on
-                del pending[i]
-                return self._finish(request, how)
-        for rec in self._records():
+        for rec in (*self.scheduler.pending, *self._records()):
             if rec.request.request_id == request_id:
-                return self._finish(rec.request, how, rec.seq_id)
+                if rec.seq_id < 0:  # still queued
+                    self.scheduler.pending.remove(rec)
+                return self._finish(rec, how)
         raise KeyError(
             f"unknown or already-terminal request {request_id}"
         )
@@ -709,9 +719,8 @@ class ServingEngine:
         """
         now = time.perf_counter() if now is None else now
         expired: List[CompletedRequest] = []
-        for request in [
-            *self.scheduler.pending, *(r.request for r in self._records())
-        ]:
+        for rec in [*self.scheduler.pending, *self._records()]:
+            request = rec.request
             if request.deadline_ms is None or request.submitted_wall < 0:
                 continue
             if (now - request.submitted_wall) * 1e3 > request.deadline_ms:
@@ -722,44 +731,37 @@ class ServingEngine:
 
     def set_threshold(self, threshold: float) -> float:
         """Swap the keep-threshold live (the overload-degradation
-        actuator): a higher threshold prunes more tokens per certified
-        bound, shrinking per-step DRAM traffic at the cost of retained
-        attention mass.  Config objects are frozen, so this installs a
-        copy; in-flight sequences simply see the new threshold from the
-        next step on.  Returns the threshold now in force."""
+        actuator): a higher threshold prunes more, shrinking per-step DRAM
+        traffic at the cost of retained attention mass.  In-flight
+        sequences see it from the next step on.  Returns the threshold
+        now in force."""
         if threshold != self.config.threshold:
             self.config = self.config.with_threshold(threshold)
         return self.config.threshold
 
     # --------------------------------------------------------------- failover
     def export_preempted(self, request_id: int) -> PreemptedExport:
-        """Detach a swapped-out sequence for adoption by another engine.
-
-        The sequence's record — byte-exact host-memory copy, frozen
-        scales, stats and decode stream — leaves whole; this engine
-        forgets the sequence entirely (tier state and radix reference
-        released).
-        """
+        """Detach a swapped-out sequence for adoption by another engine:
+        its record — byte-exact host copy, frozen scales, stats and decode
+        stream — leaves whole, and this engine forgets it."""
         for rec in list(self._preempted.values()):
             if rec.request.request_id == request_id:
-                self._finish(rec.request, "exported", rec.seq_id)
+                self._finish(rec, "exported")
                 return rec
         raise KeyError(f"request {request_id} is not swapped out here")
 
     def adopt_preempted(self, export: PreemptedExport) -> int:
         """Adopt another engine's swapped-out sequence (failover resume).
 
-        The sequence lands in this engine's preempted set and swaps into
+        The record lands in this engine's preempted set and swaps into
         the arena when headroom allows, continuing bit-identically from
         the donor's last decoded token.  ``ValueError`` refuses it, the
         engine unchanged, on a tiered engine (per-token tier state does
-        not travel: re-prefill instead) and wherever :meth:`submit` would
-        (:meth:`_check_admissible`).  The request gets a **fresh** request
-        id in this engine's namespace (returned) — per-replica ids restart
-        at 0, so keeping the donor's id could collide with a request this
-        engine already owns; cross-replica identity is the caller's job
-        (the fault injector keys requests by trace origin).
-        """
+        not travel: re-prefill instead) and wherever :meth:`submit` would.
+        The request gets a **fresh** request id in this engine's namespace
+        (returned): per-replica ids restart at 0, so cross-replica
+        identity is the caller's job (the fault injector keys requests by
+        trace origin)."""
         if self._tier_config is not None:
             raise ValueError(
                 "a tiered engine cannot adopt swapped-out KV (per-token "
@@ -773,9 +775,7 @@ class ServingEngine:
         request.request_id = self._next_request_id
         self._next_request_id += 1
         self._preempted[export.seq_id] = export
-        self._transition(
-            request, export.stats, "adopted", prefilling=export.prefilling
-        )
+        self._transition(export, "adopted")
         return request.request_id
 
     def harvest_for_failover(self) -> FailoverHarvest:
@@ -784,15 +784,14 @@ class ServingEngine:
         The replica-death path: queued requests withdraw untouched,
         swapped-out sequences export with their byte-exact KV, and
         arena-resident sequences — whose KV died with the arena — come
-        back as re-prefillable requests (state reset to ``QUEUED``; their
-        seeded decode streams replay from step 0, so a re-run's outputs
-        are bit-identical).  Afterwards the engine holds no requests.
+        back as re-prefillable requests (reset to ``QUEUED``; their seeded
+        decode streams replay, so a re-run's outputs are bit-identical).
         """
         harvest = FailoverHarvest(queued=self.withdraw_pending())
         for rec in list(self._preempted.values()):
             harvest.swapped.append(self.export_preempted(rec.request.request_id))
         for rec in list(self._active.values()):
-            self._finish(rec.request, "lost", rec.seq_id)
+            self._finish(rec, "lost")
             harvest.lost.append(rec.request)
         return harvest
 
@@ -809,9 +808,7 @@ class ServingEngine:
     def _ensure_pool(self, request: GenerationRequest) -> KVCachePool:
         if self.pool is None:
             self.pool = KVCachePool(
-                request.n_heads,
-                request.head_dim,
-                self.config.quant,
+                request.n_heads, request.head_dim, self.config.quant,
                 capacity_tokens=self._capacity_tokens,
                 block_size=self._block_size,
             )
@@ -825,98 +822,69 @@ class ServingEngine:
                 from repro.kvstore.tiers import TieredKVStore
 
                 self.tiers = TieredKVStore(
-                    self.pool,
-                    config=self._tier_config,
-                    prompt_guard=self.config.prompt_guard,
-                    tracer=self.tracer,
-                    trace_label=self.trace_label,
+                    self.pool, self._tier_config, self.config.prompt_guard,
+                    tracer=self.tracer, trace_label=self.trace_label,
                 )
         return self.pool
 
-    def _prefill(self, request: GenerationRequest) -> None:
-        """Admit one request: reserve its arena run and hand the pool its
-        scales (frozen at :meth:`submit`) and prompt.
-
-        Prompt *ingestion* is resumable: the pool encodes the prompt in
-        budgeted chunks (:meth:`_run_prefill`, called from every step —
-        one chunk covering the whole prompt when the budget is
-        unbounded), every chunk with the same per-head windows, so the
-        encoded bytes stay bit-identical to monolithic prefill.
-        """
+    def _admit(self, rec: SequenceRecord) -> None:
+        """Admit one queued record: give it its ``seq_id``, reserve its
+        arena run and hand the pool its scales (frozen at :meth:`submit`)
+        and prompt, which the pool encodes in budgeted chunks
+        (:meth:`_run_prefill`) bit-identically to a monolithic prefill."""
+        request = rec.request
         pool = self._ensure_pool(request)
-        seq_id = self._next_seq_id
+        rec.seq_id = self._next_seq_id
         self._next_seq_id += 1
-        stats, scales = self._queued.pop(request.request_id)
         # conservative admission reserves the full lifetime footprint so
         # decode can never hit PoolExhausted mid-flight; a memory manager
         # (optimistic admission) reserves less and preempts under pressure
         pool.register(
-            seq_id, scales, (request.prompt_keys, request.prompt_values),
+            rec.seq_id, rec.scales, (request.prompt_keys, request.prompt_values),
             self._reserve_tokens(request),
         )
-        stats.admitted_step = self._step_index
+        rec.stats.admitted_step = self._step_index
         if self.prefix_cache is not None:
             # dedupe the prompt's cold-tier ingest against shared
-            # prefixes: the tree matches the prompt's raw K/V bytes (one
-            # compare per edge) and copies only the unmatched suffix; the
-            # sequence still encodes from its *own* prompt tensors chunk
-            # by chunk (per-sequence frozen scales), so a hit only
+            # prefixes (matched on the raw K/V bytes); the sequence still
+            # encodes its *own* prompt with its own scales, so a hit only
             # removes modelled transfer, never changes bytes
-            handle = self.prefix_cache.acquire(
+            rec.prefix = self.prefix_cache.acquire(
                 request.prompt_keys, request.prompt_values
             )
-            stats.prefix_hit_tokens = handle.hit_tokens
-            self._prefix_handles[seq_id] = handle
-        if self.tiers is not None:
-            self.tiers.register(seq_id)
-        source = request.step_source
-        if source is None:
-            rng = np.random.default_rng(
-                [self._seed, request.request_id]
-                if request.seed is None
-                else request.seed
-            )
-            source = synthetic_step_source(rng, request.n_heads, request.head_dim)
-        self._active[seq_id] = SequenceRecord(
-            seq_id=seq_id,
-            request=request,
-            scales=scales,
-            stats=stats,
-            step_source=source,
-            remaining=request.max_new_tokens,
-        )
-        self._transition(request, stats, RequestState.PREFILLING)
+            rec.stats.prefix_hit_tokens = rec.prefix.hit_tokens
+        self._active[rec.seq_id] = rec
+        self._transition(rec, RequestState.PREFILLING)
 
     def _ingest_prefill_chunk(
         self, entry: SequenceRecord, n: int, report: EngineStepReport
     ) -> None:
         """Have the pool encode its next ``n`` prompt rows, charging tier
         ingest for exactly this chunk."""
-        request, stats = entry.request, entry.stats
         start = entry.prefill_pos
-        if stats.prefill_start_wall < 0:
+        if entry.stats.prefill_start_wall < 0:
             # queued -> prefill at the exact stamp the queue-wait /
             # prefill split is measured from
-            self._transition(request, stats, "prefill_start")
+            self._transition(entry, "prefill_start")
         self.pool.append(entry.seq_id, n)
         if self.tiers is not None:
-            self.tiers.note_append(entry.seq_id, n, self._step_index)
-            handle = self._prefix_handles.get(entry.seq_id)
-            self.tiers.charge_prefill_ingest(
-                n, handle.hits_in(start, start + n) if handle else 0
+            hits = (
+                0 if entry.prefix is None
+                else entry.prefix.hits_in(start, start + n)
+            )
+            self.tiers.note_prompt_chunk(
+                entry.seq_id, n, hits, self._step_index
             )
         entry.prefill_pos = start + n
-        stats.prefill_chunks += 1
-        self.prefill_chunks_total += 1
-        self.prefill_tokens_total += n
+        entry.stats.prefill_chunks += 1
+        report.prefill_chunks += 1
         report.prefill_tokens += n
         report.prefill_bits += n * self.pool.row_bits
         self._transition(
-            request, stats, "prefill_chunk",
-            args={"tokens": n, "pos": entry.prefill_pos},
+            entry, "prefill_chunk", args={"tokens": n, "pos": entry.prefill_pos}
         )
         if not entry.prefilling:
-            self._transition(request, stats, RequestState.RUNNING)
+            self._transition(entry, RequestState.RUNNING)
 
     def _run_prefill(self, report: EngineStepReport) -> None:
         """Spend this step's leftover token budget on prompt chunks.
@@ -924,11 +892,9 @@ class ServingEngine:
         Decode-priority: every sequence that will decode this step claims
         one budget token first; what remains feeds prompt ingestion in
         admission order (FIFO completion minimises the queue head's
-        TTFT).  An unbounded budget ingests every pending prompt whole —
-        the monolithic behaviour, bit-for-bit.  Under optimistic
-        admission a chunk that outgrows the sequence's reservation (only
-        possible after a mid-prefill preemption cycle) defends itself by
-        preemption exactly like decode growth does.
+        TTFT); an unbounded budget ingests every pending prompt whole.  A
+        chunk that outgrows its sequence's reservation (only after a
+        mid-prefill preemption cycle) preempts like decode growth does.
         """
         # admission order, robust to a preempt/resume cycle re-inserting
         # an old sequence behind younger ones in the _active dict
@@ -962,21 +928,20 @@ class ServingEngine:
 
     # ------------------------------------------------------ preempt / resume
     def preempt(self, seq_id: int) -> None:
-        """Swap a pooled sequence's KV segments out of the arena.
-
-        The sequence's encoded rows (frozen-scale chunk digits + deq-V)
-        are copied out byte-exactly and its blocks freed; the sequence
-        resumes automatically — bit-identically — once headroom returns
-        (:meth:`_resume_preempted` runs at the top of every step).
-        """
-        entry = self._entry(seq_id)
+        """Swap a pooled sequence's KV segments out of the arena: its
+        encoded rows are copied out byte-exactly and its blocks freed; it
+        resumes bit-identically once headroom returns
+        (:meth:`_resume_preempted` runs at the top of every step)."""
+        entry = self._active.get(seq_id)
+        if entry is None:
+            raise KeyError(f"unknown sequence {seq_id}")
         swapped = self.pool.swap_out(seq_id)
         if self.tiers is not None:
             self.tiers.on_swap_out(seq_id, swapped)
         del self._active[seq_id]
         entry.swapped = swapped
         self._preempted[seq_id] = entry
-        self._transition(entry.request, entry.stats, RequestState.PREEMPTED)
+        self._transition(entry, RequestState.PREEMPTED)
 
     def _resume_preempted(self, report: EngineStepReport) -> None:
         """Swap preempted sequences back in, oldest preemption first.
@@ -1003,7 +968,7 @@ class ServingEngine:
             rec.swapped = None
             self._active[seq_id] = rec
             report.resumed.append(rec.request.request_id)
-            self._transition(rec.request, rec.stats, (
+            self._transition(rec, (
                 RequestState.PREFILLING if rec.prefilling
                 else RequestState.RUNNING
             ))
@@ -1011,22 +976,16 @@ class ServingEngine:
     def _victim_candidates(self) -> List[VictimCandidate]:
         return [
             VictimCandidate(
-                seq_id=entry.seq_id,
-                request_id=entry.request.request_id,
-                retained_mass=entry.stats.mean_retained_mass,
-                admitted_step=entry.stats.admitted_step,
-                context_length=self.pool.length(entry.seq_id),
-                remaining_tokens=(
-                    entry.pending_prompt_tokens + entry.remaining
-                ),
+                e.seq_id, e.request.request_id, e.stats.mean_retained_mass,
+                e.stats.admitted_step, self.pool.length(e.seq_id),
+                e.pending_prompt_tokens + e.remaining,
                 hot_tokens=(
-                    self.tiers.hot_tokens(entry.seq_id)
-                    if self.tiers is not None
-                    else self.pool.length(entry.seq_id)
+                    self.tiers.hot_tokens(e.seq_id) if self.tiers is not None
+                    else self.pool.length(e.seq_id)
                 ),
-                prefilling=entry.prefilling,
+                prefilling=e.prefilling,
             )
-            for entry in self._active.values()
+            for e in self._active.values()
         ]
 
     def _ensure_tokens(
@@ -1063,42 +1022,69 @@ class ServingEngine:
                 if victim == entry.seq_id:
                     return False
 
-    # ----------------------------------------------------------- fused decode
-    def _run_kernel(
-        self,
-        qs: np.ndarray,
-        q_scales: np.ndarray,
-        k_scales: np.ndarray,
-        v_scales: np.ndarray,
-        segments: np.ndarray,
-        phase_times: Dict[str, float],
-    ) -> "RaggedPickerResult":
-        """The step's attention kernel: one fused call on the whole
-        arena, through the shard group on a head-sharded engine."""
-        kernel_kw = dict(
-            q_scales=q_scales,
-            k_scales=k_scales,
-            v_scales=v_scales,
-            segments=segments,
-            scratch=self._scratch,
-            phase_times=phase_times,
+    # ----------------------------------------------------------------- step
+    def step(self) -> EngineStepReport:
+        """One engine step through its named stages: resume, admit,
+        prefill, grow, pack, kernel, account/retire (module docstring).
+        A sequence joins the fused decode batch the step its last prompt
+        chunk lands.  The phases of :data:`repro.obs.trace.PHASE_ORDER`
+        are laps of one clock: the kernel laps its own."""
+        report = EngineStepReport(
+            step_index=self._step_index, wall_start=time.perf_counter()
         )
-        if self._shard_group is not None:
-            return self._shard_group.run(qs, self.config, **kernel_kw)
-        return token_picker_attention_ragged(
-            qs,
-            self.config,
-            k_plane_arena=self.pool.k_arena,
-            v_arena=self.pool.v_arena,
-            **kernel_kw,
+        if self._preempted:
+            self._resume_preempted(report)
+        clock = PhaseClock(report.phase_seconds)
+        admitted = self.scheduler.admit(
+            lambda rec: self.pool is None
+            or self.pool.can_fit(self._admission_tokens(rec.request)),
+            self.n_active,
+            self._admit,
+            allow_bypass=self.allow_bypass,
         )
+        report.admitted = [rec.request.request_id for rec in admitted]
+        self._run_prefill(report)
+        clock.lap("prefill")
+        pooled = self._grow(report)
+        if pooled:
+            clock.restart()
+            seq_ids, draws, scales, segments = self._pack(pooled)
+            clock.lap("pack")
+            results, tier_bits, demoted = self._kernel(
+                seq_ids, draws[0], scales, segments, report
+            )
+            clock.restart()
+            self._account(pooled, results, tier_bits, demoted, report)
+            clock.lap("unpack")
+        self._step_index += 1
+        self._close_step(report)
+        return report
 
-    def _draw(self, pooled: List[SequenceRecord]) -> np.ndarray:
-        """Every decoding sequence's next ``(q, k, v)``: a ``(3, S, H,
-        d)`` stack.  A draw that is not three finite ``(H, d)`` arrays
-        raises ``ValueError`` naming its request, before anything is
-        appended — a NaN key would encode as digit 0, a NaN value poison
-        every later output, a ``(d,)`` row broadcast to every head."""
+    def _grow(self, report: EngineStepReport) -> List[SequenceRecord]:
+        """Make room for every decoding sequence's next token — a no-op
+        under conservative admission; under a memory manager a growth
+        that does not fit preempts victims (maybe itself).  Returns the
+        step's decode batch."""
+        for entry in [e for e in self._active.values() if not e.prefilling]:
+            if entry.seq_id in self._active:  # not evicted as a victim
+                target = self.pool.length(entry.seq_id) + 1
+                self._ensure_tokens(entry, target, report)
+        pooled = [e for e in self._active.values() if not e.prefilling]
+        for rec in self._preempted.values():
+            rec.stats.preempted_steps += 1
+        report.n_active = len(pooled)
+        return pooled
+
+    def _pack(self, pooled: List[SequenceRecord]):
+        """Draw every decoding sequence's next ``(q, k, v)``, count clips
+        against the frozen calibration window, append (the pool encodes
+        once, in place).  Returns the sequence ids, the ``(3, S, H, d)``
+        draws, the ``(3, S, H)`` q/k/v scales and the segment table.
+
+        A draw that is not three finite ``(H, d)`` arrays raises
+        ``ValueError`` naming its request, before anything is appended —
+        a NaN key would encode as digit 0, a NaN value poison every later
+        output, a ``(d,)`` row broadcast to every head."""
         shape = (self.pool.n_heads, self.pool.head_dim)
         draws = np.empty((3, len(pooled)) + shape)
         for i, entry in enumerate(pooled):
@@ -1115,259 +1101,82 @@ class ServingEngine:
                 f"{bad.stats.generated_tokens} must be three finite {shape} "
                 f"arrays (q, k, v); nothing was appended"
             )
-        return draws
-
-    def step(self) -> EngineStepReport:
-        """One fused decode step: resume, admit, prefill, batch-attend,
-        retire.  Prompt ingestion is budgeted with decode priority
-        (active decodes each claim one budget token, the leftover feeds
-        prefill — decode is never throttled); a sequence joins the fused
-        decode batch the step its last prompt chunk lands."""
-        now = self._step_index
-        report = EngineStepReport(
-            step_index=now, wall_start=time.perf_counter()
-        )
-        if self._preempted:
-            self._resume_preempted(report)
-        # ---- prefill: admission and this step's prompt chunks
-        t_mark = time.perf_counter()
-        admitted = self.scheduler.admit(
-            lambda r: self.pool is None
-            or self.pool.can_fit(self._admission_tokens(r)),
-            self.n_active,
-            self._prefill,
-            allow_bypass=self.allow_bypass,
-        )
-        report.admitted = [r.request_id for r in admitted]
-        self._run_prefill(report)
-        report.phase_seconds["prefill"] = time.perf_counter() - t_mark
-
-        # decode growth: every decoding sequence can append one token — a
-        # no-op under conservative admission; under a memory manager a
-        # growth that does not fit preempts victims (maybe itself)
-        for entry in [e for e in self._active.values() if not e.prefilling]:
-            if entry.seq_id in self._active:  # not evicted as a victim
-                target = self.pool.length(entry.seq_id) + 1
-                self._ensure_tokens(entry, target, report)
-        pooled = [e for e in self._active.values() if not e.prefilling]
-        for rec in self._preempted.values():
-            rec.stats.preempted_steps += 1
-        report.n_active = len(pooled)
-        self.peak_concurrency = max(self.peak_concurrency, len(pooled))
-        if not pooled:
-            self._step_index += 1
-            self._trace_step(report)
-            return report
-
-        # ---- pack: draw every sequence's new token, count clips against
-        # the frozen calibration window, append (the pool encodes once,
-        # in place).
-        t_mark = time.perf_counter()
-        draws = self._draw(pooled)
-        # (3, S, H) q/k/v scales: the kernel's scale arguments, one clip count
-        stack = np.array([
+        scales = np.array([
             [e.scales.q_scale for e in pooled],
             [e.scales.k_scale for e in pooled],
             [e.scales.v_scale for e in pooled],
         ])
         clip_counts = (
-            np.abs(draws) > stack[..., None] * self.config.quant.qmax
+            np.abs(draws) > scales[..., None] * self.config.quant.qmax
         ).sum(axis=(0, 2, 3))
         for entry, clips in zip(pooled, clip_counts):
             entry.stats.clip_events += int(clips)
         seq_ids = [e.seq_id for e in pooled]
         self.pool.append_rows(seq_ids, draws[1], draws[2])
         if self.tiers is not None:
-            for sid in seq_ids:
-                self.tiers.note_append(sid, 1, now)
-        segments = self.pool.segments_of(seq_ids)
-        report.phase_seconds["pack"] = time.perf_counter() - t_mark
+            self.tiers.note_decode(seq_ids, self._step_index)
+        return seq_ids, draws, scales, self.pool.segments_of(seq_ids)
 
-        # ---- one fused kernel call straight on the arena: the segment
-        # table is the only per-step metadata, no packing copies
-        ragged = self._run_kernel(
-            draws[0], *stack, segments, report.phase_seconds
+    def _kernel(
+        self,
+        seq_ids: List[int],
+        qs: np.ndarray,
+        scales: np.ndarray,
+        segments: np.ndarray,
+        report: EngineStepReport,
+    ):
+        """The step's one fused kernel call, straight on the arena (the
+        segment table is the only per-step metadata, no packing copies;
+        through the shard group on a head-sharded engine), then the tier
+        store's and the shard group's reads of its results.  Returns the
+        results and, from the tier store, each sequence's ``(fast_bits,
+        slow_bits)`` and demoted mask (both None untiered)."""
+        kernel_kw = dict(
+            q_scales=scales[0], k_scales=scales[1], v_scales=scales[2],
+            segments=segments, scratch=self._scratch,
+            phase_times=report.phase_seconds,
         )
+        if self._shard_group is not None:
+            ragged = self._shard_group.run(qs, self.config, **kernel_kw)
+        else:
+            ragged = token_picker_attention_ragged(
+                qs, self.config, k_plane_arena=self.pool.k_arena,
+                v_arena=self.pool.v_arena, **kernel_kw,
+            )
         report.ragged_utilization = Scheduler.ragged_utilization(
             segments[:, 1].tolist()
         )
-        if ragged.round_alive is not None:
-            report.round_alive = ragged.round_alive
-            self.round_alive_totals += ragged.round_alive
-
-        tier_bits: Optional[Dict[int, Tuple[int, int]]] = None
+        report.round_alive = ragged.round_alive
+        tier_bits = demoted = None
         if self.tiers is not None:
-            tier_bits = self._tier_post_kernel(pooled, ragged.results, report)
+            tier_bits, report.tier_promotions, demoted = (
+                self.tiers.after_kernel(
+                    seq_ids, ragged.results, self._step_index
+                )
+            )
         if self._shard_group is not None:
             report.shard_views = self._shard_group.step_views(ragged.results)
-            self.allgather_bits_total += sum(
-                v.allgather_bits for v in report.shard_views
-            )
-            self.allgather_baseline_bits_total += sum(
-                v.baseline_allgather_bits for v in report.shard_views
-            )
-
-        t_mark = time.perf_counter()
-        demoted_masks = (
-            [self.tiers.demoted_mask(e.seq_id) for e in pooled]
-            if self.tiers is not None
-            else None
-        )
-        step_stats = self._account(
-            pooled, ragged.results, instances=self.pool.n_heads,
-            demoted_masks=demoted_masks,
-        )
-        for entry, result, stats in zip(pooled, ragged.results, step_stats):
-            fast_bits, slow_bits = (
-                tier_bits[entry.seq_id] if tier_bits is not None else (-1, -1)
-            )
-            report.results[entry.seq_id] = result
-            report.per_sequence[entry.seq_id] = SequenceStepView(
-                seq_id=entry.seq_id,
-                request_id=entry.request.request_id,
-                context_length=self.pool.length(entry.seq_id),
-                stats=stats,
-                fast_bits=fast_bits,
-                slow_bits=slow_bits,
-            )
-            entry.stats.generated_tokens += 1
-            if entry.stats.generated_tokens == 1:
-                self._transition(entry.request, entry.stats, "first_token")
-            entry.remaining -= 1
-            if entry.remaining <= 0:
-                report.retired.append(
-                    self._finish(entry.request, "finished", entry.seq_id)
-                )
-        if self.tiers is not None:
-            report.tier_demotions += self.tiers.run_policy(now)
-        report.phase_seconds["unpack"] = (
-            report.phase_seconds.get("unpack", 0.0)
-            + time.perf_counter()
-            - t_mark
-        )
-        self._step_index += 1
-        self._trace_step(report)
-        return report
-
-    def _trace_step(self, report: EngineStepReport) -> None:
-        """Stamp the step's wall time and (when sampled) emit its span.
-
-        ``wall_seconds`` is always measured — the cluster router reads it
-        in place of its own timer, so the step-latency float the live
-        histograms observe and the one the trace carries are the *same*
-        value.  The span itself is emitted only when tracing is on, the
-        step is sampled, and the step did any work.
-        """
-        report.wall_seconds = time.perf_counter() - report.wall_start
-        tracer = self.tracer
-        if not tracer or not tracer.want_step(report.step_index):
-            return
-        if not (report.per_sequence or report.prefill_tokens or report.admitted):
-            return
-        self.trace_payloads_built += 1
-        args: Dict[str, object] = {
-            "step": report.step_index,
-            "wall_seconds": report.wall_seconds,
-            "tokens": report.tokens_generated,
-            "admitted": len(report.admitted),
-            "preempted": len(report.preempted),
-            "resumed": len(report.resumed),
-            "retired": len(report.retired),
-            "prefilling": report.prefilling,
-            "prefill_tokens": report.prefill_tokens,
-            "ragged_utilization": report.ragged_utilization,
-            "keep_fraction": self.counter.keep_fraction,
-        }
-        if report.round_alive is not None:
-            args["round_alive"] = [int(x) for x in report.round_alive]
-        if self.tiers is not None:
-            args["tier_demotions"] = report.tier_demotions
-            args["tier_promotions"] = report.tier_promotions
-        if report.shard_views:
-            args["n_shards"] = len(report.shard_views)
-            args["allgather_bits"] = sum(
-                v.allgather_bits for v in report.shard_views
-            )
-        if report.per_sequence:
-            fast = sum(
-                v.fast_bits for v in report.per_sequence.values()
-                if v.fast_bits >= 0
-            )
-            slow = sum(
-                v.slow_bits for v in report.per_sequence.values()
-                if v.slow_bits >= 0
-            )
-            if fast or slow:
-                args["fast_bits"] = fast
-                args["slow_bits"] = slow
-        tracer.step_span(
-            self.trace_label,
-            ts=report.wall_start,
-            dur=report.wall_seconds,
-            args=args,
-            phase_seconds=report.phase_seconds or None,
-        )
-
-    def _tier_post_kernel(
-        self,
-        pooled: List[SequenceRecord],
-        results: Sequence[RaggedSequenceResult],
-        report: EngineStepReport,
-    ) -> Dict[int, Tuple[int, int]]:
-        """On-demand promotion, then the tier store's per-step signals.
-
-        The step's one kernel pass read exact digits for every token.  A
-        demoted token it pruned within the sketch rounds read only sketch
-        digits, so the cold tier's bytes could not change its decision; a
-        demoted token that *outlived* the sketch is promoted (charged as a
-        slow -> fast move), and the pass already holds what its exact
-        bytes give.  Every result then feeds the policy signals and the
-        per-tier traffic split.
-        """
-        tier_bits: Dict[int, Tuple[int, int]] = {}
-        for entry, result in zip(pooled, results):
-            need = self.tiers.tokens_needing_promotion(entry.seq_id, result)
-            if need.size:
-                report.tier_promotions += self.tiers.promote(
-                    entry.seq_id, need
-                )
-            tier_bits[entry.seq_id] = self.tiers.observe_step(
-                entry.seq_id, result, self._step_index
-            )
-        return tier_bits
-
-    def run_until_drained(
-        self, max_steps: int = 100_000
-    ) -> List[EngineStepReport]:
-        """Step until queue and batch are empty; returns every step report."""
-        reports: List[EngineStepReport] = []
-        while (
-            self.n_pending or self.n_active or self.n_preempted
-        ) and len(reports) < max_steps:
-            reports.append(self.step())
-        if self.n_pending or self.n_active or self.n_preempted:
-            raise RuntimeError(f"engine not drained after {max_steps} steps")
-        return reports
+        return ragged.results, tier_bits, demoted
 
     def _account(
         self,
-        entries: Sequence[SequenceRecord],
+        pooled: List[SequenceRecord],
         results: Sequence[RaggedSequenceResult],
-        instances: int,
-        demoted_masks: Optional[Sequence[np.ndarray]] = None,
-    ) -> List[PruneStats]:
-        """Per-sequence + engine-wide traffic accounting for one step,
-        from each result's O(1) ``stats()``.
+        tier_bits: Optional[Sequence[Tuple[int, int]]],
+        demoted: Optional[Sequence[np.ndarray]],
+        report: EngineStepReport,
+    ) -> None:
+        """Per-sequence and engine-wide traffic accounting from each
+        result's O(1) ``stats()``, each sequence's view and new token,
+        retirement of the finished ones, then the tier store's demotions.
 
-        ``demoted_masks`` (tiered engines only) excludes demoted tokens
-        from the retained-mass bound: after the step's promotions every
-        demoted token died within the sketch rounds, and the tier store
-        tracks its mass per token instead — by construction of the
-        demotion policy it is negligible.
-        """
-        step_stats: List[PruneStats] = []
+        ``demoted`` (tiered engines) drops demoted tokens from the
+        retained-mass bound: after the step's promotions each died within
+        the sketch rounds, and the tier store tracks its (by construction
+        negligible) mass per token instead."""
         track_mass = self.memory_manager is not None
-        for i, (entry, result) in enumerate(zip(entries, results)):
+        n_heads = self.pool.n_heads
+        for i, (entry, result) in enumerate(zip(pooled, results)):
             stats = result.stats()
             if track_mass and result.n_tokens:
                 # estimated attention probability mass retained this step:
@@ -1377,18 +1186,62 @@ class ServingEngine:
                 # Only computed when a memory manager can consume it, so
                 # the default hot path pays nothing.
                 bounds = result.pruned_bounds()
-                if demoted_masks is not None and demoted_masks[i].any():
-                    bounds[:, demoted_masks[i]] = 0.0
+                if demoted is not None and demoted[i].any():
+                    bounds[:, demoted[i]] = 0.0
                 lost = np.minimum(bounds.sum(axis=1), 1.0)
                 entry.stats.retained_mass_sum += float(1.0 - lost.mean())
                 entry.stats.retained_mass_steps += 1
-            entry.stats.counter.add(stats, instances)
-            self.counter.add(stats, instances)
-            step_stats.append(stats)
-        return step_stats
+            entry.stats.counter.add(stats, n_heads)
+            self.counter.add(stats, n_heads)
+            fast_bits, slow_bits = (
+                tier_bits[i] if tier_bits is not None else (-1, -1)
+            )
+            report.results[entry.seq_id] = result
+            report.per_sequence[entry.seq_id] = SequenceStepView(
+                entry.seq_id, entry.request.request_id,
+                self.pool.length(entry.seq_id), stats, fast_bits, slow_bits,
+            )
+            entry.stats.generated_tokens += 1
+            if entry.stats.generated_tokens == 1:
+                self._transition(entry, "first_token")
+            entry.remaining -= 1
+            if entry.remaining <= 0:
+                report.retired.append(self._finish(entry, "finished"))
+        if self.tiers is not None:
+            report.tier_demotions = self.tiers.run_policy(self._step_index)
 
-    def _entry(self, seq_id: int) -> SequenceRecord:
-        try:
-            return self._active[seq_id]
-        except KeyError:
-            raise KeyError(f"unknown sequence {seq_id}") from None
+    def _close_step(self, report: EngineStepReport) -> None:
+        """Stamp the step's wall time (always: the cluster router reads
+        it in place of its own timer), fold the finished report into the
+        engine's totals, and trace it when tracing is on, the step is
+        sampled and it did any work — the tracer builds the payload."""
+        report.wall_seconds = time.perf_counter() - report.wall_start
+        self.peak_concurrency = max(self.peak_concurrency, report.n_active)
+        self.prefill_chunks_total += report.prefill_chunks
+        self.prefill_tokens_total += report.prefill_tokens
+        if report.round_alive is not None:
+            self.round_alive_totals += report.round_alive
+        for view in report.shard_views:
+            self.allgather_bits_total += view.allgather_bits
+            self.allgather_baseline_bits_total += view.baseline_allgather_bits
+        tracer = self.tracer
+        if not tracer or not tracer.want_step(report.step_index):
+            return
+        if report.per_sequence or report.prefill_tokens or report.admitted:
+            self.trace_payloads_built += 1
+            tracer.engine_step(
+                self.trace_label, report,
+                keep_fraction=self.counter.keep_fraction,
+                tiered=self._tier_config is not None,
+            )
+
+    def run_until_drained(
+        self, max_steps: int = 100_000
+    ) -> List[EngineStepReport]:
+        """Step until queue and batch are empty; returns every step report."""
+        reports: List[EngineStepReport] = []
+        while self.n_pending or self.n_active or self.n_preempted:
+            if len(reports) >= max_steps:
+                raise RuntimeError(f"engine not drained after {max_steps} steps")
+            reports.append(self.step())
+        return reports

@@ -1,13 +1,16 @@
 """Continuous-batching admission control.
 
-The scheduler owns the pending queue: requests are admitted FIFO whenever a
-batch slot *and* enough KV-pool headroom for the request's admission
-footprint are available.  Under the default *conservative* rule the
-footprint is the full lifetime (prompt + ``max_new_tokens``), which makes
-mid-flight pool exhaustion impossible, so the engine never needs
-preemption; :mod:`repro.cluster.memory` supplies the *optimistic*
-alternative (prompt-only admission + probability-guided preemption) that
-trades that guarantee for batch occupancy.  Finished sequences retire
+The scheduler owns the pending queue (the serving engine queues one
+:class:`~repro.serving.engine.SequenceRecord` per request; the queue
+reads items only through the ``can_fit`` / ``prefill`` callbacks).
+Requests are admitted FIFO whenever a batch slot *and* enough KV-pool
+headroom for the request's admission footprint are available.  Under
+the default *conservative* rule the footprint is the full lifetime
+(prompt + ``max_new_tokens``), which makes mid-flight pool exhaustion
+impossible, so the engine never needs preemption;
+:mod:`repro.cluster.memory` supplies the *optimistic* alternative
+(prompt-only admission + probability-guided preemption) that trades
+that guarantee for batch occupancy.  Finished sequences retire
 every step, which is exactly what frees slots and blocks for the next
 admission: batches re-fill continuously instead of draining in lockstep.
 An optional small-request bypass (``admit(..., allow_bypass=True)``)
@@ -22,9 +25,7 @@ rectangular pad-to-max batch would have wasted on the same lengths.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
-
-from repro.serving.request import GenerationRequest
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
 
 class Scheduler:
@@ -56,13 +57,12 @@ class Scheduler:
             )
         self.max_batch_size = max_batch_size
         self.prefill_budget_tokens = prefill_budget_tokens
-        self.pending: Deque[GenerationRequest] = deque()
-        self.admitted_total = 0
+        self.pending: Deque[Any] = deque()
         self.bypassed_total = 0
 
     # ------------------------------------------------------------- admission
-    def submit(self, request: GenerationRequest) -> None:
-        self.pending.append(request)
+    def submit(self, item: Any) -> None:
+        self.pending.append(item)
 
     @property
     def n_pending(self) -> int:
@@ -70,11 +70,11 @@ class Scheduler:
 
     def admit(
         self,
-        can_fit: Callable[[GenerationRequest], bool],
+        can_fit: Callable[[Any], bool],
         n_active: int,
-        prefill: Callable[[GenerationRequest], None],
+        prefill: Callable[[Any], None],
         allow_bypass: bool = False,
-    ) -> List[GenerationRequest]:
+    ) -> List[Any]:
         """Admit queued requests while slots and pool headroom allow.
 
         ``can_fit`` is re-evaluated per candidate (each ``prefill`` commits
@@ -90,7 +90,7 @@ class Scheduler:
         as soon as capacity frees up; bypass trades its worst-case wait
         for batch occupancy.
         """
-        admitted: List[GenerationRequest] = []
+        admitted: List[Any] = []
         while (
             self.pending
             and n_active + len(admitted) < self.max_batch_size
@@ -108,10 +108,8 @@ class Scheduler:
             # the rest of the queue for admissible small requests.  The
             # scan short-circuits the moment slots run out: candidates
             # past that point are unadmittable, so the tail is left in
-            # place instead of being popped and re-appended wholesale
-            # (the old scan churned the entire deque every step a head
-            # blocked, O(queue) per step on a backlogged engine).
-            survivors: List[GenerationRequest] = [self.pending.popleft()]
+            # place instead of being popped and re-appended wholesale.
+            survivors: List[Any] = [self.pending.popleft()]
             while (
                 self.pending
                 and n_active + len(admitted) < self.max_batch_size
@@ -124,18 +122,7 @@ class Scheduler:
                 else:
                     survivors.append(request)
             self.pending.extendleft(reversed(survivors))
-        self.admitted_total += len(admitted)
         return admitted
-
-    def counters(self) -> Dict[str, int]:
-        """Lifetime admission counters, in one dict — what
-        :func:`repro.obs.profile.export_engine_metrics` projects onto the
-        metrics registry."""
-        return {
-            "pending": self.n_pending,
-            "admitted": self.admitted_total,
-            "bypassed": self.bypassed_total,
-        }
 
     # --------------------------------------------------------------- packing
     @staticmethod

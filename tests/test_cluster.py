@@ -401,6 +401,43 @@ class TestRouter:
         ]
         assert placements == [0, 1, 2, 0, 1, 2]
 
+    def test_refused_submit_keeps_the_round_robin_turn(self):
+        """Regression: the turn advanced before the replica's submit could
+        refuse the request, so a refused request cost the next replica
+        its turn and two good requests in a row landed on replica 0."""
+        rng = np.random.default_rng(3)
+        router = ClusterRouter(
+            2, CFG, policy="round-robin", max_batch_size=4,
+            capacity_tokens=1024, seed=0,
+        )
+        first, _ = router.submit(synthetic_request(rng, 2, 24, 16, 4))
+        bad = synthetic_request(rng, 2, 24, 16, 4)
+        bad.prompt_keys[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            router.submit(bad)
+        second, _ = router.submit(synthetic_request(rng, 2, 24, 16, 4))
+        third, _ = router.submit(synthetic_request(rng, 2, 24, 16, 4))
+        assert [first, second, third] == [0, 1, 0]
+
+    def test_revive_keeps_the_aborted_history(self):
+        """Regression: a revive archived only the old engine's finished
+        requests, so its cancelled and timed-out ones vanished from
+        ``cancelled`` and from the summary's ``requests_cancelled``."""
+        rng = np.random.default_rng(4)
+        router = ClusterRouter(
+            2, CFG, policy="round-robin", max_batch_size=4,
+            capacity_tokens=1024, seed=0,
+        )
+        rid, request_id = router.submit(synthetic_request(rng, 2, 24, 16, 4))
+        router.replicas[rid].cancel(request_id)
+        assert len(router.cancelled) == 1
+        router.kill_replica(rid)
+        router.revive_replica(rid)
+        assert [(r, done.request_id) for r, done in router.cancelled] == [
+            (rid, request_id)
+        ]
+        assert router.summary()["requests_cancelled"] == 1
+
     def test_least_loaded_prefers_idle_replica(self):
         rng = np.random.default_rng(1)
         router = ClusterRouter(

@@ -229,7 +229,6 @@ class TestDemotePromoteBytes:
         k = rng.integers(-8, 16, size=(32, N_HEADS * CFG.quant.n_chunks, HEAD_DIM))
         v = rng.integers(-2048, 2048, size=(32, N_HEADS, HEAD_DIM))
         pool.append_encoded(7, k.astype(np.int8), v.astype(np.int16))
-        store.register(7)
         store.note_append(7, 32, step=0)
         return store, pool
 

@@ -2,7 +2,7 @@
 
 Covers the span recorder's bookkeeping (exactly-once closure, imbalance
 reporting, sampling), both exporters against their own schema
-validators, the registry-backed ``--profile`` renderer, the Prometheus
+validators, the engine-backed ``--profile`` renderer, the Prometheus
 text exposition, and the :class:`MetricsRegistry` serialization
 round-trip.
 """
@@ -22,8 +22,8 @@ from repro.obs import (
     validate_trace,
     validate_trace_file,
 )
-from repro.obs.profile import export_engine_metrics, render_profile
-from repro.serving import ServingEngine, synthetic_request
+from repro.obs.profile import render_profile
+from repro.serving import GenerationRequest, ServingEngine, synthetic_request
 
 N_HEADS, HEAD_DIM = 2, 8
 
@@ -245,22 +245,10 @@ class TestSchema:
         assert main([]) == 2
 
 
-# -------------------------------------------------- registry-backed profiles
+# ----------------------------------------------------------------- profiles
 
 
 class TestProfile:
-    def test_export_engine_metrics_populates_registry(self):
-        engine = _drained_engine()
-        registry = export_engine_metrics(engine)
-        done = {
-            labels.get("replica") is None and metric.value
-            for name, labels, metric in registry.series("requests_completed")
-        }
-        assert done == {float(len(engine.completed))}
-        gen = sum(c.stats.generated_tokens for c in engine.completed)
-        ((_, _, tokens),) = list(registry.series("generated_tokens"))
-        assert tokens.value == gen
-
     def test_render_profile_reflects_engine_counters(self):
         engine = _drained_engine(prefill_budget_tokens=8)
         lines = render_profile(engine)
@@ -284,6 +272,43 @@ class TestProfile:
         text = "\n".join(render_profile(engine))
         assert "kv tiering (mass policy" in text
         assert "prefix cache: hit rate" in text
+
+    def test_render_profile_lines_pinned(self):
+        """Every block of a tiered, prefix-cached, chunked-prefill
+        engine's profile, byte for byte (five requests sharing a 16-token
+        prompt prefix)."""
+        from repro.kvstore import RadixKVCache, TierConfig
+
+        rng = np.random.default_rng(11)
+        shared_k, shared_v = rng.normal(size=(2, 2, 16, 8))
+        engine = ServingEngine(
+            TokenPickerConfig(threshold=2e-3), seed=11, max_batch_size=3,
+            capacity_tokens=512, prefill_budget_tokens=8,
+            kv_tiering=TierConfig(
+                policy="mass", hot_tail=4, min_seen=1, survive_idle_steps=1
+            ),
+            prefix_cache=RadixKVCache(capacity_tokens=4096),
+        )
+        for _ in range(5):
+            own_k, own_v = rng.normal(size=(2, 2, 12, 8))
+            engine.submit(GenerationRequest(
+                prompt_keys=np.concatenate([shared_k, own_k], axis=1),
+                prompt_values=np.concatenate([shared_v, own_v], axis=1),
+                max_new_tokens=10,
+            ))
+        engine.run_until_drained()
+        assert render_profile(engine) == [
+            "  kernel rounds: alive fraction  round 0: 1.000  "
+            "round 1: 0.820  round 2: 0.562  kept: 0.5388",
+            "    chunks fetched: 1ch: 18.0%  2ch: 25.8%  3ch: 56.2%",
+            "  chunked prefill (budget 8): 140 prompt tokens in 24 chunks "
+            "(mean 5.8 tokens/chunk)",
+            "  kv tiering (mass policy, 2-chunk sketch): 18 demotions, "
+            "18 promotions",
+            "    modelled traffic: fast 1,283 B/token, slow 169 B/token",
+            "  prefix cache: hit rate 45.7% (64/140 prompt tokens), "
+            "76 tokens resident",
+        ]
 
     def test_render_profile_untouched_engine_is_empty(self):
         engine = ServingEngine(

@@ -366,7 +366,8 @@ class TestSubmitRefusesUnfreezable:
 
         def snapshot():
             return (
-                list(engine._queued), engine._next_request_id,
+                [rec.request.request_id for rec in engine.scheduler.pending],
+                engine._next_request_id,
                 engine.n_pending, tracer.open_span_count, len(tracer.events),
             )
 
@@ -377,7 +378,7 @@ class TestSubmitRefusesUnfreezable:
         assert bad.request_id is None and bad.state is RequestState.QUEUED
         submit(synthetic_request(rng, 2, 24, 8, max_new_tokens=2))
         engine.run_until_drained()
-        assert len(engine.completed) == 2 and not engine._queued
+        assert len(engine.completed) == 2 and not engine.scheduler.pending
         assert tracer.open_span_count == 0 and not tracer.errors
 
     @pytest.mark.parametrize(
@@ -509,7 +510,9 @@ class TestSchedulerBypass:
         report = engine.step()
         assert report.admitted == [small]
         assert engine.scheduler.bypassed_total == 1
-        assert [r.request_id for r in engine.scheduler.pending] == [big]
+        assert [
+            rec.request.request_id for rec in engine.scheduler.pending
+        ] == [big]
         engine.run_until_drained()
         assert len(engine.completed) == 3
 
