@@ -5,18 +5,21 @@ loses *nothing else*.  This module drives a
 :class:`~repro.cluster.router.ClusterRouter` through a seeded schedule of
 :class:`FaultEvent`\\ s — replica kills and revivals — and re-places
 every in-flight request of a dead replica on the survivors with capped
-exponential backoff:
+exponential backoff.  A kill harvests the dead engine's
+:class:`~repro.serving.engine.SequenceRecord`\\ s, and each record says
+how it recovers:
 
-* **swap-resume**: a sequence that was swapped out of the dead arena has
-  a byte-exact host-memory copy
-  (:class:`~repro.serving.engine.PreemptedExport`); a survivor adopts it
-  and decode continues from the exact token it stopped at.
-* **re-prefill**: a sequence resident in the dead arena lost its KV; its
-  request resubmits from scratch.  Decode streams replay from the
-  request's ``seed``, and per-sequence kernel results are independent of
-  batch composition, so the re-run's outputs are **bit-identical** to a
-  fault-free run — the property the hypothesis sweep in
-  ``tests/test_faults.py`` pins.
+* **requeue**: a record that was never admitted (``seq_id`` -1)
+  resubmits untouched.
+* **swap-resume**: a record swapped out of the dead arena (``swapped``
+  set) holds a byte-exact host-memory copy; a survivor adopts it and
+  decode continues from the exact token it stopped at.
+* **re-prefill**: any other record was resident in the dead arena and
+  lost its KV; its request resubmits from scratch.  Decode streams
+  replay from the request's ``seed``, and per-sequence kernel results
+  are independent of batch composition, so the re-run's outputs are
+  **bit-identical** to a fault-free run — the property the hypothesis
+  sweep in ``tests/test_faults.py`` pins.
 
 Everything is deterministic: the schedule is a pure function of its
 seed, events fire on router step indices (never wall-clock), and
@@ -31,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.router import ClusterRouter, ClusterStepReport
-from repro.serving.engine import PreemptedExport
+from repro.serving.engine import SequenceRecord
 from repro.serving.request import CompletedRequest, GenerationRequest
 
 FAULT_ACTIONS = ("kill", "revive")
@@ -101,16 +104,20 @@ def fault_schedule(
 
 @dataclass
 class _RetryItem:
-    """One harvested request waiting out its backoff."""
+    """One harvested record waiting out its backoff."""
 
     key: object
     due_step: int
     attempt: int
-    #: "requeued" (never prefilled), "lost" (arena KV gone, must
-    #: re-prefill) or "swapped" (host copy available, try swap-resume)
-    kind: str = "requeued"
-    request: Optional[GenerationRequest] = None
-    export: Optional[PreemptedExport] = None
+    rec: SequenceRecord
+
+    @property
+    def kind(self) -> str:
+        """"swapped" (host copy: try swap-resume), "requeued" (never
+        admitted) or "lost" (arena KV gone: re-prefill)."""
+        if self.rec.swapped is not None:
+            return "swapped"
+        return "requeued" if self.rec.seq_id < 0 else "lost"
 
 
 @dataclass
@@ -198,42 +205,14 @@ class FaultInjector:
             self.stats.events_skipped += 1
             return
         self.stats.kills += 1
-        now = self.router.step_index
-        due = now + self._backoff(1)
-        items: List[_RetryItem] = []
-        for request in harvest.queued:
-            items.append(
-                _RetryItem(
-                    key=self._pop_key(event.replica, request.request_id),
-                    due_step=due,
-                    attempt=1,
-                    kind="requeued",
-                    request=request,
-                )
+        due = self.router.step_index + self._backoff(1)
+        self._retry.extend(
+            _RetryItem(
+                self._pop_key(event.replica, rec.request.request_id),
+                due, 1, rec,
             )
-        for export in harvest.swapped:
-            items.append(
-                _RetryItem(
-                    key=self._pop_key(
-                        event.replica, export.request.request_id
-                    ),
-                    due_step=due,
-                    attempt=1,
-                    kind="swapped",
-                    export=export,
-                )
-            )
-        for request in harvest.lost:
-            items.append(
-                _RetryItem(
-                    key=self._pop_key(event.replica, request.request_id),
-                    due_step=due,
-                    attempt=1,
-                    kind="lost",
-                    request=request,
-                )
-            )
-        self._retry.extend(items)
+            for rec in harvest
+        )
 
     def _pop_key(self, rid: int, request_id: Optional[int]) -> object:
         key = self._keys.pop((rid, request_id), None)
@@ -247,20 +226,19 @@ class FaultInjector:
             if item.due_step > now:
                 still_waiting.append(item)
                 continue
+            kind, request = item.kind, item.rec.request
             try:
-                if item.export is not None:
-                    rid, request_id, how = self.router.adopt_export(
-                        item.export
-                    )
+                if kind == "swapped":
+                    rid, request_id, how = self.router.adopt_export(item.rec)
                     if how == "swap_resume":
                         self.stats.swap_resumes += 1
                     else:
                         self.stats.re_prefills += 1
-                elif item.request.state.terminal:
+                elif request.state.terminal:
                     continue  # cancelled while waiting out the backoff
                 else:
-                    rid, request_id = self.router.submit(item.request)
-                    if item.kind == "requeued":
+                    rid, request_id = self.router.submit(request)
+                    if kind == "requeued":
                         self.stats.requeues += 1
                     else:
                         self.stats.re_prefills += 1
@@ -278,7 +256,7 @@ class FaultInjector:
                     "cluster",
                     "faults",
                     "fault_retry",
-                    args={"replica": rid, "kind": item.kind, "step": now},
+                    args={"replica": rid, "kind": kind, "step": now},
                 )
             self._keys[(rid, request_id)] = item.key
         self._retry = still_waiting

@@ -35,7 +35,7 @@ from repro.hw.serving import FleetCost
 from repro.obs.trace import NULL_TRACER
 from repro.serving.engine import (
     EngineStepReport,
-    FailoverHarvest,
+    SequenceRecord,
     ServingEngine,
 )
 from repro.serving.request import (
@@ -54,8 +54,6 @@ class ClusterStepReport:
 
     step_index: int
     per_replica: Dict[int, EngineStepReport] = field(default_factory=dict)
-    #: wall-clock seconds each replica's engine step took
-    step_seconds: Dict[int, float] = field(default_factory=dict)
 
     @property
     def tokens_generated(self) -> int:
@@ -83,7 +81,6 @@ class ClusterRouter:
         allow_bypass: bool = False,
         prefill_budget_tokens: Optional[int] = None,
         seed: int = 0,
-        registry: Optional[MetricsRegistry] = None,
         kv_tiering=None,
         prefix_cache: bool = False,
         prefix_cache_capacity: int = 0,
@@ -125,7 +122,7 @@ class ClusterRouter:
             )
         self.policy = policy
         self.admission = admission
-        self.metrics = registry if registry is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: engine incarnations per replica slot — a revived replica's
         #: fresh engine traces under "r<id>+<gen>" so its request tracks
@@ -155,9 +152,6 @@ class ClusterRouter:
         self._dead: set = set()
         self._rr_next = 0
         self._step_index = 0
-        self._routed: Dict[int, List[int]] = {
-            rid: [] for rid in range(n_replicas)
-        }
         # deterministic occupancy accounting (no wall-clock involved);
         # the denominator counts only steps the replica was live-and-
         # routable or still finishing work, so a drained/dead replica's
@@ -270,7 +264,6 @@ class ClusterRouter:
         rid = self.select_replica(request)
         request_id = self.replicas[rid].submit(request)
         self._rr_next = rid + 1
-        self._routed[rid].append(request_id)
         self.metrics.counter("requests_routed", replica=rid).inc()
         return rid, request_id
 
@@ -300,8 +293,8 @@ class ClusterRouter:
     def rebalance(self, replica_id: int) -> int:
         """Re-route a replica's still-queued requests to its peers."""
         withdrawn = self.replicas[replica_id].withdraw_pending()
-        for request in withdrawn:
-            self.submit(request)
+        for rec in withdrawn:
+            self.submit(rec.request)
         if withdrawn:
             self.metrics.counter(
                 "requests_rebalanced", replica=replica_id
@@ -309,15 +302,16 @@ class ClusterRouter:
         return len(withdrawn)
 
     # --------------------------------------------------------- kill / revive
-    def kill_replica(self, replica_id: int) -> "FailoverHarvest":
+    def kill_replica(self, replica_id: int) -> List[SequenceRecord]:
         """Declare a replica dead and harvest its recoverable requests.
 
         The replica stops being stepped and routed immediately.  Its
-        queued requests, swapped-out sequences (byte-exact host copies)
-        and arena-resident sequences (KV lost — re-prefill) come back as
-        a :class:`~repro.serving.engine.FailoverHarvest` the caller
-        resubmits to survivors (:class:`repro.cluster.faults.FaultInjector`
-        does so with backoff).  At least one replica must remain routable.
+        queued records, swapped-out ones (byte-exact host copies) and
+        arena-resident ones (KV lost — re-prefill) come back as the list
+        :meth:`~repro.serving.engine.ServingEngine.harvest_for_failover`
+        returns, for the caller to resubmit to survivors
+        (:class:`repro.cluster.faults.FaultInjector` does so with
+        backoff).  At least one replica must remain routable.
         """
         if not 0 <= replica_id < self.n_replicas:
             raise ValueError(f"unknown replica {replica_id}")
@@ -376,7 +370,6 @@ class ClusterRouter:
                 request_id = self.replicas[rid].adopt_preempted(export)
             except ValueError:
                 continue
-            self._routed[rid].append(request_id)
             self.metrics.counter("fault_swap_resumes", replica=rid).inc()
             return rid, request_id, "swap_resume"
         export.request.state = RequestState.QUEUED
@@ -434,7 +427,6 @@ class ClusterRouter:
             # step span carries, so trace analysis matches bit for bit
             seconds = engine_report.wall_seconds
             report.per_replica[rid] = engine_report
-            report.step_seconds[rid] = seconds
             self._observe(rid, engine, engine_report, seconds)
         self._trace_cycles(report, t_step0)
         self._step_index += 1

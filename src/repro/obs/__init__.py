@@ -19,7 +19,6 @@ _LAZY = {
     "BufferedSink": "repro.obs.sinks",
     "JsonlStreamingSink": "repro.obs.sinks",
     "NULL_TRACER": "repro.obs.trace",
-    "TeeSink": "repro.obs.sinks",
     "TraceSchemaError": "repro.obs.schema",
     "Tracer": "repro.obs.trace",
     "load_events": "repro.obs.analyze",

@@ -15,9 +15,6 @@ tracer records* from *where the records go*:
   record in :mod:`repro.obs.analyze`, so a crashed run's file shows
   exactly the spans that never terminated.  Paths ending ``.gz`` are
   gzip-compressed transparently.
-* :class:`TeeSink` — fans every record out to several child sinks; the
-  exact-parity tests drive one seeded run through a buffered and a
-  streaming sink *simultaneously* and require byte-identical analysis.
 
 A sink only needs ``emit(event)``; ``on_begin(...)`` and ``close()``
 default to no-ops, so third-party sinks (a socket, a ring buffer) are
@@ -35,7 +32,6 @@ __all__ = [
     "SpanSink",
     "BufferedSink",
     "JsonlStreamingSink",
-    "TeeSink",
     "span_record",
     "open_span_log",
 ]
@@ -158,31 +154,3 @@ class JsonlStreamingSink(SpanSink):
         if not self.closed:
             self.closed = True
             self._fh.close()
-
-
-class TeeSink(SpanSink):
-    """Fan every record out to each child sink, in order."""
-
-    def __init__(self, *sinks: SpanSink) -> None:
-        if not sinks:
-            raise ValueError("TeeSink needs at least one child sink")
-        self.sinks = list(sinks)
-
-    def on_begin(self, *args) -> None:
-        for sink in self.sinks:
-            sink.on_begin(*args)
-
-    def emit(self, event) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-    def buffered_events(self) -> Optional[list]:
-        for sink in self.sinks:
-            events = sink.buffered_events()
-            if events is not None:
-                return events
-        return None

@@ -120,6 +120,9 @@ class _NullTracer:
     def engine_step(self, *a, **kw) -> None:
         pass
 
+    def request_event(self, *a, **kw) -> None:
+        pass
+
     def cycle_span(self, *a, **kw) -> None:
         pass
 
@@ -421,6 +424,95 @@ class Tracer:
             args=args,
             phase_seconds=report.phase_seconds or None,
         )
+
+    def request_event(
+        self, process: str, rec, event: str, ts: float, *, step: int = 0,
+        tokens: int = 0,
+    ) -> None:
+        """One lifecycle event of a request on its ``req<id>`` track.
+
+        ``rec`` is read by field name (any object with :class:`repro.
+        serving.engine.SequenceRecord`'s fields) after the engine moved
+        it.  ``event`` is the state it entered, ``"resumed"``, a mark
+        (``"prefill_start"``, ``"prefill_chunk"`` of ``tokens`` rows,
+        ``"first_token"``), ``"adopted"`` from another engine, or the exit
+        it left by; ``step`` is the engine step of a preemption or resume.
+        The track follows the state:
+
+        ==========  ========================================================
+        state       spans open inside ``request`` (marks emitted)
+        ==========  ========================================================
+        QUEUED      ``queued``, from submit (the record has no ``seq_id``
+                    yet)
+        PREFILLING  ``queued``, from the first prompt chunk ``prefill``
+                    (``prefill_start``; ``prefill_chunk`` per chunk)
+        RUNNING     ``decode`` (``first_token``)
+        PREEMPTED   ``preempted``, inside the phase span it left
+        terminal    none: ``request`` closes with the state — or with
+                    ``withdrawn`` / ``exported`` / ``lost`` for a hand-off
+        ==========  ========================================================
+        """
+        request, stats = rec.request, rec.stats
+        track = f"req{request.request_id}"
+        if event in ("queued", "adopted"):
+            args = {
+                "request_id": request.request_id,
+                "prompt_tokens": request.prompt_tokens,
+                "max_new_tokens": request.max_new_tokens,
+            }
+            if event == "queued":
+                self.begin(process, track, "request", ts=ts, args=args)
+                self.begin(process, track, "queued", ts=ts)
+                return
+            # the track reopens on the donor's stamps, so TTFT / queue
+            # wait recomputed from the trace match the carried stats
+            self.begin(
+                process, track, "request", ts=stats.queued_wall,
+                args={**args, "adopted": True},
+            )
+            for mark, at in (
+                ("prefill_start", stats.prefill_start_wall),
+                ("first_token", stats.first_token_wall),
+            ):
+                if at >= 0:
+                    self.instant(process, track, mark, ts=at)
+            if not rec.prefilling:
+                phase, at = "decode", ts
+            elif stats.prefill_start_wall >= 0:
+                phase, at = "prefill", stats.prefill_start_wall
+            else:  # admitted, but no prompt chunk landed yet
+                phase, at = "queued", stats.queued_wall
+            self.begin(process, track, phase, ts=at)
+            self.begin(process, track, "preempted", ts=ts)
+        elif event == "prefill_start":
+            self.end(process, track, "queued", ts=ts)
+            self.begin(process, track, "prefill", ts=ts)
+            self.instant(process, track, event, ts=ts)
+        elif event == "prefill_chunk":
+            self.instant(
+                process, track, event, ts=ts,
+                args={"tokens": tokens, "pos": rec.prefill_pos},
+            )
+        elif event == "first_token":
+            self.instant(process, track, event, ts=ts)
+        elif event == "running":  # the last prompt chunk landed
+            self.end(process, track, "prefill", ts=ts)
+            self.begin(process, track, "decode", ts=ts)
+        elif event == "preempted":
+            self.begin(process, track, event, ts=ts, args={"step": step})
+        elif event == "resumed":
+            self.end(
+                process, track, "preempted", ts=ts,
+                args={"resumed_step": step},
+            )
+        elif event != "prefilling":  # an exit (admission moves no span)
+            args = {"state": event}
+            if request.state.terminal:
+                args["generated_tokens"] = stats.generated_tokens
+                if event == "finished":
+                    args["preemptions"] = stats.preemptions
+                    args["retained_mass"] = stats.mean_retained_mass
+            self.close_track(process, track, ts=ts, args=args)
 
     def cycle_span(
         self,

@@ -36,20 +36,10 @@ Every request lives in one :class:`SequenceRecord` from
 :meth:`~ServingEngine.submit` to its exit: the scheduler's queue holds
 records, and admission gives a record its arena ``seq_id``.  Every
 state change goes through ``ServingEngine._transition``, every exit
-through ``ServingEngine._finish``.  The trace's ``req<id>`` track
-follows the state:
-
-==========  ============================================================
-state       spans open inside ``request`` (marks emitted)
-==========  ============================================================
-QUEUED      ``queued``, from submit (the record has no ``seq_id`` yet)
-PREFILLING  ``queued``, from the first prompt chunk ``prefill``
-            (``prefill_start``; ``prefill_chunk`` per chunk)
-RUNNING     ``decode`` (``first_token``)
-PREEMPTED   ``preempted``, inside the phase span it left
-terminal    none: ``request`` closes with the state — or with
-            ``withdrawn`` / ``exported`` / ``lost`` for a hand-off
-==========  ============================================================
+through ``ServingEngine._finish``; the tracer draws each one on the
+request's trace track (the state → span table is at
+:meth:`repro.obs.trace.Tracer.request_event`).  A failover hands off
+the records themselves (:meth:`~ServingEngine.harvest_for_failover`).
 """
 
 from __future__ import annotations
@@ -187,10 +177,11 @@ class SequenceRecord:
     """One request, from :meth:`ServingEngine.submit` to its exit: queued,
     resident or swapped out.  Records compare by identity.
 
-    Swapped out (``swapped`` set) it is also the failover wire format
-    (:data:`PreemptedExport`): encoded rows, frozen scales, stats and the
-    (already advanced) decode stream travel together, so an adopting
-    engine continues the sequence bit-identically.
+    It is also what a failover hands off
+    (:meth:`ServingEngine.harvest_for_failover`).  Swapped out
+    (``swapped`` set), its encoded rows, frozen scales, stats and (already
+    advanced) decode stream travel together, so an adopting engine
+    continues the sequence bit-identically.
     """
 
     request: GenerationRequest
@@ -220,11 +211,6 @@ class SequenceRecord:
         return self.request.prompt_tokens - self.prefill_pos
 
 
-#: what :meth:`ServingEngine.export_preempted` returns and
-#: :meth:`ServingEngine.adopt_preempted` takes: a swapped-out record
-PreemptedExport = SequenceRecord
-
-
 @dataclass(frozen=True)
 class VictimCandidate:
     """One active sequence, as the preemption policy sees it.
@@ -251,26 +237,6 @@ class VictimCandidate:
     #: ``remaining_tokens`` includes the not-yet-ingested prompt tail —
     #: policies can prefer these victims (no decoded progress to lose)
     prefilling: bool = False
-
-
-@dataclass
-class FailoverHarvest:
-    """Everything recoverable from a dead (or draining) engine.
-
-    ``queued`` requests never touched the pool and resubmit anywhere;
-    ``swapped`` sequences carry their byte-exact KV in host memory and
-    can be adopted (:meth:`ServingEngine.adopt_preempted`) without
-    re-prefilling; ``lost`` requests were resident in the dead arena —
-    their KV is gone, so they must re-prefill from scratch (their decode
-    streams replay from ``seed``, keeping outputs bit-identical)."""
-
-    queued: List[GenerationRequest] = field(default_factory=list)
-    swapped: List[PreemptedExport] = field(default_factory=list)
-    lost: List[GenerationRequest] = field(default_factory=list)
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.queued) + len(self.swapped) + len(self.lost)
 
 
 class ServingEngine:
@@ -540,110 +506,60 @@ class ServingEngine:
                 f"(n_heads, head_dim) {self._geometry}"
             )
 
-    def withdraw_pending(self) -> List[GenerationRequest]:
-        """Take back every still-queued request (the drain/rebalance path).
+    def withdraw_pending(self) -> List[SequenceRecord]:
+        """Take back every still-queued record (the drain/rebalance path).
 
-        Queued requests have not touched the pool, so they can move to
-        another replica (which assigns a new ``request_id``); active and
-        preempted sequences stay and drain naturally.
+        Queued requests have not touched the pool, so their requests can
+        move to another replica (which assigns a new ``request_id``);
+        active and preempted sequences stay and drain naturally.
         """
         withdrawn = list(self.scheduler.pending)
         self.scheduler.pending.clear()
         for rec in withdrawn:
             self._finish(rec, "withdrawn")
-        return [rec.request for rec in withdrawn]
+        return withdrawn
 
     # -------------------------------------------------------------- lifecycle
     def _transition(
-        self,
-        rec: SequenceRecord,
-        to,
-        *,
-        args: Optional[Dict[str, object]] = None,
+        self, rec: SequenceRecord, to: str, tokens: int = 0
     ) -> None:
-        """Move a live record to state ``to``, or record the mark ``to``
+        """Move a live record to state ``to``; record the mark ``to``
         names inside its state (``"prefill_start"``, ``"prefill_chunk"``
-        with ``args``, ``"first_token"``, or ``"adopted"`` from another
-        engine, mid-prefill or not): sets the state, stamps the wall
-        clocks, moves the request-track spans of the module table and
-        bumps the lifecycle counters."""
+        of ``tokens`` rows, ``"first_token"``, or ``"adopted"`` from
+        another engine, mid-prefill or not); or let it leave as ``to``
+        (:meth:`_finish`).  Sets the state, stamps the wall clocks and
+        bumps the lifecycle counters; the tracer draws the request track
+        (:meth:`repro.obs.trace.Tracer.request_event`)."""
         request, stats = rec.request, rec.stats
-        tracer, label = self.tracer, self.trace_label
-        track = f"req{request.request_id}"
         now = time.perf_counter()
         if to == "adopted":
             request.state = RequestState.PREEMPTED
             self.adopted_total += 1
-            if tracer:
-                # the track reopens on the donor's stamps, so TTFT / queue
-                # wait recomputed from the trace match the carried stats
-                tracer.begin(
-                    label, track, "request", ts=stats.queued_wall,
-                    args={**self._request_args(request), "adopted": True},
-                )
-                for mark, ts in (
-                    ("prefill_start", stats.prefill_start_wall),
-                    ("first_token", stats.first_token_wall),
-                ):
-                    if ts >= 0:
-                        tracer.instant(label, track, mark, ts=ts)
-                if not rec.prefilling:
-                    phase, ts = "decode", now
-                elif stats.prefill_start_wall >= 0:
-                    phase, ts = "prefill", stats.prefill_start_wall
-                else:  # admitted, but no prompt chunk landed yet
-                    phase, ts = "queued", stats.queued_wall
-                tracer.begin(label, track, phase, ts=ts)
-                tracer.begin(label, track, "preempted", ts=now)
-            return
-        if not isinstance(to, RequestState):
-            if to == "prefill_start":
-                stats.prefill_start_wall = now
-                if tracer:
-                    tracer.end(label, track, "queued", ts=now)
-                    tracer.begin(label, track, "prefill", ts=now)
-            elif to == "first_token":
-                stats.first_token_wall = now
-            if tracer:
-                tracer.instant(label, track, to, ts=now, args=args)
-            return
-        prev, request.state = request.state, to
-        if to is RequestState.QUEUED:
-            request.submitted_wall = stats.queued_wall = now
-            if tracer:
-                tracer.begin(
-                    label, track, "request", ts=now,
-                    args=self._request_args(request),
-                )
-                tracer.begin(label, track, "queued", ts=now)
-        elif to is RequestState.PREEMPTED:
-            stats.preemptions += 1
-            self.preemptions_total += 1
-            if tracer:
-                tracer.begin(
-                    label, track, "preempted", ts=now,
-                    args={"step": self._step_index},
-                )
-        elif prev is RequestState.PREEMPTED:  # resumed
-            self.resumes_total += 1
-            if tracer:
-                tracer.end(
-                    label, track, "preempted", ts=now,
-                    args={"resumed_step": self._step_index},
-                )
-        elif to is RequestState.RUNNING:  # the last prompt chunk landed
-            if tracer:
-                tracer.end(label, track, "prefill", ts=now)
-                tracer.begin(label, track, "decode", ts=now)
-        # QUEUED -> PREFILLING (admission): spans move at the first chunk
-
-    @staticmethod
-    def _request_args(request: GenerationRequest) -> Dict[str, object]:
-        return {
-            "request_id": request.request_id,
-            "prompt_tokens": request.prompt_tokens,
-            "max_new_tokens": request.max_new_tokens,
-        }
+        elif to == "prefill_start":
+            stats.prefill_start_wall = now
+        elif to == "first_token":
+            stats.first_token_wall = now
+        elif to in ("finished", "cancelled", "timed_out"):
+            request.state = RequestState(to)
+            stats.finished_step = self._step_index
+            stats.finished_wall = now
+        elif to == "lost":
+            request.state = RequestState.QUEUED
+        elif isinstance(to, RequestState):
+            prev, request.state = request.state, to
+            if to is RequestState.QUEUED:
+                request.submitted_wall = stats.queued_wall = now
+            elif to is RequestState.PREEMPTED:
+                stats.preemptions += 1
+                self.preemptions_total += 1
+            elif prev is RequestState.PREEMPTED:
+                self.resumes_total += 1
+                to = "resumed"
+        if self.tracer:
+            self.tracer.request_event(
+                self.trace_label, rec, to, now,
+                step=self._step_index, tokens=tokens,
+            )
 
     def _finish(
         self, rec: SequenceRecord, how: str
@@ -664,25 +580,12 @@ class ServingEngine:
         if rec.prefix is not None:
             self.prefix_cache.release(rec.prefix)
             rec.prefix = None
-        request, stats = rec.request, rec.stats
-        args: Dict[str, object] = {"state": how}
-        ts = done = None
-        if how in ("finished", "cancelled", "timed_out"):
-            request.state = RequestState(how)
-            stats.finished_step = self._step_index
-            ts = stats.finished_wall = time.perf_counter()
-            args["generated_tokens"] = stats.generated_tokens
-            if how == "finished":
-                args["preemptions"] = stats.preemptions
-                args["retained_mass"] = stats.mean_retained_mass
-            done = CompletedRequest(request.request_id, stats, request.state)
-            done_list = self.completed if how == "finished" else self.cancelled
-            done_list.append(done)
-        elif how == "lost":
-            request.state = RequestState.QUEUED
-        if self.tracer:
-            track = f"req{request.request_id}"
-            self.tracer.close_track(self.trace_label, track, ts=ts, args=args)
+        self._transition(rec, how)
+        request = rec.request
+        if not request.state.terminal:
+            return None
+        done = CompletedRequest(request.request_id, rec.stats, request.state)
+        (self.completed if how == "finished" else self.cancelled).append(done)
         return done
 
     # -------------------------------------------------- cancellation/deadline
@@ -740,7 +643,7 @@ class ServingEngine:
         return self.config.threshold
 
     # --------------------------------------------------------------- failover
-    def export_preempted(self, request_id: int) -> PreemptedExport:
+    def export_preempted(self, request_id: int) -> SequenceRecord:
         """Detach a swapped-out sequence for adoption by another engine:
         its record — byte-exact host copy, frozen scales, stats and decode
         stream — leaves whole, and this engine forgets it."""
@@ -750,7 +653,7 @@ class ServingEngine:
                 return rec
         raise KeyError(f"request {request_id} is not swapped out here")
 
-    def adopt_preempted(self, export: PreemptedExport) -> int:
+    def adopt_preempted(self, export: SequenceRecord) -> int:
         """Adopt another engine's swapped-out sequence (failover resume).
 
         The record lands in this engine's preempted set and swaps into
@@ -778,21 +681,24 @@ class ServingEngine:
         self._transition(export, "adopted")
         return request.request_id
 
-    def harvest_for_failover(self) -> FailoverHarvest:
-        """Strip every unfinished request off this engine for resubmission.
+    def harvest_for_failover(self) -> List[SequenceRecord]:
+        """Strip every unfinished record off this engine for resubmission.
 
-        The replica-death path: queued requests withdraw untouched,
-        swapped-out sequences export with their byte-exact KV, and
-        arena-resident sequences — whose KV died with the arena — come
-        back as re-prefillable requests (reset to ``QUEUED``; their seeded
+        The replica-death path, in this order: queued records withdraw
+        untouched (``seq_id`` -1); swapped-out ones export with their
+        byte-exact KV (``swapped`` set) for another engine to adopt; and
+        arena-resident ones, whose KV died with the arena, come back lost,
+        their requests reset to ``QUEUED`` for re-prefill (their seeded
         decode streams replay, so a re-run's outputs are bit-identical).
         """
-        harvest = FailoverHarvest(queued=self.withdraw_pending())
-        for rec in list(self._preempted.values()):
-            harvest.swapped.append(self.export_preempted(rec.request.request_id))
+        harvest = self.withdraw_pending()
+        harvest += [
+            self.export_preempted(rec.request.request_id)
+            for rec in list(self._preempted.values())
+        ]
         for rec in list(self._active.values()):
             self._finish(rec, "lost")
-            harvest.lost.append(rec.request)
+            harvest.append(rec)
         return harvest
 
     def _admission_tokens(self, request: GenerationRequest) -> int:
@@ -880,9 +786,7 @@ class ServingEngine:
         report.prefill_chunks += 1
         report.prefill_tokens += n
         report.prefill_bits += n * self.pool.row_bits
-        self._transition(
-            entry, "prefill_chunk", args={"tokens": n, "pos": entry.prefill_pos}
-        )
+        self._transition(entry, "prefill_chunk", tokens=n)
         if not entry.prefilling:
             self._transition(entry, RequestState.RUNNING)
 

@@ -47,8 +47,9 @@ class RequestState(str, Enum):
     while queued, exported while preempted (it stays ``PREEMPTED`` until
     another engine adopts it), or lost with a dead arena (reset to
     ``QUEUED`` for re-prefill).  The engine sets the state in one place
-    and releases every exit through one path; its module docstring maps
-    each state to the trace spans it opens.
+    and releases every exit through one path;
+    :meth:`repro.obs.trace.Tracer.request_event` maps each state to the
+    trace spans it opens.
     """
 
     QUEUED = "queued"

@@ -46,3 +46,39 @@ def test_median_gap_must_exceed_the_parents_spread():
 
 def test_no_pairs_no_claim():
     assert not ab_pairs.claim([], [], "lower")
+
+
+# the no-regression verdict: every end-to-end metric of BENCHMARK.json
+# has a ``bound``, a fraction of the parent's median
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    # parent median 10.9: a 25 % bound allows down to 8.175 (higher
+    # is better) or up to 13.625 (lower is better)
+    assert ab_pairs.verdict(BASE, [b * 0.7 for b in BASE], "higher", 0.25) == "worse"
+    assert ab_pairs.verdict(BASE, [b * 1.3 for b in BASE], "lower", 0.25) == "worse"
+    assert ab_pairs.verdict(BASE, [b * 1.3 for b in BASE], "higher", 0.25) == "ok"
+
+
+def test_a_tight_pair_inside_the_bound_is_ok():
+    # quartile distance 1.1 is ~10 % of the median: inside a 25 % bound
+    assert ab_pairs.verdict(BASE, [b + 0.5 for b in BASE], "lower", 0.25) == "ok"
+    assert ab_pairs.verdict(BASE, BASE, "higher", 0.25) == "ok"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    """setup_s readings like a refused bit-identical change's: parent
+    0.190-0.218 s, change median 0.228 s (8 % worse, inside the 25 %
+    bound) but its quartile distance 0.085 s, 40 % of the parent's
+    median."""
+    base = [0.190, 0.195, 0.200, 0.205, 0.210, 0.212, 0.214, 0.216, 0.218, 0.218]
+    change = [0.185, 0.190, 0.195, 0.205, 0.226, 0.230, 0.260, 0.275, 0.290, 0.300]
+    assert ab_pairs.verdict(base, change, "lower", 0.25) == "unresolved"
+    assert ab_pairs.verdict(base, change, "lower", 0.5) == "ok"
+    # the parent's own spread counts too
+    assert ab_pairs.verdict(change, base, "lower", 0.25) == "unresolved"
+
+
+def test_beating_every_parent_run_resolves_a_wide_spread():
+    change = [b - 5.0 for b in BASE]
+    assert ab_pairs.verdict(BASE, change, "lower", 0.05) == "ok"
+    change[0] = max(BASE)  # one change run no better than the parent's best
+    assert ab_pairs.verdict(BASE, change, "lower", 0.05) == "unresolved"

@@ -108,6 +108,34 @@ def test_lazy_table_entries_are_reexports_and_imports(tmp_path):
     assert findings == ["re-export nothing imports through its package: pkg.helper"]
 
 
+def test_a_name_in_its_own_modules_all_is_not_a_use(tmp_path):
+    _write(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/cli.py": """\
+            from pkg.mod import run
+
+            run()
+        """,
+        "src/pkg/mod.py": """\
+            __all__ = ["run", "only_tested"]
+
+
+            def run():
+                return 1
+
+
+            def only_tested():
+                return 2
+        """,
+        "tests/test_mod.py": "from pkg.mod import only_tested\n",
+    })
+    code, findings = _census(tmp_path)
+    assert code == 1
+    assert findings == [
+        "reached only by tests or itself: pkg.mod:only_tested (mod.py:8)",
+    ]
+
+
 def test_repository_is_clean():
     code, findings = _census(CENSUS.parent.parent)
     assert (code, findings) == (0, [])

@@ -163,11 +163,14 @@ class TestFailoverHarvest:
         for _ in range(3):
             engine.step()
         harvest = engine.harvest_for_failover()
-        assert harvest.n_requests == 4
+        assert len(harvest) == 4
         assert engine.pool.blocks_in_use == 0
         assert engine.n_active == 0 and engine.n_pending == 0
-        for request in harvest.queued + harvest.lost:
-            assert request.state == RequestState.QUEUED
+        # queued first (never admitted), then the lost arena residents
+        assert [rec.seq_id >= 0 for rec in harvest] == [False] * 2 + [True] * 2
+        for rec in harvest:
+            assert rec.swapped is None
+            assert rec.request.state == RequestState.QUEUED
 
     def test_swap_resume_is_bit_identical(self):
         """A preempted sequence killed with its replica resumes
@@ -209,8 +212,8 @@ class TestFailoverHarvest:
         for _ in range(3):
             donor.step()
         donor.preempt(next(iter(donor._active)))
-        harvest = donor.harvest_for_failover()
-        assert len(harvest.swapped) == 1
+        [export] = donor.harvest_for_failover()
+        assert export.swapped is not None
         tiered = ServingEngine(
             max_batch_size=2,
             capacity_tokens=256,
@@ -218,7 +221,7 @@ class TestFailoverHarvest:
             kv_tiering=TierConfig(hot_budget_tokens=64),
         )
         with pytest.raises(ValueError):
-            tiered.adopt_preempted(harvest.swapped[0])
+            tiered.adopt_preempted(export)
 
     def test_adoption_refuses_work_the_pool_can_never_hold(self):
         """Adoption applies submit's lifetime-footprint check: a 464-token

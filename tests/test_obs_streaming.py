@@ -22,16 +22,43 @@ from repro.core import TokenPickerConfig
 from repro.obs import (
     BufferedSink,
     JsonlStreamingSink,
-    TeeSink,
     Tracer,
     span_records_to_perfetto,
     validate_span_log_file,
     validate_trace,
 )
 from repro.obs.analyze import analyze_file
+from repro.obs.sinks import SpanSink
 from repro.serving import ServingEngine, synthetic_request
 
 CFG = TokenPickerConfig(threshold=2e-3)
+
+
+class TeeSink(SpanSink):
+    """Fan every record out to each child sink, in order: one seeded run
+    drives a buffered and a streaming sink at once."""
+
+    def __init__(self, *sinks: SpanSink) -> None:
+        self.sinks = list(sinks)
+
+    def on_begin(self, *args) -> None:
+        for sink in self.sinks:
+            sink.on_begin(*args)
+
+    def emit(self, event) -> None:
+        for sink in self.sinks:
+            sink.emit(event)
+
+    def close(self) -> None:
+        for sink in self.sinks:
+            sink.close()
+
+    def buffered_events(self):
+        for sink in self.sinks:
+            events = sink.buffered_events()
+            if events is not None:
+                return events
+        return None
 
 
 def _drive_engine(tracer, n_requests=6, seed=0):

@@ -10,11 +10,13 @@ which side runs first every pair so slow drift of the machine hits both
 sides alike.  Then prints, per metric the runs printed (the end-to-end
 metrics, or the per-layer ones with ``--trace 1``), each side's median
 and quartiles, how many pairs the change won (ties count for neither
-side; the better direction comes from BASE_DIR's ``BENCHMARK.json``)
-and whether that is a claimable gain (:func:`claim`), plus whether the
-``output_digest`` matched in every pair.  With
-``--trace 1``, when the two sides' ``missing_trace_targets`` differ (a
-refactor dropped or renamed a span target) both lists are printed.
+side; the better direction comes from BASE_DIR's ``BENCHMARK.json``),
+whether that is a claimable gain (:func:`claim`) and, for an end-to-end
+metric, the no-regression verdict against its ``bound``
+(:func:`verdict`); and whether the ``output_digest`` matched in every
+pair.  With ``--trace 1``, when the two sides' ``missing_trace_targets``
+differ (a refactor dropped or renamed a span target) both lists are
+printed.
 A run that fails stops the tool with that run's stderr.
 Standard library only.
 """
@@ -66,6 +68,26 @@ def claim(base, change, better):
     return wins(base, change, better) >= 0.9 * len(base) and gap > q3 - q1
 
 
+def verdict(base, change, better, bound):
+    """The no-regression rule for one end-to-end metric, its ``bound`` a
+    fraction of the parent's median: ``"worse"`` when the change's median
+    is worse than the parent's by more than the bound; else
+    ``"unresolved"`` when either side's quartile distance is wider than
+    the bound, unless every change run beats every parent run; else
+    ``"ok"``."""
+    sign = 1 if better == "higher" else -1
+    (bq1, base_median, bq3), (cq1, change_median, cq3) = (
+        quartiles(base), quartiles(change))
+    allowed = bound * abs(base_median)
+    if sign * (change_median - base_median) < -allowed:
+        return "worse"
+    beats_all = (min(change) > max(base) if sign > 0
+                 else max(change) < min(base))
+    if max(bq3 - bq1, cq3 - cq1) > allowed and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
@@ -92,10 +114,10 @@ def main():
         for side in ("base", "change"):
             print(f"missing_trace_targets {side}: {missing[side] or 'none'}")
     print(f"{'metric':32} {'base median [q1, q3]':>30} "
-          f"{'change median [q1, q3]':>30}  change won-tied-lost  claim")
+          f"{'change median [q1, q3]':>30}  change won-tied-lost  claim  verdict")
     every_run = runs["base"] + runs["change"]
     for entry in manifest["end_to_end"] + manifest["per_layer"]:
-        name, better = entry["name"], entry["better"]
+        name, better, bound = entry["name"], entry["better"], entry.get("bound")
         if not all(name in r[2] for r in every_run):
             continue
         base = [r[2][name] for r in runs["base"]]
@@ -108,7 +130,8 @@ def main():
             cols.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
         record = f"{won}-{ties}-{len(base) - won - ties}"
         print(f"{name:32} {cols[0]:>30} {cols[1]:>30}  {record:>20}  "
-              f"{'yes' if claim(base, change, better) else 'no'}")
+              f"{'yes' if claim(base, change, better) else 'no':>5}  "
+              f"{'-' if bound is None else verdict(base, change, better, bound)}")
 
 
 if __name__ == "__main__":

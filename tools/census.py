@@ -22,7 +22,9 @@ entry of its lazy ``_LAZY = {"name": "pkg.module"}`` table, which counts
 as ``from pkg.module import name``.
 
 A reference is an AST identifier or attribute, an import alias, or a
-string that names the definition (``"pkg.mod:Class"``, a method name).
+string that names the definition (``"pkg.mod:Class"``, a method name),
+except the strings of a module's ``__all__``, which list names and use
+none.
 Names are matched without their owner, so a method counts as used when
 any attribute of that name is.  Standard library only.
 """
@@ -68,10 +70,14 @@ class Source:
         self.through: set[tuple[str, str]] = set()  # (package, name) imported
         self.defs: list[tuple[str, int, int]] = []  # (qualname, first, last line)
         tree = ast.parse(path.read_text(), str(path))
-        lazy = self._lazy_exports(tree)
+        skip = self._lazy_exports(tree) | {
+            elt for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in ast.walk(node.value)
+        }
         for node in ast.walk(tree):
             line = getattr(node, "lineno", 0)
-            if node in lazy:
+            if node in skip:
                 continue
             if isinstance(node, ast.Name):
                 self.refs.append((node.id, line))
